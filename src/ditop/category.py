@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
+from .covers import (AdmissibilityOracle, BoundResult,
                      maximal_admissible_sets, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
 from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
@@ -118,29 +118,20 @@ def cat_bounds(base: DigitalImage,
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
-    contractibility is settled exactly only for small images; beyond the
-    guard a successful slide still certifies True, otherwise it stays
-    unknown and the lower bound honestly remains 1.
+    contractibility is settled exactly (slide, then search) only for small
+    images; beyond the guard it is left unsettled, so the slide-only piece
+    test on the whole image still certifies True, and otherwise the lower
+    bound honestly remains 1.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
                          "split into components first")
-    whole: bool | None
-    idmap = DigitalMap.identity(base)
-    slid = None
-    for t in base.points:
-        slid = slide_nullhomotopy(idmap, t)
-        if slid is not None:
-            break
-    if slid is not None:
-        whole = True
-    elif len(base.points) <= contractibility_guard:
+    whole: bool | None = None
+    if len(base.points) <= contractibility_guard:
         try:
             whole = is_contractible(base, node_budget)
         except BudgetExhausted:
-            whole = None
-    else:
-        whole = None
+            pass
 
     oracle = AdmissibilityOracle(
         base, lambda sub: piece_contraction_slide_only(base, sub) is not None)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional
 
 from .category import cat_bounds, cat_exact
 from .complexity import (CoverImpossible, TheoremViolation, schwarz_genus,
                          tc_n)
-from .corpus import get_image, get_map, get_table, get_window_group, loop_cover
+from .corpus import (UnknownCorpusName, get_image, get_map, get_table,
+                     get_window_group, loop_cover)
 from .fileio import (ParseError, load_group, load_image, load_map,
                      serialize_cover, serialize_group, serialize_homotopy,
                      serialize_image, serialize_map, serialize_sections)
@@ -30,7 +30,7 @@ from .homotopy import BudgetExhausted, are_homotopic, contraction
 from .images import CK, DigitalImage, Explicit, interval_image
 from .knownvalues import run_reference_rows
 from .maps import DigitalMap, continuity_violation
-from .pathspace import EndpointFibration
+from .pathspace import EndpointFibration, product_mode
 from .report import Report, digest_file, digest_text
 
 # window-group homomorphisms need a rule for every point the operations
@@ -38,10 +38,6 @@ from .report import Report, digest_file, digest_text
 WINDOW_FUNCTIONS = {
     "proj1": lambda p: (p[0],),
 }
-
-
-def _product_mode(mode: Optional[str]) -> str:
-    return "strong" if mode == "strong" else "min"
 
 
 def _adjacency_word(img: DigitalImage) -> str:
@@ -81,16 +77,12 @@ def _group_from_ref(ref: str):
         try:
             table = get_table(name)
             return table, digest_text(serialize_group(table, ref))
-        except KeyError:
+        except UnknownCorpusName:
             pass
         wg = get_window_group(name)
         return wg, digest_text(wg.label + "\n"
                                + serialize_image(wg.window))
     return load_group(ref), digest_file(ref)
-
-
-def _point(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
 # ---- commands ----
@@ -267,7 +259,7 @@ def cmd_genus(args) -> tuple[Report, int]:
 
 def cmd_group_check(args) -> tuple[Report, int]:
     obj, dig = _group_from_ref(args.group)
-    mode = _product_mode(args.mode)
+    mode = product_mode(args.mode or "pointwise")
     rep = Report(command=_echo(args), inputs={args.group: dig},
                  settings={"product": mode})
     if isinstance(obj, WindowGroup):
@@ -312,7 +304,7 @@ def cmd_group_scan(args) -> tuple[Report, int]:
         ref = args.image
     else:
         raise ValueError("group-scan wants -p <points> or an image")
-    mode = _product_mode(args.mode)
+    mode = product_mode(args.mode or "pointwise")
     rep = Report(command=_echo(args), inputs={ref: dig},
                  settings={"product": mode})
     res = scan_group_structures(img, mode=mode)
@@ -341,7 +333,7 @@ def cmd_group_product(args) -> tuple[Report, int]:
     b, dig2 = _group_from_ref(args.group2)
     if isinstance(a, WindowGroup) or isinstance(b, WindowGroup):
         raise ValueError("group-product works on finite tables, not windows")
-    mode = _product_mode(args.mode)
+    mode = product_mode(args.mode or "pointwise")
     rep = Report(command=_echo(args),
                  inputs={args.group1: dig1, args.group2: dig2},
                  settings={"product": mode})
@@ -565,13 +557,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         rep, code = COMMANDS[args.command](args)
-    except (ParseError, FileNotFoundError, KeyError, ValueError,
+    except (ParseError, FileNotFoundError, UnknownCorpusName, ValueError,
             TheoremViolation, NotImplementedError) as err:
-        if isinstance(err, KeyError) and err.args:
-            msg = str(err.args[0])
-        else:
-            msg = str(err) or type(err).__name__
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
     if getattr(args, "out", None):

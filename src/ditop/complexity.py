@@ -20,11 +20,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .category import cat_exact, piece_contraction
+# piece_contraction is unused here, but bench/selftest.py checks that the
+# tracer rebinds it in this module
+from .category import cat_exact, piece_contraction  # noqa: F401
 from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                      minimal_cover_exact, Subset)
-from .homotopy import (BudgetExhausted, HomotopyWitness, nullhomotopy,
-                       slide_nullhomotopy)
+from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
+                       nullhomotopy, slide_nullhomotopy)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
 from .pathspace import EndpointFibration, PairedFibration, Wedge
@@ -43,9 +45,6 @@ class SectionWitness:
 
     piece: tuple[Point, ...]
     wedges: tuple[Wedge, ...] = field(compare=False)
-
-    def wedge_for(self, u: Point) -> Wedge:
-        return self.wedges[self.piece.index(tuple(u))]
 
 
 def verify_section(fib: EndpointFibration, sw: SectionWitness,
@@ -181,8 +180,6 @@ def contraction_section(base: DigitalImage, n: int, m: int | None = None,
     the base is not contractible, the requested arm length is too short, or
     (in strong mode, where the argument is not available) the candidate
     fails verification."""
-    from .homotopy import contraction
-
     w = contraction(base, node_budget)
     if w is None:
         return None
@@ -427,12 +424,6 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     return BoundResult(lower, upper, witness, tuple(notes))
 
 
-def tc_gap_step(prev_upper: int, cat_value: int) -> int:
-    """One step of the chain inequality: TC_{n+1} never exceeds TC_n plus
-    the category of the base (for a connected topological-group base)."""
-    return prev_upper + cat_value
-
-
 def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
              cover: Sequence[Subset] | None = None, m: int | None = None,
              mode: str = "pointwise",
@@ -454,7 +445,8 @@ def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
                 notes.append(f"lower raised to {lower}: TC never drops as n grows")
             if (table is not None and cat_upper is not None
                     and prev.upper is not None):
-                cand = tc_gap_step(prev.upper, cat_upper)
+                # TC_{n+1} <= TC_n + cat for a connected topological-group base
+                cand = prev.upper + cat_upper
                 if upper is None or cand < upper:
                     upper = cand
                     notes.append(f"upper {cand}: previous TC plus category")

@@ -9,13 +9,18 @@ grids with their usual addition.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .groups import CayleyTable, WindowGroup
 from .homotopy import HomotopyWitness
 from .images import (CK, DigitalImage, Point, ck_adjacent, induced_subimage,
                      interval_image, product_image)
 from .maps import DigitalMap
+
+
+class UnknownCorpusName(LookupError):
+    """A corpus:<name> reference that names no built-in example."""
+
 
 # The loop's eight points keep their traditional one-letter names; the
 # letters also index the multiplication table below.
@@ -214,12 +219,6 @@ def sign_embedding() -> DigitalMap:
     return DigitalMap.from_mapping(dom, cod, {(1,): (8,), (-1,): (9,)})
 
 
-def loop_bundle() -> tuple[DigitalImage, CayleyTable,
-                           tuple[tuple[Point, ...], tuple[Point, ...]]]:
-    """The loop, its group, and the preferred categorical cover."""
-    return loop_image(), loop_rotation_table(), loop_cover()
-
-
 def _int_args(parts: list[str], n: int, name: str) -> list[int]:
     if len(parts) != n:
         raise ValueError(f"corpus:{name} takes {n} integer parameter(s), "
@@ -255,9 +254,9 @@ def get_image(name: str) -> DigitalImage:
     if head == "z2window":
         x0, x1, y0, y1 = _int_args(rest, 4, head)
         return z2_window(x0, x1, y0, y1)
-    raise KeyError(f"unknown corpus image {name!r}; have: H, point, pm1, "
-                   f"interval:lo:hi, cycle:n, zwindow:lo:hi, "
-                   f"z2window:x0:x1:y0:y1")
+    raise UnknownCorpusName(f"unknown corpus image {name!r}; have: H, point, "
+                            f"pm1, interval:lo:hi, cycle:n, zwindow:lo:hi, "
+                            f"z2window:x0:x1:y0:y1")
 
 
 def get_table(name: str) -> CayleyTable:
@@ -269,8 +268,8 @@ def get_table(name: str) -> CayleyTable:
     if head == "flip":
         (m,) = _int_args(rest, 1, head)
         return flip_table(m)
-    raise KeyError(f"unknown corpus table {name!r}; have: Hrot, pm1mul, "
-                   f"flip:m")
+    raise UnknownCorpusName(f"unknown corpus table {name!r}; have: Hrot, "
+                            f"pm1mul, flip:m")
 
 
 def get_window_group(name: str) -> WindowGroup:
@@ -287,8 +286,8 @@ def get_window_group(name: str) -> WindowGroup:
     if head == "mulwin":
         lo, hi = _int_args(rest, 2, head) if rest else (1, 2)
         return mulwin_group(lo, hi)
-    raise KeyError(f"unknown corpus window group {name!r}; have: "
-                   f"zplus:lo:hi, z2plus:x0:x1:y0:y1, mulwin:lo:hi")
+    raise UnknownCorpusName(f"unknown corpus window group {name!r}; have: "
+                            f"zplus:lo:hi, z2plus:x0:x1:y0:y1, mulwin:lo:hi")
 
 
 def get_map(name: str) -> DigitalMap:
@@ -308,5 +307,5 @@ def get_map(name: str) -> DigitalMap:
         return projection_map()
     if head == "pm1embed" and not rest:
         return sign_embedding()
-    raise KeyError(f"unknown corpus map {name!r}; have: sum:lo:hi:mode, "
-                   f"proj1:x0:x1:y0:y1, pm1embed")
+    raise UnknownCorpusName(f"unknown corpus map {name!r}; have: "
+                            f"sum:lo:hi:mode, proj1:x0:x1:y0:y1, pm1embed")

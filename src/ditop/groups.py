@@ -66,25 +66,6 @@ class CayleyTable:
                 return b
         return None
 
-    def power(self, a: Point, k: int) -> Point:
-        if k < 0:
-            inv = self.inverse(a)
-            if inv is None:
-                raise ValueError(f"{a} has no inverse")
-            return self.power(inv, -k)
-        out = self.identity
-        for _ in range(k):
-            out = self.product(out, a)
-        return out
-
-    def left_translation(self, g: Point) -> DigitalMap:
-        vals = tuple(self.product(g, p) for p in self.image.points)
-        return DigitalMap(self.image, self.image, vals, f"L{tuple(g)}")
-
-    def right_translation(self, g: Point) -> DigitalMap:
-        vals = tuple(self.product(p, g) for p in self.image.points)
-        return DigitalMap(self.image, self.image, vals, f"R{tuple(g)}")
-
     def multiplication_map(self, mode: str = "min") -> DigitalMap:
         """The operation as a map from the product image (needs closure)."""
         prod = product_image(self.image, self.image, mode)

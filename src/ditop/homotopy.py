@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point
-from .maps import DigitalMap, continuity_violation, find_isomorphism, is_continuous
+from .maps import DigitalMap, continuity_violation, is_continuous
 
 State = tuple[int, ...]
 
@@ -42,10 +42,6 @@ class HomotopyWitness:
         object.__setattr__(self, "stages", tuple(self.stages))
 
     @property
-    def start(self) -> DigitalMap:
-        return self.stages[0]
-
-    @property
     def end(self) -> DigitalMap:
         return self.stages[-1]
 
@@ -53,15 +49,6 @@ class HomotopyWitness:
     def steps(self) -> int:
         """Number of unit time steps (stage count minus one)."""
         return len(self.stages) - 1
-
-    def reversed(self) -> "HomotopyWitness":
-        return HomotopyWitness(tuple(reversed(self.stages)), self.label)
-
-    def then(self, other: "HomotopyWitness") -> "HomotopyWitness":
-        if self.end != other.start:
-            raise ValueError("homotopies do not meet: end of the first "
-                             "differs from start of the second")
-        return HomotopyWitness(self.stages + other.stages[1:])
 
 
 def verify_homotopy(w: HomotopyWitness, f: DigitalMap | None = None,
@@ -91,23 +78,18 @@ def verify_homotopy(w: HomotopyWitness, f: DigitalMap | None = None,
     return True, None
 
 
-def restrict_witness(w: HomotopyWitness, subset: Iterable[Point]) -> HomotopyWitness:
-    """Restrict every stage to an induced subimage of the domain."""
-    sub = tuple(subset)
-    return HomotopyWitness(tuple(st.restricted(sub) for st in w.stages), w.label)
-
-
 # ---- the map graph ----
 
 class MapGraph:
     """Continuous maps domain -> codomain with the pointwise-step relation.
 
     States are tuples of codomain point indices aligned with the domain's
-    canonical point order. Neighbor enumeration backtracks over positions:
-    position i may take any index in the closed neighborhood of its current
-    value, intersected with the closed neighborhoods of values already chosen
-    at earlier domain-adjacent positions. Enumeration order is by codomain
-    index, so searches are deterministic.
+    canonical point order. One backtracker enumerates states position by
+    position: position i may take any index in its root mask (the closed
+    neighborhood of its current value for neighbor states, every index for
+    all states), intersected with the closed neighborhoods of values already
+    chosen at earlier domain-adjacent positions. Enumeration order is by
+    codomain index, so searches are deterministic.
     """
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage):
@@ -146,6 +128,17 @@ class MapGraph:
     def neighbor_states(self, state: State) -> Iterator[State]:
         """All continuous states pointwise within one step of `state`
         (the state itself included), in lexicographic index order."""
+        closed = self.closed_mask
+        return self._states([closed[v] for v in state])
+
+    def all_states(self) -> Iterator[State]:
+        """Every continuous state, that is every continuous map, in
+        lexicographic index order."""
+        return self._states([(1 << len(self.codomain.points)) - 1] * self.n)
+
+    def _states(self, roots: Sequence[int]) -> Iterator[State]:
+        """The continuous states whose value at position i lies in the
+        bitmask roots[i], by backtracking over positions in order."""
         n = self.n
         closed = self.closed_mask
         prev = self.prev
@@ -153,7 +146,7 @@ class MapGraph:
         masks = [0] * n
 
         def allowed(i: int) -> int:
-            m = closed[state[i]]
+            m = roots[i]
             for j in prev[i]:
                 m &= closed[chosen[j]]
             return m
@@ -201,35 +194,17 @@ class MapGraph:
                 queue.append(nxt)
         return None
 
-    def path_from_parents(self, goal: State,
-                          parents: dict[State, State | None]) -> list[State]:
+    def witness(self, hit: tuple[State, dict[State, State | None]] | None,
+                ) -> Optional[HomotopyWitness]:
+        """The homotopy along the search-tree path to the goal of a `bfs`
+        result, or None when the search found no goal."""
+        if hit is None:
+            return None
+        goal, parents = hit
         path = [goal]
         while parents[path[-1]] is not None:
             path.append(parents[path[-1]])
-        path.reverse()
-        return path
-
-    def witness_from_states(self, states: Sequence[State],
-                            label: str = "") -> HomotopyWitness:
-        return HomotopyWitness(tuple(self.map_of(s) for s in states), label)
-
-    def component_of(self, start: State,
-                     node_budget: int | None = 2_000_000) -> set[State]:
-        """Every state reachable from `start` (the homotopy class)."""
-        if not self.is_state_continuous(start):
-            raise ValueError("start state is not a continuous map")
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbor_states(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if node_budget is not None and len(seen) > node_budget:
-                        raise BudgetExhausted(
-                            f"component sweep exceeded {node_budget} states")
-                    queue.append(nxt)
-        return seen
+        return HomotopyWitness(tuple(self.map_of(s) for s in reversed(path)))
 
 
 def are_homotopic(f: DigitalMap, g: DigitalMap,
@@ -248,11 +223,8 @@ def are_homotopic(f: DigitalMap, g: DigitalMap,
             raise ValueError(f"the {name} map is not continuous")
     graph = MapGraph(f.domain, f.codomain)
     target = graph.state_of(g)
-    hit = graph.bfs(graph.state_of(f), lambda s: s == target, node_budget)
-    if hit is None:
-        return None
-    goal, parents = hit
-    return graph.witness_from_states(graph.path_from_parents(goal, parents))
+    return graph.witness(
+        graph.bfs(graph.state_of(f), lambda s: s == target, node_budget))
 
 
 # ---- contractibility ----
@@ -313,24 +285,7 @@ def nullhomotopy(f: DigitalMap,
         first = s[0]
         return first in allowed and all(v == first for v in s)
 
-    hit = graph.bfs(graph.state_of(f), at_constant, node_budget)
-    if hit is None:
-        return None
-    goal, parents = hit
-    return graph.witness_from_states(graph.path_from_parents(goal, parents))
-
-
-def is_nullhomotopic(f: DigitalMap,
-                     node_budget: int | None = 2_000_000) -> bool:
-    return nullhomotopy(f, node_budget=node_budget) is not None
-
-
-def is_contractible(img: DigitalImage,
-                    node_budget: int | None = 2_000_000) -> bool:
-    """Whether the identity map is nullhomotopic."""
-    if not img.is_connected:
-        return False
-    return nullhomotopy(DigitalMap.identity(img), node_budget=node_budget) is not None
+    return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
 
 
 def contraction(img: DigitalImage,
@@ -341,56 +296,7 @@ def contraction(img: DigitalImage,
     return nullhomotopy(DigitalMap.identity(img), node_budget=node_budget)
 
 
-# ---- homotopy equivalence ----
-
-def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
-                            node_budget: int | None = 2_000_000,
-                            pair_budget: int = 200_000,
-                            ) -> Optional[bool]:
-    """Decide homotopy equivalence when a cheap route settles it.
-
-    Routes, in order: component counts must match; two contractible connected
-    images are equivalent; an isomorphism settles it; contractible vs not
-    settles it; finally, for small images, enumerate map pairs (f, g) and
-    test g o f ~ id and f o g ~ id. Returns None when no route is conclusive
-    within budget — an honest "don't know".
-    """
-    from .maps import enumerate_continuous_maps  # cycle guard
-
-    if len(x.components) != len(y.components):
-        return False
-    if len(x.components) == 1:
-        cx = is_contractible(x, node_budget)
-        cy = is_contractible(y, node_budget)
-        if cx and cy:
-            return True
-        if cx != cy:
-            return False
-    if len(x.points) == len(y.points) and len(x.points) <= 16:
-        if find_isomorphism(x, y) is not None:
-            return True
-    if len(x.points) > 10 or len(y.points) > 10:
-        return None
-
-    gx = MapGraph(x, x)
-    gy = MapGraph(y, y)
-    try:
-        comp_x = gx.component_of(DigitalMap.identity(x).value_indices, node_budget)
-        comp_y = gy.component_of(DigitalMap.identity(y).value_indices, node_budget)
-    except BudgetExhausted:
-        return None
-    fwd = list(enumerate_continuous_maps(x, y, limit=pair_budget))
-    bwd = list(enumerate_continuous_maps(y, x, limit=pair_budget))
-    if len(fwd) * len(bwd) > pair_budget:
-        return None
-    for f in fwd:
-        fi = f.value_indices
-        for g in bwd:
-            gi = g.value_indices
-            gof = tuple(gi[v] for v in fi)
-            if gof not in comp_x:
-                continue
-            fog = tuple(fi[v] for v in gi)
-            if fog in comp_y:
-                return True
-    return False
+def is_contractible(img: DigitalImage,
+                    node_budget: int | None = 2_000_000) -> bool:
+    """Whether the identity map is nullhomotopic."""
+    return contraction(img, node_budget) is not None

@@ -47,9 +47,6 @@ class CK:
     def adjacent(self, p: Point, q: Point) -> bool:
         return ck_adjacent(p, q, self.k)
 
-    def describe(self) -> str:
-        return f"c{self.k}"
-
 
 @dataclass(frozen=True)
 class Explicit:
@@ -74,9 +71,6 @@ class Explicit:
         if p == q:
             return False
         return ((p, q) if p < q else (q, p)) in self.edges
-
-    def describe(self) -> str:
-        return f"explicit({len(self.edges)} edges)"
 
 
 @dataclass(frozen=True)
@@ -108,10 +102,6 @@ class ProductAdjacency:
         if b == e:
             return True
         return self.strong and self.right.adjacent(b, e)
-
-    def describe(self) -> str:
-        kind = "strong" if self.strong else "min"
-        return f"{kind}({self.left.describe()} x {self.right.describe()})"
 
 
 Adjacency = Union[CK, Explicit, ProductAdjacency]
@@ -194,9 +184,6 @@ class DigitalImage:
         i = self.index(p)
         return tuple(self.points[j] for j in self.neighbor_index[i])
 
-    def degree(self, p: Point) -> int:
-        return len(self.neighbor_index[self.index(p)])
-
     @cached_property
     def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
         """All edges as index pairs (i, j) with i < j, in canonical order."""
@@ -210,9 +197,6 @@ class DigitalImage:
     def edges(self) -> tuple[tuple[Point, Point], ...]:
         pts = self.points
         return tuple((pts[i], pts[j]) for i, j in self.edge_index_pairs)
-
-    def edge_count(self) -> int:
-        return len(self.edge_index_pairs)
 
     # ---- connectivity ----
 
@@ -289,20 +273,6 @@ class DigitalImage:
 
     def induced(self, subset: Iterable[Point], label: str = "") -> "DigitalImage":
         return induced_subimage(self, subset, label=label)
-
-    def to_explicit(self, label: str | None = None) -> "DigitalImage":
-        """Freeze the adjacency into an explicit edge set over the same points."""
-        edges = Explicit.of(self.edges())
-        return DigitalImage(self.points, edges, self.label if label is None else label)
-
-    def relabeled(self, point_map: dict[Point, Point], label: str = "") -> "DigitalImage":
-        """Isomorphic copy on new points, with the edge set carried across."""
-        if len(set(point_map.values())) != len(self.points):
-            raise ValueError("relabeling must be injective on the points")
-        edges = Explicit.of(
-            (point_map[a], point_map[b]) for a, b in self.edges()
-        )
-        return DigitalImage(tuple(point_map[p] for p in self.points), edges, label)
 
 
 def interval_image(lo: int, hi: int, label: str = "") -> DigitalImage:

@@ -1,19 +1,18 @@
-"""Maps between digital images and the two continuity characterizations.
+"""Maps between digital images and their continuity.
 
 A map is continuous when the image of every connected subset is connected.
 On finite images this is equivalent to the edge condition: adjacent domain
-points map to equal or adjacent codomain points. The edge condition is the
-working test; the subset definition is kept as an independent oracle for
-small domains.
+points map to equal or adjacent codomain points, which is the test used
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from .images import DigitalImage, Point, induced_subimage
+from .images import DigitalImage, Point
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,6 @@ class DigitalMap:
         return self.values[self.domain.index(p)]
 
     @cached_property
-    def mapping(self) -> dict[Point, Point]:
-        return dict(zip(self.domain.points, self.values))
-
-    @cached_property
     def value_indices(self) -> tuple[int, ...]:
         """Values as codomain point indices (the search-state encoding)."""
         idx = self.codomain.index
@@ -92,12 +87,6 @@ class DigitalMap:
         vals = tuple(self.values[self.domain.index(v)] for v in inner.values)
         return DigitalMap(inner.domain, self.codomain, vals)
 
-    def restricted(self, subset: Iterable[Point]) -> "DigitalMap":
-        """Restriction to an induced subimage of the domain."""
-        sub = induced_subimage(self.domain, subset)
-        return DigitalMap(sub, self.codomain,
-                          tuple(self(p) for p in sub.points))
-
     def is_bijective(self) -> bool:
         return (len(set(self.values)) == len(self.values)
                 and len(self.values) == len(self.codomain.points))
@@ -107,10 +96,6 @@ class DigitalMap:
             raise ValueError("only bijective maps invert")
         inv = {v: p for p, v in zip(self.domain.points, self.values)}
         return DigitalMap.from_mapping(self.codomain, self.domain, inv)
-
-
-def compose(outer: DigitalMap, inner: DigitalMap) -> DigitalMap:
-    return outer.after(inner)
 
 
 # ---- continuity ----
@@ -128,184 +113,6 @@ def continuity_violation(f: DigitalMap) -> tuple[Point, Point] | None:
     return None
 
 
-def continuity_violations(f: DigitalMap) -> Iterator[tuple[Point, Point]]:
-    pts = f.domain.points
-    vals = f.values
-    adj = f.codomain.adjacency.adjacent
-    for i, j in f.domain.edge_index_pairs:
-        a, b = vals[i], vals[j]
-        if a != b and not adj(a, b):
-            yield (pts[i], pts[j])
-
-
 def is_continuous(f: DigitalMap) -> bool:
     return continuity_violation(f) is None
 
-
-def is_continuous_subset_oracle(f: DigitalMap, guard: int = 12) -> bool:
-    """Continuity by the subset definition: every connected subset of the
-    domain must have a connected image. Exhaustive, for domains up to guard
-    points; kept as an independent check on the edge characterization."""
-    n = len(f.domain.points)
-    if n > guard:
-        raise ValueError(f"subset oracle is limited to {guard} points, image has {n}")
-
-    dom_nbr_mask = _neighbor_masks(f.domain)
-    cod_nbr_mask = _neighbor_masks(f.codomain)
-    val_ix = f.value_indices
-
-    for mask in range(1, 1 << n):
-        if not _mask_connected(mask, dom_nbr_mask):
-            continue
-        img_mask = 0
-        m = mask
-        while m:
-            b = m & -m
-            img_mask |= 1 << val_ix[b.bit_length() - 1]
-            m ^= b
-        if not _mask_connected(img_mask, cod_nbr_mask):
-            return False
-    return True
-
-
-def _neighbor_masks(img: DigitalImage) -> list[int]:
-    out = []
-    for nbrs in img.neighbor_index:
-        m = 0
-        for j in nbrs:
-            m |= 1 << j
-        out.append(m)
-    return out
-
-
-def _mask_connected(mask: int, nbr_mask: list[int]) -> bool:
-    first = mask & -mask
-    seen = first
-    frontier = first
-    while frontier:
-        grow = 0
-        m = frontier
-        while m:
-            b = m & -m
-            grow |= nbr_mask[b.bit_length() - 1]
-            m ^= b
-        frontier = grow & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
-# ---- isomorphism ----
-
-def is_digital_isomorphism(f: DigitalMap) -> tuple[bool, str | None]:
-    """Bijective, continuous, with continuous inverse."""
-    if not f.is_bijective():
-        return False, "not bijective"
-    bad = continuity_violation(f)
-    if bad is not None:
-        return False, f"not continuous at edge {bad}"
-    bad = continuity_violation(f.inverse())
-    if bad is not None:
-        return False, f"inverse not continuous at edge {bad}"
-    return True, None
-
-
-def find_isomorphism(x: DigitalImage, y: DigitalImage,
-                     guard: int = 16) -> DigitalMap | None:
-    """Search for a digital isomorphism x -> y (backtracking, small images).
-
-    Deterministic: domain points are assigned in canonical order, candidate
-    targets tried in canonical order.
-    """
-    n = len(x.points)
-    if n != len(y.points):
-        return None
-    if n > guard:
-        raise ValueError(f"isomorphism search is limited to {guard} points")
-    if sorted(len(v) for v in x.neighbor_index) != sorted(len(v) for v in y.neighbor_index):
-        return None
-
-    xn = x.neighbor_index
-    ydeg = [len(v) for v in y.neighbor_index]
-    yadj = [set(v) for v in y.neighbor_index]
-    assign = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        di = len(xn[i])
-        for t in range(n):
-            if used[t] or ydeg[t] != di:
-                continue
-            ok = True
-            for j, tj in ((j, assign[j]) for j in range(i)):
-                want = j in xn[i] or i in xn[j]
-                if want != (tj in yadj[t]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[i] = t
-            used[t] = True
-            if extend(i + 1):
-                return True
-            used[t] = False
-            assign[i] = -1
-        return False
-
-    if not extend(0):
-        return None
-    vals = tuple(y.points[assign[i]] for i in range(n))
-    return DigitalMap(x, y, vals, "iso")
-
-
-def enumerate_continuous_maps(domain: DigitalImage, codomain: DigitalImage,
-                              limit: int | None = None) -> Iterator[DigitalMap]:
-    """All continuous maps domain -> codomain in lexicographic value order."""
-    n = len(domain.points)
-    nc = len(codomain.points)
-    ok_mask = _adjacent_or_equal_masks(codomain)
-    prev = tuple(tuple(j for j in domain.neighbor_index[i] if j < i)
-                 for i in range(n))
-    full = (1 << nc) - 1
-    chosen = [0] * n
-    count = 0
-    stack = [full]
-    level = 0
-    while level >= 0:
-        m = stack[level]
-        if not m:
-            stack.pop()
-            level -= 1
-            continue
-        b = m & -m
-        stack[level] = m ^ b
-        v = b.bit_length() - 1
-        chosen[level] = v
-        if level + 1 == n:
-            yield DigitalMap(domain, codomain,
-                             tuple(codomain.points[i] for i in chosen))
-            count += 1
-            if limit is not None and count >= limit:
-                return
-        else:
-            nxt = full
-            for j in prev[level + 1]:
-                nxt &= ok_mask[chosen[j]]
-            stack.append(nxt)
-            level += 1
-
-
-def count_continuous_maps(domain: DigitalImage, codomain: DigitalImage) -> int:
-    return sum(1 for _ in enumerate_continuous_maps(domain, codomain))
-
-
-def _adjacent_or_equal_masks(img: DigitalImage) -> list[int]:
-    """Bitmask per point index: itself plus its neighbors."""
-    out = []
-    for i, nbrs in enumerate(img.neighbor_index):
-        m = 1 << i
-        for j in nbrs:
-            m |= 1 << j
-        out.append(m)
-    return out

@@ -14,7 +14,6 @@ arm[0] shared, so they hash and sort like everything else here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point, power_image, product_image
@@ -25,7 +24,8 @@ Wedge = tuple[Path, ...]
 MODES = ("pointwise", "strong")
 
 
-def _product_mode(mode: str) -> str:
+def product_mode(mode: str) -> str:
+    """The product adjacency ("min" or "strong") behind a step relation."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return "min" if mode == "pointwise" else "strong"
@@ -81,25 +81,6 @@ def paths_between(img: DigitalImage, start: Point, end: Point,
     yield from extend()
 
 
-def count_paths(img: DigitalImage, start: Point, end: Point, length: int) -> int:
-    """Path count by dynamic programming (independent of the generator)."""
-    start, end = tuple(start), tuple(end)
-    n = len(img.points)
-    idx = img.index
-    row = [0] * n
-    row[idx(start)] = 1
-    for _ in range(length):
-        nxt = [0] * n
-        for i, c in enumerate(row):
-            if not c:
-                continue
-            nxt[i] += c
-            for j in img.neighbor_index[i]:
-                nxt[j] += c
-        row = nxt
-    return row[idx(end)]
-
-
 class WedgeSpace:
     """Wedges of n equal-length paths with a common start, plus the two
     step relations between them.
@@ -120,7 +101,7 @@ class WedgeSpace:
         self.n = n
         self.m = m
         self.mode = mode
-        self.product = power_image(base, n, _product_mode(mode),
+        self.product = power_image(base, n, product_mode(mode),
                                    label=f"{base.label or 'X'}^{n}")
 
     def is_wedge(self, w: Wedge) -> bool:
@@ -162,7 +143,20 @@ class WedgeSpace:
         return True
 
 
-class EndpointFibration:
+class _Fibration:
+    """What the endpoint fibrations share: a `product` base image and a
+    `fiber_nonempty` test on its points."""
+
+    def is_surjective(self) -> tuple[bool, Optional[Point]]:
+        """Whether every point of the base has a nonempty fiber. Returns the
+        first unreachable point if not."""
+        for u in self.product.points:
+            if not self.fiber_nonempty(u):
+                return False, u
+        return True, None
+
+
+class EndpointFibration(_Fibration):
     """e_n: wedge space over (X, adj) -> X^n, evaluation at the free ends."""
 
     def __init__(self, base: DigitalImage, n: int, m: int,
@@ -204,15 +198,8 @@ class EndpointFibration:
                     return
 
     def fiber_nonempty(self, u: Point) -> bool:
+        """Some start lies within m of every component of u."""
         return bool(self.start_candidates(u))
-
-    def is_surjective(self) -> tuple[bool, Optional[Point]]:
-        """Whether every endpoint tuple is reachable: some start lies within
-        m of every component. Returns the first unreachable tuple if not."""
-        for u in self.product.points:
-            if not self.fiber_nonempty(u):
-                return False, u
-        return True, None
 
 
 class PairedWedge:
@@ -233,11 +220,6 @@ class PairedWedge:
     def endpoints(self, w) -> Point:
         return self.left.endpoints(w[0]) + self.right.endpoints(w[1])
 
-    def constant_wedge(self, p: Point) -> tuple:
-        dl = self.left.base.dim * self.left.n
-        return (self.left.constant_wedge(p[:dl][:self.left.base.dim]),
-                self.right.constant_wedge(p[dl:][:self.right.base.dim]))
-
     def adjacent(self, w1, w2) -> bool:
         a1, b1 = w1
         a2, b2 = w2
@@ -248,7 +230,7 @@ class PairedWedge:
         return a1 == a2 or b1 == b2
 
 
-class PairedFibration:
+class PairedFibration(_Fibration):
     """The product of two endpoint fibrations, over the minimum product
     of their bases. Elements of the total space are pairs (left wedge,
     right wedge); the projection evaluates both components at their free
@@ -284,9 +266,3 @@ class PairedFibration:
     def fiber_nonempty(self, u: Point) -> bool:
         ul, ur = self.split(u)
         return self.left.fiber_nonempty(ul) and self.right.fiber_nonempty(ur)
-
-    def is_surjective(self) -> tuple[bool, Optional[Point]]:
-        for u in self.product.points:
-            if not self.fiber_nonempty(u):
-                return False, u
-        return True, None

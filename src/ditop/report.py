@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 def digest_text(text: str) -> str:

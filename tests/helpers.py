@@ -2,14 +2,23 @@
 
 The oracles here deliberately re-derive answers by a different route than
 the library (union-find instead of BFS, transfer matrices instead of
-backtracking) so that agreement actually means something.
+backtracking, connected subsets instead of edges) so that agreement
+actually means something. The rest are conveniences only tests need.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
+from typing import Iterable, Iterator, Optional
 
-from ditop.images import CK, DigitalImage, Explicit, Point
+from ditop.corpus import loop_cover, loop_image, loop_rotation_table
+from ditop.groups import CayleyTable
+from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
+                            is_contractible, nullhomotopy)
+from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
+from ditop.maps import DigitalMap, continuity_violation
 
 
 def naive_components(points, edges) -> list[frozenset]:
@@ -105,3 +114,235 @@ def plane_isometry(rng: random.Random):
         return (sx * x + ax, sy * y + ay)
 
     return move
+
+
+def loop_bundle():
+    """The loop, its group, and the preferred categorical cover."""
+    return loop_image(), loop_rotation_table(), loop_cover()
+
+
+def left_translation(table: CayleyTable, g: Point) -> DigitalMap:
+    vals = tuple(table.product(g, p) for p in table.image.points)
+    return DigitalMap(table.image, table.image, vals, f"L{tuple(g)}")
+
+
+def count_paths(img: DigitalImage, start: Point, end: Point, length: int) -> int:
+    """Path count by dynamic programming (independent of the generator)."""
+    start, end = tuple(start), tuple(end)
+    n = len(img.points)
+    idx = img.index
+    row = [0] * n
+    row[idx(start)] = 1
+    for _ in range(length):
+        nxt = [0] * n
+        for i, c in enumerate(row):
+            if not c:
+                continue
+            nxt[i] += c
+            for j in img.neighbor_index[i]:
+                nxt[j] += c
+        row = nxt
+    return row[idx(end)]
+
+
+# ---- maps ----
+
+def continuous_maps(domain: DigitalImage,
+                    codomain: DigitalImage) -> Iterator[DigitalMap]:
+    """All continuous maps domain -> codomain in lexicographic value order."""
+    graph = MapGraph(domain, codomain)
+    return (graph.map_of(s) for s in graph.all_states())
+
+
+def is_continuous_subset_oracle(f: DigitalMap, guard: int = 12) -> bool:
+    """Continuity by the subset definition: every connected subset of the
+    domain must have a connected image. Exhaustive, for domains up to guard
+    points; an independent check on the edge characterization."""
+    n = len(f.domain.points)
+    if n > guard:
+        raise ValueError(f"subset oracle is limited to {guard} points, image has {n}")
+
+    dom_nbr_mask = _neighbor_masks(f.domain)
+    cod_nbr_mask = _neighbor_masks(f.codomain)
+    val_ix = f.value_indices
+
+    for mask in range(1, 1 << n):
+        if not _mask_connected(mask, dom_nbr_mask):
+            continue
+        img_mask = 0
+        m = mask
+        while m:
+            b = m & -m
+            img_mask |= 1 << val_ix[b.bit_length() - 1]
+            m ^= b
+        if not _mask_connected(img_mask, cod_nbr_mask):
+            return False
+    return True
+
+
+def _neighbor_masks(img: DigitalImage) -> list[int]:
+    out = []
+    for nbrs in img.neighbor_index:
+        m = 0
+        for j in nbrs:
+            m |= 1 << j
+        out.append(m)
+    return out
+
+
+def _mask_connected(mask: int, nbr_mask: list[int]) -> bool:
+    first = mask & -mask
+    seen = first
+    frontier = first
+    while frontier:
+        grow = 0
+        m = frontier
+        while m:
+            b = m & -m
+            grow |= nbr_mask[b.bit_length() - 1]
+            m ^= b
+        frontier = grow & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def is_digital_isomorphism(f: DigitalMap) -> tuple[bool, str | None]:
+    """Bijective, continuous, with continuous inverse."""
+    if not f.is_bijective():
+        return False, "not bijective"
+    bad = continuity_violation(f)
+    if bad is not None:
+        return False, f"not continuous at edge {bad}"
+    bad = continuity_violation(f.inverse())
+    if bad is not None:
+        return False, f"inverse not continuous at edge {bad}"
+    return True, None
+
+
+def find_isomorphism(x: DigitalImage, y: DigitalImage,
+                     guard: int = 16) -> DigitalMap | None:
+    """Search for a digital isomorphism x -> y (backtracking, small images).
+
+    Deterministic: domain points are assigned in canonical order, candidate
+    targets tried in canonical order.
+    """
+    n = len(x.points)
+    if n != len(y.points):
+        return None
+    if n > guard:
+        raise ValueError(f"isomorphism search is limited to {guard} points")
+    if sorted(len(v) for v in x.neighbor_index) != sorted(len(v) for v in y.neighbor_index):
+        return None
+
+    xn = x.neighbor_index
+    ydeg = [len(v) for v in y.neighbor_index]
+    yadj = [set(v) for v in y.neighbor_index]
+    assign = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        di = len(xn[i])
+        for t in range(n):
+            if used[t] or ydeg[t] != di:
+                continue
+            ok = True
+            for j, tj in ((j, assign[j]) for j in range(i)):
+                want = j in xn[i] or i in xn[j]
+                if want != (tj in yadj[t]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assign[i] = t
+            used[t] = True
+            if extend(i + 1):
+                return True
+            used[t] = False
+            assign[i] = -1
+        return False
+
+    if not extend(0):
+        return None
+    vals = tuple(y.points[assign[i]] for i in range(n))
+    return DigitalMap(x, y, vals, "iso")
+
+
+# ---- homotopy ----
+
+def restrict_witness(w: HomotopyWitness, subset: Iterable[Point]) -> HomotopyWitness:
+    """Restrict every stage to an induced subimage of the domain."""
+    sub = induced_subimage(w.stages[0].domain, subset)
+    return HomotopyWitness(tuple(
+        DigitalMap(sub, st.codomain, tuple(st(p) for p in sub.points))
+        for st in w.stages), w.label)
+
+
+def is_nullhomotopic(f: DigitalMap,
+                     node_budget: int | None = 2_000_000) -> bool:
+    return nullhomotopy(f, node_budget=node_budget) is not None
+
+
+def _homotopy_class(graph: MapGraph, start: tuple[int, ...],
+                    node_budget: int) -> set[tuple[int, ...]]:
+    """Every state reachable from `start` in the map graph."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for nxt in graph.neighbor_states(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > node_budget:
+                    raise BudgetExhausted(
+                        f"component sweep exceeded {node_budget} states")
+                queue.append(nxt)
+    return seen
+
+
+def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
+                            node_budget: int = 2_000_000,
+                            pair_budget: int = 200_000,
+                            ) -> Optional[bool]:
+    """Decide homotopy equivalence when a cheap route settles it.
+
+    Routes, in order: component counts must match; two contractible connected
+    images are equivalent; an isomorphism settles it; contractible vs not
+    settles it; finally, for small images, enumerate map pairs (f, g) and
+    test g o f ~ id and f o g ~ id. Returns None when no route is conclusive
+    within budget.
+    """
+    if len(x.components) != len(y.components):
+        return False
+    if len(x.components) == 1:
+        cx = is_contractible(x, node_budget)
+        cy = is_contractible(y, node_budget)
+        if cx and cy:
+            return True
+        if cx != cy:
+            return False
+    if len(x.points) == len(y.points) and len(x.points) <= 16:
+        if find_isomorphism(x, y) is not None:
+            return True
+    if len(x.points) > 10 or len(y.points) > 10:
+        return None
+
+    try:
+        comp_x = _homotopy_class(MapGraph(x, x),
+                                 DigitalMap.identity(x).value_indices,
+                                 node_budget)
+        comp_y = _homotopy_class(MapGraph(y, y),
+                                 DigitalMap.identity(y).value_indices,
+                                 node_budget)
+    except BudgetExhausted:
+        return None
+    fwd = list(itertools.islice(MapGraph(x, y).all_states(), pair_budget))
+    bwd = list(itertools.islice(MapGraph(y, x).all_states(), pair_budget))
+    if len(fwd) * len(bwd) > pair_budget:
+        return None
+    for fi in fwd:
+        for gi in bwd:
+            gof = tuple(gi[v] for v in fi)
+            if gof in comp_x and tuple(fi[v] for v in gi) in comp_y:
+                return True
+    return False

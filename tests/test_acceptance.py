@@ -16,7 +16,7 @@ from ditop.cli import main as cli_main
 from ditop.complexity import (constant_section, product_of_sections,
                               schwarz_genus, tc_chain, tc_n,
                               tc_upper_via_group, verify_section)
-from ditop.corpus import (flip_table, loop_bundle, loop_cover, loop_image,
+from ditop.corpus import (flip_table, loop_cover, loop_image,
                           loop_letter, loop_rotation_table,
                           reference_contractions, sign_embedding, sign_image,
                           sign_table, z2plus_group, zplus_group)
@@ -29,11 +29,11 @@ from ditop.groups import (enumerate_group_structures, is_group_homomorphism,
 from ditop.homotopy import verify_homotopy
 from ditop.images import CK, DigitalImage, interval_image, power_image
 from ditop.knownvalues import run_reference_rows
-from ditop.maps import (DigitalMap, continuity_violation, is_continuous,
-                        is_continuous_subset_oracle)
+from ditop.maps import DigitalMap, continuity_violation, is_continuous
 from ditop.pathspace import EndpointFibration, PairedFibration
 
-from helpers import plane_isometry, random_map_values
+from helpers import (is_continuous_subset_oracle, loop_bundle, plane_isometry,
+                     random_map_values)
 
 INSTANT = 5.0
 

@@ -10,10 +10,11 @@ from ditop.complexity import (CoverImpossible, SectionWitness,
                               find_section, product_of_sections,
                               schwarz_genus, tc_chain, tc_n,
                               tc_upper_via_group, verify_section)
-from ditop.corpus import (cycle_image, loop_bundle, loop_cover, loop_image,
-                          loop_rotation_table)
+from ditop.corpus import cycle_image, loop_cover, loop_image, loop_rotation_table
 from ditop.images import interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
+
+from helpers import loop_bundle
 
 
 def test_tc_one_is_always_one():

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from ditop.corpus import (cycle_image, get_image, get_map, get_table,
-                          get_window_group, loop_bundle, loop_cover,
+from ditop.corpus import (UnknownCorpusName, cycle_image, get_image, get_map,
+                          get_table, get_window_group, loop_cover,
                           loop_image, loop_letter, loop_rotation_table,
                           point_image, reference_contractions, sign_embedding,
                           sign_image, sum_map, z2_window, z_window)
 from ditop.homotopy import verify_homotopy
 from ditop.images import interval_image
 from ditop.maps import continuity_violation, is_continuous
+
+from helpers import loop_bundle
 
 
 def test_loop_points_and_letters():
@@ -20,7 +22,7 @@ def test_loop_points_and_letters():
     assert loop.is_connected
     assert loop.diameter == 4
     for p in loop.points:
-        assert loop.degree(p) == 2
+        assert len(loop.neighbors(p)) == 2
     letters = {loop_letter(p) for p in loop.points}
     assert letters == set("abcdefgh")
     assert loop_letter((0, 0)) == "b"
@@ -78,11 +80,11 @@ def test_rotation_table_carrier_is_the_loop():
 def test_cycle_images():
     sq = cycle_image(4)
     assert len(sq.points) == 4
-    assert all(sq.degree(p) == 2 for p in sq.points)
+    assert all(len(sq.neighbors(p)) == 2 for p in sq.points)
     big = cycle_image(12)
     assert len(big.points) == 12
     assert big.is_connected
-    assert all(big.degree(p) == 2 for p in big.points)
+    assert all(len(big.neighbors(p)) == 2 for p in big.points)
     with pytest.raises(ValueError):
         cycle_image(7)
     with pytest.raises(ValueError):
@@ -108,7 +110,7 @@ def test_sum_map_modes():
 def test_sign_objects():
     img = sign_image()
     assert img.points == ((-1,), (1,))
-    assert img.edge_count() == 0
+    assert len(img.edge_index_pairs) == 0
     emb = sign_embedding()
     assert emb((-1,)) == (9,)
     assert emb((1,)) == (8,)
@@ -126,14 +128,14 @@ def test_image_resolver_names():
 
 
 def test_resolvers_reject_unknown_names_with_a_catalog():
-    with pytest.raises(KeyError) as info:
+    with pytest.raises(UnknownCorpusName) as info:
         get_image("mystery")
     assert "interval" in str(info.value)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownCorpusName):
         get_table("mystery")
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownCorpusName):
         get_window_group("mystery")
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownCorpusName):
         get_map("mystery")
     with pytest.raises(ValueError):
         get_image("interval:x")

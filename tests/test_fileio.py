@@ -70,7 +70,7 @@ point 1
 """
     img = parse_image(text)
     assert img.points == ((0,), (1,))
-    assert img.edge_count() == 1
+    assert len(img.edge_index_pairs) == 1
 
 
 def test_parse_errors_carry_line_numbers():

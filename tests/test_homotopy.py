@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditop.corpus import cycle_image, loop_image, loop_rotation_table
-from ditop.homotopy import (BudgetExhausted, HomotopyWitness, are_homotopic,
-                            are_homotopy_equivalent, contraction,
-                            is_contractible, is_nullhomotopic, nullhomotopy,
-                            restrict_witness, slide_nullhomotopy,
-                            verify_homotopy)
+from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
+                            are_homotopic, contraction, is_contractible,
+                            nullhomotopy, slide_nullhomotopy, verify_homotopy)
 from ditop.images import DigitalImage, CK, interval_image
-from ditop.maps import DigitalMap, enumerate_continuous_maps, is_continuous
+from ditop.maps import DigitalMap, continuity_violation
+
+from helpers import (are_homotopy_equivalent, continuous_maps,
+                     is_nullhomotopic, left_translation, random_explicit_image,
+                     random_grid_image, restrict_witness)
 
 
 def _const(img, t):
@@ -73,7 +76,7 @@ def test_verify_homotopy_checks_the_announced_endpoints():
 def test_are_homotopic_is_reflexive_and_symmetric(seed):
     rng = random.Random(seed)
     seg = interval_image(0, 2)
-    pool = list(enumerate_continuous_maps(seg, seg))
+    pool = list(continuous_maps(seg, seg))
     f = rng.choice(pool)
     g = rng.choice(pool)
     assert are_homotopic(f, f) is not None
@@ -85,9 +88,36 @@ def test_are_homotopic_is_reflexive_and_symmetric(seed):
         assert ok, why
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["c1", "c2", "explicit"]))
+def test_map_graph_states_match_brute_force(seed, kind):
+    rng = random.Random(seed)
+
+    def image():
+        if kind == "explicit":
+            return random_explicit_image(rng, max_points=5)
+        return random_grid_image(rng, max_points=5, k=int(kind[1]),
+                                 connected=False)
+
+    dom, cod = image(), image()
+    graph = MapGraph(dom, cod)
+
+    def brute(candidates):
+        # itertools.product over sorted candidates is lexicographic
+        return [vals for vals in itertools.product(*candidates)
+                if continuity_violation(DigitalMap(
+                    dom, cod, tuple(cod.points[i] for i in vals))) is None]
+
+    every = brute([range(len(cod.points))] * len(dom.points))
+    assert list(graph.all_states()) == every
+    closed = [sorted({i, *nbrs}) for i, nbrs in enumerate(cod.neighbor_index)]
+    for s in rng.sample(every, min(4, len(every))):
+        assert list(graph.neighbor_states(s)) == brute([closed[v] for v in s])
+
+
 def test_every_self_map_of_an_interval_is_nullhomotopic():
     seg = interval_image(0, 2)
-    for f in enumerate_continuous_maps(seg, seg):
+    for f in continuous_maps(seg, seg):
         assert is_nullhomotopic(f)
 
 
@@ -95,9 +125,9 @@ def test_identity_component_of_the_loop_is_the_eight_rotations():
     loop = loop_image()
     table = loop_rotation_table()
     ident = DigitalMap.identity(loop)
-    rotations = {table.left_translation(g).values for g in loop.points}
+    rotations = {left_translation(table, g).values for g in loop.points}
     assert len(rotations) == 8
-    for f in enumerate_continuous_maps(loop, loop):
+    for f in continuous_maps(loop, loop):
         w = are_homotopic(ident, f)
         if f.values in rotations:
             assert w is not None

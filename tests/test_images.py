@@ -78,7 +78,7 @@ def test_interval_image_shape():
     assert seg.points == ((3,), (4,), (5,), (6,), (7,))
     assert seg.is_connected
     assert seg.diameter == 4
-    assert seg.edge_count() == 4
+    assert len(seg.edge_index_pairs) == 4
 
 
 def test_diameter_refuses_disconnected_images():
@@ -134,8 +134,8 @@ def test_product_of_intervals_under_min_adjacency_is_the_grid_graph():
     seg = interval_image(0, 1)
     square = product_image(seg, seg, "min")
     assert len(square.points) == 4
-    assert square.edge_count() == 4
-    degrees = sorted(square.degree(p) for p in square.points)
+    assert len(square.edge_index_pairs) == 4
+    degrees = sorted(len(square.neighbors(p)) for p in square.points)
     assert degrees == [2, 2, 2, 2]
 
 
@@ -164,7 +164,7 @@ def test_neighbors_and_edges_are_consistent():
     for p in img.points:
         for q in img.neighbors(p):
             assert (p, q) in from_edges
-    assert len(from_edges) == 2 * img.edge_count()
+    assert len(from_edges) == 2 * len(img.edge_index_pairs)
 
 
 def test_lex_shortest_path_is_shortest_and_valid():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ditop.corpus import loop_image
 from ditop.images import interval_image
 from ditop.pathspace import (EndpointFibration, PairedFibration, WedgeSpace,
-                             count_paths, is_path, paths_between)
+                             is_path, paths_between)
 
-from helpers import random_grid_image
+from helpers import count_paths, random_grid_image
 
 
 def test_is_path_checks_consecutive_steps():
