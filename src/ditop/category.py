@@ -79,7 +79,7 @@ def piece_contraction_slide_only(base: DigitalImage, subset: Sequence[Point],
 def cat_oracle(base: DigitalImage,
                node_budget: int | None = 2_000_000) -> AdmissibilityOracle:
     return AdmissibilityOracle(
-        base, lambda sub: piece_contraction(base, sub, node_budget) is not None)
+        base, lambda sub: piece_contraction(base, sub, node_budget))
 
 
 def cat_exact(base: DigitalImage, guard: int = 14,
@@ -92,14 +92,10 @@ def cat_exact(base: DigitalImage, guard: int = 14,
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
                          "split into components first")
-    sets = minimal_cover_exact(base, cat_oracle(base, node_budget), guard)
-    pieces = []
-    for s in sets:
-        w = piece_contraction(base, s, node_budget)
-        if w is None:
-            raise AssertionError("cover piece lost its contraction on recheck")
-        pieces.append(CatPiece(s, w))
-    witness = CatWitness(base, tuple(pieces))
+    oracle = cat_oracle(base, node_budget)
+    witness = CatWitness(base, tuple(
+        CatPiece(s, oracle.witness(s))
+        for s in minimal_cover_exact(base, oracle, guard)))
     ok, why = witness.check()
     if not ok:
         raise AssertionError(f"cat witness failed its own check: {why}")
@@ -127,14 +123,21 @@ def cat_bounds(base: DigitalImage,
         raise ValueError("category here is for connected images; "
                          "split into components first")
     whole: bool | None = None
+    torn: frozenset = frozenset()
     if len(base.points) <= contractibility_guard:
         try:
             whole = is_contractible(base, node_budget)
         except BudgetExhausted:
-            pass
+            # the search ran only after every slide of the identity tore,
+            # and sliding the whole image as a piece would tear the same way
+            torn = frozenset(base.points)
 
-    oracle = AdmissibilityOracle(
-        base, lambda sub: piece_contraction_slide_only(base, sub) is not None)
+    def slide_only(sub: Subset) -> Optional[HomotopyWitness]:
+        if frozenset(sub) == torn:
+            return None
+        return piece_contraction_slide_only(base, sub)
+
+    oracle = AdmissibilityOracle(base, slide_only)
     return minimal_cover_bounds(base, oracle, seeds, whole_admissible=whole)
 
 

@@ -200,14 +200,13 @@ def _loop_extras(args, img: DigitalImage):
 def cmd_tc(args) -> tuple[Report, int]:
     img, dig = _image_from_ref(args.image)
     table, cover = _loop_extras(args, img)
-    mode = args.mode or "pointwise"
     rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"convention": "k-sets", "mode": mode,
+                 settings={"convention": "k-sets", "mode": args.mode,
                            "m": args.m if args.m is not None else "auto",
                            "n": args.n, "budget": args.budget})
     try:
-        r = tc_n(img, args.n, table=table, cover=cover, m=args.m, mode=mode,
-                 node_budget=args.budget)
+        r = tc_n(img, args.n, table=table, cover=cover, m=args.m,
+                 mode=args.mode, node_budget=args.budget)
     except BudgetExhausted as err:
         rep.results["tc"] = "unknown"
         rep.notes.append(f"budget exhausted: {err}")
@@ -234,14 +233,13 @@ def cmd_tc(args) -> tuple[Report, int]:
 
 def cmd_genus(args) -> tuple[Report, int]:
     img, dig = _image_from_ref(args.image)
-    mode = args.mode or "pointwise"
     m = args.m if args.m is not None else img.diameter
     rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"mode": mode, "m": m, "n": args.n,
+                 settings={"mode": args.mode, "m": m, "n": args.n,
                            "budget": args.budget})
     if args.m is None:
         rep.notes.append(f"arm length defaulted to the diameter {m}")
-    fib = EndpointFibration(img, args.n, m, mode)
+    fib = EndpointFibration(img, args.n, m, args.mode)
     try:
         k, wits = schwarz_genus(fib)
     except CoverImpossible as err:
@@ -259,7 +257,7 @@ def cmd_genus(args) -> tuple[Report, int]:
 
 def cmd_group_check(args) -> tuple[Report, int]:
     obj, dig = _group_from_ref(args.group)
-    mode = product_mode(args.mode or "pointwise")
+    mode = product_mode(args.mode)
     rep = Report(command=_echo(args), inputs={args.group: dig},
                  settings={"product": mode})
     if isinstance(obj, WindowGroup):
@@ -304,7 +302,7 @@ def cmd_group_scan(args) -> tuple[Report, int]:
         ref = args.image
     else:
         raise ValueError("group-scan wants -p <points> or an image")
-    mode = product_mode(args.mode or "pointwise")
+    mode = product_mode(args.mode)
     rep = Report(command=_echo(args), inputs={ref: dig},
                  settings={"product": mode})
     res = scan_group_structures(img, mode=mode)
@@ -333,7 +331,7 @@ def cmd_group_product(args) -> tuple[Report, int]:
     b, dig2 = _group_from_ref(args.group2)
     if isinstance(a, WindowGroup) or isinstance(b, WindowGroup):
         raise ValueError("group-product works on finite tables, not windows")
-    mode = product_mode(args.mode or "pointwise")
+    mode = product_mode(args.mode)
     rep = Report(command=_echo(args),
                  inputs={args.group1: dig1, args.group2: dig2},
                  settings={"product": mode})
@@ -475,6 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
                        const="bounds", help="settle for cheap bounds")
         p.set_defaults(precision=None)
 
+    def mode(p, what=None):
+        p.add_argument("--mode", choices=["pointwise", "strong"],
+                       default="pointwise", help=what)
+
     p = sub.add_parser("image-info", help="points, adjacency, connectivity")
     p.add_argument("image", help="corpus:<name> or an image file")
     common(p, budget=False)
@@ -501,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("-n", type=int, default=2, help="number of stops")
     p.add_argument("--m", type=int, default=None, help="arm length")
-    p.add_argument("--mode", choices=["pointwise", "strong"],
-                   default=None, help="wedge step relation")
+    mode(p, "wedge step relation")
     precision(p)
     common(p)
 
@@ -510,14 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("-n", type=int, default=2, help="number of arms")
     p.add_argument("--m", type=int, default=None, help="arm length")
-    p.add_argument("--mode", choices=["pointwise", "strong"], default=None)
+    mode(p)
     common(p)
 
     p = sub.add_parser("group-check",
                        help="group axioms and continuity of one structure")
     p.add_argument("group", help="corpus:<name> or a group file")
-    p.add_argument("--mode", choices=["pointwise", "strong"], default=None,
-                   help="product adjacency for the multiplication")
+    mode(p, "product adjacency for the multiplication")
     common(p, budget=False)
 
     p = sub.add_parser("group-scan",
@@ -525,13 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", nargs="?", default=None)
     p.add_argument("-p", type=int, default=None,
                    help="scan the integer interval with this many points")
-    p.add_argument("--mode", choices=["pointwise", "strong"], default=None)
+    mode(p)
     common(p, budget=False)
 
     p = sub.add_parser("group-product", help="product of two finite groups")
     p.add_argument("group1")
     p.add_argument("group2")
-    p.add_argument("--mode", choices=["pointwise", "strong"], default=None)
+    mode(p)
     common(p, budget=False)
 
     p = sub.add_parser("hom-check",

@@ -136,30 +136,27 @@ def find_section(fib: EndpointFibration, piece: Sequence[Point],
     return SectionWitness(pts, tuple(assign[i] for i in range(k)))
 
 
-def section_oracle(fib: EndpointFibration,
-                   fiber_cap: int = 20_000) -> AdmissibilityOracle:
-    return AdmissibilityOracle(
-        fib.product, lambda sub: find_section(fib, sub, fiber_cap) is not None)
-
-
 def schwarz_genus(fib: EndpointFibration, guard: int = 14,
                   fiber_cap: int = 20_000,
                   ) -> tuple[int, tuple[SectionWitness, ...]]:
     """Exact minimum number of section-admitting pieces covering the
-    product. Exhaustive over subsets of the product, hence tiny bases only."""
+    product, with the section the cover search found over each piece,
+    re-checked by `verify_section`. Exhaustive over subsets of the
+    product, hence tiny bases only."""
     ok, bad = fib.is_surjective()
     if not ok:
         raise CoverImpossible(
             f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "
             f"raise the arm length")
-    sets = minimal_cover_exact(fib.product, section_oracle(fib, fiber_cap), guard)
-    witnesses = []
-    for s in sets:
-        sw = find_section(fib, s, fiber_cap)
-        if sw is None:
-            raise AssertionError("cover piece lost its section on recheck")
-        witnesses.append(sw)
-    return len(sets), tuple(witnesses)
+    oracle = AdmissibilityOracle(
+        fib.product, lambda sub: find_section(fib, sub, fiber_cap))
+    sets = minimal_cover_exact(fib.product, oracle, guard)
+    witnesses = tuple(oracle.witness(s) for s in sets)
+    for sw in witnesses:
+        ok, why = verify_section(fib, sw)
+        if not ok:
+            raise AssertionError(f"genus section failed verification: {why}")
+    return len(sets), witnesses
 
 
 def constant_section(fib: EndpointFibration) -> SectionWitness:
@@ -277,7 +274,8 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
         raise ValueError("not a topological group: " + "; ".join(verdict.failures))
 
     if cover is None:
-        pieces = tuple(p.points for p in cat_exact(base).pieces)
+        pieces = tuple(p.points
+                       for p in cat_exact(base, node_budget=node_budget).pieces)
     else:
         pieces = tuple(tuple(sorted({tuple(q) for q in s})) for s in cover)
         covered = {q for s in pieces for q in s}
@@ -383,10 +381,13 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         return BoundResult(1, 1, (sw,),
                            ("standing still is a global plan over one piece",))
 
+    notes: list[str] = []
     try:
         shortcut = contraction_section(base, n, m, mode, node_budget)
-    except BudgetExhausted:
+    except BudgetExhausted as err:
         shortcut = None
+        notes.append(f"contractible-base route skipped, budget exhausted: "
+                     f"{err}")
     if shortcut is not None:
         sw, m_used = shortcut
         return BoundResult(1, 1, (sw,),
@@ -397,9 +398,9 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,
                                 mode)
         k, ws = schwarz_genus(fib, genus_guard)
-        return BoundResult(k, k, ws, ("exact sweep over the product",))
+        notes.append("exact sweep over the product")
+        return BoundResult(k, k, ws, tuple(notes))
 
-    notes: list[str] = []
     lower = 1
     witness = None
     upper = None
@@ -433,7 +434,7 @@ def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
     results: list[BoundResult] = []
     cat_upper: int | None = None
     if len(base.points) <= 14:
-        cat_upper = cat_exact(base).size
+        cat_upper = cat_exact(base, node_budget=node_budget).size
     for k in range(1, up_to + 1):
         r = tc_n(base, k, table, cover, m, mode, node_budget=node_budget)
         if results:

@@ -2,21 +2,29 @@
 
 Both the category and the sectional-genus computations reduce to the same
 question: cover the point set with as few subsets as possible, where a
-subset is "admissible" by some expensive predicate (inclusion contracts /
-a section exists). Admissibility is hereditary in every use here — subsets
-of admissible sets stay admissible — so minimal covers can be searched
-over maximal admissible sets only.
+subset is "admissible" when an expensive search finds its witness (a
+contraction of its inclusion / a section over it). Admissibility is
+hereditary in every use here — subsets of admissible sets stay
+admissible — so minimal covers can be searched over maximal admissible
+sets only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .images import DigitalImage, Point
 
 Subset = tuple[Point, ...]
+
+# most families of one size that minimal_cover_exact will try
+_SCAN_GUARD = 500_000
+
+# memo mark of a subset accepted by heredity and not searched yet
+_INHERITED = object()
 
 
 class CoverImpossible(Exception):
@@ -48,21 +56,20 @@ class BoundResult:
 
 
 class AdmissibilityOracle:
-    """Memoizing wrapper around an admissibility predicate.
+    """Memoizing wrapper around a search for an admissibility witness.
 
-    With hereditary=True a subset of a known-admissible set is accepted
-    without calling the predicate, which matters when the predicate runs
-    a homotopy or section search.
+    `search(subset)` returns a witness (a contraction, a section) or None;
+    the memo keeps that result, so every piece is searched at most once.
+    A subset of a known-admissible set is accepted by heredity without a
+    search; its own witness is searched the first time `witness` asks.
     """
 
     def __init__(self, base: DigitalImage,
-                 predicate: Callable[[Subset], bool],
-                 hereditary: bool = True):
+                 search: Callable[[Subset], object]):
         self.base = base
-        self.predicate = predicate
-        self.hereditary = hereditary
+        self.search = search
         self.calls = 0
-        self._memo: dict[frozenset, bool] = {}
+        self._memo: dict[frozenset, object] = {}
         self._good: list[frozenset] = []
 
     def canonical(self, subset: Iterable[Point]) -> Subset:
@@ -75,19 +82,29 @@ class AdmissibilityOracle:
         return sub
 
     def __call__(self, subset: Iterable[Point]) -> bool:
+        return bool(self._result(self.canonical(subset)))
+
+    def witness(self, subset: Iterable[Point]):
+        """The search's witness for the subset, or None if inadmissible."""
         sub = self.canonical(subset)
+        found = self._result(sub)
+        if found is _INHERITED:
+            self.calls += 1
+            found = self._memo[frozenset(sub)] = self.search(sub)
+        return found or None
+
+    def _result(self, sub: Subset):
         key = frozenset(sub)
         if key in self._memo:
             return self._memo[key]
-        if self.hereditary and any(key <= g for g in self._good):
-            self._memo[key] = True
-            return True
+        if any(key <= g for g in self._good):
+            self._memo[key] = _INHERITED
+            return _INHERITED
         self.calls += 1
-        val = bool(self.predicate(sub))
-        self._memo[key] = val
-        if val and self.hereditary:
+        found = self._memo[key] = self.search(sub)
+        if found:
             self._good.append(key)
-        return val
+        return found
 
 
 def maximal_admissible_sets(base: DigitalImage, oracle: AdmissibilityOracle,
@@ -123,13 +140,12 @@ def _check_coverable(base: DigitalImage, sets: Sequence[Subset]) -> None:
 
 
 def minimal_cover_exact(base: DigitalImage, oracle: AdmissibilityOracle,
-                        guard: int = 14,
-                        witness_guard: int = 500_000) -> tuple[Subset, ...]:
+                        guard: int = 14) -> tuple[Subset, ...]:
     """A minimum-size cover of the base by admissible sets.
 
-    Optimum is found by branch and bound over the maximal admissible sets;
-    the returned family is the lexicographically first cover of that size
-    (the maximal-set list being ordered largest-first then lexicographic).
+    One pass over k = 1, 2, ...: the first family of k maximal admissible
+    sets, in `itertools.combinations` order over the maximal-set list
+    (largest first, then lexicographic), that covers the base.
     """
     sets = maximal_admissible_sets(base, oracle, guard)
     _check_coverable(base, sets)
@@ -141,40 +157,17 @@ def minimal_cover_exact(base: DigitalImage, oracle: AdmissibilityOracle,
             m |= 1 << index[p]
         masks.append(m)
     full = (1 << len(base.points)) - 1
-    biggest = max(bin(m).count("1") for m in masks)
-
-    best = [len(sets) + 1]
-
-    def descend(uncovered: int, used: int, chosen: tuple[int, ...]) -> None:
-        if not uncovered:
-            best[0] = min(best[0], used)
-            return
-        need = -(-bin(uncovered).count("1") // biggest)
-        if used + need >= best[0]:
-            return
-        # branch on the lowest uncovered point to keep the tree small
-        pivot = (uncovered & -uncovered).bit_length() - 1
-        for i, m in enumerate(masks):
-            if i in chosen or not (m >> pivot) & 1:
-                continue
-            descend(uncovered & ~m, used + 1, chosen + (i,))
-
-    descend(full, 0, ())
-    opt = best[0]
-
-    count = 1
-    for i in range(opt):
-        count = count * (len(sets) - i) // (i + 1)
-    if count > witness_guard:
-        raise ValueError(f"canonical witness pass would scan {count} "
-                         f"combinations, over the {witness_guard} guard")
-    for combo in itertools.combinations(range(len(sets)), opt):
-        got = 0
-        for i in combo:
-            got |= masks[i]
-        if got == full:
-            return tuple(sets[i] for i in combo)
-    raise AssertionError("branch and bound found a size the scan cannot")
+    for k in itertools.count(1):
+        count = math.comb(len(sets), k)
+        if count > _SCAN_GUARD:
+            raise ValueError(f"cover scan would try {count} families of {k} "
+                             f"sets, over the {_SCAN_GUARD} guard")
+        for combo in itertools.combinations(range(len(sets)), k):
+            got = 0
+            for i in combo:
+                got |= masks[i]
+            if got == full:
+                return tuple(sets[i] for i in combo)
 
 
 def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import ditop.category as category
+import ditop.homotopy as homotopy
 from ditop.category import (cat, cat_bounds, cat_exact, categorical_subsets,
                             piece_contraction)
 from ditop.corpus import cycle_image, loop_cover, loop_image
@@ -111,3 +113,48 @@ def test_categorical_subsets_of_the_loop_miss_one_point():
     assert tops
     for s in tops:
         assert len(s) == 7
+
+
+def test_cat_exact_searches_each_piece_once(monkeypatch):
+    searches = []
+    oracles = []
+    search, make_oracle = category.piece_contraction, category.cat_oracle
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
+    def recording_oracle(*args, **kwargs):
+        oracles.append(make_oracle(*args, **kwargs))
+        return oracles[-1]
+
+    monkeypatch.setattr(category, "piece_contraction", counting_search)
+    monkeypatch.setattr(category, "cat_oracle", recording_oracle)
+    w = cat_exact(loop_image())
+    assert w.size == 2
+    assert len(searches) == oracles[0].calls
+    for piece in w.pieces:
+        assert piece.contraction is oracles[0].witness(piece.points)
+
+
+def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
+    slides = []
+    slide = homotopy.slide_nullhomotopy
+
+    def counting_slide(*args, **kwargs):
+        slides.append(args[1])
+        return slide(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "slide_nullhomotopy", counting_slide)
+    monkeypatch.setattr(category, "slide_nullhomotopy", counting_slide)
+    loop = loop_image()
+    r = cat_bounds(loop, node_budget=3)
+    # 8 identity slides before the exhausted search, 14 while growing the
+    # greedy pieces; the whole image is not slid a second time
+    assert len(slides) == 22
+    assert (r.lower, r.upper) == (1, 2)
+    assert r.notes == ("upper from greedy growth",
+                       "lower stays 1: whole-image admissibility unsettled")
+    assert r.witness == (
+        ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 0)),
+        ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)))

@@ -232,6 +232,13 @@ def test_budget_exhaustion_reports_inside_the_document(capsys):
     assert "budget exhausted" in out
 
 
+def test_tc_notes_a_shortcut_that_ran_out_of_budget(capsys):
+    code, out, _ = run(capsys, "tc", "corpus:cycle:16", "--budget", "10")
+    assert code == 0
+    assert ("note: contractible-base route skipped, budget exhausted: "
+            "map-graph search exceeded 10 states") in out
+
+
 def test_error_paths_exit_one(capsys):
     code, _, err = run(capsys, "image-info", "corpus:mystery")
     assert code == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import ditop.complexity as complexity
 from ditop.category import cat_exact
 from ditop.complexity import (CoverImpossible, SectionWitness,
                               TheoremViolation, constant_section,
@@ -166,3 +167,74 @@ def test_tc_rejects_bad_arguments():
     broken = DigitalImage(((0,), (5,)), CK(1))
     with pytest.raises(ValueError):
         tc_n(broken, 2)
+
+
+def test_genus_sections_come_from_the_cover_search_and_verify(monkeypatch):
+    searched = []
+    oracles = []
+    search, make = complexity.find_section, complexity.AdmissibilityOracle
+
+    def counting_search(*args, **kwargs):
+        searched.append(args[1])
+        return search(*args, **kwargs)
+
+    def recording_oracle(*args, **kwargs):
+        oracles.append(make(*args, **kwargs))
+        return oracles[-1]
+
+    monkeypatch.setattr(complexity, "find_section", counting_search)
+    monkeypatch.setattr(complexity, "AdmissibilityOracle", recording_oracle)
+    for img, n, m, mode in ((interval_image(0, 2), 2, 1, "pointwise"),
+                            (interval_image(0, 2), 2, 1, "strong"),
+                            (interval_image(0, 3), 1, 1, "pointwise"),
+                            (cycle_image(4), 1, 1, "strong"),
+                            (loop_image(), 1, 2, "pointwise")):
+        searched.clear()
+        fib = EndpointFibration(img, n, m, mode)
+        k, wits = schwarz_genus(fib)
+        assert k == len(wits)
+        # one search per subset the oracle decided, none repeated after
+        assert len(searched) == oracles[-1].calls
+        covered = set()
+        for sw in wits:
+            ok, why = verify_section(fib, sw)
+            assert ok, why
+            covered.update(sw.piece)
+        assert covered == set(fib.product.points)
+
+
+def test_genus_rejects_a_section_that_fails_verification(monkeypatch):
+    search = complexity.find_section
+
+    def tearing_search(fib, piece, fiber_cap=20_000):
+        sw = search(fib, piece, fiber_cap)
+        if sw is None or len(sw.wedges) < 2:
+            return sw
+        return SectionWitness(sw.piece, sw.wedges[1:] + sw.wedges[:1])
+
+    monkeypatch.setattr(complexity, "find_section", tearing_search)
+    with pytest.raises(AssertionError, match="failed verification"):
+        schwarz_genus(EndpointFibration(interval_image(0, 2), 2, 1))
+
+
+def test_cat_searches_inside_tc_spend_the_callers_budget(monkeypatch):
+    budgets = []
+    exact = complexity.cat_exact
+
+    def recording(base, guard=14, node_budget=2_000_000):
+        budgets.append(node_budget)
+        return exact(base, guard, node_budget)
+
+    monkeypatch.setattr(complexity, "cat_exact", recording)
+    loop, table, _ = loop_bundle()
+    tc_chain(loop, 2, node_budget=1_000_000)
+    tc_upper_via_group(loop, table, 2, node_budget=1_000_000)
+    assert budgets and set(budgets) == {1_000_000}
+
+
+def test_tc_notes_the_contractible_base_route_it_could_not_settle():
+    r = tc_n(cycle_image(16), 2, node_budget=10)
+    assert r.notes[0].startswith("contractible-base route skipped, "
+                                 "budget exhausted")
+    assert (r.lower, r.upper) == (1, None)
+    assert not any("skipped" in note for note in tc_n(loop_image(), 2).notes)

@@ -121,7 +121,7 @@ def test_oracle_caches_and_uses_hereditary_shortcuts():
         calls.append(subset)
         return len(subset) <= 3
 
-    oracle = AdmissibilityOracle(seg, pred, hereditary=True)
+    oracle = AdmissibilityOracle(seg, pred)
     big = ((0,), (1,), (2,))
     assert oracle(big)
     before = len(calls)
@@ -129,6 +129,44 @@ def test_oracle_caches_and_uses_hereditary_shortcuts():
     assert len(calls) == before
     assert oracle(big)
     assert len(calls) == before
+
+
+def test_oracle_searches_each_subset_once_and_keeps_the_witness():
+    seg = interval_image(0, 3)
+    calls = []
+
+    def search(subset):
+        calls.append(subset)
+        return ("witness", subset) if len(subset) <= 2 else None
+
+    oracle = AdmissibilityOracle(seg, search)
+    pair = ((1,), (2,))
+    assert oracle(pair)
+    assert oracle([(2,), (1,)])
+    assert oracle.witness(pair) == ("witness", pair)
+    assert calls == [pair]
+    assert not oracle(((0,), (1,), (2,)))
+    assert oracle.witness(((0,), (1,), (2,))) is None
+    assert len(calls) == 2
+    # accepted by heredity alone, searched once when its witness is asked
+    assert oracle(((1,),))
+    assert len(calls) == 2
+    assert oracle.witness(((1,),)) == ("witness", ((1,),))
+    assert oracle.witness(((1,),)) == ("witness", ((1,),))
+    assert calls[2:] == [((1,),)]
+    assert oracle.calls == len(calls) == 3
+
+
+def test_exact_cover_is_the_first_minimum_family_in_combination_order():
+    rng = random.Random(7)
+    for _ in range(40):
+        img = random_grid_image(rng, max_points=8, connected=True)
+        pred = _diameter_at_most(img, rng.choice((1, 2)))
+        sets = maximal_admissible_sets(img, AdmissibilityOracle(img, pred))
+        first = next(family for k in range(1, len(sets) + 1)
+                     for family in itertools.combinations(sets, k)
+                     if set().union(*family) == set(img.points))
+        assert minimal_cover_exact(img, AdmissibilityOracle(img, pred)) == first
 
 
 def test_maximal_admissible_sets_are_maximal_and_admissible():
