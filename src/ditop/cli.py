@@ -4,8 +4,9 @@ Twelve subcommands over the library: inspect images, check continuity,
 search homotopies, compute category and higher complexity with their
 witnesses, test and enumerate group structures, and re-derive the
 bundled reference results. Verdict-style commands exit 0 for yes, 2 for
-no; errors exit 1; running out of search budget is reported inside the
-output and still exits 0.
+no; user errors exit 1; running out of search budget is reported inside
+the output as the verdict "unknown" and still exits 0. Internal faults
+such as a TheoremViolation are not user errors and propagate.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import sys
 import time
 
 from .category import cat_bounds, cat_exact
-from .complexity import (CoverImpossible, TheoremViolation, schwarz_genus,
-                         tc_n)
+from .complexity import CoverImpossible, schwarz_genus, tc_n
 from .corpus import (UnknownCorpusName, get_image, get_map, get_table,
                      get_window_group, loop_cover)
 from .fileio import (ParseError, load_group, load_image, load_map,
                      serialize_cover, serialize_group, serialize_homotopy,
                      serialize_image, serialize_map, serialize_sections)
-from .groups import (CayleyTable, WindowGroup, is_top_homomorphism,
+from .groups import (WindowGroup, is_top_homomorphism,
                      is_top_isomorphism, is_topological_group,
                      scan_group_structures, product_group, verify_cayley,
                      window_group_report, window_hom_report)
@@ -49,17 +49,10 @@ def _adjacency_word(img: DigitalImage) -> str:
     return type(adj).__name__
 
 
-def _as_explicit(img: DigitalImage) -> DigitalImage:
-    """A serializable copy: product adjacencies become explicit edges."""
-    if isinstance(img.adjacency, (CK, Explicit)):
-        return img
-    return DigitalImage(img.points, Explicit.of(img.edges()))
-
-
 def _image_from_ref(ref: str) -> tuple[DigitalImage, str]:
     if ref.startswith("corpus:"):
         img = get_image(ref[len("corpus:"):])
-        return img, digest_text(serialize_image(_as_explicit(img)))
+        return img, digest_text(serialize_image(img))
     return load_image(ref), digest_file(ref)
 
 
@@ -86,10 +79,15 @@ def _group_from_ref(ref: str):
 
 
 # ---- commands ----
+#
+# Each command fills the report that `main` built from argv and returns
+# its exit code. A search that runs out of budget raises BudgetExhausted
+# through the command; `main` then records the command's verdict as
+# "unknown". So every input and setting goes into the report before the
+# search starts.
 
-def cmd_image_info(args) -> tuple[Report, int]:
-    img, dig = _image_from_ref(args.image)
-    rep = Report(command=_echo(args), inputs={args.image: dig})
+def cmd_image_info(args, rep: Report) -> int:
+    img, rep.inputs[args.image] = _image_from_ref(args.image)
     rep.results["points"] = len(img.points)
     rep.results["dim"] = img.dim
     rep.results["adjacency"] = _adjacency_word(img)
@@ -98,72 +96,56 @@ def cmd_image_info(args) -> tuple[Report, int]:
     rep.results["components"] = len(img.components)
     if img.is_connected:
         rep.results["diameter"] = img.diameter
-    return rep, 0
+    return 0
 
 
-def cmd_check_continuity(args) -> tuple[Report, int]:
-    dm, dig = _map_from_ref(args.map)
-    rep = Report(command=_echo(args), inputs={args.map: dig})
+def cmd_check_continuity(args, rep: Report) -> int:
+    dm, rep.inputs[args.map] = _map_from_ref(args.map)
     bad = continuity_violation(dm)
     rep.results["continuous"] = bad is None
     if bad is None:
-        return rep, 0
+        return 0
     a, b = bad
     rep.results["violation_edge"] = f"{a} ~ {b}"
     rep.results["violation_images"] = f"{dm(a)} vs {dm(b)}"
-    return rep, 2
+    return 2
 
 
-def cmd_homotopic(args) -> tuple[Report, int]:
+def cmd_homotopic(args, rep: Report) -> int:
     f, dig1 = _map_from_ref(args.map1)
     g, dig2 = _map_from_ref(args.map2)
-    rep = Report(command=_echo(args),
-                 inputs={args.map1: dig1, args.map2: dig2},
-                 settings={"budget": args.budget})
+    rep.inputs.update({args.map1: dig1, args.map2: dig2})
     if f.domain != g.domain or f.codomain != g.codomain:
         raise ValueError("the two maps must share domain and codomain")
-    try:
-        w = are_homotopic(f, g, node_budget=args.budget)
-    except BudgetExhausted as err:
-        rep.results["homotopic"] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        return rep, 0
+    w = are_homotopic(f, g, node_budget=args.budget)
     rep.results["homotopic"] = w is not None
     if w is None:
-        return rep, 2
+        return 2
     rep.results["steps"] = len(w.stages) - 1
-    rep.witnesses["domain.img"] = serialize_image(_as_explicit(f.domain))
-    rep.witnesses["codomain.img"] = serialize_image(_as_explicit(f.codomain))
+    rep.witnesses["domain.img"] = serialize_image(f.domain)
+    rep.witnesses["codomain.img"] = serialize_image(f.codomain)
     rep.witnesses["homotopy"] = serialize_homotopy(w, "domain.img",
                                                    "codomain.img")
-    return rep, 0
+    return 0
 
 
-def cmd_contractible(args) -> tuple[Report, int]:
-    img, dig = _image_from_ref(args.image)
-    rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"budget": args.budget})
-    try:
-        w = contraction(img, node_budget=args.budget)
-    except BudgetExhausted as err:
-        rep.results["contractible"] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        return rep, 0
+def cmd_contractible(args, rep: Report) -> int:
+    img, rep.inputs[args.image] = _image_from_ref(args.image)
+    w = contraction(img, node_budget=args.budget)
     rep.results["contractible"] = w is not None
     if w is None:
-        return rep, 2
+        return 2
     rep.results["stages"] = len(w.stages)
     rep.results["rest_point"] = str(w.stages[-1].values[0])
-    rep.witnesses["image.img"] = serialize_image(_as_explicit(img))
+    rep.witnesses["image.img"] = serialize_image(img)
     rep.witnesses["contraction"] = serialize_homotopy(w, "image.img",
                                                       "image.img")
-    return rep, 0
+    return 0
 
 
-def cmd_cat(args) -> tuple[Report, int]:
-    img, dig = _image_from_ref(args.image)
-    rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"convention": "k-sets", "budget": args.budget})
+def cmd_cat(args, rep: Report) -> int:
+    img, rep.inputs[args.image] = _image_from_ref(args.image)
+    rep.settings["convention"] = "k-sets"
     if args.precision == "bounds":
         r = cat_bounds(img, node_budget=args.budget)
         rep.results["cat_lower"] = r.lower
@@ -171,46 +153,35 @@ def cmd_cat(args) -> tuple[Report, int]:
         rep.notes.extend(r.notes)
         if r.witness:
             rep.witnesses["cover"] = serialize_cover(list(r.witness))
-        return rep, 0
-    try:
-        w = cat_exact(img, node_budget=args.budget)
-    except BudgetExhausted as err:
-        rep.results["cat"] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        return rep, 0
+        return 0
+    w = cat_exact(img, node_budget=args.budget)
     rep.results["cat"] = w.size
-    rep.witnesses["image.img"] = serialize_image(_as_explicit(img))
+    rep.witnesses["image.img"] = serialize_image(img)
     rep.witnesses["cover"] = serialize_cover(
         [piece.points for piece in w.pieces])
     for k, piece in enumerate(w.pieces):
-        sub = _as_explicit(img.induced(piece.points))
-        rep.witnesses[f"piece{k}.img"] = serialize_image(sub)
+        rep.witnesses[f"piece{k}.img"] = serialize_image(
+            img.induced(piece.points))
         rep.witnesses[f"piece{k}.contraction"] = serialize_homotopy(
             piece.contraction, f"piece{k}.img", "image.img")
-    return rep, 0
+    return 0
 
 
-def _loop_extras(args, img: DigitalImage):
+def _loop_extras(args):
     """corpus:H carries its own group table and preferred cover."""
     if args.image == "corpus:H":
         return get_table("Hrot"), loop_cover()
     return None, None
 
 
-def cmd_tc(args) -> tuple[Report, int]:
-    img, dig = _image_from_ref(args.image)
-    table, cover = _loop_extras(args, img)
-    rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"convention": "k-sets", "mode": args.mode,
-                           "m": args.m if args.m is not None else "auto",
-                           "n": args.n, "budget": args.budget})
-    try:
-        r = tc_n(img, args.n, table=table, cover=cover, m=args.m,
-                 mode=args.mode, node_budget=args.budget)
-    except BudgetExhausted as err:
-        rep.results["tc"] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        return rep, 0
+def cmd_tc(args, rep: Report) -> int:
+    img, rep.inputs[args.image] = _image_from_ref(args.image)
+    table, cover = _loop_extras(args)
+    rep.settings.update({"convention": "k-sets", "mode": args.mode,
+                         "m": args.m if args.m is not None else "auto",
+                         "n": args.n})
+    r = tc_n(img, args.n, table=table, cover=cover, m=args.m,
+             mode=args.mode, node_budget=args.budget)
     rep.notes.extend(r.notes)
     if r.exact:
         rep.results["tc"] = r.value
@@ -228,15 +199,13 @@ def cmd_tc(args) -> tuple[Report, int]:
         rep.results["pieces"] = len(wits)
         rep.settings["m"] = length
         rep.witnesses["sections"] = serialize_sections(wits, arms, length)
-    return rep, 0
+    return 0
 
 
-def cmd_genus(args) -> tuple[Report, int]:
-    img, dig = _image_from_ref(args.image)
+def cmd_genus(args, rep: Report) -> int:
+    img, rep.inputs[args.image] = _image_from_ref(args.image)
     m = args.m if args.m is not None else img.diameter
-    rep = Report(command=_echo(args), inputs={args.image: dig},
-                 settings={"mode": args.mode, "m": m, "n": args.n,
-                           "budget": args.budget})
+    rep.settings.update({"mode": args.mode, "m": m, "n": args.n})
     if args.m is None:
         rep.notes.append(f"arm length defaulted to the diameter {m}")
     fib = EndpointFibration(img, args.n, m, args.mode)
@@ -245,21 +214,15 @@ def cmd_genus(args) -> tuple[Report, int]:
     except CoverImpossible as err:
         rep.results["genus"] = "impossible"
         rep.notes.append(str(err))
-        return rep, 2
-    except BudgetExhausted as err:
-        rep.results["genus"] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        return rep, 0
+        return 2
     rep.results["genus"] = k
     rep.witnesses["sections"] = serialize_sections(wits, args.n, m)
-    return rep, 0
+    return 0
 
 
-def cmd_group_check(args) -> tuple[Report, int]:
-    obj, dig = _group_from_ref(args.group)
-    mode = product_mode(args.mode)
-    rep = Report(command=_echo(args), inputs={args.group: dig},
-                 settings={"product": mode})
+def cmd_group_check(args, rep: Report) -> int:
+    obj, rep.inputs[args.group] = _group_from_ref(args.group)
+    mode = rep.settings["product"] = product_mode(args.mode)
     if isinstance(obj, WindowGroup):
         r = window_group_report(obj, mode)
         rep.results["window"] = r.label
@@ -277,7 +240,7 @@ def cmd_group_check(args) -> tuple[Report, int]:
             rep.results["inverse_missing"] = ", ".join(
                 str(p) for p in r.inverse_missing)
         rep.notes.extend(r.notes)
-        return rep, 0 if r.ok_on_window else 2
+        return 0 if r.ok_on_window else 2
     v = is_topological_group(obj, mode)
     rep.results["group_axioms"] = not verify_cayley(obj)
     rep.results["topological"] = v.ok
@@ -289,10 +252,10 @@ def cmd_group_check(args) -> tuple[Report, int]:
     if v.beta_edge:
         a, b = v.beta_edge
         rep.results["beta_violation"] = f"{a} ~ {b}"
-    return rep, 0 if v.ok else 2
+    return 0 if v.ok else 2
 
 
-def cmd_group_scan(args) -> tuple[Report, int]:
+def cmd_group_scan(args, rep: Report) -> int:
     if args.p is not None:
         img = interval_image(0, args.p - 1)
         ref = f"interval:0:{args.p - 1}"
@@ -302,9 +265,8 @@ def cmd_group_scan(args) -> tuple[Report, int]:
         ref = args.image
     else:
         raise ValueError("group-scan wants -p <points> or an image")
-    mode = product_mode(args.mode)
-    rep = Report(command=_echo(args), inputs={ref: dig},
-                 settings={"product": mode})
+    rep.inputs[ref] = dig
+    mode = rep.settings["product"] = product_mode(args.mode)
     res = scan_group_structures(img, mode=mode)
     rep.results["structures"] = res.total
     rep.results["topological"] = res.topological_count
@@ -323,36 +285,31 @@ def cmd_group_scan(args) -> tuple[Report, int]:
         else:
             note += verdict.failures[0] if verdict.failures else "rejected"
         rep.notes.append(note)
-    return rep, 0
+    return 0
 
 
-def cmd_group_product(args) -> tuple[Report, int]:
+def cmd_group_product(args, rep: Report) -> int:
     a, dig1 = _group_from_ref(args.group1)
     b, dig2 = _group_from_ref(args.group2)
     if isinstance(a, WindowGroup) or isinstance(b, WindowGroup):
         raise ValueError("group-product works on finite tables, not windows")
-    mode = product_mode(args.mode)
-    rep = Report(command=_echo(args),
-                 inputs={args.group1: dig1, args.group2: dig2},
-                 settings={"product": mode})
+    rep.inputs.update({args.group1: dig1, args.group2: dig2})
+    mode = rep.settings["product"] = product_mode(args.mode)
     prod = product_group(a, b, mode)
     v = is_topological_group(prod, mode)
     rep.results["points"] = len(prod.image.points)
     rep.results["topological"] = v.ok
     if v.failures:
         rep.results["failures"] = "; ".join(v.failures)
-    carrier = _as_explicit(prod.image)
-    fixed = CayleyTable(carrier, prod.identity, prod.entries, prod.label)
-    rep.witnesses["product.img"] = serialize_image(carrier)
-    rep.witnesses["product.group"] = serialize_group(fixed, "product.img")
-    return rep, 0 if v.ok else 2
+    rep.witnesses["product.img"] = serialize_image(prod.image)
+    rep.witnesses["product.group"] = serialize_group(prod, "product.img")
+    return 0 if v.ok else 2
 
 
-def cmd_hom_check(args) -> tuple[Report, int]:
+def cmd_hom_check(args, rep: Report) -> int:
     src, dig1 = _group_from_ref(args.source)
     dst, dig2 = _group_from_ref(args.target)
-    rep = Report(command=_echo(args),
-                 inputs={args.source: dig1, args.target: dig2})
+    rep.inputs.update({args.source: dig1, args.target: dig2})
     windows = isinstance(src, WindowGroup) or isinstance(dst, WindowGroup)
     if windows:
         if not (isinstance(src, WindowGroup) and isinstance(dst, WindowGroup)):
@@ -379,14 +336,13 @@ def cmd_hom_check(args) -> tuple[Report, int]:
             a, b = r.collision
             rep.results["collision"] = f"{a} and {b} share an image"
             rep.notes.append("not an isomorphism: not injective")
-        return rep, 0 if r.is_homomorphism else 2
-    dm, dig3 = _map_from_ref(args.map)
-    rep.inputs[args.map] = dig3
+        return 0 if r.is_homomorphism else 2
+    dm, rep.inputs[args.map] = _map_from_ref(args.map)
     ok, why = is_top_homomorphism(dm, src, dst)
     rep.results["homomorphism"] = ok
     if not ok:
         rep.results["reason"] = why
-        return rep, 2
+        return 2
     iso, why = is_top_isomorphism(dm, src, dst)
     rep.results["isomorphism"] = iso
     if not iso:
@@ -397,12 +353,11 @@ def cmd_hom_check(args) -> tuple[Report, int]:
         if bad is not None:
             a, b = bad
             rep.results["inverse_violation"] = f"{a} ~ {b}"
-    return rep, 0
+    return 0
 
 
-def cmd_verify_paper(args) -> tuple[Report, int]:
+def cmd_verify_paper(args, rep: Report) -> int:
     rows = run_reference_rows(node_budget=args.budget)
-    rep = Report(command=_echo(args), settings={"budget": args.budget})
     width = max(len(r.name) for r in rows)
     bad = 0
     for r in rows:
@@ -417,11 +372,7 @@ def cmd_verify_paper(args) -> tuple[Report, int]:
     rep.results["inconclusive"] = sum(
         r.status.startswith("inconclusive") for r in rows)
     rep.results["mismatched"] = bad
-    return rep, 0 if bad == 0 else 2
-
-
-def _echo(args) -> str:
-    return " ".join(args._argv)
+    return 0 if bad == 0 else 2
 
 
 COMMANDS = {
@@ -512,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=2, help="number of arms")
     p.add_argument("--m", type=int, default=None, help="arm length")
     mode(p)
-    common(p)
+    common(p, budget=False)
 
     p = sub.add_parser("group-check",
                        help="group axioms and continuity of one structure")
@@ -551,21 +502,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = argv
+    args = build_parser().parse_args(argv)
+    rep = Report(command=" ".join(argv))
+    if "budget" in args:
+        rep.settings["budget"] = args.budget
     started = time.monotonic()
     try:
-        rep, code = COMMANDS[args.command](args)
-    except (ParseError, FileNotFoundError, UnknownCorpusName, ValueError,
-            TheoremViolation, NotImplementedError) as err:
+        code = COMMANDS[args.command](args, rep)
+    except BudgetExhausted as err:
+        rep.results[args.command] = "unknown"
+        rep.notes.append(f"budget exhausted: {err}")
+        code = 0
+    except (ParseError, FileNotFoundError, UnknownCorpusName,
+            ValueError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
     elapsed = time.monotonic() - started
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json())
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(rep.to_json())
     else:
         sys.stdout.write(rep.to_text())

@@ -23,9 +23,6 @@ Subset = tuple[Point, ...]
 # most families of one size that minimal_cover_exact will try
 _SCAN_GUARD = 500_000
 
-# memo mark of a subset accepted by heredity and not searched yet
-_INHERITED = object()
-
 
 class CoverImpossible(Exception):
     """Some point lies in no admissible set, so no cover exists."""
@@ -60,8 +57,8 @@ class AdmissibilityOracle:
 
     `search(subset)` returns a witness (a contraction, a section) or None;
     the memo keeps that result, so every piece is searched at most once.
-    A subset of a known-admissible set is accepted by heredity without a
-    search; its own witness is searched the first time `witness` asks.
+    Subsets of admissible sets get no shortcut: the sweep never asks about
+    them and greedy pieces only grow.
     """
 
     def __init__(self, base: DigitalImage,
@@ -70,7 +67,6 @@ class AdmissibilityOracle:
         self.search = search
         self.calls = 0
         self._memo: dict[frozenset, object] = {}
-        self._good: list[frozenset] = []
 
     def canonical(self, subset: Iterable[Point]) -> Subset:
         sub = tuple(sorted(set(tuple(p) for p in subset)))
@@ -82,29 +78,16 @@ class AdmissibilityOracle:
         return sub
 
     def __call__(self, subset: Iterable[Point]) -> bool:
-        return bool(self._result(self.canonical(subset)))
+        return self.witness(subset) is not None
 
     def witness(self, subset: Iterable[Point]):
         """The search's witness for the subset, or None if inadmissible."""
         sub = self.canonical(subset)
-        found = self._result(sub)
-        if found is _INHERITED:
-            self.calls += 1
-            found = self._memo[frozenset(sub)] = self.search(sub)
-        return found or None
-
-    def _result(self, sub: Subset):
         key = frozenset(sub)
-        if key in self._memo:
-            return self._memo[key]
-        if any(key <= g for g in self._good):
-            self._memo[key] = _INHERITED
-            return _INHERITED
-        self.calls += 1
-        found = self._memo[key] = self.search(sub)
-        if found:
-            self._good.append(key)
-        return found
+        if key not in self._memo:
+            self.calls += 1
+            self._memo[key] = self.search(sub) or None
+        return self._memo[key]
 
 
 def maximal_admissible_sets(base: DigitalImage, oracle: AdmissibilityOracle,

@@ -102,17 +102,14 @@ def parse_image(text: str) -> DigitalImage:
 
 
 def serialize_image(img: DigitalImage) -> str:
-    lines = [f"dim {img.dim}"]
-    if isinstance(img.adjacency, CK):
-        lines.append(f"adjacency c{img.adjacency.k}")
-    elif isinstance(img.adjacency, Explicit):
-        lines.append("adjacency explicit")
-    else:
-        raise ValueError(f"cannot serialize adjacency {img.adjacency!r}; "
-                         f"only c<k> and explicit edge lists have a file form")
+    """c_k images keep their rule; any other adjacency (explicit or a
+    product) is written as the image's own edge list."""
+    ck = isinstance(img.adjacency, CK)
+    lines = [f"dim {img.dim}",
+             f"adjacency c{img.adjacency.k}" if ck else "adjacency explicit"]
     for p in img.points:
         lines.append("point " + " ".join(str(c) for c in p))
-    if isinstance(img.adjacency, Explicit):
+    if not ck:
         for i, j in img.edge_index_pairs:
             lines.append(f"edge {i} {j}")
     return "\n".join(lines) + "\n"

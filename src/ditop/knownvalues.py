@@ -16,9 +16,9 @@ from typing import Callable
 from .category import cat_exact, piece_contraction
 from .complexity import (PairedFibration, product_of_sections, schwarz_genus,
                          tc_chain, tc_n)
-from .corpus import (LOOP_LETTERS, loop_cover, loop_image,
-                     loop_rotation_table, flip_table, reference_contractions,
-                     sign_embedding, sign_table, z2plus_group, zplus_group)
+from .corpus import (LOOP_LETTERS, loop_cover, loop_rotation_table,
+                     flip_table, reference_contractions, sign_embedding,
+                     sign_table, z2plus_group, zplus_group)
 from .covers import BoundResult
 from .groups import (CayleyTable, is_top_homomorphism, is_top_isomorphism,
                      is_topological_group, product_group, scan_group_structures,
@@ -59,13 +59,11 @@ def _row(name: str, expected: str, fn: Callable[[], tuple[str, object]]) -> Row:
     return Row(name, expected, computed, status)
 
 
-def run_reference_rows(node_budget: int | None = 2_000_000,
-                       loop_override: DigitalImage | None = None) -> list[Row]:
-    """Compute every reference row. loop_override swaps in a different
-    carrier for the eight-point loop — useful for checking that the
-    harness actually notices when the example is perturbed."""
-    H = loop_override if loop_override is not None else loop_image()
-    rot = _transport_table(loop_rotation_table(), H)
+def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
+    """Compute every reference row. The loop rows share the carrier of
+    the loop's rotation table."""
+    rot = loop_rotation_table()
+    H = rot.image
     m1, m2 = loop_cover()
     rows: list[Row] = []
     add = rows.append
@@ -156,14 +154,13 @@ def run_reference_rows(node_budget: int | None = 2_000_000,
 
     def rot_generator():
         e = rot.identity
-        a = _transport_point(LOOP_LETTERS["a"], H)
+        a = LOOP_LETTERS["a"]
         seen = {e}
         x = e
         for _ in range(len(H.points)):
             x = rot.product(x, a)
             seen.add(x)
-        ok = seen == set(H.points) and rot.identity == _transport_point(
-            LOOP_LETTERS["b"], H)
+        ok = seen == set(H.points) and rot.identity == LOOP_LETTERS["b"]
         return f"identity {rot.identity}, generator reaches {len(seen)}", ok
     add(_row("identity and generator of the loop group",
              "identity (0, 0), generator reaches 8", rot_generator))
@@ -255,8 +252,7 @@ def run_reference_rows(node_budget: int | None = 2_000_000,
     add(_row("product of two topological groups", "topological", product_row))
 
     def subgroups_row():
-        pos = {_transport_point(LOOP_LETTERS[x], H): k
-               for k, x in enumerate("bahgfedc")}
+        pos = {LOOP_LETTERS[x]: k for k, x in enumerate("bahgfedc")}
         carriers = [
             [p for p in H.points if pos[p] == 0],
             [p for p in H.points if pos[p] % 4 == 0],
@@ -327,27 +323,6 @@ def _fmt_bounds(r: BoundResult) -> str:
         return str(r.value)
     hi = "?" if r.upper is None else str(r.upper)
     return f"[{r.lower}, {hi}]"
-
-
-def _transport_point(p, img: DigitalImage):
-    """Map a reference loop point onto the override image by rank: the
-    override is expected to share the loop's canonical point list; when it
-    does not, fall back to the point itself so mismatches surface."""
-    ref = loop_image()
-    if tuple(p) in img:
-        return tuple(p)
-    try:
-        return img.points[ref.index(tuple(p))]
-    except (ValueError, IndexError, KeyError):
-        return tuple(p)
-
-
-def _transport_table(table: CayleyTable, img: DigitalImage) -> CayleyTable:
-    """Rebuild the loop table on an override carrier with the same point
-    list (the usual perturbation keeps points and drops an edge)."""
-    if img.points == table.image.points:
-        return CayleyTable(img, table.identity, table.entries, table.label)
-    return table
 
 
 def _restrict_table(table: CayleyTable, subset) -> CayleyTable:

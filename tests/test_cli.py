@@ -208,18 +208,14 @@ def test_verify_paper_passes_and_budget_degrades_gracefully(capsys):
 
 def test_verify_paper_catches_a_perturbed_reference(capsys, monkeypatch):
     from ditop import knownvalues
+    from ditop.groups import CayleyTable
     from ditop.images import DigitalImage, Explicit
 
     loop = loop_image()
     broken = DigitalImage(loop.points, Explicit.of(loop.edges()[:-1]))
-    real = knownvalues.run_reference_rows
-
-    def patched(node_budget=2_000_000):
-        return real(node_budget=node_budget, loop_override=broken)
-
-    monkeypatch.setattr(knownvalues, "run_reference_rows", patched)
-    import ditop.cli
-    monkeypatch.setattr(ditop.cli, "run_reference_rows", patched)
+    rot = knownvalues.loop_rotation_table()
+    table = CayleyTable(broken, rot.identity, rot.entries, rot.label)
+    monkeypatch.setattr(knownvalues, "loop_rotation_table", lambda: table)
     code, out, _ = run(capsys, "verify-paper")
     assert code == 2
     assert "MISMATCH" in out
@@ -277,3 +273,68 @@ def test_homotopic_command(tmp_path, capsys):
                        str(tmp_path / "g.map"))
     assert code == 0
     assert "homotopic: True" in out
+
+
+def test_every_search_command_answers_unknown_when_its_budget_runs_out(
+        tmp_path, capsys):
+    from ditop.fileio import serialize_map
+    seg = interval_image(0, 2)
+    (tmp_path / "seg.img").write_text(serialize_image(seg), encoding="utf-8")
+    const = DigitalMap(seg, seg, ((0,),) * 3)
+    for name, dm in (("f", DigitalMap.identity(seg)), ("g", const)):
+        (tmp_path / f"{name}.map").write_text(
+            serialize_map(dm, "seg.img", "seg.img"), encoding="utf-8")
+    cases = (
+        ("homotopic", str(tmp_path / "f.map"), str(tmp_path / "g.map"),
+         "--budget", "1"),
+        ("cat", "corpus:H", "--budget", "3"),
+        ("tc", "corpus:H", "--budget", "3"),
+    )
+    for argv in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert f"\n{argv[0]}: unknown\n" in out
+        assert (f"note: budget exhausted: map-graph search exceeded "
+                f"{argv[-1]} states") in out
+        assert f"budget={argv[-1]}" in out
+
+
+def test_genus_takes_no_budget_but_a_capped_fiber_ends_unknown(
+        monkeypatch, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["genus", "corpus:interval:1", "-n", "2", "--m", "1",
+              "--budget", "5"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    argv = ("genus", "corpus:interval:1", "-n", "2", "--m", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["settings"] == {"m": 1, "mode": "pointwise",
+                                           "n": 2}
+
+    import ditop.cli
+    from ditop.homotopy import BudgetExhausted
+
+    def capped(fib):
+        raise BudgetExhausted("fiber over (0,) exceeds 20000 wedges")
+
+    monkeypatch.setattr(ditop.cli, "schwarz_genus", capped)
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["results"] == {"genus": "unknown"}
+    assert doc["notes"] == [
+        "budget exhausted: fiber over (0,) exceeds 20000 wedges"]
+
+
+def test_a_theorem_violation_is_not_a_user_error(monkeypatch, capsys):
+    import ditop.cli
+    from ditop.complexity import TheoremViolation
+
+    def broken(*args, **kwargs):
+        raise TheoremViolation("a proved bound failed")
+
+    monkeypatch.setattr(ditop.cli, "tc_n", broken)
+    with pytest.raises(TheoremViolation):
+        main(["tc", "corpus:H"])
+    assert capsys.readouterr().out == ""

@@ -17,7 +17,8 @@ from ditop.fileio import (ParseError, load_group, load_homotopy, load_image,
                           serialize_image, serialize_map, serialize_sections)
 from ditop.complexity import schwarz_genus, verify_section
 from ditop.homotopy import contraction, verify_homotopy
-from ditop.images import CK, DigitalImage, Explicit, interval_image
+from ditop.images import (CK, DigitalImage, Explicit, interval_image,
+                          product_image)
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
 
@@ -45,6 +46,17 @@ def test_image_round_trip_is_byte_stable_for_explicit_edges():
     again = parse_image(text)
     assert serialize_image(again) == text
     assert set(again.edges()) == {((0,), (5,))}
+
+
+@pytest.mark.parametrize("mode", ["min", "strong"])
+def test_product_images_are_written_as_their_explicit_edge_list(mode):
+    img = product_image(interval_image(0, 2), loop_image(), mode)
+    text = serialize_image(img)
+    assert text == serialize_image(
+        DigitalImage(img.points, Explicit.of(img.edges())))
+    again = parse_image(text)
+    assert again.points == img.points
+    assert again.edges() == img.edges()
 
 
 @settings(max_examples=60)
