@@ -20,6 +20,10 @@ from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
 
+# most points for which cat_bounds settles whole-image contractibility by
+# the exact search
+_CONTRACTIBILITY_GUARD = 12
+
 
 @dataclass(frozen=True)
 class CatPiece:
@@ -82,12 +86,13 @@ def cat_oracle(base: DigitalImage,
         base, lambda sub: piece_contraction(base, sub, node_budget))
 
 
-def cat_exact(base: DigitalImage, guard: int = 14,
+def cat_exact(base: DigitalImage,
               node_budget: int | None = 2_000_000) -> CatWitness:
     """Minimum categorical cover with verified contractions per piece.
 
-    Exhaustive over subsets, so guarded by point count; raises
-    BudgetExhausted if some piece's homotopy search cannot be settled.
+    Exhaustive over subsets, so limited to `covers.SWEEP_LIMIT` points;
+    raises BudgetExhausted if some piece's homotopy search cannot be
+    settled.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
@@ -95,22 +100,19 @@ def cat_exact(base: DigitalImage, guard: int = 14,
     oracle = cat_oracle(base, node_budget)
     witness = CatWitness(base, tuple(
         CatPiece(s, oracle.witness(s))
-        for s in minimal_cover_exact(base, oracle, guard)))
+        for s in minimal_cover_exact(base, oracle)))
     ok, why = witness.check()
     if not ok:
         raise AssertionError(f"cat witness failed its own check: {why}")
     return witness
 
 
-def cat(base: DigitalImage, guard: int = 14,
-        node_budget: int | None = 2_000_000) -> int:
-    return cat_exact(base, guard, node_budget).size
+def cat(base: DigitalImage, node_budget: int | None = 2_000_000) -> int:
+    return cat_exact(base, node_budget).size
 
 
 def cat_bounds(base: DigitalImage,
-               seeds: Sequence[Subset] | None = None,
-               node_budget: int | None = 200_000,
-               contractibility_guard: int = 12) -> BoundResult:
+               node_budget: int | None = 200_000) -> BoundResult:
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
@@ -124,7 +126,7 @@ def cat_bounds(base: DigitalImage,
                          "split into components first")
     whole: bool | None = None
     torn: frozenset = frozenset()
-    if len(base.points) <= contractibility_guard:
+    if len(base.points) <= _CONTRACTIBILITY_GUARD:
         try:
             whole = is_contractible(base, node_budget)
         except BudgetExhausted:
@@ -138,10 +140,10 @@ def cat_bounds(base: DigitalImage,
         return piece_contraction_slide_only(base, sub)
 
     oracle = AdmissibilityOracle(base, slide_only)
-    return minimal_cover_bounds(base, oracle, seeds, whole_admissible=whole)
+    return minimal_cover_bounds(base, oracle, whole_admissible=whole)
 
 
-def categorical_subsets(base: DigitalImage, guard: int = 14,
+def categorical_subsets(base: DigitalImage,
                         node_budget: int | None = 2_000_000) -> list[Subset]:
     """The maximal subsets with nullhomotopic inclusion (for inspection)."""
-    return maximal_admissible_sets(base, cat_oracle(base, node_budget), guard)
+    return maximal_admissible_sets(base, cat_oracle(base, node_budget))

@@ -5,8 +5,10 @@ search homotopies, compute category and higher complexity with their
 witnesses, test and enumerate group structures, and re-derive the
 bundled reference results. Verdict-style commands exit 0 for yes, 2 for
 no; user errors exit 1; running out of search budget is reported inside
-the output as the verdict "unknown" and still exits 0. Internal faults
-such as a TheoremViolation are not user errors and propagate.
+the output as the verdict "unknown" and still exits 0, and a cover that
+cannot exist (arms too short to reach some endpoints) as the verdict
+"impossible", exiting 2. Internal faults such as a TheoremViolation are
+not user errors and propagate.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ def _group_from_ref(ref: str):
 #
 # Each command fills the report that `main` built from argv and returns
 # its exit code. A search that runs out of budget raises BudgetExhausted
-# through the command; `main` then records the command's verdict as
-# "unknown". So every input and setting goes into the report before the
-# search starts.
+# through the command, and a cover search with an unreachable point
+# raises CoverImpossible; `main` then records the command's verdict as
+# "unknown" or "impossible". So every input and setting goes into the
+# report before the search starts.
 
 def cmd_image_info(args, rep: Report) -> int:
     img, rep.inputs[args.image] = _image_from_ref(args.image)
@@ -208,13 +211,7 @@ def cmd_genus(args, rep: Report) -> int:
     rep.settings.update({"mode": args.mode, "m": m, "n": args.n})
     if args.m is None:
         rep.notes.append(f"arm length defaulted to the diameter {m}")
-    fib = EndpointFibration(img, args.n, m, args.mode)
-    try:
-        k, wits = schwarz_genus(fib)
-    except CoverImpossible as err:
-        rep.results["genus"] = "impossible"
-        rep.notes.append(str(err))
-        return 2
+    k, wits = schwarz_genus(EndpointFibration(img, args.n, m, args.mode))
     rep.results["genus"] = k
     rep.witnesses["sections"] = serialize_sections(wits, args.n, m)
     return 0
@@ -228,8 +225,6 @@ def cmd_group_check(args, rep: Report) -> int:
         rep.results["window"] = r.label
         rep.results["ok_on_window"] = r.ok_on_window
         rep.results["alpha_checked"] = r.alpha_checked
-        if r.alpha_skipped:
-            rep.results["alpha_skipped"] = r.alpha_skipped
         if r.alpha_violation:
             a, b = r.alpha_violation
             rep.results["alpha_violation"] = f"{a} ~ {b}"
@@ -513,6 +508,10 @@ def main(argv=None) -> int:
         rep.results[args.command] = "unknown"
         rep.notes.append(f"budget exhausted: {err}")
         code = 0
+    except CoverImpossible as err:
+        rep.results[args.command] = "impossible"
+        rep.notes.append(str(err))
+        code = 2
     except (ParseError, FileNotFoundError, UnknownCorpusName,
             ValueError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 # piece_contraction is unused here, but bench/selftest.py checks that the
 # tracer rebinds it in this module
 from .category import cat_exact, piece_contraction  # noqa: F401
+from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                      minimal_cover_exact, Subset)
 from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
@@ -31,6 +32,9 @@ from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
 from .pathspace import EndpointFibration, PairedFibration, Wedge
 from .groups import CayleyTable, is_topological_group
+
+# most wedges find_section materializes per fiber before it gives up
+_FIBER_CAP = 20_000
 
 
 class TheoremViolation(Exception):
@@ -72,22 +76,18 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
     return True, None
 
 
-def find_section(fib: EndpointFibration, piece: Sequence[Point],
-                 fiber_cap: int = 20_000) -> Optional[SectionWitness]:
+def find_section(fib: EndpointFibration,
+                 piece: Sequence[Point]) -> Optional[SectionWitness]:
     """Backtracking search for a section over the piece, or None.
 
     Variables are the piece's points, most-constrained-first (descending
     degree inside the piece, then canonical order, visited so each next
     variable touches assigned ones where possible); domains are whole
-    fibers, materialized up to fiber_cap."""
-    pts = tuple(sorted({tuple(p) for p in piece}))
-    sub = induced_subimage(fib.product, pts)
+    fibers, materialized up to _FIBER_CAP wedges."""
+    sub = induced_subimage(fib.product, piece)
+    pts = sub.points
     k = len(pts)
-    nbrs = [[] for _ in range(k)]
-    pos = {u: i for i, u in enumerate(pts)}
-    for a, b in sub.edges():
-        nbrs[pos[a]].append(pos[b])
-        nbrs[pos[b]].append(pos[a])
+    nbrs = sub.neighbor_index
 
     ranked = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
     order: list[int] = []
@@ -103,11 +103,11 @@ def find_section(fib: EndpointFibration, piece: Sequence[Point],
     domains: list[list[Wedge]] = [None] * k  # type: ignore[list-item]
     for i in order:
         dom = []
-        for w in fib.fiber(pts[i], limit=fiber_cap + 1):
+        for w in fib.fiber(pts[i], limit=_FIBER_CAP + 1):
             dom.append(w)
-        if len(dom) > fiber_cap:
+        if len(dom) > _FIBER_CAP:
             raise BudgetExhausted(
-                f"fiber over {pts[i]} exceeds {fiber_cap} wedges")
+                f"fiber over {pts[i]} exceeds {_FIBER_CAP} wedges")
         if not dom:
             return None
         domains[i] = dom
@@ -136,8 +136,7 @@ def find_section(fib: EndpointFibration, piece: Sequence[Point],
     return SectionWitness(pts, tuple(assign[i] for i in range(k)))
 
 
-def schwarz_genus(fib: EndpointFibration, guard: int = 14,
-                  fiber_cap: int = 20_000,
+def schwarz_genus(fib: EndpointFibration,
                   ) -> tuple[int, tuple[SectionWitness, ...]]:
     """Exact minimum number of section-admitting pieces covering the
     product, with the section the cover search found over each piece,
@@ -149,8 +148,8 @@ def schwarz_genus(fib: EndpointFibration, guard: int = 14,
             f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "
             f"raise the arm length")
     oracle = AdmissibilityOracle(
-        fib.product, lambda sub: find_section(fib, sub, fiber_cap))
-    sets = minimal_cover_exact(fib.product, oracle, guard)
+        fib.product, lambda sub: find_section(fib, sub))
+    sets = minimal_cover_exact(fib.product, oracle)
     witnesses = tuple(oracle.witness(s) for s in sets)
     for sw in witnesses:
         ok, why = verify_section(fib, sw)
@@ -359,16 +358,19 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 
 def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
          cover: Sequence[Subset] | None = None, m: int | None = None,
-         mode: str = "pointwise", genus_guard: int = 14, cat_guard: int = 14,
+         mode: str = "pointwise",
          node_budget: int | None = 2_000_000) -> BoundResult:
     """Best available bracket on TC_n, exact when the routes meet.
 
-    n = 1 is settled by the stand-still section. Tiny products get the
-    exact sweep. Otherwise the bracket combines the category lower bound
-    with the group-construction upper bound when a table is supplied.
+    n = 1 is settled by the stand-still section. Products within
+    `covers.SWEEP_LIMIT` points get the exact sweep. Otherwise the bracket
+    combines the category lower bound (for bases within the limit) with
+    the group-construction upper bound when a table is supplied.
     """
     if n < 1:
         raise ValueError("TC_n needs n >= 1")
+    if m is not None and m < 0:
+        raise ValueError("arm length cannot be negative")
     if not base.is_connected:
         raise ValueError("complexity here is for connected images")
     if n == 1:
@@ -394,18 +396,18 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                            (f"contractible base: one global section at arm "
                             f"length {m_used}",))
 
-    if len(base.points) ** n <= genus_guard:
+    if len(base.points) ** n <= covers.SWEEP_LIMIT:
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,
                                 mode)
-        k, ws = schwarz_genus(fib, genus_guard)
+        k, ws = schwarz_genus(fib)
         notes.append("exact sweep over the product")
         return BoundResult(k, k, ws, tuple(notes))
 
     lower = 1
     witness = None
     upper = None
-    if len(base.points) <= cat_guard:
-        catv = cat_exact(base, cat_guard, node_budget).size
+    if len(base.points) <= covers.SWEEP_LIMIT:
+        catv = cat_exact(base, node_budget).size
         lower = max(lower, catv)
         notes.append(f"lower {catv}: the category of the base is a lower "
                      f"bound for every TC_n, n >= 2")
@@ -433,7 +435,7 @@ def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
     the chain upper bound folded in."""
     results: list[BoundResult] = []
     cat_upper: int | None = None
-    if len(base.points) <= 14:
+    if len(base.points) <= covers.SWEEP_LIMIT:
         cat_upper = cat_exact(base, node_budget=node_budget).size
     for k in range(1, up_to + 1):
         r = tc_n(base, k, table, cover, m, mode, node_budget=node_budget)

@@ -20,6 +20,9 @@ from .images import DigitalImage, Point
 
 Subset = tuple[Point, ...]
 
+# most points whose power set maximal_admissible_sets will sweep; every
+# exact category and genus route stops here
+SWEEP_LIMIT = 14
 # most families of one size that minimal_cover_exact will try
 _SCAN_GUARD = 500_000
 
@@ -90,15 +93,15 @@ class AdmissibilityOracle:
         return self._memo[key]
 
 
-def maximal_admissible_sets(base: DigitalImage, oracle: AdmissibilityOracle,
-                            guard: int = 14) -> list[Subset]:
+def maximal_admissible_sets(base: DigitalImage,
+                            oracle: AdmissibilityOracle) -> list[Subset]:
     """All admissible subsets with no admissible strict superset, largest
     first, lexicographic within a size. Exhaustive over the power set, so
-    guarded by point count."""
+    limited to SWEEP_LIMIT points."""
     n = len(base.points)
-    if n > guard:
-        raise ValueError(f"maximal-set sweep is limited to {guard} points, "
-                         f"image has {n}")
+    if n > SWEEP_LIMIT:
+        raise ValueError(f"maximal-set sweep is limited to {SWEEP_LIMIT} "
+                         f"points, image has {n}")
     maximal: list[frozenset] = []
     out: list[Subset] = []
     for size in range(n, 0, -1):
@@ -122,22 +125,21 @@ def _check_coverable(base: DigitalImage, sets: Sequence[Subset]) -> None:
             f"no admissible set contains {missing[0]}; no cover exists")
 
 
-def minimal_cover_exact(base: DigitalImage, oracle: AdmissibilityOracle,
-                        guard: int = 14) -> tuple[Subset, ...]:
+def minimal_cover_exact(base: DigitalImage,
+                        oracle: AdmissibilityOracle) -> tuple[Subset, ...]:
     """A minimum-size cover of the base by admissible sets.
 
     One pass over k = 1, 2, ...: the first family of k maximal admissible
     sets, in `itertools.combinations` order over the maximal-set list
     (largest first, then lexicographic), that covers the base.
     """
-    sets = maximal_admissible_sets(base, oracle, guard)
+    sets = maximal_admissible_sets(base, oracle)
     _check_coverable(base, sets)
     masks = []
-    index = {p: i for i, p in enumerate(base.points)}
     for s in sets:
         m = 0
         for p in s:
-            m |= 1 << index[p]
+            m |= 1 << base.index(p)
         masks.append(m)
     full = (1 << len(base.points)) - 1
     for k in itertools.count(1):
@@ -154,35 +156,24 @@ def minimal_cover_exact(base: DigitalImage, oracle: AdmissibilityOracle,
 
 
 def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,
-                         seeds: Sequence[Subset] | None = None,
                          whole_admissible: bool | None = None,
                          ) -> BoundResult:
     """Bracket the minimum cover size without the exhaustive sweep.
 
     The oracle here may be sound but incomplete (True only with a verified
     witness in hand), so a False answer never feeds a lower bound. Upper
-    route: verify the seed family if given and covering, else grow greedy
-    pieces point by point. Lower route: 1, raised to 2 only when the caller
-    settles `whole_admissible` as False by a complete method.
+    route: grow greedy pieces point by point. Lower route: 1, raised to 2
+    only when the caller settles `whole_admissible` as False by a complete
+    method.
     """
     notes = []
-    pieces: list[Subset] | None = None
 
     if whole_admissible is True or (whole_admissible is None and oracle(base.points)):
         notes.append("whole image admissible, cover of one")
         return BoundResult(1, 1, (base.points,), tuple(notes))
 
-    if seeds:
-        cand = [oracle.canonical(s) for s in seeds]
-        covered = set()
-        for s in cand:
-            covered.update(s)
-        if all(p in covered for p in base.points) and all(oracle(s) for s in cand):
-            pieces = cand
-            notes.append("upper from supplied seed cover")
-    if pieces is None:
-        pieces = _greedy_cover(base, oracle)
-        notes.append("upper from greedy growth")
+    pieces = _greedy_cover(base, oracle)
+    notes.append("upper from greedy growth")
 
     lower = 1
     if whole_admissible is False:

@@ -22,6 +22,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .images import DigitalImage, Point, product_image
 from .maps import DigitalMap, continuity_violation
 
+# most carrier points enumerate_group_structures accepts: Latin square
+# counts explode past 6
+_ENUMERATION_LIMIT = 6
+
 
 @dataclass(frozen=True)
 class CayleyTable:
@@ -67,14 +71,12 @@ class CayleyTable:
         return None
 
     def multiplication_map(self, mode: str = "min") -> DigitalMap:
-        """The operation as a map from the product image (needs closure)."""
+        """The operation as a map from the product image (needs closure).
+
+        Product points run row-major over (a, b), as the entries do."""
         prod = product_image(self.image, self.image, mode)
-        d = self.image.dim
-        mapping = {}
-        for u in prod.points:
-            a, b = u[:d], u[d:]
-            mapping[u] = self.product(a, b)
-        return DigitalMap.from_mapping(prod, self.image, mapping, "mul")
+        values = tuple(v for row in self.entries for v in row)
+        return DigitalMap(prod, self.image, values, "mul")
 
     def inversion_map(self) -> DigitalMap:
         vals = []
@@ -140,14 +142,20 @@ class GroupVerdict:
     beta_edge: Optional[tuple[Point, Point]] = None
 
 
-def is_topological_group(table: CayleyTable, mode: str = "min",
-                         skip_axioms: bool = False) -> GroupVerdict:
+def is_topological_group(table: CayleyTable,
+                         mode: str = "min") -> GroupVerdict:
     """Group axioms plus continuity of multiplication (on the min-product
     by default) and of inversion."""
-    failures = [] if skip_axioms else verify_cayley(table)
+    failures = verify_cayley(table)
     if failures:
         return GroupVerdict(False, tuple(failures))
+    return _continuity_verdict(table, mode)
 
+
+def _continuity_verdict(table: CayleyTable, mode: str) -> GroupVerdict:
+    """Continuity of multiplication and inversion for a table that is
+    already known to be a group."""
+    failures = []
     alpha_edge = beta_edge = None
     mul = table.multiplication_map(mode)
     bad = continuity_violation(mul)
@@ -172,22 +180,19 @@ def is_topological_group(table: CayleyTable, mode: str = "min",
 
 # ---- enumeration ----
 
-def enumerate_group_structures(image: DigitalImage,
-                               identity: Point | None = None,
-                               guard: int = 6) -> Iterator[CayleyTable]:
+def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     """Every group structure on the carrier's point set, as Cayley tables.
 
     Backtracks over Latin squares with the identity row and column pinned,
     then filters by associativity. Output order is deterministic: by
-    identity, then lexicographic over table rows. Guarded to tiny carriers
-    (Latin square counts explode past 6)."""
+    identity, then lexicographic over table rows. Limited to
+    _ENUMERATION_LIMIT points."""
     pts = image.points
     n = len(pts)
-    if n > guard:
-        raise ValueError(f"group enumeration is limited to {guard} points, "
-                         f"carrier has {n}")
-    idents = [image.index(tuple(identity))] if identity is not None else range(n)
-    for ei in idents:
+    if n > _ENUMERATION_LIMIT:
+        raise ValueError(f"group enumeration is limited to "
+                         f"{_ENUMERATION_LIMIT} points, carrier has {n}")
+    for ei in range(n):
         grid = [[-1] * n for _ in range(n)]
         for j in range(n):
             grid[ei][j] = j
@@ -246,15 +251,15 @@ class ScanResult:
         return len(self.topological)
 
 
-def scan_group_structures(image: DigitalImage, guard: int = 6,
+def scan_group_structures(image: DigitalImage,
                           mode: str = "min") -> ScanResult:
     """Enumerate all group structures and test each for continuity."""
     good = []
     bad = []
     total = 0
-    for table in enumerate_group_structures(image, guard=guard):
+    for table in enumerate_group_structures(image):
         total += 1
-        verdict = is_topological_group(table, mode, skip_axioms=True)
+        verdict = _continuity_verdict(table, mode)
         if verdict.ok:
             good.append(table)
         else:
@@ -348,15 +353,14 @@ class WindowGroup:
 
     `law` is the ambient adjacency predicate on the full carrier, used to
     compare operation values even when they land outside the window.
-    Without it, pairs whose values escape the window can only be skipped.
     """
 
     window: DigitalImage
     op: Callable[[Point, Point], Point] = field(compare=False)
     inv: Callable[[Point], Optional[Point]] = field(compare=False)
     identity: Point
-    label: str = ""
-    law: Optional[Callable[[Point, Point], bool]] = field(default=None, compare=False)
+    label: str
+    law: Callable[[Point, Point], bool] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -365,7 +369,6 @@ class WindowReport:
     window_size: int
     identity_in_window: bool
     alpha_checked: int
-    alpha_skipped: int
     alpha_violation: Optional[tuple[Point, Point]]
     beta_checked: int
     beta_skipped: int
@@ -382,36 +385,25 @@ class WindowReport:
 def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
     """Continuity of the operation and inversion over one finite window.
 
-    With a global law, every product edge is compared — values that land
-    outside the window are judged by the ambient adjacency, which is how
-    a sum like 3+5=8 can still convict a discontinuity even when 8 is not
-    a window point.  Without a law, escaping edges are skipped and
-    counted: a bare window can vouch only for what it contains.  Points
-    with no inverse at all (not merely an inverse outside the window) are
-    collected separately; that is an honest axiom failure."""
+    Every product edge is compared under the global law — values that
+    land outside the window are judged by the ambient adjacency, which is
+    how a sum like 3+5=8 can still convict a discontinuity even when 8 is
+    not a window point.  Points with no inverse at all (not merely an
+    inverse outside the window) are collected separately; that is an
+    honest axiom failure."""
     img = wg.window
     d = img.dim
     law = wg.law
-    adj = img.adjacency.adjacent
 
     def close(p: Point, q: Point) -> bool:
-        if p == q:
-            return True
-        if law is not None:
-            return law(p, q)
-        return adj(p, q)
+        return p == q or law(p, q)
 
     prod = product_image(img, img, mode)
-    alpha_checked = alpha_skipped = 0
     alpha_violation = None
     for i, j in prod.edge_index_pairs:
         u, v = prod.points[i], prod.points[j]
         pu = tuple(wg.op(u[:d], u[d:]))
         pv = tuple(wg.op(v[:d], v[d:]))
-        if law is None and (pu not in img or pv not in img):
-            alpha_skipped += 1
-            continue
-        alpha_checked += 1
         if not close(pu, pv):
             if alpha_violation is None:
                 alpha_violation = (u, v)
@@ -424,7 +416,7 @@ def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
         q = wg.inv(p)
         if q is None:
             missing.append(p)
-        elif law is not None or tuple(q) in img:
+        else:
             inv_vals[p] = tuple(q)
     for i, j in img.edge_index_pairs:
         a, b = img.points[i], img.points[j]
@@ -436,17 +428,12 @@ def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
             if beta_violation is None:
                 beta_violation = (a, b)
 
-    if law is not None:
-        notes = ["axioms assumed globally; continuity judged by the ambient adjacency law"]
-    else:
-        notes = ["axioms assumed globally; continuity checked on the window only"]
-        if alpha_skipped:
-            notes.append(f"{alpha_skipped} product edges escape the window")
+    notes = ["axioms assumed globally; continuity judged by the ambient adjacency law"]
     if beta_skipped:
         notes.append(f"{beta_skipped} edge(s) skipped where an inverse is unavailable")
     return WindowReport(
         wg.label, len(img.points), wg.identity in img,
-        alpha_checked, alpha_skipped, alpha_violation,
+        len(prod.edge_index_pairs), alpha_violation,
         beta_checked, beta_skipped, beta_violation,
         tuple(missing), tuple(notes))
 
@@ -465,13 +452,7 @@ def window_alpha_pair(wg: WindowGroup, u: Point, v: Point,
     is_edge = prod.adjacency.adjacent(u, v)
     pu = tuple(wg.op(u[:d], u[d:]))
     pv = tuple(wg.op(v[:d], v[d:]))
-    if pu == pv:
-        ok = True
-    elif wg.law is not None:
-        ok = wg.law(pu, pv)
-    else:
-        ok = pu in img and pv in img and img.adjacency.adjacent(pu, pv)
-    return is_edge, pu, pv, ok
+    return is_edge, pu, pv, pu == pv or wg.law(pu, pv)
 
 
 @dataclass(frozen=True)
@@ -504,8 +485,7 @@ def window_hom_report(src: WindowGroup, dst: WindowGroup,
     The operation identity f(a*b) = f(a)*f(b) is evaluated with the
     global operations, so no pair needs skipping unless either side's
     operation is partial.  Continuity of f is judged edge by edge on the
-    source window with the destination's law (falling back to the
-    destination window's own adjacency)."""
+    source window with the destination's law."""
     img = src.window
     pairs_checked = 0
     algebra_violation = None
@@ -518,7 +498,7 @@ def window_hom_report(src: WindowGroup, dst: WindowGroup,
                 algebra_violation = (a, b)
     edges_checked = 0
     continuity_violation = None
-    dlaw = dst.law if dst.law is not None else dst.window.adjacency.adjacent
+    dlaw = dst.law
     for i, j in img.edge_index_pairs:
         a, b = img.points[i], img.points[j]
         fa, fb = tuple(fmap(a)), tuple(fmap(b))

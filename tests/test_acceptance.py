@@ -265,8 +265,8 @@ def _suite_e():
     seg = interval_image(0, 1)
     e1 = EndpointFibration(seg, 1, 1)
     e2 = EndpointFibration(seg, 2, 1)
-    k1, w1 = schwarz_genus(e1, guard=16)
-    k2, w2 = schwarz_genus(e2, guard=16)
+    k1, w1 = schwarz_genus(e1)
+    k2, w2 = schwarz_genus(e2)
     pair = PairedFibration(e1, e2)
     pieces = product_of_sections(pair, w1, w2)
     if not (k1 == k2 == 1 and len(pieces) <= k1 + k2):

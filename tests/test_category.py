@@ -100,7 +100,7 @@ def test_bounds_bracket_the_exact_value_on_small_images():
 
 
 def test_bounds_with_the_textbook_seed_cover_are_tight_on_the_loop():
-    r = cat_bounds(loop_image(), seeds=list(loop_cover()))
+    r = cat_bounds(loop_image())
     assert r.lower == 2
     assert r.upper == 2
     assert r.exact

@@ -142,6 +142,24 @@ def test_genus_command_and_unreachable_exit(capsys):
     assert "impossible" in out
 
 
+def test_tc_reports_an_impossible_cover_and_exits_two(capsys):
+    code, out, err = run(capsys, "tc", "corpus:interval:1", "-n", "2",
+                         "--m", "0")
+    assert code == 2
+    assert "\ntc: impossible\n" in out
+    assert ("note: endpoint tuple (0, 1) is unreachable by arms of length "
+            "0; raise the arm length") in out
+    assert "Traceback" not in err
+
+
+def test_tc_rejects_a_negative_arm_length(capsys):
+    for image in ("corpus:cycle:16", "corpus:H", "corpus:interval:1"):
+        code, out, err = run(capsys, "tc", image, "--m", "-1")
+        assert code == 1, image
+        assert out == ""
+        assert "error: arm length cannot be negative" in err
+
+
 def test_group_check_exit_codes(capsys):
     code, out, _ = run(capsys, "group-check", "corpus:Hrot")
     assert code == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ditop.complexity as complexity
+import ditop.covers as covers
 from ditop.category import cat_exact
 from ditop.complexity import (CoverImpossible, SectionWitness,
                               TheoremViolation, constant_section,
@@ -80,12 +81,13 @@ def test_group_route_piece_count_matches_the_categorical_cover():
         assert ok, why
 
 
-def test_exact_sweep_agrees_with_the_group_route_on_the_loop():
+def test_exact_sweep_agrees_with_the_group_route_on_the_loop(monkeypatch):
     # the 64-point product is over the sweep guard, so drive the sweep on a
     # smaller certified case instead: the 4-cycle, whose TC_2 is 1 both ways
+    monkeypatch.setattr(covers, "SWEEP_LIMIT", 16)
     sq = cycle_image(4)
     fib = EndpointFibration(sq, 2, sq.diameter)
-    k, wits = schwarz_genus(fib, guard=16)
+    k, wits = schwarz_genus(fib)
     assert k == 1
     for sw in wits:
         ok, why = verify_section(fib, sw)
@@ -123,11 +125,34 @@ def test_genus_raises_cover_impossible_when_arms_cannot_reach():
         schwarz_genus(fib)
 
 
+def test_lowering_the_sweep_limit_moves_every_exact_route(monkeypatch):
+    loop, table, cover = loop_bundle()
+    seg = interval_image(0, 1)
+    # at the default limit the 4-point product is swept, and arms of
+    # length 0 cannot reach every endpoint pair
+    with pytest.raises(CoverImpossible):
+        tc_n(seg, 2, m=0)
+    monkeypatch.setattr(covers, "SWEEP_LIMIT", 3)
+    r = tc_n(seg, 2, m=0)
+    assert (r.lower, r.upper) == (1, None)
+    assert "exact sweep over the product" not in r.notes
+    monkeypatch.setattr(covers, "SWEEP_LIMIT", 7)
+    with pytest.raises(ValueError, match="limited to 7 points"):
+        cat_exact(loop)
+    with pytest.raises(ValueError, match="limited to 7 points"):
+        schwarz_genus(EndpointFibration(interval_image(0, 2), 2, 2))
+    r = tc_n(loop, 2, table=table, cover=cover)
+    assert r.notes[0] == "lower stays 1: base too large for the exact category"
+    assert (r.lower, r.upper) == (1, 2)
+    chain = tc_chain(loop, 2, table=table, cover=cover)
+    assert (chain[1].lower, chain[1].upper) == (1, 2)
+
+
 def test_genus_of_the_interval_endpoint_map_is_one():
     seg = interval_image(0, 1)
     for n in (1, 2, 3):
         fib = EndpointFibration(seg, n, 1)
-        k, wits = schwarz_genus(fib, guard=16)
+        k, wits = schwarz_genus(fib)
         assert k == 1
         ok, why = verify_section(fib, wits[0])
         assert ok, why
@@ -137,8 +162,8 @@ def test_product_of_sections_is_subadditive_on_intervals():
     seg = interval_image(0, 1)
     left = EndpointFibration(seg, 1, 1)
     right = EndpointFibration(seg, 2, 1)
-    kl, wl = schwarz_genus(left, guard=16)
-    kr, wr = schwarz_genus(right, guard=16)
+    kl, wl = schwarz_genus(left)
+    kr, wr = schwarz_genus(right)
     pair = PairedFibration(left, right)
     pieces = product_of_sections(pair, wl, wr)
     assert len(pieces) == kl * kr
@@ -153,7 +178,7 @@ def test_product_of_sections_rejects_a_non_covering_family():
     seg = interval_image(0, 1)
     left = EndpointFibration(seg, 1, 1)
     right = EndpointFibration(seg, 1, 1)
-    _, wl = schwarz_genus(left, guard=16)
+    _, wl = schwarz_genus(left)
     half = SectionWitness(wl[0].piece[:1], wl[0].wedges[:1])
     pair = PairedFibration(left, right)
     with pytest.raises(TheoremViolation):
@@ -206,8 +231,8 @@ def test_genus_sections_come_from_the_cover_search_and_verify(monkeypatch):
 def test_genus_rejects_a_section_that_fails_verification(monkeypatch):
     search = complexity.find_section
 
-    def tearing_search(fib, piece, fiber_cap=20_000):
-        sw = search(fib, piece, fiber_cap)
+    def tearing_search(fib, piece):
+        sw = search(fib, piece)
         if sw is None or len(sw.wedges) < 2:
             return sw
         return SectionWitness(sw.piece, sw.wedges[1:] + sw.wedges[:1])
@@ -221,9 +246,9 @@ def test_cat_searches_inside_tc_spend_the_callers_budget(monkeypatch):
     budgets = []
     exact = complexity.cat_exact
 
-    def recording(base, guard=14, node_budget=2_000_000):
+    def recording(base, node_budget=2_000_000):
         budgets.append(node_budget)
-        return exact(base, guard, node_budget)
+        return exact(base, node_budget)
 
     monkeypatch.setattr(complexity, "cat_exact", recording)
     loop, table, _ = loop_bundle()

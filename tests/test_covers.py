@@ -81,27 +81,6 @@ def test_bounds_never_contradict_the_exact_answer():
         assert r.lower <= exact <= r.upper
 
 
-def test_bounds_accept_a_seed_cover_when_it_checks_out():
-    seg = interval_image(0, 3)
-    pred = _diameter_at_most(seg, 1)
-    seeds = [((0,), (1,)), ((2,), (3,))]
-    r = minimal_cover_bounds(seg, AdmissibilityOracle(seg, pred), seeds=seeds,
-                             whole_admissible=False)
-    assert r.upper == 2
-    assert r.lower == 2
-    assert r.exact
-    assert "seed" in " ".join(r.notes)
-
-
-def test_bounds_fall_back_to_greedy_when_seeds_do_not_cover():
-    seg = interval_image(0, 3)
-    pred = _diameter_at_most(seg, 1)
-    r = minimal_cover_bounds(seg, AdmissibilityOracle(seg, pred),
-                             seeds=[((0,), (1,))], whole_admissible=False)
-    assert r.upper is not None
-    assert "greedy" in " ".join(r.notes)
-
-
 def test_bound_result_guards_its_own_sanity():
     with pytest.raises(ValueError):
         BoundResult(3, 2)

@@ -203,7 +203,7 @@ def test_cover_round_trip():
 def test_sections_round_trip_and_reverify():
     seg = interval_image(0, 1)
     fib = EndpointFibration(seg, 2, 1)
-    k, wits = schwarz_genus(fib, guard=16)
+    k, wits = schwarz_genus(fib)
     text = serialize_sections(wits, 2, 1)
     n, m, again = parse_sections(text)
     assert (n, m) == (2, 1)

@@ -1,0 +1,61 @@
+"""Fixed limits stay module constants, not per-call options.
+
+The sweep, fiber, contractibility and enumeration limits each have one
+value that every caller uses, so none of them is a parameter; window
+groups always carry their ambient adjacency law.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import ditop
+from ditop.groups import WindowGroup
+
+RETIRED = {"guard", "genus_guard", "cat_guard", "contractibility_guard",
+           "fiber_cap", "skip_axioms", "seeds"}
+
+
+def _signatures():
+    """(qualified name, signature) of every function and method defined
+    in a ditop module."""
+    for info in pkgutil.iter_modules(ditop.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ditop.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            where = f"{module.__name__}.{name}"
+            if inspect.isfunction(obj):
+                yield where, inspect.signature(obj)
+            elif inspect.isclass(obj):
+                # dataclass constructors are generated `__init__` methods
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{where}.{attr}", inspect.signature(member)
+
+
+def test_no_function_takes_a_retired_limit_or_switch():
+    seen = 0
+    found = []
+    for where, sig in _signatures():
+        seen += 1
+        for param in sig.parameters.values():
+            # a group table's identity element is data and stays required;
+            # an optional `identity` would be the retired enumeration filter
+            optional_identity = (param.name == "identity"
+                                 and param.default is not param.empty)
+            if param.name in RETIRED or optional_identity:
+                found.append(f"{where}({param.name})")
+    assert seen > 100
+    assert found == []
+
+
+def test_a_window_group_requires_its_adjacency_law():
+    law = inspect.signature(WindowGroup).parameters["law"]
+    assert law.default is inspect.Parameter.empty
