@@ -29,7 +29,7 @@ from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
 from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
                        nullhomotopy, slide_nullhomotopy)
 from .images import DigitalImage, Point, induced_subimage
-from .maps import DigitalMap
+from .maps import DigitalMap, backtrack
 from .pathspace import EndpointFibration, PairedFibration, Wedge
 from .groups import CayleyTable, is_topological_group
 
@@ -76,35 +76,51 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
     return True, None
 
 
+class _StepMasks(dict):
+    """For one piece edge: the mask over the later point's fiber of the
+    wedges within one step of each wedge of the earlier point's fiber,
+    filled on first use."""
+
+    def __init__(self, adjacent, earlier: list, later: list):
+        self.adjacent = adjacent
+        self.earlier = earlier
+        self.later = later
+
+    def __missing__(self, a: int) -> int:
+        w = self.earlier[a]
+        m = self[a] = sum(1 << b for b, x in enumerate(self.later)
+                          if self.adjacent(x, w))
+        return m
+
+
 def find_section(fib: EndpointFibration,
                  piece: Sequence[Point]) -> Optional[SectionWitness]:
-    """Backtracking search for a section over the piece, or None.
+    """The first section over the piece found by `maps.backtrack`, or None.
 
-    Variables are the piece's points, most-constrained-first (descending
+    Positions are the piece's points, most-constrained-first (descending
     degree inside the piece, then canonical order, visited so each next
-    variable touches assigned ones where possible); domains are whole
-    fibers, materialized up to _FIBER_CAP wedges."""
+    point touches placed ones where possible). Bit b at a point is the
+    b-th wedge of its fiber, materialized up to _FIBER_CAP wedges, and
+    each piece edge links its later point to its earlier one through
+    `_StepMasks`."""
     sub = induced_subimage(fib.product, piece)
     pts = sub.points
     k = len(pts)
     nbrs = sub.neighbor_index
 
-    ranked = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
+    pool = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
     order: list[int] = []
-    placed = [False] * k
-    pool = list(ranked)
+    step: dict[int, int] = {}  # point -> its position
     while pool:
-        best = max(pool, key=lambda i: (sum(placed[j] for j in nbrs[i]),
-                                        -ranked.index(i)))
+        # max keeps the first of equals, so ties go by rank
+        best = max(pool, key=lambda i: sum(j in step for j in nbrs[i]))
+        step[best] = len(order)
         order.append(best)
-        placed[best] = True
         pool.remove(best)
 
     domains: list[list[Wedge]] = [None] * k  # type: ignore[list-item]
     for i in order:
-        dom = []
-        for w in fib.fiber(pts[i], limit=_FIBER_CAP + 1):
-            dom.append(w)
+        dom = list(fib.fiber(pts[i], limit=_FIBER_CAP + 1))
         if len(dom) > _FIBER_CAP:
             raise BudgetExhausted(
                 f"fiber over {pts[i]} exceeds {_FIBER_CAP} wedges")
@@ -112,28 +128,25 @@ def find_section(fib: EndpointFibration,
             return None
         domains[i] = dom
 
-    assign: dict[int, Wedge] = {}
-
-    def extend(step: int) -> bool:
-        if step == k:
-            return True
-        i = order[step]
-        for w in domains[i]:
-            ok = True
-            for j in nbrs[i]:
-                if j in assign and not fib.wedge.adjacent(w, assign[j]):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = w
-                if extend(step + 1):
-                    return True
-                del assign[i]
-        return False
-
-    if not extend(0):
+    adjacent = fib.wedge.adjacent
+    links = [[(step[j], _StepMasks(adjacent, domains[j], domains[i]))
+              for j in nbrs[i] if step[j] < step[i]] for i in order]
+    found = next(backtrack([(1 << len(domains[i])) - 1 for i in order],
+                           links), None)
+    if found is None:
         return None
-    return SectionWitness(pts, tuple(assign[i] for i in range(k)))
+    return SectionWitness(pts, tuple(domains[i][found[step[i]]]
+                                     for i in range(k)))
+
+
+def _require_surjective(fib: EndpointFibration) -> None:
+    """Raise CoverImpossible when some endpoint tuple has an empty fiber:
+    then no cover by section-admitting pieces exists at all."""
+    ok, bad = fib.is_surjective()
+    if not ok:
+        raise CoverImpossible(
+            f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "
+            f"raise the arm length")
 
 
 def schwarz_genus(fib: EndpointFibration,
@@ -142,11 +155,7 @@ def schwarz_genus(fib: EndpointFibration,
     product, with the section the cover search found over each piece,
     re-checked by `verify_section`. Exhaustive over subsets of the
     product, hence tiny bases only."""
-    ok, bad = fib.is_surjective()
-    if not ok:
-        raise CoverImpossible(
-            f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "
-            f"raise the arm length")
+    _require_surjective(fib)
     oracle = AdmissibilityOracle(
         fib.product, lambda sub: find_section(fib, sub))
     sets = minimal_cover_exact(fib.product, oracle)
@@ -373,6 +382,8 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         raise ValueError("arm length cannot be negative")
     if not base.is_connected:
         raise ValueError("complexity here is for connected images")
+    if m is not None:
+        _require_surjective(EndpointFibration(base, n, m, mode))
     if n == 1:
         fib = EndpointFibration(base, 1, m if m is not None else base.diameter,
                                 mode)
@@ -431,29 +442,16 @@ def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
              cover: Sequence[Subset] | None = None, m: int | None = None,
              mode: str = "pointwise",
              node_budget: int | None = 2_000_000) -> list[BoundResult]:
-    """TC_1 through TC_up_to with monotone lower bounds and, given a group,
-    the chain upper bound folded in."""
+    """TC_1 through TC_up_to, each lower bound raised to the one before it
+    (TC never drops as n grows). Every finite upper bound is the one
+    `tc_n` found, with its witness."""
     results: list[BoundResult] = []
-    cat_upper: int | None = None
-    if len(base.points) <= covers.SWEEP_LIMIT:
-        cat_upper = cat_exact(base, node_budget=node_budget).size
     for k in range(1, up_to + 1):
         r = tc_n(base, k, table, cover, m, mode, node_budget=node_budget)
-        if results:
-            prev = results[-1]
-            lower = max(r.lower, prev.lower)
-            upper = r.upper
-            notes = list(r.notes)
-            if lower > r.lower:
-                notes.append(f"lower raised to {lower}: TC never drops as n grows")
-            if (table is not None and cat_upper is not None
-                    and prev.upper is not None):
-                # TC_{n+1} <= TC_n + cat for a connected topological-group base
-                cand = prev.upper + cat_upper
-                if upper is None or cand < upper:
-                    upper = cand
-                    notes.append(f"upper {cand}: previous TC plus category")
-            r = BoundResult(lower, upper, r.witness, tuple(notes))
+        if results and results[-1].lower > r.lower:
+            lower = results[-1].lower
+            r = BoundResult(lower, r.upper, r.witness, r.notes + (
+                f"lower raised to {lower}: TC never drops as n grows",))
         results.append(r)
     return results
 

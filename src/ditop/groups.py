@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point, product_image
-from .maps import DigitalMap, continuity_violation
+from .maps import DigitalMap, backtrack, continuity_violation
 
 # most carrier points enumerate_group_structures accepts: Latin square
 # counts explode past 6
@@ -183,43 +183,31 @@ def _continuity_verdict(table: CayleyTable, mode: str) -> GroupVerdict:
 def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     """Every group structure on the carrier's point set, as Cayley tables.
 
-    Backtracks over Latin squares with the identity row and column pinned,
-    then filters by associativity. Output order is deterministic: by
-    identity, then lexicographic over table rows. Limited to
-    _ENUMERATION_LIMIT points."""
+    `maps.backtrack` fills the Latin squares with the identity row and
+    column pinned: the free cells, row-major, are its positions, each
+    cell's root mask leaves out its row's and column's pinned values, and
+    earlier cells of the same row or column link through one "not equal"
+    mask table. Squares are then filtered by associativity. Output order
+    is deterministic: by identity, then lexicographic over table rows.
+    Limited to _ENUMERATION_LIMIT points."""
     pts = image.points
     n = len(pts)
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"group enumeration is limited to "
                          f"{_ENUMERATION_LIMIT} points, carrier has {n}")
+    full = (1 << n) - 1
+    unequal = [full ^ (1 << v) for v in range(n)]
     for ei in range(n):
-        grid = [[-1] * n for _ in range(n)]
-        for j in range(n):
-            grid[ei][j] = j
-            grid[j][ei] = j
         cells = [(i, j) for i in range(n) for j in range(n)
                  if i != ei and j != ei]
-        row_used = [set(r for r in row if r >= 0) for row in grid]
-        col_used = [set(grid[i][j] for i in range(n) if grid[i][j] >= 0)
-                    for j in range(n)]
-
-        def fill(k: int) -> Iterator[None]:
-            if k == len(cells):
-                yield None
-                return
-            i, j = cells[k]
-            for v in range(n):
-                if v in row_used[i] or v in col_used[j]:
-                    continue
+        roots = [full & ~(1 << i) & ~(1 << j) for i, j in cells]
+        links = [[(s, unequal) for s, (a, b) in enumerate(cells[:t])
+                  if a == i or b == j] for t, (i, j) in enumerate(cells)]
+        grid = [[j if i == ei else i if j == ei else -1 for j in range(n)]
+                for i in range(n)]
+        for values in backtrack(roots, links):
+            for (i, j), v in zip(cells, values):
                 grid[i][j] = v
-                row_used[i].add(v)
-                col_used[j].add(v)
-                yield from fill(k + 1)
-                grid[i][j] = -1
-                row_used[i].remove(v)
-                col_used[j].remove(v)
-
-        for _ in fill(0):
             if _associative(grid, n):
                 rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
                              for i in range(n))

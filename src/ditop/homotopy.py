@@ -7,10 +7,11 @@ graph" whose vertices are the continuous maps X -> Y; homotopy questions
 become breadth-first searches there.
 
 The graph is huge (an 8-point loop already has 8872 continuous self-maps)
-so it is never materialized. Neighbor states are produced by backtracking
-over bitmasks of allowed codomain indices, and searches stop at the first
-goal. For contractibility there is a cheap geodesic "slide" candidate that
-is tried, and verified, before any search runs.
+so it is never materialized. Neighbor states come from `maps.backtrack`,
+the package's one backtracker, over bitmasks of allowed codomain indices,
+and searches stop at the first goal. For contractibility there is a cheap
+geodesic "slide" candidate that is tried, and verified, before any search
+runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point
-from .maps import DigitalMap, continuity_violation, is_continuous
+from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
 
@@ -84,27 +85,23 @@ class MapGraph:
     """Continuous maps domain -> codomain with the pointwise-step relation.
 
     States are tuples of codomain point indices aligned with the domain's
-    canonical point order. One backtracker enumerates states position by
-    position: position i may take any index in its root mask (the closed
-    neighborhood of its current value for neighbor states, every index for
-    all states), intersected with the closed neighborhoods of values already
-    chosen at earlier domain-adjacent positions. Enumeration order is by
-    codomain index, so searches are deterministic.
+    canonical point order. `maps.backtrack` enumerates them: position i
+    may take any index in its root mask (the closed neighborhood of its
+    current value for neighbor states, every index for all states),
+    intersected with the closed neighborhoods of the values chosen at
+    earlier domain-adjacent positions. Enumeration order is by codomain
+    index, so searches are deterministic.
     """
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage):
         self.domain = domain
         self.codomain = codomain
         self.n = len(domain.points)
-        closed = []
-        for i, nbrs in enumerate(codomain.neighbor_index):
-            m = 1 << i
-            for j in nbrs:
-                m |= 1 << j
-            closed.append(m)
+        closed = [sum(1 << j for j in (i, *nbrs))
+                  for i, nbrs in enumerate(codomain.neighbor_index)]
         self.closed_mask = closed
-        self.prev = tuple(tuple(j for j in domain.neighbor_index[i] if j < i)
-                          for i in range(self.n))
+        self.links = tuple(tuple((j, closed) for j in nbrs if j < i)
+                           for i, nbrs in enumerate(domain.neighbor_index))
 
     def state_of(self, f: DigitalMap) -> State:
         if f.domain != self.domain or f.codomain != self.codomain:
@@ -117,55 +114,21 @@ class MapGraph:
                           tuple(pts[i] for i in state), label)
 
     def is_state_continuous(self, state: State) -> bool:
-        closed = self.closed_mask
-        for i in range(self.n):
-            m = closed[state[i]]
-            for j in self.prev[i]:
-                if not (m >> state[j]) & 1:
-                    return False
-        return True
+        return all((closed[v] >> state[j]) & 1
+                   for v, links in zip(state, self.links)
+                   for j, closed in links)
 
     def neighbor_states(self, state: State) -> Iterator[State]:
         """All continuous states pointwise within one step of `state`
         (the state itself included), in lexicographic index order."""
         closed = self.closed_mask
-        return self._states([closed[v] for v in state])
+        return backtrack([closed[v] for v in state], self.links)
 
     def all_states(self) -> Iterator[State]:
         """Every continuous state, that is every continuous map, in
         lexicographic index order."""
-        return self._states([(1 << len(self.codomain.points)) - 1] * self.n)
-
-    def _states(self, roots: Sequence[int]) -> Iterator[State]:
-        """The continuous states whose value at position i lies in the
-        bitmask roots[i], by backtracking over positions in order."""
-        n = self.n
-        closed = self.closed_mask
-        prev = self.prev
-        chosen = [0] * n
-        masks = [0] * n
-
-        def allowed(i: int) -> int:
-            m = roots[i]
-            for j in prev[i]:
-                m &= closed[chosen[j]]
-            return m
-
-        masks[0] = allowed(0)
-        level = 0
-        while level >= 0:
-            m = masks[level]
-            if not m:
-                level -= 1
-                continue
-            b = m & -m
-            masks[level] = m ^ b
-            chosen[level] = b.bit_length() - 1
-            if level + 1 == n:
-                yield tuple(chosen)
-            else:
-                level += 1
-                masks[level] = allowed(level)
+        return backtrack([(1 << len(self.codomain.points)) - 1] * self.n,
+                         self.links)
 
     def bfs(self, start: State, is_goal: Callable[[State], bool],
             node_budget: int | None = 2_000_000,

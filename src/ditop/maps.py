@@ -1,16 +1,25 @@
-"""Maps between digital images and their continuity.
+"""Maps between digital images, their continuity, and the one search
+that builds them.
 
 A map is continuous when the image of every connected subset is connected.
 On finite images this is equivalent to the edge condition: adjacent domain
 points map to equal or adjacent codomain points, which is the test used
 here.
+
+`backtrack` enumerates every assignment of values to positions that meets
+such edge conditions, over bitmasks of allowed value indices. It is the
+one backtracker of the package, with three callers: the map graph of
+`homotopy` (continuous maps, value masks from closed neighbourhoods), the
+section search of `complexity` (fiber wedges, masks from wedge adjacency)
+and the group enumeration of `groups` (Latin squares, masks from "not
+equal").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .images import DigitalImage, Point
 
@@ -116,3 +125,41 @@ def continuity_violation(f: DigitalMap) -> tuple[Point, Point] | None:
 def is_continuous(f: DigitalMap) -> bool:
     return continuity_violation(f) is None
 
+
+# ---- the backtracker ----
+
+def backtrack(roots: Sequence[int],
+              links: Sequence[Sequence[tuple[int, Sequence[int]]]],
+              ) -> Iterator[tuple[int, ...]]:
+    """Every tuple `chosen` with chosen[i] a bit of roots[i] that, for each
+    (j, table) in links[i] (always j < i), is also a bit of
+    table[chosen[j]]. Tuples come in lexicographic order: position by
+    position, lowest bit first, depth first. A table is anything indexed
+    by a value index, so it may fill its masks on first use. No positions
+    give the one empty tuple."""
+    n = len(roots)
+    if not n:
+        yield ()
+        return
+    chosen = [0] * n
+    untried = [0] * n
+    level = 0
+    m = roots[0]
+    while True:
+        if not m:
+            level -= 1
+            if level < 0:
+                return
+            m = untried[level]
+            continue
+        b = m & -m
+        untried[level] = m ^ b
+        chosen[level] = b.bit_length() - 1
+        if level + 1 == n:
+            yield tuple(chosen)
+            m = untried[level]
+        else:
+            level += 1
+            m = roots[level]
+            for j, table in links[level]:
+                m &= table[chosen[j]]

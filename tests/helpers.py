@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
+from ditop.complexity import SectionWitness
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
-from ditop.groups import CayleyTable
+from ditop.groups import CayleyTable, _associative
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             is_contractible, nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
@@ -346,3 +347,89 @@ def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
             if gof in comp_x and tuple(fi[v] for v in gi) in comp_y:
                 return True
     return False
+
+
+# ---- the searches maps.backtrack replaced ----
+
+def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]:
+    """Recursive section search over whole materialized fibers, trying
+    each wedge against the assigned piece neighbours one adjacency test at
+    a time. Same variable order as `complexity.find_section`, so the two
+    return the same first section."""
+    sub = induced_subimage(fib.product, piece)
+    pts = sub.points
+    k = len(pts)
+    nbrs = sub.neighbor_index
+
+    ranked = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
+    order: list[int] = []
+    placed = [False] * k
+    pool = list(ranked)
+    while pool:
+        best = max(pool, key=lambda i: (sum(placed[j] for j in nbrs[i]),
+                                        -ranked.index(i)))
+        order.append(best)
+        placed[best] = True
+        pool.remove(best)
+
+    domains = [list(fib.fiber(p)) for p in pts]
+    if any(not dom for dom in domains):
+        return None
+    assign: dict = {}
+
+    def extend(step: int) -> bool:
+        if step == k:
+            return True
+        i = order[step]
+        for w in domains[i]:
+            if all(j not in assign or fib.wedge.adjacent(w, assign[j])
+                   for j in nbrs[i]):
+                assign[i] = w
+                if extend(step + 1):
+                    return True
+                del assign[i]
+        return False
+
+    if not extend(0):
+        return None
+    return SectionWitness(pts, tuple(assign[i] for i in range(k)))
+
+
+def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
+    """Group tables by a recursive Latin-square fill with row and column
+    sets, identity row and column pinned, in the order of
+    `groups.enumerate_group_structures`."""
+    pts = image.points
+    n = len(pts)
+    for ei in range(n):
+        grid = [[-1] * n for _ in range(n)]
+        for j in range(n):
+            grid[ei][j] = j
+            grid[j][ei] = j
+        cells = [(i, j) for i in range(n) for j in range(n)
+                 if i != ei and j != ei]
+        row_used = [set(r for r in row if r >= 0) for row in grid]
+        col_used = [set(grid[i][j] for i in range(n) if grid[i][j] >= 0)
+                    for j in range(n)]
+
+        def fill(k: int) -> Iterator[None]:
+            if k == len(cells):
+                yield None
+                return
+            i, j = cells[k]
+            for v in range(n):
+                if v in row_used[i] or v in col_used[j]:
+                    continue
+                grid[i][j] = v
+                row_used[i].add(v)
+                col_used[j].add(v)
+                yield from fill(k + 1)
+                grid[i][j] = -1
+                row_used[i].remove(v)
+                col_used[j].remove(v)
+
+        for _ in fill(0):
+            if _associative(grid, n):
+                rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
+                             for i in range(n))
+                yield CayleyTable(image, pts[ei], rows)

@@ -143,13 +143,15 @@ def test_genus_command_and_unreachable_exit(capsys):
 
 
 def test_tc_reports_an_impossible_cover_and_exits_two(capsys):
-    code, out, err = run(capsys, "tc", "corpus:interval:1", "-n", "2",
-                         "--m", "0")
-    assert code == 2
-    assert "\ntc: impossible\n" in out
-    assert ("note: endpoint tuple (0, 1) is unreachable by arms of length "
-            "0; raise the arm length") in out
-    assert "Traceback" not in err
+    for image, m, unreachable in (("corpus:interval:1", "0", "(0, 1)"),
+                                  ("corpus:cycle:4", "0", "(0, 0, 0, 1)"),
+                                  ("corpus:H", "1", "(0, -1, 1, 1)")):
+        code, out, err = run(capsys, "tc", image, "-n", "2", "--m", m)
+        assert code == 2, image
+        assert "\ntc: impossible\n" in out
+        assert (f"note: endpoint tuple {unreachable} is unreachable by arms "
+                f"of length {m}; raise the arm length") in out
+        assert "Traceback" not in err
 
 
 def test_tc_rejects_a_negative_arm_length(capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ditop.complexity as complexity
 import ditop.covers as covers
@@ -16,7 +20,7 @@ from ditop.corpus import cycle_image, loop_cover, loop_image, loop_rotation_tabl
 from ditop.images import interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
-from helpers import loop_bundle
+from helpers import find_section_oracle, loop_bundle
 
 
 def test_tc_one_is_always_one():
@@ -127,15 +131,17 @@ def test_genus_raises_cover_impossible_when_arms_cannot_reach():
 
 def test_lowering_the_sweep_limit_moves_every_exact_route(monkeypatch):
     loop, table, cover = loop_bundle()
-    seg = interval_image(0, 1)
-    # at the default limit the 4-point product is swept, and arms of
-    # length 0 cannot reach every endpoint pair
-    with pytest.raises(CoverImpossible):
-        tc_n(seg, 2, m=0)
+    seg = interval_image(0, 2)
+    # at the default limit the 9-point product is swept: arms of length 1
+    # are too short for the contractible-base route
+    assert "exact sweep over the product" in tc_n(seg, 2, m=1).notes
     monkeypatch.setattr(covers, "SWEEP_LIMIT", 3)
-    r = tc_n(seg, 2, m=0)
+    r = tc_n(seg, 2, m=1)
     assert (r.lower, r.upper) == (1, None)
     assert "exact sweep over the product" not in r.notes
+    # arms that cannot reach every endpoint pair fail before any route
+    with pytest.raises(CoverImpossible):
+        tc_n(interval_image(0, 1), 2, m=0)
     monkeypatch.setattr(covers, "SWEEP_LIMIT", 7)
     with pytest.raises(ValueError, match="limited to 7 points"):
         cat_exact(loop)
@@ -263,3 +269,41 @@ def test_tc_notes_the_contractible_base_route_it_could_not_settle():
                                  "budget exhausted")
     assert (r.lower, r.upper) == (1, None)
     assert not any("skipped" in note for note in tc_n(loop_image(), 2).notes)
+
+
+def _small_fibration(base: str, n: int, m: int, mode: str):
+    if base == "paired":
+        seg = interval_image(0, 1)
+        return PairedFibration(EndpointFibration(seg, 1, m, mode),
+                               EndpointFibration(seg, 1, m, mode))
+    img = interval_image(0, 2) if base == "interval" else cycle_image(4)
+    return EndpointFibration(img, n, m, mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("interval", "cycle", "paired")), st.integers(1, 2),
+       st.integers(0, 3), st.sampled_from(("pointwise", "strong")),
+       st.integers(0, 10_000))
+def test_find_section_agrees_with_the_recursive_search(base, n, m, mode,
+                                                       seed):
+    fib = _small_fibration(base, n, m, mode)
+    rng = random.Random(seed)
+    pts = fib.product.points
+    piece = rng.sample(pts, rng.randint(1, min(5, len(pts))))
+    got = find_section(fib, piece)
+    want = find_section_oracle(fib, piece)
+    if want is None:
+        assert got is None
+        return
+    assert got == want and got.wedges == want.wedges
+    ok, why = verify_section(fib, got)
+    assert ok, why
+
+
+def test_every_finite_upper_bound_has_that_many_witness_pieces():
+    loop, table, cover = loop_bundle()
+    results = [tc_n(loop, k, table, cover) for k in range(1, 5)]
+    results += tc_chain(loop, 4, table, cover)
+    for r in results:
+        if r.upper is not None:
+            assert len(r.witness) == r.upper, r.notes

@@ -19,6 +19,8 @@ from ditop.groups import (CayleyTable, enumerate_group_structures,
 from ditop.images import interval_image
 from ditop.maps import DigitalMap
 
+from helpers import latin_group_structures_oracle
+
 
 LOOP_ORDER = "b a h g f e d c".split()
 
@@ -313,3 +315,10 @@ def test_homomorphism_failure_is_reported_with_the_pair():
     ok, why = is_group_homomorphism(f, dom, cod)
     assert not ok
     assert "*" in why
+
+
+def test_enumeration_agrees_with_the_recursive_latin_fill():
+    for p in range(1, 6):
+        seg = interval_image(0, p - 1)
+        assert (list(enumerate_group_structures(seg))
+                == list(latin_group_structures_oracle(seg)))
