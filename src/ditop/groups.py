@@ -15,8 +15,8 @@ operation values falling outside the window are still compared honestly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point, product_image
@@ -33,7 +33,8 @@ class CayleyTable:
 
     Entries are raw points and may even fall outside the carrier — that is
     reported as a closure failure by `verify_cayley`, not a construction
-    error, so that broken tables read from files can be diagnosed.
+    error, so that broken tables read from files can be diagnosed. The
+    checks run on `grid`, the entries as carrier indices.
     """
 
     image: DigitalImage
@@ -59,15 +60,23 @@ class CayleyTable:
                      for a in image.points)
         return CayleyTable(image, identity, rows, label)
 
+    @cached_property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as carrier indices, -1 for a value outside it."""
+        index = self.image._index
+        return tuple(tuple(index.get(v, -1) for v in row)
+                     for row in self.entries)
+
     def product(self, a: Point, b: Point) -> Point:
         return self.entries[self.image.index(tuple(a))][self.image.index(tuple(b))]
 
     def inverse(self, a: Point) -> Optional[Point]:
         """The two-sided inverse of a, or None."""
-        e = self.identity
-        for b in self.image.points:
-            if self.product(a, b) == e and self.product(b, a) == e:
-                return b
+        g, e = self.grid, self.image.index(self.identity)
+        i = self.image.index(tuple(a))
+        for j, v in enumerate(g[i]):
+            if v == e and g[j][i] == e:
+                return self.image.points[j]
         return None
 
     def multiplication_map(self, mode: str = "min") -> DigitalMap:
@@ -91,42 +100,35 @@ class CayleyTable:
 def verify_cayley(table: CayleyTable) -> list[str]:
     """Exhaustive axiom check. Returns human-readable failures, each with
     its first witness; empty means the table is a group."""
-    img = table.image
-    pts = img.points
-    e = table.identity
+    pts, g, v = table.image.points, table.grid, table.entries
+    n = len(pts)
+    e = table.image.index(table.identity)
     failures: list[str] = []
 
-    closed = True
-    for a in pts:
-        for b in pts:
-            v = table.product(a, b)
-            if v not in img:
-                failures.append(f"not closed: {a} * {b} = {v} is outside the carrier")
-                closed = False
-                break
-        if not closed:
+    outside = next(((a, b) for a in range(n) for b in range(n)
+                    if g[a][b] < 0), None)
+    if outside is not None:
+        a, b = outside
+        failures.append(f"not closed: {pts[a]} * {pts[b]} = {v[a][b]} "
+                        f"is outside the carrier")
+
+    for a in range(n):
+        if g[e][a] != a:
+            failures.append(f"identity fails: {pts[e]} * {pts[a]} = {v[e][a]}")
+            break
+        if g[a][e] != a:
+            failures.append(f"identity fails: {pts[a]} * {pts[e]} = {v[a][e]}")
             break
 
-    for a in pts:
-        if table.product(e, a) != a:
-            failures.append(f"identity fails: {e} * {a} = {table.product(e, a)}")
-            break
-        if table.product(a, e) != a:
-            failures.append(f"identity fails: {a} * {e} = {table.product(a, e)}")
-            break
-
-    if closed:
-        done = False
-        for a, b, c in itertools.product(pts, repeat=3):
-            left = table.product(table.product(a, b), c)
-            right = table.product(a, table.product(b, c))
-            if left != right:
-                failures.append(
-                    f"not associative: ({a}*{b})*{c} = {left} but "
-                    f"{a}*({b}*{c}) = {right}")
-                done = True
-                break
-        if not done:
+    if outside is None:
+        bad = _associativity_failure(g)
+        if bad is not None:
+            a, b, c = bad
+            failures.append(
+                f"not associative: ({pts[a]}*{pts[b]})*{pts[c]} = "
+                f"{pts[g[g[a][b]][c]]} but {pts[a]}*({pts[b]}*{pts[c]}) = "
+                f"{pts[g[a][g[b][c]]]}")
+        else:
             for a in pts:
                 if table.inverse(a) is None:
                     failures.append(f"no inverse: {a} has no two-sided inverse")
@@ -208,23 +210,26 @@ def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
         for values in backtrack(roots, links):
             for (i, j), v in zip(cells, values):
                 grid[i][j] = v
-            if _associative(grid, n):
+            if _associativity_failure(grid) is None:
                 rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
                              for i in range(n))
                 yield CayleyTable(image, pts[ei], rows)
 
 
-def _associative(grid: list[list[int]], n: int) -> bool:
+def _associativity_failure(grid: Sequence[Sequence[int]],
+                           ) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc) in a
+    closed index grid, or None when the grid is associative."""
+    n = len(grid)
     for a in range(n):
         ga = grid[a]
         for b in range(n):
-            ab = ga[b]
-            gab = grid[ab]
+            gab = grid[ga[b]]
             gb = grid[b]
             for c in range(n):
                 if gab[c] != ga[gb[c]]:
-                    return False
-    return True
+                    return a, b, c
+    return None
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,21 @@ A digital image is a finite set of lattice points together with a symmetric,
 irreflexive adjacency relation. Points are plain int tuples, images keep
 their points in sorted order so that every derived object (edge lists,
 neighbor tables, search states) is canonical and reproducible.
+
+Neighbour tables are generated from the adjacency's structure, not by
+testing all pairs: each adjacency kind's `candidates` proposes every
+point's possible neighbours, which are looked up among the points. A new
+adjacency kind supplies `candidates` and joins the all-pairs oracle test.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Union
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Point = tuple[int, ...]
 
@@ -47,6 +54,16 @@ class CK:
     def adjacent(self, p: Point, q: Point) -> bool:
         return ck_adjacent(p, q, self.k)
 
+    def candidates(self, points: Sequence[Point]) -> Iterator[Optional[list[Point]]]:
+        """Per point, the points one c_k step away; None throughout when the
+        3^r - 1 unit steps of Z^r outnumber `points`."""
+        r = len(points[0])
+        steps = ([s for s in itertools.product((-1, 0, 1), repeat=r)
+                  if 0 < r - s.count(0) <= self.k]
+                 if 3 ** r - 1 <= len(points) else None)
+        for p in points:
+            yield None if steps is None else [tuple(map(add, p, s)) for s in steps]
+
 
 @dataclass(frozen=True)
 class Explicit:
@@ -71,6 +88,20 @@ class Explicit:
         if p == q:
             return False
         return ((p, q) if p < q else (q, p)) in self.edges
+
+    @cached_property
+    def _partners(self) -> dict[Point, list[Point]]:
+        out: dict[Point, list[Point]] = {}
+        for a, b in self.edges:
+            out.setdefault(a, []).append(b)
+            out.setdefault(b, []).append(a)
+        return out
+
+    def candidates(self, points: Sequence[Point]) -> Iterator[Optional[list[Point]]]:
+        """Per point, its edge partners; None where they outnumber `points`."""
+        for p in points:
+            nbrs = self._partners.get(p, [])
+            yield nbrs if len(nbrs) <= len(points) else None
 
 
 @dataclass(frozen=True)
@@ -103,8 +134,45 @@ class ProductAdjacency:
             return True
         return self.strong and self.right.adjacent(b, e)
 
+    def candidates(self, points: Sequence[Point]) -> Iterator[Optional[list[Point]]]:
+        """Per point (a, b): a left step with b fixed, a right step with a
+        fixed and, when strong, both; a factor's steps are its neighbours in
+        the projection of `points`. None where they outnumber `points`."""
+        d = self.left_dim
+        left = _neighbors(self.left, {p[:d] for p in points})
+        right = _neighbors(self.right, {p[d:] for p in points})
+        for p in points:
+            a, b = p[:d], p[d:]
+            la, rb = left[a], right[b]
+            if len(la) + len(rb) + self.strong * len(la) * len(rb) > len(points):
+                yield None
+            else:
+                yield ([c + b for c in la] + [a + e for e in rb]
+                       + ([c + e for c in la for e in rb] if self.strong else []))
+
 
 Adjacency = Union[CK, Explicit, ProductAdjacency]
+
+
+def _neighbor_rows(adjacency: Adjacency, points: Sequence[Point],
+                   index: dict[Point, int]) -> Iterator[list[int]]:
+    """Per point of the sorted `points` (positions in `index`), its sorted
+    neighbour positions: its candidates found in `index` or, where it has
+    none, the points that pass the adjacency test."""
+    for p, cands in zip(points, adjacency.candidates(points)):
+        if cands is None:
+            yield [j for j, q in enumerate(points)
+                   if q != p and adjacency.adjacent(p, q)]
+        else:
+            yield sorted(index[q] for q in cands if q in index)
+
+
+def _neighbors(adjacency: Adjacency,
+               points: set[Point]) -> dict[Point, list[Point]]:
+    """Each of `points` with its sorted neighbours among them."""
+    pts = sorted(points)
+    rows = _neighbor_rows(adjacency, pts, {p: i for i, p in enumerate(pts)})
+    return {p: [pts[j] for j in row] for p, row in zip(pts, rows)}
 
 
 @dataclass(frozen=True)
@@ -167,18 +235,10 @@ class DigitalImage:
 
     @cached_property
     def neighbor_index(self) -> tuple[tuple[int, ...], ...]:
-        """For each point index, the sorted indices of its neighbors."""
-        n = len(self.points)
-        adj = self.adjacency.adjacent
-        pts = self.points
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            pi = pts[i]
-            for j in range(i + 1, n):
-                if adj(pi, pts[j]):
-                    out[i].append(j)
-                    out[j].append(i)
-        return tuple(tuple(v) for v in out)
+        """For each point index, the sorted indices of its neighbors,
+        generated from the adjacency's structure."""
+        return tuple(map(tuple, _neighbor_rows(self.adjacency, self.points,
+                                               self._index)))
 
     def neighbors(self, p: Point) -> tuple[Point, ...]:
         i = self.index(p)

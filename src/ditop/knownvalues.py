@@ -11,11 +11,12 @@ mismatches or errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .category import cat_exact, piece_contraction
 from .complexity import (PairedFibration, product_of_sections, schwarz_genus,
-                         tc_chain, tc_n)
+                         tc_n)
 from .corpus import (LOOP_LETTERS, loop_cover, loop_rotation_table,
                      flip_table, reference_contractions, sign_embedding,
                      sign_table, z2plus_group, zplus_group)
@@ -121,21 +122,24 @@ def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
     add(_row("a ten-point interval", "contractible: True, category 1",
              interval_shrinks))
 
+    @cache  # the TC rows share TC_n of the loop, one computation per n
+    def tc_of_loop(n: int) -> BoundResult:
+        return tc_n(H, n, table=rot, cover=(m1, m2), node_budget=node_budget)
+
     def tc1():
-        r = tc_n(H, 1, node_budget=node_budget)
+        r = tc_of_loop(1)
         return _fmt_bounds(r), r.exact and r.value == 1
     add(_row("TC_1 of the loop", "1", tc1))
 
     def tc2():
-        r = tc_n(H, 2, table=rot, cover=(m1, m2), node_budget=node_budget)
+        r = tc_of_loop(2)
         return _fmt_bounds(r), r.exact and r.value == 2
     add(_row("TC_2 of the loop", "2", tc2))
 
     def tc3():
-        chain = tc_chain(H, 3, table=rot, cover=(m1, m2),
-                         node_budget=node_budget)
-        last = chain[-1]
-        lo, hi = last.lower, last.upper
+        # TC never drops as n grows: every earlier lower bound holds
+        lo = max(tc_of_loop(n).lower for n in (1, 2, 3))
+        hi = tc_of_loop(3).upper
         got = f"[{lo}, {hi}]"
         if lo >= 2 and hi is not None and hi <= 4:
             return got, "within paper bound"

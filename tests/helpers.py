@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ditop.complexity import SectionWitness
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
-from ditop.groups import CayleyTable, _associative
+from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             is_contractible, nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
@@ -429,7 +429,70 @@ def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
                 col_used[j].remove(v)
 
         for _ in fill(0):
-            if _associative(grid, n):
+            if _associativity_failure(grid) is None:
                 rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
                              for i in range(n))
                 yield CayleyTable(image, pts[ei], rows)
+
+
+def all_pairs_neighbor_index(img: DigitalImage) -> tuple[tuple[int, ...], ...]:
+    """The neighbour table by testing every pair of points with the
+    adjacency: the oracle for the generated `DigitalImage.neighbor_index`."""
+    n = len(img.points)
+    adj = img.adjacency.adjacent
+    pts = img.points
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if adj(pts[i], pts[j]):
+                out[i].append(j)
+                out[j].append(i)
+    return tuple(tuple(v) for v in out)
+
+
+def verify_cayley_oracle(table: CayleyTable) -> list[str]:
+    """`groups.verify_cayley` on points through `CayleyTable.product`: the
+    oracle for the index-grid check, failure text and witnesses included."""
+    img = table.image
+    pts = img.points
+    e = table.identity
+    failures: list[str] = []
+
+    closed = True
+    for a in pts:
+        for b in pts:
+            v = table.product(a, b)
+            if v not in img:
+                failures.append(f"not closed: {a} * {b} = {v} is outside the carrier")
+                closed = False
+                break
+        if not closed:
+            break
+
+    for a in pts:
+        if table.product(e, a) != a:
+            failures.append(f"identity fails: {e} * {a} = {table.product(e, a)}")
+            break
+        if table.product(a, e) != a:
+            failures.append(f"identity fails: {a} * {e} = {table.product(a, e)}")
+            break
+
+    if closed:
+        done = False
+        for a, b, c in itertools.product(pts, repeat=3):
+            left = table.product(table.product(a, b), c)
+            right = table.product(a, table.product(b, c))
+            if left != right:
+                failures.append(
+                    f"not associative: ({a}*{b})*{c} = {left} but "
+                    f"{a}*({b}*{c}) = {right}")
+                done = True
+                break
+        if not done:
+            for a in pts:
+                inverse = next((b for b in pts if table.product(a, b) == e
+                                and table.product(b, a) == e), None)
+                if inverse is None:
+                    failures.append(f"no inverse: {a} has no two-sided inverse")
+                    break
+    return failures

@@ -175,6 +175,26 @@ def test_group_check_exit_codes(capsys):
     assert "inverse_missing" in out
 
 
+def test_group_check_reads_the_axioms_off_the_one_verdict(tmp_path, capsys):
+    from ditop.fileio import serialize_group
+    from ditop.groups import CayleyTable, enumerate_group_structures
+
+    seg = interval_image(0, 2)
+    (tmp_path / "seg.txt").write_text(serialize_image(seg))
+    torn = next(enumerate_group_structures(seg))  # Z/3 tears the path
+    rows = [list(row) for row in torn.entries]
+    rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
+    broken = CayleyTable(seg, torn.identity, rows)
+    for name, table, axioms in (("torn", torn, True),
+                                ("broken", broken, False)):
+        path = tmp_path / f"{name}.grp"
+        path.write_text(serialize_group(table, "seg.txt"))
+        code, out, _ = run(capsys, "group-check", str(path))
+        assert code == 2
+        assert f"group_axioms: {axioms}" in out
+        assert ("alpha_violation" in out or "beta_violation" in out) == axioms
+
+
 def test_group_scan_over_prime_intervals(capsys):
     code, out, _ = run(capsys, "group-scan", "-p", "3")
     assert code == 0
@@ -224,6 +244,22 @@ def test_verify_paper_passes_and_budget_degrades_gracefully(capsys):
     code, out, _ = run(capsys, "verify-paper", "--budget", "2")
     assert code == 0
     assert "inconclusive (budget exhausted)" in out
+
+
+def test_verify_paper_computes_each_tc_of_the_loop_once(monkeypatch):
+    from ditop import knownvalues
+
+    calls = []
+    real = knownvalues.tc_n
+
+    def counted(base, n, *args, **kwargs):
+        calls.append((base, n))
+        return real(base, n, *args, **kwargs)
+
+    monkeypatch.setattr(knownvalues, "tc_n", counted)
+    rows = knownvalues.run_reference_rows()
+    assert all(row.ok for row in rows)
+    assert sorted(n for base, n in calls if base == loop_image()) == [1, 2, 3]
 
 
 def test_verify_paper_catches_a_perturbed_reference(capsys, monkeypatch):

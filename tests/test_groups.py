@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ditop.corpus import (flip_table, loop_image, loop_letter,
                           loop_rotation_table, mulwin_group, sign_embedding,
@@ -19,7 +22,7 @@ from ditop.groups import (CayleyTable, enumerate_group_structures,
 from ditop.images import interval_image
 from ditop.maps import DigitalMap
 
-from helpers import latin_group_structures_oracle
+from helpers import latin_group_structures_oracle, verify_cayley_oracle
 
 
 LOOP_ORDER = "b a h g f e d c".split()
@@ -322,3 +325,40 @@ def test_enumeration_agrees_with_the_recursive_latin_fill():
         seg = interval_image(0, p - 1)
         assert (list(enumerate_group_structures(seg))
                 == list(latin_group_structures_oracle(seg)))
+
+
+def _perturbed_table(seed: int) -> CayleyTable:
+    """A group table with up to three entries changed (sometimes to a point
+    outside the carrier) and sometimes another identity."""
+    rng = random.Random(seed)
+    tables = [loop_rotation_table(), sign_table(), flip_table(4),
+              *enumerate_group_structures(interval_image(0, 3))]
+    base = rng.choice(tables)
+    pts = base.image.points
+    rows = [list(row) for row in base.entries]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.randrange(len(pts)), rng.randrange(len(pts))
+        rows[a][b] = rng.choice(pts + ((99,) * len(pts[0]),))
+    identity = rng.choice(pts) if rng.random() < 0.2 else base.identity
+    return CayleyTable(base.image, identity, rows)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 10_000))
+def test_the_index_grid_check_matches_the_point_check(seed):
+    table = _perturbed_table(seed)
+    assert verify_cayley(table) == verify_cayley_oracle(table)
+    pts, e = table.image.points, table.identity
+    assert [table.inverse(a) for a in pts] == [
+        next((b for b in pts if table.product(a, b) == e
+              and table.product(b, a) == e), None) for a in pts]
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_only_continuity_failures_carry_an_edge(seed):
+    table = _perturbed_table(seed)
+    v = is_topological_group(table)
+    axioms_hold = not verify_cayley(table)
+    assert axioms_hold == (v.ok or v.alpha_edge is not None
+                           or v.beta_edge is not None)

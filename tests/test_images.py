@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditop.images import (CK, DigitalImage, Explicit, ck_adjacent,
-                          induced_subimage, interval_image, power_image,
-                          product_image)
+from ditop.images import (CK, DigitalImage, Explicit, ProductAdjacency,
+                          ck_adjacent, induced_subimage, interval_image,
+                          power_image, product_image)
 
-from helpers import literal_ck_adjacent, naive_components, random_grid_image
+from helpers import (all_pairs_neighbor_index, literal_ck_adjacent,
+                     naive_components, random_explicit_image,
+                     random_grid_image)
 
 
 points2d = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -175,3 +178,101 @@ def test_lex_shortest_path_is_shortest_and_valid():
     assert len(path) == 5
     for a, b in zip(path, path[1:]):
         assert seg.adjacency.adjacent(a, b)
+
+
+# ---- generated neighbour tables against the all-pairs oracle ----
+
+def _random_ck_image(rng: random.Random, r: int, k: int) -> DigitalImage:
+    """A random subset of {0..3}^r under c_k; its size ranges from below
+    the 3^r - 1 unit steps of Z^r (the table scans) to above (it steps)."""
+    box = list(itertools.product(range(4), repeat=r))
+    return DigitalImage(tuple(rng.sample(box, rng.randint(1, len(box)))),
+                        CK(k))
+
+
+def _random_factor(rng: random.Random) -> DigitalImage:
+    if rng.random() < 0.5:
+        return random_explicit_image(rng, max_points=5)
+    r = rng.randint(1, 2)
+    box = sorted({(x, y)[:r] for x in range(3) for y in range(3)})
+    return DigitalImage(tuple(rng.sample(box, rng.randint(1, min(5, len(box))))),
+                        CK(rng.randint(1, r)))
+
+
+def _random_product(rng: random.Random) -> DigitalImage:
+    """Min and strong products of two or three random factors, mixing c_k
+    and explicit factors, associated either way."""
+    out = _random_factor(rng)
+    for _ in range(rng.randint(1, 2)):
+        other = _random_factor(rng)
+        mode = rng.choice(("min", "strong"))
+        out = (product_image(out, other, mode) if rng.random() < 0.5
+               else product_image(other, out, mode))
+    return out
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in range(1, 5)
+                                  for k in range(1, r + 1)])
+@settings(max_examples=15)
+@given(seed=st.integers(0, 10_000))
+def test_generated_ck_tables_equal_the_all_pairs_tables(r, k, seed):
+    img = _random_ck_image(random.Random(seed), r, k)
+    assert img.neighbor_index == all_pairs_neighbor_index(img)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_generated_explicit_tables_equal_the_all_pairs_tables(seed):
+    img = random_explicit_image(random.Random(seed), max_points=12)
+    assert img.neighbor_index == all_pairs_neighbor_index(img)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000))
+def test_generated_product_tables_equal_the_all_pairs_tables(seed):
+    rng = random.Random(seed)
+    prod = _random_product(rng)
+    assert prod.neighbor_index == all_pairs_neighbor_index(prod)
+    sub = prod.induced(rng.sample(prod.points, rng.randint(1, len(prod))))
+    assert sub.neighbor_index == all_pairs_neighbor_index(sub)
+
+
+def _c9_image() -> DigitalImage:
+    """20 points of {0, 1}^9: any two are c_9-adjacent, and c_9 has
+    3^9 - 1 steps, far more than the points."""
+    return DigitalImage(tuple(tuple((i * 25 >> c) & 1 for c in range(9))
+                              for i in range(20)), CK(9))
+
+
+def _bound_cases() -> dict[str, tuple[DigitalImage, int]]:
+    """Images whose candidates could outnumber their points, each with the
+    number of points its table build visits: its own, then its factors'
+    projections."""
+    c9 = _c9_image()
+    strong = product_image(c9, c9, "strong")
+    k20 = DigitalImage(tuple((i,) for i in range(20)), Explicit.of(
+        ((i,), (j,)) for i in range(20) for j in range(i)))
+    corner = product_image(k20, interval_image(0, 1)).induced([(0, 0), (1, 0)])
+    return {"c9": (c9, 20),
+            "min product": (product_image(c9, c9, "min"), 400 + 20 + 20),
+            "strong diagonal": (strong.induced(p + p for p in c9.points),
+                                20 + 20 + 20),
+            "explicit corner": (corner, 2 + 2 + 1)}
+
+
+@pytest.mark.parametrize("case", sorted(_bound_cases()))
+def test_no_point_examines_more_candidates_than_the_image_has_points(
+        case, monkeypatch):
+    img, visits = _bound_cases()[case]
+    seen = []  # per point at every level: (points at that level, examined)
+    for kind in (CK, Explicit, ProductAdjacency):
+        def counted(self, points, generate=kind.candidates):
+            for cands in generate(self, points):
+                # a point without candidates scans the points of its level
+                seen.append((len(points),
+                             len(points) if cands is None else len(cands)))
+                yield cands
+        monkeypatch.setattr(kind, "candidates", counted)
+    assert img.neighbor_index == all_pairs_neighbor_index(img)
+    assert len(seen) == visits
+    assert all(examined <= size <= len(img) for size, examined in seen)

@@ -2,7 +2,9 @@
 
 The commands run every caller of `maps.backtrack` (the map graph behind
 `cat` and `contractible`, the section search behind `genus` and `tc`,
-the group enumeration behind `group-scan`). Inputs are corpus images, so
+the group enumeration behind `group-scan`), the generated neighbour
+tables of a 4,096-point product (`group-product`) and of induced pieces
+(`tc -n 4`), and the Cayley-table checks. Inputs are corpus images, so
 no file path reaches the report. A digest changes only with the bytes of
 the report; when a change means to alter them, record the new digest and
 say why.
@@ -29,6 +31,14 @@ DIGESTS = {
         (2, "33b38bb40b013ad3406a85bd8fe628ad8eb6e6d526c26f073f2ebd910b44f1e3"),
     "tc corpus:H -n 3":
         (0, "ccd9d4e90893629de5f727f0dbec1073c0f327f7234b9ab905069b02ed4badb1"),
+    "tc corpus:H -n 4":
+        (0, "e6d1b7ad9dfcecd6550291d953f82ef8fc03681349d2a294e74f74cd658950bd"),
+    "group-product corpus:Hrot corpus:Hrot":
+        (0, "1d09fbf25f96b190b24ef78f44ed9cc421d2b3ffcccf8fb48a1191ee0f7213ce"),
+    "group-check corpus:Hrot":
+        (0, "225981566e827bc4d78b5e1940ac118ecb0e468a71d3a1b2395ab35a3dd56f98"),
+    "group-scan -p 6":
+        (0, "55ff706e5e75fcaaa4516f0e18d06dca9be423080e10e64e8061fd2eddfd16e6"),
 }
 
 
