@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 from .covers import (AdmissibilityOracle, BoundResult,
                      maximal_admissible_sets, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
-from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
-                       nullhomotopy, slide_nullhomotopy, verify_homotopy)
+from .homotopy import (BudgetExhausted, HomotopyWitness, fold,
+                       is_contractible, nullhomotopy, pull_back,
+                       slide_nullhomotopy, verify_homotopy)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
 
@@ -82,8 +83,28 @@ def piece_contraction_slide_only(base: DigitalImage, subset: Sequence[Point],
 
 def cat_oracle(base: DigitalImage,
                node_budget: int | None = 2_000_000) -> AdmissibilityOracle:
-    return AdmissibilityOracle(
-        base, lambda sub: piece_contraction(base, sub, node_budget))
+    """Admissibility of categorical pieces.
+
+    A piece A whose slides all tear and whose domain folds to a smaller
+    core C asks the oracle about C and lifts C's witness. This is sound
+    because incl_A ~ incl_C o r, with r the fold's retraction; the memo
+    then searches each core once, however many pieces fold to it.
+    """
+
+    def search(sub: Subset) -> Optional[HomotopyWitness]:
+        folded = fold(induced_subimage(base, sub))
+        if not folded.steps:
+            return piece_contraction(base, sub, node_budget)
+        w = piece_contraction_slide_only(base, sub)
+        if w is None:
+            core = oracle.witness(folded.core.points)
+            if core is not None:
+                w = pull_back(DigitalMap.inclusion(folded.image, base),
+                              folded, core.stages)
+        return w
+
+    oracle = AdmissibilityOracle(base, search)
+    return oracle
 
 
 def cat_exact(base: DigitalImage,

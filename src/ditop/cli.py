@@ -270,8 +270,8 @@ def cmd_group_scan(args, rep: Report) -> int:
                               f"{res.topological_count} topological")
     for k, table in enumerate(res.topological):
         rep.witnesses[f"group{k}"] = serialize_group(table, ref)
-    for table, verdict in res.rejected:
-        note = f"identity {table.identity}: "
+    for identity, verdict in res.rejected:
+        note = f"identity {identity}: "
         if verdict.alpha_edge:
             a, b = verdict.alpha_edge
             note += f"multiplication breaks at {a} ~ {b}"

@@ -237,7 +237,9 @@ class ScanResult:
     image: DigitalImage
     total: int
     topological: tuple[CayleyTable, ...]
-    rejected: tuple[tuple[CayleyTable, GroupVerdict], ...]
+    # (identity, verdict) of each rejected structure, in enumeration order;
+    # the tables themselves are not kept
+    rejected: tuple[tuple[Point, GroupVerdict], ...]
 
     @property
     def topological_count(self) -> int:
@@ -256,7 +258,7 @@ def scan_group_structures(image: DigitalImage,
         if verdict.ok:
             good.append(table)
         else:
-            bad.append((table, verdict))
+            bad.append((table.identity, verdict))
     return ScanResult(image, total, tuple(good), tuple(bad))
 
 

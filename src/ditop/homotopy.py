@@ -11,16 +11,18 @@ so it is never materialized. Neighbor states come from `maps.backtrack`,
 the package's one backtracker, over bitmasks of allowed codomain indices,
 and searches stop at the first goal. For contractibility there is a cheap
 geodesic "slide" candidate that is tried, and verified, before any search
-runs.
+runs. An untargeted search first folds dominated points out of both the
+domain and the codomain (`fold`), searches between the two cores, and
+lifts the core witness back to the whole map (`pull_back`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .images import DigitalImage, Point
+from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
@@ -219,30 +221,21 @@ def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness
     return w if ok else None
 
 
-def nullhomotopy(f: DigitalMap,
-                 targets: Sequence[Point] | None = None,
-                 node_budget: int | None = 2_000_000,
+def _first_slide(f: DigitalMap, pool: Sequence[Point],
                  ) -> Optional[HomotopyWitness]:
-    """Witness that f is nullhomotopic (ends at some constant map), or None
-    when f's homotopy class holds no constant map.
-
-    Slide candidates are tried target by target first; only if every slide
-    tears does the exact breadth-first search run, aimed at all requested
-    constants at once.
-    """
-    if not is_continuous(f):
-        raise ValueError("map is not continuous")
-    cod = f.codomain
-    pool = tuple(tuple(t) for t in targets) if targets is not None else cod.points
-    for t in pool:
-        if t not in cod:
-            raise ValueError(f"target {t} is not in the codomain")
     for t in pool:
         w = slide_nullhomotopy(f, t)
         if w is not None:
             return w
+    return None
+
+
+def _search_constant(f: DigitalMap, pool: Sequence[Point],
+                     node_budget: int | None) -> Optional[HomotopyWitness]:
+    """A shortest homotopy from f to a constant at a point of `pool`, by
+    breadth-first search of f's own map graph."""
     graph = MapGraph(f.domain, f.codomain)
-    allowed = {cod.index(t) for t in pool}
+    allowed = {f.codomain.index(t) for t in pool}
 
     def at_constant(s: State) -> bool:
         first = s[0]
@@ -251,15 +244,151 @@ def nullhomotopy(f: DigitalMap,
     return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
 
 
+def nullhomotopy(f: DigitalMap,
+                 targets: Sequence[Point] | None = None,
+                 node_budget: int | None = 2_000_000,
+                 ) -> Optional[HomotopyWitness]:
+    """Witness that f is nullhomotopic (ends at some constant map), or None
+    when f's homotopy class holds no constant map.
+
+    Slide candidates are tried target by target first. Only if every
+    slide tears does a search run: on f's own map graph when targets are
+    given, aimed at all of them at once, and otherwise on the folded
+    cores (`folded_nullhomotopy`).
+    """
+    if not is_continuous(f):
+        raise ValueError("map is not continuous")
+    cod = f.codomain
+    pool = tuple(tuple(t) for t in targets) if targets is not None else cod.points
+    for t in pool:
+        if t not in cod:
+            raise ValueError(f"target {t} is not in the codomain")
+    w = _first_slide(f, pool)
+    if w is not None:
+        return w
+    if targets is None:
+        return folded_nullhomotopy(f, node_budget)
+    return _search_constant(f, pool, node_budget)
+
+
 def contraction(img: DigitalImage,
                 node_budget: int | None = 2_000_000) -> Optional[HomotopyWitness]:
-    """A nullhomotopy of the identity map, when one exists."""
+    """A nullhomotopy of the identity map, when one exists.
+
+    The witness is a slide, or else a shortest one from the search of the
+    identity's own map graph: `tc` reads its length as an arm length, and
+    a lifted witness is not shortest. The folded search decides first
+    whether any exists, so that search runs only when it will succeed.
+    """
     if not img.is_connected:
         return None
-    return nullhomotopy(DigitalMap.identity(img), node_budget=node_budget)
+    ident = DigitalMap.identity(img)
+    w = _first_slide(ident, img.points)
+    if w is not None or folded_nullhomotopy(ident, node_budget) is None:
+        return w
+    return _search_constant(ident, img.points, node_budget)
 
 
 def is_contractible(img: DigitalImage,
                     node_budget: int | None = 2_000_000) -> bool:
     """Whether the identity map is nullhomotopic."""
-    return contraction(img, node_budget) is not None
+    return img.is_connected and nullhomotopy(
+        DigitalMap.identity(img), node_budget=node_budget) is not None
+
+
+# ---- folding dominated points ----
+
+class Fold(NamedTuple):
+    """A retraction of an image onto its core, one dominated point at a time.
+
+    Step (p, q) removes p, whose closed neighbourhood among the points
+    still present lies inside that of q. The retraction r sending p to q
+    is continuous and one step from the identity, so f ~ f o r for maps
+    out of the image and f ~ r o f for maps into it.
+    """
+
+    image: DigitalImage
+    core: DigitalImage
+    steps: tuple[tuple[Point, Point], ...]
+
+    def retractions(self) -> list[dict[Point, Point]]:
+        """The composite retraction after each step, the identity first."""
+        cur = {p: p for p in self.image.points}
+        out = [cur]
+        for p, q in self.steps:
+            cur = {x: q if y == p else y for x, y in cur.items()}
+            out.append(cur)
+        return out
+
+
+def fold(img: DigitalImage) -> Fold:
+    """Remove the lowest-index dominated point into its lowest-index
+    dominator, again and again, until no point is dominated."""
+    pts = img.points
+    nbrs = img.neighbor_index
+    closed = [sum(1 << j for j in (i, *ns)) for i, ns in enumerate(nbrs)]
+    alive = (1 << len(pts)) - 1
+    steps = []
+    while True:
+        hit = next(((p, q) for p in range(len(pts)) if alive >> p & 1
+                    for q in nbrs[p]
+                    if alive >> q & 1 and not closed[p] & alive & ~closed[q]),
+                   None)
+        if hit is None:
+            break
+        p, q = hit
+        alive &= ~(1 << p)
+        steps.append((pts[p], pts[q]))
+    if not steps:
+        return Fold(img, img, ())
+    kept = [p for i, p in enumerate(pts) if alive >> i & 1]
+    return Fold(img, induced_subimage(img, kept), tuple(steps))
+
+
+def pull_back(f: DigitalMap, folded: Fold,
+              core_stages: Sequence[DigitalMap]) -> HomotopyWitness:
+    """Lift a nullhomotopy of f restricted to the core of f's domain.
+
+    `folded` folds f's domain; `core_stages` start at f on the core and
+    end at a constant, with values in f's codomain. The lift runs the
+    fold's stages, from f to f o r, then each core stage composed with r.
+    Equal consecutive stages are merged. A lift that fails verify_homotopy
+    raises, since the construction is proved.
+    """
+    dom, cod = f.domain, f.codomain
+    rs = folded.retractions()
+    r = rs[-1]
+    values = [tuple(f(r_k[a]) for a in dom.points) for r_k in rs]
+    values += [tuple(st(r[a]) for a in dom.points) for st in core_stages[1:]]
+    kept = [v for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
+    w = HomotopyWitness(tuple(DigitalMap(dom, cod, v) for v in kept), "fold")
+    ok, why = verify_homotopy(w, f)
+    if ok and not w.end.is_constant():
+        ok, why = False, "the last stage is not constant"
+    if not ok:
+        raise AssertionError(f"lifted nullhomotopy failed its check: {why}")
+    return w
+
+
+def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
+                        ) -> Optional[HomotopyWitness]:
+    """Witness that f is nullhomotopic, searched between folded cores, or
+    None when f's homotopy class holds no constant map.
+
+    The search runs from f restricted to its domain's core and retracted
+    into its codomain's core, to any constant. `pull_back` lifts the
+    witness: the domain's fold stages, the codomain's fold stages, then
+    the core homotopy. The lift is not a shortest homotopy.
+    """
+    if not is_continuous(f):
+        raise ValueError("map is not continuous")
+    dom_fold, cod_fold = fold(f.domain), fold(f.codomain)
+    core, target = dom_fold.core, cod_fold.core
+    on_core = tuple(f(a) for a in core.points)
+    stages = [DigitalMap(core, f.codomain, tuple(s[v] for v in on_core))
+              for s in cod_fold.retractions()]
+    w = _search_constant(DigitalMap(core, target, stages[-1].values),
+                         target.points, node_budget)
+    if w is None:
+        return None
+    return pull_back(f, dom_fold, stages + list(w.stages[1:]))

@@ -191,11 +191,11 @@ def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
     def failure_pattern():
         res = scan_group_structures(interval_image(0, 2))
         follow = 0
-        for table, _verdict in res.rejected:
-            if table.identity in ((0,), (2,)):
-                broken = continuity_violation(table.inversion_map())
+        for identity, verdict in res.rejected:
+            if identity in ((0,), (2,)):
+                broken = verdict.beta_edge
             else:
-                broken = continuity_violation(table.multiplication_map())
+                broken = verdict.alpha_edge
             if broken is not None:
                 follow += 1
         got = f"{follow} of {res.total} follow the pattern"

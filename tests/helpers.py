@@ -17,7 +17,7 @@ from ditop.complexity import SectionWitness
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
 from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
-                            is_contractible, nullhomotopy)
+                            is_contractible, nullhomotopy, slide_nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
 from ditop.maps import DigitalMap, continuity_violation
 
@@ -278,6 +278,29 @@ def restrict_witness(w: HomotopyWitness, subset: Iterable[Point]) -> HomotopyWit
     return HomotopyWitness(tuple(
         DigitalMap(sub, st.codomain, tuple(st(p) for p in sub.points))
         for st in w.stages), w.label)
+
+
+def unfolded_nullhomotopy(f: DigitalMap,
+                          targets: Sequence[Point] | None = None,
+                          node_budget: int | None = 2_000_000,
+                          ) -> Optional[HomotopyWitness]:
+    """The slide-then-search route without folding: slides target by
+    target, then a breadth-first search of f's own map graph aimed at
+    every requested constant. The folded route must agree with it."""
+    cod = f.codomain
+    pool = tuple(tuple(t) for t in targets) if targets is not None else cod.points
+    for t in pool:
+        w = slide_nullhomotopy(f, t)
+        if w is not None:
+            return w
+    graph = MapGraph(f.domain, cod)
+    allowed = {cod.index(t) for t in pool}
+
+    def at_constant(s: tuple[int, ...]) -> bool:
+        first = s[0]
+        return first in allowed and all(v == first for v in s)
+
+    return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
 
 
 def is_nullhomotopic(f: DigitalMap,

@@ -161,11 +161,12 @@ def test_acceptance_6_prime_interval_scan():
         for i in range(2, p + 1):
             fact *= i
         ok = ok and expect == fact // (p - 1)
-        for table, verdict in res.rejected:
+        for _identity, verdict in res.rejected:
+            ok = ok and (verdict.beta_edge is not None
+                         or verdict.alpha_edge is not None)
+        for table in enumerate_group_structures(seg):
             e = table.identity[0]
             if e in (0, p - 1):
-                ok = ok and (verdict.beta_edge is not None
-                             or verdict.alpha_edge is not None)
                 ok = ok and continuity_violation(table.inversion_map()) is not None
             else:
                 ok = ok and continuity_violation(

@@ -11,8 +11,8 @@ import ditop.homotopy as homotopy
 from ditop.category import (cat, cat_bounds, cat_exact, categorical_subsets,
                             piece_contraction)
 from ditop.corpus import cycle_image, loop_cover, loop_image
-from ditop.homotopy import verify_homotopy
-from ditop.images import CK, DigitalImage, interval_image
+from ditop.homotopy import fold, verify_homotopy
+from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
 from helpers import plane_isometry
@@ -116,7 +116,10 @@ def test_categorical_subsets_of_the_loop_miss_one_point():
 
 
 def test_cat_exact_searches_each_piece_once(monkeypatch):
+    # only pieces that are their own fold cores reach the search; every
+    # other piece slides or lifts the witness of its core
     searches = []
+    queried = []
     oracles = []
     search, make_oracle = category.piece_contraction, category.cat_oracle
 
@@ -125,14 +128,25 @@ def test_cat_exact_searches_each_piece_once(monkeypatch):
         return search(*args, **kwargs)
 
     def recording_oracle(*args, **kwargs):
-        oracles.append(make_oracle(*args, **kwargs))
-        return oracles[-1]
+        oracle = make_oracle(*args, **kwargs)
+        inner = oracle.search
+
+        def recording_search(sub):
+            queried.append(sub)
+            return inner(sub)
+
+        oracle.search = recording_search
+        oracles.append(oracle)
+        return oracle
 
     monkeypatch.setattr(category, "piece_contraction", counting_search)
     monkeypatch.setattr(category, "cat_oracle", recording_oracle)
-    w = cat_exact(loop_image())
+    loop = loop_image()
+    w = cat_exact(loop)
     assert w.size == 2
-    assert len(searches) == oracles[0].calls
+    assert len(queried) == len(set(queried)) == oracles[0].calls
+    cores = [s for s in queried if not fold(induced_subimage(loop, s)).steps]
+    assert searches == cores
     for piece in w.pieces:
         assert piece.contraction is oracles[0].witness(piece.points)
 
@@ -158,3 +172,28 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
     assert r.witness == (
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 0)),
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)))
+
+
+def _theta() -> DigitalImage:
+    # two 8-cycles sharing the side x = 2
+    pts = ([(x, 0) for x in range(5)] + [(x, 2) for x in range(5)]
+           + [(0, 1), (2, 1), (4, 1)])
+    return DigitalImage(tuple(sorted(pts)), CK(1))
+
+
+def test_theta_has_category_two_within_a_small_budget():
+    w = cat_exact(_theta(), node_budget=20_000)
+    assert w.size == 2
+    assert w.check() == (True, None)
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_a_ring_with_a_tail_has_category_two_in_every_orientation(turns):
+    # an 8-cycle with a 5-point tail; the tail folds away
+    pts = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    pts += [(x, 1) for x in range(3, 8)]
+    for _ in range(turns):
+        pts = [(-y, x) for x, y in pts]
+    w = cat_exact(DigitalImage(tuple(sorted(pts)), CK(1)))
+    assert w.size == 2
+    assert w.check() == (True, None)

@@ -11,8 +11,8 @@ from ditop.complexity import verify_section
 from ditop.corpus import get_image, loop_image
 from ditop.fileio import parse_homotopy, parse_image, parse_sections, \
     serialize_image
-from ditop.homotopy import verify_homotopy
-from ditop.images import interval_image
+from ditop.homotopy import contraction, verify_homotopy
+from ditop.images import CK, DigitalImage, interval_image
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
 
@@ -394,3 +394,21 @@ def test_a_theorem_violation_is_not_a_user_error(monkeypatch, capsys):
     with pytest.raises(TheoremViolation):
         main(["tc", "corpus:H"])
     assert capsys.readouterr().out == ""
+
+
+def test_tc_of_the_c2_frame_uses_the_shortest_contraction(tmp_path, capsys):
+    # the frame is contractible in 3 steps; the folded search's lifted
+    # witness is longer, and tc reads the contraction's length as its arm
+    # length, so arms of length 3 need the shortest witness
+    frame = DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
+                               if (x, y) != (1, 1)), CK(2))
+    assert contraction(frame).steps == 3
+    path = tmp_path / "frame.img"
+    path.write_text(serialize_image(frame), encoding="utf-8")
+    code, out, _ = run(capsys, "tc", str(path), "-n", "2", "--m", "3",
+                       "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["results"]["tc"] == 1
+    assert doc["notes"] == [
+        "contractible base: one global section at arm length 3"]

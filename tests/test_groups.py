@@ -138,8 +138,10 @@ def test_the_scan_agrees_with_the_full_check_on_every_table():
             assert res.total == _structure_count(n)
             for table in res.topological:
                 assert is_topological_group(table, mode).ok
-            for table, verdict in res.rejected:
-                assert is_topological_group(table, mode) == verdict
+            checked = [(t.identity, is_topological_group(t, mode))
+                       for t in enumerate_group_structures(seg)]
+            assert list(res.rejected) == [(e, v) for e, v in checked
+                                          if not v.ok]
 
 
 def test_rejections_follow_the_endpoint_middle_pattern():
@@ -147,7 +149,7 @@ def test_rejections_follow_the_endpoint_middle_pattern():
     # multiplication near the ends
     seg = interval_image(0, 2)
     res = scan_group_structures(seg)
-    for table, verdict in res.rejected:
+    for table in enumerate_group_structures(seg):
         e = table.identity[0]
         if e in (0, 2):
             inv = table.inversion_map()
@@ -157,6 +159,11 @@ def test_rejections_follow_the_endpoint_middle_pattern():
             mul = table.multiplication_map("min")
             from ditop.maps import continuity_violation
             assert continuity_violation(mul) is not None
+    for identity, verdict in res.rejected:
+        if identity[0] in (0, 2):
+            assert verdict.beta_edge is not None
+        else:
+            assert verdict.alpha_edge is not None
 
 
 def test_two_point_interval_scan_finds_topological_structures():

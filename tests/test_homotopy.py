@@ -4,21 +4,25 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditop.category import CatPiece, CatWitness, cat_oracle
 from ditop.corpus import cycle_image, loop_image, loop_rotation_table
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
-                            are_homotopic, contraction, is_contractible,
+                            are_homotopic, contraction, fold,
+                            folded_nullhomotopy, is_contractible,
                             nullhomotopy, slide_nullhomotopy, verify_homotopy)
-from ditop.images import DigitalImage, CK, interval_image
+from ditop.images import DigitalImage, CK, induced_subimage, interval_image
 from ditop.maps import DigitalMap, continuity_violation
 
 from helpers import (are_homotopy_equivalent, continuous_maps,
                      is_nullhomotopic, left_translation, random_explicit_image,
-                     random_grid_image, restrict_witness)
+                     random_grid_image, restrict_witness,
+                     unfolded_nullhomotopy)
 
 
 def _const(img, t):
@@ -200,3 +204,70 @@ def test_homotopy_equivalence_spot_checks():
                                    DigitalImage(((7,),), CK(1)))
     assert are_homotopy_equivalent(loop_image(), cycle_image(8))
     assert not are_homotopy_equivalent(loop_image(), interval_image(0, 7))
+
+
+# ---- folding dominated points ----
+
+def _box(k: int) -> DigitalImage:
+    return DigitalImage(tuple((x, y) for x in range(3) for y in range(3)),
+                        CK(k))
+
+
+def _frame(k: int) -> DigitalImage:
+    return DigitalImage(tuple(p for p in _box(k).points if p != (1, 1)),
+                        CK(k))
+
+
+def test_fold_removes_the_lowest_dominated_point_into_its_lowest_dominator():
+    seg = fold(interval_image(0, 3))
+    assert seg.steps == (((0,), (1,)), ((1,), (2,)), ((2,), (3,)))
+    assert seg.core.points == ((3,),)
+    # under c2 the frame's corners fold onto the edge midpoints, whose
+    # 4-cycle has no dominated point
+    frame = fold(_frame(2))
+    assert [p for p, _ in frame.steps] == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert frame.core.points == ((0, 1), (1, 0), (1, 2), (2, 1))
+    assert fold(frame.core).steps == ()
+    assert fold(_frame(1)).steps == ()
+
+
+@pytest.mark.parametrize("img", [_frame(1), _frame(2), _box(2)],
+                         ids=["frame-c1", "frame-c2", "box-c2"])
+def test_folded_verdicts_match_the_unfolded_route_on_every_subset(img):
+    oracle = cat_oracle(img)
+    for size in range(1, len(img.points) + 1):
+        for sub in itertools.combinations(img.points, size):
+            incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
+            want = unfolded_nullhomotopy(incl) is not None
+            for w in (folded_nullhomotopy(incl), nullhomotopy(incl),
+                      oracle.witness(sub)):
+                assert (w is not None) == want, sub
+                if w is not None:
+                    ok, why = verify_homotopy(w, incl)
+                    assert ok, (sub, why)
+                    assert w.end.is_constant(), sub
+
+
+def test_a_tampered_fold_stage_is_rejected_by_stage():
+    frame = _frame(1)
+    arc = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
+    rest = tuple(p for p in frame.points if p not in arc) + ((0, 0),)
+    incl = DigitalMap.inclusion(induced_subimage(frame, arc), frame)
+    w = folded_nullhomotopy(incl)
+    steps = len(fold(incl.domain).steps)
+    assert steps == 4 and w.steps >= steps
+    other = cat_oracle(frame).witness(rest)
+    dist = frame.distance_matrix
+    for k in range(1, steps + 1):
+        before, stage = w.stages[k - 1], w.stages[k]
+        far = next(v for v in frame.points
+                   if dist[frame.index(v)][frame.index(before.values[0])] > 1)
+        bad = DigitalMap(stage.domain, frame, (far,) + stage.values[1:])
+        tampered = HomotopyWitness(w.stages[:k] + (bad,) + w.stages[k + 1:])
+        named = rf"\bstage {k}\b|\bstages {k - 1} and {k}\b"
+        ok, why = verify_homotopy(tampered, incl)
+        assert not ok and re.search(named, why), (k, why)
+        ok, why = CatWitness(frame, (CatPiece(arc, tampered),
+                                     CatPiece(rest, other))).check()
+        assert not ok and why.startswith("piece 0: "), why
+        assert re.search(named, why), (k, why)
