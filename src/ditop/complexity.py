@@ -120,7 +120,7 @@ def find_section(fib: EndpointFibration,
 
     domains: list[list[Wedge]] = [None] * k  # type: ignore[list-item]
     for i in order:
-        dom = list(fib.fiber(pts[i], limit=_FIBER_CAP + 1))
+        dom = list(itertools.islice(fib.fiber(pts[i]), _FIBER_CAP + 1))
         if len(dom) > _FIBER_CAP:
             raise BudgetExhausted(
                 f"fiber over {pts[i]} exceeds {_FIBER_CAP} wedges")

@@ -38,6 +38,20 @@ def _ints(fields: Sequence[str], lineno: int) -> tuple[int, ...]:
         raise ParseError(lineno, f"expected integers, got {' '.join(fields)}")
 
 
+def _one_int(fields: Sequence[str], lineno: int, usage: str) -> int:
+    """The one integer a record wants; `usage` names it otherwise."""
+    if len(fields) != 1:
+        raise ParseError(lineno, usage)
+    return _ints(fields, lineno)[0]
+
+
+def _announced(lineno: int, head: str, k: int, unit: str,
+               listed: int) -> None:
+    """Raise unless the `head` record that announced k units lists k."""
+    if k != listed:
+        raise ParseError(lineno, f"{head} announced {k} {unit}, lists {listed}")
+
+
 def parse_image(text: str) -> DigitalImage:
     dim: Optional[int] = None
     adjacency = None
@@ -50,9 +64,7 @@ def parse_image(text: str) -> DigitalImage:
         if head == "dim":
             if dim is not None:
                 raise ParseError(lineno, "dim given twice")
-            if len(rest) != 1:
-                raise ParseError(lineno, "dim wants one positive integer")
-            (dim,) = _ints(rest, lineno)
+            dim = _one_int(rest, lineno, "dim wants one positive integer")
             if dim < 1:
                 raise ParseError(lineno, "dim wants one positive integer")
         elif head == "adjacency":
@@ -153,6 +165,10 @@ def parse_map(text: str, resolve: Resolver) -> DigitalMap:
             raise ParseError(lineno, f"left side wants {domain.dim} coordinates")
         if len(dst) != codomain.dim:
             raise ParseError(lineno, f"right side wants {codomain.dim} coordinates")
+        if src not in domain:
+            raise ParseError(lineno, f"{src} is not a domain point")
+        if dst not in codomain:
+            raise ParseError(lineno, f"value {dst} is not in the codomain")
         if src in assignment:
             raise ParseError(lineno, f"{src} assigned twice")
         assignment[src] = dst
@@ -160,9 +176,6 @@ def parse_map(text: str, resolve: Resolver) -> DigitalMap:
     if missing:
         raise ParseError(lineno if body[1:] else 1,
                          f"no value for domain point {missing[0]}")
-    extra = [p for p in assignment if p not in domain]
-    if extra:
-        raise ParseError(1, f"{extra[0]} is not a domain point")
     return DigitalMap.from_mapping(domain, codomain, assignment)
 
 
@@ -180,7 +193,7 @@ def parse_homotopy(text: str, resolve: Resolver) -> HomotopyWitness:
         raise ParseError(body[0][0] if body else 1,
                          "homotopy file starts with: stages <count>")
     lineno, fields = body[0]
-    (count,) = _ints(fields[1:], lineno)
+    count = _one_int(fields[1:], lineno, "stages wants one count")
     if count < 1:
         raise ParseError(lineno, "a homotopy has at least one stage")
     blocks: list[list[tuple[int, list[str]]]] = []
@@ -234,6 +247,9 @@ def parse_group(text: str, resolve: Resolver) -> CayleyTable:
             if len(rest) != d:
                 raise ParseError(lineno, f"identity wants {d} coordinates")
             identity = _ints(rest, lineno)
+            if identity not in img:
+                raise ParseError(lineno,
+                                 f"identity {identity} is not in the carrier")
         elif head == "row":
             if ":" not in rest:
                 raise ParseError(lineno, "row wants: row <coords> : <products>")
@@ -285,24 +301,25 @@ def parse_cover(text: str) -> list[tuple[Point, ...]]:
     if not body or body[0][1][0] != "cover":
         raise ParseError(body[0][0] if body else 1,
                          "cover file starts with: cover <count>")
-    pieces: list[list[Point]] = []
-    want: list[int] = []
+    lineno, fields = body[0]
+    count = _one_int(fields[1:], lineno, "cover wants one piece count")
+    # per piece: (line, announced size, points)
+    pieces: list[tuple[int, int, list[Point]]] = []
     for lineno, fields in body[1:]:
         head, rest = fields[0], fields[1:]
         if head == "piece":
-            (k,) = _ints(rest, lineno)
-            pieces.append([])
-            want.append(k)
+            pieces.append((lineno, _one_int(rest, lineno,
+                                            "piece wants one point count"), []))
         elif head == "point":
             if not pieces:
                 raise ParseError(lineno, "point before the first piece")
-            pieces[-1].append(_ints(rest, lineno))
+            pieces[-1][2].append(_ints(rest, lineno))
         else:
             raise ParseError(lineno, f"unknown record {head!r} in cover file")
-    for k, piece in zip(want, pieces):
-        if k != len(piece):
-            raise ParseError(1, f"piece announced {k} points, lists {len(piece)}")
-    return [tuple(piece) for piece in pieces]
+    _announced(body[0][0], "cover", count, "pieces", len(pieces))
+    for lineno, k, points in pieces:
+        _announced(lineno, "piece", k, "points", len(points))
+    return [tuple(points) for *_, points in pieces]
 
 
 def serialize_sections(witnesses, n: int, m: int) -> str:
@@ -331,39 +348,37 @@ def parse_sections(text: str):
     if len(fields) != 6 or fields[2] != "arms" or fields[4] != "length":
         raise ParseError(lineno, "header wants: sections <count> arms <n> "
                                  "length <m>")
-    n = int(fields[3])
-    m = int(fields[5])
-    pieces: list[tuple[list, list]] = []
-    arms_open: list = []
+    count, n, m = _ints(fields[1::2], lineno)
+    # per piece: (line, announced size, [(line, point, arms) per point])
+    pieces: list[tuple[int, int, list]] = []
     for lineno, fields in body[1:]:
         head, rest = fields[0], fields[1:]
         if head == "piece":
-            pieces.append(([], []))
-            arms_open = []
+            pieces.append((lineno, _one_int(rest, lineno,
+                                            "piece wants one point count"), []))
         elif head == "at":
             if not pieces:
                 raise ParseError(lineno, "at before the first piece")
-            if arms_open and len(arms_open) != n:
-                raise ParseError(lineno, f"previous point has {len(arms_open)} "
-                                         f"arms, wants {n}")
-            arms_open = []
-            pieces[-1][0].append(_ints(rest, lineno))
-            pieces[-1][1].append(arms_open)
+            pieces[-1][2].append((lineno, _ints(rest, lineno), []))
         elif head == "arm":
-            if not pieces or not pieces[-1][0]:
+            if not pieces or not pieces[-1][2]:
                 raise ParseError(lineno, "arm before any at record")
             chunks = " ".join(rest).split("|")
             arm = tuple(_ints(chunk.split(), lineno) for chunk in chunks)
             if len(arm) != m + 1:
                 raise ParseError(lineno, f"arm wants {m + 1} points")
-            arms_open.append(arm)
+            pieces[-1][2][-1][2].append(arm)
         else:
             raise ParseError(lineno, f"unknown record {head!r} in sections file")
-    out = []
-    for pts, wedges in pieces:
-        out.append(SectionWitness(tuple(pts),
-                                  tuple(tuple(w) for w in wedges)))
-    return n, m, out
+    _announced(body[0][0], "sections", count, "pieces", len(pieces))
+    for lineno, k, points in pieces:
+        _announced(lineno, "piece", k, "points", len(points))
+        for at, _, arms in points:
+            if len(arms) != n:
+                raise ParseError(at, f"point has {len(arms)} arms, wants {n}")
+    return n, m, [SectionWitness(tuple(p for _, p, _ in points),
+                                 tuple(tuple(arms) for *_, arms in points))
+                  for _, _, points in pieces]
 
 
 def load_image(path: str) -> DigitalImage:

@@ -79,11 +79,11 @@ class CayleyTable:
                 return self.image.points[j]
         return None
 
-    def multiplication_map(self, mode: str = "min") -> DigitalMap:
-        """The operation as a map from the product image (needs closure).
+    def multiplication_map(self, prod: DigitalImage) -> DigitalMap:
+        """The operation as a map from `prod`, the carrier squared (needs
+        closure).
 
         Product points run row-major over (a, b), as the entries do."""
-        prod = product_image(self.image, self.image, mode)
         values = tuple(v for row in self.entries for v in row)
         return DigitalMap(prod, self.image, values, "mul")
 
@@ -151,15 +151,17 @@ def is_topological_group(table: CayleyTable,
     failures = verify_cayley(table)
     if failures:
         return GroupVerdict(False, tuple(failures))
-    return _continuity_verdict(table, mode)
+    return _continuity_verdict(
+        table, product_image(table.image, table.image, mode))
 
 
-def _continuity_verdict(table: CayleyTable, mode: str) -> GroupVerdict:
-    """Continuity of multiplication and inversion for a table that is
-    already known to be a group."""
+def _continuity_verdict(table: CayleyTable,
+                        prod: DigitalImage) -> GroupVerdict:
+    """Continuity of multiplication (from `prod`, the carrier squared)
+    and inversion for a table already known to be a group."""
     failures = []
     alpha_edge = beta_edge = None
-    mul = table.multiplication_map(mode)
+    mul = table.multiplication_map(prod)
     bad = continuity_violation(mul)
     if bad is not None:
         u, v = bad
@@ -249,12 +251,13 @@ class ScanResult:
 def scan_group_structures(image: DigitalImage,
                           mode: str = "min") -> ScanResult:
     """Enumerate all group structures and test each for continuity."""
+    prod = product_image(image, image, mode)
     good = []
     bad = []
     total = 0
     for table in enumerate_group_structures(image):
         total += 1
-        verdict = _continuity_verdict(table, mode)
+        verdict = _continuity_verdict(table, prod)
         if verdict.ok:
             good.append(table)
         else:

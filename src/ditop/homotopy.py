@@ -99,9 +99,7 @@ class MapGraph:
         self.domain = domain
         self.codomain = codomain
         self.n = len(domain.points)
-        closed = [sum(1 << j for j in (i, *nbrs))
-                  for i, nbrs in enumerate(codomain.neighbor_index)]
-        self.closed_mask = closed
+        closed = codomain.closed_masks
         self.links = tuple(tuple((j, closed) for j in nbrs if j < i)
                            for i, nbrs in enumerate(domain.neighbor_index))
 
@@ -123,7 +121,7 @@ class MapGraph:
     def neighbor_states(self, state: State) -> Iterator[State]:
         """All continuous states pointwise within one step of `state`
         (the state itself included), in lexicographic index order."""
-        closed = self.closed_mask
+        closed = self.codomain.closed_masks
         return backtrack([closed[v] for v in state], self.links)
 
     def all_states(self) -> Iterator[State]:
@@ -326,7 +324,7 @@ def fold(img: DigitalImage) -> Fold:
     dominator, again and again, until no point is dominated."""
     pts = img.points
     nbrs = img.neighbor_index
-    closed = [sum(1 << j for j in (i, *ns)) for i, ns in enumerate(nbrs)]
+    closed = img.closed_masks
     alive = (1 << len(pts)) - 1
     steps = []
     while True:

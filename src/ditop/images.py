@@ -240,6 +240,12 @@ class DigitalImage:
         return tuple(map(tuple, _neighbor_rows(self.adjacency, self.points,
                                                self._index)))
 
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """Per point index, the bitmask of the point and its neighbours."""
+        return tuple(sum(1 << j for j in (i, *nbrs))
+                     for i, nbrs in enumerate(self.neighbor_index))
+
     def neighbors(self, p: Point) -> tuple[Point, ...]:
         i = self.index(p)
         return tuple(self.points[j] for j in self.neighbor_index[i])

@@ -8,11 +8,11 @@ here.
 
 `backtrack` enumerates every assignment of values to positions that meets
 such edge conditions, over bitmasks of allowed value indices. It is the
-one backtracker of the package, with three callers: the map graph of
-`homotopy` (continuous maps, value masks from closed neighbourhoods), the
-section search of `complexity` (fiber wedges, masks from wedge adjacency)
-and the group enumeration of `groups` (Latin squares, masks from "not
-equal").
+one backtracker of the package, with four callers: the map graph of
+`homotopy` (continuous maps, masks from closed neighbourhoods), the
+section search of `complexity` (fiber wedges, masks from wedge adjacency),
+the group enumeration of `groups` (Latin squares, masks from "not equal")
+and the walks of `pathspace` (ticks, masks from closed neighbourhoods).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ most one adjacency step per tick (stalling allowed). The motion-planning
 construction works with wedges: n paths of equal length sharing their
 start. Evaluating all free endpoints is the fibration e_n from the wedge
 space onto the n-fold product of X; its sectional invariants are computed
-in `complexity`.
+in `complexity`. Walks are the fourth caller of `maps.backtrack`, ticks as
+positions, and a fiber is, per start within m steps of every endpoint,
+the product of its arms' walks.
 
 Wedge tuples are plain nested tuples ((p0,...,pm), ... n arms ...) with
 arm[0] shared, so they hash and sort like everything else here.
@@ -17,6 +19,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point, power_image, product_image
+from .maps import backtrack
 
 Path = tuple[Point, ...]
 Wedge = tuple[Path, ...]
@@ -42,43 +45,26 @@ def is_path(img: DigitalImage, seq: Sequence[Point]) -> bool:
     return all(a == b or adj(a, b) for a, b in zip(seq, seq[1:]))
 
 
+def _ball(img: DigitalImage, i: int, radius: int) -> int:
+    """The mask of the points within `radius` steps of point index i."""
+    return sum(1 << j for j, d in enumerate(img.distance_matrix[i])
+               if 0 <= d <= radius)
+
+
 def paths_between(img: DigitalImage, start: Point, end: Point,
                   length: int) -> Iterator[Path]:
     """All walks of exactly `length` steps from start to end, in
-    lexicographic order. Distance pruning keeps dead branches short."""
-    start, end = tuple(start), tuple(end)
-    for p in (start, end):
-        if p not in img:
-            raise ValueError(f"{p} is not in the image")
+    lexicographic order: tick t may take the points within length - t
+    steps of the end (tick 0 only the start), linked to tick t - 1 through
+    the closed neighbourhoods."""
+    si, ei = img.index(start), img.index(end)
     if length < 0:
         return
-    dist = img.distance_matrix
-    idx = img.index
-    ei = idx(end)
-    pts = img.points
-
-    def options(p: Point) -> list[Point]:
-        cand = [p] + list(img.neighbors(p))
-        cand.sort()
-        return cand
-
-    prefix: list[Point] = [start]
-
-    def extend() -> Iterator[Path]:
-        here = prefix[-1]
-        remaining = length - (len(prefix) - 1)
-        d = dist[idx(here)][ei]
-        if d < 0 or d > remaining:
-            return
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for q in options(here):
-            prefix.append(q)
-            yield from extend()
-            prefix.pop()
-
-    yield from extend()
+    roots = [_ball(img, ei, length - t) for t in range(length + 1)]
+    roots[0] &= 1 << si
+    links = [()] + [((t, img.closed_masks),) for t in range(length)]
+    for walk in backtrack(roots, links):
+        yield tuple(img.points[i] for i in walk)
 
 
 class WedgeSpace:
@@ -117,10 +103,7 @@ class WedgeSpace:
 
     def endpoints(self, w: Wedge) -> Point:
         """Concatenated arm endpoints: a point of the n-fold product."""
-        out: tuple[int, ...] = ()
-        for arm in w:
-            out = out + arm[-1]
-        return out
+        return tuple(c for arm in w for c in arm[-1])
 
     def constant_wedge(self, p: Point) -> Wedge:
         arm = (tuple(p),) * (self.m + 1)
@@ -150,10 +133,9 @@ class _Fibration:
     def is_surjective(self) -> tuple[bool, Optional[Point]]:
         """Whether every point of the base has a nonempty fiber. Returns the
         first unreachable point if not."""
-        for u in self.product.points:
-            if not self.fiber_nonempty(u):
-                return False, u
-        return True, None
+        bad = next((u for u in self.product.points
+                    if not self.fiber_nonempty(u)), None)
+        return bad is None, bad
 
 
 class EndpointFibration(_Fibration):
@@ -172,34 +154,28 @@ class EndpointFibration(_Fibration):
         d = self.base.dim
         return tuple(u[i * d:(i + 1) * d] for i in range(self.n))
 
-    def start_candidates(self, u: Point) -> list[Point]:
-        parts = self.split(u)
-        dist = self.base.distance_matrix
-        idx = self.base.index
-        out = []
-        for s in self.base.points:
-            si = idx(s)
-            if all(dist[si][idx(p)] <= self.m for p in parts):
-                out.append(s)
-        return out
+    def _starts(self, u: Point) -> int:
+        """The mask of the points within m steps of every component of u."""
+        mask = -1
+        for p in self.split(u):
+            mask &= _ball(self.base, self.base.index(p), self.m)
+        return mask
 
-    def fiber(self, u: Point, limit: int | None = None) -> Iterator[Wedge]:
+    def fiber(self, u: Point) -> Iterator[Wedge]:
         """All wedges with endpoints u, lexicographic by (start, arms)."""
         if u not in self.product:
             raise ValueError(f"{u} is not in the product image")
         parts = self.split(u)
-        count = 0
-        for s in self.start_candidates(u):
-            arm_pools = [paths_between(self.base, s, p, self.m) for p in parts]
-            for arms in itertools.product(*map(tuple, arm_pools)):
-                yield arms
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+        starts, pts = self._starts(u), self.base.points
+        for s in range(starts.bit_length()):
+            if starts >> s & 1:
+                yield from itertools.product(*(
+                    tuple(paths_between(self.base, pts[s], p, self.m))
+                    for p in parts))
 
     def fiber_nonempty(self, u: Point) -> bool:
         """Some start lies within m of every component of u."""
-        return bool(self.start_candidates(u))
+        return bool(self._starts(u))
 
 
 class PairedWedge:
@@ -250,18 +226,18 @@ class PairedFibration(_Fibration):
         dl = self.left.base.dim * self.left.n
         return u[:dl], u[dl:]
 
-    def fiber(self, u: Point, limit: int | None = None) -> Iterator[tuple]:
+    def fiber(self, u: Point) -> Iterator[tuple]:
+        """Pairs (left wedge, right wedge) over u, left-major. The right
+        fiber is walked once, alongside the first left wedge, and kept."""
         ul, ur = self.split(u)
-        count = 0
-        right_pool = None
-        for wl in self.left.fiber(ul, limit):
-            if right_pool is None:
-                right_pool = list(self.right.fiber(ur, limit))
-            for wr in right_pool:
-                yield (wl, wr)
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+        lefts, rights = self.left.fiber(ul), []
+        for wl in itertools.islice(lefts, 1):
+            for wr in self.right.fiber(ur):
+                rights.append(wr)
+                yield wl, wr
+        for wl in lefts:
+            for wr in rights:
+                yield wl, wr
 
     def fiber_nonempty(self, u: Point) -> bool:
         ul, ur = self.split(u)

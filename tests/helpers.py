@@ -122,6 +122,52 @@ def loop_bundle():
     return loop_image(), loop_rotation_table(), loop_cover()
 
 
+def paths_between_oracle(img: DigitalImage, start: Point, end: Point,
+                         length: int) -> Iterator[tuple[Point, ...]]:
+    """The recursive walker `pathspace.paths_between` replaced: extend the
+    walk by the sorted closed neighbourhood of its last point, pruning a
+    prefix whose last point is farther from the end than the steps left."""
+    dist, idx = img.distance_matrix, img.index
+    ei = idx(end)
+    prefix = [tuple(start)]
+
+    def extend() -> Iterator[tuple[Point, ...]]:
+        here = prefix[-1]
+        remaining = length - (len(prefix) - 1)
+        d = dist[idx(here)][ei]
+        if d < 0 or d > remaining:
+            return
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for q in sorted((here,) + img.neighbors(here)):
+            prefix.append(q)
+            yield from extend()
+            prefix.pop()
+
+    if length >= 0:
+        yield from extend()
+
+
+def endpoint_fiber_oracle(fib, u: Point) -> Iterator[tuple]:
+    """`EndpointFibration.fiber` by the recursive walker: every start in
+    point order, the product of its arms' walks (empty when a walk is)."""
+    parts = fib.split(u)
+    for s in fib.base.points:
+        yield from itertools.product(*(
+            list(paths_between_oracle(fib.base, s, p, fib.m)) for p in parts))
+
+
+def paired_fiber_oracle(pair, u: Point) -> Iterator[tuple]:
+    """`PairedFibration.fiber` as the left-major product of the two
+    oracle fibers."""
+    ul, ur = pair.split(u)
+    rights = list(endpoint_fiber_oracle(pair.right, ur))
+    for wl in endpoint_fiber_oracle(pair.left, ul):
+        for wr in rights:
+            yield wl, wr
+
+
 def left_translation(table: CayleyTable, g: Point) -> DigitalMap:
     vals = tuple(table.product(g, p) for p in table.image.points)
     return DigitalMap(table.image, table.image, vals, f"L{tuple(g)}")

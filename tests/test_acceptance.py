@@ -27,7 +27,8 @@ from ditop.groups import (enumerate_group_structures, is_group_homomorphism,
                           window_alpha_pair, window_group_report,
                           window_hom_report, CayleyTable)
 from ditop.homotopy import verify_homotopy
-from ditop.images import CK, DigitalImage, interval_image, power_image
+from ditop.images import (CK, DigitalImage, interval_image, power_image,
+                          product_image)
 from ditop.knownvalues import run_reference_rows
 from ditop.maps import DigitalMap, continuity_violation, is_continuous
 from ditop.pathspace import EndpointFibration, PairedFibration
@@ -170,7 +171,8 @@ def test_acceptance_6_prime_interval_scan():
                 ok = ok and continuity_violation(table.inversion_map()) is not None
             else:
                 ok = ok and continuity_violation(
-                    table.multiplication_map("min")) is not None
+                    table.multiplication_map(
+                        product_image(seg, seg, "min"))) is not None
     elapsed = time.monotonic() - t0
     _report(6, ok, "3 and 30 structures (matching n!/|Aut|), none topological, "
                    "failures follow the endpoint/middle pattern",

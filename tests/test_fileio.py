@@ -220,3 +220,67 @@ def test_load_image_from_disk(tmp_path):
     f.write_text(serialize_image(img), encoding="utf-8")
     again = load_image(str(f))
     assert again.points == img.points
+
+
+def _parse_error(parse, text, *args):
+    with pytest.raises(ParseError) as info:
+        parse(text, *args)
+    return info.value.line, str(info.value)
+
+
+def test_map_and_group_records_name_their_own_line():
+    seg = interval_image(0, 2)
+    resolve = {"seg": seg}.__getitem__
+    line, why = _parse_error(
+        parse_map, "map seg seg\npair 0 -> 0\npair 1 -> 7\npair 2 -> 2\n",
+        resolve)
+    assert (line, why) == (3, "line 3: value (7,) is not in the codomain")
+    line, why = _parse_error(
+        parse_map,
+        "map seg seg\npair 0 -> 0\npair 1 -> 1\npair 2 -> 2\npair 9 -> 0\n",
+        resolve)
+    assert (line, why) == (5, "line 5: (9,) is not a domain point")
+    line, why = _parse_error(
+        parse_group, "group seg\nidentity 5\nrow 0 : 0 1 2\n", resolve)
+    assert (line, why) == (2, "line 2: identity (5,) is not in the carrier")
+
+
+def test_check_continuity_names_the_line_of_a_value_off_the_codomain(
+        tmp_path, capsys):
+    (tmp_path / "seg.img").write_text(serialize_image(interval_image(0, 2)))
+    path = tmp_path / "f.map"
+    path.write_text("map seg.img seg.img\npair 0 -> 0\npair 1 -> 7\n"
+                    "pair 2 -> 2\n")
+    from ditop.cli import main
+    assert main(["check-continuity", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 3: value (7,) is not in the codomain")
+
+
+def test_witness_parsers_check_what_their_headers_announce():
+    cases = [
+        (parse_cover, "cover 3\npiece 1\npoint 0\n",
+         (1, "line 1: cover announced 3 pieces, lists 1")),
+        (parse_cover, "cover 1\npiece\npoint 0\n",
+         (2, "line 2: piece wants one point count")),
+        (parse_cover, "cover 1\npiece 2\npoint 0\n",
+         (2, "line 2: piece announced 2 points, lists 1")),
+        (parse_sections, "sections 1 arms 2 length 0\npiece 1\nat 0\narm 0\n",
+         (3, "line 3: point has 1 arms, wants 2")),
+        (parse_sections, "sections 5 arms 2 length 0\npiece 1\nat 0\narm 0\n",
+         (1, "line 1: sections announced 5 pieces, lists 1")),
+        (parse_sections, "sections 1 arms x length 0\n",
+         (1, "line 1: expected integers, got 1 x 0")),
+        (parse_sections, "sections 1 arms 1 length 0\npiece\nat 0\narm 0\n",
+         (2, "line 2: piece wants one point count")),
+        (parse_sections,
+         "sections 1 arms 1 length 0\npiece 2\nat 0\narm 0\n",
+         (2, "line 2: piece announced 2 points, lists 1")),
+        (parse_sections,
+         "sections 1 arms 1 length 0\npiece 2\nat 0\nat 1\narm 1\n",
+         (3, "line 3: point has 0 arms, wants 1")),
+    ]
+    for parse, text, want in cases:
+        assert _parse_error(parse, text) == want, text
+    assert _parse_error(parse_homotopy, "stages 1 2\n", None) \
+        == (1, "line 1: stages wants one count")

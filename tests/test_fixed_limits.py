@@ -1,8 +1,9 @@
 """Fixed limits stay module constants, not per-call options.
 
 The sweep, fiber, contractibility and enumeration limits each have one
-value that every caller uses, so none of them is a parameter; window
-groups always carry their ambient adjacency law.
+value that every caller uses, so none of them is a parameter: fibers
+take no `limit`, and `find_section` slices each fiber at its cap itself.
+Window groups always carry their ambient adjacency law.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import ditop
 from ditop.groups import WindowGroup
 
 RETIRED = {"guard", "genus_guard", "cat_guard", "contractibility_guard",
-           "fiber_cap", "skip_axioms", "seeds"}
+           "fiber_cap", "limit", "skip_axioms", "seeds"}
 
 
 def _signatures():

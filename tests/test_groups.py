@@ -19,7 +19,7 @@ from ditop.groups import (CayleyTable, enumerate_group_structures,
                           product_group, scan_group_structures, subgroup_check,
                           verify_cayley, window_alpha_pair, window_group_report,
                           window_hom_report)
-from ditop.images import interval_image
+from ditop.images import interval_image, product_image
 from ditop.maps import DigitalMap
 
 from helpers import latin_group_structures_oracle, verify_cayley_oracle
@@ -156,7 +156,8 @@ def test_rejections_follow_the_endpoint_middle_pattern():
             from ditop.maps import continuity_violation
             assert continuity_violation(inv) is not None
         else:
-            mul = table.multiplication_map("min")
+            mul = table.multiplication_map(
+                product_image(seg, seg, "min"))
             from ditop.maps import continuity_violation
             assert continuity_violation(mul) is not None
     for identity, verdict in res.rejected:

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditop.corpus import loop_image
-from ditop.images import interval_image
-from ditop.pathspace import (EndpointFibration, PairedFibration, WedgeSpace,
-                             is_path, paths_between)
+from ditop.images import CK, DigitalImage, interval_image
+from ditop.pathspace import (MODES, EndpointFibration, PairedFibration,
+                             WedgeSpace, is_path, paths_between)
 
-from helpers import count_paths, random_grid_image
+from helpers import (count_paths, endpoint_fiber_oracle, paired_fiber_oracle,
+                     paths_between_oracle, random_grid_image)
 
 
 def test_is_path_checks_consecutive_steps():
@@ -36,6 +38,59 @@ def test_path_listing_agrees_with_the_counting_recurrence(seed, length):
         assert p[0] == start and p[-1] == end
         assert is_path(img, p)
     assert len(set(listed)) == len(listed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(-1, 4))
+def test_walks_match_the_recursive_walker_in_order(seed, length):
+    rng = random.Random(seed)
+    img = random_grid_image(rng, max_points=6, k=rng.randint(1, 2),
+                            connected=False)
+    start, end = rng.choice(img.points), rng.choice(img.points)
+    assert list(paths_between(img, start, end, length)) \
+        == list(paths_between_oracle(img, start, end, length))
+
+
+# enough wedges to pass the first start's product in most draws, few
+# enough to keep every example fast
+_PREFIX = 400
+
+
+def _prefix(items, k=_PREFIX):
+    return list(itertools.islice(items, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 4),
+       st.sampled_from(MODES), st.integers(0, _PREFIX))
+def test_fibers_match_the_recursive_walker_in_order(seed, n, m, mode, k):
+    rng = random.Random(seed)
+    img = random_grid_image(rng, max_points=6, k=rng.randint(1, 2),
+                            connected=False)
+    fib = EndpointFibration(img, n, m, mode)
+    u = rng.choice(fib.product.points)
+    want = _prefix(endpoint_fiber_oracle(fib, u))
+    assert _prefix(fib.fiber(u)) == want
+    assert _prefix(fib.fiber(u), k) == want[:k]
+    assert fib.fiber_nonempty(u) == bool(want)
+    right = EndpointFibration(img, rng.randint(1, 2), rng.randint(0, 2), mode)
+    pair = PairedFibration(fib, right)
+    v = rng.choice(pair.product.points)
+    want = _prefix(paired_fiber_oracle(pair, v))
+    assert _prefix(pair.fiber(v)) == want
+    assert _prefix(pair.fiber(v), k) == want[:k]
+    assert pair.fiber_nonempty(v) == bool(want)
+
+
+def test_no_wedge_joins_two_components():
+    # each endpoint is within m of a start in its own component, but no
+    # start reaches both
+    img = DigitalImage(((0,), (1,), (5,)), CK(1))
+    fib = EndpointFibration(img, 2, 2)
+    assert not fib.fiber_nonempty((0, 5))
+    assert list(fib.fiber((0, 5))) == []
+    assert fib.is_surjective() == (False, (0, 5))
+    assert fib.fiber_nonempty((0, 1))
 
 
 def test_stationary_paths_exist_at_every_length():

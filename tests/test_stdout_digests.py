@@ -1,10 +1,12 @@
 """Byte stability: the `--json` stdout of fixed commands, pinned by digest.
 
 The commands run every caller of `maps.backtrack` (the map graph behind
-`cat` and `contractible`, the section search behind `genus` and `tc`,
-the group enumeration behind `group-scan`), the generated neighbour
-tables of a 4,096-point product (`group-product`) and of induced pieces
-(`tc -n 4`), and the Cayley-table checks. Inputs are corpus images, so
+`cat` and `contractible`, the walks that fill the fibers and the section
+search behind `genus` and `tc`, in both step modes and with one and two
+arms, the group enumeration behind `group-scan`), the reference rows of
+`verify-paper`, the generated neighbour tables of a 4,096-point product
+(`group-product`) and of induced pieces (`tc -n 4`), and the
+Cayley-table checks. Inputs are corpus images, so
 no file path reaches the report. A digest changes only with the bytes of
 the report; when a change means to alter them, record the new digest and
 say why.
@@ -23,6 +25,12 @@ DIGESTS = {
         (0, "8d483c2684a2d979eabead76f57b1d2c67fb0a6bb6473153c63f1b7343647f01"),
     "genus corpus:interval:1 -n 2 --m 1":
         (0, "0dc7754cc7513c065b6430c04202be1e8a29a05b04b46b2ca78eb3c83e3653c8"),
+    "genus corpus:cycle:4 -n 1 --m 5 --mode strong":
+        (0, "00495c33b1d266bfda359589d13c293a2c5f04bc0d09c9d19c805690bbc58b03"),
+    "genus corpus:interval:2 -n 2 --m 3 --mode strong":
+        (0, "2eeeedc759edc0b582ac782d006daa83bfbb1420cb782638ccb7686677f3725f"),
+    "verify-paper":
+        (0, "17ad87a0893b61387787e0b751ecea9072c2ff6820b74ebb2f3754525beced89"),
     "group-scan -p 5":
         (0, "e722091242237cc053704139de97216b8d9369facaaab82dfa2f099a51db3a0d"),
     "cat corpus:H":
