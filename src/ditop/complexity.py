@@ -143,6 +143,9 @@ def _require_surjective(fib: EndpointFibration) -> None:
     """Raise CoverImpossible when some endpoint tuple has an empty fiber:
     then no cover by section-admitting pieces exists at all."""
     ok, bad = fib.is_surjective()
+    if not ok and not fib.reachable(bad):
+        raise CoverImpossible(f"endpoint tuple {bad} is unreachable: its "
+                              "points lie in different components")
     if not ok:
         raise CoverImpossible(
             f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "

@@ -15,6 +15,7 @@ operation values falling outside the window are still compared honestly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -22,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .images import DigitalImage, Point, product_image
 from .maps import DigitalMap, backtrack, continuity_violation
 
-# most carrier points enumerate_group_structures accepts: Latin square
-# counts explode past 6
+# most carrier points enumerate_group_structures accepts: past 6 the cost
+# is the list of candidate rows, filtered from all n! permutations
 _ENUMERATION_LIMIT = 6
 
 
@@ -184,38 +185,52 @@ def _continuity_verdict(table: CayleyTable,
 
 # ---- enumeration ----
 
+def _semiregular(p: tuple[int, ...]) -> bool:
+    """Whether all cycles of the permutation p have one length."""
+    ident, q = tuple(range(len(p))), p
+    while q != ident:
+        if any(map(int.__eq__, q, ident)):
+            return False
+        q = tuple(p[x] for x in q)
+    return True
+
+
 def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     """Every group structure on the carrier's point set, as Cayley tables.
 
-    `maps.backtrack` fills the Latin squares with the identity row and
-    column pinned: the free cells, row-major, are its positions, each
-    cell's root mask leaves out its row's and column's pinned values, and
-    earlier cells of the same row or column link through one "not equal"
-    mask table. Squares are then filtered by associativity. Output order
-    is deterministic: by identity, then lexicographic over table rows.
-    Limited to _ENUMERATION_LIMIT points."""
+    Left translation L_a has all its cycles of length ord(a), and
+    L_a∘L_b = L_ab, so the rows of a group table and their compositions
+    are semiregular. The rows other than the identity's are the positions
+    of `maps.backtrack`, the other semiregular permutations its values:
+    root masks pin the identity column, and every earlier row links to
+    the later one through one mask table. That is necessary only, so
+    associativity decides. Order: by identity, then lexicographic over
+    rows. Limited to _ENUMERATION_LIMIT points."""
     pts = image.points
     n = len(pts)
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"group enumeration is limited to "
                          f"{_ENUMERATION_LIMIT} points, carrier has {n}")
-    full = (1 << n) - 1
-    unequal = [full ^ (1 << v) for v in range(n)]
+    # the identity permutation comes first
+    semi = [p for p in itertools.permutations(range(n)) if _semiregular(p)]
+    rows, semiregular = semi[1:], set(semi)
+    # rows that may share a table: they differ in every column and p∘q is
+    # semiregular (then so is q∘p, its conjugate by p)
+    masks = [sum(1 << b for b, q in enumerate(rows)
+                 if all(map(int.__ne__, p, q))
+                 and tuple(p[x] for x in q) in semiregular) for p in rows]
+    links = [[(s, masks) for s in range(t)] for t in range(n - 1)]
     for ei in range(n):
-        cells = [(i, j) for i in range(n) for j in range(n)
-                 if i != ei and j != ei]
-        roots = [full & ~(1 << i) & ~(1 << j) for i, j in cells]
-        links = [[(s, unequal) for s, (a, b) in enumerate(cells[:t])
-                  if a == i or b == j] for t, (i, j) in enumerate(cells)]
-        grid = [[j if i == ei else i if j == ei else -1 for j in range(n)]
-                for i in range(n)]
+        others = [a for a in range(n) if a != ei]
+        roots = [sum(1 << k for k, p in enumerate(rows) if p[ei] == a)
+                 for a in others]
+        grid = semi[:1] * n
         for values in backtrack(roots, links):
-            for (i, j), v in zip(cells, values):
-                grid[i][j] = v
+            for a, k in zip(others, values):
+                grid[a] = rows[k]
             if _associativity_failure(grid) is None:
-                rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
-                             for i in range(n))
-                yield CayleyTable(image, pts[ei], rows)
+                yield CayleyTable(image, pts[ei], tuple(
+                    tuple(pts[v] for v in row) for row in grid))
 
 
 def _associativity_failure(grid: Sequence[Sequence[int]],

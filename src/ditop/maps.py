@@ -11,7 +11,7 @@ such edge conditions, over bitmasks of allowed value indices. It is the
 one backtracker of the package, with four callers: the map graph of
 `homotopy` (continuous maps, masks from closed neighbourhoods), the
 section search of `complexity` (fiber wedges, masks from wedge adjacency),
-the group enumeration of `groups` (Latin squares, masks from "not equal")
+the group enumeration of `groups` (table rows, masks from semiregularity)
 and the walks of `pathspace` (ticks, masks from closed neighbourhoods).
 """
 

@@ -127,8 +127,8 @@ class WedgeSpace:
 
 
 class _Fibration:
-    """What the endpoint fibrations share: a `product` base image and a
-    `fiber_nonempty` test on its points."""
+    """What the endpoint fibrations share: a `product` base image and
+    `fiber_nonempty` and `reachable` tests on its points."""
 
     def is_surjective(self) -> tuple[bool, Optional[Point]]:
         """Whether every point of the base has a nonempty fiber. Returns the
@@ -176,6 +176,11 @@ class EndpointFibration(_Fibration):
     def fiber_nonempty(self, u: Point) -> bool:
         """Some start lies within m of every component of u."""
         return bool(self._starts(u))
+
+    def reachable(self, u: Point) -> bool:
+        """Whether some arm length reaches u: its points share a component."""
+        first, *rest = (self.base.index(p) for p in self.split(u))
+        return -1 not in (self.base.distance_matrix[first][i] for i in rest)
 
 
 class PairedWedge:
@@ -242,3 +247,7 @@ class PairedFibration(_Fibration):
     def fiber_nonempty(self, u: Point) -> bool:
         ul, ur = self.split(u)
         return self.left.fiber_nonempty(ul) and self.right.fiber_nonempty(ur)
+
+    def reachable(self, u: Point) -> bool:
+        ul, ur = self.split(u)
+        return self.left.reachable(ul) and self.right.reachable(ur)

@@ -142,6 +142,20 @@ def test_genus_command_and_unreachable_exit(capsys):
     assert "impossible" in out
 
 
+def test_genus_names_endpoints_in_two_components(tmp_path, capsys):
+    # no arm length joins 0 and 5, so no advice to raise it
+    path = tmp_path / "apart.img"
+    path.write_text(serialize_image(DigitalImage(((0,), (1,), (5,)), CK(1))),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "genus", str(path), "-n", "2", "--m", "1")
+    assert code == 2
+    assert "\ngenus: impossible\n" in out
+    assert ("note: endpoint tuple (0, 5) is unreachable: its points lie in "
+            "different components\n") in out
+    assert "raise the arm length" not in out
+    assert "Traceback" not in err
+
+
 def test_tc_reports_an_impossible_cover_and_exits_two(capsys):
     for image, m, unreachable in (("corpus:interval:1", "0", "(0, 1)"),
                                   ("corpus:cycle:4", "0", "(0, 0, 0, 1)"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditop import groups
 from ditop.corpus import (flip_table, loop_image, loop_letter,
                           loop_rotation_table, mulwin_group, sign_embedding,
                           sign_image, sign_table, z2plus_group, zplus_group,
@@ -329,10 +330,53 @@ def test_homomorphism_failure_is_reported_with_the_pair():
 
 
 def test_enumeration_agrees_with_the_recursive_latin_fill():
-    for p in range(1, 6):
+    for p in range(1, 7):
         seg = interval_image(0, p - 1)
         assert (list(enumerate_group_structures(seg))
                 == list(latin_group_structures_oracle(seg)))
+
+
+def test_six_points_check_associativity_on_996_tables(monkeypatch):
+    # the row search leaves 996 candidate tables for the 480 groups; the
+    # cell-by-cell Latin fill left all 56,448 reduced Latin squares
+    calls = []
+    check = groups._associativity_failure
+
+    def counted(grid):
+        calls.append(1)
+        return check(grid)
+
+    monkeypatch.setattr(groups, "_associativity_failure", counted)
+    assert len(list(enumerate_group_structures(interval_image(0, 5)))) == 480
+    assert len(calls) == 996
+
+
+def _cycle_lengths(perm):
+    lengths, seen = set(), set()
+    for start in perm:
+        x, k = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, k = perm[x], k + 1
+        if k:
+            lengths.add(k)
+    return lengths
+
+
+def test_rows_of_group_tables_and_their_compositions_are_semiregular():
+    rot = loop_rotation_table()
+    tables = [rot, sign_table(), flip_table(8), product_group(rot, rot)]
+    for p in range(1, 6):
+        tables += latin_group_structures_oracle(interval_image(0, p - 1))
+    assert len(tables[3].grid) == 64
+    for table in tables:
+        rows = table.grid
+        for a in rows:
+            assert sorted(a) == list(range(len(rows))), (table.label, a)
+            assert len(_cycle_lengths(a)) == 1, (table.label, a)
+            for b in rows:
+                ab = tuple(a[x] for x in b)
+                assert len(_cycle_lengths(ab)) == 1, (table.label, a, b)
 
 
 def _perturbed_table(seed: int) -> CayleyTable:

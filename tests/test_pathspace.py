@@ -91,6 +91,10 @@ def test_no_wedge_joins_two_components():
     assert list(fib.fiber((0, 5))) == []
     assert fib.is_surjective() == (False, (0, 5))
     assert fib.fiber_nonempty((0, 1))
+    # no arm length helps: the tuple's points lie in two components
+    assert not fib.reachable((0, 5)) and fib.reachable((5, 5))
+    pair = PairedFibration(fib, EndpointFibration(img, 1, 0))
+    assert not pair.reachable((0, 5, 1)) and pair.reachable((0, 1, 5))
 
 
 def test_stationary_paths_exist_at_every_length():

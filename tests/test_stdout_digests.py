@@ -6,8 +6,10 @@ search behind `genus` and `tc`, in both step modes and with one and two
 arms, the group enumeration behind `group-scan`), the reference rows of
 `verify-paper`, the generated neighbour tables of a 4,096-point product
 (`group-product`) and of induced pieces (`tc -n 4`), and the
-Cayley-table checks. Inputs are corpus images, so
-no file path reaches the report. A digest changes only with the bytes of
+Cayley-table checks. `group-scan -p 4` (cyclic and Klein labellings)
+and `group-scan -p 6 --mode strong` were recorded at the commit before
+the group enumeration went row by row. Inputs are corpus images, so no
+file path reaches the report. A digest changes only with the bytes of
 the report; when a change means to alter them, record the new digest and
 say why.
 """
@@ -47,6 +49,10 @@ DIGESTS = {
         (0, "225981566e827bc4d78b5e1940ac118ecb0e468a71d3a1b2395ab35a3dd56f98"),
     "group-scan -p 6":
         (0, "55ff706e5e75fcaaa4516f0e18d06dca9be423080e10e64e8061fd2eddfd16e6"),
+    "group-scan -p 4":
+        (0, "887744f91cf2d8a173b550b1ec8c5e5487d635c6774c24a094731f19afb62bd7"),
+    "group-scan -p 6 --mode strong":
+        (0, "235634fa20fa0d510e7af87abcee9c62f587b17d88d12fd704d20b405fa8bc3c"),
 }
 
 
