@@ -3,12 +3,16 @@
 The category of (X, adj) is the least number of subsets covering X whose
 inclusion maps are each nullhomotopic inside X. The count is of the sets
 themselves, so a contractible image has category 1. Pieces need not be
-connected: a homotopy only constrains adjacent domain points, so separate
-chunks of a piece may drift together through the ambient image.
+connected. No edge joins two components of a piece, so in a connected
+image its inclusion is nullhomotopic exactly when each component's
+inclusion is: the components move side by side, each to a constant and
+then along a path to a common point. The search settles each component
+on its own.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,10 +24,6 @@ from .homotopy import (BudgetExhausted, HomotopyWitness, fold,
                        slide_nullhomotopy, verify_homotopy)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
-
-# most points for which cat_bounds settles whole-image contractibility by
-# the exact search
-_CONTRACTIBILITY_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,16 @@ def cat_oracle(base: DigitalImage,
             return piece_contraction(base, sub, node_budget)
         w = piece_contraction_slide_only(base, sub)
         if w is None:
-            core = oracle.witness(folded.core.points)
+            core = owner().witness(folded.core.points)
             if core is not None:
                 w = pull_back(DigitalMap.inclusion(folded.image, base),
                               folded, core.stages)
         return w
 
     oracle = AdmissibilityOracle(base, search)
+    # a weak reference, so that the oracle and search form no cycle and
+    # the memo's witnesses are freed with the oracle, not by the collector
+    owner = weakref.ref(oracle)
     return oracle
 
 
@@ -137,23 +140,22 @@ def cat_bounds(base: DigitalImage,
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
-    contractibility is settled exactly (slide, then search) only for small
-    images; beyond the guard it is left unsettled, so the slide-only piece
-    test on the whole image still certifies True, and otherwise the lower
-    bound honestly remains 1.
+    contractibility is settled exactly (slide, then the folded search)
+    within the node budget; when the budget runs out it is left unsettled,
+    so the slide-only piece test on the whole image still certifies True,
+    and otherwise the lower bound honestly remains 1.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
                          "split into components first")
     whole: bool | None = None
     torn: frozenset = frozenset()
-    if len(base.points) <= _CONTRACTIBILITY_GUARD:
-        try:
-            whole = is_contractible(base, node_budget)
-        except BudgetExhausted:
-            # the search ran only after every slide of the identity tore,
-            # and sliding the whole image as a piece would tear the same way
-            torn = frozenset(base.points)
+    try:
+        whole = is_contractible(base, node_budget)
+    except BudgetExhausted:
+        # the search ran only after every slide of the identity tore, and
+        # sliding the whole image as a piece would tear the same way
+        torn = frozenset(base.points)
 
     def slide_only(sub: Subset) -> Optional[HomotopyWitness]:
         if frozenset(sub) == torn:

@@ -14,6 +14,7 @@ not user errors and propagate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -396,7 +397,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. argparse parsers keep no state
+    between `parse_args` calls, and each build is a reference cycle that
+    only the cyclic collector frees, so every `main` call shares it."""
     top = _Parser(
         prog="ditop",
         description="exact computations over finite digital images")

@@ -13,7 +13,11 @@ and searches stop at the first goal. For contractibility there is a cheap
 geodesic "slide" candidate that is tried, and verified, before any search
 runs. An untargeted search first folds dominated points out of both the
 domain and the codomain (`fold`), searches between the two cores, and
-lifts the core witness back to the whole map (`pull_back`).
+lifts the core witness back to the whole map (`pull_back`). It searches
+each connected component of the domain's core on its own. No edge joins
+two components, so a map is nullhomotopic exactly when its restriction
+to every component is homotopic to a constant and those constants lie in
+one component of the codomain.
 """
 
 from __future__ import annotations
@@ -373,10 +377,18 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
     """Witness that f is nullhomotopic, searched between folded cores, or
     None when f's homotopy class holds no constant map.
 
-    The search runs from f restricted to its domain's core and retracted
-    into its codomain's core, to any constant. `pull_back` lifts the
-    witness: the domain's fold stages, the codomain's fold stages, then
-    the core homotopy. The lift is not a shortest homotopy.
+    f is restricted to its domain's core and retracted into its
+    codomain's core. Each connected component of the domain's core is then
+    searched on its own, to any constant. No edge joins two components, so
+    f is nullhomotopic exactly when each restriction f|C_i is homotopic to
+    a constant c_i and all the c_i lie in one component of the codomain:
+    restrict a nullhomotopy for one direction; for the other, run the
+    component homotopies side by side, each followed by the walk of its
+    c_i to c_0 along a lexicographic shortest path and padded with its
+    last stage. A "no" thus costs the sum of the component searches, not
+    the search of their product. `pull_back` lifts the witness: the
+    domain's fold stages, the codomain's fold stages, then the core
+    homotopy. The lift is not a shortest homotopy.
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
@@ -385,8 +397,26 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
     on_core = tuple(f(a) for a in core.points)
     stages = [DigitalMap(core, f.codomain, tuple(s[v] for v in on_core))
               for s in cod_fold.retractions()]
-    w = _search_constant(DigitalMap(core, target, stages[-1].values),
-                         target.points, node_budget)
-    if w is None:
-        return None
-    return pull_back(f, dom_fold, stages + list(w.stages[1:]))
+    tracks = []
+    for comp in core.components:
+        piece = induced_subimage(core, comp)
+        w = _search_constant(
+            DigitalMap(piece, target, tuple(map(stages[-1], piece.points))),
+            target.points, node_budget)
+        if w is None:
+            return None
+        tracks.append(w)
+    hub = tracks[0].end.values[0]
+    try:
+        walks = [target.lex_shortest_path(w.end.values[0], hub) for w in tracks]
+    except ValueError:
+        return None  # the constants lie in different codomain components
+    columns = {}
+    for w, walk in zip(tracks, walks):
+        for a in w.end.domain.points:
+            columns[a] = [st(a) for st in w.stages] + list(walk[1:])
+    cols = [columns[a] for a in core.points]
+    core_stages = [
+        DigitalMap(core, f.codomain, tuple(c[min(k, len(c) - 1)] for c in cols))
+        for k in range(1, max(map(len, cols)))]
+    return pull_back(f, dom_fold, stages + core_stages)

@@ -17,7 +17,8 @@ from ditop.complexity import SectionWitness
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
 from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
-                            is_contractible, nullhomotopy, slide_nullhomotopy)
+                            _search_constant, fold, is_contractible,
+                            nullhomotopy, slide_nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
 from ditop.maps import DigitalMap, continuity_violation
 
@@ -347,6 +348,27 @@ def unfolded_nullhomotopy(f: DigitalMap,
         return first in allowed and all(v == first for v in s)
 
     return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
+
+
+def unsplit_folded_nullhomotopy(f: DigitalMap,
+                                node_budget: int | None = 2_000_000,
+                                ) -> Optional[HomotopyWitness]:
+    """The folded search without the split into components: one search of
+    the map graph from f on its domain's core, retracted into its
+    codomain's core, to any constant. On a disconnected core that graph
+    is the product of the components' graphs. Returns the core homotopy."""
+    dom_fold, cod_fold = fold(f.domain), fold(f.codomain)
+    r = cod_fold.retractions()[-1]
+    core, target = dom_fold.core, cod_fold.core
+    on_core = DigitalMap(core, target, tuple(r[f(a)] for a in core.points))
+    return _search_constant(on_core, target.points, node_budget)
+
+
+def theta_image() -> DigitalImage:
+    """Two 8-cycles sharing the side x = 2, under c1."""
+    pts = ([(x, 0) for x in range(5)] + [(x, 2) for x in range(5)]
+           + [(0, 1), (2, 1), (4, 1)])
+    return DigitalImage(tuple(sorted(pts)), CK(1))
 
 
 def is_nullhomotopic(f: DigitalMap,

@@ -15,7 +15,7 @@ from ditop.homotopy import fold, verify_homotopy
 from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
-from helpers import plane_isometry
+from helpers import plane_isometry, theta_image
 
 
 def test_single_point_has_category_one():
@@ -174,15 +174,8 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)))
 
 
-def _theta() -> DigitalImage:
-    # two 8-cycles sharing the side x = 2
-    pts = ([(x, 0) for x in range(5)] + [(x, 2) for x in range(5)]
-           + [(0, 1), (2, 1), (4, 1)])
-    return DigitalImage(tuple(sorted(pts)), CK(1))
-
-
 def test_theta_has_category_two_within_a_small_budget():
-    w = cat_exact(_theta(), node_budget=20_000)
+    w = cat_exact(theta_image(), node_budget=20_000)
     assert w.size == 2
     assert w.check() == (True, None)
 

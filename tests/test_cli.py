@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -426,3 +427,34 @@ def test_tc_of_the_c2_frame_uses_the_shortest_contraction(tmp_path, capsys):
     assert doc["results"]["tc"] == 1
     assert doc["notes"] == [
         "contractible base: one global section at arm length 3"]
+
+
+def test_a_second_call_leaves_no_cyclic_garbage_of_parsers_or_witnesses(
+        capsys):
+    # a parser is a reference cycle, and so was the cat oracle with its
+    # search; left to the cyclic collector, they make peak memory follow
+    # collection timing rather than the solver
+    run(capsys, "cat", "corpus:H", "--json")
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(capsys, "cat", "corpus:H", "--json")
+        gc.collect()
+        leaked = {type(o).__module__ for o in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()
+    assert not {m for m in leaked if m == "argparse" or m.startswith("ditop")}
+
+
+def test_cat_bounds_settles_contractibility_past_twelve_points(capsys):
+    # the 16-point c1 boundary of the 5x5 box: the identity's search is
+    # small at any size, so the whole image is refuted and the lower bound
+    # is 2
+    code, out, _ = run(capsys, "cat", "corpus:cycle:16", "--bounds", "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["results"] == {"cat_lower": 2, "cat_upper": 2}
+    assert doc["notes"][-1] == "lower 2: the whole image is not admissible"

@@ -1,8 +1,8 @@
 """Fixed limits stay module constants, not per-call options.
 
-The sweep, fiber, contractibility and enumeration limits each have one
-value that every caller uses, so none of them is a parameter: fibers
-take no `limit`, and `find_section` slices each fiber at its cap itself.
+The sweep, fiber and enumeration limits each have one value that every
+caller uses, so none of them is a parameter: fibers take no `limit`, and
+`find_section` slices each fiber at its cap itself.
 Window groups always carry their ambient adjacency law.
 """
 

@@ -7,7 +7,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ditop.category import CatPiece, CatWitness, cat_oracle
@@ -21,8 +21,8 @@ from ditop.maps import DigitalMap, continuity_violation
 
 from helpers import (are_homotopy_equivalent, continuous_maps,
                      is_nullhomotopic, left_translation, random_explicit_image,
-                     random_grid_image, restrict_witness,
-                     unfolded_nullhomotopy)
+                     random_grid_image, restrict_witness, theta_image,
+                     unfolded_nullhomotopy, unsplit_folded_nullhomotopy)
 
 
 def _const(img, t):
@@ -208,8 +208,8 @@ def test_homotopy_equivalence_spot_checks():
 
 # ---- folding dominated points ----
 
-def _box(k: int) -> DigitalImage:
-    return DigitalImage(tuple((x, y) for x in range(3) for y in range(3)),
+def _box(k: int, h: int = 3) -> DigitalImage:
+    return DigitalImage(tuple((x, y) for x in range(3) for y in range(h)),
                         CK(k))
 
 
@@ -246,6 +246,71 @@ def test_folded_verdicts_match_the_unfolded_route_on_every_subset(img):
                     ok, why = verify_homotopy(w, incl)
                     assert ok, (sub, why)
                     assert w.end.is_constant(), sub
+
+
+_SPLIT_IMAGES = {"box3x3-c1": _box(1), "box3x3-c2": _box(2),
+                 "box3x4-c1": _box(1, 4), "box3x4-c2": _box(2, 4),
+                 "cycle8": cycle_image(8), "theta": theta_image()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SPLIT_IMAGES)), st.data())
+def test_split_search_agrees_with_the_product_search(name, data):
+    img = _SPLIT_IMAGES[name]
+    sub = data.draw(st.sets(st.sampled_from(img.points), min_size=1))
+    incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
+    # the product graph grows as a power of the core's component count,
+    # and c1 boxes do not fold, so the oracle runs within a budget
+    try:
+        want = unsplit_folded_nullhomotopy(incl, node_budget=20_000)
+    except BudgetExhausted:
+        reject()
+    w = folded_nullhomotopy(incl, node_budget=20_000)
+    assert (w is None) == (want is None)
+    if w is not None:
+        ok, why = verify_homotopy(w, incl)
+        assert ok, why
+        assert w.end.is_constant()
+
+
+def test_split_search_joins_constants_only_within_a_codomain_component():
+    # the domain's components are {0, 1} and {5}; the codomain is an
+    # 8-cycle beside a separate segment
+    dom = DigitalImage(((0,), (1,), (5,)), CK(1))
+    cod = DigitalImage(cycle_image(8).points + ((10, 0), (11, 0)), CK(1))
+    apart = DigitalMap(dom, cod, ((0, 0), (0, 1), (10, 0)))
+    assert folded_nullhomotopy(apart) is None
+    assert nullhomotopy(apart) is None
+    together = DigitalMap(dom, cod, ((0, 0), (0, 1), (2, 2)))
+    w = folded_nullhomotopy(together)
+    ok, why = verify_homotopy(w, together)
+    assert ok, why
+    assert w.end.is_constant()
+    # one stage folds 0 onto 1, then (2, 2) walks three steps around the
+    # cycle to (0, 1)
+    assert w.steps == 1 + 3
+
+
+def test_a_component_without_a_constant_ends_the_split_search(monkeypatch):
+    # theta's left 8-cycle plus the isolated points (4, 0) and (4, 2): the
+    # cycle's class holds 8 maps and no constant, so the search stops
+    # there, where the product graph has 8 * 13 * 13 states to exhaust
+    expanded = []
+    expand = MapGraph.neighbor_states
+
+    def counting(self, state):
+        expanded.append(state)
+        return expand(self, state)
+
+    monkeypatch.setattr(MapGraph, "neighbor_states", counting)
+    theta = theta_image()
+    piece = [p for p in theta.points if p[0] <= 2] + [(4, 0), (4, 2)]
+    incl = DigitalMap.inclusion(induced_subimage(theta, piece), theta)
+    assert folded_nullhomotopy(incl) is None
+    assert len(expanded) == 8
+    expanded.clear()
+    assert unsplit_folded_nullhomotopy(incl) is None
+    assert len(expanded) == 8 * 13 * 13
 
 
 def test_a_tampered_fold_stage_is_rejected_by_stage():
