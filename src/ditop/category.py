@@ -6,22 +6,23 @@ themselves, so a contractible image has category 1. Pieces need not be
 connected. No edge joins two components of a piece, so in a connected
 image its inclusion is nullhomotopic exactly when each component's
 inclusion is: the components move side by side, each to a constant and
-then along a path to a common point. The search settles each component
-on its own.
+then along a path to a common point. `homotopy.nullhomotopy` settles
+every piece; this module adds only the memo, which answers each piece's
+folded core, so a core is searched once however many pieces share it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .covers import (AdmissibilityOracle, BoundResult,
                      maximal_admissible_sets, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
-from .homotopy import (BudgetExhausted, HomotopyWitness, fold,
-                       is_contractible, nullhomotopy, pull_back,
-                       slide_nullhomotopy, verify_homotopy)
+from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
+                       nullhomotopy, slides, verify_homotopy)
+from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
 
@@ -61,49 +62,20 @@ class CatWitness:
 
 def piece_contraction(base: DigitalImage, subset: Sequence[Point],
                       node_budget: int | None = 2_000_000,
+                      lookup: Callable[[Subset], Optional[HomotopyWitness]]
+                      | None = None,
                       ) -> Optional[HomotopyWitness]:
     """Nullhomotopy of the inclusion of `subset` into the base, if any."""
     sub = induced_subimage(base, subset)
-    incl = DigitalMap.inclusion(sub, base)
-    return nullhomotopy(incl, node_budget=node_budget)
-
-
-def piece_contraction_slide_only(base: DigitalImage, subset: Sequence[Point],
-                                 ) -> Optional[HomotopyWitness]:
-    """Sound but incomplete variant: only the geodesic slide is tried, so
-    None means "not settled", never "impossible"."""
-    sub = induced_subimage(base, subset)
-    incl = DigitalMap.inclusion(sub, base)
-    for t in base.points:
-        w = slide_nullhomotopy(incl, t)
-        if w is not None:
-            return w
-    return None
+    return nullhomotopy(DigitalMap.inclusion(sub, base),
+                        node_budget=node_budget, lookup=lookup)
 
 
 def cat_oracle(base: DigitalImage,
                node_budget: int | None = 2_000_000) -> AdmissibilityOracle:
-    """Admissibility of categorical pieces.
-
-    A piece A whose slides all tear and whose domain folds to a smaller
-    core C asks the oracle about C and lifts C's witness. This is sound
-    because incl_A ~ incl_C o r, with r the fold's retraction; the memo
-    then searches each core once, however many pieces fold to it.
-    """
-
-    def search(sub: Subset) -> Optional[HomotopyWitness]:
-        folded = fold(induced_subimage(base, sub))
-        if not folded.steps:
-            return piece_contraction(base, sub, node_budget)
-        w = piece_contraction_slide_only(base, sub)
-        if w is None:
-            core = owner().witness(folded.core.points)
-            if core is not None:
-                w = pull_back(DigitalMap.inclusion(folded.image, base),
-                              folded, core.stages)
-        return w
-
-    oracle = AdmissibilityOracle(base, search)
+    """Admissibility of categorical pieces; the memo answers their cores."""
+    oracle = AdmissibilityOracle(base, lambda sub: piece_contraction(
+        base, sub, node_budget, owner().witness))
     # a weak reference, so that the oracle and search form no cycle and
     # the memo's witnesses are freed with the oracle, not by the collector
     owner = weakref.ref(oracle)
@@ -140,10 +112,10 @@ def cat_bounds(base: DigitalImage,
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
-    contractibility is settled exactly (slide, then the folded search)
-    within the node budget; when the budget runs out it is left unsettled,
-    so the slide-only piece test on the whole image still certifies True,
-    and otherwise the lower bound honestly remains 1.
+    contractibility is settled exactly by `is_contractible` within the
+    node budget. When the budget runs out it is left unsettled and the
+    lower bound stays 1: no slide of the identity holds then, since one
+    would have settled it before any search.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
@@ -153,14 +125,15 @@ def cat_bounds(base: DigitalImage,
     try:
         whole = is_contractible(base, node_budget)
     except BudgetExhausted:
-        # the search ran only after every slide of the identity tore, and
-        # sliding the whole image as a piece would tear the same way
+        # a slide of the identity restricts to its core, where it is tried
+        # before any search, so sliding the whole image as a piece tears
         torn = frozenset(base.points)
 
     def slide_only(sub: Subset) -> Optional[HomotopyWitness]:
         if frozenset(sub) == torn:
             return None
-        return piece_contraction_slide_only(base, sub)
+        incl = DigitalMap.inclusion(induced_subimage(base, sub), base)
+        return next(slides(incl, base.points), None)
 
     oracle = AdmissibilityOracle(base, slide_only)
     return minimal_cover_bounds(base, oracle, whole_admissible=whole)

@@ -27,7 +27,8 @@ from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                      minimal_cover_exact, Subset)
 from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
-                       nullhomotopy, slide_nullhomotopy)
+                       nullhomotopy, slides)
+from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap, backtrack
 from .pathspace import EndpointFibration, PairedFibration, Wedge
@@ -235,23 +236,20 @@ def _piece_tracks(base: DigitalImage, table: CayleyTable, piece: Subset,
     dist = base.distance_matrix
     ei = base.index(e)
 
-    def to_track(w: HomotopyWitness, target: Point) -> tuple[int, Point, list]:
+    def to_track(w: HomotopyWitness) -> tuple[int, Point, list]:
+        target = w.end.values[0]
         stages = [dict(zip(sub.points, st.values)) for st in w.stages]
         walk = base.lex_shortest_path(target, e)
         for q in walk[1:]:
             stages.append({p: q for p in sub.points})
         return (len(stages) - 1, target, stages)
 
-    out = []
-    for c in base.points:
-        w = slide_nullhomotopy(incl, c)
-        if w is not None:
-            out.append(to_track(w, c))
+    out = [to_track(w) for w in slides(incl, base.points)]
     if not out:
         for c in sorted(base.points, key=lambda c: (dist[base.index(c)][ei], c)):
             w = nullhomotopy(incl, targets=(c,), node_budget=node_budget)
             if w is not None:
-                out.append(to_track(w, c))
+                out.append(to_track(w))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 

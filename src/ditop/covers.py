@@ -164,11 +164,11 @@ def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,
     witness in hand), so a False answer never feeds a lower bound. Upper
     route: grow greedy pieces point by point. Lower route: 1, raised to 2
     only when the caller settles `whole_admissible` as False by a complete
-    method.
+    method; None leaves it unsettled.
     """
     notes = []
 
-    if whole_admissible is True or (whole_admissible is None and oracle(base.points)):
+    if whole_admissible:
         notes.append("whole image admissible, cover of one")
         return BoundResult(1, 1, (base.points,), tuple(notes))
 

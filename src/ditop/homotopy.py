@@ -9,15 +9,16 @@ become breadth-first searches there.
 The graph is huge (an 8-point loop already has 8872 continuous self-maps)
 so it is never materialized. Neighbor states come from `maps.backtrack`,
 the package's one backtracker, over bitmasks of allowed codomain indices,
-and searches stop at the first goal. For contractibility there is a cheap
-geodesic "slide" candidate that is tried, and verified, before any search
-runs. An untargeted search first folds dominated points out of both the
-domain and the codomain (`fold`), searches between the two cores, and
-lifts the core witness back to the whole map (`pull_back`). It searches
-each connected component of the domain's core on its own. No edge joins
-two components, so a map is nullhomotopic exactly when its restriction
-to every component is homotopic to a constant and those constants lie in
-one component of the codomain.
+and searches stop at the first goal. `nullhomotopy` is the one route to a
+constant map; `slides` gives its cheap, verified geodesic candidates.
+It folds dominated points out of f's domain (`fold`) and settles f on the
+core C first. f ~ f|C o r for the fold's retraction r, so C's answer is
+f's, and `pull_back` lifts C's witness; a slide of f restricts to a slide
+of f|C, so settling C first runs no search that a slide of f would
+spare. A core is searched in its codomain's core, one component at a
+time. No edge joins two components, so a map is nullhomotopic exactly
+when its restriction to every component is homotopic to a constant and
+those constants lie in one component of the codomain.
 """
 
 from __future__ import annotations
@@ -223,13 +224,13 @@ def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness
     return w if ok else None
 
 
-def _first_slide(f: DigitalMap, pool: Sequence[Point],
-                 ) -> Optional[HomotopyWitness]:
+def slides(f: DigitalMap, pool: Sequence[Point]) -> Iterator[HomotopyWitness]:
+    """Every slide of f that holds, target by target in pool order; take
+    the first with `next(slides(f, pool), None)`."""
     for t in pool:
         w = slide_nullhomotopy(f, t)
         if w is not None:
-            return w
-    return None
+            yield w
 
 
 def _search_constant(f: DigitalMap, pool: Sequence[Point],
@@ -249,14 +250,20 @@ def _search_constant(f: DigitalMap, pool: Sequence[Point],
 def nullhomotopy(f: DigitalMap,
                  targets: Sequence[Point] | None = None,
                  node_budget: int | None = 2_000_000,
+                 lookup: Callable[[Sequence[Point]], Optional[HomotopyWitness]]
+                 | None = None,
                  ) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic (ends at some constant map), or None
     when f's homotopy class holds no constant map.
 
-    Slide candidates are tried target by target first. Only if every
-    slide tears does a search run: on f's own map graph when targets are
-    given, aimed at all of them at once, and otherwise on the folded
-    cores (`folded_nullhomotopy`).
+    With targets, f is slid to each in turn, then f's own map graph is
+    searched for all of them at once. Without, f|C is settled first, C
+    being the core of f's domain: when it has no witness neither has f,
+    and f is not slid; otherwise f's first slide is returned, or else C's
+    witness lifted by `pull_back`. A domain that does not fold is slid,
+    then searched (`folded_nullhomotopy`). `lookup`, a memo of this
+    function's answers keyed by a subset of f's domain, answers for f|C
+    in place of a call.
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
@@ -265,12 +272,20 @@ def nullhomotopy(f: DigitalMap,
     for t in pool:
         if t not in cod:
             raise ValueError(f"target {t} is not in the codomain")
-    w = _first_slide(f, pool)
-    if w is not None:
-        return w
-    if targets is None:
-        return folded_nullhomotopy(f, node_budget)
-    return _search_constant(f, pool, node_budget)
+    if targets is not None:
+        return next(slides(f, pool), None) or _search_constant(
+            f, pool, node_budget)
+    folded = fold(f.domain)
+    if not folded.steps:
+        return next(slides(f, pool), None) or folded_nullhomotopy(
+            f, node_budget)
+    core = folded.core.points
+    w = lookup(core) if lookup is not None else nullhomotopy(
+        DigitalMap(folded.core, cod, tuple(map(f, core))),
+        node_budget=node_budget)
+    if w is None:
+        return None
+    return next(slides(f, pool), None) or pull_back(f, folded, w.stages)
 
 
 def contraction(img: DigitalImage,
@@ -279,14 +294,14 @@ def contraction(img: DigitalImage,
 
     The witness is a slide, or else a shortest one from the search of the
     identity's own map graph: `tc` reads its length as an arm length, and
-    a lifted witness is not shortest. The folded search decides first
+    a lifted witness is not shortest. `nullhomotopy` decides first
     whether any exists, so that search runs only when it will succeed.
     """
     if not img.is_connected:
         return None
     ident = DigitalMap.identity(img)
-    w = _first_slide(ident, img.points)
-    if w is not None or folded_nullhomotopy(ident, node_budget) is None:
+    w = nullhomotopy(ident, node_budget=node_budget)
+    if w is None or w.label == "slide":
         return w
     return _search_constant(ident, img.points, node_budget)
 
@@ -374,32 +389,30 @@ def pull_back(f: DigitalMap, folded: Fold,
 
 def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
                         ) -> Optional[HomotopyWitness]:
-    """Witness that f is nullhomotopic, searched between folded cores, or
-    None when f's homotopy class holds no constant map.
+    """Witness that f is nullhomotopic, searched in the codomain's core,
+    or None when f's homotopy class holds no constant map.
 
-    f is restricted to its domain's core and retracted into its
-    codomain's core. Each connected component of the domain's core is then
-    searched on its own, to any constant. No edge joins two components, so
-    f is nullhomotopic exactly when each restriction f|C_i is homotopic to
-    a constant c_i and all the c_i lie in one component of the codomain:
-    restrict a nullhomotopy for one direction; for the other, run the
-    component homotopies side by side, each followed by the walk of its
-    c_i to c_0 along a lexicographic shortest path and padded with its
-    last stage. A "no" thus costs the sum of the component searches, not
-    the search of their product. `pull_back` lifts the witness: the
-    domain's fold stages, the codomain's fold stages, then the core
-    homotopy. The lift is not a shortest homotopy.
+    f is retracted into its codomain's core. Each connected component of
+    f's domain is then searched on its own, to any constant. No edge
+    joins two components, so f is nullhomotopic exactly when each
+    restriction f|C_i is homotopic to a constant c_i and all the c_i lie
+    in one component of the codomain: restrict a nullhomotopy for one
+    direction; for the other, run the component homotopies side by side,
+    each followed by the walk of its c_i to c_0 along a lexicographic
+    shortest path and padded with its last stage. A "no" thus costs the
+    sum of the component searches, not the search of their product. The
+    witness, not a shortest one, runs the codomain's fold stages, then the
+    core homotopy. `nullhomotopy` folds the domain before it calls this.
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
-    dom_fold, cod_fold = fold(f.domain), fold(f.codomain)
-    core, target = dom_fold.core, cod_fold.core
-    on_core = tuple(f(a) for a in core.points)
-    stages = [DigitalMap(core, f.codomain, tuple(s[v] for v in on_core))
+    dom, cod_fold = f.domain, fold(f.codomain)
+    target = cod_fold.core
+    stages = [DigitalMap(dom, f.codomain, tuple(s[v] for v in f.values))
               for s in cod_fold.retractions()]
     tracks = []
-    for comp in core.components:
-        piece = induced_subimage(core, comp)
+    for comp in dom.components:
+        piece = induced_subimage(dom, comp)
         w = _search_constant(
             DigitalMap(piece, target, tuple(map(stages[-1], piece.points))),
             target.points, node_budget)
@@ -415,8 +428,9 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
     for w, walk in zip(tracks, walks):
         for a in w.end.domain.points:
             columns[a] = [st(a) for st in w.stages] + list(walk[1:])
-    cols = [columns[a] for a in core.points]
+    cols = [columns[a] for a in dom.points]
     core_stages = [
-        DigitalMap(core, f.codomain, tuple(c[min(k, len(c) - 1)] for c in cols))
+        DigitalMap(dom, f.codomain, tuple(c[min(k, len(c) - 1)] for c in cols))
         for k in range(1, max(map(len, cols)))]
-    return pull_back(f, dom_fold, stages + core_stages)
+    # an empty fold: the lift only merges repeated stages and checks them
+    return pull_back(f, Fold(dom, dom, ()), stages + core_stages)

@@ -14,11 +14,12 @@ from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ditop.complexity import SectionWitness
+from ditop.covers import AdmissibilityOracle
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
 from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             _search_constant, fold, is_contractible,
-                            nullhomotopy, slide_nullhomotopy)
+                            nullhomotopy, pull_back, slide_nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
 from ditop.maps import DigitalMap, continuity_violation
 
@@ -362,6 +363,32 @@ def unsplit_folded_nullhomotopy(f: DigitalMap,
     core, target = dom_fold.core, cod_fold.core
     on_core = DigitalMap(core, target, tuple(r[f(a)] for a in core.points))
     return _search_constant(on_core, target.points, node_budget)
+
+
+def slide_first_cat_oracle(base: DigitalImage,
+                           node_budget: int | None = 2_000_000,
+                           ) -> AdmissibilityOracle:
+    """The category oracle with the folded-piece order reversed: a piece
+    whose domain folds is slid to each base point first, and only when
+    every slide tears is its core looked up in the memo and the core's
+    witness lifted by `pull_back`; a piece that is its own core goes to
+    `nullhomotopy`. `category.cat_oracle`, which settles the core before
+    any slide, must return the same witnesses."""
+
+    def search(sub):
+        folded = fold(induced_subimage(base, sub))
+        incl = DigitalMap.inclusion(folded.image, base)
+        if not folded.steps:
+            return nullhomotopy(incl, node_budget=node_budget)
+        for t in base.points:
+            w = slide_nullhomotopy(incl, t)
+            if w is not None:
+                return w
+        core = oracle.witness(folded.core.points)
+        return None if core is None else pull_back(incl, folded, core.stages)
+
+    oracle = AdmissibilityOracle(base, search)
+    return oracle
 
 
 def theta_image() -> DigitalImage:

@@ -116,16 +116,23 @@ def test_categorical_subsets_of_the_loop_miss_one_point():
 
 
 def test_cat_exact_searches_each_piece_once(monkeypatch):
-    # only pieces that are their own fold cores reach the search; every
-    # other piece slides or lifts the witness of its core
-    searches = []
+    # every query reaches piece_contraction once; a map-graph search runs
+    # only on a fold core, at most once per core, and every other piece
+    # slides or lifts the memoized witness of its core
+    entered = []
+    searched = []
     queried = []
     oracles = []
-    search, make_oracle = category.piece_contraction, category.cat_oracle
+    enter, search = category.piece_contraction, homotopy.folded_nullhomotopy
+    make_oracle = category.cat_oracle
 
-    def counting_search(*args, **kwargs):
-        searches.append(args[1])
-        return search(*args, **kwargs)
+    def counting_entry(*args, **kwargs):
+        entered.append(args[1])
+        return enter(*args, **kwargs)
+
+    def counting_search(f, *args, **kwargs):
+        searched.append(f.domain.points)
+        return search(f, *args, **kwargs)
 
     def recording_oracle(*args, **kwargs):
         oracle = make_oracle(*args, **kwargs)
@@ -139,14 +146,18 @@ def test_cat_exact_searches_each_piece_once(monkeypatch):
         oracles.append(oracle)
         return oracle
 
-    monkeypatch.setattr(category, "piece_contraction", counting_search)
+    monkeypatch.setattr(category, "piece_contraction", counting_entry)
+    monkeypatch.setattr(homotopy, "folded_nullhomotopy", counting_search)
     monkeypatch.setattr(category, "cat_oracle", recording_oracle)
     loop = loop_image()
     w = cat_exact(loop)
     assert w.size == 2
     assert len(queried) == len(set(queried)) == oracles[0].calls
-    cores = [s for s in queried if not fold(induced_subimage(loop, s)).steps]
-    assert searches == cores
+    assert entered == queried
+    assert searched and len(searched) == len(set(searched))
+    for core in searched:
+        assert core in queried
+        assert not fold(induced_subimage(loop, core)).steps
     for piece in w.pieces:
         assert piece.contraction is oracles[0].witness(piece.points)
 
@@ -172,6 +183,27 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
     assert r.witness == (
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 0)),
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)))
+
+
+def test_a_sliding_core_settles_the_whole_image_within_a_tiny_budget(
+        monkeypatch):
+    # every slide of the c2 frame's identity tears, but its folded core, a
+    # 4-cycle, slides; so no map-graph search runs and a budget of 20
+    # states, which that search would exceed, still settles contractibility
+    searches = []
+    bfs = homotopy.MapGraph.bfs
+
+    def counting_bfs(*args, **kwargs):
+        searches.append(args[1])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy.MapGraph, "bfs", counting_bfs)
+    frame = DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
+                               if (x, y) != (1, 1)), CK(2))
+    r = cat_bounds(frame, node_budget=20)
+    assert (r.lower, r.upper) == (1, 1)
+    assert r.notes == ("whole image admissible, cover of one",)
+    assert searches == []
 
 
 def test_theta_has_category_two_within_a_small_budget():

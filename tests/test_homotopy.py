@@ -10,18 +10,21 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import ditop.homotopy as homotopy
 from ditop.category import CatPiece, CatWitness, cat_oracle
 from ditop.corpus import cycle_image, loop_image, loop_rotation_table
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             are_homotopic, contraction, fold,
                             folded_nullhomotopy, is_contractible,
-                            nullhomotopy, slide_nullhomotopy, verify_homotopy)
+                            nullhomotopy, pull_back, slide_nullhomotopy,
+                            verify_homotopy)
 from ditop.images import DigitalImage, CK, induced_subimage, interval_image
 from ditop.maps import DigitalMap, continuity_violation
 
 from helpers import (are_homotopy_equivalent, continuous_maps,
                      is_nullhomotopic, left_translation, random_explicit_image,
-                     random_grid_image, restrict_witness, theta_image,
+                     random_grid_image, restrict_witness,
+                     slide_first_cat_oracle, theta_image,
                      unfolded_nullhomotopy, unsplit_folded_nullhomotopy)
 
 
@@ -265,12 +268,17 @@ def test_split_search_agrees_with_the_product_search(name, data):
         want = unsplit_folded_nullhomotopy(incl, node_budget=20_000)
     except BudgetExhausted:
         reject()
-    w = folded_nullhomotopy(incl, node_budget=20_000)
-    assert (w is None) == (want is None)
-    if w is not None:
-        ok, why = verify_homotopy(w, incl)
-        assert ok, why
-        assert w.end.is_constant()
+    # the split search runs on the domain's core, where `nullhomotopy`
+    # calls it
+    core = fold(incl.domain).core
+    on_core = DigitalMap.inclusion(core, img)
+    for f, w in ((on_core, folded_nullhomotopy(on_core, node_budget=20_000)),
+                 (incl, nullhomotopy(incl, node_budget=20_000))):
+        assert (w is None) == (want is None)
+        if w is not None:
+            ok, why = verify_homotopy(w, f)
+            assert ok, why
+            assert w.end.is_constant()
 
 
 def test_split_search_joins_constants_only_within_a_codomain_component():
@@ -286,9 +294,9 @@ def test_split_search_joins_constants_only_within_a_codomain_component():
     ok, why = verify_homotopy(w, together)
     assert ok, why
     assert w.end.is_constant()
-    # one stage folds 0 onto 1, then (2, 2) walks three steps around the
-    # cycle to (0, 1)
-    assert w.steps == 1 + 3
+    # {0, 1} reaches (0, 0) in one step while (2, 2) walks four steps
+    # around the cycle to it
+    assert w.steps == 4
 
 
 def test_a_component_without_a_constant_ends_the_split_search(monkeypatch):
@@ -318,8 +326,10 @@ def test_a_tampered_fold_stage_is_rejected_by_stage():
     arc = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
     rest = tuple(p for p in frame.points if p not in arc) + ((0, 0),)
     incl = DigitalMap.inclusion(induced_subimage(frame, arc), frame)
-    w = folded_nullhomotopy(incl)
-    steps = len(fold(incl.domain).steps)
+    folded = fold(incl.domain)
+    core = nullhomotopy(DigitalMap.inclusion(folded.core, frame))
+    w = pull_back(incl, folded, core.stages)
+    steps = len(folded.steps)
     assert steps == 4 and w.steps >= steps
     other = cat_oracle(frame).witness(rest)
     dist = frame.distance_matrix
@@ -336,3 +346,61 @@ def test_a_tampered_fold_stage_is_rejected_by_stage():
                                      CatPiece(rest, other))).check()
         assert not ok and why.startswith("piece 0: "), why
         assert re.search(named, why), (k, why)
+
+
+def _same_witnesses(img, subsets):
+    """cat_oracle, the slide-first oracle and memo-free nullhomotopy give
+    equal witnesses, stage by stage, or all give None."""
+    oracle, reference = cat_oracle(img), slide_first_cat_oracle(img)
+    for sub in subsets:
+        incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
+        want = reference.witness(sub)
+        for w in (oracle.witness(sub), nullhomotopy(incl)):
+            assert (w is None) == (want is None), sub
+            assert w is None or w.stages == want.stages, sub
+
+
+@pytest.mark.parametrize("img", [_frame(1), _frame(2), _box(2)],
+                         ids=["frame-c1", "frame-c2", "box-c2"])
+def test_core_first_witnesses_match_the_slide_first_oracle(img):
+    _same_witnesses(img, (sub for size in range(1, len(img.points) + 1)
+                          for sub in itertools.combinations(img.points, size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(theta_image().points), min_size=1))
+def test_core_first_witnesses_match_the_slide_first_oracle_on_theta(sub):
+    _same_witnesses(theta_image(), [tuple(sorted(sub))])
+
+
+def test_a_piece_whose_core_has_no_witness_is_never_slid(monkeypatch):
+    # theta's left 8-cycle plus (3, 0), which folds onto (2, 0); the
+    # cycle's class holds no constant, so only the core is ever slid
+    slid = []
+    slide = homotopy.slide_nullhomotopy
+
+    def counting(f, t):
+        slid.append(f.domain.points)
+        return slide(f, t)
+
+    monkeypatch.setattr(homotopy, "slide_nullhomotopy", counting)
+    theta = theta_image()
+    cycle = tuple(p for p in theta.points if p[0] <= 2)
+    piece = tuple(sorted(cycle + ((3, 0),)))
+    incl = DigitalMap.inclusion(induced_subimage(theta, piece), theta)
+    assert fold(incl.domain).core.points == cycle
+    assert nullhomotopy(incl) is None
+    assert cat_oracle(theta).witness(piece) is None
+    assert slid and set(slid) == {cycle}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_SPLIT_IMAGES)), st.data())
+def test_a_slide_restricts_to_a_slide_of_the_core(name, data):
+    img = _SPLIT_IMAGES[name]
+    sub = data.draw(st.sets(st.sampled_from(img.points), min_size=1))
+    t = data.draw(st.sampled_from(img.points))
+    incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
+    if slide_nullhomotopy(incl, t) is not None:
+        core = fold(incl.domain).core
+        assert slide_nullhomotopy(DigitalMap.inclusion(core, img), t) is not None

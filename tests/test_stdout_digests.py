@@ -9,9 +9,13 @@ arms, the group enumeration behind `group-scan`), the reference rows of
 Cayley-table checks. `group-scan -p 4` (cyclic and Klein labellings)
 and `group-scan -p 6 --mode strong` were recorded at the commit before
 the group enumeration went row by row. Inputs are corpus images, so no
-file path reaches the report. A digest changes only with the bytes of
-the report; when a change means to alter them, record the new digest and
-say why.
+file path reaches the report. `cat` and `contractible` also run on theta
+and on the c2 frame of the 3x3 box, whose pieces lift the witnesses of
+their folded cores; each image is written to a relative path in a fresh
+directory, so only its file name reaches the report. Those four were
+recorded at the commit before `nullhomotopy` settled folded domains on
+their cores. A digest changes only with the bytes of the report; when a
+change means to alter them, record the new digest and say why.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import hashlib
 import pytest
 
 from ditop.cli import main
+from ditop.fileio import serialize_image
+from ditop.images import CK, DigitalImage
+
+from helpers import theta_image
 
 DIGESTS = {
     "genus corpus:cycle:14 -n 1 --m 2":
@@ -62,3 +70,34 @@ def test_json_stdout_matches_its_recorded_digest(capsys, command):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) \
         == DIGESTS[command]
+
+
+FILE_IMAGES = {
+    "theta.txt": theta_image(),
+    "frame.txt": DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
+                                    if (x, y) != (1, 1)), CK(2)),
+}
+
+FILE_DIGESTS = {
+    "cat theta.txt":
+        (0, "1aeff97e0bc5e45fe06d11b4cbd17504ecf01adc57ff61941b2f136279c26ad5"),
+    "contractible theta.txt":
+        (2, "da21d41c7726e9c4b6ccc1cfcdf7faab81768a39da99c9914638c7f4e238f3c7"),
+    "cat frame.txt":
+        (0, "d7ca46c8fe79ab39e98befadf773d2c115037f2a394bf8a7061d2688e089a43b"),
+    "contractible frame.txt":
+        (0, "9b288db26d0081be2355d90e695e859d0b86d087372f46a3810195ab2b096c4d"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_DIGESTS))
+def test_json_stdout_on_an_image_file_matches_its_recorded_digest(
+        capsys, monkeypatch, tmp_path, command):
+    name = command.split()[1]
+    (tmp_path / name).write_text(serialize_image(FILE_IMAGES[name]),
+                                 encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(command.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) \
+        == FILE_DIGESTS[command]
