@@ -77,23 +77,6 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
     return True, None
 
 
-class _StepMasks(dict):
-    """For one piece edge: the mask over the later point's fiber of the
-    wedges within one step of each wedge of the earlier point's fiber,
-    filled on first use."""
-
-    def __init__(self, adjacent, earlier: list, later: list):
-        self.adjacent = adjacent
-        self.earlier = earlier
-        self.later = later
-
-    def __missing__(self, a: int) -> int:
-        w = self.earlier[a]
-        m = self[a] = sum(1 << b for b, x in enumerate(self.later)
-                          if self.adjacent(x, w))
-        return m
-
-
 def find_section(fib: EndpointFibration,
                  piece: Sequence[Point]) -> Optional[SectionWitness]:
     """The first section over the piece found by `maps.backtrack`, or None.
@@ -102,8 +85,11 @@ def find_section(fib: EndpointFibration,
     degree inside the piece, then canonical order, visited so each next
     point touches placed ones where possible). Bit b at a point is the
     b-th wedge of its fiber, materialized up to _FIBER_CAP wedges, and
-    each piece edge links its later point to its earlier one through
-    `_StepMasks`."""
+    each piece edge links its later point to its earlier one through the
+    step masks of the later fiber's `occupancy` table, built once per
+    fiber: the relation is decided arm by arm from the base's closed
+    neighbourhoods (for paired fibrations, near on both sides and equal on
+    one), never by `adjacent` calls, which stay the checker's."""
     sub = induced_subimage(fib.product, piece)
     pts = sub.points
     k = len(pts)
@@ -129,8 +115,8 @@ def find_section(fib: EndpointFibration,
             return None
         domains[i] = dom
 
-    adjacent = fib.wedge.adjacent
-    links = [[(step[j], _StepMasks(adjacent, domains[j], domains[i]))
+    occupancy = [fib.wedge.occupancy(dom) for dom in domains]
+    links = [[(step[j], occupancy[i].step_masks(domains[j]))
               for j in nbrs[i] if step[j] < step[i]] for i in order]
     found = next(backtrack([(1 << len(domains[i])) - 1 for i in order],
                            links), None)
@@ -324,27 +310,28 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
             return track[t][mp]
         return e
 
+    # per base point x, cover piece i and point mp of it: the endpoint x*mp
+    # and the arm walking back along x times the track of piece i
+    translated = {
+        x: [[(table.product(x, mp),
+              tuple(table.product(x, gamma(chosen[i][2], mp, m_used - t))
+                    for t in range(m_used + 1)))
+             for mp in piece] for i, piece in enumerate(pieces)]
+        for x in base.points}
+
     witnesses = []
     for combo in itertools.product(range(len(pieces)), repeat=n - 1):
         upts = []
         assign = {}
         for x in base.points:
-            for ms in itertools.product(*(pieces[i] for i in combo)):
+            still = tuple([x] * (m_used + 1))
+            for ends in itertools.product(*(translated[x][i] for i in combo)):
                 u = x
-                ys = []
-                for mp in ms:
-                    y = table.product(x, mp)
-                    ys.append(y)
+                for y, _ in ends:
                     u = u + y
-                arms = [tuple([x] * (m_used + 1))]
-                for i, mp in zip(combo, ms):
-                    track = chosen[i][2]
-                    arm = tuple(table.product(x, gamma(track, mp, m_used - t))
-                                for t in range(m_used + 1))
-                    arms.append(arm)
                 if u not in assign:
                     upts.append(u)
-                    assign[u] = tuple(arms)
+                    assign[u] = (still,) + tuple(arm for _, arm in ends)
         upts.sort()
         sw = SectionWitness(tuple(upts), tuple(assign[u] for u in upts))
         ok, why = verify_section(fib, sw)
@@ -375,7 +362,9 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     n = 1 is settled by the stand-still section. Products within
     `covers.SWEEP_LIMIT` points get the exact sweep. Otherwise the bracket
     combines the category lower bound (for bases within the limit) with
-    the group-construction upper bound when a table is supplied.
+    the group-construction upper bound when a table is supplied, which
+    translates the supplied cover or else the minimum categorical cover
+    behind the lower bound.
     """
     if n < 1:
         raise ValueError("TC_n needs n >= 1")
@@ -419,7 +408,11 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     witness = None
     upper = None
     if len(base.points) <= covers.SWEEP_LIMIT:
-        catv = cat_exact(base, node_budget).size
+        cat_w = cat_exact(base, node_budget)
+        catv = cat_w.size
+        if cover is None:
+            # the group route translates a minimum categorical cover: this one
+            cover = tuple(p.points for p in cat_w.pieces)
         lower = max(lower, catv)
         notes.append(f"lower {catv}: the category of the base is a lower "
                      f"bound for every TC_n, n >= 2")

@@ -323,15 +323,20 @@ def parse_cover(text: str) -> list[tuple[Point, ...]]:
 
 
 def serialize_sections(witnesses, n: int, m: int) -> str:
-    """Section witnesses: per piece, each point with its n arm paths."""
+    """Section witnesses: per piece, each point with its n arm paths. Each
+    distinct arm is formatted once."""
     lines = [f"sections {len(witnesses)} arms {n} length {m}"]
+    arm_lines: dict = {}
     for sw in witnesses:
         lines.append(f"piece {len(sw.piece)}")
         for u, wedge in zip(sw.piece, sw.wedges):
             lines.append("at " + " ".join(str(c) for c in u))
             for arm in wedge:
-                lines.append("arm " + " | ".join(
-                    " ".join(str(c) for c in p) for p in arm))
+                line = arm_lines.get(arm)
+                if line is None:
+                    line = arm_lines[arm] = "arm " + " | ".join(
+                        " ".join(str(c) for c in p) for p in arm)
+                lines.append(line)
     return "\n".join(lines) + "\n"
 
 

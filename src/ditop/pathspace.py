@@ -9,6 +9,13 @@ in `complexity`. Walks are the fourth caller of `maps.backtrack`, ticks as
 positions, and a fiber is, per start within m steps of every endpoint,
 the product of its arms' walks.
 
+The step relation holds arm by arm, and for pairs of wedges on both
+sides with one side staying. The checker (`WedgeSpace.is_wedge` and
+`adjacent`) decides each distinct arm and arm pair once; the section
+search reads the relation off per-fiber occupancy tables (`Occupancy`,
+`PairedOccupancy`), whose masks are ORed over closed neighbourhoods and
+ANDed over ticks and arms.
+
 Wedge tuples are plain nested tuples ((p0,...,pm), ... n arms ...) with
 arm[0] shared, so they hash and sort like everything else here.
 """
@@ -75,6 +82,12 @@ class WedgeSpace:
     or adjacent at each tick. strong: additionally each arm must stay equal
     or adjacent across neighboring ticks of the other wedge (the stricter
     function-space relation); both are checked arm against same-indexed arm.
+
+    `is_wedge` path-checks each distinct arm once and `adjacent` decides
+    each distinct arm pair once, with the adjacency's own test; both
+    remember their answers for the life of the space. `occupancy` decides
+    the same relation for the section search from the base's closed
+    neighbourhoods, sharing no table with these checks.
     """
 
     def __init__(self, base: DigitalImage, n: int, m: int,
@@ -89,6 +102,15 @@ class WedgeSpace:
         self.mode = mode
         self.product = power_image(base, n, product_mode(mode),
                                    label=f"{base.label or 'X'}^{n}")
+        self._arms: dict[Path, bool] = {}  # arm -> is a path of length m
+        self._steps: dict[tuple[Path, Path], bool] = {}  # arm pair -> related
+
+    def _is_arm(self, arm: Path) -> bool:
+        ok = self._arms.get(arm)
+        if ok is None:
+            ok = self._arms[arm] = (len(arm) == self.m + 1
+                                    and is_path(self.base, arm))
+        return ok
 
     def is_wedge(self, w: Wedge) -> bool:
         if len(w) != self.n:
@@ -96,10 +118,7 @@ class WedgeSpace:
         starts = {arm[0] for arm in w if arm}
         if len(starts) != 1:
             return False
-        for arm in w:
-            if len(arm) != self.m + 1 or not is_path(self.base, arm):
-                return False
-        return True
+        return all(self._is_arm(tuple(arm)) for arm in w)
 
     def endpoints(self, w: Wedge) -> Point:
         """Concatenated arm endpoints: a point of the n-fold product."""
@@ -109,21 +128,124 @@ class WedgeSpace:
         arm = (tuple(p),) * (self.m + 1)
         return (arm,) * self.n
 
+    def _arm_step(self, a1: Path, a2: Path) -> bool:
+        key = (a1, a2)
+        ok = self._steps.get(key)
+        if ok is None:
+            ok = self._steps[key] = self._decide_step(a1, a2)
+        return ok
+
+    def _decide_step(self, a1: Path, a2: Path) -> bool:
+        adj = self.base.adjacency.adjacent
+        for t in range(self.m + 1):
+            p, q = a1[t], a2[t]
+            if p != q and not adj(p, q):
+                return False
+        if self.mode == "strong":
+            for t in range(self.m):
+                for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
+                    if p != q and not adj(p, q):
+                        return False
+        return True
+
     def adjacent(self, w1: Wedge, w2: Wedge) -> bool:
         """Equal-or-one-step relation (reflexive on purpose: homotopy-style
         conditions only ever need "equal or adjacent")."""
-        adj = self.base.adjacency.adjacent
-        for a1, a2 in zip(w1, w2):
-            for t in range(self.m + 1):
-                p, q = a1[t], a2[t]
-                if p != q and not adj(p, q):
-                    return False
-            if self.mode == "strong":
-                for t in range(self.m):
-                    for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
-                        if p != q and not adj(p, q):
-                            return False
-        return True
+        return all(self._arm_step(tuple(a1), tuple(a2))
+                   for a1, a2 in zip(w1, w2))
+
+    def occupancy(self, wedges: Sequence[Wedge]) -> "Occupancy":
+        """Step and equality masks over `wedges` (a fiber), by arm."""
+        return Occupancy(self, wedges)
+
+
+class _MaskTable(dict):
+    """Index of an earlier wedge -> `masks(earlier[index])`, filled on
+    first use, so `maps.backtrack` can link through it."""
+
+    def __init__(self, masks, earlier: Sequence):
+        self.masks = masks
+        self.earlier = earlier
+
+    def __missing__(self, a: int) -> int:
+        m = self[a] = self.masks(self.earlier[a])
+        return m
+
+
+class _Masks:
+    """What both occupancy tables give the section search."""
+
+    def step_masks(self, earlier: Sequence) -> _MaskTable:
+        """Per index into `earlier`, the mask of the wedges here within one
+        step of that wedge, filled on first use."""
+        return _MaskTable(self.near, earlier)
+
+
+class Occupancy(_Masks):
+    """The step relation into one list of wedges, decided arm by arm.
+
+    For arm i, tick t and base point index q, `ticks[i][t][q]` is the mask
+    of the wedges whose arm i is at q at tick t. A wedge x is within one
+    step of w when, for every (i, t), x[i][t] lies in the closed
+    neighbourhood of w[i][t] (in strong mode, also of w[i][t - 1] and
+    w[i][t + 1]), so `near(w)` is the AND over (i, t) of the OR of the
+    occupancy masks over that neighbourhood. Each distinct arm of w is
+    decided once per table. `equal(w)` is the AND over i of the masks of
+    the wedges whose arm i is exactly w[i]."""
+
+    def __init__(self, space: WedgeSpace, wedges: Sequence[Wedge]):
+        self.space = space
+        self.exact: list[dict[Path, int]] = [{} for _ in range(space.n)]
+        for b, w in enumerate(wedges):
+            bit = 1 << b
+            for arm, row in zip(w, self.exact):
+                row[arm] = row.get(arm, 0) | bit
+        index = space.base.index
+        self.ticks: list[list[dict[int, int]]] = []
+        for row in self.exact:
+            ticks: list[dict[int, int]] = [{} for _ in range(space.m + 1)]
+            for arm, mask in row.items():
+                for p, cell in zip(arm, ticks):
+                    q = index(p)
+                    cell[q] = cell.get(q, 0) | mask
+            self.ticks.append(ticks)
+        self._near: list[dict[Path, int]] = [{} for _ in range(space.n)]
+
+    def _near_arm(self, i: int, arm: Path) -> int:
+        got = self._near[i].get(arm)
+        if got is not None:
+            return got
+        base = self.space.base
+        closed = base.closed_masks
+        balls = [closed[base.index(p)] for p in arm]
+        if self.space.mode == "strong":
+            balls = [b & (balls[t - 1] if t else -1)
+                     & (balls[t + 1] if t + 1 < len(balls) else -1)
+                     for t, b in enumerate(balls)]
+        mask = -1
+        for ball, cell in zip(balls, self.ticks[i]):
+            # one tick's cells are disjoint, so their sum is their OR
+            mask &= sum(occ for q, occ in cell.items() if ball >> q & 1)
+            if not mask:
+                break
+        self._near[i][arm] = mask
+        return mask
+
+    def near(self, w: Wedge) -> int:
+        """The mask of the wedges within one step of w."""
+        mask = -1
+        for i, arm in enumerate(w):
+            mask &= self._near_arm(i, arm)
+            if not mask:
+                break
+        return mask
+
+    def equal(self, w: Wedge) -> int:
+        """The mask of the wedges equal to w."""
+        mask = -1
+        for arm, row in zip(w, self.exact):
+            mask &= row.get(arm, 0)
+        return mask
 
 
 class _Fibration:
@@ -209,6 +331,24 @@ class PairedWedge:
         if not self.right.adjacent(b1, b2):
             return False
         return a1 == a2 or b1 == b2
+
+    def occupancy(self, pairs: Sequence) -> "PairedOccupancy":
+        return PairedOccupancy(self, pairs)
+
+
+class PairedOccupancy(_Masks):
+    """The paired step relation into one list of pairs: near on the left,
+    near on the right, and equal on at least one side."""
+
+    def __init__(self, space: PairedWedge, pairs: Sequence):
+        self.left = space.left.occupancy([a for a, _ in pairs])
+        self.right = space.right.occupancy([b for _, b in pairs])
+
+    def near(self, w) -> int:
+        a, b = w
+        left, right = self.left, self.right
+        return (left.near(a) & right.near(b)
+                & (left.equal(a) | right.equal(b)))
 
 
 class PairedFibration(_Fibration):

@@ -22,6 +22,7 @@ from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             nullhomotopy, pull_back, slide_nullhomotopy)
 from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
 from ditop.maps import DigitalMap, continuity_violation
+from ditop.pathspace import PairedWedge, is_path
 
 
 def naive_components(points, edges) -> list[frozenset]:
@@ -472,7 +473,7 @@ def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
 def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]:
     """Recursive section search over whole materialized fibers, trying
     each wedge against the assigned piece neighbours one adjacency test at
-    a time. Same variable order as `complexity.find_section`, so the two
+    a time, by `wedge_adjacent_oracle`. Same variable order as `complexity.find_section`, so the two
     return the same first section."""
     sub = induced_subimage(fib.product, piece)
     pts = sub.points
@@ -500,8 +501,8 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
             return True
         i = order[step]
         for w in domains[i]:
-            if all(j not in assign or fib.wedge.adjacent(w, assign[j])
-                   for j in nbrs[i]):
+            if all(j not in assign or wedge_adjacent_oracle(
+                    fib.wedge, w, assign[j]) for j in nbrs[i]):
                 assign[i] = w
                 if extend(step + 1):
                     return True
@@ -614,3 +615,87 @@ def verify_cayley_oracle(table: CayleyTable) -> list[str]:
                     failures.append(f"no inverse: {a} has no two-sided inverse")
                     break
     return failures
+
+
+# ---- the step relation before it was decided arm by arm ----
+
+def wedge_is_wedge_oracle(space, w) -> bool:
+    """`WedgeSpace.is_wedge` or `PairedWedge.is_wedge` with no memo: every
+    arm of every wedge is length-checked and walked."""
+    if isinstance(space, PairedWedge):
+        return (len(w) == 2 and wedge_is_wedge_oracle(space.left, w[0])
+                and wedge_is_wedge_oracle(space.right, w[1]))
+    if len(w) != space.n:
+        return False
+    starts = {arm[0] for arm in w if arm}
+    if len(starts) != 1:
+        return False
+    for arm in w:
+        if len(arm) != space.m + 1 or not is_path(space.base, arm):
+            return False
+    return True
+
+
+def wedge_adjacent_oracle(space, w1, w2) -> bool:
+    """`WedgeSpace.adjacent` or `PairedWedge.adjacent` with no memo: every
+    arm pair is tested tick by tick with the adjacency's own test."""
+    if isinstance(space, PairedWedge):
+        (a1, b1), (a2, b2) = w1, w2
+        return (wedge_adjacent_oracle(space.left, a1, a2)
+                and wedge_adjacent_oracle(space.right, b1, b2)
+                and (a1 == a2 or b1 == b2))
+    adj = space.base.adjacency.adjacent
+    for a1, a2 in zip(w1, w2):
+        for t in range(space.m + 1):
+            p, q = a1[t], a2[t]
+            if p != q and not adj(p, q):
+                return False
+        if space.mode == "strong":
+            for t in range(space.m):
+                for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
+                    if p != q and not adj(p, q):
+                        return False
+    return True
+
+
+class AdjacencyStepMasks(dict):
+    """The step masks `find_section` filled before the occupancy tables:
+    for one piece edge, the mask over the later point's fiber of the
+    wedges within one step of each wedge of the earlier point's fiber, one
+    `wedge_adjacent_oracle` call per later wedge, filled on first use."""
+
+    def __init__(self, space, earlier: list, later: list):
+        self.space = space
+        self.earlier = earlier
+        self.later = later
+
+    def __missing__(self, a: int) -> int:
+        w = self.earlier[a]
+        m = self[a] = sum(1 << b for b, x in enumerate(self.later)
+                          if wedge_adjacent_oracle(self.space, x, w))
+        return m
+
+
+def verify_section_oracle(fib, sw: SectionWitness) -> tuple[bool, str | None]:
+    """`complexity.verify_section` through `wedge_is_wedge_oracle` and
+    `wedge_adjacent_oracle`, with the same messages."""
+    if len(sw.piece) != len(sw.wedges):
+        return False, "piece and assignment lengths differ"
+    if len(set(sw.piece)) != len(sw.piece):
+        return False, "piece repeats a point"
+    for u, w in zip(sw.piece, sw.wedges):
+        if u not in fib.product:
+            return False, f"{u} is not in the product image"
+        if not wedge_is_wedge_oracle(fib.wedge, w):
+            return False, f"assignment at {u} is not a wedge of {fib.n} " \
+                          f"paths of length {fib.m}"
+        if fib.wedge.endpoints(w) != u:
+            return False, f"assignment at {u} ends at {fib.wedge.endpoints(w)}"
+    sub = induced_subimage(fib.product, sw.piece)
+    pos = {u: k for k, u in enumerate(sw.piece)}
+    for a, b in sub.edges():
+        wa, wb = sw.wedges[pos[a]], sw.wedges[pos[b]]
+        if not wedge_adjacent_oracle(fib.wedge, wa, wb):
+            return False, (f"section jumps across the edge {a} ~ {b}: "
+                           f"assigned wedges are not within one step")
+    return True, None

@@ -14,7 +14,10 @@ and on the c2 frame of the 3x3 box, whose pieces lift the witnesses of
 their folded cores; each image is written to a relative path in a fresh
 directory, so only its file name reaches the report. Those four were
 recorded at the commit before `nullhomotopy` settled folded domains on
-their cores. A digest changes only with the bytes of the report; when a
+their cores. `tc corpus:H -n 4 --m 6` (translated arms padded past each
+track's length) and `genus corpus:interval:2 -n 2 --m 2` (pointwise
+two-arm step masks) were recorded at the commit before the wedge step
+relation was decided arm by arm. A digest changes only with the bytes of the report; when a
 change means to alter them, record the new digest and say why.
 """
 
@@ -51,6 +54,10 @@ DIGESTS = {
         (0, "ccd9d4e90893629de5f727f0dbec1073c0f327f7234b9ab905069b02ed4badb1"),
     "tc corpus:H -n 4":
         (0, "e6d1b7ad9dfcecd6550291d953f82ef8fc03681349d2a294e74f74cd658950bd"),
+    "tc corpus:H -n 4 --m 6":
+        (0, "dfd9a5751ccc36c28e78a38c2686a6ce6e502817244aa0814949e96c12bbd1fe"),
+    "genus corpus:interval:2 -n 2 --m 2":
+        (0, "f42404f95e891302e403d765ba5277b6bee9220a678e8dd7c553836f3c595893"),
     "group-product corpus:Hrot corpus:Hrot":
         (0, "1d09fbf25f96b190b24ef78f44ed9cc421d2b3ffcccf8fb48a1191ee0f7213ce"),
     "group-check corpus:Hrot":
