@@ -5,13 +5,20 @@ product, each admitting a continuous section of the endpoint evaluation
 e_n (a motion planning rule: endpoints in, wedge of paths out, varying by
 at most a step when the endpoints do).
 
-Routes, by size:
+Routes, in the order `tc_n` tries them:
+  * n = 1: standing still is one global section;
+  * contractible bases: one global section whose arms replay the
+    contraction of the base backwards from its collapse point;
   * tiny products: exact — admissibility of a piece is decided by a
     backtracking section search over materialized fibers;
   * group-bearing bases: the translation construction turns a categorical
-    cover of the base into explicit verified sections, one piece per
-    (n-1)-tuple of cover pieces, giving an upper bound with witnesses;
+    cover of the base into explicit sections, one piece per (n-1)-tuple
+    of cover pieces, giving an upper bound with witnesses;
   * the category of the base bounds every TC_n from below.
+
+Every arm that runs a track backwards comes from `_replay`, and every
+section a proof backs (standing still, the contraction, the translation
+pieces, `product_of_sections`) passes the one certifier `_certify`.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap, backtrack
-from .pathspace import EndpointFibration, PairedFibration, Wedge
+from .pathspace import EndpointFibration, PairedFibration, Path, Wedge
 from .groups import CayleyTable, is_topological_group
 
 # most wedges find_section materializes per fiber before it gives up
@@ -42,6 +49,10 @@ class TheoremViolation(Exception):
     """A construction that is guaranteed by a proved statement failed its
     verification — this signals a bug, never a legitimate outcome, so it
     is loud and carries the evidence."""
+
+
+class ArmTooShort(ValueError):
+    """The arm length is below what a proved construction needs."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,30 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
             return False, (f"section jumps across the edge {a} ~ {b}: "
                            f"assigned wedges are not within one step")
     return True, None
+
+
+def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
+    """Verify each section of a proved construction once and check that
+    together they cover the product. Any failure is a bug, so it raises
+    TheoremViolation naming the construction."""
+    for sw in sections:
+        ok, why = verify_section(fib, sw)
+        if not ok:
+            raise TheoremViolation(
+                f"{what}: a section failed verification: {why}")
+    covered = {u for sw in sections for u in sw.piece}
+    missing = [u for u in fib.product.points if u not in covered]
+    if missing:
+        raise TheoremViolation(
+            f"{what}: the pieces miss the product point {missing[0]}")
+
+
+def _replay(track: Sequence[dict[Point, Point]], p: Point, m: int) -> Path:
+    """The arm of length m that runs the track backwards to p: at tick t
+    it takes stage min(m - t, last), so an arm longer than the track
+    waits at the track's end point first."""
+    last = len(track) - 1
+    return tuple(track[min(m - t, last)][p] for t in range(m + 1))
 
 
 def find_section(fib: EndpointFibration,
@@ -165,43 +200,6 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
     return SectionWitness(pts, tuple(fib.wedge.constant_wedge(u) for u in pts))
 
 
-def contraction_section(base: DigitalImage, n: int, m: int | None = None,
-                        mode: str = "pointwise",
-                        node_budget: int | None = 2_000_000,
-                        ) -> Optional[tuple[SectionWitness, int]]:
-    """Global section over the whole product from a contraction of the base:
-    every arm replays the contraction track of its endpoint, backwards from
-    the common collapse point. Returns (witness, arm length) or None when
-    the base is not contractible, the requested arm length is too short, or
-    (in strong mode, where the argument is not available) the candidate
-    fails verification."""
-    w = contraction(base, node_budget)
-    if w is None:
-        return None
-    steps = w.steps
-    if m is not None and m < steps:
-        return None
-    m_used = steps if m is None else m
-    track = [dict(zip(base.points, st.values)) for st in w.stages]
-
-    def arm(p: Point) -> tuple[Point, ...]:
-        return tuple(track[min(m_used - t, steps)][p] for t in range(m_used + 1))
-
-    fib = EndpointFibration(base, n, m_used, mode)
-    pts = fib.product.points
-    wedges = []
-    for u in pts:
-        wedges.append(tuple(arm(p) for p in fib.split(u)))
-    sw = SectionWitness(pts, tuple(wedges))
-    ok, why = verify_section(fib, sw)
-    if not ok:
-        if mode == "pointwise":
-            raise TheoremViolation(
-                f"contraction-built global section failed verification: {why}")
-        return None
-    return sw, m_used
-
-
 # ---- the group construction ----
 
 def _piece_tracks(base: DigitalImage, table: CayleyTable, piece: Subset,
@@ -248,12 +246,12 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
     """Upper bound on TC_n from a group structure: every categorical cover
     piece M of the base yields a piece {(g, g*m_1, ..., g*m_{n-1})} of the
     product with an explicit section — walk each coordinate back along the
-    translated contraction of its M. Returns (piece count, verified
+    translated contraction of its M. Returns (piece count, certified
     witnesses, arm length used).
 
     The base must be connected and the table a verified topological group;
-    every returned section is re-verified, and a verification failure
-    raises TheoremViolation since the construction is backed by proof.
+    an arm length below the longest piece's shortest track raises
+    ArmTooShort, a ValueError.
     """
     if n < 2:
         raise ValueError("the group construction is for n >= 2")
@@ -285,69 +283,37 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
                              f"base; not a categorical cover")
         tracks.append(cands)
 
-    if m is None:
-        chosen = [c[0] for c in tracks]
-        m_used = max(t[0] for t in chosen)
-    else:
-        chosen = []
-        for s, cands in zip(pieces, tracks):
-            fit = next((t for t in cands if t[0] <= m), None)
-            if fit is None:
-                need = min(t[0] for t in cands)
-                raise ValueError(
-                    f"arm length {m} is too short: piece {s} needs at "
-                    f"least {need}")
-            chosen.append(fit)
-        m_used = m
-
+    # candidates come sorted by length, so each piece's first is its shortest
+    need = max(cands[0][0] for cands in tracks)
+    if m is not None and m < need:
+        raise ArmTooShort(f"arm length {m} is too short: the translation "
+                          f"sections need at least {need}")
+    m_used = need if m is None else m
+    chosen = [next(t for t in cands if t[0] <= m_used)[2] for cands in tracks]
     fib = EndpointFibration(base, n, m_used, mode)
-    e = table.identity
 
-    def gamma(track: list[dict[Point, Point]], mp: Point, t: int) -> Point:
-        # value of the extended contraction at time t, padded with the
-        # identity beyond its own length
-        if t < len(track):
-            return track[t][mp]
-        return e
-
-    # per base point x, cover piece i and point mp of it: the endpoint x*mp
-    # and the arm walking back along x times the track of piece i
+    # per base point x and cover piece: each translated endpoint x*mp maps
+    # to its arm, x times the piece's track replayed back to mp (every
+    # track ends at the identity, so the arm starts at x)
     translated = {
-        x: [[(table.product(x, mp),
-              tuple(table.product(x, gamma(chosen[i][2], mp, m_used - t))
-                    for t in range(m_used + 1)))
-             for mp in piece] for i, piece in enumerate(pieces)]
+        x: [{table.product(x, mp): tuple(table.product(x, q)
+                                         for q in _replay(track, mp, m_used))
+             for mp in piece} for piece, track in zip(pieces, chosen)]
         for x in base.points}
 
     witnesses = []
     for combo in itertools.product(range(len(pieces)), repeat=n - 1):
-        upts = []
-        assign = {}
+        assign: dict[Point, Wedge] = {}
         for x in base.points:
-            still = tuple([x] * (m_used + 1))
-            for ends in itertools.product(*(translated[x][i] for i in combo)):
-                u = x
-                for y, _ in ends:
-                    u = u + y
-                if u not in assign:
-                    upts.append(u)
-                    assign[u] = (still,) + tuple(arm for _, arm in ends)
-        upts.sort()
-        sw = SectionWitness(tuple(upts), tuple(assign[u] for u in upts))
-        ok, why = verify_section(fib, sw)
-        if not ok:
-            raise TheoremViolation(
-                f"translation section over cover pieces "
-                f"{[pieces[i] for i in combo]} failed verification: {why}")
-        witnesses.append(sw)
-
-    covered = set()
-    for sw in witnesses:
-        covered.update(sw.piece)
-    missing = [u for u in fib.product.points if u not in covered]
-    if missing:
-        raise TheoremViolation(
-            f"translation pieces miss the product point {missing[0]}")
+            still = (x,) * (m_used + 1)
+            for ends in itertools.product(
+                    *(translated[x][i].items() for i in combo)):
+                assign.setdefault(sum((y for y, _ in ends), x),
+                                  (still,) + tuple(arm for _, arm in ends))
+        upts = sorted(assign)
+        witnesses.append(SectionWitness(tuple(upts),
+                                        tuple(assign[u] for u in upts)))
+    _certify(fib, witnesses, "translation construction")
     return len(witnesses), tuple(witnesses), m_used
 
 
@@ -359,12 +325,14 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
          node_budget: int | None = 2_000_000) -> BoundResult:
     """Best available bracket on TC_n, exact when the routes meet.
 
-    n = 1 is settled by the stand-still section. Products within
-    `covers.SWEEP_LIMIT` points get the exact sweep. Otherwise the bracket
-    combines the category lower bound (for bases within the limit) with
-    the group-construction upper bound when a table is supplied, which
-    translates the supplied cover or else the minimum categorical cover
-    behind the lower bound.
+    n = 1 is settled by the stand-still section, and a contractible base
+    by one global section replaying its contraction, when the arm length
+    allows it. Products within `covers.SWEEP_LIMIT` points get the exact
+    sweep. Otherwise the bracket combines the category lower bound (for
+    bases within the limit) with the group-construction upper bound when
+    a table is supplied, which translates the supplied cover or else the
+    minimum categorical cover behind the lower bound. A route the arm
+    length is too short for is skipped with a note.
     """
     if n < 1:
         raise ValueError("TC_n needs n >= 1")
@@ -378,24 +346,37 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         fib = EndpointFibration(base, 1, m if m is not None else base.diameter,
                                 mode)
         sw = constant_section(fib)
-        ok, why = verify_section(fib, sw)
-        if not ok:
-            raise AssertionError(f"constant section failed: {why}")
+        _certify(fib, (sw,), "standing-still section")
         return BoundResult(1, 1, (sw,),
                            ("standing still is a global plan over one piece",))
 
     notes: list[str] = []
     try:
-        shortcut = contraction_section(base, n, m, mode, node_budget)
+        w = contraction(base, node_budget)
     except BudgetExhausted as err:
-        shortcut = None
+        w = None
         notes.append(f"contractible-base route skipped, budget exhausted: "
                      f"{err}")
-    if shortcut is not None:
-        sw, m_used = shortcut
-        return BoundResult(1, 1, (sw,),
-                           (f"contractible base: one global section at arm "
-                            f"length {m_used}",))
+    if w is not None and m is not None and m < w.steps:
+        notes.append(f"contractible-base route skipped: the contraction "
+                     f"takes {w.steps} steps, more than the arm length {m}")
+    elif w is not None:
+        # every arm replays the contraction back from the collapse point
+        m_used = w.steps if m is None else m
+        fib = EndpointFibration(base, n, m_used, mode)
+        track = [dict(zip(base.points, st.values)) for st in w.stages]
+        pts = fib.product.points
+        sw = SectionWitness(pts, tuple(
+            tuple(_replay(track, p, m_used) for p in fib.split(u))
+            for u in pts))
+        # proved for the pointwise relation only: a strong-mode candidate
+        # that fails verification falls through to the next route
+        if mode == "pointwise":
+            _certify(fib, (sw,), "contraction section")
+        if mode == "pointwise" or verify_section(fib, sw)[0]:
+            return BoundResult(1, 1, (sw,),
+                               (f"contractible base: one global section at "
+                                f"arm length {m_used}",))
 
     if len(base.points) ** n <= covers.SWEEP_LIMIT:
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,
@@ -419,11 +400,13 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     else:
         notes.append("lower stays 1: base too large for the exact category")
     if table is not None and mode == "pointwise":
-        k, ws, m_used = tc_upper_via_group(base, table, n, cover, m, mode,
-                                           node_budget)
-        upper = k
-        witness = ws
-        notes.append(f"upper {k}: translation sections at arm length {m_used}")
+        try:
+            upper, witness, m_used = tc_upper_via_group(
+                base, table, n, cover, m, mode, node_budget)
+            notes.append(f"upper {upper}: translation sections at arm "
+                         f"length {m_used}")
+        except ArmTooShort as err:
+            notes.append(f"group route unavailable: {err}")
     elif table is not None:
         notes.append("group route unavailable: the translation construction "
                      "covers the pointwise relation only")
@@ -457,7 +440,7 @@ def product_of_sections(pair: PairedFibration,
     """Sections for the product fibration from sections of the factors.
 
     Every product of a left piece with a right piece gets the pairwise
-    section; each result is re-verified from scratch rather than trusted.
+    section; the results are certified from scratch rather than trusted.
     The list covers the product base whenever the inputs cover theirs,
     so its length witnesses genus(left x right) <= (pieces) <= any bound
     the caller wants to draw from the factor counts."""
@@ -469,17 +452,6 @@ def product_of_sections(pair: PairedFibration,
             piece = tuple(ul + ur for ul in sl.piece for ur in sr.piece)
             wedges = tuple((at_l[ul], at_r[ur])
                            for ul in sl.piece for ur in sr.piece)
-            sw = SectionWitness(piece, wedges)
-            ok, why = verify_section(pair, sw)
-            if not ok:
-                raise TheoremViolation(
-                    f"product of verified sections fails to verify: {why}")
-            out.append(sw)
-    covered = set()
-    for sw in out:
-        covered.update(sw.piece)
-    missing = [u for u in pair.product.points if u not in covered]
-    if missing:
-        raise TheoremViolation(
-            f"product cover misses {len(missing)} point(s), first {missing[0]}")
+            out.append(SectionWitness(piece, wedges))
+    _certify(pair, out, "product of sections")
     return out

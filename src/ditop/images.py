@@ -366,11 +366,12 @@ def power_image(x: DigitalImage, n: int, mode: str = "min",
     """The n-fold product X^n (left associated), n >= 1."""
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
+    if n == 1:
+        return DigitalImage(x.points, x.adjacency, label) if label else x
     out = x
-    for _ in range(n - 1):
-        out = product_image(out, x, mode)
-    if label:
-        out = DigitalImage(out.points, out.adjacency, label)
+    for k in range(2, n + 1):
+        # only the last product carries the label
+        out = product_image(out, x, mode, label if k == n else "")
     return out
 
 

@@ -177,6 +177,27 @@ def test_tc_rejects_a_negative_arm_length(capsys):
         assert "error: arm length cannot be negative" in err
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_tc_notes_an_arm_length_too_short_for_the_group_route(capsys, n):
+    # arms of length 3 reach every endpoint tuple, so the category still
+    # bounds TC_n from below; the translation sections need 4
+    code, out, err = run(capsys, "tc", "corpus:H", "-n", n, "--m", "3")
+    assert code == 0
+    assert "tc_lower: 2\ntc_upper: ?\n" in out
+    assert ("note: group route unavailable: arm length 3 is too short: the "
+            "translation sections need at least 4\n") in out
+    assert "error" not in err
+
+
+def test_tc_notes_an_arm_length_too_short_for_the_contraction(capsys):
+    code, out, _ = run(capsys, "tc", "corpus:interval:3", "-n", "2",
+                       "--m", "2")
+    assert code == 0
+    assert "tc_lower: 1\ntc_upper: ?\n" in out
+    assert ("note: contractible-base route skipped: the contraction takes 3 "
+            "steps, more than the arm length 2\n") in out
+
+
 def test_group_check_exit_codes(capsys):
     code, out, _ = run(capsys, "group-check", "corpus:Hrot")
     assert code == 0

@@ -187,7 +187,8 @@ def test_product_of_sections_rejects_a_non_covering_family():
     _, wl = schwarz_genus(left)
     half = SectionWitness(wl[0].piece[:1], wl[0].wedges[:1])
     pair = PairedFibration(left, right)
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation, match="product of sections: the "
+                                               "pieces miss the product point"):
         product_of_sections(pair, (half,), wl)
 
 
@@ -307,3 +308,85 @@ def test_every_finite_upper_bound_has_that_many_witness_pieces():
     for r in results:
         if r.upper is not None:
             assert len(r.witness) == r.upper, r.notes
+
+
+# ---- the one certifier: every proved construction fails loudly ----
+
+def _rotated(sw: SectionWitness) -> SectionWitness:
+    """The section with its wedges moved one point along the piece, so
+    some wedge ends away from its point."""
+    return SectionWitness(sw.piece, sw.wedges[1:] + sw.wedges[:1])
+
+
+def _reversed_replay(monkeypatch):
+    """Make every replayed arm run forwards, from its point to the end of
+    the track: such arms end at the wrong point."""
+    replay = complexity._replay
+    monkeypatch.setattr(complexity, "_replay",
+                        lambda track, p, m: replay(track, p, m)[::-1])
+
+
+def test_a_standing_still_section_that_fails_raises_theorem_violation(
+        monkeypatch):
+    constant = complexity.constant_section
+    monkeypatch.setattr(complexity, "constant_section",
+                        lambda fib: _rotated(constant(fib)))
+    with pytest.raises(TheoremViolation, match="standing-still section: a "
+                                               "section failed verification"):
+        tc_n(interval_image(0, 2), 1)
+
+
+def test_a_contraction_section_that_fails_raises_theorem_violation(
+        monkeypatch):
+    _reversed_replay(monkeypatch)
+    with pytest.raises(TheoremViolation, match="contraction section: a "
+                                               "section failed verification"):
+        tc_n(interval_image(0, 3), 2)
+
+
+def test_translation_sections_that_fail_raise_theorem_violation(monkeypatch):
+    loop, table, cover = loop_bundle()
+    _reversed_replay(monkeypatch)
+    with pytest.raises(TheoremViolation, match="translation construction: a "
+                                               "section failed verification"):
+        tc_upper_via_group(loop, table, 2, cover)
+    with pytest.raises(TheoremViolation, match="translation construction"):
+        tc_n(loop, 3, table, cover)
+
+
+def test_a_product_of_sections_that_fails_raises_theorem_violation():
+    seg = interval_image(0, 1)
+    left = EndpointFibration(seg, 1, 1)
+    _, wl = schwarz_genus(left)
+    pair = PairedFibration(left, left)
+    with pytest.raises(TheoremViolation, match="product of sections: a "
+                                               "section failed verification"):
+        product_of_sections(pair, (_rotated(wl[0]),), wl)
+
+
+def test_a_strong_mode_contraction_candidate_falls_through(monkeypatch):
+    # the strong step relation has no proof behind the contraction route:
+    # its candidate on the 4-point interval fails once, silently
+    calls = []
+    verify = complexity.verify_section
+
+    def counting(fib, sw):
+        calls.append(sw)
+        return verify(fib, sw)
+
+    monkeypatch.setattr(complexity, "verify_section", counting)
+    r = tc_n(interval_image(0, 3), 2, mode="strong")
+    assert (r.lower, r.upper) == (1, None)
+    assert not any("contractible base" in note for note in r.notes)
+    assert len(calls) == 1 and not verify(
+        EndpointFibration(interval_image(0, 3), 2, 3, "strong"), calls[0])[0]
+
+
+def test_the_group_route_refuses_a_short_arm_with_a_value_error():
+    loop, table, cover = loop_bundle()
+    with pytest.raises(ValueError, match="arm length 3 is too short: the "
+                                         "translation sections need at "
+                                         "least 4"):
+        tc_upper_via_group(loop, table, 2, cover, m=3)
+    r = tc_n(loop, 2, table, cover, m=3)
+    assert (r.lower, r.upper, r.witness) == (2, None, None)

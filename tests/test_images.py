@@ -150,6 +150,24 @@ def test_power_image_matches_iterated_products():
     assert set(cubed.edges()) == set(manual.edges())
 
 
+def test_power_image_builds_each_product_once_and_labels_the_last(
+        monkeypatch):
+    seg = interval_image(0, 1)
+    built = []
+    post_init = DigitalImage.__post_init__
+
+    def counting(self):
+        built.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(DigitalImage, "__post_init__", counting)
+    cubed = power_image(seg, 3, "min", "cube")
+    assert cubed.label == "cube" and built[-1] == "cube"
+    assert len(built) == 2
+    assert power_image(seg, 1) is seg
+    assert power_image(seg, 1, label="one").label == "one"
+
+
 def test_induced_subimage_keeps_exactly_the_inner_edges():
     seg = interval_image(0, 4)
     sub = induced_subimage(seg, [(0,), (1,), (3,)])

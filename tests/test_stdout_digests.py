@@ -17,8 +17,13 @@ recorded at the commit before `nullhomotopy` settled folded domains on
 their cores. `tc corpus:H -n 4 --m 6` (translated arms padded past each
 track's length) and `genus corpus:interval:2 -n 2 --m 2` (pointwise
 two-arm step masks) were recorded at the commit before the wedge step
-relation was decided arm by arm. A digest changes only with the bytes of the report; when a
-change means to alter them, record the new digest and say why.
+relation was decided arm by arm. The proved one-piece routes of `tc`
+(standing still for n = 1, the contractible base in pointwise mode and
+its strong-mode fall-through, arms padded past the contraction, three
+arms) were recorded at the commit before every proved section went
+through one arm formula and one certifier. A digest changes only with
+the bytes of the report; when a change means to alter them, record the
+new digest and say why.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ DIGESTS = {
         (0, "dfd9a5751ccc36c28e78a38c2686a6ce6e502817244aa0814949e96c12bbd1fe"),
     "genus corpus:interval:2 -n 2 --m 2":
         (0, "f42404f95e891302e403d765ba5277b6bee9220a678e8dd7c553836f3c595893"),
+    "tc corpus:interval:3 -n 2":
+        (0, "2ff637d5d0d9f26b0973737c27cc36bd9391acbe13b9107e78db2ee1eca8d069"),
+    "tc corpus:interval:3 -n 2 --mode strong":
+        (0, "4235dd86e729e6b840401c49c22cf509bd84e677a0d217a434f6e3ae348dc940"),
+    "tc corpus:z2window:0:1:0:2 -n 2 --m 4":
+        (0, "da2bf97fd0353004a15c2118c642da4586da9ca546da29c3079770d7d1e8e16e"),
+    "tc corpus:cycle:4 -n 3":
+        (0, "b71803b4bde02aa3ecf52eb859f43a8d958ca05104a61bf5c9d80cd4620cc7fd"),
+    "tc corpus:H -n 1 --m 3":
+        (0, "2fa97f2ad66bce6200ffa9d038351bf6d971c73a0a3036e96832f69f68d69444"),
     "group-product corpus:Hrot corpus:Hrot":
         (0, "1d09fbf25f96b190b24ef78f44ed9cc421d2b3ffcccf8fb48a1191ee0f7213ce"),
     "group-check corpus:Hrot":
