@@ -30,10 +30,11 @@ from .groups import (WindowGroup, is_top_homomorphism,
                      scan_group_structures, product_group,
                      window_group_report, window_hom_report)
 from .homotopy import BudgetExhausted, are_homotopic, contraction
-from .images import CK, DigitalImage, Explicit, interval_image
+from .images import (CK, DigitalImage, Explicit, induced_subimage,
+                     interval_image)
 from .knownvalues import run_reference_rows
 from .maps import DigitalMap, continuity_violation
-from .pathspace import EndpointFibration, product_mode
+from .pathspace import EndpointFibration
 from .report import Report, digest_file, digest_text
 
 # window-group homomorphisms need a rule for every point the operations
@@ -165,7 +166,7 @@ def cmd_cat(args, rep: Report) -> int:
         [piece.points for piece in w.pieces])
     for k, piece in enumerate(w.pieces):
         rep.witnesses[f"piece{k}.img"] = serialize_image(
-            img.induced(piece.points))
+            induced_subimage(img, piece.points))
         rep.witnesses[f"piece{k}.contraction"] = serialize_homotopy(
             piece.contraction, f"piece{k}.img", "image.img")
     return 0
@@ -185,14 +186,14 @@ def cmd_tc(args, rep: Report) -> int:
                          "m": args.m if args.m is not None else "auto",
                          "n": args.n})
     r = tc_n(img, args.n, table=table, cover=cover, m=args.m,
-             mode=args.mode, node_budget=args.budget)
+             strong=args.mode == "strong", node_budget=args.budget)
     rep.notes.extend(r.notes)
     if r.exact:
         rep.results["tc"] = r.value
     else:
         rep.results["tc_lower"] = r.lower
         rep.results["tc_upper"] = r.upper if r.upper is not None else "?"
-        if args.precision == "exact":
+        if args.exact:
             raise ValueError(
                 f"exact value not settled: bounds [{r.lower}, "
                 f"{r.upper if r.upper is not None else '?'}]")
@@ -212,7 +213,8 @@ def cmd_genus(args, rep: Report) -> int:
     rep.settings.update({"mode": args.mode, "m": m, "n": args.n})
     if args.m is None:
         rep.notes.append(f"arm length defaulted to the diameter {m}")
-    k, wits = schwarz_genus(EndpointFibration(img, args.n, m, args.mode))
+    k, wits = schwarz_genus(EndpointFibration(
+        img, args.n, m, strong=args.mode == "strong"))
     rep.results["genus"] = k
     rep.witnesses["sections"] = serialize_sections(wits, args.n, m)
     return 0
@@ -220,9 +222,10 @@ def cmd_genus(args, rep: Report) -> int:
 
 def cmd_group_check(args, rep: Report) -> int:
     obj, rep.inputs[args.group] = _group_from_ref(args.group)
-    mode = rep.settings["product"] = product_mode(args.mode)
+    strong = args.mode == "strong"
+    rep.settings["product"] = "strong" if strong else "min"
     if isinstance(obj, WindowGroup):
-        r = window_group_report(obj, mode)
+        r = window_group_report(obj, strong=strong)
         rep.results["window"] = r.label
         rep.results["ok_on_window"] = r.ok_on_window
         rep.results["alpha_checked"] = r.alpha_checked
@@ -237,7 +240,7 @@ def cmd_group_check(args, rep: Report) -> int:
                 str(p) for p in r.inverse_missing)
         rep.notes.extend(r.notes)
         return 0 if r.ok_on_window else 2
-    v = is_topological_group(obj, mode)
+    v = is_topological_group(obj, strong=strong)
     # axiom failures carry no edge, continuity failures always carry one
     rep.results["group_axioms"] = v.ok or bool(v.alpha_edge or v.beta_edge)
     rep.results["topological"] = v.ok
@@ -253,6 +256,9 @@ def cmd_group_check(args, rep: Report) -> int:
 
 
 def cmd_group_scan(args, rep: Report) -> int:
+    if args.p is not None and args.image:
+        raise ValueError(f"group-scan takes -p <points> or an image, not "
+                         f"both: -p {args.p} and {args.image}")
     if args.p is not None:
         img = interval_image(0, args.p - 1)
         ref = f"interval:0:{args.p - 1}"
@@ -263,8 +269,9 @@ def cmd_group_scan(args, rep: Report) -> int:
     else:
         raise ValueError("group-scan wants -p <points> or an image")
     rep.inputs[ref] = dig
-    mode = rep.settings["product"] = product_mode(args.mode)
-    res = scan_group_structures(img, mode=mode)
+    strong = args.mode == "strong"
+    rep.settings["product"] = "strong" if strong else "min"
+    res = scan_group_structures(img, strong=strong)
     rep.results["structures"] = res.total
     rep.results["topological"] = res.topological_count
     rep.results["summary"] = (f"{res.total} structures, "
@@ -291,9 +298,10 @@ def cmd_group_product(args, rep: Report) -> int:
     if isinstance(a, WindowGroup) or isinstance(b, WindowGroup):
         raise ValueError("group-product works on finite tables, not windows")
     rep.inputs.update({args.group1: dig1, args.group2: dig2})
-    mode = rep.settings["product"] = product_mode(args.mode)
-    prod = product_group(a, b, mode)
-    v = is_topological_group(prod, mode)
+    strong = args.mode == "strong"
+    rep.settings["product"] = "strong" if strong else "min"
+    prod = product_group(a, b, strong=strong)
+    v = is_topological_group(prod, strong=strong)
     rep.results["points"] = len(prod.image.points)
     rep.results["topological"] = v.ok
     if v.failures:
@@ -321,7 +329,7 @@ def cmd_hom_check(args, rep: Report) -> int:
                 f"window groups need a built-in rule; known: "
                 f"{', '.join(sorted(WINDOW_FUNCTIONS))}")
         rep.inputs[args.map] = digest_text(f"window function {name}")
-        r = window_hom_report(src, dst, fn, name)
+        r = window_hom_report(src, dst, fn)
         rep.results["pairs_checked"] = r.pairs_checked
         rep.results["homomorphism"] = r.is_homomorphism
         rep.results["injective_on_window"] = r.injective_on_window
@@ -417,14 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=2_000_000,
                            help="node budget for searches")
 
-    def precision(p):
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--exact", dest="precision", action="store_const",
-                       const="exact", help="insist on an exact value")
-        g.add_argument("--bounds", dest="precision", action="store_const",
-                       const="bounds", help="settle for cheap bounds")
-        p.set_defaults(precision=None)
-
     def mode(p, what=None):
         p.add_argument("--mode", choices=["pointwise", "strong"],
                        default="pointwise", help=what)
@@ -448,7 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cat", help="digital Lusternik-Schnirelmann category")
     p.add_argument("image")
-    precision(p)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--exact", dest="precision", action="store_const",
+                   const="exact", help="insist on an exact value")
+    g.add_argument("--bounds", dest="precision", action="store_const",
+                   const="bounds", help="settle for cheap bounds")
     common(p)
 
     p = sub.add_parser("tc", help="higher topological complexity TC_n")
@@ -456,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=2, help="number of stops")
     p.add_argument("--m", type=int, default=None, help="arm length")
     mode(p, "wedge step relation")
-    precision(p)
+    p.add_argument("--exact", action="store_true",
+                   help="insist on an exact value")
     common(p)
 
     p = sub.add_parser("genus", help="section count of the endpoint map")

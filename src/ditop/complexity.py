@@ -202,18 +202,18 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
 
 # ---- the group construction ----
 
-def _piece_tracks(base: DigitalImage, table: CayleyTable, piece: Subset,
-                  node_budget: int | None = 2_000_000,
-                  ) -> list[tuple[int, Point, list[dict[Point, Point]]]]:
-    """Candidate "retraction tracks" for one cover piece: a nullhomotopy of
-    its inclusion to a constant target, extended by a walk from the target
-    to the group identity. Returns (total steps, target, stages) sorted by
-    (total, target); stages are value dictionaries per time tick.
+def _piece_track(base: DigitalImage, table: CayleyTable, piece: Subset,
+                 node_budget: int | None = 2_000_000,
+                 ) -> Optional[tuple[int, Point, list[dict[Point, Point]]]]:
+    """The shortest "retraction track" for one cover piece: a nullhomotopy
+    of its inclusion to a constant target, extended by a walk from the
+    target to the group identity. Returns (total steps, target, stages),
+    least by (total, target); stages are value dictionaries per time tick.
 
     Slide candidates come first; if none exists the exact search runs per
-    target. The list is never empty for a genuinely contractible-in-base
-    piece (the exact search settles it), and an empty list means the piece
-    is not admissible at all."""
+    target. A genuinely contractible-in-base piece always has a track (the
+    exact search settles it), and None means the piece is not admissible
+    at all."""
     e = table.identity
     sub = induced_subimage(base, piece)
     incl = DigitalMap.inclusion(sub, base)
@@ -234,13 +234,12 @@ def _piece_tracks(base: DigitalImage, table: CayleyTable, piece: Subset,
             w = nullhomotopy(incl, targets=(c,), node_budget=node_budget)
             if w is not None:
                 out.append(to_track(w))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    return min(out, key=lambda t: (t[0], t[1]), default=None)
 
 
 def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
                        cover: Sequence[Subset] | None = None,
-                       m: int | None = None, mode: str = "pointwise",
+                       m: int | None = None, *,
                        node_budget: int | None = 2_000_000,
                        ) -> tuple[int, tuple[SectionWitness, ...], int]:
     """Upper bound on TC_n from a group structure: every categorical cover
@@ -255,9 +254,6 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
     """
     if n < 2:
         raise ValueError("the group construction is for n >= 2")
-    if mode != "pointwise":
-        raise ValueError("the translation construction is backed by proof "
-                         "for the pointwise step relation only")
     if not base.is_connected:
         raise ValueError("the construction needs a connected base")
     if table.image != base:
@@ -277,20 +273,19 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 
     tracks = []
     for s in pieces:
-        cands = _piece_tracks(base, table, s, node_budget)
-        if not cands:
+        track = _piece_track(base, table, s, node_budget)
+        if track is None:
             raise ValueError(f"cover piece {s} admits no contraction in the "
                              f"base; not a categorical cover")
-        tracks.append(cands)
+        tracks.append(track)
 
-    # candidates come sorted by length, so each piece's first is its shortest
-    need = max(cands[0][0] for cands in tracks)
+    need = max(t[0] for t in tracks)
     if m is not None and m < need:
         raise ArmTooShort(f"arm length {m} is too short: the translation "
                           f"sections need at least {need}")
     m_used = need if m is None else m
-    chosen = [next(t for t in cands if t[0] <= m_used)[2] for cands in tracks]
-    fib = EndpointFibration(base, n, m_used, mode)
+    chosen = [t[2] for t in tracks]
+    fib = EndpointFibration(base, n, m_used)
 
     # per base point x and cover piece: each translated endpoint x*mp maps
     # to its arm, x times the piece's track replayed back to mp (every
@@ -320,8 +315,8 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 # ---- assembled bounds ----
 
 def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
-         cover: Sequence[Subset] | None = None, m: int | None = None,
-         mode: str = "pointwise",
+         cover: Sequence[Subset] | None = None, m: int | None = None, *,
+         strong: bool = False,
          node_budget: int | None = 2_000_000) -> BoundResult:
     """Best available bracket on TC_n, exact when the routes meet.
 
@@ -341,10 +336,10 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     if not base.is_connected:
         raise ValueError("complexity here is for connected images")
     if m is not None:
-        _require_surjective(EndpointFibration(base, n, m, mode))
+        _require_surjective(EndpointFibration(base, n, m, strong=strong))
     if n == 1:
         fib = EndpointFibration(base, 1, m if m is not None else base.diameter,
-                                mode)
+                                strong=strong)
         sw = constant_section(fib)
         _certify(fib, (sw,), "standing-still section")
         return BoundResult(1, 1, (sw,),
@@ -363,7 +358,7 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     elif w is not None:
         # every arm replays the contraction back from the collapse point
         m_used = w.steps if m is None else m
-        fib = EndpointFibration(base, n, m_used, mode)
+        fib = EndpointFibration(base, n, m_used, strong=strong)
         track = [dict(zip(base.points, st.values)) for st in w.stages]
         pts = fib.product.points
         sw = SectionWitness(pts, tuple(
@@ -371,16 +366,16 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
             for u in pts))
         # proved for the pointwise relation only: a strong-mode candidate
         # that fails verification falls through to the next route
-        if mode == "pointwise":
+        if not strong:
             _certify(fib, (sw,), "contraction section")
-        if mode == "pointwise" or verify_section(fib, sw)[0]:
+        if not strong or verify_section(fib, sw)[0]:
             return BoundResult(1, 1, (sw,),
                                (f"contractible base: one global section at "
                                 f"arm length {m_used}",))
 
     if len(base.points) ** n <= covers.SWEEP_LIMIT:
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,
-                                mode)
+                                strong=strong)
         k, ws = schwarz_genus(fib)
         notes.append("exact sweep over the product")
         return BoundResult(k, k, ws, tuple(notes))
@@ -399,10 +394,10 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                      f"bound for every TC_n, n >= 2")
     else:
         notes.append("lower stays 1: base too large for the exact category")
-    if table is not None and mode == "pointwise":
+    if table is not None and not strong:
         try:
             upper, witness, m_used = tc_upper_via_group(
-                base, table, n, cover, m, mode, node_budget)
+                base, table, n, cover, m, node_budget=node_budget)
             notes.append(f"upper {upper}: translation sections at arm "
                          f"length {m_used}")
         except ArmTooShort as err:
@@ -416,15 +411,16 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
 
 
 def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
-             cover: Sequence[Subset] | None = None, m: int | None = None,
-             mode: str = "pointwise",
+             cover: Sequence[Subset] | None = None, m: int | None = None, *,
+             strong: bool = False,
              node_budget: int | None = 2_000_000) -> list[BoundResult]:
     """TC_1 through TC_up_to, each lower bound raised to the one before it
     (TC never drops as n grows). Every finite upper bound is the one
     `tc_n` found, with its witness."""
     results: list[BoundResult] = []
     for k in range(1, up_to + 1):
-        r = tc_n(base, k, table, cover, m, mode, node_budget=node_budget)
+        r = tc_n(base, k, table, cover, m, strong=strong,
+                 node_budget=node_budget)
         if results and results[-1].lower > r.lower:
             lower = results[-1].lower
             r = BoundResult(lower, r.upper, r.witness, r.notes + (

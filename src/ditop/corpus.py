@@ -48,7 +48,7 @@ LOOP_ORDER = "b a h g f e d c".split()
 
 def loop_image() -> DigitalImage:
     """The eight-point loop in Z^2 with 4-adjacency."""
-    return DigitalImage(LOOP_LETTERS.values(), CK(1), label="H")
+    return DigitalImage(LOOP_LETTERS.values(), CK(1))
 
 
 def loop_letter(p: Point) -> str:
@@ -73,7 +73,7 @@ def loop_rotation_table() -> CayleyTable:
         tuple(LOOP_LETTERS[_LOOP_TABLE_ROWS[r].split()[
             "abcdefgh".index(col)]] for col in letters)
         for r in letters)
-    return CayleyTable(img, LOOP_LETTERS["b"], entries, label="Hrot")
+    return CayleyTable(img, LOOP_LETTERS["b"], entries)
 
 
 def reference_contractions() -> tuple[HomotopyWitness, HomotopyWitness]:
@@ -111,12 +111,12 @@ def reference_contractions() -> tuple[HomotopyWitness, HomotopyWitness]:
 
 def sign_image() -> DigitalImage:
     """{-1, 1} on the integer line; the two points are not 2-adjacent."""
-    return DigitalImage([(-1,), (1,)], CK(1), label="pm1")
+    return DigitalImage([(-1,), (1,)], CK(1))
 
 
 def sign_table() -> CayleyTable:
     return CayleyTable.from_function(
-        sign_image(), lambda x, y: (x[0] * y[0],), (1,), label="pm1mul")
+        sign_image(), lambda x, y: (x[0] * y[0],), (1,))
 
 
 def flip_table(m: int) -> CayleyTable:
@@ -124,10 +124,9 @@ def flip_table(m: int) -> CayleyTable:
 
     The product of equal elements is m, of distinct ones m+1 — so m is
     the identity and m+1 is its own inverse."""
-    img = interval_image(m, m + 1, label=f"flip:{m}")
+    img = interval_image(m, m + 1)
     return CayleyTable.from_function(
-        img, lambda x, y: (m,) if x == y else (m + 1,), (m,),
-        label=f"flip:{m}")
+        img, lambda x, y: (m,) if x == y else (m + 1,), (m,))
 
 
 def cycle_image(n: int) -> DigitalImage:
@@ -143,20 +142,20 @@ def cycle_image(n: int) -> DigitalImage:
         raise ValueError(f"no rectangular 4-cycle with {n} points")
     pts = [(x, y) for x in range(w + 1) for y in range(h + 1)
            if x in (0, w) or y in (0, h)]
-    return DigitalImage(pts, CK(1), label=f"cycle:{n}")
+    return DigitalImage(pts, CK(1))
 
 
 def point_image() -> DigitalImage:
-    return DigitalImage([(0,)], CK(1), label="point")
+    return DigitalImage([(0,)], CK(1))
 
 
 def z_window(lo: int, hi: int) -> DigitalImage:
-    return interval_image(lo, hi, label=f"zwindow:{lo}:{hi}")
+    return interval_image(lo, hi)
 
 
 def z2_window(x0: int, x1: int, y0: int, y1: int) -> DigitalImage:
     pts = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-    return DigitalImage(pts, CK(1), label=f"z2window:{x0}:{x1}:{y0}:{y1}")
+    return DigitalImage(pts, CK(1))
 
 
 def _c1_law(p: Point, q: Point) -> bool:
@@ -190,13 +189,13 @@ def mulwin_group(lo: int = 1, hi: int = 2) -> WindowGroup:
                        inv, (1,), f"mulwin:{lo}:{hi}", _c1_law)
 
 
-def sum_map(lo: int = 0, hi: int = 9, mode: str = "min") -> DigitalMap:
+def sum_map(lo: int = 0, hi: int = 9, *, strong: bool = False) -> DigitalMap:
     """Addition [lo,hi] x [lo,hi] -> [2lo, 2hi] as a finite digital map.
 
     Continuous when the square carries the minimum product adjacency;
     with the strong product, diagonal steps move the sum by two."""
     win = interval_image(lo, hi)
-    dom = product_image(win, win, mode)
+    dom = product_image(win, win, strong=strong)
     cod = interval_image(2 * lo, 2 * hi)
     return DigitalMap.from_mapping(
         dom, cod, {p: (p[0] + p[1],) for p in dom.points})
@@ -242,9 +241,9 @@ def get_image(name: str) -> DigitalImage:
     if head == "interval":
         if len(rest) == 1:
             (hi,) = _int_args(rest, 1, head)
-            return interval_image(0, hi, label=name)
+            return interval_image(0, hi)
         lo, hi = _int_args(rest, 2, head)
-        return interval_image(lo, hi, label=name)
+        return interval_image(lo, hi)
     if head == "cycle":
         (n,) = _int_args(rest, 1, head)
         return cycle_image(n)
@@ -297,7 +296,7 @@ def get_map(name: str) -> DigitalMap:
             return sum_map()
         if rest[-1] in ("min", "strong"):
             lo, hi = _int_args(rest[:-1], 2, head)
-            return sum_map(lo, hi, rest[-1])
+            return sum_map(lo, hi, strong=rest[-1] == "strong")
         lo, hi = _int_args(rest, 2, head)
         return sum_map(lo, hi)
     if head == "proj1":
@@ -308,4 +307,4 @@ def get_map(name: str) -> DigitalMap:
     if head == "pm1embed" and not rest:
         return sign_embedding()
     raise UnknownCorpusName(f"unknown corpus map {name!r}; have: "
-                            f"sum:lo:hi:mode, proj1:x0:x1:y0:y1, pm1embed")
+                            f"sum:lo:hi:min|strong, proj1:x0:x1:y0:y1, pm1embed")

@@ -41,7 +41,6 @@ class CayleyTable:
     image: DigitalImage
     identity: Point
     entries: tuple[tuple[Point, ...], ...]
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         n = len(self.image.points)
@@ -56,10 +55,10 @@ class CayleyTable:
 
     @staticmethod
     def from_function(image: DigitalImage, op: Callable[[Point, Point], Point],
-                      identity: Point, label: str = "") -> "CayleyTable":
+                      identity: Point) -> "CayleyTable":
         rows = tuple(tuple(tuple(op(a, b)) for b in image.points)
                      for a in image.points)
-        return CayleyTable(image, identity, rows, label)
+        return CayleyTable(image, identity, rows)
 
     @cached_property
     def grid(self) -> tuple[tuple[int, ...], ...]:
@@ -86,7 +85,7 @@ class CayleyTable:
 
         Product points run row-major over (a, b), as the entries do."""
         values = tuple(v for row in self.entries for v in row)
-        return DigitalMap(prod, self.image, values, "mul")
+        return DigitalMap(prod, self.image, values)
 
     def inversion_map(self) -> DigitalMap:
         vals = []
@@ -95,7 +94,7 @@ class CayleyTable:
             if q is None:
                 raise ValueError(f"{p} has no inverse")
             vals.append(q)
-        return DigitalMap(self.image, self.image, tuple(vals), "inv")
+        return DigitalMap(self.image, self.image, tuple(vals))
 
 
 def verify_cayley(table: CayleyTable) -> list[str]:
@@ -145,15 +144,15 @@ class GroupVerdict:
     beta_edge: Optional[tuple[Point, Point]] = None
 
 
-def is_topological_group(table: CayleyTable,
-                         mode: str = "min") -> GroupVerdict:
+def is_topological_group(table: CayleyTable, *,
+                         strong: bool = False) -> GroupVerdict:
     """Group axioms plus continuity of multiplication (on the min-product
     by default) and of inversion."""
     failures = verify_cayley(table)
     if failures:
         return GroupVerdict(False, tuple(failures))
     return _continuity_verdict(
-        table, product_image(table.image, table.image, mode))
+        table, product_image(table.image, table.image, strong=strong))
 
 
 def _continuity_verdict(table: CayleyTable,
@@ -263,10 +262,10 @@ class ScanResult:
         return len(self.topological)
 
 
-def scan_group_structures(image: DigitalImage,
-                          mode: str = "min") -> ScanResult:
+def scan_group_structures(image: DigitalImage, *,
+                          strong: bool = False) -> ScanResult:
     """Enumerate all group structures and test each for continuity."""
-    prod = product_image(image, image, mode)
+    prod = product_image(image, image, strong=strong)
     good = []
     bad = []
     total = 0
@@ -282,17 +281,16 @@ def scan_group_structures(image: DigitalImage,
 
 # ---- derived structures ----
 
-def product_group(a: CayleyTable, b: CayleyTable, mode: str = "min",
-                  label: str = "") -> CayleyTable:
+def product_group(a: CayleyTable, b: CayleyTable, *,
+                  strong: bool = False) -> CayleyTable:
     """Componentwise product structure on the product image."""
-    prod = product_image(a.image, b.image, mode,
-                         label or f"{a.label or 'G'}x{b.label or 'H'}")
+    prod = product_image(a.image, b.image, strong=strong)
     d = a.image.dim
 
     def op(u: Point, v: Point) -> Point:
         return (a.product(u[:d], v[:d]) + b.product(u[d:], v[d:]))
 
-    return CayleyTable.from_function(prod, op, a.identity + b.identity, label)
+    return CayleyTable.from_function(prod, op, a.identity + b.identity)
 
 
 def subgroup_check(table: CayleyTable, subset: Sequence[Point],
@@ -395,7 +393,8 @@ class WindowReport:
                 and not self.inverse_missing)
 
 
-def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
+def window_group_report(wg: WindowGroup, *,
+                        strong: bool = False) -> WindowReport:
     """Continuity of the operation and inversion over one finite window.
 
     Every product edge is compared under the global law — values that
@@ -411,7 +410,7 @@ def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
     def close(p: Point, q: Point) -> bool:
         return p == q or law(p, q)
 
-    prod = product_image(img, img, mode)
+    prod = product_image(img, img, strong=strong)
     alpha_violation = None
     for i, j in prod.edge_index_pairs:
         u, v = prod.points[i], prod.points[j]
@@ -451,8 +450,8 @@ def window_group_report(wg: WindowGroup, mode: str = "min") -> WindowReport:
         tuple(missing), tuple(notes))
 
 
-def window_alpha_pair(wg: WindowGroup, u: Point, v: Point,
-                      mode: str = "min") -> tuple[bool, Point, Point, bool]:
+def window_alpha_pair(wg: WindowGroup, u: Point, v: Point, *,
+                      strong: bool = False) -> tuple[bool, Point, Point, bool]:
     """Judge one candidate pair of product points under the operation.
 
     Returns (is_edge, op(u), op(v), images_close).  Useful for pinning a
@@ -460,7 +459,7 @@ def window_alpha_pair(wg: WindowGroup, u: Point, v: Point,
     of which violation a full report happens to meet first."""
     img = wg.window
     d = img.dim
-    prod = product_image(img, img, mode)
+    prod = product_image(img, img, strong=strong)
     u, v = tuple(u), tuple(v)
     is_edge = prod.adjacency.adjacent(u, v)
     pu = tuple(wg.op(u[:d], u[d:]))
@@ -474,7 +473,6 @@ class WindowHomReport:
     window: does it respect the operations, is it continuous edge by
     edge, and is it injective on the window."""
 
-    label: str
     pairs_checked: int
     algebra_violation: Optional[tuple[Point, Point]]
     edges_checked: int
@@ -491,8 +489,7 @@ class WindowHomReport:
 
 
 def window_hom_report(src: WindowGroup, dst: WindowGroup,
-                      fmap: Callable[[Point], Point],
-                      label: str = "") -> WindowHomReport:
+                      fmap: Callable[[Point], Point]) -> WindowHomReport:
     """Check a candidate homomorphism between two window groups.
 
     The operation identity f(a*b) = f(a)*f(b) is evaluated with the
@@ -528,6 +525,5 @@ def window_hom_report(src: WindowGroup, dst: WindowGroup,
                 collision = (seen[fp], p)
         else:
             seen[fp] = p
-    return WindowHomReport(label or f"{src.label}->{dst.label}",
-                           pairs_checked, algebra_violation,
+    return WindowHomReport(pairs_checked, algebra_violation,
                            edges_checked, continuity_violation, collision)

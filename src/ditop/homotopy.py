@@ -113,10 +113,10 @@ class MapGraph:
             raise ValueError("map does not live in this graph")
         return f.value_indices
 
-    def map_of(self, state: State, label: str = "") -> DigitalMap:
+    def map_of(self, state: State) -> DigitalMap:
         pts = self.codomain.points
         return DigitalMap(self.domain, self.codomain,
-                          tuple(pts[i] for i in state), label)
+                          tuple(pts[i] for i in state))
 
     def is_state_continuous(self, state: State) -> bool:
         return all((closed[v] >> state[j]) & 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -181,7 +181,6 @@ class DigitalImage:
 
     points: tuple[Point, ...]
     adjacency: Adjacency
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         pts = tuple(sorted({tuple(int(c) for c in p) for p in self.points}))
@@ -335,48 +334,37 @@ class DigitalImage:
             path.append(cur)
         return tuple(self.points[v] for v in path)
 
-    # ---- derived images ----
 
-    def induced(self, subset: Iterable[Point], label: str = "") -> "DigitalImage":
-        return induced_subimage(self, subset, label=label)
-
-
-def interval_image(lo: int, hi: int, label: str = "") -> DigitalImage:
+def interval_image(lo: int, hi: int) -> DigitalImage:
     """The digital interval [lo, hi] in Z with c_1 adjacency."""
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    return DigitalImage(tuple((i,) for i in range(lo, hi + 1)), CK(1),
-                        label or f"[{lo},{hi}]")
+    return DigitalImage(tuple((i,) for i in range(lo, hi + 1)), CK(1))
 
 
-def product_image(x: DigitalImage, y: DigitalImage, mode: str = "min",
-                  label: str = "") -> DigitalImage:
-    """Cartesian product with the minimal or strong product adjacency."""
-    if mode not in ("min", "strong"):
-        raise ValueError(f"mode must be 'min' or 'strong', got {mode!r}")
+def product_image(x: DigitalImage, y: DigitalImage, *,
+                  strong: bool = False) -> DigitalImage:
+    """Cartesian product with the minimal product adjacency, or with the
+    strong one when `strong`."""
     adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, y.dim,
-                                 strong=(mode == "strong"))
+                                 strong)
     pts = tuple(a + b for a in x.points for b in y.points)
-    return DigitalImage(pts, adjacency,
-                        label or f"({x.label} x {y.label}, {mode})")
+    return DigitalImage(pts, adjacency)
 
 
-def power_image(x: DigitalImage, n: int, mode: str = "min",
-                label: str = "") -> DigitalImage:
+def power_image(x: DigitalImage, n: int, *,
+                strong: bool = False) -> DigitalImage:
     """The n-fold product X^n (left associated), n >= 1."""
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
-    if n == 1:
-        return DigitalImage(x.points, x.adjacency, label) if label else x
     out = x
-    for k in range(2, n + 1):
-        # only the last product carries the label
-        out = product_image(out, x, mode, label if k == n else "")
+    for _ in range(n - 1):
+        out = product_image(out, x, strong=strong)
     return out
 
 
-def induced_subimage(img: DigitalImage, subset: Iterable[Point],
-                     label: str = "") -> DigitalImage:
+def induced_subimage(img: DigitalImage,
+                     subset: Iterable[Point]) -> DigitalImage:
     """The image induced on a nonempty subset of points.
 
     The adjacency object is shared, except that explicit edge sets are
@@ -393,4 +381,4 @@ def induced_subimage(img: DigitalImage, subset: Iterable[Point],
         keep = set(sub)
         adjacency = Explicit(frozenset(
             e for e in adjacency.edges if e[0] in keep and e[1] in keep))
-    return DigitalImage(sub, adjacency, label)
+    return DigitalImage(sub, adjacency)

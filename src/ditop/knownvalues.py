@@ -205,17 +205,17 @@ def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
              "3 of 3 follow the pattern", failure_pattern))
 
     def window_min():
-        rep = window_group_report(zplus_group(0, 9), "min")
+        rep = window_group_report(zplus_group(0, 9))
         return ("continuous" if rep.ok_on_window else "fails"), rep.ok_on_window
     add(_row("integer addition on a window, minimum product", "continuous",
              window_min))
 
     def window_strong():
         wg = zplus_group(0, 9)
-        rep = window_group_report(wg, "strong")
+        rep = window_group_report(wg, strong=True)
         if rep.alpha_violation is None:
             return "no violation found", False
-        is_edge, pu, pv, ok = window_alpha_pair(wg, (3, 5), (4, 6), "strong")
+        is_edge, pu, pv, ok = window_alpha_pair(wg, (3, 5), (4, 6), strong=True)
         got = f"witness ((3, 5), (4, 6)) -> {pu}, {pv}"
         return got, (is_edge and not ok and pu == (8,) and pv == (10,))
     add(_row("integer addition on a window, strong product",
@@ -223,7 +223,7 @@ def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
 
     def projection_row():
         rep = window_hom_report(z2plus_group(), zplus_group(0, 3),
-                                lambda p: (p[0],), "proj1")
+                                lambda p: (p[0],))
         got = (f"homomorphism: {rep.is_homomorphism}, injective: "
                f"{rep.injective_on_window}")
         return got, rep.is_homomorphism and not rep.injective_on_window
@@ -293,7 +293,7 @@ def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
         I = interval_image(0, 1)
         c1 = cat_exact(I, node_budget=node_budget).size
         t = tc_n(I, 2, node_budget=node_budget)
-        sq = product_image(I, I, "min")
+        sq = product_image(I, I)
         c2 = cat_exact(sq, node_budget=node_budget).size
         got = f"{c1} <= {_fmt_bounds(t)} <= {c2}"
         ok = t.exact and c1 <= t.value <= c2

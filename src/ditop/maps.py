@@ -17,7 +17,7 @@ and the walks of `pathspace` (ticks, masks from closed neighbourhoods).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -35,7 +35,6 @@ class DigitalMap:
     domain: DigitalImage
     codomain: DigitalImage
     values: tuple[Point, ...]
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         vals = tuple(tuple(v) for v in self.values)
@@ -49,16 +48,16 @@ class DigitalMap:
 
     @staticmethod
     def from_mapping(domain: DigitalImage, codomain: DigitalImage,
-                     mapping: Mapping[Point, Point], label: str = "") -> "DigitalMap":
+                     mapping: Mapping[Point, Point]) -> "DigitalMap":
         try:
             vals = tuple(tuple(mapping[p]) for p in domain.points)
         except KeyError as missing:
             raise ValueError(f"no value for domain point {missing.args[0]}") from None
-        return DigitalMap(domain, codomain, vals, label)
+        return DigitalMap(domain, codomain, vals)
 
     @staticmethod
     def identity(img: DigitalImage) -> "DigitalMap":
-        return DigitalMap(img, img, img.points, "id")
+        return DigitalMap(img, img, img.points)
 
     @staticmethod
     def constant(domain: DigitalImage, codomain: DigitalImage,
@@ -66,15 +65,14 @@ class DigitalMap:
         value = tuple(value)
         if value not in codomain:
             raise ValueError(f"constant value {value} is not in the codomain")
-        return DigitalMap(domain, codomain, (value,) * len(domain.points),
-                          f"const{value}")
+        return DigitalMap(domain, codomain, (value,) * len(domain.points))
 
     @staticmethod
     def inclusion(sub: DigitalImage, whole: DigitalImage) -> "DigitalMap":
         for p in sub.points:
             if p not in whole:
                 raise ValueError(f"{p} is not a point of the larger image")
-        return DigitalMap(sub, whole, sub.points, "incl")
+        return DigitalMap(sub, whole, sub.points)
 
     def __call__(self, p: Point) -> Point:
         return self.values[self.domain.index(p)]

@@ -31,15 +31,6 @@ from .maps import backtrack
 Path = tuple[Point, ...]
 Wedge = tuple[Path, ...]
 
-MODES = ("pointwise", "strong")
-
-
-def product_mode(mode: str) -> str:
-    """The product adjacency ("min" or "strong") behind a step relation."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return "min" if mode == "pointwise" else "strong"
-
 
 def is_path(img: DigitalImage, seq: Sequence[Point]) -> bool:
     """A walk: consecutive entries equal or adjacent, all points present."""
@@ -78,10 +69,11 @@ class WedgeSpace:
     """Wedges of n equal-length paths with a common start, plus the two
     step relations between them.
 
-    pointwise: wedges are one step apart when every arm is pointwise equal
-    or adjacent at each tick. strong: additionally each arm must stay equal
-    or adjacent across neighboring ticks of the other wedge (the stricter
-    function-space relation); both are checked arm against same-indexed arm.
+    pointwise (the default): wedges are one step apart when every arm is
+    pointwise equal or adjacent at each tick. `strong`: additionally each
+    arm must stay equal or adjacent across neighboring ticks of the other
+    wedge (the stricter function-space relation); both are checked arm
+    against same-indexed arm.
 
     `is_wedge` path-checks each distinct arm once and `adjacent` decides
     each distinct arm pair once, with the adjacency's own test; both
@@ -90,8 +82,8 @@ class WedgeSpace:
     neighbourhoods, sharing no table with these checks.
     """
 
-    def __init__(self, base: DigitalImage, n: int, m: int,
-                 mode: str = "pointwise"):
+    def __init__(self, base: DigitalImage, n: int, m: int, *,
+                 strong: bool = False):
         if n < 1:
             raise ValueError("a wedge needs at least one arm")
         if m < 0:
@@ -99,9 +91,8 @@ class WedgeSpace:
         self.base = base
         self.n = n
         self.m = m
-        self.mode = mode
-        self.product = power_image(base, n, product_mode(mode),
-                                   label=f"{base.label or 'X'}^{n}")
+        self.strong = strong
+        self.product = power_image(base, n, strong=strong)
         self._arms: dict[Path, bool] = {}  # arm -> is a path of length m
         self._steps: dict[tuple[Path, Path], bool] = {}  # arm pair -> related
 
@@ -141,7 +132,7 @@ class WedgeSpace:
             p, q = a1[t], a2[t]
             if p != q and not adj(p, q):
                 return False
-        if self.mode == "strong":
+        if self.strong:
             for t in range(self.m):
                 for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
                     if p != q and not adj(p, q):
@@ -218,7 +209,7 @@ class Occupancy(_Masks):
         base = self.space.base
         closed = base.closed_masks
         balls = [closed[base.index(p)] for p in arm]
-        if self.space.mode == "strong":
+        if self.space.strong:
             balls = [b & (balls[t - 1] if t else -1)
                      & (balls[t + 1] if t + 1 < len(balls) else -1)
                      for t, b in enumerate(balls)]
@@ -263,13 +254,12 @@ class _Fibration:
 class EndpointFibration(_Fibration):
     """e_n: wedge space over (X, adj) -> X^n, evaluation at the free ends."""
 
-    def __init__(self, base: DigitalImage, n: int, m: int,
-                 mode: str = "pointwise"):
+    def __init__(self, base: DigitalImage, n: int, m: int, *,
+                 strong: bool = False):
         self.base = base
         self.n = n
         self.m = m
-        self.mode = mode
-        self.wedge = WedgeSpace(base, n, m, mode)
+        self.wedge = WedgeSpace(base, n, m, strong=strong)
         self.product = self.wedge.product
 
     def split(self, u: Point) -> tuple[Point, ...]:
@@ -363,9 +353,7 @@ class PairedFibration(_Fibration):
         self.n = (left.n, right.n)
         self.m = (left.m, right.m)
         self.wedge = PairedWedge(left.wedge, right.wedge)
-        self.product = product_image(
-            left.product, right.product, "min",
-            label=f"({left.product.label}) x ({right.product.label})")
+        self.product = product_image(left.product, right.product)
 
     def split(self, u: Point) -> tuple[Point, Point]:
         dl = self.left.base.dim * self.left.n

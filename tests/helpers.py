@@ -173,7 +173,7 @@ def paired_fiber_oracle(pair, u: Point) -> Iterator[tuple]:
 
 def left_translation(table: CayleyTable, g: Point) -> DigitalMap:
     vals = tuple(table.product(g, p) for p in table.image.points)
-    return DigitalMap(table.image, table.image, vals, f"L{tuple(g)}")
+    return DigitalMap(table.image, table.image, vals)
 
 
 def count_paths(img: DigitalImage, start: Point, end: Point, length: int) -> int:
@@ -316,7 +316,7 @@ def find_isomorphism(x: DigitalImage, y: DigitalImage,
     if not extend(0):
         return None
     vals = tuple(y.points[assign[i]] for i in range(n))
-    return DigitalMap(x, y, vals, "iso")
+    return DigitalMap(x, y, vals)
 
 
 # ---- homotopy ----
@@ -471,9 +471,11 @@ def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
 # ---- the searches maps.backtrack replaced ----
 
 def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]:
-    """Recursive section search over whole materialized fibers, trying
-    each wedge against the assigned piece neighbours one adjacency test at
-    a time, by `wedge_adjacent_oracle`. Same variable order as `complexity.find_section`, so the two
+    """Recursive section search over whole materialized fibers. A point
+    tries, in fiber order, the wedges within one step of every assigned
+    piece neighbour; the wedges within one step of a neighbour's wedge
+    are found by `wedge_adjacent_oracle` on first use in the call and
+    kept. Same variable order as `complexity.find_section`, so the two
     return the same first section."""
     sub = induced_subimage(fib.product, piece)
     pts = sub.points
@@ -494,24 +496,39 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
     domains = [list(fib.fiber(p)) for p in pts]
     if any(not dom for dom in domains):
         return None
-    assign: dict = {}
+    # (point i, neighbour j, index b into j's fiber) -> the indices into
+    # i's fiber of the wedges within one step of domains[j][b]
+    near: dict[tuple[int, int, int], set[int]] = {}
+
+    def within(i: int, j: int, b: int) -> set[int]:
+        got = near.get((i, j, b))
+        if got is None:
+            w = domains[j][b]
+            got = near[i, j, b] = {
+                a for a, x in enumerate(domains[i])
+                if wedge_adjacent_oracle(fib.wedge, x, w)}
+        return got
+
+    assign: dict[int, int] = {}  # point -> index into its fiber
 
     def extend(step: int) -> bool:
         if step == k:
             return True
         i = order[step]
-        for w in domains[i]:
-            if all(j not in assign or wedge_adjacent_oracle(
-                    fib.wedge, w, assign[j]) for j in nbrs[i]):
-                assign[i] = w
-                if extend(step + 1):
-                    return True
-                del assign[i]
+        cands = set(range(len(domains[i])))
+        for j in nbrs[i]:
+            if j in assign:
+                cands &= within(i, j, assign[j])
+        for a in sorted(cands):
+            assign[i] = a
+            if extend(step + 1):
+                return True
+            del assign[i]
         return False
 
     if not extend(0):
         return None
-    return SectionWitness(pts, tuple(assign[i] for i in range(k)))
+    return SectionWitness(pts, tuple(domains[i][assign[i]] for i in range(k)))
 
 
 def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
@@ -650,7 +667,7 @@ def wedge_adjacent_oracle(space, w1, w2) -> bool:
             p, q = a1[t], a2[t]
             if p != q and not adj(p, q):
                 return False
-        if space.mode == "strong":
+        if space.strong:
             for t in range(space.m):
                 for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
                     if p != q and not adj(p, q):

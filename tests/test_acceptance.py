@@ -27,8 +27,8 @@ from ditop.groups import (enumerate_group_structures, is_group_homomorphism,
                           window_alpha_pair, window_group_report,
                           window_hom_report, CayleyTable)
 from ditop.homotopy import verify_homotopy
-from ditop.images import (CK, DigitalImage, interval_image, power_image,
-                          product_image)
+from ditop.images import (CK, DigitalImage, induced_subimage, interval_image,
+                          power_image, product_image)
 from ditop.knownvalues import run_reference_rows
 from ditop.maps import DigitalMap, continuity_violation, is_continuous
 from ditop.pathspace import EndpointFibration, PairedFibration
@@ -137,12 +137,12 @@ def test_acceptance_5_topological_group_verdicts():
     for table in (sign_table(), flip_table(8)):
         ok = ok and is_topological_group(table).ok
 
-    soft = window_group_report(zplus_group(), "min")
-    hard = window_group_report(zplus_group(), "strong")
+    soft = window_group_report(zplus_group())
+    hard = window_group_report(zplus_group(), strong=True)
     ok = ok and soft.ok_on_window and not hard.ok_on_window
 
     is_edge, pu, pv, pair_ok = window_alpha_pair(zplus_group(), (3, 5), (4, 6),
-                                                 "strong")
+                                                 strong=True)
     ok = ok and is_edge and (pu, pv) == ((8,), (10,)) and not pair_ok
     elapsed = time.monotonic() - t0
     _report(5, ok, "Table 1 and both two-point groups verify; window addition "
@@ -172,7 +172,7 @@ def test_acceptance_6_prime_interval_scan():
             else:
                 ok = ok and continuity_violation(
                     table.multiplication_map(
-                        product_image(seg, seg, "min"))) is not None
+                        product_image(seg, seg))) is not None
     elapsed = time.monotonic() - t0
     _report(6, ok, "3 and 30 structures (matching n!/|Aut|), none topological, "
                    "failures follow the endpoint/middle pattern",
@@ -181,8 +181,7 @@ def test_acceptance_6_prime_interval_scan():
 
 def test_acceptance_7_homomorphism_examples():
     t0 = time.monotonic()
-    r = window_hom_report(z2plus_group(), zplus_group(), lambda p: (p[0],),
-                          "proj1")
+    r = window_hom_report(z2plus_group(), zplus_group(), lambda p: (p[0],))
     ok = r.is_homomorphism and not r.injective_on_window
 
     f = sign_embedding()
@@ -253,8 +252,8 @@ def _suite_d():
     cases = [(interval_image(0, 1), 2), (interval_image(0, 2), 2),
              (interval_image(0, 1), 3)]
     for img, n in cases:
-        low = cat(power_image(img, n - 1, "min"))
-        high = cat(power_image(img, n, "min"))
+        low = cat(power_image(img, n - 1))
+        high = cat(power_image(img, n))
         r = tc_n(img, n)
         if not (r.exact and low <= r.value <= high):
             return False
@@ -301,7 +300,7 @@ def _suite_f():
         good, _ = subgroup_check(table, subset)
         if not good:
             return False
-        sub = table.image.induced(subset)
+        sub = induced_subimage(table.image, subset)
         rows = tuple(tuple(table.product(x, y) for y in sub.points)
                      for x in sub.points)
         if not is_topological_group(CayleyTable(sub, table.identity, rows)).ok:

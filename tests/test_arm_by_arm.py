@@ -22,7 +22,7 @@ from ditop.category import cat_exact
 from ditop.cli import main
 from ditop.complexity import SectionWitness, find_section, tc_n, verify_section
 from ditop.groups import CayleyTable
-from ditop.pathspace import MODES, EndpointFibration, PairedFibration
+from ditop.pathspace import EndpointFibration, PairedFibration
 
 from helpers import (AdjacencyStepMasks, loop_bundle, random_grid_image,
                      verify_section_oracle, wedge_adjacent_oracle,
@@ -32,16 +32,16 @@ from helpers import (AdjacencyStepMasks, loop_bundle, random_grid_image,
 _FIBER_PREFIX = 40
 
 
-def _fibrations(seed: int, k: int, n: int, m: int, mode: str):
+def _fibrations(seed: int, k: int, n: int, m: int, strong: bool):
     """A random fibration over a 3x3 grid subset under c_k, and a pair of
     one-arm fibrations over two more such subsets, with shorter arms."""
     rng = random.Random(seed)
     fib = EndpointFibration(random_grid_image(rng, max_points=4, k=k),
-                            n, m, mode)
+                            n, m, strong=strong)
     left = EndpointFibration(random_grid_image(rng, max_points=4, k=k),
-                             1, min(m, 2), mode)
+                             1, min(m, 2), strong=strong)
     right = EndpointFibration(random_grid_image(rng, max_points=3, k=k),
-                              1, min(m, 1), mode)
+                              1, min(m, 1), strong=strong)
     return rng, fib, PairedFibration(left, right)
 
 
@@ -56,9 +56,9 @@ def _an_edge(rng: random.Random, fib):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
-       st.integers(0, 3), st.sampled_from(MODES))
-def test_step_masks_match_the_adjacency_call_filler(seed, k, n, m, mode):
-    rng, fib, pair = _fibrations(seed, k, n, m, mode)
+       st.integers(0, 3), st.booleans())
+def test_step_masks_match_the_adjacency_call_filler(seed, k, n, m, strong):
+    rng, fib, pair = _fibrations(seed, k, n, m, strong)
     for f in (fib, pair):
         u, v = _an_edge(rng, f)
         earlier = list(itertools.islice(f.fiber(u), _FIBER_PREFIX))
@@ -97,9 +97,9 @@ def _tampered(rng: random.Random, fib, sw: SectionWitness) -> SectionWitness:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
-       st.integers(0, 3), st.sampled_from(MODES))
-def test_verify_section_matches_the_memo_free_checker(seed, k, n, m, mode):
-    rng, fib, pair = _fibrations(seed, k, n, m, mode)
+       st.integers(0, 3), st.booleans())
+def test_verify_section_matches_the_memo_free_checker(seed, k, n, m, strong):
+    rng, fib, pair = _fibrations(seed, k, n, m, strong)
     for f in (fib, pair):
         pts = f.product.points
         piece = rng.sample(pts, rng.randint(1, min(4, len(pts))))

@@ -241,6 +241,22 @@ def test_group_scan_over_prime_intervals(capsys):
     assert "2 structures, 2 topological" in out
 
 
+def test_group_scan_refuses_an_image_and_a_point_count_together(capsys):
+    # both name a carrier; neither may be dropped without a word
+    code, out, err = run(capsys, "group-scan", "corpus:H", "-p", "3")
+    assert code == 1 and out == ""
+    assert "-p 3" in err and "corpus:H" in err
+
+
+def test_bounds_is_a_cat_flag_only(capsys):
+    code, out, _ = run(capsys, "cat", "corpus:H", "--bounds")
+    assert code == 0 and "cat_lower: " in out
+    with pytest.raises(SystemExit) as info:
+        main(["tc", "corpus:H", "-n", "2", "--bounds"])
+    assert info.value.code == 1
+    capsys.readouterr()
+
+
 def test_group_product_builds_a_reusable_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "group-product", "corpus:pm1mul",
                        "corpus:flip:8", "--json")
@@ -306,7 +322,7 @@ def test_verify_paper_catches_a_perturbed_reference(capsys, monkeypatch):
     loop = loop_image()
     broken = DigitalImage(loop.points, Explicit.of(loop.edges()[:-1]))
     rot = knownvalues.loop_rotation_table()
-    table = CayleyTable(broken, rot.identity, rot.entries, rot.label)
+    table = CayleyTable(broken, rot.identity, rot.entries)
     monkeypatch.setattr(knownvalues, "loop_rotation_table", lambda: table)
     code, out, _ = run(capsys, "verify-paper")
     assert code == 2

@@ -216,13 +216,13 @@ def test_genus_sections_come_from_the_cover_search_and_verify(monkeypatch):
 
     monkeypatch.setattr(complexity, "find_section", counting_search)
     monkeypatch.setattr(complexity, "AdmissibilityOracle", recording_oracle)
-    for img, n, m, mode in ((interval_image(0, 2), 2, 1, "pointwise"),
-                            (interval_image(0, 2), 2, 1, "strong"),
-                            (interval_image(0, 3), 1, 1, "pointwise"),
-                            (cycle_image(4), 1, 1, "strong"),
-                            (loop_image(), 1, 2, "pointwise")):
+    for img, n, m, strong in ((interval_image(0, 2), 2, 1, False),
+                              (interval_image(0, 2), 2, 1, True),
+                              (interval_image(0, 3), 1, 1, False),
+                              (cycle_image(4), 1, 1, True),
+                              (loop_image(), 1, 2, False)):
         searched.clear()
-        fib = EndpointFibration(img, n, m, mode)
+        fib = EndpointFibration(img, n, m, strong=strong)
         k, wits = schwarz_genus(fib)
         assert k == len(wits)
         # one search per subset the oracle decided, none repeated after
@@ -272,22 +272,21 @@ def test_tc_notes_the_contractible_base_route_it_could_not_settle():
     assert not any("skipped" in note for note in tc_n(loop_image(), 2).notes)
 
 
-def _small_fibration(base: str, n: int, m: int, mode: str):
+def _small_fibration(base: str, n: int, m: int, strong: bool):
     if base == "paired":
         seg = interval_image(0, 1)
-        return PairedFibration(EndpointFibration(seg, 1, m, mode),
-                               EndpointFibration(seg, 1, m, mode))
+        return PairedFibration(EndpointFibration(seg, 1, m, strong=strong),
+                               EndpointFibration(seg, 1, m, strong=strong))
     img = interval_image(0, 2) if base == "interval" else cycle_image(4)
-    return EndpointFibration(img, n, m, mode)
+    return EndpointFibration(img, n, m, strong=strong)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(("interval", "cycle", "paired")), st.integers(1, 2),
-       st.integers(0, 3), st.sampled_from(("pointwise", "strong")),
-       st.integers(0, 10_000))
-def test_find_section_agrees_with_the_recursive_search(base, n, m, mode,
+       st.integers(0, 3), st.booleans(), st.integers(0, 10_000))
+def test_find_section_agrees_with_the_recursive_search(base, n, m, strong,
                                                        seed):
-    fib = _small_fibration(base, n, m, mode)
+    fib = _small_fibration(base, n, m, strong)
     rng = random.Random(seed)
     pts = fib.product.points
     piece = rng.sample(pts, rng.randint(1, min(5, len(pts))))
@@ -375,11 +374,12 @@ def test_a_strong_mode_contraction_candidate_falls_through(monkeypatch):
         return verify(fib, sw)
 
     monkeypatch.setattr(complexity, "verify_section", counting)
-    r = tc_n(interval_image(0, 3), 2, mode="strong")
+    r = tc_n(interval_image(0, 3), 2, strong=True)
     assert (r.lower, r.upper) == (1, None)
     assert not any("contractible base" in note for note in r.notes)
     assert len(calls) == 1 and not verify(
-        EndpointFibration(interval_image(0, 3), 2, 3, "strong"), calls[0])[0]
+        EndpointFibration(interval_image(0, 3), 2, 3, strong=True),
+        calls[0])[0]
 
 
 def test_the_group_route_refuses_a_short_arm_with_a_value_error():

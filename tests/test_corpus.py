@@ -98,8 +98,8 @@ def test_windows_are_plain_boxes():
 
 
 def test_sum_map_modes():
-    assert is_continuous(sum_map(0, 9, "min"))
-    f = sum_map(0, 9, "strong")
+    assert is_continuous(sum_map(0, 9))
+    f = sum_map(0, 9, strong=True)
     bad = continuity_violation(f)
     assert bad is not None
     u, v = bad

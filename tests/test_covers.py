@@ -10,7 +10,7 @@ import pytest
 from ditop.covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                           maximal_admissible_sets, minimal_cover_bounds,
                           minimal_cover_exact)
-from ditop.images import interval_image
+from ditop.images import induced_subimage, interval_image
 
 from helpers import random_grid_image
 
@@ -33,7 +33,7 @@ def _brute_minimum_cover(points, admissible):
 
 def _diameter_at_most(img, limit):
     def ok(subset):
-        sub = img.induced(subset)
+        sub = induced_subimage(img, subset)
         if not sub.is_connected:
             return False
         return sub.diameter <= limit

@@ -48,9 +48,9 @@ def test_image_round_trip_is_byte_stable_for_explicit_edges():
     assert set(again.edges()) == {((0,), (5,))}
 
 
-@pytest.mark.parametrize("mode", ["min", "strong"])
-def test_product_images_are_written_as_their_explicit_edge_list(mode):
-    img = product_image(interval_image(0, 2), loop_image(), mode)
+@pytest.mark.parametrize("strong", [False, True], ids=["min", "strong"])
+def test_product_images_are_written_as_their_explicit_edge_list(strong):
+    img = product_image(interval_image(0, 2), loop_image(), strong=strong)
     text = serialize_image(img)
     assert text == serialize_image(
         DigitalImage(img.points, Explicit.of(img.edges())))

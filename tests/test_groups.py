@@ -20,7 +20,7 @@ from ditop.groups import (CayleyTable, enumerate_group_structures,
                           product_group, scan_group_structures, subgroup_check,
                           verify_cayley, window_alpha_pair, window_group_report,
                           window_hom_report)
-from ditop.images import interval_image, product_image
+from ditop.images import induced_subimage, interval_image, product_image
 from ditop.maps import DigitalMap
 
 from helpers import latin_group_structures_oracle, verify_cayley_oracle
@@ -134,12 +134,12 @@ def test_the_scan_agrees_with_the_full_check_on_every_table():
     # the scan skips the axioms, which every enumerated table satisfies
     for n in (3, 4, 5, 6):
         seg = interval_image(0, n - 1)
-        for mode in ("min", "strong"):
-            res = scan_group_structures(seg, mode)
+        for strong in (False, True):
+            res = scan_group_structures(seg, strong=strong)
             assert res.total == _structure_count(n)
             for table in res.topological:
-                assert is_topological_group(table, mode).ok
-            checked = [(t.identity, is_topological_group(t, mode))
+                assert is_topological_group(table, strong=strong).ok
+            checked = [(t.identity, is_topological_group(t, strong=strong))
                        for t in enumerate_group_structures(seg)]
             assert list(res.rejected) == [(e, v) for e, v in checked
                                           if not v.ok]
@@ -158,7 +158,7 @@ def test_rejections_follow_the_endpoint_middle_pattern():
             assert continuity_violation(inv) is not None
         else:
             mul = table.multiplication_map(
-                product_image(seg, seg, "min"))
+                product_image(seg, seg))
             from ditop.maps import continuity_violation
             assert continuity_violation(mul) is not None
     for identity, verdict in res.rejected:
@@ -198,7 +198,7 @@ def test_product_with_the_loop_group_is_topological():
 
 
 def _restrict(table, subset):
-    sub = table.image.induced(subset)
+    sub = induced_subimage(table.image, subset)
     rows = tuple(tuple(table.product(a, b) for b in sub.points)
                  for a in sub.points)
     return CayleyTable(sub, table.identity, rows)
@@ -246,7 +246,7 @@ def test_every_subset_closed_under_the_loop_operation_is_found():
 
 
 def test_window_addition_is_continuous_under_min_product():
-    r = window_group_report(zplus_group(), "min")
+    r = window_group_report(zplus_group())
     assert r.ok_on_window
     assert r.alpha_violation is None
     assert r.beta_violation is None
@@ -254,29 +254,29 @@ def test_window_addition_is_continuous_under_min_product():
 
 
 def test_window_addition_fails_under_strong_product():
-    r = window_group_report(zplus_group(), "strong")
+    r = window_group_report(zplus_group(), strong=True)
     assert not r.ok_on_window
     assert r.alpha_violation is not None
 
 
 def test_the_targeted_strong_pair_convicts_addition():
     wg = zplus_group()
-    is_edge, pu, pv, ok = window_alpha_pair(wg, (3, 5), (4, 6), "strong")
+    is_edge, pu, pv, ok = window_alpha_pair(wg, (3, 5), (4, 6), strong=True)
     assert is_edge
     assert (pu, pv) == ((8,), (10,))
     assert not ok
     # under the one-factor-at-a-time product the same pair is not even an edge
-    is_edge, _, _, _ = window_alpha_pair(wg, (3, 5), (4, 6), "min")
+    is_edge, _, _, _ = window_alpha_pair(wg, (3, 5), (4, 6))
     assert not is_edge
 
 
 def test_grid_addition_window_is_topological_under_min():
-    r = window_group_report(z2plus_group(), "min")
+    r = window_group_report(z2plus_group())
     assert r.ok_on_window, (r.alpha_violation, r.beta_violation)
 
 
 def test_multiplication_window_reports_missing_inverses_and_alpha_tear():
-    r = window_group_report(mulwin_group(), "min")
+    r = window_group_report(mulwin_group())
     assert not r.ok_on_window
     assert (2,) in r.inverse_missing
     assert r.alpha_violation is not None
@@ -284,7 +284,7 @@ def test_multiplication_window_reports_missing_inverses_and_alpha_tear():
 
 def test_projection_is_a_window_homomorphism_but_not_injective():
     r = window_hom_report(z2plus_group(), zplus_group(),
-                          lambda p: (p[0],), "proj1")
+                          lambda p: (p[0],))
     assert r.is_homomorphism
     assert r.algebra_violation is None
     assert r.continuity_violation is None
@@ -372,11 +372,11 @@ def test_rows_of_group_tables_and_their_compositions_are_semiregular():
     for table in tables:
         rows = table.grid
         for a in rows:
-            assert sorted(a) == list(range(len(rows))), (table.label, a)
-            assert len(_cycle_lengths(a)) == 1, (table.label, a)
+            assert sorted(a) == list(range(len(rows))), (table.identity, a)
+            assert len(_cycle_lengths(a)) == 1, (table.identity, a)
             for b in rows:
                 ab = tuple(a[x] for x in b)
-                assert len(_cycle_lengths(ab)) == 1, (table.label, a, b)
+                assert len(_cycle_lengths(ab)) == 1, (table.identity, a, b)
 
 
 def _perturbed_table(seed: int) -> CayleyTable:

@@ -117,25 +117,25 @@ def test_product_adjacency_matches_the_definitions(seed):
     rng = random.Random(seed)
     x = random_grid_image(rng, max_points=4, connected=False)
     y = interval_image(0, rng.randint(0, 2))
-    for mode, oracle in (("min", _min_product_adjacent),
-                         ("strong", _strong_product_adjacent)):
-        prod = product_image(x, y, mode)
+    for strong, oracle in ((False, _min_product_adjacent),
+                           (True, _strong_product_adjacent)):
+        prod = product_image(x, y, strong=strong)
         for u in prod.points:
             for v in prod.points:
                 assert prod.adjacency.adjacent(u, v) == oracle(u, v, x, y), \
-                    (mode, u, v)
+                    (strong, u, v)
 
 
 def test_min_product_edges_are_a_subset_of_strong_edges():
     x = interval_image(0, 2)
-    lo = product_image(x, x, "min")
-    hi = product_image(x, x, "strong")
+    lo = product_image(x, x)
+    hi = product_image(x, x, strong=True)
     assert set(lo.edges()) <= set(hi.edges())
 
 
 def test_product_of_intervals_under_min_adjacency_is_the_grid_graph():
     seg = interval_image(0, 1)
-    square = product_image(seg, seg, "min")
+    square = product_image(seg, seg)
     assert len(square.points) == 4
     assert len(square.edge_index_pairs) == 4
     degrees = sorted(len(square.neighbors(p)) for p in square.points)
@@ -144,8 +144,8 @@ def test_product_of_intervals_under_min_adjacency_is_the_grid_graph():
 
 def test_power_image_matches_iterated_products():
     seg = interval_image(0, 1)
-    cubed = power_image(seg, 3, "min")
-    manual = product_image(product_image(seg, seg, "min"), seg, "min")
+    cubed = power_image(seg, 3)
+    manual = product_image(product_image(seg, seg), seg)
     assert cubed.points == manual.points
     assert set(cubed.edges()) == set(manual.edges())
 
@@ -157,15 +157,13 @@ def test_power_image_builds_each_product_once_and_labels_the_last(
     post_init = DigitalImage.__post_init__
 
     def counting(self):
-        built.append(self.label)
+        built.append(self.points)
         post_init(self)
 
     monkeypatch.setattr(DigitalImage, "__post_init__", counting)
-    cubed = power_image(seg, 3, "min", "cube")
-    assert cubed.label == "cube" and built[-1] == "cube"
-    assert len(built) == 2
+    cubed = power_image(seg, 3)
+    assert len(built) == 2 and built[-1] == cubed.points
     assert power_image(seg, 1) is seg
-    assert power_image(seg, 1, label="one").label == "one"
 
 
 def test_induced_subimage_keeps_exactly_the_inner_edges():
@@ -223,9 +221,9 @@ def _random_product(rng: random.Random) -> DigitalImage:
     out = _random_factor(rng)
     for _ in range(rng.randint(1, 2)):
         other = _random_factor(rng)
-        mode = rng.choice(("min", "strong"))
-        out = (product_image(out, other, mode) if rng.random() < 0.5
-               else product_image(other, out, mode))
+        strong = rng.choice((False, True))
+        out = (product_image(out, other, strong=strong) if rng.random() < 0.5
+               else product_image(other, out, strong=strong))
     return out
 
 
@@ -251,7 +249,8 @@ def test_generated_product_tables_equal_the_all_pairs_tables(seed):
     rng = random.Random(seed)
     prod = _random_product(rng)
     assert prod.neighbor_index == all_pairs_neighbor_index(prod)
-    sub = prod.induced(rng.sample(prod.points, rng.randint(1, len(prod))))
+    sub = induced_subimage(
+        prod, rng.sample(prod.points, rng.randint(1, len(prod))))
     assert sub.neighbor_index == all_pairs_neighbor_index(sub)
 
 
@@ -267,13 +266,15 @@ def _bound_cases() -> dict[str, tuple[DigitalImage, int]]:
     number of points its table build visits: its own, then its factors'
     projections."""
     c9 = _c9_image()
-    strong = product_image(c9, c9, "strong")
+    strong = product_image(c9, c9, strong=True)
     k20 = DigitalImage(tuple((i,) for i in range(20)), Explicit.of(
         ((i,), (j,)) for i in range(20) for j in range(i)))
-    corner = product_image(k20, interval_image(0, 1)).induced([(0, 0), (1, 0)])
+    corner = induced_subimage(product_image(k20, interval_image(0, 1)),
+                              [(0, 0), (1, 0)])
     return {"c9": (c9, 20),
-            "min product": (product_image(c9, c9, "min"), 400 + 20 + 20),
-            "strong diagonal": (strong.induced(p + p for p in c9.points),
+            "min product": (product_image(c9, c9), 400 + 20 + 20),
+            "strong diagonal": (induced_subimage(strong,
+                                                 (p + p for p in c9.points)),
                                 20 + 20 + 20),
             "explicit corner": (corner, 2 + 2 + 1)}
 

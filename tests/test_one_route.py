@@ -1,21 +1,31 @@
 """One slide-then-search route: `homotopy.nullhomotopy`; one certifier
-for proved sections: `complexity._certify`.
+for proved sections: `complexity._certify`; one product flag: `strong`.
 
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
 a second order of slides, folds and lifts of its own. Every section a
 proof backs is checked by `complexity._certify`, the one place that
 raises `TheoremViolation`, and the contractible-base route lives in
-`tc_n`, not in a function of its own. The checks read the package's
-source, so they see calls on every path, run or not.
+`tc_n`, not in a function of its own. The choice between the min and
+the strong product (and the pointwise and strong wedge steps built on
+them) is one keyword-only `strong` flag, with no string vocabulary
+beside it, and images, maps and tables carry no label that nothing
+reads. The checks read the package's source, so they see calls on every
+path, run or not.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import pathlib
 
 import ditop
+from ditop.groups import (CayleyTable, WindowGroup, WindowHomReport,
+                          WindowReport)
+from ditop.homotopy import HomotopyWitness
+from ditop.images import DigitalImage
+from ditop.maps import DigitalMap
 
 SOURCE = pathlib.Path(ditop.__file__).parent
 
@@ -87,3 +97,67 @@ def test_the_contractible_base_route_has_no_function_of_its_own():
                if isinstance(node, ast.FunctionDef)}
     assert "contraction_section" not in defined
     assert not _calls({"contraction_section"})
+
+
+def _functions() -> list[tuple[str, str, ast.arguments]]:
+    """(module, qualified name, arguments) of every function and method
+    defined in a ditop module."""
+    found = []
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, module, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((module, prefix + child.name, child.args))
+                walk(child, module, prefix + child.name + ".")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_no_function_takes_a_mode():
+    assert [(m, f) for m, f, args in _functions()
+            if "mode" in {a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs}] == []
+
+
+def test_the_product_choice_is_one_keyword_only_strong_flag():
+    positional = [(m, f) for m, f, args in _functions()
+                  if "strong" in {a.arg for a in args.posonlyargs + args.args}]
+    assert positional == []
+    keyword = {(m, f) for m, f, args in _functions()
+               if "strong" in {a.arg for a in args.kwonlyargs}}
+    assert keyword == {
+        ("images", "product_image"), ("images", "power_image"),
+        ("pathspace", "WedgeSpace.__init__"),
+        ("pathspace", "EndpointFibration.__init__"),
+        ("complexity", "tc_n"), ("complexity", "tc_chain"),
+        ("groups", "is_topological_group"),
+        ("groups", "scan_group_structures"), ("groups", "product_group"),
+        ("groups", "window_group_report"), ("groups", "window_alpha_pair"),
+        ("corpus", "sum_map")}
+
+
+def test_the_mode_vocabulary_and_its_translator_are_gone():
+    names = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    assert not names & {"product_mode", "MODES"}
+
+
+def test_only_the_labels_something_reads_are_kept():
+    def has_label(cls) -> bool:
+        return "label" in {f.name for f in dataclasses.fields(cls)}
+
+    for cls in (DigitalImage, DigitalMap, CayleyTable, WindowHomReport):
+        assert not has_label(cls), cls.__name__
+    for cls in (HomotopyWitness, WindowGroup, WindowReport):
+        assert has_label(cls), cls.__name__

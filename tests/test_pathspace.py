@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ditop.corpus import loop_image
 from ditop.images import CK, DigitalImage, interval_image
-from ditop.pathspace import (MODES, EndpointFibration, PairedFibration,
-                             WedgeSpace, is_path, paths_between)
+from ditop.pathspace import (EndpointFibration, PairedFibration, WedgeSpace,
+                             is_path, paths_between)
 
 from helpers import (count_paths, endpoint_fiber_oracle, paired_fiber_oracle,
                      paths_between_oracle, random_grid_image)
@@ -62,18 +62,19 @@ def _prefix(items, k=_PREFIX):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(0, 4),
-       st.sampled_from(MODES), st.integers(0, _PREFIX))
-def test_fibers_match_the_recursive_walker_in_order(seed, n, m, mode, k):
+       st.booleans(), st.integers(0, _PREFIX))
+def test_fibers_match_the_recursive_walker_in_order(seed, n, m, strong, k):
     rng = random.Random(seed)
     img = random_grid_image(rng, max_points=6, k=rng.randint(1, 2),
                             connected=False)
-    fib = EndpointFibration(img, n, m, mode)
+    fib = EndpointFibration(img, n, m, strong=strong)
     u = rng.choice(fib.product.points)
     want = _prefix(endpoint_fiber_oracle(fib, u))
     assert _prefix(fib.fiber(u)) == want
     assert _prefix(fib.fiber(u), k) == want[:k]
     assert fib.fiber_nonempty(u) == bool(want)
-    right = EndpointFibration(img, rng.randint(1, 2), rng.randint(0, 2), mode)
+    right = EndpointFibration(img, rng.randint(1, 2), rng.randint(0, 2),
+                              strong=strong)
     pair = PairedFibration(fib, right)
     v = rng.choice(pair.product.points)
     want = _prefix(paired_fiber_oracle(pair, v))
@@ -127,8 +128,8 @@ def test_pointwise_wedge_steps_allow_one_arm_to_move():
 
 def test_strong_steps_are_a_subset_of_pointwise_steps():
     seg = interval_image(0, 2)
-    soft = WedgeSpace(seg, 2, 2, "pointwise")
-    hard = WedgeSpace(seg, 2, 2, "strong")
+    soft = WedgeSpace(seg, 2, 2)
+    hard = WedgeSpace(seg, 2, 2, strong=True)
     wedges = []
     for p1 in paths_between(seg, (0,), (1,), 2):
         for p2 in paths_between(seg, (0,), (2,), 2):

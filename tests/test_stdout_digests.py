@@ -21,7 +21,12 @@ relation was decided arm by arm. The proved one-piece routes of `tc`
 (standing still for n = 1, the contractible base in pointwise mode and
 its strong-mode fall-through, arms padded past the contraction, three
 arms) were recorded at the commit before every proved section went
-through one arm formula and one certifier. A digest changes only with
+through one arm formula and one certifier. The strong-product and
+window-group paths (`group-check` and `group-product` with
+`--mode strong`, `group-check corpus:zplus`, the strong sum map of
+`check-continuity` and the strong-mode note of `tc -n 2`) were recorded
+at the commit before the two mode vocabularies became one `strong` flag
+and the write-only labels went. A digest changes only with
 the bytes of the report; when a change means to alter them, record the
 new digest and say why.
 """
@@ -83,6 +88,18 @@ DIGESTS = {
         (0, "887744f91cf2d8a173b550b1ec8c5e5487d635c6774c24a094731f19afb62bd7"),
     "group-scan -p 6 --mode strong":
         (0, "235634fa20fa0d510e7af87abcee9c62f587b17d88d12fd704d20b405fa8bc3c"),
+    "group-check corpus:Hrot --mode strong":
+        (2, "ed344d857e87a14012486f6e6093218a5b03011659acb5f856185fc471a3b1af"),
+    "group-check corpus:zplus --mode strong":
+        (2, "705d84fbee01c28df8b277bf8104f7d1f6cfcfdf0c3c74aaf336cf6df5afef59"),
+    "group-check corpus:zplus":
+        (0, "4ee1cb71aca4f32199c7c80934fee1b5950f728147986aa51ae7e80fc42e5a7d"),
+    "group-product corpus:Hrot corpus:flip:8 --mode strong":
+        (2, "36919555646908299e580909e5063a9eb5a9b86eab209bf22fb64ea74f9d17c9"),
+    "check-continuity corpus:sum:0:9:strong":
+        (2, "e4b8a06bc1c6ee1d04eb4d927f32f1c9d19c3bfb833926bc30375ec21309f0cb"),
+    "tc corpus:H -n 2 --mode strong":
+        (0, "9e8e8d0729df824acd8c3de3486cff69808d536bb91860b870b205fc35461745"),
 }
 
 
