@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", dest="precision", action="store_const",
-                   const="exact", help="insist on an exact value")
+                   const="exact", help="the exact value, which is the "
+                   "default; the flag only excludes --bounds")
     g.add_argument("--bounds", dest="precision", action="store_const",
                    const="bounds", help="settle for cheap bounds")
     common(p)

@@ -65,24 +65,52 @@ class SectionWitness:
 
 def verify_section(fib: EndpointFibration, sw: SectionWitness,
                    ) -> tuple[bool, str | None]:
-    """Pointwise and edgewise check of a section over its piece."""
+    """Pointwise and edgewise check of a section over its piece, on arm
+    ids: each distinct arm of a side (the one side of a wedge, or either
+    component of a pair) gets an id and is path-checked once, and across
+    a piece edge each distinct ordered id pair is decided once by the
+    side's `arm_step`; a pair moves on at most one side. Points are
+    checked in piece order, edges in canonical order, and nothing
+    outlives the call."""
     if len(sw.piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
-    for u, w in zip(sw.piece, sw.wedges):
+    sides = [fib.wedge.sides(w) or () for w in sw.wedges]
+    ids: dict[tuple, int] = {}  # (side's space, arm) -> id
+    rows = [tuple(tuple(ids.setdefault((space, tuple(arm)), len(ids))
+                        for arm in part) for space, part in parts)
+            for parts in sides]
+    arms = list(ids)  # id -> (side's space, arm)
+    good = [space.is_arm(arm) for space, arm in arms]
+    for u, w, row in zip(sw.piece, sw.wedges, rows):
         if u not in fib.product:
             return False, f"{u} is not in the product image"
-        if not fib.wedge.is_wedge(w):
+        if not row or not all(good[a] for side in row for a in side):
             return False, f"assignment at {u} is not a wedge of {fib.n} " \
                           f"paths of length {fib.m}"
         if fib.wedge.endpoints(w) != u:
             return False, f"assignment at {u} ends at {fib.wedge.endpoints(w)}"
+    step: dict[tuple[int, int], bool] = {}  # ordered id pair -> related
+
+    def related(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        """Whether one side's arms are pairwise within one step."""
+        for a, b in zip(x, y):
+            if a != b:
+                if (a, b) not in step:
+                    space, arm = arms[a]
+                    step[a, b] = space.arm_step(arm, arms[b][1])
+                if not step[a, b]:
+                    return False
+        return True
+
     sub = induced_subimage(fib.product, sw.piece)
-    pos = {u: k for k, u in enumerate(sw.piece)}
-    for a, b in sub.edges():
-        wa, wb = sw.wedges[pos[a]], sw.wedges[pos[b]]
-        if not fib.wedge.adjacent(wa, wb):
+    row_of = dict(zip(sw.piece, rows))
+    sub_rows = [row_of[u] for u in sub.points]
+    for i, j in sub.edge_index_pairs:
+        moved = [(x, y) for x, y in zip(sub_rows[i], sub_rows[j]) if x != y]
+        if len(moved) > 1 or (moved and not related(*moved[0])):
+            a, b = sub.points[i], sub.points[j]
             return False, (f"section jumps across the edge {a} ~ {b}: "
                            f"assigned wedges are not within one step")
     return True, None

@@ -5,10 +5,12 @@ irreflexive adjacency relation. Points are plain int tuples, images keep
 their points in sorted order so that every derived object (edge lists,
 neighbor tables, search states) is canonical and reproducible.
 
-Neighbour tables are generated from the adjacency's structure, not by
-testing all pairs: each adjacency kind's `candidates` proposes every
-point's possible neighbours, which are looked up among the points. A new
-adjacency kind supplies `candidates` and joins the all-pairs oracle test.
+Neighbour tables are generated from structure, not by testing all pairs.
+On a user image each adjacency kind's `candidates` proposes every point's
+possible neighbours, which are looked up among the points. Products,
+powers and induced subimages are derived (`DigitalImage._derived`): their
+points are trusted, and their tables come from their sources' tables in
+index space, where the point (i, j) of X x Y has index i*|Y| + j.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Point = tuple[int, ...]
 
@@ -134,22 +136,6 @@ class ProductAdjacency:
             return True
         return self.strong and self.right.adjacent(b, e)
 
-    def candidates(self, points: Sequence[Point]) -> Iterator[Optional[list[Point]]]:
-        """Per point (a, b): a left step with b fixed, a right step with a
-        fixed and, when strong, both; a factor's steps are its neighbours in
-        the projection of `points`. None where they outnumber `points`."""
-        d = self.left_dim
-        left = _neighbors(self.left, {p[:d] for p in points})
-        right = _neighbors(self.right, {p[d:] for p in points})
-        for p in points:
-            a, b = p[:d], p[d:]
-            la, rb = left[a], right[b]
-            if len(la) + len(rb) + self.strong * len(la) * len(rb) > len(points):
-                yield None
-            else:
-                yield ([c + b for c in la] + [a + e for e in rb]
-                       + ([c + e for c in la for e in rb] if self.strong else []))
-
 
 Adjacency = Union[CK, Explicit, ProductAdjacency]
 
@@ -158,21 +144,16 @@ def _neighbor_rows(adjacency: Adjacency, points: Sequence[Point],
                    index: dict[Point, int]) -> Iterator[list[int]]:
     """Per point of the sorted `points` (positions in `index`), its sorted
     neighbour positions: its candidates found in `index` or, where it has
-    none, the points that pass the adjacency test."""
-    for p, cands in zip(points, adjacency.candidates(points)):
+    none (a product adjacency proposes none), the points that pass the
+    adjacency test."""
+    generate = getattr(adjacency, "candidates", None)
+    proposed = generate(points) if generate else itertools.repeat(None)
+    for p, cands in zip(points, proposed):
         if cands is None:
             yield [j for j, q in enumerate(points)
                    if q != p and adjacency.adjacent(p, q)]
         else:
             yield sorted(index[q] for q in cands if q in index)
-
-
-def _neighbors(adjacency: Adjacency,
-               points: set[Point]) -> dict[Point, list[Point]]:
-    """Each of `points` with its sorted neighbours among them."""
-    pts = sorted(points)
-    rows = _neighbor_rows(adjacency, pts, {p: i for i, p in enumerate(pts)})
-    return {p: [pts[j] for j in row] for p, row in zip(pts, rows)}
 
 
 @dataclass(frozen=True)
@@ -201,6 +182,17 @@ class DigitalImage:
                 if b not in have:
                     raise ValueError(f"edge endpoint {b} is not a point of the image")
 
+    @classmethod
+    def _derived(cls, points: tuple[Point, ...], adjacency: Adjacency,
+                 rows: Callable[[], Iterable[tuple[int, ...]]],
+                 ) -> "DigitalImage":
+        """An image on points taken from existing images, so already
+        sorted, distinct int tuples of one dimension: `__post_init__` is
+        skipped, and `rows()` builds the neighbour table on first use."""
+        img = object.__new__(cls)
+        img.__dict__.update(points=points, adjacency=adjacency, _rows=rows)
+        return img
+
     # ---- basic queries ----
 
     @cached_property
@@ -223,19 +215,14 @@ class DigitalImage:
         except KeyError:
             raise ValueError(f"point {tuple(p)} is not in the image") from None
 
-    def adjacent(self, a: Point, b: Point) -> bool:
-        """Symmetric, irreflexive adjacency test for two points of the image."""
-        a, b = tuple(a), tuple(b)
-        self.index(a)
-        self.index(b)
-        if a == b:
-            return False
-        return self.adjacency.adjacent(a, b)
-
     @cached_property
     def neighbor_index(self) -> tuple[tuple[int, ...], ...]:
-        """For each point index, the sorted indices of its neighbors,
-        generated from the adjacency's structure."""
+        """For each point index, the sorted indices of its neighbors: from
+        the sources' tables for a derived image (which then lets its
+        sources go), else generated from the adjacency's structure."""
+        rows = self.__dict__.pop("_rows", None)
+        if rows is not None:
+            return tuple(rows())
         return tuple(map(tuple, _neighbor_rows(self.adjacency, self.points,
                                                self._index)))
 
@@ -348,8 +335,30 @@ def product_image(x: DigitalImage, y: DigitalImage, *,
     strong one when `strong`."""
     adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, y.dim,
                                  strong)
+    # sorted factors concatenate to sorted points: (i, j) has index i*k + j
     pts = tuple(a + b for a in x.points for b in y.points)
-    return DigitalImage(pts, adjacency)
+
+    def rows() -> Iterator[tuple[int, ...]]:
+        """Row (i, j) holds i*k + j' for the right neighbours j' of j and,
+        per left neighbour i', i'*k + j (when strong, i'*k + j' for j and
+        its neighbours j'), in order of i', so sorted."""
+        right = y.neighbor_index
+        k = len(right)
+        moves = ([sorted((j, *row)) for j, row in enumerate(right)] if strong
+                 else [(j,) for j in range(k)])
+        # rows share one int object per index: fresh ints past 256 would
+        # take more memory than the rows' tuples themselves
+        ids = list(range(len(pts)))
+        for i, row in enumerate(x.neighbor_index):
+            base = i * k
+            below = [a * k for a in row if a < i]
+            above = [a * k for a in row if a > i]
+            for nj, mj in zip(right, moves):
+                yield tuple([ids[a + c] for a in below for c in mj]
+                            + [ids[base + b] for b in nj]
+                            + [ids[a + c] for a in above for c in mj])
+
+    return DigitalImage._derived(pts, adjacency, rows)
 
 
 def power_image(x: DigitalImage, n: int, *,
@@ -365,20 +374,21 @@ def power_image(x: DigitalImage, n: int, *,
 
 def induced_subimage(img: DigitalImage,
                      subset: Iterable[Point]) -> DigitalImage:
-    """The image induced on a nonempty subset of points.
-
-    The adjacency object is shared, except that explicit edge sets are
+    """The image induced on a nonempty subset of points: the image's own
+    points, and its rows restricted and monotonically renumbered. The
+    adjacency object is shared, except that explicit edge sets are
     restricted to the surviving points.
     """
-    sub = tuple(sorted({tuple(p) for p in subset}))
-    if not sub:
+    keep = sorted({img.index(p) for p in subset})
+    if not keep:
         raise ValueError("induced subimage needs at least one point")
-    for p in sub:
-        if p not in img:
-            raise ValueError(f"point {p} is not in the image")
+    sub = tuple(img.points[i] for i in keep)
     adjacency = img.adjacency
     if isinstance(adjacency, Explicit):
-        keep = set(sub)
+        have = set(sub)
         adjacency = Explicit(frozenset(
-            e for e in adjacency.edges if e[0] in keep and e[1] in keep))
-    return DigitalImage(sub, adjacency)
+            e for e in adjacency.edges if e[0] in have and e[1] in have))
+    new = {i: k for k, i in enumerate(keep)}
+    return DigitalImage._derived(sub, adjacency, lambda: (
+        tuple(new[j] for j in img.neighbor_index[i] if j in new)
+        for i in keep))

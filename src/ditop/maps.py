@@ -109,13 +109,13 @@ class DigitalMap:
 
 def continuity_violation(f: DigitalMap) -> tuple[Point, Point] | None:
     """First domain edge (canonical order) whose images are neither equal nor
-    adjacent, or None when the map is continuous."""
-    pts = f.domain.points
-    vals = f.values
-    adj = f.codomain.adjacency.adjacent
+    adjacent, or None when the map is continuous: value indices tested
+    against the codomain's closed neighbourhood masks."""
+    vals = f.value_indices
+    closed = f.codomain.closed_masks
     for i, j in f.domain.edge_index_pairs:
-        a, b = vals[i], vals[j]
-        if a != b and not adj(a, b):
+        if not closed[vals[i]] >> vals[j] & 1:
+            pts = f.domain.points
             return (pts[i], pts[j])
     return None
 

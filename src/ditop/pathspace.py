@@ -10,9 +10,11 @@ positions, and a fiber is, per start within m steps of every endpoint,
 the product of its arms' walks.
 
 The step relation holds arm by arm, and for pairs of wedges on both
-sides with one side staying. The checker (`WedgeSpace.is_wedge` and
-`adjacent`) decides each distinct arm and arm pair once; the section
-search reads the relation off per-fiber occupancy tables (`Occupancy`,
+sides with one side staying. Both spaces split a wedge into `sides`,
+each with its own space, and answer per arm (`is_arm`, `arm_step`); the
+checker, `complexity.verify_section`, asks that once per call for each
+distinct arm id and id pair, plain and paired alike. The section search
+reads the relation off per-fiber occupancy tables (`Occupancy`,
 `PairedOccupancy`), whose masks are ORed over closed neighbourhoods and
 ANDed over ticks and arms.
 
@@ -75,11 +77,10 @@ class WedgeSpace:
     wedge (the stricter function-space relation); both are checked arm
     against same-indexed arm.
 
-    `is_wedge` path-checks each distinct arm once and `adjacent` decides
-    each distinct arm pair once, with the adjacency's own test; both
-    remember their answers for the life of the space. `occupancy` decides
-    the same relation for the section search from the base's closed
-    neighbourhoods, sharing no table with these checks.
+    `is_wedge` and `adjacent` are memo-free compositions of the per-arm
+    tests `is_arm` and `arm_step`, which use the adjacency's own test.
+    `occupancy` decides the same relation for the section search from
+    the base's closed neighbourhoods, sharing no table with these tests.
     """
 
     def __init__(self, base: DigitalImage, n: int, m: int, *,
@@ -93,23 +94,20 @@ class WedgeSpace:
         self.m = m
         self.strong = strong
         self.product = power_image(base, n, strong=strong)
-        self._arms: dict[Path, bool] = {}  # arm -> is a path of length m
-        self._steps: dict[tuple[Path, Path], bool] = {}  # arm pair -> related
 
-    def _is_arm(self, arm: Path) -> bool:
-        ok = self._arms.get(arm)
-        if ok is None:
-            ok = self._arms[arm] = (len(arm) == self.m + 1
-                                    and is_path(self.base, arm))
-        return ok
+    def is_arm(self, arm: Path) -> bool:
+        """A path of length m in the base."""
+        return len(arm) == self.m + 1 and is_path(self.base, arm)
+
+    def sides(self, w: Wedge) -> Optional[tuple[tuple["WedgeSpace", Wedge]]]:
+        """The wedge with its space, if it has n arms with one common start
+        (the arms themselves unchecked), else None."""
+        if len(w) == self.n and len({arm[0] for arm in w if arm}) == 1:
+            return ((self, w),)
+        return None
 
     def is_wedge(self, w: Wedge) -> bool:
-        if len(w) != self.n:
-            return False
-        starts = {arm[0] for arm in w if arm}
-        if len(starts) != 1:
-            return False
-        return all(self._is_arm(tuple(arm)) for arm in w)
+        return self.sides(w) is not None and all(map(self.is_arm, w))
 
     def endpoints(self, w: Wedge) -> Point:
         """Concatenated arm endpoints: a point of the n-fold product."""
@@ -119,14 +117,9 @@ class WedgeSpace:
         arm = (tuple(p),) * (self.m + 1)
         return (arm,) * self.n
 
-    def _arm_step(self, a1: Path, a2: Path) -> bool:
-        key = (a1, a2)
-        ok = self._steps.get(key)
-        if ok is None:
-            ok = self._steps[key] = self._decide_step(a1, a2)
-        return ok
-
-    def _decide_step(self, a1: Path, a2: Path) -> bool:
+    def arm_step(self, a1: Path, a2: Path) -> bool:
+        """Whether two arms are equal or one step apart, tick by tick (and,
+        when strong, across neighbouring ticks)."""
         adj = self.base.adjacency.adjacent
         for t in range(self.m + 1):
             p, q = a1[t], a2[t]
@@ -142,8 +135,7 @@ class WedgeSpace:
     def adjacent(self, w1: Wedge, w2: Wedge) -> bool:
         """Equal-or-one-step relation (reflexive on purpose: homotopy-style
         conditions only ever need "equal or adjacent")."""
-        return all(self._arm_step(tuple(a1), tuple(a2))
-                   for a1, a2 in zip(w1, w2))
+        return all(self.arm_step(a1, a2) for a1, a2 in zip(w1, w2))
 
     def occupancy(self, wedges: Sequence[Wedge]) -> "Occupancy":
         """Step and equality masks over `wedges` (a fiber), by arm."""
@@ -309,6 +301,14 @@ class PairedWedge:
     def is_wedge(self, w) -> bool:
         return (len(w) == 2 and self.left.is_wedge(w[0])
                 and self.right.is_wedge(w[1]))
+
+    def sides(self, w) -> Optional[tuple[tuple[WedgeSpace, Wedge], ...]]:
+        """Each component with its space, left first, if w is a pair of
+        shaped wedges, else None."""
+        if len(w) != 2:
+            return None
+        left, right = self.left.sides(w[0]), self.right.sides(w[1])
+        return left + right if left and right else None
 
     def endpoints(self, w) -> Point:
         return self.left.endpoints(w[0]) + self.right.endpoints(w[1])

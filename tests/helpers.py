@@ -20,7 +20,8 @@ from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             _search_constant, fold, is_contractible,
                             nullhomotopy, pull_back, slide_nullhomotopy)
-from ditop.images import CK, DigitalImage, Explicit, Point, induced_subimage
+from ditop.images import (CK, DigitalImage, Explicit, Point, ProductAdjacency,
+                          induced_subimage)
 from ditop.maps import DigitalMap, continuity_violation
 from ditop.pathspace import PairedWedge, is_path
 
@@ -586,6 +587,73 @@ def all_pairs_neighbor_index(img: DigitalImage) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for v in out)
 
 
+# ---- neighbour tables before products were built from their factors ----
+
+def candidates_oracle(adjacency, points: Sequence[Point]):
+    """Per point, its candidate neighbours or None: the adjacency's own
+    `candidates` for c_k and explicit edge sets. For a product, the
+    generator `ProductAdjacency.candidates` was: per point (a, b), a left
+    step with b fixed, a right step with a fixed and, when strong, both,
+    a factor's steps being its neighbours in the projection of `points`;
+    None where they outnumber `points`."""
+    if not isinstance(adjacency, ProductAdjacency):
+        yield from adjacency.candidates(points)
+        return
+    d = adjacency.left_dim
+    left = neighbors_oracle(adjacency.left, {p[:d] for p in points})
+    right = neighbors_oracle(adjacency.right, {p[d:] for p in points})
+    strong = adjacency.strong
+    for p in points:
+        a, b = p[:d], p[d:]
+        la, rb = left[a], right[b]
+        if len(la) + len(rb) + strong * len(la) * len(rb) > len(points):
+            yield None
+        else:
+            yield ([c + b for c in la] + [a + e for e in rb]
+                   + ([c + e for c in la for e in rb] if strong else []))
+
+
+def _candidate_rows(adjacency, pts: Sequence[Point]) -> Iterator[list[int]]:
+    """Per point of the sorted `pts`, its sorted neighbour positions: its
+    candidates found among `pts`, or the points that pass the adjacency
+    test where it has none."""
+    index = {p: i for i, p in enumerate(pts)}
+    for p, cands in zip(pts, candidates_oracle(adjacency, pts)):
+        if cands is None:
+            yield [j for j, q in enumerate(pts)
+                   if q != p and adjacency.adjacent(p, q)]
+        else:
+            yield sorted(index[q] for q in cands if q in index)
+
+
+def neighbors_oracle(adjacency, points: set) -> dict[Point, list[Point]]:
+    """Each of `points` with its sorted neighbours among them, by
+    candidates (the former `images._neighbors`)."""
+    pts = sorted(points)
+    return {p: [pts[j] for j in row]
+            for p, row in zip(pts, _candidate_rows(adjacency, pts))}
+
+
+def candidate_neighbor_index(img: DigitalImage) -> tuple[tuple[int, ...], ...]:
+    """The neighbour table by candidates, recursing into the projections
+    of a product: the route every table took before products and induced
+    subimages were built from their sources' tables."""
+    return tuple(map(tuple, _candidate_rows(img.adjacency, img.points)))
+
+
+def continuity_violation_oracle(f: DigitalMap):
+    """`maps.continuity_violation` on points: the first domain edge, in
+    canonical order, whose values are neither equal nor adjacent by the
+    codomain adjacency's own test."""
+    pts, vals = f.domain.points, f.values
+    adj = f.codomain.adjacency.adjacent
+    for i, j in f.domain.edge_index_pairs:
+        a, b = vals[i], vals[j]
+        if a != b and not adj(a, b):
+            return (pts[i], pts[j])
+    return None
+
+
 def verify_cayley_oracle(table: CayleyTable) -> list[str]:
     """`groups.verify_cayley` on points through `CayleyTable.product`: the
     oracle for the index-grid check, failure text and witnesses included."""
@@ -716,3 +784,4 @@ def verify_section_oracle(fib, sw: SectionWitness) -> tuple[bool, str | None]:
             return False, (f"section jumps across the edge {a} ~ {b}: "
                            f"assigned wedges are not within one step")
     return True, None
+

@@ -2,10 +2,11 @@
 relation it replaced.
 
 `find_section` links piece points through occupancy masks built from
-the base's closed neighbourhoods; `verify_section` checks through
-`WedgeSpace.is_wedge` and `adjacent`, which decide each distinct arm
-and arm pair once. Both must agree with the memo-free relation kept in
-`helpers`, and the work they save is counted here.
+the base's closed neighbourhoods; `verify_section` gives each distinct
+arm an id once per call and decides each distinct ordered id pair once,
+by `WedgeSpace.arm_step`, for plain and paired fibrations alike. Both
+must agree with the memo-free relation kept in `helpers`, and the work
+they save is counted here.
 """
 
 from __future__ import annotations
@@ -75,9 +76,14 @@ def test_step_masks_match_the_adjacency_call_filler(seed, k, n, m, strong):
 
 def _tampered(rng: random.Random, fib, sw: SectionWitness) -> SectionWitness:
     """The section with one tick of one arm moved to a random base point,
-    or one arm cut short by a tick."""
+    one arm cut short by a tick, or one wedge (both sides of a pair, most
+    often) swapped for another of its fiber."""
     at = rng.randrange(len(sw.piece))
     w = sw.wedges[at]
+    if not rng.randrange(3):
+        others = list(itertools.islice(fib.fiber(sw.piece[at]), _FIBER_PREFIX))
+        wedges = sw.wedges[:at] + (rng.choice(others),) + sw.wedges[at + 1:]
+        return SectionWitness(sw.piece, wedges)
     side = rng.randrange(2) if isinstance(fib, PairedFibration) else None
     space = fib if side is None else (fib.left, fib.right)[side]
     wedge = w if side is None else w[side]
@@ -127,27 +133,32 @@ def _counted(monkeypatch, owner, name: str, counts: dict) -> None:
     monkeypatch.setattr(owner, name, counting)
 
 
-# command -> {call: count}: exact for `adjacent`, one call per piece
-# edge, and a ceiling for the rest; the commit before the arm-by-arm
-# relation made 29,650, 563, 16,384 and 73,728 of these calls
+# command -> {call: count}: exact for `arm_step`, which `verify_section`
+# calls once per distinct ordered arm pair of each call, and a ceiling
+# for the rest. The checker makes no `WedgeSpace.adjacent` call: the
+# commit before arm ids made 4, 14 and 10,944, one per piece edge, and
+# the commit before the arm-by-arm relation 29,650, 563, 16,384 and
+# 73,728 calls of these kinds.
 WORK = {
-    "genus corpus:cycle:4 -n 1 --m 5 --mode strong": {"adjacent": 4},
-    "genus corpus:cycle:14 -n 1 --m 2": {"adjacent": 14},
-    "tc corpus:H -n 4": {"is_path": 512, "product": 384},
+    "genus corpus:cycle:4 -n 1 --m 5 --mode strong": {"arm_step": 4},
+    "genus corpus:cycle:14 -n 1 --m 2": {"arm_step": 14},
+    "tc corpus:H -n 4": {"arm_step": 736, "is_path": 512, "product": 384},
 }
 
 
 def test_work_counts_on_the_sections_commands(monkeypatch, capsys):
     counts: dict[str, int] = {}
     _counted(monkeypatch, pathspace.WedgeSpace, "adjacent", counts)
+    _counted(monkeypatch, pathspace.WedgeSpace, "arm_step", counts)
     _counted(monkeypatch, pathspace, "is_path", counts)
     _counted(monkeypatch, CayleyTable, "product", counts)
     for command, want in WORK.items():
         counts.clear()
         assert main(command.split() + ["--json"]) == 0
         capsys.readouterr()
+        assert "adjacent" not in counts, (command, counts)
         for call, count in want.items():
-            if call == "adjacent":
+            if call == "arm_step":
                 assert counts[call] == count, (command, counts)
             else:
                 assert 0 < counts[call] <= count, (command, counts)

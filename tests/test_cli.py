@@ -495,3 +495,13 @@ def test_cat_bounds_settles_contractibility_past_twelve_points(capsys):
     assert code == 0
     assert doc["results"] == {"cat_lower": 2, "cat_upper": 2}
     assert doc["notes"][-1] == "lower 2: the whole image is not admissible"
+
+
+def test_cat_exact_names_the_default_and_only_excludes_bounds(capsys):
+    _, exact, _ = run(capsys, "cat", "corpus:H", "--exact", "--json")
+    _, default, _ = run(capsys, "cat", "corpus:H", "--json")
+    assert json.loads(exact)["results"] == json.loads(default)["results"] \
+        == {"cat": 2}
+    with pytest.raises(SystemExit):
+        main(["cat", "corpus:H", "--exact", "--bounds"])
+    assert "not allowed with argument" in capsys.readouterr().err

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditop.images import (CK, DigitalImage, Explicit, ProductAdjacency,
-                          ck_adjacent, induced_subimage, interval_image,
-                          power_image, product_image)
+from ditop.cli import main
+from ditop.images import (CK, DigitalImage, Explicit, ck_adjacent,
+                          induced_subimage, interval_image, power_image,
+                          product_image)
 
-from helpers import (all_pairs_neighbor_index, literal_ck_adjacent,
-                     naive_components, random_explicit_image,
-                     random_grid_image)
+from helpers import (all_pairs_neighbor_index, candidate_neighbor_index,
+                     literal_ck_adjacent, naive_components,
+                     random_explicit_image, random_grid_image)
 
 
 points2d = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -150,20 +151,35 @@ def test_power_image_matches_iterated_products():
     assert set(cubed.edges()) == set(manual.edges())
 
 
-def test_power_image_builds_each_product_once_and_labels_the_last(
-        monkeypatch):
-    seg = interval_image(0, 1)
-    built = []
+def test_derived_images_make_no_normalising_construction(monkeypatch,
+                                                          capsys):
+    built = []  # points normalised by each DigitalImage construction
     post_init = DigitalImage.__post_init__
 
     def counting(self):
-        built.append(self.points)
+        built.append(len(self.points))
         post_init(self)
 
     monkeypatch.setattr(DigitalImage, "__post_init__", counting)
+    seg = interval_image(0, 1)
+    assert built == [2]
     cubed = power_image(seg, 3)
-    assert len(built) == 2 and built[-1] == cubed.points
+    strong = product_image(cubed, seg, strong=True)
+    # lists and floats still land on the image's own int tuples
+    sub = induced_subimage(strong, [[0, 1, 0, 1], (1.0, 1, 1, 0), (0, 0, 0, 0)])
+    assert built == [2]
     assert power_image(seg, 1) is seg
+    assert sub.points == ((0, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 0))
+    assert all(type(c) is int for p in sub.points for c in p)
+    own = {id(p) for p in strong.points}
+    assert all(id(p) in own for p in sub.points)
+    with pytest.raises(ValueError, match="is not in the image"):
+        induced_subimage(strong, [(0, 0, 0, 0), (0, 0, 0, 2)])
+    # on the command, only the corpus loop is normalised (twice, 8 points)
+    built.clear()
+    assert main(["tc", "corpus:H", "-n", "4", "--json"]) == 0
+    capsys.readouterr()
+    assert built == [8, 8]
 
 
 def test_induced_subimage_keeps_exactly_the_inner_edges():
@@ -215,18 +231,6 @@ def _random_factor(rng: random.Random) -> DigitalImage:
                         CK(rng.randint(1, r)))
 
 
-def _random_product(rng: random.Random) -> DigitalImage:
-    """Min and strong products of two or three random factors, mixing c_k
-    and explicit factors, associated either way."""
-    out = _random_factor(rng)
-    for _ in range(rng.randint(1, 2)):
-        other = _random_factor(rng)
-        strong = rng.choice((False, True))
-        out = (product_image(out, other, strong=strong) if rng.random() < 0.5
-               else product_image(other, out, strong=strong))
-    return out
-
-
 @pytest.mark.parametrize("r, k", [(r, k) for r in range(1, 5)
                                   for k in range(1, r + 1)])
 @settings(max_examples=15)
@@ -243,15 +247,43 @@ def test_generated_explicit_tables_equal_the_all_pairs_tables(seed):
     assert img.neighbor_index == all_pairs_neighbor_index(img)
 
 
-@settings(max_examples=60)
+def _random_source(rng: random.Random, depth: int) -> DigitalImage:
+    """A c_k or explicit image or, below `depth`, a min or strong product
+    of two such sources, or an induced subimage of one. Past 16 points a
+    source is cut down to an induced subimage of at most 12, so products
+    of products stay small."""
+    pick = rng.randrange(4) if depth else rng.randrange(2)
+    if pick == 0:
+        img = random_explicit_image(rng, max_points=4)
+    elif pick == 1:
+        img = _random_factor(rng)
+    elif pick == 2:
+        img = product_image(_random_source(rng, depth - 1),
+                            _random_source(rng, depth - 1),
+                            strong=rng.random() < 0.5)
+    else:
+        img = _random_source(rng, depth - 1)
+        img = induced_subimage(img, rng.sample(img.points,
+                                               rng.randint(1, len(img))))
+    if len(img) > 16:
+        img = induced_subimage(img, rng.sample(img.points, rng.randint(1, 12)))
+    return img
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000))
 def test_generated_product_tables_equal_the_all_pairs_tables(seed):
+    # factor-built and restricted tables against the pair tests and the
+    # candidate route they replaced
     rng = random.Random(seed)
-    prod = _random_product(rng)
-    assert prod.neighbor_index == all_pairs_neighbor_index(prod)
-    sub = induced_subimage(
-        prod, rng.sample(prod.points, rng.randint(1, len(prod))))
-    assert sub.neighbor_index == all_pairs_neighbor_index(sub)
+    x, y = _random_source(rng, 2), _random_source(rng, 2)
+    for strong in (False, True):
+        prod = product_image(x, y, strong=strong)
+        sub = induced_subimage(
+            prod, rng.sample(prod.points, rng.randint(1, len(prod))))
+        for img in (x, y, prod, sub):
+            assert img.neighbor_index == all_pairs_neighbor_index(img) \
+                == candidate_neighbor_index(img)
 
 
 def _c9_image() -> DigitalImage:
@@ -262,32 +294,20 @@ def _c9_image() -> DigitalImage:
 
 
 def _bound_cases() -> dict[str, tuple[DigitalImage, int]]:
-    """Images whose candidates could outnumber their points, each with the
-    number of points its table build visits: its own, then its factors'
-    projections."""
-    c9 = _c9_image()
-    strong = product_image(c9, c9, strong=True)
-    k20 = DigitalImage(tuple((i,) for i in range(20)), Explicit.of(
-        ((i,), (j,)) for i in range(20) for j in range(i)))
-    corner = induced_subimage(product_image(k20, interval_image(0, 1)),
-                              [(0, 0), (1, 0)])
-    return {"c9": (c9, 20),
-            "min product": (product_image(c9, c9), 400 + 20 + 20),
-            "strong diagonal": (induced_subimage(strong,
-                                                 (p + p for p in c9.points)),
-                                20 + 20 + 20),
-            "explicit corner": (corner, 2 + 2 + 1)}
+    """User images whose candidates could outnumber their points, each
+    with the number of points its table build visits."""
+    return {"c9": (_c9_image(), 20)}
 
 
 @pytest.mark.parametrize("case", sorted(_bound_cases()))
 def test_no_point_examines_more_candidates_than_the_image_has_points(
         case, monkeypatch):
     img, visits = _bound_cases()[case]
-    seen = []  # per point at every level: (points at that level, examined)
-    for kind in (CK, Explicit, ProductAdjacency):
+    seen = []  # per point: (points of the image, examined)
+    for kind in (CK, Explicit):
         def counted(self, points, generate=kind.candidates):
             for cands in generate(self, points):
-                # a point without candidates scans the points of its level
+                # a point without candidates scans the points
                 seen.append((len(points),
                              len(points) if cands is None else len(cands)))
                 yield cands

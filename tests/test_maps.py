@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditop.corpus import cycle_image, loop_image
-from ditop.images import CK, DigitalImage, interval_image
+from ditop.images import CK, DigitalImage, interval_image, product_image
 from ditop.homotopy import MapGraph
 from ditop.maps import DigitalMap, continuity_violation, is_continuous
 
-from helpers import (continuous_maps, find_isomorphism,
-                     is_continuous_subset_oracle, is_digital_isomorphism,
+from helpers import (continuity_violation_oracle, continuous_maps,
+                     find_isomorphism, is_continuous_subset_oracle,
+                     is_digital_isomorphism, random_explicit_image,
                      random_grid_image, random_map_values,
                      transfer_matrix_count)
 
@@ -39,6 +40,36 @@ def test_continuity_violation_pinpoints_the_offending_edge():
     jump = DigitalMap(seg, seg, ((0,), (2,), (2,)))
     bad = continuity_violation(jump)
     assert bad == ((0,), (1,))
+
+
+def _random_image(rng: random.Random) -> DigitalImage:
+    """A grid or explicit image, or a min or strong product of two."""
+    def factor(size: int) -> DigitalImage:
+        if rng.random() < 0.5:
+            return random_explicit_image(rng, max_points=size)
+        return random_grid_image(rng, max_points=size, k=rng.randint(1, 2),
+                                 connected=False)
+
+    if rng.random() < 0.5:
+        return factor(6)
+    return product_image(factor(3), factor(3), strong=rng.random() < 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(("random", "continuous",
+                                                 "one value moved")))
+def test_continuity_violation_matches_the_adjacency_loop(seed, draw):
+    rng = random.Random(seed)
+    dom, cod = _random_image(rng), _random_image(rng)
+    if draw == "random":
+        values = random_map_values(rng, dom, cod)
+    else:
+        values = list(rng.choice(list(itertools.islice(
+            continuous_maps(dom, cod), 40))).values)
+        if draw == "one value moved":
+            values[rng.randrange(len(values))] = rng.choice(cod.points)
+    f = DigitalMap(dom, cod, tuple(values))
+    assert continuity_violation(f) == continuity_violation_oracle(f)
 
 
 @settings(max_examples=150)

@@ -26,7 +26,9 @@ window-group paths (`group-check` and `group-product` with
 `--mode strong`, `group-check corpus:zplus`, the strong sum map of
 `check-continuity` and the strong-mode note of `tc -n 2`) were recorded
 at the commit before the two mode vocabularies became one `strong` flag
-and the write-only labels went. A digest changes only with
+and the write-only labels went. `tc corpus:H -n 5` (a 32,768-point
+product, its translation sections and their check) was recorded at the
+commit before products were built in index space. A digest changes only with
 the bytes of the report; when a change means to alter them, record the
 new digest and say why.
 """
@@ -64,6 +66,8 @@ DIGESTS = {
         (0, "ccd9d4e90893629de5f727f0dbec1073c0f327f7234b9ab905069b02ed4badb1"),
     "tc corpus:H -n 4":
         (0, "e6d1b7ad9dfcecd6550291d953f82ef8fc03681349d2a294e74f74cd658950bd"),
+    "tc corpus:H -n 5":
+        (0, "9fd24ace542facd6cae5fa5d7423a1ce956d5c6ee874563a0c6df4651722dfe4"),
     "tc corpus:H -n 4 --m 6":
         (0, "dfd9a5751ccc36c28e78a38c2686a6ce6e502817244aa0814949e96c12bbd1fe"),
     "genus corpus:interval:2 -n 2 --m 2":
