@@ -293,25 +293,40 @@ def _c9_image() -> DigitalImage:
                               for i in range(20)), CK(9))
 
 
-def _bound_cases() -> dict[str, tuple[DigitalImage, int]]:
-    """User images whose candidates could outnumber their points, each
-    with the number of points its table build visits."""
-    return {"c9": (_c9_image(), 20)}
+def _bound_cases() -> dict[str, tuple[DigitalImage, int, DigitalImage]]:
+    """Images whose candidates could outnumber their points, each with the
+    number of points its table build visits and the image whose points
+    bound every visited level. A product's table comes from its factors'
+    tables, so its build visits only the factors' points, each factor once;
+    an induced subimage restricts its parent's table, so its build visits
+    the parent's factors and is bounded by the parent."""
+    c9 = _c9_image()
+    strong = product_image(c9, c9, strong=True)
+    k20 = DigitalImage(tuple((i,) for i in range(20)), Explicit.of(
+        ((i,), (j,)) for i in range(20) for j in range(i)))
+    k20_by_2 = product_image(k20, interval_image(0, 1))
+    min_product = product_image(c9, c9)
+    diagonal = induced_subimage(strong, (p + p for p in c9.points))
+    corner = induced_subimage(k20_by_2, [(0, 0), (1, 0)])
+    return {"c9": (c9, 20, c9),
+            "min product": (min_product, 20, min_product),
+            "strong diagonal": (diagonal, 20, diagonal),
+            "explicit corner": (corner, 20 + 2, k20_by_2)}
 
 
 @pytest.mark.parametrize("case", sorted(_bound_cases()))
 def test_no_point_examines_more_candidates_than_the_image_has_points(
         case, monkeypatch):
-    img, visits = _bound_cases()[case]
-    seen = []  # per point: (points of the image, examined)
+    img, visits, scope = _bound_cases()[case]
+    seen = []  # per point at every level: (points at that level, examined)
     for kind in (CK, Explicit):
         def counted(self, points, generate=kind.candidates):
             for cands in generate(self, points):
-                # a point without candidates scans the points
+                # a point without candidates scans the points of its level
                 seen.append((len(points),
                              len(points) if cands is None else len(cands)))
                 yield cands
         monkeypatch.setattr(kind, "candidates", counted)
     assert img.neighbor_index == all_pairs_neighbor_index(img)
     assert len(seen) == visits
-    assert all(examined <= size <= len(img) for size, examined in seen)
+    assert all(examined <= size <= len(scope) for size, examined in seen)
