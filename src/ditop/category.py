@@ -17,9 +17,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .covers import (AdmissibilityOracle, BoundResult,
-                     maximal_admissible_sets, minimal_cover_bounds,
+from .covers import (AdmissibilityOracle, BoundResult, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
+from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebinds it)
 from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
                        nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
@@ -137,9 +137,3 @@ def cat_bounds(base: DigitalImage,
 
     oracle = AdmissibilityOracle(base, slide_only)
     return minimal_cover_bounds(base, oracle, whole_admissible=whole)
-
-
-def categorical_subsets(base: DigitalImage,
-                        node_budget: int | None = 2_000_000) -> list[Subset]:
-    """The maximal subsets with nullhomotopic inclusion (for inspection)."""
-    return maximal_admissible_sets(base, cat_oracle(base, node_budget))

@@ -70,31 +70,35 @@ class CayleyTable:
     def product(self, a: Point, b: Point) -> Point:
         return self.entries[self.image.index(tuple(a))][self.image.index(tuple(b))]
 
+    @cached_property
+    def inverse_indices(self) -> tuple[int, ...]:
+        """Per carrier index, its two-sided inverse's index, or -1."""
+        g, e = self.grid, self.image.index(self.identity)
+        return tuple(next((j for j, v in enumerate(row)
+                           if v == e and g[j][i] == e), -1)
+                     for i, row in enumerate(g))
+
     def inverse(self, a: Point) -> Optional[Point]:
         """The two-sided inverse of a, or None."""
-        g, e = self.grid, self.image.index(self.identity)
-        i = self.image.index(tuple(a))
-        for j, v in enumerate(g[i]):
-            if v == e and g[j][i] == e:
-                return self.image.points[j]
-        return None
+        j = self.inverse_indices[self.image.index(tuple(a))]
+        return None if j < 0 else self.image.points[j]
 
     def multiplication_map(self, prod: DigitalImage) -> DigitalMap:
         """The operation as a map from `prod`, the carrier squared (needs
         closure).
 
-        Product points run row-major over (a, b), as the entries do."""
-        values = tuple(v for row in self.entries for v in row)
+        Product points run row-major over (a, b), as the grid does."""
+        values = tuple(v for row in self.grid for v in row)
+        if min(values) < 0:
+            raise ValueError("the table is not closed")
         return DigitalMap(prod, self.image, values)
 
     def inversion_map(self) -> DigitalMap:
-        vals = []
-        for p in self.image.points:
-            q = self.inverse(p)
-            if q is None:
-                raise ValueError(f"{p} has no inverse")
-            vals.append(q)
-        return DigitalMap(self.image, self.image, tuple(vals))
+        vals = self.inverse_indices
+        if min(vals) < 0:
+            raise ValueError(
+                f"{self.image.points[vals.index(-1)]} has no inverse")
+        return DigitalMap(self.image, self.image, vals)
 
 
 def verify_cayley(table: CayleyTable) -> list[str]:
@@ -128,11 +132,9 @@ def verify_cayley(table: CayleyTable) -> list[str]:
                 f"not associative: ({pts[a]}*{pts[b]})*{pts[c]} = "
                 f"{pts[g[g[a][b]][c]]} but {pts[a]}*({pts[b]}*{pts[c]}) = "
                 f"{pts[g[a][g[b][c]]]}")
-        else:
-            for a in pts:
-                if table.inverse(a) is None:
-                    failures.append(f"no inverse: {a} has no two-sided inverse")
-                    break
+        elif -1 in table.inverse_indices:
+            a = pts[table.inverse_indices.index(-1)]
+            failures.append(f"no inverse: {a} has no two-sided inverse")
     return failures
 
 

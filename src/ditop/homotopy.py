@@ -9,16 +9,17 @@ become breadth-first searches there.
 The graph is huge (an 8-point loop already has 8872 continuous self-maps)
 so it is never materialized. Neighbor states come from `maps.backtrack`,
 the package's one backtracker, over bitmasks of allowed codomain indices,
-and searches stop at the first goal. `nullhomotopy` is the one route to a
-constant map; `slides` gives its cheap, verified geodesic candidates.
-It folds dominated points out of f's domain (`fold`) and settles f on the
-core C first. f ~ f|C o r for the fold's retraction r, so C's answer is
-f's, and `pull_back` lifts C's witness; a slide of f restricts to a slide
-of f|C, so settling C first runs no search that a slide of f would
-spare. A core is searched in its codomain's core, one component at a
-time. No edge joins two components, so a map is nullhomotopic exactly
-when its restriction to every component is homotopic to a constant and
-those constants lie in one component of the codomain.
+and searches stop at the first goal. A state is a map's `value_indices`,
+and no stage built here passes through points. `nullhomotopy` is the one
+route to a constant map; `slides` gives its cheap, verified geodesic
+candidates. It folds dominated points out of f's domain (`fold`) and
+settles f on the core C first. f ~ f|C o r for the fold's retraction r, so
+C's answer is f's, and `pull_back` lifts C's witness; a slide of f
+restricts to a slide of f|C, so settling C first runs no search that a
+slide of f would spare. A core is searched in its codomain's core, one
+component at a time. No edge joins two components, so a map is
+nullhomotopic exactly when its restriction to every component is homotopic
+to a constant and those constants lie in one component of the codomain.
 """
 
 from __future__ import annotations
@@ -75,14 +76,14 @@ def verify_homotopy(w: HomotopyWitness, f: DigitalMap | None = None,
         return False, "first stage is not the starting map"
     if g is not None and w.stages[-1] != g:
         return False, "last stage is not the ending map"
-    adj = cod.adjacency.adjacent
+    pts, adj = cod.points, cod.adjacency.adjacent
     for k in range(len(w.stages) - 1):
-        a = w.stages[k].values
-        b = w.stages[k + 1].values
+        a = w.stages[k].value_indices
+        b = w.stages[k + 1].value_indices
         for p, u, v in zip(dom.points, a, b):
-            if u != v and not adj(u, v):
+            if u != v and not adj(pts[u], pts[v]):
                 return False, (f"stages {k} and {k + 1} jump at {p}: "
-                               f"{u} to {v} is not a unit step")
+                               f"{pts[u]} to {pts[v]} is not a unit step")
     return True, None
 
 
@@ -103,20 +104,12 @@ class MapGraph:
     def __init__(self, domain: DigitalImage, codomain: DigitalImage):
         self.domain = domain
         self.codomain = codomain
-        self.n = len(domain.points)
         closed = codomain.closed_masks
         self.links = tuple(tuple((j, closed) for j in nbrs if j < i)
                            for i, nbrs in enumerate(domain.neighbor_index))
 
-    def state_of(self, f: DigitalMap) -> State:
-        if f.domain != self.domain or f.codomain != self.codomain:
-            raise ValueError("map does not live in this graph")
-        return f.value_indices
-
     def map_of(self, state: State) -> DigitalMap:
-        pts = self.codomain.points
-        return DigitalMap(self.domain, self.codomain,
-                          tuple(pts[i] for i in state))
+        return DigitalMap(self.domain, self.codomain, state)
 
     def is_state_continuous(self, state: State) -> bool:
         return all((closed[v] >> state[j]) & 1
@@ -128,12 +121,6 @@ class MapGraph:
         (the state itself included), in lexicographic index order."""
         closed = self.codomain.closed_masks
         return backtrack([closed[v] for v in state], self.links)
-
-    def all_states(self) -> Iterator[State]:
-        """Every continuous state, that is every continuous map, in
-        lexicographic index order."""
-        return backtrack([(1 << len(self.codomain.points)) - 1] * self.n,
-                         self.links)
 
     def bfs(self, start: State, is_goal: Callable[[State], bool],
             node_budget: int | None = 2_000_000,
@@ -190,35 +177,33 @@ def are_homotopic(f: DigitalMap, g: DigitalMap,
         if not is_continuous(h):
             raise ValueError(f"the {name} map is not continuous")
     graph = MapGraph(f.domain, f.codomain)
-    target = graph.state_of(g)
-    return graph.witness(
-        graph.bfs(graph.state_of(f), lambda s: s == target, node_budget))
+    return graph.witness(graph.bfs(
+        f.value_indices, lambda s: s == g.value_indices, node_budget))
 
 
 # ---- contractibility ----
 
 def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness]:
     """Geodesic-slide candidate for a homotopy from f to the constant map at
-    `target`: every value walks its lexicographic shortest path toward the
-    target, one step per stage. Cheap, but only a candidate — each stage is
-    verified and None is returned on any failure (the classic one being a
-    loop, where opposite sides slide around different ways and tear)."""
+    `target`: every value walks its lexicographic shortest path (the
+    codomain's `step_toward`), one step per stage. Cheap, but only a
+    candidate — each stage is verified and None is returned on any failure
+    (the classic one being a loop, where opposite sides slide around
+    different ways and tear)."""
     cod = f.codomain
-    target = tuple(target)
     if target not in cod:
         return None
-    try:
-        paths = [cod.lex_shortest_path(v, target) for v in f.values]
-    except ValueError:
+    step = cod.step_toward(cod.index(target))
+    cur = f.value_indices
+    if min(step[v] for v in cur) < 0:
         return None  # some value cannot reach the target
-    span = max(len(p) - 1 for p in paths)
     stages = []
-    for s in range(span + 1):
-        vals = tuple(p[min(s, len(p) - 1)] for p in paths)
-        st = DigitalMap(f.domain, cod, vals)
+    while not stages or cur != stages[-1].value_indices:
+        st = DigitalMap(f.domain, cod, cur)
         if continuity_violation(st) is not None:
             return None
         stages.append(st)
+        cur = tuple(step[v] for v in cur)
     w = HomotopyWitness(tuple(stages), "slide")
     ok, _ = verify_homotopy(w, f, DigitalMap.constant(f.domain, cod, target))
     return w if ok else None
@@ -233,18 +218,17 @@ def slides(f: DigitalMap, pool: Sequence[Point]) -> Iterator[HomotopyWitness]:
             yield w
 
 
-def _search_constant(f: DigitalMap, pool: Sequence[Point],
+def _search_constant(f: DigitalMap, allowed: set[int] | range,
                      node_budget: int | None) -> Optional[HomotopyWitness]:
-    """A shortest homotopy from f to a constant at a point of `pool`, by
-    breadth-first search of f's own map graph."""
+    """A shortest homotopy from f to a constant at a codomain index in
+    `allowed`, by breadth-first search of f's own map graph."""
     graph = MapGraph(f.domain, f.codomain)
-    allowed = {f.codomain.index(t) for t in pool}
 
     def at_constant(s: State) -> bool:
         first = s[0]
         return first in allowed and all(v == first for v in s)
 
-    return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
+    return graph.witness(graph.bfs(f.value_indices, at_constant, node_budget))
 
 
 def nullhomotopy(f: DigitalMap,
@@ -274,14 +258,13 @@ def nullhomotopy(f: DigitalMap,
             raise ValueError(f"target {t} is not in the codomain")
     if targets is not None:
         return next(slides(f, pool), None) or _search_constant(
-            f, pool, node_budget)
+            f, {cod.index(t) for t in pool}, node_budget)
     folded = fold(f.domain)
     if not folded.steps:
         return next(slides(f, pool), None) or folded_nullhomotopy(
             f, node_budget)
-    core = folded.core.points
-    w = lookup(core) if lookup is not None else nullhomotopy(
-        DigitalMap(folded.core, cod, tuple(map(f, core))),
+    w = lookup(folded.core.points) if lookup is not None else nullhomotopy(
+        f.after(DigitalMap.inclusion(folded.core, f.domain)),
         node_budget=node_budget)
     if w is None:
         return None
@@ -303,7 +286,7 @@ def contraction(img: DigitalImage,
     w = nullhomotopy(ident, node_budget=node_budget)
     if w is None or w.label == "slide":
         return w
-    return _search_constant(ident, img.points, node_budget)
+    return _search_constant(ident, range(len(img.points)), node_budget)
 
 
 def is_contractible(img: DigitalImage,
@@ -328,12 +311,14 @@ class Fold(NamedTuple):
     core: DigitalImage
     steps: tuple[tuple[Point, Point], ...]
 
-    def retractions(self) -> list[dict[Point, Point]]:
-        """The composite retraction after each step, the identity first."""
-        cur = {p: p for p in self.image.points}
+    def retractions(self) -> list[tuple[int, ...]]:
+        """The composite retraction after each step as image indices, the
+        identity first; the last one fixes exactly the core."""
+        cur = tuple(range(len(self.image.points)))
         out = [cur]
         for p, q in self.steps:
-            cur = {x: q if y == p else y for x, y in cur.items()}
+            p, q = self.image.index(p), self.image.index(q)
+            cur = tuple(q if y == p else y for y in cur)
             out.append(cur)
         return out
 
@@ -372,11 +357,12 @@ def pull_back(f: DigitalMap, folded: Fold,
     Equal consecutive stages are merged. A lift that fails verify_homotopy
     raises, since the construction is proved.
     """
-    dom, cod = f.domain, f.codomain
+    dom, cod, fv = f.domain, f.codomain, f.value_indices
     rs = folded.retractions()
     r = rs[-1]
-    values = [tuple(f(r_k[a]) for a in dom.points) for r_k in rs]
-    values += [tuple(st(r[a]) for a in dom.points) for st in core_stages[1:]]
+    at = {a: k for k, a in enumerate(sorted(set(r)))}  # core positions
+    values = [tuple(fv[a] for a in r_k) for r_k in rs]
+    values += [tuple(st.value_indices[at[a]] for a in r) for st in core_stages[1:]]
     kept = [v for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
     w = HomotopyWitness(tuple(DigitalMap(dom, cod, v) for v in kept), "fold")
     ok, why = verify_homotopy(w, f)
@@ -408,29 +394,28 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
         raise ValueError("map is not continuous")
     dom, cod_fold = f.domain, fold(f.codomain)
     target = cod_fold.core
-    stages = [DigitalMap(dom, f.codomain, tuple(s[v] for v in f.values))
-              for s in cod_fold.retractions()]
-    tracks = []
+    stages = [DigitalMap(dom, f.codomain, tuple(r[v] for v in f.value_indices))
+              for r in cod_fold.retractions()]
+    kept = DigitalMap.inclusion(target, f.codomain).value_indices
+    at = {a: k for k, a in enumerate(kept)}
+    on_core = DigitalMap(dom, target, tuple(at[v] for v in stages[-1].value_indices))
+    cols = [None] * len(dom.points)  # per domain point, its core track
     for comp in dom.components:
-        piece = induced_subimage(dom, comp)
-        w = _search_constant(
-            DigitalMap(piece, target, tuple(map(stages[-1], piece.points))),
-            target.points, node_budget)
+        incl = DigitalMap.inclusion(induced_subimage(dom, comp), dom)
+        w = _search_constant(on_core.after(incl), range(len(kept)), node_budget)
         if w is None:
             return None
-        tracks.append(w)
-    hub = tracks[0].end.values[0]
-    try:
-        walks = [target.lex_shortest_path(w.end.values[0], hub) for w in tracks]
-    except ValueError:
-        return None  # the constants lie in different codomain components
-    columns = {}
-    for w, walk in zip(tracks, walks):
-        for a in w.end.domain.points:
-            columns[a] = [st(a) for st in w.stages] + list(walk[1:])
-    cols = [columns[a] for a in dom.points]
+        for k, a in enumerate(incl.value_indices):
+            cols[a] = [st.value_indices[k] for st in w.stages]
+    step = target.step_toward(cols[0][-1])  # point 0 is in the first component
+    for col in cols:
+        while step[col[-1]] != col[-1]:
+            if step[col[-1]] < 0:
+                return None  # the constants lie in different codomain components
+            col.append(step[col[-1]])
     core_stages = [
-        DigitalMap(dom, f.codomain, tuple(c[min(k, len(c) - 1)] for c in cols))
+        DigitalMap(dom, f.codomain,
+                   tuple(kept[c[min(k, len(c) - 1)]] for c in cols))
         for k in range(1, max(map(len, cols)))]
     # an empty fold: the lift only merges repeated stages and checks them
     return pull_back(f, Fold(dom, dom, ()), stages + core_stages)

@@ -303,22 +303,24 @@ class DigitalImage:
             raise ValueError("diameter undefined: image is not connected")
         return max(max(row) for row in self.distance_matrix)
 
-    def lex_shortest_path(self, a: Point, b: Point) -> tuple[Point, ...]:
-        """The lexicographically least shortest path from a to b.
+    def step_toward(self, j: int) -> tuple[int, ...]:
+        """Per point index, its least-indexed neighbour one step closer to
+        point j (j at j, -1 where j is unreachable): the lexicographically
+        least shortest paths to j."""
+        dist = self.distance_matrix[j]
+        return tuple(next((v for v in nbrs if dist[v] == d - 1), -1) if d else i
+                     for i, (d, nbrs) in enumerate(zip(dist, self.neighbor_index)))
 
-        Greedy walk from a, always stepping to the least-indexed neighbor that
-        reduces the distance to b. Raises when b is unreachable from a.
-        """
+    def lex_shortest_path(self, a: Point, b: Point) -> tuple[Point, ...]:
+        """The lexicographically least shortest path from a to b, along
+        `step_toward(b)`. Raises when b is unreachable from a."""
         i, j = self.index(a), self.index(b)
-        dist_to_b = [row[j] for row in self.distance_matrix]
-        if dist_to_b[i] < 0:
+        step = self.step_toward(j)
+        if step[i] < 0:
             raise ValueError(f"no path from {a} to {b}")
         path = [i]
-        cur = i
-        while cur != j:
-            step = dist_to_b[cur] - 1
-            cur = next(v for v in self.neighbor_index[cur] if dist_to_b[v] == step)
-            path.append(cur)
+        while path[-1] != j:
+            path.append(step[path[-1]])
         return tuple(self.points[v] for v in path)
 
 

@@ -4,7 +4,7 @@ that builds them.
 A map is continuous when the image of every connected subset is connected.
 On finite images this is equivalent to the edge condition: adjacent domain
 points map to equal or adjacent codomain points, which is the test used
-here.
+here on the codomain indices that a map holds in place of points.
 
 `backtrack` enumerates every assignment of values to positions that meets
 such edge conditions, over bitmasks of allowed value indices. It is the
@@ -26,38 +26,39 @@ from .images import DigitalImage, Point
 
 @dataclass(frozen=True)
 class DigitalMap:
-    """A total map between digital images.
-
-    Values are stored aligned with the domain's canonical point order, so two
-    maps are equal exactly when they agree pointwise on equal images.
-    """
+    """A total map between digital images: its values' codomain indices,
+    aligned with the domain's canonical point order, so two maps are equal
+    exactly when they agree pointwise on equal images. `from_points` is
+    the one constructor that takes points, and it checks them."""
 
     domain: DigitalImage
     codomain: DigitalImage
-    values: tuple[Point, ...]
+    value_indices: tuple[int, ...]
 
-    def __post_init__(self):
-        vals = tuple(tuple(v) for v in self.values)
-        if len(vals) != len(self.domain.points):
-            raise ValueError(
-                f"need {len(self.domain.points)} values, got {len(vals)}")
+    @staticmethod
+    def from_points(domain: DigitalImage, codomain: DigitalImage,
+                    values: Sequence[Point]) -> "DigitalMap":
+        """The map sending the i-th domain point to values[i], checked."""
+        vals = [tuple(v) for v in values]
+        if len(vals) != len(domain.points):
+            raise ValueError(f"need {len(domain.points)} values, got {len(vals)}")
         for v in vals:
-            if v not in self.codomain:
+            if v not in codomain:
                 raise ValueError(f"value {v} is not in the codomain")
-        object.__setattr__(self, "values", vals)
+        return DigitalMap(domain, codomain, tuple(map(codomain.index, vals)))
 
     @staticmethod
     def from_mapping(domain: DigitalImage, codomain: DigitalImage,
                      mapping: Mapping[Point, Point]) -> "DigitalMap":
         try:
-            vals = tuple(tuple(mapping[p]) for p in domain.points)
+            vals = [mapping[p] for p in domain.points]
         except KeyError as missing:
             raise ValueError(f"no value for domain point {missing.args[0]}") from None
-        return DigitalMap(domain, codomain, vals)
+        return DigitalMap.from_points(domain, codomain, vals)
 
     @staticmethod
     def identity(img: DigitalImage) -> "DigitalMap":
-        return DigitalMap(img, img, img.points)
+        return DigitalMap(img, img, tuple(range(len(img.points))))
 
     @staticmethod
     def constant(domain: DigitalImage, codomain: DigitalImage,
@@ -65,44 +66,45 @@ class DigitalMap:
         value = tuple(value)
         if value not in codomain:
             raise ValueError(f"constant value {value} is not in the codomain")
-        return DigitalMap(domain, codomain, (value,) * len(domain.points))
+        return DigitalMap(domain, codomain, (codomain.index(value),) * len(domain))
 
     @staticmethod
     def inclusion(sub: DigitalImage, whole: DigitalImage) -> "DigitalMap":
         for p in sub.points:
             if p not in whole:
                 raise ValueError(f"{p} is not a point of the larger image")
-        return DigitalMap(sub, whole, sub.points)
-
-    def __call__(self, p: Point) -> Point:
-        return self.values[self.domain.index(p)]
+        return DigitalMap(sub, whole, tuple(whole._index[p] for p in sub.points))
 
     @cached_property
-    def value_indices(self) -> tuple[int, ...]:
-        """Values as codomain point indices (the search-state encoding)."""
-        idx = self.codomain.index
-        return tuple(idx(v) for v in self.values)
+    def values(self) -> tuple[Point, ...]:
+        """The values as codomain points, for reports and messages."""
+        pts = self.codomain.points
+        return tuple(pts[v] for v in self.value_indices)
+
+    def __call__(self, p: Point) -> Point:
+        return self.codomain.points[self.value_indices[self.domain.index(p)]]
 
     def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
+        return len(set(self.value_indices)) == 1
 
     def after(self, inner: "DigitalMap") -> "DigitalMap":
         """Composition self o inner."""
         if inner.codomain != self.domain:
             raise ValueError("composition mismatch: codomain of the inner map "
                              "must equal domain of the outer map")
-        vals = tuple(self.values[self.domain.index(v)] for v in inner.values)
+        vals = tuple(self.value_indices[v] for v in inner.value_indices)
         return DigitalMap(inner.domain, self.codomain, vals)
 
     def is_bijective(self) -> bool:
-        return (len(set(self.values)) == len(self.values)
-                and len(self.values) == len(self.codomain.points))
+        return (len(set(self.value_indices)) == len(self.value_indices)
+                == len(self.codomain.points))
 
     def inverse(self) -> "DigitalMap":
         if not self.is_bijective():
             raise ValueError("only bijective maps invert")
-        inv = {v: p for p, v in zip(self.domain.points, self.values)}
-        return DigitalMap.from_mapping(self.codomain, self.domain, inv)
+        vals = self.value_indices  # a bijection: its argsort inverts it
+        inv = sorted(range(len(vals)), key=vals.__getitem__)
+        return DigitalMap(self.codomain, self.domain, tuple(inv))
 
 
 # ---- continuity ----

@@ -13,16 +13,18 @@ import random
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ditop.category import cat_oracle
 from ditop.complexity import SectionWitness
-from ditop.covers import AdmissibilityOracle
+from ditop.covers import AdmissibilityOracle, Subset, maximal_admissible_sets
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
 from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             _search_constant, fold, is_contractible,
-                            nullhomotopy, pull_back, slide_nullhomotopy)
+                            nullhomotopy, pull_back, slide_nullhomotopy,
+                            verify_homotopy)
 from ditop.images import (CK, DigitalImage, Explicit, Point, ProductAdjacency,
                           induced_subimage)
-from ditop.maps import DigitalMap, continuity_violation
+from ditop.maps import DigitalMap, backtrack, continuity_violation
 from ditop.pathspace import PairedWedge, is_path
 
 
@@ -174,7 +176,7 @@ def paired_fiber_oracle(pair, u: Point) -> Iterator[tuple]:
 
 def left_translation(table: CayleyTable, g: Point) -> DigitalMap:
     vals = tuple(table.product(g, p) for p in table.image.points)
-    return DigitalMap(table.image, table.image, vals)
+    return DigitalMap.from_points(table.image, table.image, vals)
 
 
 def count_paths(img: DigitalImage, start: Point, end: Point, length: int) -> int:
@@ -202,7 +204,14 @@ def continuous_maps(domain: DigitalImage,
                     codomain: DigitalImage) -> Iterator[DigitalMap]:
     """All continuous maps domain -> codomain in lexicographic value order."""
     graph = MapGraph(domain, codomain)
-    return (graph.map_of(s) for s in graph.all_states())
+    return (graph.map_of(s) for s in all_states(graph))
+
+
+def all_states(graph: MapGraph) -> Iterator[tuple[int, ...]]:
+    """Every continuous state of the map graph, that is every continuous
+    map, in lexicographic index order (the former `MapGraph.all_states`)."""
+    return backtrack([(1 << len(graph.codomain.points)) - 1]
+                     * len(graph.domain.points), graph.links)
 
 
 def is_continuous_subset_oracle(f: DigitalMap, guard: int = 12) -> bool:
@@ -317,7 +326,7 @@ def find_isomorphism(x: DigitalImage, y: DigitalImage,
     if not extend(0):
         return None
     vals = tuple(y.points[assign[i]] for i in range(n))
-    return DigitalMap(x, y, vals)
+    return DigitalMap.from_points(x, y, vals)
 
 
 # ---- homotopy ----
@@ -326,7 +335,8 @@ def restrict_witness(w: HomotopyWitness, subset: Iterable[Point]) -> HomotopyWit
     """Restrict every stage to an induced subimage of the domain."""
     sub = induced_subimage(w.stages[0].domain, subset)
     return HomotopyWitness(tuple(
-        DigitalMap(sub, st.codomain, tuple(st(p) for p in sub.points))
+        DigitalMap.from_points(sub, st.codomain,
+                               tuple(st(p) for p in sub.points))
         for st in w.stages), w.label)
 
 
@@ -350,7 +360,7 @@ def unfolded_nullhomotopy(f: DigitalMap,
         first = s[0]
         return first in allowed and all(v == first for v in s)
 
-    return graph.witness(graph.bfs(graph.state_of(f), at_constant, node_budget))
+    return graph.witness(graph.bfs(f.value_indices, at_constant, node_budget))
 
 
 def unsplit_folded_nullhomotopy(f: DigitalMap,
@@ -361,10 +371,44 @@ def unsplit_folded_nullhomotopy(f: DigitalMap,
     codomain's core, to any constant. On a disconnected core that graph
     is the product of the components' graphs. Returns the core homotopy."""
     dom_fold, cod_fold = fold(f.domain), fold(f.codomain)
-    r = cod_fold.retractions()[-1]
+    r = DigitalMap(f.codomain, f.codomain, cod_fold.retractions()[-1])
     core, target = dom_fold.core, cod_fold.core
-    on_core = DigitalMap(core, target, tuple(r[f(a)] for a in core.points))
-    return _search_constant(on_core, target.points, node_budget)
+    on_core = DigitalMap.from_points(core, target,
+                                     tuple(r(f(a)) for a in core.points))
+    return _search_constant(on_core, range(len(target.points)), node_budget)
+
+
+def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,
+                                  ) -> Optional[HomotopyWitness]:
+    """`homotopy.slide_nullhomotopy` on points: every value walks its own
+    `lex_shortest_path` to the target, one step per stage, and each stage
+    is rebuilt from points. The index walk must give the same stages."""
+    cod = f.codomain
+    target = tuple(target)
+    if target not in cod:
+        return None
+    try:
+        paths = [cod.lex_shortest_path(v, target) for v in f.values]
+    except ValueError:
+        return None  # some value cannot reach the target
+    span = max(len(p) - 1 for p in paths)
+    stages = []
+    for s in range(span + 1):
+        vals = tuple(p[min(s, len(p) - 1)] for p in paths)
+        st = DigitalMap.from_points(f.domain, cod, vals)
+        if continuity_violation(st) is not None:
+            return None
+        stages.append(st)
+    w = HomotopyWitness(tuple(stages), "slide")
+    ok, _ = verify_homotopy(w, f, DigitalMap.constant(f.domain, cod, target))
+    return w if ok else None
+
+
+def categorical_subsets(base: DigitalImage,
+                        node_budget: int | None = 2_000_000) -> list[Subset]:
+    """The maximal subsets with nullhomotopic inclusion (the former
+    `category.categorical_subsets`)."""
+    return maximal_admissible_sets(base, cat_oracle(base, node_budget))
 
 
 def slide_first_cat_oracle(base: DigitalImage,
@@ -457,8 +501,8 @@ def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
                                  node_budget)
     except BudgetExhausted:
         return None
-    fwd = list(itertools.islice(MapGraph(x, y).all_states(), pair_budget))
-    bwd = list(itertools.islice(MapGraph(y, x).all_states(), pair_budget))
+    fwd = list(itertools.islice(all_states(MapGraph(x, y)), pair_budget))
+    bwd = list(itertools.islice(all_states(MapGraph(y, x)), pair_budget))
     if len(fwd) * len(bwd) > pair_budget:
         return None
     for fi in fwd:
@@ -570,6 +614,27 @@ def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
                 rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
                              for i in range(n))
                 yield CayleyTable(image, pts[ei], rows)
+
+
+def least_shortest_path_oracle(img: DigitalImage, a: Point,
+                               b: Point) -> Optional[tuple[Point, ...]]:
+    """The lexicographically least shortest path from a to b, or None when
+    b is unreachable: every shortest path is listed, layer by layer of
+    distance from b under the adjacency's own pair test, and the least
+    taken. The oracle for `DigitalImage.step_toward`."""
+    adj = img.adjacency.adjacent
+    layers, seen = [{b}], {b}
+    while a not in seen:
+        ring = {q for q in img.points
+                if q not in seen and any(adj(p, q) for p in layers[-1])}
+        if not ring:
+            return None
+        layers.append(ring)
+        seen |= ring
+    paths = [(a,)]
+    for layer in reversed(layers[:-1]):
+        paths = [p + (q,) for p in paths for q in layer if adj(p[-1], q)]
+    return min(paths)
 
 
 def all_pairs_neighbor_index(img: DigitalImage) -> tuple[tuple[int, ...], ...]:

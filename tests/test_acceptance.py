@@ -203,7 +203,7 @@ def _suite_a(rng):
         dom = DigitalImage(tuple(rng.sample(box, count)), CK(rng.randint(1, 2)))
         cod = DigitalImage(tuple(rng.sample(box, rng.randint(1, 10))),
                            CK(rng.randint(1, 2)))
-        f = DigitalMap(dom, cod, random_map_values(rng, dom, cod))
+        f = DigitalMap.from_points(dom, cod, random_map_values(rng, dom, cod))
         if is_continuous(f) != is_continuous_subset_oracle(f):
             return False
     return True

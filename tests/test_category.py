@@ -8,14 +8,13 @@ import pytest
 
 import ditop.category as category
 import ditop.homotopy as homotopy
-from ditop.category import (cat, cat_bounds, cat_exact, categorical_subsets,
-                            piece_contraction)
+from ditop.category import cat, cat_bounds, cat_exact, piece_contraction
 from ditop.corpus import cycle_image, loop_cover, loop_image
 from ditop.homotopy import fold, verify_homotopy
 from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
-from helpers import plane_isometry, theta_image
+from helpers import categorical_subsets, plane_isometry, theta_image
 
 
 def test_single_point_has_category_one():

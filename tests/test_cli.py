@@ -371,7 +371,7 @@ def test_homotopic_command(tmp_path, capsys):
     seg = interval_image(0, 2)
     (tmp_path / "seg.img").write_text(serialize_image(seg), encoding="utf-8")
     ident = DigitalMap.identity(seg)
-    const = DigitalMap(seg, seg, ((0,),) * 3)
+    const = DigitalMap.from_points(seg, seg, ((0,),) * 3)
     from ditop.fileio import serialize_map
     (tmp_path / "f.map").write_text(serialize_map(ident, "seg.img", "seg.img"),
                                     encoding="utf-8")
@@ -383,12 +383,28 @@ def test_homotopic_command(tmp_path, capsys):
     assert "homotopic: True" in out
 
 
+def test_homotopic_rejects_maps_on_different_domains(tmp_path, capsys):
+    from ditop.fileio import serialize_map
+    for name, hi in (("short", 1), ("long", 2)):
+        seg = interval_image(0, hi)
+        (tmp_path / f"{name}.img").write_text(serialize_image(seg),
+                                              encoding="utf-8")
+        (tmp_path / f"{name}.map").write_text(
+            serialize_map(DigitalMap.identity(seg), f"{name}.img",
+                          f"{name}.img"), encoding="utf-8")
+    code, out, err = run(capsys, "homotopic", str(tmp_path / "short.map"),
+                         str(tmp_path / "long.map"))
+    assert code == 1
+    assert out == ""
+    assert "error: maps must share domain and codomain" in err
+
+
 def test_every_search_command_answers_unknown_when_its_budget_runs_out(
         tmp_path, capsys):
     from ditop.fileio import serialize_map
     seg = interval_image(0, 2)
     (tmp_path / "seg.img").write_text(serialize_image(seg), encoding="utf-8")
-    const = DigitalMap(seg, seg, ((0,),) * 3)
+    const = DigitalMap.from_points(seg, seg, ((0,),) * 3)
     for name, dm in (("f", DigitalMap.identity(seg)), ("g", const)):
         (tmp_path / f"{name}.map").write_text(
             serialize_map(dm, "seg.img", "seg.img"), encoding="utf-8")

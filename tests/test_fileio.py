@@ -108,7 +108,7 @@ def test_map_round_trip_and_diagnostics(tmp_path):
     seg = interval_image(0, 2)
     img_file = tmp_path / "seg.img"
     img_file.write_text(serialize_image(seg), encoding="utf-8")
-    f = DigitalMap(seg, seg, ((0,), (1,), (1,)))
+    f = DigitalMap.from_points(seg, seg, ((0,), (1,), (1,)))
     text = serialize_map(f, "seg.img", "seg.img")
     map_file = tmp_path / "f.map"
     map_file.write_text(text, encoding="utf-8")

@@ -323,7 +323,7 @@ def test_homomorphism_failure_is_reported_with_the_pair():
     dom = sign_table()
     cod = flip_table(8)
     # constant at the non-identity element: not a homomorphism
-    f = DigitalMap(dom.image, cod.image, ((9,), (9,)))
+    f = DigitalMap.from_points(dom.image, cod.image, ((9,), (9,)))
     ok, why = is_group_homomorphism(f, dom, cod)
     assert not ok
     assert "*" in why

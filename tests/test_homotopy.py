@@ -21,24 +21,25 @@ from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
 from ditop.images import DigitalImage, CK, induced_subimage, interval_image
 from ditop.maps import DigitalMap, continuity_violation
 
-from helpers import (are_homotopy_equivalent, continuous_maps,
-                     is_nullhomotopic, left_translation, random_explicit_image,
+from helpers import (all_states, are_homotopy_equivalent, continuous_maps,
+                     is_nullhomotopic, left_translation,
+                     point_walk_slide_nullhomotopy, random_explicit_image,
                      random_grid_image, restrict_witness,
                      slide_first_cat_oracle, theta_image,
                      unfolded_nullhomotopy, unsplit_folded_nullhomotopy)
 
 
 def _const(img, t):
-    return DigitalMap(img, img, (t,) * len(img.points))
+    return DigitalMap.from_points(img, img, (t,) * len(img.points))
 
 
 def test_verify_homotopy_accepts_a_hand_built_slide():
     seg = interval_image(0, 2)
     stages = (
-        DigitalMap(seg, seg, ((0,), (1,), (2,))),
-        DigitalMap(seg, seg, ((0,), (1,), (1,))),
-        DigitalMap(seg, seg, ((0,), (0,), (1,))),
-        DigitalMap(seg, seg, ((0,), (0,), (0,))),
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (2,))),
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (1,))),
+        DigitalMap.from_points(seg, seg, ((0,), (0,), (1,))),
+        DigitalMap.from_points(seg, seg, ((0,), (0,), (0,))),
     )
     w = HomotopyWitness(stages)
     ok, why = verify_homotopy(w)
@@ -48,8 +49,8 @@ def test_verify_homotopy_accepts_a_hand_built_slide():
 def test_verify_homotopy_rejects_a_tear_between_stages():
     seg = interval_image(0, 2)
     stages = (
-        DigitalMap(seg, seg, ((0,), (1,), (2,))),
-        DigitalMap(seg, seg, ((2,), (1,), (2,))),
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (2,))),
+        DigitalMap.from_points(seg, seg, ((2,), (1,), (2,))),
     )
     ok, why = verify_homotopy(HomotopyWitness(stages))
     assert not ok
@@ -59,9 +60,9 @@ def test_verify_homotopy_rejects_a_tear_between_stages():
 def test_verify_homotopy_rejects_a_discontinuous_stage():
     seg = interval_image(0, 2)
     stages = (
-        DigitalMap(seg, seg, ((0,), (1,), (2,))),
-        DigitalMap(seg, seg, ((0,), (1,), (1,))),
-        DigitalMap(seg, seg, ((0,), (2,), (1,))),
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (2,))),
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (1,))),
+        DigitalMap.from_points(seg, seg, ((0,), (2,), (1,))),
     )
     ok, why = verify_homotopy(HomotopyWitness(stages))
     assert not ok
@@ -112,11 +113,11 @@ def test_map_graph_states_match_brute_force(seed, kind):
     def brute(candidates):
         # itertools.product over sorted candidates is lexicographic
         return [vals for vals in itertools.product(*candidates)
-                if continuity_violation(DigitalMap(
+                if continuity_violation(DigitalMap.from_points(
                     dom, cod, tuple(cod.points[i] for i in vals))) is None]
 
     every = brute([range(len(cod.points))] * len(dom.points))
-    assert list(graph.all_states()) == every
+    assert list(all_states(graph)) == every
     closed = [sorted({i, *nbrs}) for i, nbrs in enumerate(cod.neighbor_index)]
     for s in rng.sample(every, min(4, len(every))):
         assert list(graph.neighbor_states(s)) == brute([closed[v] for v in s])
@@ -286,10 +287,10 @@ def test_split_search_joins_constants_only_within_a_codomain_component():
     # 8-cycle beside a separate segment
     dom = DigitalImage(((0,), (1,), (5,)), CK(1))
     cod = DigitalImage(cycle_image(8).points + ((10, 0), (11, 0)), CK(1))
-    apart = DigitalMap(dom, cod, ((0, 0), (0, 1), (10, 0)))
+    apart = DigitalMap.from_points(dom, cod, ((0, 0), (0, 1), (10, 0)))
     assert folded_nullhomotopy(apart) is None
     assert nullhomotopy(apart) is None
-    together = DigitalMap(dom, cod, ((0, 0), (0, 1), (2, 2)))
+    together = DigitalMap.from_points(dom, cod, ((0, 0), (0, 1), (2, 2)))
     w = folded_nullhomotopy(together)
     ok, why = verify_homotopy(w, together)
     assert ok, why
@@ -337,7 +338,8 @@ def test_a_tampered_fold_stage_is_rejected_by_stage():
         before, stage = w.stages[k - 1], w.stages[k]
         far = next(v for v in frame.points
                    if dist[frame.index(v)][frame.index(before.values[0])] > 1)
-        bad = DigitalMap(stage.domain, frame, (far,) + stage.values[1:])
+        bad = DigitalMap.from_points(stage.domain, frame,
+                                     (far,) + stage.values[1:])
         tampered = HomotopyWitness(w.stages[:k] + (bad,) + w.stages[k + 1:])
         named = rf"\bstage {k}\b|\bstages {k - 1} and {k}\b"
         ok, why = verify_homotopy(tampered, incl)
@@ -404,3 +406,23 @@ def test_a_slide_restricts_to_a_slide_of_the_core(name, data):
     if slide_nullhomotopy(incl, t) is not None:
         core = fold(incl.domain).core
         assert slide_nullhomotopy(DigitalMap.inclusion(core, img), t) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["c1", "c2", "disconnected", "loop"]))
+def test_index_slides_match_the_point_walk(seed, kind):
+    # every target of a continuous map: the same stages, or None on both
+    rng = random.Random(seed)
+    k = 2 if kind == "c2" else rng.choice((1, 2))
+    apart = kind == "disconnected"
+    dom = random_grid_image(rng, max_points=4, k=k, connected=not apart)
+    cod = (loop_image() if kind == "loop"
+           else random_grid_image(rng, k=k, connected=not apart))
+    f = rng.choice(list(continuous_maps(dom, cod)))
+    for t in cod.points:
+        w = slide_nullhomotopy(f, t)
+        oracle = point_walk_slide_nullhomotopy(f, t)
+        assert (w is None) == (oracle is None), t
+        if w is not None:
+            assert w.stages == oracle.stages and w.label == oracle.label

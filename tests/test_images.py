@@ -15,8 +15,9 @@ from ditop.images import (CK, DigitalImage, Explicit, ck_adjacent,
                           product_image)
 
 from helpers import (all_pairs_neighbor_index, candidate_neighbor_index,
-                     literal_ck_adjacent, naive_components,
-                     random_explicit_image, random_grid_image)
+                     least_shortest_path_oracle, literal_ck_adjacent,
+                     naive_components, random_explicit_image,
+                     random_grid_image)
 
 
 points2d = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -210,6 +211,20 @@ def test_lex_shortest_path_is_shortest_and_valid():
     assert len(path) == 5
     for a, b in zip(path, path[1:]):
         assert seg.adjacency.adjacent(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.booleans())
+def test_lex_shortest_path_is_the_least_shortest_path(seed, k, connected):
+    img = random_grid_image(random.Random(seed), k=k, connected=connected)
+    for a in img.points:
+        for b in img.points:
+            want = least_shortest_path_oracle(img, a, b)
+            if want is None:
+                with pytest.raises(ValueError, match="no path"):
+                    img.lex_shortest_path(a, b)
+            else:
+                assert img.lex_shortest_path(a, b) == want
 
 
 # ---- generated neighbour tables against the all-pairs oracle ----

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditop.cli import main
 from ditop.corpus import cycle_image, loop_image
 from ditop.images import CK, DigitalImage, interval_image, product_image
 from ditop.homotopy import MapGraph
 from ditop.maps import DigitalMap, continuity_violation, is_continuous
 
-from helpers import (continuity_violation_oracle, continuous_maps,
+from helpers import (all_states, continuity_violation_oracle, continuous_maps,
                      find_isomorphism, is_continuous_subset_oracle,
                      is_digital_isomorphism, random_explicit_image,
                      random_grid_image, random_map_values,
@@ -24,20 +25,20 @@ from helpers import (continuity_violation_oracle, continuous_maps,
 def test_map_values_must_land_in_the_codomain():
     seg = interval_image(0, 2)
     with pytest.raises(ValueError):
-        DigitalMap(seg, seg, ((0,), (1,), (9,)))
+        DigitalMap.from_points(seg, seg, ((0,), (1,), (9,)))
 
 
 def test_identity_and_constants_are_continuous():
     seg = interval_image(0, 3)
     assert is_continuous(DigitalMap.identity(seg))
     for t in seg.points:
-        const = DigitalMap(seg, seg, (t,) * len(seg.points))
+        const = DigitalMap.from_points(seg, seg, (t,) * len(seg.points))
         assert is_continuous(const)
 
 
 def test_continuity_violation_pinpoints_the_offending_edge():
     seg = interval_image(0, 2)
-    jump = DigitalMap(seg, seg, ((0,), (2,), (2,)))
+    jump = DigitalMap.from_points(seg, seg, ((0,), (2,), (2,)))
     bad = continuity_violation(jump)
     assert bad == ((0,), (1,))
 
@@ -68,7 +69,7 @@ def test_continuity_violation_matches_the_adjacency_loop(seed, draw):
             continuous_maps(dom, cod), 40))).values)
         if draw == "one value moved":
             values[rng.randrange(len(values))] = rng.choice(cod.points)
-    f = DigitalMap(dom, cod, tuple(values))
+    f = DigitalMap.from_points(dom, cod, tuple(values))
     assert continuity_violation(f) == continuity_violation_oracle(f)
 
 
@@ -78,7 +79,7 @@ def test_edge_characterization_equals_the_subset_definition(seed):
     rng = random.Random(seed)
     dom = random_grid_image(rng, max_points=6, connected=False)
     cod = random_grid_image(rng, max_points=6, connected=False)
-    f = DigitalMap(dom, cod, random_map_values(rng, dom, cod))
+    f = DigitalMap.from_points(dom, cod, random_map_values(rng, dom, cod))
     assert is_continuous(f) == is_continuous_subset_oracle(f)
 
 
@@ -96,7 +97,7 @@ def test_composition_of_continuous_maps_is_continuous(seed):
 def test_count_agrees_with_enumeration_on_a_small_interval():
     seg = interval_image(0, 2)
     listed = list(continuous_maps(seg, seg))
-    every = [DigitalMap(seg, seg, vals)
+    every = [DigitalMap.from_points(seg, seg, vals)
              for vals in itertools.product(seg.points, repeat=3)]
     assert len(listed) == sum(is_continuous(f) for f in every)
     assert len(listed) == len({f.values for f in listed})
@@ -108,7 +109,7 @@ def test_loop_self_map_count_matches_the_transfer_matrix():
     # the loop is an 8-cycle, so its continuous self-maps are exactly the
     # closed 8-walks in the reflexive 8-cycle
     loop = loop_image()
-    count = sum(1 for _ in MapGraph(loop, loop).all_states())
+    count = sum(1 for _ in all_states(MapGraph(loop, loop)))
     assert count == transfer_matrix_count(8) == 8872
 
 
@@ -138,7 +139,7 @@ def test_bijection_with_torn_inverse_is_not_an_isomorphism():
     # two isolated points onto an edge: continuous forward, inverse tears
     dots = DigitalImage(((0,), (9,)), CK(1))
     seg = interval_image(0, 1)
-    f = DigitalMap(dots, seg, ((0,), (1,)))
+    f = DigitalMap.from_points(dots, seg, ((0,), (1,)))
     assert is_continuous(f)
     ok, why = is_digital_isomorphism(f)
     assert not ok
@@ -147,14 +148,47 @@ def test_bijection_with_torn_inverse_is_not_an_isomorphism():
 
 def test_inverse_of_a_bijection_round_trips():
     seg = interval_image(0, 2)
-    flip = DigitalMap(seg, seg, ((2,), (1,), (0,)))
+    flip = DigitalMap.from_points(seg, seg, ((2,), (1,), (0,)))
     back = flip.inverse()
     assert back.after(flip).values == DigitalMap.identity(seg).values
 
 
 def test_inverse_demands_bijectivity():
     seg = interval_image(0, 2)
-    squash = DigitalMap(seg, seg, ((0,), (0,), (1,)))
+    squash = DigitalMap.from_points(seg, seg, ((0,), (0,), (1,)))
     assert not squash.is_bijective()
     with pytest.raises(ValueError):
         squash.inverse()
+
+
+def test_solver_maps_make_no_point_checking_construction(monkeypatch,
+                                                         capsys):
+    checked = []  # values checked by each DigitalMap.from_points call
+    indexed = []  # points looked up by DigitalImage.index
+    from_points, index = DigitalMap.from_points, DigitalImage.index
+
+    def counting_from_points(domain, codomain, values):
+        checked.append(len(values))
+        return from_points(domain, codomain, values)
+
+    def counting_index(self, p):
+        indexed.append(p)
+        return index(self, p)
+
+    monkeypatch.setattr(DigitalMap, "from_points",
+                        staticmethod(counting_from_points))
+    monkeypatch.setattr(DigitalImage, "index", counting_index)
+    DigitalMap.from_mapping(interval_image(0, 1), interval_image(0, 1),
+                            {(0,): (1,), (1,): (1,)})
+    assert checked == [2]
+    # before maps were kept as indices, these commands rebuilt 137, 5 and
+    # 60 maps from points and made 1,624, 24 and 1,376 index calls
+    for argv, ceiling in ((["cat", "corpus:H"], 221),
+                          (["contractible", "corpus:cycle:4"], 2),
+                          (["group-scan", "-p", "5"], 206)):
+        checked.clear()
+        indexed.clear()
+        assert main(argv + ["--json"]) == 0
+        capsys.readouterr()
+        assert checked == [], argv
+        assert len(indexed) <= ceiling, argv

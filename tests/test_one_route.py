@@ -1,5 +1,6 @@
 """One slide-then-search route: `homotopy.nullhomotopy`; one certifier
-for proved sections: `complexity._certify`; one product flag: `strong`.
+for proved sections: `complexity._certify`; one product flag: `strong`;
+one constructor that turns points into a map: `DigitalMap.from_points`.
 
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
@@ -10,8 +11,9 @@ raises `TheoremViolation`, and the contractible-base route lives in
 the strong product (and the pointwise and strong wedge steps built on
 them) is one keyword-only `strong` flag, with no string vocabulary
 beside it, and images, maps and tables carry no label that nothing
-reads. The checks read the package's source, so they see calls on every
-path, run or not.
+reads. Maps made inside the package pass codomain indices straight in,
+and code that only tests call lives in `tests/helpers.py`. The checks
+read the package's source, so they see calls on every path, run or not.
 """
 
 from __future__ import annotations
@@ -161,3 +163,19 @@ def test_only_the_labels_something_reads_are_kept():
         assert not has_label(cls), cls.__name__
     for cls in (HomotopyWitness, WindowGroup, WindowReport):
         assert has_label(cls), cls.__name__
+
+
+
+def test_points_become_a_map_in_one_constructor():
+    # maps made inside the package pass value indices straight in
+    assert _calls({"from_points"}) == [("maps", "from_mapping", "from_points")]
+    made = {name for name, attr in vars(DigitalMap).items()
+            if isinstance(attr, (staticmethod, classmethod))}
+    assert made == {"from_points", "from_mapping", "identity", "constant",
+                    "inclusion"}
+    assert "__post_init__" not in vars(DigitalMap)
+
+
+def test_test_only_helpers_stay_in_the_tests():
+    defined = {f for _, f, _ in _functions()}
+    assert not defined & {"categorical_subsets", "MapGraph.all_states"}
