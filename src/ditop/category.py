@@ -86,9 +86,9 @@ def cat_exact(base: DigitalImage,
               node_budget: int | None = 2_000_000) -> CatWitness:
     """Minimum categorical cover with verified contractions per piece.
 
-    Exhaustive over subsets, so limited to `covers.SWEEP_LIMIT` points;
-    raises BudgetExhausted if some piece's homotopy search cannot be
-    settled.
+    Asks about every subset that no maximal categorical set found so far
+    contains, and is limited to `covers.SWEEP_LIMIT` points; raises
+    BudgetExhausted if some piece's homotopy search cannot be settled.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "

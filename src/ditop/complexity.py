@@ -206,8 +206,9 @@ def schwarz_genus(fib: EndpointFibration,
                   ) -> tuple[int, tuple[SectionWitness, ...]]:
     """Exact minimum number of section-admitting pieces covering the
     product, with the section the cover search found over each piece,
-    re-checked by `verify_section`. Exhaustive over subsets of the
-    product, hence tiny bases only."""
+    re-checked by `verify_section`. Asks about every subset of the
+    product that no section-admitting piece found so far contains, hence
+    tiny bases only."""
     _require_surjective(fib)
     oracle = AdmissibilityOracle(
         fib.product, lambda sub: find_section(fib, sub))

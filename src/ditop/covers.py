@@ -7,6 +7,14 @@ contraction of its inclusion / a section over it). Admissibility is
 hereditary in every use here — subsets of admissible sets stay
 admissible — so minimal covers can be searched over maximal admissible
 sets only.
+
+The maximal sets are found largest first. A subset contained in a maximal
+set already found misses that set's complement (its "hole"), so the
+sweep enumerates only the subsets that meet every hole: the transversals
+of the holes, the dual view of Fredman and Khachiyan's monotone
+dualization. The oracle sees those subsets in `itertools.combinations`
+order, the same questions in the same order as a walk of the power set
+that skips dominated subsets, whatever the predicate.
 """
 
 from __future__ import annotations
@@ -14,14 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .images import DigitalImage, Point
 
 Subset = tuple[Point, ...]
 
-# most points whose power set maximal_admissible_sets will sweep; every
-# exact category and genus route stops here
+# most points maximal_admissible_sets will sweep; every exact category
+# and genus route stops here
 SWEEP_LIMIT = 14
 # most families of one size that minimal_cover_exact will try
 _SCAN_GUARD = 500_000
@@ -93,25 +101,62 @@ class AdmissibilityOracle:
         return self._memo[key]
 
 
+def _hitting_combinations(n: int, size: int, holes: Sequence[int],
+                          ) -> Iterator[tuple[int, ...]]:
+    """The `size`-subsets of range(n) that meet every hole (a bitmask of
+    indices), in `itertools.combinations` order. An empty hole admits
+    none."""
+
+    def extend(prefix: tuple[int, ...], start: int,
+               unhit: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        left = size - len(prefix)
+        if not unhit:
+            for rest in itertools.combinations(range(start, n), left):
+                yield prefix + rest
+            return
+        if left == 1:
+            common = -1 << start
+            for h in unhit:
+                common &= h
+            while common:
+                low = common & -common
+                yield prefix + (low.bit_length() - 1,)
+                common ^= low
+            return
+        for i in range(start, n - left + 1):
+            if any(h >> i == 0 for h in unhit):
+                return  # that hole has no index left at or after i
+            bit = 1 << i
+            yield from extend(prefix + (i,), i + 1,
+                              [h for h in unhit if not h & bit])
+
+    return extend((), 0, holes)
+
+
 def maximal_admissible_sets(base: DigitalImage,
                             oracle: AdmissibilityOracle) -> list[Subset]:
     """All admissible subsets with no admissible strict superset, largest
-    first, lexicographic within a size. Exhaustive over the power set, so
-    limited to SWEEP_LIMIT points."""
+    first, lexicographic within a size. The oracle is asked about every
+    subset, in that order, that no maximal set found at a larger size
+    contains; limited to SWEEP_LIMIT points."""
     n = len(base.points)
     if n > SWEEP_LIMIT:
         raise ValueError(f"maximal-set sweep is limited to {SWEEP_LIMIT} "
                          f"points, image has {n}")
-    maximal: list[frozenset] = []
+    pts = base.points
+    full = (1 << n) - 1
+    holes: list[int] = []  # complements of the maximal sets, as bitmasks
     out: list[Subset] = []
     for size in range(n, 0, -1):
-        for combo in itertools.combinations(base.points, size):
-            key = frozenset(combo)
-            if any(key < m for m in maximal):
-                continue
-            if oracle(combo):
-                maximal.append(key)
-                out.append(combo)
+        # a set of this size lies in no other set of this size, so holes
+        # found now bind only the smaller sizes
+        found = []
+        for combo in _hitting_combinations(n, size, holes):
+            sub = tuple(pts[i] for i in combo)
+            if oracle(sub):
+                out.append(sub)
+                found.append(full ^ sum(1 << i for i in combo))
+        holes += found
     return out
 
 

@@ -285,14 +285,12 @@ def scan_group_structures(image: DigitalImage, *,
 
 def product_group(a: CayleyTable, b: CayleyTable, *,
                   strong: bool = False) -> CayleyTable:
-    """Componentwise product structure on the product image."""
+    """Componentwise product structure on the product image, whose points
+    run row-major over (a index, b index): each entry joins the factors'."""
     prod = product_image(a.image, b.image, strong=strong)
-    d = a.image.dim
-
-    def op(u: Point, v: Point) -> Point:
-        return (a.product(u[:d], v[:d]) + b.product(u[d:], v[d:]))
-
-    return CayleyTable.from_function(prod, op, a.identity + b.identity)
+    rows = tuple(tuple(x + y for x in ra for y in rb)
+                 for ra in a.entries for rb in b.entries)
+    return CayleyTable(prod, a.identity + b.identity, rows)
 
 
 def subgroup_check(table: CayleyTable, subset: Sequence[Point],

@@ -303,13 +303,22 @@ class DigitalImage:
             raise ValueError("diameter undefined: image is not connected")
         return max(max(row) for row in self.distance_matrix)
 
+    @cached_property
+    def _steps(self) -> dict[int, tuple[int, ...]]:
+        """`step_toward`'s columns, each built on first use."""
+        return {}
+
     def step_toward(self, j: int) -> tuple[int, ...]:
         """Per point index, its least-indexed neighbour one step closer to
         point j (j at j, -1 where j is unreachable): the lexicographically
         least shortest paths to j."""
-        dist = self.distance_matrix[j]
-        return tuple(next((v for v in nbrs if dist[v] == d - 1), -1) if d else i
-                     for i, (d, nbrs) in enumerate(zip(dist, self.neighbor_index)))
+        step = self._steps.get(j)
+        if step is None:
+            dist = self.distance_matrix[j]
+            step = self._steps[j] = tuple(
+                next((v for v in nbrs if dist[v] == d - 1), -1) if d else i
+                for i, (d, nbrs) in enumerate(zip(dist, self.neighbor_index)))
+        return step
 
     def lex_shortest_path(self, a: Point, b: Point) -> tuple[Point, ...]:
         """The lexicographically least shortest path from a to b, along

@@ -404,6 +404,25 @@ def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,
     return w if ok else None
 
 
+def maximal_admissible_sets_oracle(base: DigitalImage,
+                                   oracle) -> list[Subset]:
+    """`covers.maximal_admissible_sets` as a walk of the whole power set:
+    every subset, largest first and in combinations order, skipping those
+    strictly inside a maximal set already found. The library must ask the
+    oracle the same subsets in the same order without walking the rest."""
+    maximal: list[frozenset] = []
+    out: list[Subset] = []
+    for size in range(len(base.points), 0, -1):
+        for combo in itertools.combinations(base.points, size):
+            key = frozenset(combo)
+            if any(key < m for m in maximal):
+                continue
+            if oracle(combo):
+                maximal.append(key)
+                out.append(combo)
+    return out
+
+
 def categorical_subsets(base: DigitalImage,
                         node_budget: int | None = 2_000_000) -> list[Subset]:
     """The maximal subsets with nullhomotopic inclusion (the former

@@ -1,4 +1,5 @@
-"""Cover search: exact minimum against brute force, bounds, the oracle cache."""
+"""Cover search: exact minimum against brute force, bounds, the oracle
+cache, and the maximal-set sweep against a walk of the power set."""
 
 from __future__ import annotations
 
@@ -6,13 +7,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ditop.covers as covers
+from ditop.category import cat_exact, cat_oracle
+from ditop.cli import main
 from ditop.covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
-                          maximal_admissible_sets, minimal_cover_bounds,
-                          minimal_cover_exact)
-from ditop.images import induced_subimage, interval_image
+                          _hitting_combinations, maximal_admissible_sets,
+                          minimal_cover_bounds, minimal_cover_exact)
+from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 
-from helpers import random_grid_image
+from helpers import maximal_admissible_sets_oracle, random_grid_image
 
 
 def _brute_minimum_cover(points, admissible):
@@ -158,3 +164,113 @@ def test_maximal_admissible_sets_are_maximal_and_admissible():
         extras = [p for p in seg.points if p not in s]
         for p in extras:
             assert not pred(tuple(sorted(s + (p,))))
+
+
+# ---- the sweep asks what a walk of the power set asks ----
+
+def _box(w: int, h: int) -> tuple:
+    return tuple((x, y) for x in range(w) for y in range(h))
+
+
+def _frame(side: int) -> DigitalImage:
+    """The c1 boundary of the side x side box: a simple closed curve."""
+    return DigitalImage(tuple(p for p in _box(side, side)
+                              if {0, side - 1} & set(p)), CK(1))
+
+
+def _recording(ask, asked: list):
+    def recorded(sub):
+        asked.append(tuple(sub))
+        return ask(sub)
+    return recorded
+
+
+def _both_sweeps(img: DigitalImage, make_oracle) -> list:
+    """Per sweep: its maximal sets, the subsets its oracle searched, in
+    order, and the witnesses of the maximal sets."""
+    runs = []
+    for sweep in (maximal_admissible_sets, maximal_admissible_sets_oracle):
+        asked: list = []
+        oracle = make_oracle()
+        oracle.search = _recording(oracle.search, asked)
+        sets = sweep(img, oracle)
+        runs.append((sets, asked, [oracle.witness(s) for s in sets]))
+    return runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=5))))
+def test_hitting_combinations_are_the_combinations_meeting_every_hole(case):
+    n, holes = case
+    for size in range(1, n + 1):
+        want = [c for c in itertools.combinations(range(n), size)
+                if all(any(h >> i & 1 for i in c) for h in holes)]
+        assert list(_hitting_combinations(n, size, holes)) == want
+
+
+def test_an_empty_hole_admits_no_subset_and_no_hole_admits_all():
+    for size in range(1, 6):
+        assert list(_hitting_combinations(5, size, [0b00110, 0])) == []
+        assert list(_hitting_combinations(5, size, [])) \
+            == list(itertools.combinations(range(5), size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 3), (3, 4)]), st.sampled_from([1, 2]), st.data())
+def test_sweep_asks_what_the_power_set_walk_asks(box, k, data):
+    points = data.draw(st.sets(st.sampled_from(_box(*box)), min_size=1))
+    img = DigitalImage(tuple(sorted(points)), CK(k))
+    if data.draw(st.booleans()):
+        limit = data.draw(st.integers(0, 3))
+        pred = _diameter_at_most(img, limit)
+    else:
+        # seeded per subset, so no subset's answer depends on another's
+        seed = data.draw(st.integers(0, 10_000))
+        p = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+
+        def pred(sub):
+            return random.Random(f"{seed}:{sub}").random() < p
+    runs = _both_sweeps(img, lambda: AdmissibilityOracle(img, pred))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 2]),
+       st.sets(st.sampled_from(_box(3, 3)), min_size=1))
+def test_sweep_asks_the_cat_oracle_what_the_power_set_walk_asks(k, points):
+    img = DigitalImage(tuple(sorted(points)), CK(k))
+    runs = _both_sweeps(img, lambda: cat_oracle(img))
+    assert runs[0] == runs[1]
+
+
+def _sweep_questions(monkeypatch) -> list:
+    """The subsets every later maximal-set sweep hands its oracle."""
+    asked: list = []
+    sweep = covers.maximal_admissible_sets
+    monkeypatch.setattr(covers, "maximal_admissible_sets",
+                        lambda base, oracle: sweep(
+                            base, _recording(oracle, asked)))
+    return asked
+
+
+def test_genus_of_the_14_cycle_asks_about_the_whole_product_only(
+        monkeypatch, capsys):
+    # the whole product admits the stand-still section, so no smaller
+    # subset is asked about (a walk of the power set visits 16,383)
+    asked = _sweep_questions(monkeypatch)
+    assert main("genus corpus:cycle:14 -n 1 --m 2".split()) == 0
+    assert "genus: 1" in capsys.readouterr().out
+    assert [len(s) for s in asked] == [14]
+
+
+@pytest.mark.parametrize("side, questions", [(6, 21), (8, 29)])
+def test_exact_cat_of_a_frame_past_the_limit_asks_one_arc_per_point(
+        monkeypatch, side, questions):
+    # the whole frame is not contractible and every arc missing one point
+    # is, so the sweep asks about the frame and its arcs and nothing else
+    monkeypatch.setattr(covers, "SWEEP_LIMIT", 28)
+    asked = _sweep_questions(monkeypatch)
+    frame = _frame(side)
+    assert cat_exact(frame).size == 2
+    assert len(asked) == questions == len(frame.points) + 1

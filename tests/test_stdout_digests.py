@@ -28,9 +28,11 @@ window-group paths (`group-check` and `group-product` with
 at the commit before the two mode vocabularies became one `strong` flag
 and the write-only labels went. `tc corpus:H -n 5` (a 32,768-point
 product, its translation sections and their check) was recorded at the
-commit before products were built in index space. A digest changes only with
-the bytes of the report; when a change means to alter them, record the
-new digest and say why.
+commit before products were built in index space. `cat corpus:cycle:14`,
+the largest maximal-set sweep the 14-point limit admits, was recorded at
+the commit before the sweep stopped walking the power set. A digest
+changes only with the bytes of the report; when a change means to alter
+them, record the new digest and say why.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ DIGESTS = {
         (2, "e4b8a06bc1c6ee1d04eb4d927f32f1c9d19c3bfb833926bc30375ec21309f0cb"),
     "tc corpus:H -n 2 --mode strong":
         (0, "9e8e8d0729df824acd8c3de3486cff69808d536bb91860b870b205fc35461745"),
+    "cat corpus:cycle:14":
+        (0, "e4a3c0b24ef082ff91a0176ffc426883d9c37de300ab1f8590e3683df74b5e98"),
 }
 
 
