@@ -149,7 +149,7 @@ def cmd_contractible(args, rep: Report) -> int:
 def cmd_cat(args, rep: Report) -> int:
     img, rep.inputs[args.image] = _image_from_ref(args.image)
     rep.settings["convention"] = "k-sets"
-    if args.precision == "bounds":
+    if args.bounds:
         r = cat_bounds(img, node_budget=args.budget)
         rep.results["cat_lower"] = r.lower
         rep.results["cat_upper"] = r.upper if r.upper is not None else "?"
@@ -446,12 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cat", help="digital Lusternik-Schnirelmann category")
     p.add_argument("image")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", dest="precision", action="store_const",
-                   const="exact", help="the exact value, which is the "
-                   "default; the flag only excludes --bounds")
-    g.add_argument("--bounds", dest="precision", action="store_const",
-                   const="bounds", help="settle for cheap bounds")
+    p.add_argument("--bounds", action="store_true",
+                   help="settle for cheap bounds")
     common(p)
 
     p = sub.add_parser("tc", help="higher topological complexity TC_n")

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .groups import CayleyTable, WindowGroup
 from .homotopy import HomotopyWitness
-from .images import (CK, DigitalImage, Point, ck_adjacent, induced_subimage,
+from .images import (CK, DigitalImage, Point, induced_subimage,
                      interval_image, product_image)
 from .maps import DigitalMap
 
@@ -158,16 +158,12 @@ def z2_window(x0: int, x1: int, y0: int, y1: int) -> DigitalImage:
     return DigitalImage(pts, CK(1))
 
 
-def _c1_law(p: Point, q: Point) -> bool:
-    return ck_adjacent(p, q, 1)
-
-
 def zplus_group(lo: int = 0, hi: int = 9) -> WindowGroup:
     """A window onto (Z, 2, +)."""
     return WindowGroup(z_window(lo, hi),
                        lambda x, y: (x[0] + y[0],),
                        lambda x: (-x[0],),
-                       (0,), f"zplus:{lo}:{hi}", _c1_law)
+                       (0,), f"zplus:{lo}:{hi}")
 
 
 def z2plus_group(x0: int = 0, x1: int = 3, y0: int = 0,
@@ -176,7 +172,7 @@ def z2plus_group(x0: int = 0, x1: int = 3, y0: int = 0,
     return WindowGroup(z2_window(x0, x1, y0, y1),
                        lambda u, v: (u[0] + v[0], u[1] + v[1]),
                        lambda u: (-u[0], -u[1]),
-                       (0, 0), f"z2plus:{x0}:{x1}:{y0}:{y1}", _c1_law)
+                       (0, 0), f"z2plus:{x0}:{x1}:{y0}:{y1}")
 
 
 def mulwin_group(lo: int = 1, hi: int = 2) -> WindowGroup:
@@ -186,7 +182,7 @@ def mulwin_group(lo: int = 1, hi: int = 2) -> WindowGroup:
         return x if x[0] in (1, -1) else None
     return WindowGroup(z_window(lo, hi),
                        lambda x, y: (x[0] * y[0],),
-                       inv, (1,), f"mulwin:{lo}:{hi}", _c1_law)
+                       inv, (1,), f"mulwin:{lo}:{hi}")
 
 
 def sum_map(lo: int = 0, hi: int = 9, *, strong: bool = False) -> DigitalMap:

@@ -9,8 +9,11 @@ edge in canonical order.
 
 Infinite groups (integers under addition and the like) are handled as
 window checks: the axioms are taken as given globally, and continuity is
-verified on a finite window against a global adjacency law, so that
-operation values falling outside the window are still compared honestly.
+verified on a finite window. The operation and inversion are judged as
+maps onto the image of their values under the window's adjacency, which
+is defined on the whole lattice, so that operation values falling
+outside the window are still compared honestly. Every continuity
+verdict, finite or windowed, comes from `maps.continuity_violation`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .images import DigitalImage, Point, product_image
+from .images import (Adjacency, DigitalImage, Point, induced_subimage,
+                     product_image)
 from .maps import DigitalMap, backtrack, continuity_violation
 
 # most carrier points enumerate_group_structures accepts: past 6 the cost
@@ -362,8 +366,8 @@ class WindowGroup:
     are assumed to hold globally (they are standard algebra); what gets
     verified digitally is continuity over the window.
 
-    `law` is the ambient adjacency predicate on the full carrier, used to
-    compare operation values even when they land outside the window.
+    Operation values may land outside the window. The window's adjacency
+    is defined on the whole ambient lattice, so it judges them too.
     """
 
     window: DigitalImage
@@ -371,7 +375,6 @@ class WindowGroup:
     inv: Callable[[Point], Optional[Point]] = field(compare=False)
     identity: Point
     label: str
-    law: Callable[[Point, Point], bool] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -393,52 +396,41 @@ class WindowReport:
                 and not self.inverse_missing)
 
 
+def _onto_values(domain: DigitalImage, fn: Callable[[Point], Point],
+                 adjacency: Adjacency) -> DigitalMap:
+    """fn on the domain's points as a map onto the image of its values
+    under `adjacency`, which may reach past any window."""
+    vals = [tuple(fn(p)) for p in domain.points]
+    cod = DigitalImage(vals, adjacency)
+    return DigitalMap(domain, cod, tuple(map(cod.index, vals)))
+
+
 def window_group_report(wg: WindowGroup, *,
                         strong: bool = False) -> WindowReport:
     """Continuity of the operation and inversion over one finite window.
 
-    Every product edge is compared under the global law — values that
-    land outside the window are judged by the ambient adjacency, which is
-    how a sum like 3+5=8 can still convict a discontinuity even when 8 is
-    not a window point.  Points with no inverse at all (not merely an
-    inverse outside the window) are collected separately; that is an
-    honest axiom failure."""
+    Each is judged as a map onto the image of its values under the
+    window's adjacency, so values that land outside the window are
+    compared too: that is how a sum like 3+5=8 can still convict a
+    discontinuity even when 8 is not a window point. Inversion is judged
+    on the points that have an inverse. Points with no inverse at all
+    (not merely an inverse outside the window) are collected separately;
+    that is an honest axiom failure."""
     img = wg.window
     d = img.dim
-    law = wg.law
-
-    def close(p: Point, q: Point) -> bool:
-        return p == q or law(p, q)
-
     prod = product_image(img, img, strong=strong)
-    alpha_violation = None
-    for i, j in prod.edge_index_pairs:
-        u, v = prod.points[i], prod.points[j]
-        pu = tuple(wg.op(u[:d], u[d:]))
-        pv = tuple(wg.op(v[:d], v[d:]))
-        if not close(pu, pv):
-            if alpha_violation is None:
-                alpha_violation = (u, v)
+    alpha_violation = continuity_violation(_onto_values(
+        prod, lambda u: wg.op(u[:d], u[d:]), img.adjacency))
 
-    beta_checked = beta_skipped = 0
+    missing = [p for p in img.points if wg.inv(p) is None]
+    beta_checked = 0
     beta_violation = None
-    missing = []
-    inv_vals: dict[Point, Point] = {}
-    for p in img.points:
-        q = wg.inv(p)
-        if q is None:
-            missing.append(p)
-        else:
-            inv_vals[p] = tuple(q)
-    for i, j in img.edge_index_pairs:
-        a, b = img.points[i], img.points[j]
-        if a not in inv_vals or b not in inv_vals:
-            beta_skipped += 1
-            continue
-        beta_checked += 1
-        if not close(inv_vals[a], inv_vals[b]):
-            if beta_violation is None:
-                beta_violation = (a, b)
+    if len(missing) < len(img.points):
+        sub = induced_subimage(img, set(img.points) - set(missing))
+        beta_checked = len(sub.edge_index_pairs)
+        beta_violation = continuity_violation(
+            _onto_values(sub, wg.inv, img.adjacency))
+    beta_skipped = len(img.edge_index_pairs) - beta_checked
 
     notes = ["axioms assumed globally; continuity judged by the ambient adjacency law"]
     if beta_skipped:
@@ -464,7 +456,7 @@ def window_alpha_pair(wg: WindowGroup, u: Point, v: Point, *,
     is_edge = prod.adjacency.adjacent(u, v)
     pu = tuple(wg.op(u[:d], u[d:]))
     pv = tuple(wg.op(v[:d], v[d:]))
-    return is_edge, pu, pv, pu == pv or wg.law(pu, pv)
+    return is_edge, pu, pv, pu == pv or img.adjacency.adjacent(pu, pv)
 
 
 @dataclass(frozen=True)
@@ -494,8 +486,8 @@ def window_hom_report(src: WindowGroup, dst: WindowGroup,
 
     The operation identity f(a*b) = f(a)*f(b) is evaluated with the
     global operations, so no pair needs skipping unless either side's
-    operation is partial.  Continuity of f is judged edge by edge on the
-    source window with the destination's law."""
+    operation is partial.  Continuity of f is judged as a map onto the
+    image of its values under the destination window's adjacency."""
     img = src.window
     pairs_checked = 0
     algebra_violation = None
@@ -506,24 +498,14 @@ def window_hom_report(src: WindowGroup, dst: WindowGroup,
             pairs_checked += 1
             if lhs != rhs and algebra_violation is None:
                 algebra_violation = (a, b)
-    edges_checked = 0
-    continuity_violation = None
-    dlaw = dst.law
-    for i, j in img.edge_index_pairs:
-        a, b = img.points[i], img.points[j]
-        fa, fb = tuple(fmap(a)), tuple(fmap(b))
-        edges_checked += 1
-        if fa != fb and not dlaw(fa, fb):
-            if continuity_violation is None:
-                continuity_violation = (a, b)
+    f = _onto_values(img, fmap, dst.window.adjacency)
     collision = None
-    seen: dict[Point, Point] = {}
-    for p in img.points:
-        fp = tuple(fmap(p))
-        if fp in seen:
-            if collision is None:
-                collision = (seen[fp], p)
-        else:
-            seen[fp] = p
+    seen: dict[int, Point] = {}
+    for p, v in zip(img.points, f.value_indices):
+        if v in seen:
+            collision = (seen[v], p)
+            break
+        seen[v] = p
     return WindowHomReport(pairs_checked, algebra_violation,
-                           edges_checked, continuity_violation, collision)
+                           len(img.edge_index_pairs), continuity_violation(f),
+                           collision)

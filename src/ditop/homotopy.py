@@ -111,11 +111,6 @@ class MapGraph:
     def map_of(self, state: State) -> DigitalMap:
         return DigitalMap(self.domain, self.codomain, state)
 
-    def is_state_continuous(self, state: State) -> bool:
-        return all((closed[v] >> state[j]) & 1
-                   for v, links in zip(state, self.links)
-                   for j, closed in links)
-
     def neighbor_states(self, state: State) -> Iterator[State]:
         """All continuous states pointwise within one step of `state`
         (the state itself included), in lexicographic index order."""
@@ -129,7 +124,7 @@ class MapGraph:
         `is_goal`. Returns (goal, parents) or None when the whole component
         is exhausted without a goal. Raises BudgetExhausted when the budget
         is hit first, since no verdict is safe then."""
-        if not self.is_state_continuous(start):
+        if not is_continuous(self.map_of(start)):
             raise ValueError("start state is not a continuous map")
         parents: dict[State, State | None] = {start: None}
         if is_goal(start):
@@ -301,15 +296,16 @@ def is_contractible(img: DigitalImage,
 class Fold(NamedTuple):
     """A retraction of an image onto its core, one dominated point at a time.
 
-    Step (p, q) removes p, whose closed neighbourhood among the points
-    still present lies inside that of q. The retraction r sending p to q
-    is continuous and one step from the identity, so f ~ f o r for maps
-    out of the image and f ~ r o f for maps into it.
+    Step (p, q), a pair of image indices, removes p, whose closed
+    neighbourhood among the points still present lies inside that of q.
+    The retraction r sending p to q is continuous and one step from the
+    identity, so f ~ f o r for maps out of the image and f ~ r o f for
+    maps into it.
     """
 
     image: DigitalImage
     core: DigitalImage
-    steps: tuple[tuple[Point, Point], ...]
+    steps: tuple[tuple[int, int], ...]
 
     def retractions(self) -> list[tuple[int, ...]]:
         """The composite retraction after each step as image indices, the
@@ -317,7 +313,6 @@ class Fold(NamedTuple):
         cur = tuple(range(len(self.image.points)))
         out = [cur]
         for p, q in self.steps:
-            p, q = self.image.index(p), self.image.index(q)
             cur = tuple(q if y == p else y for y in cur)
             out.append(cur)
         return out
@@ -340,7 +335,7 @@ def fold(img: DigitalImage) -> Fold:
             break
         p, q = hit
         alive &= ~(1 << p)
-        steps.append((pts[p], pts[q]))
+        steps.append((p, q))
     if not steps:
         return Fold(img, img, ())
     kept = [p for i, p in enumerate(pts) if alive >> i & 1]

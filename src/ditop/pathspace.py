@@ -77,10 +77,10 @@ class WedgeSpace:
     wedge (the stricter function-space relation); both are checked arm
     against same-indexed arm.
 
-    `is_wedge` and `adjacent` are memo-free compositions of the per-arm
-    tests `is_arm` and `arm_step`, which use the adjacency's own test.
-    `occupancy` decides the same relation for the section search from
-    the base's closed neighbourhoods, sharing no table with these tests.
+    `adjacent` is a memo-free composition of the per-arm test `arm_step`,
+    which uses the adjacency's own test. `occupancy` decides the same
+    relation for the section search from the base's closed
+    neighbourhoods, sharing no table with these tests.
     """
 
     def __init__(self, base: DigitalImage, n: int, m: int, *,
@@ -105,9 +105,6 @@ class WedgeSpace:
         if len(w) == self.n and len({arm[0] for arm in w if arm}) == 1:
             return ((self, w),)
         return None
-
-    def is_wedge(self, w: Wedge) -> bool:
-        return self.sides(w) is not None and all(map(self.is_arm, w))
 
     def endpoints(self, w: Wedge) -> Point:
         """Concatenated arm endpoints: a point of the n-fold product."""
@@ -298,10 +295,6 @@ class PairedWedge:
         self.left = left
         self.right = right
 
-    def is_wedge(self, w) -> bool:
-        return (len(w) == 2 and self.left.is_wedge(w[0])
-                and self.right.is_wedge(w[1]))
-
     def sides(self, w) -> Optional[tuple[tuple[WedgeSpace, Wedge], ...]]:
         """Each component with its space, left first, if w is a pair of
         shaped wedges, else None."""
@@ -312,15 +305,6 @@ class PairedWedge:
 
     def endpoints(self, w) -> Point:
         return self.left.endpoints(w[0]) + self.right.endpoints(w[1])
-
-    def adjacent(self, w1, w2) -> bool:
-        a1, b1 = w1
-        a2, b2 = w2
-        if not self.left.adjacent(a1, a2):
-            return False
-        if not self.right.adjacent(b1, b2):
-            return False
-        return a1 == a2 or b1 == b2
 
     def occupancy(self, pairs: Sequence) -> "PairedOccupancy":
         return PairedOccupancy(self, pairs)

@@ -789,8 +789,9 @@ def verify_cayley_oracle(table: CayleyTable) -> list[str]:
 # ---- the step relation before it was decided arm by arm ----
 
 def wedge_is_wedge_oracle(space, w) -> bool:
-    """`WedgeSpace.is_wedge` or `PairedWedge.is_wedge` with no memo: every
-    arm of every wedge is length-checked and walked."""
+    """Whether w is a wedge of a `WedgeSpace` or a pair of wedges of a
+    `PairedWedge`, with no memo: every arm of every wedge is
+    length-checked and walked."""
     if isinstance(space, PairedWedge):
         return (len(w) == 2 and wedge_is_wedge_oracle(space.left, w[0])
                 and wedge_is_wedge_oracle(space.right, w[1]))
@@ -806,8 +807,9 @@ def wedge_is_wedge_oracle(space, w) -> bool:
 
 
 def wedge_adjacent_oracle(space, w1, w2) -> bool:
-    """`WedgeSpace.adjacent` or `PairedWedge.adjacent` with no memo: every
-    arm pair is tested tick by tick with the adjacency's own test."""
+    """The step relation of a `WedgeSpace` (its `adjacent`) or of a
+    `PairedWedge`, with no memo: every arm pair is tested tick by tick
+    with the adjacency's own test."""
     if isinstance(space, PairedWedge):
         (a1, b1), (a2, b2) = w1, w2
         return (wedge_adjacent_oracle(space.left, a1, a2)

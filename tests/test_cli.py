@@ -35,8 +35,8 @@ def test_image_info_reports_the_essentials(capsys):
 
 
 def test_stdout_is_deterministic_across_runs(capsys):
-    _, first, _ = run(capsys, "cat", "corpus:H", "--exact")
-    _, second, _ = run(capsys, "cat", "corpus:H", "--exact")
+    _, first, _ = run(capsys, "cat", "corpus:H")
+    _, second, _ = run(capsys, "cat", "corpus:H")
     assert first == second
 
 
@@ -77,7 +77,7 @@ def test_contractible_verdicts_and_exit_codes(capsys):
 
 
 def test_cat_witnesses_reload_and_reverify(tmp_path, capsys):
-    code, out, _ = run(capsys, "cat", "corpus:H", "--exact", "--json")
+    code, out, _ = run(capsys, "cat", "corpus:H", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["cat"] == 2
@@ -350,7 +350,7 @@ def test_error_paths_exit_one(capsys):
     code, _, err = run(capsys, "image-info", "no/such/file.img")
     assert code == 1
     with pytest.raises(SystemExit) as info:
-        main(["cat", "corpus:H", "--exact", "--bounds"])
+        main(["cat"])
     assert info.value.code == 1
     capsys.readouterr()
 
@@ -513,11 +513,9 @@ def test_cat_bounds_settles_contractibility_past_twelve_points(capsys):
     assert doc["notes"][-1] == "lower 2: the whole image is not admissible"
 
 
-def test_cat_exact_names_the_default_and_only_excludes_bounds(capsys):
-    _, exact, _ = run(capsys, "cat", "corpus:H", "--exact", "--json")
-    _, default, _ = run(capsys, "cat", "corpus:H", "--json")
-    assert json.loads(exact)["results"] == json.loads(default)["results"] \
-        == {"cat": 2}
-    with pytest.raises(SystemExit):
-        main(["cat", "corpus:H", "--exact", "--bounds"])
-    assert "not allowed with argument" in capsys.readouterr().err
+def test_cat_takes_no_exact_flag(capsys):
+    # the exact value is the default; the flag that named it is gone
+    with pytest.raises(SystemExit) as info:
+        main(["cat", "corpus:H", "--exact"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err

@@ -2,12 +2,13 @@
 
 The sweep, fiber and enumeration limits each have one value that every
 caller uses, so none of them is a parameter: fibers take no `limit`, and
-`find_section` slices each fiber at its cap itself.
-Window groups always carry their ambient adjacency law.
+`find_section` slices each fiber at its cap itself. Window groups carry
+no adjacency law: the window's own adjacency judges every value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -57,6 +58,5 @@ def test_no_function_takes_a_retired_limit_or_switch():
     assert found == []
 
 
-def test_a_window_group_requires_its_adjacency_law():
-    law = inspect.signature(WindowGroup).parameters["law"]
-    assert law.default is inspect.Parameter.empty
+def test_a_window_group_carries_no_adjacency_law():
+    assert "law" not in {f.name for f in dataclasses.fields(WindowGroup)}

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from ditop import groups
 from ditop.corpus import (flip_table, loop_image, loop_letter,
                           loop_rotation_table, mulwin_group, sign_embedding,
-                          sign_image, sign_table, z2plus_group, zplus_group,
-                          projection_map)
-from ditop.groups import (CayleyTable, enumerate_group_structures,
+                          sign_image, sign_table, z2_window, z2plus_group,
+                          zplus_group, projection_map)
+from ditop.groups import (CayleyTable, WindowGroup,
+                          enumerate_group_structures,
                           is_group_homomorphism, is_top_homomorphism,
                           is_top_isomorphism, is_topological_group,
                           product_group, scan_group_structures, subgroup_check,
@@ -280,6 +281,41 @@ def test_multiplication_window_reports_missing_inverses_and_alpha_tear():
     assert not r.ok_on_window
     assert (2,) in r.inverse_missing
     assert r.alpha_violation is not None
+
+
+def test_a_window_with_no_invertible_point_checks_no_inversion_edge():
+    r = window_group_report(mulwin_group(2, 3))
+    assert (r.beta_checked, r.beta_skipped, r.beta_violation) == (0, 1, None)
+    assert r.inverse_missing == ((2,), (3,))
+
+
+def test_window_values_outside_the_window_convict_inversion():
+    # (a, b)(c, d) = (a + c, b + d + ac) is a group on Z^2: the inverse of
+    # (a, b) is (-a, a^2 - b), which leaves the window
+    def op(u, v):
+        return u[0] + v[0], u[1] + v[1] + u[0] * v[0]
+
+    twisted = WindowGroup(z2_window(0, 2, 0, 1), op,
+                          lambda u: (-u[0], u[0] * u[0] - u[1]),
+                          (0, 0), "twisted")
+    r = window_group_report(twisted)
+    assert (r.alpha_checked, r.alpha_violation) == (84, ((0, 0, 1, 0),
+                                                         (1, 0, 1, 0)))
+    assert (r.beta_checked, r.beta_skipped) == (7, 0)
+    assert r.beta_violation == ((0, 0), (1, 0))
+    r = window_group_report(twisted, strong=True)
+    assert (r.alpha_checked, r.alpha_violation) == (182, ((0, 0, 0, 0),
+                                                          (0, 1, 0, 1)))
+
+
+def test_doubling_is_a_window_homomorphism_but_not_continuous():
+    r = window_hom_report(zplus_group(-2, 2), zplus_group(),
+                          lambda p: (2 * p[0],))
+    assert r.algebra_violation is None and r.collision is None
+    assert (r.edges_checked, r.continuity_violation) == (4, ((-2,), (-1,)))
+    r = window_hom_report(zplus_group(-2, 2), zplus_group(),
+                          lambda p: (p[0] * p[0],))
+    assert r.collision == ((-1,), (1,))
 
 
 def test_projection_is_a_window_homomorphism_but_not_injective():

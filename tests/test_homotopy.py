@@ -224,12 +224,15 @@ def _frame(k: int) -> DigitalImage:
 
 def test_fold_removes_the_lowest_dominated_point_into_its_lowest_dominator():
     seg = fold(interval_image(0, 3))
-    assert seg.steps == (((0,), (1,)), ((1,), (2,)), ((2,), (3,)))
+    pts = seg.image.points
+    assert [(pts[p], pts[q]) for p, q in seg.steps] == [
+        ((0,), (1,)), ((1,), (2,)), ((2,), (3,))]
     assert seg.core.points == ((3,),)
     # under c2 the frame's corners fold onto the edge midpoints, whose
     # 4-cycle has no dominated point
     frame = fold(_frame(2))
-    assert [p for p, _ in frame.steps] == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert [frame.image.points[p] for p, _ in frame.steps] == [
+        (0, 0), (0, 2), (2, 0), (2, 2)]
     assert frame.core.points == ((0, 1), (1, 0), (1, 2), (2, 1))
     assert fold(frame.core).steps == ()
     assert fold(_frame(1)).steps == ()

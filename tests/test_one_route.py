@@ -178,4 +178,6 @@ def test_points_become_a_map_in_one_constructor():
 
 def test_test_only_helpers_stay_in_the_tests():
     defined = {f for _, f, _ in _functions()}
-    assert not defined & {"categorical_subsets", "MapGraph.all_states"}
+    assert not defined & {"categorical_subsets", "MapGraph.all_states",
+                          "WedgeSpace.is_wedge", "PairedWedge.is_wedge",
+                          "PairedWedge.adjacent"}

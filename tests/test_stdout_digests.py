@@ -30,9 +30,13 @@ and the write-only labels went. `tc corpus:H -n 5` (a 32,768-point
 product, its translation sections and their check) was recorded at the
 commit before products were built in index space. `cat corpus:cycle:14`,
 the largest maximal-set sweep the 14-point limit admits, was recorded at
-the commit before the sweep stopped walking the power set. A digest
-changes only with the bytes of the report; when a change means to alter
-them, record the new digest and say why.
+the commit before the sweep stopped walking the power set. The other
+window commands (`group-check` on `mulwin`, `z2plus` and `zplus`
+windows in both modes, which covers a window with no invertible point,
+and `hom-check` of the projection between windows) were recorded at the
+commit before window verdicts went through `maps.continuity_violation`.
+A digest changes only with the bytes of the report; when a change means
+to alter them, record the new digest and say why.
 """
 
 from __future__ import annotations
@@ -108,6 +112,22 @@ DIGESTS = {
         (0, "9e8e8d0729df824acd8c3de3486cff69808d536bb91860b870b205fc35461745"),
     "cat corpus:cycle:14":
         (0, "e4a3c0b24ef082ff91a0176ffc426883d9c37de300ab1f8590e3683df74b5e98"),
+    "group-check corpus:mulwin":
+        (2, "a2f77cf5d213236c9768efe90e6f174ce674fc9cbda73968b921215bb11ac345"),
+    "group-check corpus:mulwin:2:3":
+        (2, "cac69f77900b759ecf7551f2b7f0661d475e07d79c301d1f4149d062fb832baf"),
+    "group-check corpus:mulwin:-2:2 --mode strong":
+        (2, "c737b5994cb3132e127224bbeb224975ecea1a7e5ff1b6de8557f2ef1dcae0f2"),
+    "group-check corpus:z2plus":
+        (0, "305cb17afc10a1ec9fd8382c753dc822e22855904dc0355f89f0abdbe8e529c4"),
+    "group-check corpus:z2plus:-1:2:0:3 --mode strong":
+        (2, "e3a8ed127a45715052c543a2380face3cdf92114363fac5c263446e6731cbcf9"),
+    "group-check corpus:zplus:-4:4 --mode strong":
+        (2, "10a413c7a6b39f7dee4db0083956fc520746592686918f8b47b5d8b5f7d2c879"),
+    "hom-check corpus:z2plus corpus:zplus proj1":
+        (0, "dc572d1741c59487cec10ea486b5531728fdf258172aa89750eabc65f030fae5"),
+    "hom-check corpus:mulwin corpus:zplus proj1":
+        (2, "ca08b088c723fae14dafb380ed5b6fcc922f1fd950c41fe5c13a6fab78838ee0"),
 }
 
 
