@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 from .covers import (AdmissibilityOracle, BoundResult, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
 from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebinds it)
-from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
-                       nullhomotopy, slides, verify_homotopy)
+from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
+                       is_contractible, nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap
@@ -61,7 +61,7 @@ class CatWitness:
 
 
 def piece_contraction(base: DigitalImage, subset: Sequence[Point],
-                      node_budget: int | None = 2_000_000,
+                      node_budget: int | None = NODE_BUDGET,
                       lookup: Callable[[Subset], Optional[HomotopyWitness]]
                       | None = None,
                       ) -> Optional[HomotopyWitness]:
@@ -72,7 +72,7 @@ def piece_contraction(base: DigitalImage, subset: Sequence[Point],
 
 
 def cat_oracle(base: DigitalImage,
-               node_budget: int | None = 2_000_000) -> AdmissibilityOracle:
+               node_budget: int | None = NODE_BUDGET) -> AdmissibilityOracle:
     """Admissibility of categorical pieces; the memo answers their cores."""
     oracle = AdmissibilityOracle(base, lambda sub: piece_contraction(
         base, sub, node_budget, owner().witness))
@@ -83,7 +83,7 @@ def cat_oracle(base: DigitalImage,
 
 
 def cat_exact(base: DigitalImage,
-              node_budget: int | None = 2_000_000) -> CatWitness:
+              node_budget: int | None = NODE_BUDGET) -> CatWitness:
     """Minimum categorical cover with verified contractions per piece.
 
     Asks about every subset that no maximal categorical set found so far
@@ -103,12 +103,12 @@ def cat_exact(base: DigitalImage,
     return witness
 
 
-def cat(base: DigitalImage, node_budget: int | None = 2_000_000) -> int:
+def cat(base: DigitalImage, node_budget: int | None = NODE_BUDGET) -> int:
     return cat_exact(base, node_budget).size
 
 
 def cat_bounds(base: DigitalImage,
-               node_budget: int | None = 200_000) -> BoundResult:
+               node_budget: int | None = NODE_BUDGET) -> BoundResult:
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
@@ -133,7 +133,7 @@ def cat_bounds(base: DigitalImage,
         if frozenset(sub) == torn:
             return None
         incl = DigitalMap.inclusion(induced_subimage(base, sub), base)
-        return next(slides(incl, base.points), None)
+        return next(slides(incl), None)
 
     oracle = AdmissibilityOracle(base, slide_only)
     return minimal_cover_bounds(base, oracle, whole_admissible=whole)

@@ -29,7 +29,8 @@ from .groups import (WindowGroup, is_top_homomorphism,
                      is_top_isomorphism, is_topological_group,
                      scan_group_structures, product_group,
                      window_group_report, window_hom_report)
-from .homotopy import BudgetExhausted, are_homotopic, contraction
+from .homotopy import (NODE_BUDGET, BudgetExhausted, are_homotopic,
+                       contraction)
 from .images import (CK, DigitalImage, Explicit, induced_subimage,
                      interval_image)
 from .knownvalues import run_reference_rows
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="also write the structured report to a file")
         if budget:
-            p.add_argument("--budget", type=int, default=2_000_000,
+            p.add_argument("--budget", type=int, default=NODE_BUDGET,
                            help="node budget for searches")
 
     def mode(p, what=None):

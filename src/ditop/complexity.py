@@ -33,8 +33,8 @@ from .category import cat_exact, piece_contraction  # noqa: F401
 from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                      minimal_cover_exact, Subset)
-from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
-                       nullhomotopy, slides)
+from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
+                       contraction, shortest_nullhomotopy, slides)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap, backtrack
@@ -231,45 +231,40 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
 
 # ---- the group construction ----
 
-def _piece_track(base: DigitalImage, table: CayleyTable, piece: Subset,
-                 node_budget: int | None = 2_000_000,
+def _piece_track(base: DigitalImage, piece: Subset, end: Point,
+                 node_budget: int | None = NODE_BUDGET,
                  ) -> Optional[tuple[int, Point, list[dict[Point, Point]]]]:
     """The shortest "retraction track" for one cover piece: a nullhomotopy
     of its inclusion to a constant target, extended by a walk from the
-    target to the group identity. Returns (total steps, target, stages),
-    least by (total, target); stages are value dictionaries per time tick.
+    target to `end`. Returns (total steps, target, stages), least by
+    (total, target); stages are value dictionaries per time tick.
 
-    Slide candidates come first; if none exists the exact search runs per
-    target. A genuinely contractible-in-base piece always has a track (the
-    exact search settles it), and None means the piece is not admissible
-    at all."""
-    e = table.identity
+    Every slide of the piece is a candidate; if none holds, one search
+    runs to the constant at `end`. That search is shortest over every
+    target too: a homotopy to the constant at c followed by the walk from
+    c to `end` is a homotopy to the constant at `end`. None means the
+    piece is not admissible at all."""
     sub = induced_subimage(base, piece)
     incl = DigitalMap.inclusion(sub, base)
-    dist = base.distance_matrix
-    ei = base.index(e)
 
     def to_track(w: HomotopyWitness) -> tuple[int, Point, list]:
         target = w.end.values[0]
         stages = [dict(zip(sub.points, st.values)) for st in w.stages]
-        walk = base.lex_shortest_path(target, e)
-        for q in walk[1:]:
+        for q in base.lex_shortest_path(target, end)[1:]:
             stages.append({p: q for p in sub.points})
         return (len(stages) - 1, target, stages)
 
-    out = [to_track(w) for w in slides(incl, base.points)]
-    if not out:
-        for c in sorted(base.points, key=lambda c: (dist[base.index(c)][ei], c)):
-            w = nullhomotopy(incl, targets=(c,), node_budget=node_budget)
-            if w is not None:
-                out.append(to_track(w))
-    return min(out, key=lambda t: (t[0], t[1]), default=None)
+    out = [to_track(w) for w in slides(incl)]
+    if out:
+        return min(out, key=lambda t: (t[0], t[1]))
+    w = shortest_nullhomotopy(incl, {base.index(end)}, node_budget)
+    return None if w is None else to_track(w)
 
 
 def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
                        cover: Sequence[Subset] | None = None,
                        m: int | None = None, *,
-                       node_budget: int | None = 2_000_000,
+                       node_budget: int | None = NODE_BUDGET,
                        ) -> tuple[int, tuple[SectionWitness, ...], int]:
     """Upper bound on TC_n from a group structure: every categorical cover
     piece M of the base yields a piece {(g, g*m_1, ..., g*m_{n-1})} of the
@@ -302,7 +297,7 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 
     tracks = []
     for s in pieces:
-        track = _piece_track(base, table, s, node_budget)
+        track = _piece_track(base, s, table.identity, node_budget)
         if track is None:
             raise ValueError(f"cover piece {s} admits no contraction in the "
                              f"base; not a categorical cover")
@@ -346,7 +341,7 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
          cover: Sequence[Subset] | None = None, m: int | None = None, *,
          strong: bool = False,
-         node_budget: int | None = 2_000_000) -> BoundResult:
+         node_budget: int | None = NODE_BUDGET) -> BoundResult:
     """Best available bracket on TC_n, exact when the routes meet.
 
     n = 1 is settled by the stand-still section, and a contractible base
@@ -442,7 +437,7 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
 def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
              cover: Sequence[Subset] | None = None, m: int | None = None, *,
              strong: bool = False,
-             node_budget: int | None = 2_000_000) -> list[BoundResult]:
+             node_budget: int | None = NODE_BUDGET) -> list[BoundResult]:
     """TC_1 through TC_up_to, each lower bound raised to the one before it
     (TC never drops as n grows). Every finite upper bound is the one
     `tc_n` found, with its witness."""

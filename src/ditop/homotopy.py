@@ -11,13 +11,14 @@ so it is never materialized. Neighbor states come from `maps.backtrack`,
 the package's one backtracker, over bitmasks of allowed codomain indices,
 and searches stop at the first goal. A state is a map's `value_indices`,
 and no stage built here passes through points. `nullhomotopy` is the one
-route to a constant map; `slides` gives its cheap, verified geodesic
-candidates. It folds dominated points out of f's domain (`fold`) and
-settles f on the core C first. f ~ f|C o r for the fold's retraction r, so
-C's answer is f's, and `pull_back` lifts C's witness; a slide of f
-restricts to a slide of f|C, so settling C first runs no search that a
-slide of f would spare. A core is searched in its codomain's core, one
-component at a time. No edge joins two components, so a map is
+route that decides whether a map is nullhomotopic; `slides` gives its
+cheap, verified geodesic candidates, and `shortest_nullhomotopy` searches
+for a shortest witness ending at given constants. `nullhomotopy` folds
+dominated points out of f's domain (`fold`) and settles f on the core C
+first. f ~ f|C o r for the fold's retraction r, so C's answer is f's,
+and `pull_back` lifts C's witness; a slide of f restricts to a slide of
+f|C, so settling C first runs no search that a slide of f would spare. A
+core is searched in its codomain's core, one component at a time. No edge joins two components, so a map is
 nullhomotopic exactly when its restriction to every component is homotopic
 to a constant and those constants lie in one component of the codomain.
 """
@@ -32,6 +33,9 @@ from .images import DigitalImage, Point, induced_subimage
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
+
+# the map-graph states a command may visit unless `--budget` says otherwise
+NODE_BUDGET = 2_000_000
 
 
 class BudgetExhausted(RuntimeError):
@@ -118,7 +122,7 @@ class MapGraph:
         return backtrack([closed[v] for v in state], self.links)
 
     def bfs(self, start: State, is_goal: Callable[[State], bool],
-            node_budget: int | None = 2_000_000,
+            node_budget: int | None = NODE_BUDGET,
             ) -> tuple[State, dict[State, State | None]] | None:
         """Breadth-first search from `start` to the first state satisfying
         `is_goal`. Returns (goal, parents) or None when the whole component
@@ -158,7 +162,7 @@ class MapGraph:
 
 
 def are_homotopic(f: DigitalMap, g: DigitalMap,
-                  node_budget: int | None = 2_000_000,
+                  node_budget: int | None = NODE_BUDGET,
                   ) -> Optional[HomotopyWitness]:
     """Witness that f ~ g, or None when they are provably not homotopic.
 
@@ -204,19 +208,21 @@ def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness
     return w if ok else None
 
 
-def slides(f: DigitalMap, pool: Sequence[Point]) -> Iterator[HomotopyWitness]:
-    """Every slide of f that holds, target by target in pool order; take
-    the first with `next(slides(f, pool), None)`."""
-    for t in pool:
+def slides(f: DigitalMap) -> Iterator[HomotopyWitness]:
+    """Every slide of f that holds, target by target in the codomain's
+    point order; take the first with `next(slides(f), None)`."""
+    for t in f.codomain.points:
         w = slide_nullhomotopy(f, t)
         if w is not None:
             yield w
 
 
-def _search_constant(f: DigitalMap, allowed: set[int] | range,
-                     node_budget: int | None) -> Optional[HomotopyWitness]:
+def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
+                          node_budget: int | None = NODE_BUDGET,
+                          ) -> Optional[HomotopyWitness]:
     """A shortest homotopy from f to a constant at a codomain index in
-    `allowed`, by breadth-first search of f's own map graph."""
+    `allowed`, by breadth-first search of f's own map graph, or None when
+    f's homotopy class holds no such constant."""
     graph = MapGraph(f.domain, f.codomain)
 
     def at_constant(s: State) -> bool:
@@ -226,48 +232,34 @@ def _search_constant(f: DigitalMap, allowed: set[int] | range,
     return graph.witness(graph.bfs(f.value_indices, at_constant, node_budget))
 
 
-def nullhomotopy(f: DigitalMap,
-                 targets: Sequence[Point] | None = None,
-                 node_budget: int | None = 2_000_000,
+def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
                  lookup: Callable[[Sequence[Point]], Optional[HomotopyWitness]]
                  | None = None,
                  ) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic (ends at some constant map), or None
     when f's homotopy class holds no constant map.
 
-    With targets, f is slid to each in turn, then f's own map graph is
-    searched for all of them at once. Without, f|C is settled first, C
-    being the core of f's domain: when it has no witness neither has f,
-    and f is not slid; otherwise f's first slide is returned, or else C's
-    witness lifted by `pull_back`. A domain that does not fold is slid,
-    then searched (`folded_nullhomotopy`). `lookup`, a memo of this
-    function's answers keyed by a subset of f's domain, answers for f|C
-    in place of a call.
+    f|C is settled first, C being the core of f's domain: when it has no
+    witness neither has f, and f is not slid; otherwise f's first slide
+    is returned, or else C's witness lifted by `pull_back`. A domain that
+    does not fold is slid, then searched (`folded_nullhomotopy`).
+    `lookup`, a memo of this function's answers keyed by a subset of f's
+    domain, answers for f|C in place of a call.
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
-    cod = f.codomain
-    pool = tuple(tuple(t) for t in targets) if targets is not None else cod.points
-    for t in pool:
-        if t not in cod:
-            raise ValueError(f"target {t} is not in the codomain")
-    if targets is not None:
-        return next(slides(f, pool), None) or _search_constant(
-            f, {cod.index(t) for t in pool}, node_budget)
     folded = fold(f.domain)
     if not folded.steps:
-        return next(slides(f, pool), None) or folded_nullhomotopy(
-            f, node_budget)
+        return next(slides(f), None) or folded_nullhomotopy(f, node_budget)
     w = lookup(folded.core.points) if lookup is not None else nullhomotopy(
-        f.after(DigitalMap.inclusion(folded.core, f.domain)),
-        node_budget=node_budget)
+        f.after(DigitalMap.inclusion(folded.core, f.domain)), node_budget)
     if w is None:
         return None
-    return next(slides(f, pool), None) or pull_back(f, folded, w.stages)
+    return next(slides(f), None) or pull_back(f, folded, w.stages)
 
 
-def contraction(img: DigitalImage,
-                node_budget: int | None = 2_000_000) -> Optional[HomotopyWitness]:
+def contraction(img: DigitalImage, node_budget: int | None = NODE_BUDGET,
+                ) -> Optional[HomotopyWitness]:
     """A nullhomotopy of the identity map, when one exists.
 
     The witness is a slide, or else a shortest one from the search of the
@@ -281,11 +273,11 @@ def contraction(img: DigitalImage,
     w = nullhomotopy(ident, node_budget=node_budget)
     if w is None or w.label == "slide":
         return w
-    return _search_constant(ident, range(len(img.points)), node_budget)
+    return shortest_nullhomotopy(ident, range(len(img.points)), node_budget)
 
 
 def is_contractible(img: DigitalImage,
-                    node_budget: int | None = 2_000_000) -> bool:
+                    node_budget: int | None = NODE_BUDGET) -> bool:
     """Whether the identity map is nullhomotopic."""
     return img.is_connected and nullhomotopy(
         DigitalMap.identity(img), node_budget=node_budget) is not None
@@ -368,7 +360,7 @@ def pull_back(f: DigitalMap, folded: Fold,
     return w
 
 
-def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
+def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
                         ) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic, searched in the codomain's core,
     or None when f's homotopy class holds no constant map.
@@ -397,7 +389,8 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = 2_000_000,
     cols = [None] * len(dom.points)  # per domain point, its core track
     for comp in dom.components:
         incl = DigitalMap.inclusion(induced_subimage(dom, comp), dom)
-        w = _search_constant(on_core.after(incl), range(len(kept)), node_budget)
+        w = shortest_nullhomotopy(on_core.after(incl), range(len(kept)),
+                                  node_budget)
         if w is None:
             return None
         for k, a in enumerate(incl.value_indices):

@@ -25,8 +25,10 @@ from .groups import (CayleyTable, is_top_homomorphism, is_top_isomorphism,
                      is_topological_group, product_group, scan_group_structures,
                      subgroup_check, verify_cayley, window_alpha_pair,
                      window_group_report, window_hom_report)
-from .homotopy import BudgetExhausted, is_contractible, verify_homotopy
-from .images import DigitalImage, interval_image, product_image
+from .homotopy import (NODE_BUDGET, BudgetExhausted, is_contractible,
+                       verify_homotopy)
+from .images import (DigitalImage, induced_subimage, interval_image,
+                     product_image)
 from .maps import continuity_violation
 from .pathspace import EndpointFibration
 
@@ -60,7 +62,7 @@ def _row(name: str, expected: str, fn: Callable[[], tuple[str, object]]) -> Row:
     return Row(name, expected, computed, status)
 
 
-def run_reference_rows(node_budget: int | None = 2_000_000) -> list[Row]:
+def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
     """Compute every reference row. The loop rows share the carrier of
     the loop's rotation table."""
     rot = loop_rotation_table()
@@ -330,8 +332,5 @@ def _fmt_bounds(r: BoundResult) -> str:
 
 
 def _restrict_table(table: CayleyTable, subset) -> CayleyTable:
-    from .images import induced_subimage
-    sub = induced_subimage(table.image, subset)
-    entries = tuple(tuple(table.product(p, q) for q in sub.points)
-                    for p in sub.points)
-    return CayleyTable(sub, table.identity, entries)
+    return CayleyTable.from_function(induced_subimage(table.image, subset),
+                                     table.product, table.identity)

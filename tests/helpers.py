@@ -19,8 +19,8 @@ from ditop.covers import AdmissibilityOracle, Subset, maximal_admissible_sets
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
 from ditop.groups import CayleyTable, _associativity_failure
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
-                            _search_constant, fold, is_contractible,
-                            nullhomotopy, pull_back, slide_nullhomotopy,
+                            fold, is_contractible, nullhomotopy, pull_back,
+                            shortest_nullhomotopy, slide_nullhomotopy,
                             verify_homotopy)
 from ditop.images import (CK, DigitalImage, Explicit, Point, ProductAdjacency,
                           induced_subimage)
@@ -375,7 +375,25 @@ def unsplit_folded_nullhomotopy(f: DigitalMap,
     core, target = dom_fold.core, cod_fold.core
     on_core = DigitalMap.from_points(core, target,
                                      tuple(r(f(a)) for a in core.points))
-    return _search_constant(on_core, range(len(target.points)), node_budget)
+    return shortest_nullhomotopy(on_core, range(len(target.points)),
+                                 node_budget)
+
+
+def per_target_piece_track(base: DigitalImage, piece: Sequence[Point],
+                           end: Point, node_budget: int | None = 2_000_000,
+                           ) -> Optional[tuple[int, Point]]:
+    """The group route's piece track, target by target: for each base
+    point c, a nullhomotopy of the piece's inclusion aimed at c alone,
+    then the walk from c to `end`. Returns the least (total steps, c), or
+    None when no target is reached. The one search to the constant at
+    `end` in `complexity._piece_track` must give the same total."""
+    incl = DigitalMap.inclusion(induced_subimage(base, piece), base)
+    out = []
+    for c in base.points:
+        w = unfolded_nullhomotopy(incl, targets=(c,), node_budget=node_budget)
+        if w is not None:
+            out.append((w.steps + len(base.lex_shortest_path(c, end)) - 1, c))
+    return min(out, default=None)
 
 
 def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,

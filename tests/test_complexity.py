@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 
 import ditop.complexity as complexity
 import ditop.covers as covers
+import ditop.homotopy as homotopy
 from ditop.category import cat_exact
 from ditop.complexity import (CoverImpossible, SectionWitness,
                               TheoremViolation, constant_section,
                               find_section, product_of_sections,
                               schwarz_genus, tc_chain, tc_n,
                               tc_upper_via_group, verify_section)
-from ditop.corpus import cycle_image, loop_cover, loop_image, loop_rotation_table
+from ditop.corpus import (LOOP_LETTERS, cycle_image, loop_cover, loop_image,
+                          loop_rotation_table)
+from ditop.homotopy import MapGraph
 from ditop.images import interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
-from helpers import find_section_oracle, loop_bundle
+import helpers
+from helpers import find_section_oracle, loop_bundle, per_target_piece_track
 
 
 def test_tc_one_is_always_one():
@@ -83,6 +87,37 @@ def test_group_route_piece_count_matches_the_categorical_cover():
     for sw in wits:
         ok, why = verify_section(fib, sw)
         assert ok, why
+
+
+def test_the_group_route_searches_once_per_piece_without_slides(monkeypatch):
+    # with every slide disabled each piece takes the search branch, where
+    # one search to the identity's constant gives the least total that
+    # the oracle finds with one search per target
+    for module in (complexity, homotopy):
+        monkeypatch.setattr(module, "slides", lambda f: iter(()))
+    monkeypatch.setattr(helpers, "slide_nullhomotopy", lambda f, t: None)
+    searches = []
+    bfs = MapGraph.bfs
+
+    def counted(self, *args):
+        searches.append(self.domain)
+        return bfs(self, *args)
+
+    monkeypatch.setattr(MapGraph, "bfs", counted)
+    loop, table = loop_image(), loop_rotation_table()
+    count, wits, m = tc_upper_via_group(loop, table, 3, loop_cover())
+    assert (len(searches), count, m) == (2, 4, 4)
+    complexity._certify(EndpointFibration(loop, 3, m), wits, "search branch")
+    e = table.identity
+    tracks = [complexity._piece_track(loop, tuple(sorted(piece)), e)
+              for piece in loop_cover()]
+    oracle = [per_target_piece_track(loop, piece, e) for piece in loop_cover()]
+    assert [t[0] for t in tracks] == [o[0] for o in oracle] == [3, 4]
+    # the one change of behaviour: a smaller target that ties the identity
+    # on total steps is no longer chosen, the track ends at the identity
+    afgh = loop_cover()[1]
+    assert afgh == tuple(LOOP_LETTERS[x] for x in "afgh")
+    assert (tracks[1][:2], oracle[1]) == ((4, (0, 0)), (4, (0, -1)))
 
 
 def test_exact_sweep_agrees_with_the_group_route_on_the_loop(monkeypatch):

@@ -3,7 +3,9 @@
 The sweep, fiber and enumeration limits each have one value that every
 caller uses, so none of them is a parameter: fibers take no `limit`, and
 `find_section` slices each fiber at its cap itself. Window groups carry
-no adjacency law: the window's own adjacency judges every value.
+no adjacency law: the window's own adjacency judges every value. Nothing
+aims a nullhomotopy at chosen targets or slides over a chosen pool, and
+every search budget defaults to the one value `--budget` does.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import inspect
 import pkgutil
 
 import ditop
+from ditop.cli import build_parser
 from ditop.groups import WindowGroup
 
 RETIRED = {"guard", "genus_guard", "cat_guard", "contractibility_guard",
-           "fiber_cap", "limit", "skip_axioms", "seeds"}
+           "fiber_cap", "limit", "skip_axioms", "seeds", "targets", "pool"}
 
 
 def _signatures():
@@ -60,3 +63,13 @@ def test_no_function_takes_a_retired_limit_or_switch():
 
 def test_a_window_group_carries_no_adjacency_law():
     assert "law" not in {f.name for f in dataclasses.fields(WindowGroup)}
+
+
+def test_every_node_budget_defaults_to_the_cli_budget():
+    cli_default = build_parser().parse_args(["cat", "corpus:H"]).budget
+    defaults = {where: sig.parameters["node_budget"].default
+                for where, sig in _signatures()
+                if "node_budget" in sig.parameters}
+    assert len(defaults) > 15
+    assert {where: d for where, d in defaults.items()
+            if d != cli_default} == {}

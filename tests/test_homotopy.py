@@ -16,8 +16,8 @@ from ditop.corpus import cycle_image, loop_image, loop_rotation_table
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             are_homotopic, contraction, fold,
                             folded_nullhomotopy, is_contractible,
-                            nullhomotopy, pull_back, slide_nullhomotopy,
-                            verify_homotopy)
+                            nullhomotopy, pull_back, shortest_nullhomotopy,
+                            slide_nullhomotopy, verify_homotopy)
 from ditop.images import DigitalImage, CK, induced_subimage, interval_image
 from ditop.maps import DigitalMap, continuity_violation
 
@@ -183,9 +183,12 @@ def test_slide_nullhomotopy_works_on_trees_but_not_the_loop():
 
 def test_nullhomotopy_respects_requested_targets():
     seg = interval_image(0, 3)
-    w = nullhomotopy(DigitalMap.identity(seg), targets=[(2,)])
+    ident = DigitalMap.identity(seg)
+    w = shortest_nullhomotopy(ident, {seg.index((2,))})
     assert w is not None
+    assert verify_homotopy(w, ident) == (True, None)
     assert set(w.stages[-1].values) == {(2,)}
+    assert w.steps == 2
 
 
 def test_budget_exhaustion_is_loud_not_wrong():

@@ -79,6 +79,14 @@ def test_slides_come_from_one_generator():
     assert calls == [("homotopy", "slides", "slide_nullhomotopy")]
 
 
+def test_the_group_route_tracks_a_piece_without_deciding_it_again():
+    # a piece without a slide runs one shortest search to the end point;
+    # `nullhomotopy` would slide again and decide what the search decides
+    assert [c for c in _calls({"nullhomotopy", "shortest_nullhomotopy"})
+            if c[1].split(".")[0] == "_piece_track"] == [
+        ("complexity", "_piece_track", "shortest_nullhomotopy")]
+
+
 def test_only_homotopy_folds_and_lifts():
     calls = _calls({"fold", "pull_back"})
     assert {callee for _, _, callee in calls} == {"fold", "pull_back"}
