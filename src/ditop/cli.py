@@ -22,9 +22,9 @@ from .category import cat_bounds, cat_exact
 from .complexity import CoverImpossible, schwarz_genus, tc_n
 from .corpus import (UnknownCorpusName, get_image, get_map, get_table,
                      get_window_group, loop_cover)
-from .fileio import (ParseError, load_group, load_image, load_map,
-                     serialize_cover, serialize_group, serialize_homotopy,
-                     serialize_image, serialize_map, serialize_sections)
+from .fileio import (load_group, load_image, load_map, serialize_cover,
+                     serialize_group, serialize_homotopy, serialize_image,
+                     serialize_map, serialize_sections)
 from .groups import (WindowGroup, is_top_homomorphism,
                      is_top_isomorphism, is_topological_group,
                      scan_group_structures, product_group,
@@ -510,23 +510,23 @@ def main(argv=None) -> int:
         rep.settings["budget"] = args.budget
     started = time.monotonic()
     try:
-        code = COMMANDS[args.command](args, rep)
-    except BudgetExhausted as err:
-        rep.results[args.command] = "unknown"
-        rep.notes.append(f"budget exhausted: {err}")
-        code = 0
-    except CoverImpossible as err:
-        rep.results[args.command] = "impossible"
-        rep.notes.append(str(err))
-        code = 2
-    except (ParseError, FileNotFoundError, UnknownCorpusName,
-            ValueError) as err:
+        try:
+            code = COMMANDS[args.command](args, rep)
+        except BudgetExhausted as err:
+            rep.results[args.command] = "unknown"
+            rep.notes.append(f"budget exhausted: {err}")
+            code = 0
+        except CoverImpossible as err:
+            rep.results[args.command] = "impossible"
+            rep.notes.append(str(err))
+            code = 2
+        elapsed = time.monotonic() - started
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rep.to_json())
+    except (OSError, UnknownCorpusName, ValueError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
-    elapsed = time.monotonic() - started
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
     if args.json:
         sys.stdout.write(rep.to_json())
     else:

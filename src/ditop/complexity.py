@@ -18,7 +18,9 @@ Routes, in the order `tc_n` tries them:
 
 Every arm that runs a track backwards comes from `_replay`, and every
 section a proof backs (standing still, the contraction, the translation
-pieces, `product_of_sections`) passes the one certifier `_certify`.
+pieces, `product_of_sections`) passes the one certifier `_certify`. A
+fibration is its own wedge space, so the search and the checker ask it
+for sides, endpoints and occupancy tables directly.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
-    sides = [fib.wedge.sides(w) or () for w in sw.wedges]
+    sides = [fib.sides(w) or () for w in sw.wedges]
     ids: dict[tuple, int] = {}  # (side's space, arm) -> id
     rows = [tuple(tuple(ids.setdefault((space, tuple(arm)), len(ids))
                         for arm in part) for space, part in parts)
@@ -89,8 +91,8 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
         if not row or not all(good[a] for side in row for a in side):
             return False, f"assignment at {u} is not a wedge of {fib.n} " \
                           f"paths of length {fib.m}"
-        if fib.wedge.endpoints(w) != u:
-            return False, f"assignment at {u} ends at {fib.wedge.endpoints(w)}"
+        if fib.endpoints(w) != u:
+            return False, f"assignment at {u} ends at {fib.endpoints(w)}"
     step: dict[tuple[int, int], bool] = {}  # ordered id pair -> related
 
     def related(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -178,7 +180,7 @@ def find_section(fib: EndpointFibration,
             return None
         domains[i] = dom
 
-    occupancy = [fib.wedge.occupancy(dom) for dom in domains]
+    occupancy = [fib.occupancy(dom) for dom in domains]
     links = [[(step[j], occupancy[i].step_masks(domains[j]))
               for j in nbrs[i] if step[j] < step[i]] for i in order]
     found = next(backtrack([(1 << len(domains[i])) - 1 for i in order],
@@ -226,7 +228,7 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
     if fib.n != 1:
         raise ValueError("the constant-path section is an n=1 construction")
     pts = fib.product.points
-    return SectionWitness(pts, tuple(fib.wedge.constant_wedge(u) for u in pts))
+    return SectionWitness(pts, tuple(fib.constant_wedge(u) for u in pts))
 
 
 # ---- the group construction ----

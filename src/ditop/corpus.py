@@ -41,10 +41,6 @@ _LOOP_TABLE_ROWS = {
     "h": "g h a b c d e f",
 }
 
-# Walking order around the loop starting at the identity; the letter at
-# position k is a^k, so the table above is addition of positions mod 8.
-LOOP_ORDER = "b a h g f e d c".split()
-
 
 def loop_image() -> DigitalImage:
     """The eight-point loop in Z^2 with 4-adjacency."""

@@ -31,6 +31,16 @@ def _records(text: str):
             yield lineno, line.split()
 
 
+def _headed(text: str, kind: str, usage: str) -> list[tuple[int, list[str]]]:
+    """The records of a `kind` file, whose first record must be the
+    header `usage` spells."""
+    body = list(_records(text))
+    if not body or body[0][1][0] != usage.split()[0]:
+        raise ParseError(body[0][0] if body else 1,
+                         f"{kind} file starts with: {usage}")
+    return body
+
+
 def _ints(fields: Sequence[str], lineno: int) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in fields)
@@ -142,10 +152,12 @@ def _file_resolver(base_dir: str) -> Resolver:
 
 
 def parse_map(text: str, resolve: Resolver) -> DigitalMap:
-    body = list(_records(text))
-    if not body or body[0][1][0] != "map":
-        raise ParseError(body[0][0] if body else 1,
-                         "map file starts with: map <domain> <codomain>")
+    return _read_map(_headed(text, "map", "map <domain> <codomain>"), resolve)
+
+
+def _read_map(body: list[tuple[int, list[str]]],
+              resolve: Resolver) -> DigitalMap:
+    """The map whose records are `body`, its `map` header first."""
     lineno, fields = body[0]
     if len(fields) != 3:
         raise ParseError(lineno, "map wants two image references")
@@ -174,8 +186,7 @@ def parse_map(text: str, resolve: Resolver) -> DigitalMap:
         assignment[src] = dst
     missing = [p for p in domain.points if p not in assignment]
     if missing:
-        raise ParseError(lineno if body[1:] else 1,
-                         f"no value for domain point {missing[0]}")
+        raise ParseError(lineno, f"no value for domain point {missing[0]}")
     return DigitalMap.from_mapping(domain, codomain, assignment)
 
 
@@ -188,10 +199,7 @@ def serialize_map(dm: DigitalMap, domain_ref: str, codomain_ref: str) -> str:
 
 
 def parse_homotopy(text: str, resolve: Resolver) -> HomotopyWitness:
-    body = list(_records(text))
-    if not body or body[0][1][0] != "stages":
-        raise ParseError(body[0][0] if body else 1,
-                         "homotopy file starts with: stages <count>")
+    body = _headed(text, "homotopy", "stages <count>")
     lineno, fields = body[0]
     count = _one_int(fields[1:], lineno, "stages wants one count")
     if count < 1:
@@ -206,16 +214,7 @@ def parse_homotopy(text: str, resolve: Resolver) -> HomotopyWitness:
     if len(blocks) != count:
         raise ParseError(body[0][0],
                          f"stages {count} but found {len(blocks)} map blocks")
-    stages = []
-    for block in blocks:
-        block_text = "\n".join(" ".join(fields) for _, fields in block)
-        try:
-            stages.append(parse_map(block_text, resolve))
-        except ParseError as err:
-            # map the block-relative line back to the file
-            raise ParseError(block[min(err.line, len(block)) - 1][0],
-                             str(err).split(": ", 1)[1]) from None
-    return HomotopyWitness(tuple(stages))
+    return HomotopyWitness(tuple(_read_map(block, resolve) for block in blocks))
 
 
 def serialize_homotopy(w: HomotopyWitness, domain_ref: str,
@@ -227,10 +226,7 @@ def serialize_homotopy(w: HomotopyWitness, domain_ref: str,
 
 
 def parse_group(text: str, resolve: Resolver) -> CayleyTable:
-    body = list(_records(text))
-    if not body or body[0][1][0] != "group":
-        raise ParseError(body[0][0] if body else 1,
-                         "group file starts with: group <image>")
+    body = _headed(text, "group", "group <image>")
     lineno, fields = body[0]
     if len(fields) != 2:
         raise ParseError(lineno, "group wants one image reference")
@@ -297,10 +293,7 @@ def serialize_cover(pieces: Sequence[Sequence[Point]]) -> str:
 
 
 def parse_cover(text: str) -> list[tuple[Point, ...]]:
-    body = list(_records(text))
-    if not body or body[0][1][0] != "cover":
-        raise ParseError(body[0][0] if body else 1,
-                         "cover file starts with: cover <count>")
+    body = _headed(text, "cover", "cover <count>")
     lineno, fields = body[0]
     count = _one_int(fields[1:], lineno, "cover wants one piece count")
     # per piece: (line, announced size, points)
@@ -344,11 +337,7 @@ def parse_sections(text: str):
     """Returns (n, m, pieces) where each piece is a list of
     (endpoint tuple, wedge); inverse of serialize_sections."""
     from .complexity import SectionWitness
-    body = list(_records(text))
-    if not body or body[0][1][0] != "sections":
-        raise ParseError(body[0][0] if body else 1,
-                         "sections file starts with: sections <count> arms "
-                         "<n> length <m>")
+    body = _headed(text, "sections", "sections <count> arms <n> length <m>")
     lineno, fields = body[0]
     if len(fields) != 6 or fields[2] != "arms" or fields[4] != "length":
         raise ParseError(lineno, "header wants: sections <count> arms <n> "

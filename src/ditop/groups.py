@@ -380,8 +380,6 @@ class WindowGroup:
 @dataclass(frozen=True)
 class WindowReport:
     label: str
-    window_size: int
-    identity_in_window: bool
     alpha_checked: int
     alpha_violation: Optional[tuple[Point, Point]]
     beta_checked: int
@@ -436,8 +434,7 @@ def window_group_report(wg: WindowGroup, *,
     if beta_skipped:
         notes.append(f"{beta_skipped} edge(s) skipped where an inverse is unavailable")
     return WindowReport(
-        wg.label, len(img.points), wg.identity in img,
-        len(prod.edge_index_pairs), alpha_violation,
+        wg.label, len(prod.edge_index_pairs), alpha_violation,
         beta_checked, beta_skipped, beta_violation,
         tuple(missing), tuple(notes))
 

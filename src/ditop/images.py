@@ -121,7 +121,6 @@ class ProductAdjacency:
     left: "Adjacency"
     right: "Adjacency"
     left_dim: int
-    right_dim: int
     strong: bool
 
     def adjacent(self, p: Point, q: Point) -> bool:
@@ -344,8 +343,7 @@ def product_image(x: DigitalImage, y: DigitalImage, *,
                   strong: bool = False) -> DigitalImage:
     """Cartesian product with the minimal product adjacency, or with the
     strong one when `strong`."""
-    adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, y.dim,
-                                 strong)
+    adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, strong)
     # sorted factors concatenate to sorted points: (i, j) has index i*k + j
     pts = tuple(a + b for a in x.points for b in y.points)
 

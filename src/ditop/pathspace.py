@@ -5,9 +5,11 @@ most one adjacency step per tick (stalling allowed). The motion-planning
 construction works with wedges: n paths of equal length sharing their
 start. Evaluating all free endpoints is the fibration e_n from the wedge
 space onto the n-fold product of X; its sectional invariants are computed
-in `complexity`. Walks are the fourth caller of `maps.backtrack`, ticks as
-positions, and a fiber is, per start within m steps of every endpoint,
-the product of its arms' walks.
+in `complexity`. A fibration is its own wedge space: `EndpointFibration`
+is a `WedgeSpace` and `PairedFibration` a `PairedWedge`, so one object
+answers both the fiber and the wedge questions. Walks are the fourth
+caller of `maps.backtrack`, ticks as positions, and a fiber is, per
+start within m steps of every endpoint, the product of its arms' walks.
 
 The step relation holds arm by arm, and for pairs of wedges on both
 sides with one side staying. Both spaces split a wedge into `sides`,
@@ -240,16 +242,9 @@ class _Fibration:
         return bad is None, bad
 
 
-class EndpointFibration(_Fibration):
-    """e_n: wedge space over (X, adj) -> X^n, evaluation at the free ends."""
-
-    def __init__(self, base: DigitalImage, n: int, m: int, *,
-                 strong: bool = False):
-        self.base = base
-        self.n = n
-        self.m = m
-        self.wedge = WedgeSpace(base, n, m, strong=strong)
-        self.product = self.wedge.product
+class EndpointFibration(WedgeSpace, _Fibration):
+    """e_n: wedge space over (X, adj) -> X^n, evaluation at the free ends.
+    The fibration is its own wedge space."""
 
     def split(self, u: Point) -> tuple[Point, ...]:
         d = self.base.dim
@@ -325,18 +320,17 @@ class PairedOccupancy(_Masks):
                 & (left.equal(a) | right.equal(b)))
 
 
-class PairedFibration(_Fibration):
+class PairedFibration(PairedWedge, _Fibration):
     """The product of two endpoint fibrations, over the minimum product
     of their bases. Elements of the total space are pairs (left wedge,
     right wedge); the projection evaluates both components at their free
-    ends. Satisfies the same interface the section search consumes."""
+    ends. It is its own paired wedge space, so it satisfies the same
+    interface the section search consumes."""
 
     def __init__(self, left: EndpointFibration, right: EndpointFibration):
-        self.left = left
-        self.right = right
+        super().__init__(left, right)
         self.n = (left.n, right.n)
         self.m = (left.m, right.m)
-        self.wedge = PairedWedge(left.wedge, right.wedge)
         self.product = product_image(left.product, right.product)
 
     def split(self, u: Point) -> tuple[Point, Point]:

@@ -588,7 +588,7 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
             w = domains[j][b]
             got = near[i, j, b] = {
                 a for a, x in enumerate(domains[i])
-                if wedge_adjacent_oracle(fib.wedge, x, w)}
+                if wedge_adjacent_oracle(fib, x, w)}
         return got
 
     assign: dict[int, int] = {}  # point -> index into its fiber
@@ -875,16 +875,16 @@ def verify_section_oracle(fib, sw: SectionWitness) -> tuple[bool, str | None]:
     for u, w in zip(sw.piece, sw.wedges):
         if u not in fib.product:
             return False, f"{u} is not in the product image"
-        if not wedge_is_wedge_oracle(fib.wedge, w):
+        if not wedge_is_wedge_oracle(fib, w):
             return False, f"assignment at {u} is not a wedge of {fib.n} " \
                           f"paths of length {fib.m}"
-        if fib.wedge.endpoints(w) != u:
-            return False, f"assignment at {u} ends at {fib.wedge.endpoints(w)}"
+        if fib.endpoints(w) != u:
+            return False, f"assignment at {u} ends at {fib.endpoints(w)}"
     sub = induced_subimage(fib.product, sw.piece)
     pos = {u: k for k, u in enumerate(sw.piece)}
     for a, b in sub.edges():
         wa, wb = sw.wedges[pos[a]], sw.wedges[pos[b]]
-        if not wedge_adjacent_oracle(fib.wedge, wa, wb):
+        if not wedge_adjacent_oracle(fib, wa, wb):
             return False, (f"section jumps across the edge {a} ~ {b}: "
                            f"assigned wedges are not within one step")
     return True, None

@@ -64,15 +64,14 @@ def test_step_masks_match_the_adjacency_call_filler(seed, k, n, m, strong):
         u, v = _an_edge(rng, f)
         earlier = list(itertools.islice(f.fiber(u), _FIBER_PREFIX))
         later = list(itertools.islice(f.fiber(v), _FIBER_PREFIX))
-        got = f.wedge.occupancy(later).step_masks(earlier)
-        want = AdjacencyStepMasks(f.wedge, earlier, later)
+        got = f.occupancy(later).step_masks(earlier)
+        want = AdjacencyStepMasks(f, earlier, later)
         for a in range(len(earlier)):
             assert got[a] == want[a], (u, v, earlier[a])
         if f is fib:  # a paired space has no step method of its own
             for w in earlier[:5]:
                 for x in later[:5]:
-                    assert f.wedge.adjacent(x, w) == wedge_adjacent_oracle(
-                        f.wedge, x, w)
+                    assert f.adjacent(x, w) == wedge_adjacent_oracle(f, x, w)
 
 
 def _tampered(rng: random.Random, fib, sw: SectionWitness) -> SectionWitness:
@@ -116,7 +115,7 @@ def test_verify_section_matches_the_memo_free_checker(seed, k, n, m, strong):
         assert verify_section(f, sw) == verify_section_oracle(f, sw) \
             == (True, None)
         for w in sw.wedges:
-            assert wedge_is_wedge_oracle(f.wedge, w)
+            assert wedge_is_wedge_oracle(f, w)
         for _ in range(4):
             bad = _tampered(rng, f, sw)
             assert verify_section(f, bad) == verify_section_oracle(f, bad)

@@ -57,6 +57,21 @@ def test_out_flag_writes_the_same_document(tmp_path, capsys):
     assert json.loads(target.read_text(encoding="utf-8")) == json.loads(out)
 
 
+@pytest.mark.parametrize("case", ["directory input", "out in missing dir"])
+def test_bad_paths_exit_1_naming_the_path(tmp_path, capsys, case):
+    if case == "directory input":
+        path = str(tmp_path)
+        argv = ["image-info", path]
+    else:
+        path = str(tmp_path / "missing" / "r.json")
+        argv = ["image-info", "corpus:H", "--out", path]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and path in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_check_continuity_verdicts(capsys):
     code, out, _ = run(capsys, "check-continuity", "corpus:sum:0:5")
     assert code == 0

@@ -245,6 +245,23 @@ def test_map_and_group_records_name_their_own_line():
     assert (line, why) == (2, "line 2: identity (5,) is not in the carrier")
 
 
+def test_homotopy_map_blocks_name_their_file_line():
+    seg = interval_image(0, 1)
+    resolve = {"seg": seg}.__getitem__
+    text = ("# two stages\nstages 2\nmap seg seg\npair 0 -> 0\n"
+            "pair 1 -> 1\n\nmap seg seg  # the second stage\n"
+            "pair 0 -> 0\npair 1 -> 5\n")
+    assert _parse_error(parse_homotopy, text, resolve) \
+        == (9, "line 9: value (5,) is not in the codomain")
+    # a block with no pairs names its own header
+    text = "stages 2\nmap seg seg\npair 0 -> 0\npair 1 -> 1\nmap seg seg\n"
+    assert _parse_error(parse_homotopy, text, resolve) \
+        == (5, "line 5: no value for domain point (0,)")
+    # so does a map file whose header sits below comments
+    assert _parse_error(parse_map, "# empty\n\nmap seg seg\n", resolve) \
+        == (3, "line 3: no value for domain point (0,)")
+
+
 def test_check_continuity_names_the_line_of_a_value_off_the_codomain(
         tmp_path, capsys):
     (tmp_path / "seg.img").write_text(serialize_image(interval_image(0, 2)))

@@ -27,6 +27,8 @@ from ditop.maps import DigitalMap
 from helpers import latin_group_structures_oracle, verify_cayley_oracle
 
 
+# Walking order around the loop starting at the identity; the letter at
+# position k is a^k, so the loop table is addition of positions mod 8.
 LOOP_ORDER = "b a h g f e d c".split()
 
 

@@ -12,8 +12,10 @@ the strong product (and the pointwise and strong wedge steps built on
 them) is one keyword-only `strong` flag, with no string vocabulary
 beside it, and images, maps and tables carry no label that nothing
 reads. Maps made inside the package pass codomain indices straight in,
-and code that only tests call lives in `tests/helpers.py`. The checks
-read the package's source, so they see calls on every path, run or not.
+and code that only tests call lives in `tests/helpers.py`. An endpoint
+fibration is its own wedge space, with no wrapper to reach through. The
+checks read the package's source, so they see calls on every path, run
+or not.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import dataclasses
 import pathlib
 
 import ditop
+from ditop import corpus
 from ditop.groups import (CayleyTable, WindowGroup, WindowHomReport,
                           WindowReport)
 from ditop.homotopy import HomotopyWitness
-from ditop.images import DigitalImage
+from ditop.images import DigitalImage, ProductAdjacency
 from ditop.maps import DigitalMap
 
 SOURCE = pathlib.Path(ditop.__file__).parent
@@ -144,7 +147,6 @@ def test_the_product_choice_is_one_keyword_only_strong_flag():
     assert keyword == {
         ("images", "product_image"), ("images", "power_image"),
         ("pathspace", "WedgeSpace.__init__"),
-        ("pathspace", "EndpointFibration.__init__"),
         ("complexity", "tc_n"), ("complexity", "tc_chain"),
         ("groups", "is_topological_group"),
         ("groups", "scan_group_structures"), ("groups", "product_group"),
@@ -172,6 +174,28 @@ def test_only_the_labels_something_reads_are_kept():
     for cls in (HomotopyWitness, WindowGroup, WindowReport):
         assert has_label(cls), cls.__name__
 
+
+def test_state_that_nothing_reads_stays_gone():
+    fields = {f.name for cls in (ProductAdjacency, WindowReport)
+              for f in dataclasses.fields(cls)}
+    assert not fields & {"right_dim", "window_size", "identity_in_window"}
+    assert not hasattr(corpus, "LOOP_ORDER")
+
+
+def test_a_fibration_is_its_own_wedge_space():
+    classes, wedge_reads = {}, []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = ([_name(b) for b in node.bases],
+                                    {c.name for c in node.body
+                                     if isinstance(c, ast.FunctionDef)})
+            elif isinstance(node, ast.Attribute) and node.attr == "wedge":
+                wedge_reads.append((path.stem, node.lineno))
+    assert wedge_reads == []
+    assert "WedgeSpace" in classes["EndpointFibration"][0]
+    assert "__init__" not in classes["EndpointFibration"][1]
+    assert "PairedWedge" in classes["PairedFibration"][0]
 
 
 def test_points_become_a_map_in_one_constructor():

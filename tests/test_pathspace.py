@@ -150,8 +150,8 @@ def test_fiber_wedges_end_where_they_should():
     seen = 0
     for w in fib.fiber(target):
         seen += 1
-        assert fib.wedge.endpoints(w) == target
-        assert wedge_is_wedge_oracle(fib.wedge, w)
+        assert fib.endpoints(w) == target
+        assert wedge_is_wedge_oracle(fib, w)
     assert seen == fib_count(seg, fib.split(target), 2)
 
 
@@ -196,9 +196,8 @@ def test_paired_wedges_pair_the_component_rules():
     seg = interval_image(0, 1)
     lw = WedgeSpace(seg, 1, 1)
     rw = WedgeSpace(seg, 1, 1)
-    pw_fib = PairedFibration(EndpointFibration(seg, 1, 1),
-                             EndpointFibration(seg, 1, 1))
-    pw = pw_fib.wedge
+    pw = PairedFibration(EndpointFibration(seg, 1, 1),
+                         EndpointFibration(seg, 1, 1))
     a = ((((0,), (1,)),), (((0,), (0,)),))
     assert wedge_is_wedge_oracle(pw, a)
     assert pw.endpoints(a) == (1, 0)
