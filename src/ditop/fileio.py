@@ -147,7 +147,12 @@ def _file_resolver(base_dir: str) -> Resolver:
             return get_image(ref[len("corpus:"):])
         path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         with open(path, encoding="utf-8") as fh:
-            return parse_image(fh.read())
+            text = fh.read()
+        try:
+            return parse_image(text)
+        except ParseError as err:
+            err.args = (f"{path}: {err}",)  # its line is the image file's
+            raise
     return resolve
 
 

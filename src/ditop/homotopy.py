@@ -8,17 +8,20 @@ become breadth-first searches there.
 
 The graph is huge (an 8-point loop already has 8872 continuous self-maps)
 so it is never materialized. Neighbor states come from `maps.backtrack`,
-the package's one backtracker, over bitmasks of allowed codomain indices,
-and searches stop at the first goal. A state is a map's `value_indices`,
-and no stage built here passes through points. `nullhomotopy` is the one
-route that decides whether a map is nullhomotopic; `slides` gives its
-cheap, verified geodesic candidates, and `shortest_nullhomotopy` searches
-for a shortest witness ending at given constants. `nullhomotopy` folds
-dominated points out of f's domain (`fold`) and settles f on the core C
-first. f ~ f|C o r for the fold's retraction r, so C's answer is f's,
-and `pull_back` lifts C's witness; a slide of f restricts to a slide of
-f|C, so settling C first runs no search that a slide of f would spare. A
-core is searched in its codomain's core, one component at a time. No edge joins two components, so a map is
+the package's one backtracker, over bitmasks of allowed codomain indices. A
+search asks each state as it arrives whether a goal lies one step away, so
+it stops one level before the goal's, the level it would otherwise fill,
+and finds the path a goal test on arrival finds. A state is a map's
+`value_indices`, and no stage built here passes through points.
+`nullhomotopy` is the one route that decides whether a map is
+nullhomotopic; `slides` gives its cheap, verified geodesic candidates, and
+`shortest_nullhomotopy` searches for a shortest witness ending at given
+constants. `nullhomotopy` folds dominated points out of f's domain (`fold`)
+and settles f on the core C first. f ~ f|C o r for the fold's retraction r,
+so C's answer is f's, and `pull_back` lifts C's witness; a slide of f
+restricts to a slide of f|C, so settling C first runs no search that a
+slide of f would spare. A core is searched in its codomain's core, one
+component at a time. No edge joins two components, so a map is
 nullhomotopic exactly when its restriction to every component is homotopic
 to a constant and those constants lie in one component of the codomain.
 """
@@ -121,18 +124,26 @@ class MapGraph:
         closed = self.codomain.closed_masks
         return backtrack([closed[v] for v in state], self.links)
 
-    def bfs(self, start: State, is_goal: Callable[[State], bool],
+    def bfs(self, start: State, goal_near: Callable[[State], State | None],
             node_budget: int | None = NODE_BUDGET,
             ) -> tuple[State, dict[State, State | None]] | None:
-        """Breadth-first search from `start` to the first state satisfying
-        `is_goal`. Returns (goal, parents) or None when the whole component
-        is exhausted without a goal. Raises BudgetExhausted when the budget
-        is hit first, since no verdict is safe then."""
+        """Breadth-first search from `start` for a shortest path to a goal.
+
+        `goal_near(s)` returns a goal within one step of s (s itself when
+        it is one) or None, and the goal joins the tree as s's child. So
+        the search ends when the goal's parent arrives, before the rest of
+        that level, the largest it visits, is generated; and it finds the
+        path that a goal test on arrival finds, since states arrive in the
+        same order. Returns (goal, parents) or None when the whole
+        component is exhausted without a goal. Raises BudgetExhausted when
+        the budget is hit first, since no verdict is safe then."""
         if not is_continuous(self.map_of(start)):
             raise ValueError("start state is not a continuous map")
         parents: dict[State, State | None] = {start: None}
-        if is_goal(start):
-            return start, parents
+        goal = goal_near(start)
+        if goal is not None:
+            parents.setdefault(goal, start)
+            return goal, parents
         queue = deque([start])
         while queue:
             cur = queue.popleft()
@@ -140,8 +151,10 @@ class MapGraph:
                 if nxt in parents:
                     continue
                 parents[nxt] = cur
-                if is_goal(nxt):
-                    return nxt, parents
+                goal = goal_near(nxt)
+                if goal is not None:
+                    parents.setdefault(goal, nxt)
+                    return goal, parents
                 if node_budget is not None and len(parents) > node_budget:
                     raise BudgetExhausted(
                         f"map-graph search exceeded {node_budget} states")
@@ -176,8 +189,13 @@ def are_homotopic(f: DigitalMap, g: DigitalMap,
         if not is_continuous(h):
             raise ValueError(f"the {name} map is not continuous")
     graph = MapGraph(f.domain, f.codomain)
-    return graph.witness(graph.bfs(
-        f.value_indices, lambda s: s == g.value_indices, node_budget))
+    closed, goal = f.codomain.closed_masks, g.value_indices
+
+    def goal_near(s: State) -> State | None:
+        near = all(closed[v] >> u & 1 for v, u in zip(s, goal))
+        return goal if near else None
+
+    return graph.witness(graph.bfs(f.value_indices, goal_near, node_budget))
 
 
 # ---- contractibility ----
@@ -222,14 +240,25 @@ def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
                           ) -> Optional[HomotopyWitness]:
     """A shortest homotopy from f to a constant at a codomain index in
     `allowed`, by breadth-first search of f's own map graph, or None when
-    f's homotopy class holds no such constant."""
+    f's homotopy class holds no such constant. The constants one step from
+    a state s are the bits of the AND of its values' closed masks; the
+    lowest in `allowed` is the first constant among s's neighbour states."""
     graph = MapGraph(f.domain, f.codomain)
+    closed = f.codomain.closed_masks
+    targets = sum(1 << c for c in allowed)
 
-    def at_constant(s: State) -> bool:
-        first = s[0]
-        return first in allowed and all(v == first for v in s)
+    def constant_near(s: State) -> State | None:
+        common = targets
+        for v in s:
+            common &= closed[v]
+            if not common:
+                return None
+        if common >> s[0] & 1 and s.count(s[0]) == len(s):
+            return s
+        return ((common & -common).bit_length() - 1,) * len(s)
 
-    return graph.witness(graph.bfs(f.value_indices, at_constant, node_budget))
+    return graph.witness(graph.bfs(f.value_indices, constant_near,
+                                   node_budget))
 
 
 def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,

@@ -353,14 +353,57 @@ def unfolded_nullhomotopy(f: DigitalMap,
         w = slide_nullhomotopy(f, t)
         if w is not None:
             return w
-    graph = MapGraph(f.domain, cod)
-    allowed = {cod.index(t) for t in pool}
+    return shortest_nullhomotopy_oracle(f, {cod.index(t) for t in pool},
+                                        node_budget)
+
+
+# ---- the map-graph search that tested each state on arrival ----
+
+def bfs_oracle(graph: MapGraph, start: tuple[int, ...], is_goal,
+               node_budget: int | None = 2_000_000):
+    """Breadth-first search from `start` to the first state satisfying
+    `is_goal`, each state tested when it is discovered (the former
+    `MapGraph.bfs`). Returns (goal, parents), the form `MapGraph.witness`
+    reads, or None when the component holds no goal."""
+    parents: dict = {start: None}
+    if is_goal(start):
+        return start, parents
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in graph.neighbor_states(cur):
+            if nxt in parents:
+                continue
+            parents[nxt] = cur
+            if is_goal(nxt):
+                return nxt, parents
+            if node_budget is not None and len(parents) > node_budget:
+                raise BudgetExhausted(
+                    f"map-graph search exceeded {node_budget} states")
+            queue.append(nxt)
+    return None
+
+
+def shortest_nullhomotopy_oracle(f: DigitalMap, allowed,
+                                 node_budget: int | None = 2_000_000,
+                                 ) -> Optional[HomotopyWitness]:
+    """`shortest_nullhomotopy` by `bfs_oracle`."""
+    graph = MapGraph(f.domain, f.codomain)
 
     def at_constant(s: tuple[int, ...]) -> bool:
         first = s[0]
         return first in allowed and all(v == first for v in s)
 
-    return graph.witness(graph.bfs(f.value_indices, at_constant, node_budget))
+    return graph.witness(bfs_oracle(graph, f.value_indices, at_constant,
+                                    node_budget))
+
+
+def are_homotopic_oracle(f: DigitalMap, g: DigitalMap,
+                         ) -> Optional[HomotopyWitness]:
+    """`are_homotopic` by `bfs_oracle`."""
+    graph = MapGraph(f.domain, f.codomain)
+    return graph.witness(bfs_oracle(graph, f.value_indices,
+                                    lambda s: s == g.value_indices))
 
 
 def unsplit_folded_nullhomotopy(f: DigitalMap,

@@ -417,9 +417,11 @@ def test_homotopic_rejects_maps_on_different_domains(tmp_path, capsys):
 def test_every_search_command_answers_unknown_when_its_budget_runs_out(
         tmp_path, capsys):
     from ditop.fileio import serialize_map
-    seg = interval_image(0, 2)
+    # the identity of a 4-point segment is two steps from a constant, so
+    # a one-state budget runs out before the search looks ahead to it
+    seg = interval_image(0, 3)
     (tmp_path / "seg.img").write_text(serialize_image(seg), encoding="utf-8")
-    const = DigitalMap.from_points(seg, seg, ((0,),) * 3)
+    const = DigitalMap.from_points(seg, seg, ((0,),) * 4)
     for name, dm in (("f", DigitalMap.identity(seg)), ("g", const)):
         (tmp_path / f"{name}.map").write_text(
             serialize_map(dm, "seg.img", "seg.img"), encoding="utf-8")
@@ -495,6 +497,21 @@ def test_tc_of_the_c2_frame_uses_the_shortest_contraction(tmp_path, capsys):
     assert doc["results"]["tc"] == 1
     assert doc["notes"] == [
         "contractible base: one global section at arm length 3"]
+
+
+def test_the_c2_frame_is_contractible_within_a_budget_of_100_states(
+        tmp_path, capsys):
+    # the shortest contraction takes 3 steps; the search stops when the
+    # first state with a constant next to it arrives, at 85 states, where
+    # a goal test on arrival stored 6,508 before it met a constant
+    frame = DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
+                               if (x, y) != (1, 1)), CK(2))
+    path = tmp_path / "frame.img"
+    path.write_text(serialize_image(frame), encoding="utf-8")
+    code, out, _ = run(capsys, "contractible", str(path), "--budget", "100")
+    assert code == 0
+    assert "contractible: True" in out
+    assert "stages: 4" in out
 
 
 def test_a_second_call_leaves_no_cyclic_garbage_of_parsers_or_witnesses(

@@ -274,6 +274,19 @@ def test_check_continuity_names_the_line_of_a_value_off_the_codomain(
         "error: line 3: value (7,) is not in the codomain")
 
 
+def test_check_continuity_names_the_image_file_of_a_parse_error(
+        tmp_path, capsys):
+    # the duplicate sits on line 4 of the image file; the map file has two
+    img = tmp_path / "seg.img"
+    img.write_text("dim 1\nadjacency c1\npoint 0\npoint 0\n")
+    path = tmp_path / "f.map"
+    path.write_text("map seg.img seg.img\npair 0 -> 0\n")
+    from ditop.cli import main
+    assert main(["check-continuity", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {img}: line 4: duplicate point (0,) (first at line 3)\n")
+
+
 def test_witness_parsers_check_what_their_headers_announce():
     cases = [
         (parse_cover, "cover 3\npiece 1\npoint 0\n",

@@ -21,12 +21,14 @@ from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
 from ditop.images import DigitalImage, CK, induced_subimage, interval_image
 from ditop.maps import DigitalMap, continuity_violation
 
-from helpers import (all_states, are_homotopy_equivalent, continuous_maps,
+from helpers import (all_states, are_homotopic_oracle,
+                     are_homotopy_equivalent, continuous_maps,
                      is_nullhomotopic, left_translation,
                      point_walk_slide_nullhomotopy, random_explicit_image,
                      random_grid_image, restrict_witness,
-                     slide_first_cat_oracle, theta_image,
-                     unfolded_nullhomotopy, unsplit_folded_nullhomotopy)
+                     shortest_nullhomotopy_oracle, slide_first_cat_oracle,
+                     theta_image, unfolded_nullhomotopy,
+                     unsplit_folded_nullhomotopy)
 
 
 def _const(img, t):
@@ -432,3 +434,91 @@ def test_index_slides_match_the_point_walk(seed, kind):
         assert (w is None) == (oracle is None), t
         if w is not None:
             assert w.stages == oracle.stages and w.label == oracle.label
+
+
+# ---- the goal test one step ahead ----
+
+def _stages(w):
+    return None if w is None else tuple(st.value_indices for st in w.stages)
+
+
+def _searches_match_the_arrival_test(img):
+    # the identity to every constant, to the constant it ends at (or the
+    # first point when none), and to that constant map as a single goal;
+    # `contraction` returns a slide or the search to every constant
+    ident, every = DigitalMap.identity(img), range(len(img.points))
+    want = _stages(shortest_nullhomotopy_oracle(ident, every))
+    w = shortest_nullhomotopy(ident, every)
+    assert _stages(w) == want
+    c = contraction(img)
+    if c is None or c.label != "slide":
+        assert _stages(c) == want
+    rest = w.end.value_indices[0] if w is not None else 0
+    assert _stages(shortest_nullhomotopy(ident, {rest})) \
+        == _stages(shortest_nullhomotopy_oracle(ident, {rest}))
+    const = DigitalMap(img, img, (rest,) * len(img.points))
+    assert _stages(are_homotopic(ident, const)) \
+        == _stages(are_homotopic_oracle(ident, const))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_step_ahead_matches_the_arrival_test_on_every_box_subset(k):
+    box = _box(k)
+    for size in range(1, len(box.points) + 1):
+        for sub in itertools.combinations(box.points, size):
+            img = induced_subimage(box, sub)
+            if img.is_connected:
+                _searches_match_the_arrival_test(img)
+
+
+def test_one_step_ahead_matches_the_arrival_test_where_no_slide_holds():
+    # the 9-point c2 subsets of the 3x4 box whose identity is contractible
+    # but does not slide, so `contraction` runs its shortest search
+    box = _box(2, 4)
+    searched = []
+    for sub in itertools.combinations(box.points, 9):
+        img = induced_subimage(box, sub)
+        if img.is_connected:
+            w = nullhomotopy(DigitalMap.identity(img))
+            if w is not None and w.label != "slide":
+                searched.append(img)
+    assert len(searched) == 6
+    for img in searched:
+        _searches_match_the_arrival_test(img)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["c1", "c2", "loop"]))
+def test_one_step_ahead_matches_the_arrival_test_on_map_pairs(seed, kind):
+    rng = random.Random(seed)
+    k = 2 if kind == "c2" else 1
+    dom = random_grid_image(rng, max_points=4, k=k,
+                            connected=rng.random() < 0.5)
+    cod = (loop_image() if kind == "loop"
+           else random_grid_image(rng, k=k, connected=rng.random() < 0.5))
+    pool = list(continuous_maps(dom, cod))
+    f, g = rng.choice(pool), rng.choice(pool)
+    assert _stages(are_homotopic(f, g)) == _stages(are_homotopic_oracle(f, g))
+    allowed = set(rng.sample(range(len(cod.points)),
+                             rng.randint(1, len(cod.points))))
+    assert _stages(shortest_nullhomotopy(f, allowed)) \
+        == _stages(shortest_nullhomotopy_oracle(f, allowed))
+
+
+def test_the_frame_contraction_expands_two_states(monkeypatch):
+    # the c2 frame contracts in 3 steps; the first state of level 2 to
+    # arrive has a constant next to it, so only the start and one state
+    # of level 1 are expanded (a goal test on arrival expanded the start
+    # and all 83 states of level 1, yielding 51,478 states)
+    calls, yielded = [], []
+    expand = MapGraph.neighbor_states
+
+    def counting(self, state):
+        calls.append(state)
+        for nxt in expand(self, state):
+            yielded.append(nxt)
+            yield nxt
+
+    monkeypatch.setattr(MapGraph, "neighbor_states", counting)
+    assert contraction(_frame(2)).steps == 3
+    assert (len(calls), len(yielded)) == (2, 84)

@@ -35,6 +35,10 @@ window commands (`group-check` on `mulwin`, `z2plus` and `zplus`
 windows in both modes, which covers a window with no invertible point,
 and `hom-check` of the projection between windows) were recorded at the
 commit before window verdicts went through `maps.continuity_violation`.
+`contractible box.txt`, the 10-point c2 image {0..2}x{0..3} minus (1,1)
+and (1,3), whose identity needs a map-graph search of depth 3, was
+recorded at the commit before that search tested each state for a goal
+one step ahead.
 A digest changes only with the bytes of the report; when a change means
 to alter them, record the new digest and say why.
 """
@@ -143,6 +147,8 @@ FILE_IMAGES = {
     "theta.txt": theta_image(),
     "frame.txt": DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
                                     if (x, y) != (1, 1)), CK(2)),
+    "box.txt": DigitalImage(tuple((x, y) for x in range(3) for y in range(4)
+                                  if (x, y) not in ((1, 1), (1, 3))), CK(2)),
 }
 
 FILE_DIGESTS = {
@@ -154,6 +160,8 @@ FILE_DIGESTS = {
         (0, "d7ca46c8fe79ab39e98befadf773d2c115037f2a394bf8a7061d2688e089a43b"),
     "contractible frame.txt":
         (0, "9b288db26d0081be2355d90e695e859d0b86d087372f46a3810195ab2b096c4d"),
+    "contractible box.txt":
+        (0, "36091297f352367439429a12dd2dfab9e65d81be4a84498db4a02cff5ab2772e"),
 }
 
 
