@@ -8,7 +8,9 @@ image its inclusion is nullhomotopic exactly when each component's
 inclusion is: the components move side by side, each to a constant and
 then along a path to a common point. `homotopy.nullhomotopy` settles
 every piece; this module adds only the memo, which answers each piece's
-folded core, so a core is searched once however many pieces share it.
+folded core, so a core is searched once however many pieces share it,
+and the automorphism group's generators, so that memo answers whole
+orbits of pieces.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
 from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebinds it)
@@ -24,7 +27,7 @@ from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
                        is_contractible, nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, Point, induced_subimage
-from .maps import DigitalMap
+from .maps import DigitalMap, automorphism_generators
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,18 @@ def piece_contraction(base: DigitalImage, subset: Sequence[Point],
 
 def cat_oracle(base: DigitalImage,
                node_budget: int | None = NODE_BUDGET) -> AdmissibilityOracle:
-    """Admissibility of categorical pieces; the memo answers their cores."""
+    """Admissibility of categorical pieces; the memo answers their cores.
+
+    If H contracts the inclusion of U, then g H_t g^-1 contracts that of
+    g(U) for every automorphism g, and the search is complete, so a
+    verdict holds on its set's orbit: the oracle gets the automorphism
+    group's generators. Past the sweep limit no set is asked about, so
+    none are sought there.
+    """
+    generators = (automorphism_generators(base)
+                  if len(base.points) <= covers.SWEEP_LIMIT else ())
     oracle = AdmissibilityOracle(base, lambda sub: piece_contraction(
-        base, sub, node_budget, owner().witness))
+        base, sub, node_budget, owner().witness), generators=generators)
     # a weak reference, so that the oracle and search form no cycle and
     # the memo's witnesses are freed with the oracle, not by the collector
     owner = weakref.ref(oracle)
@@ -89,6 +101,9 @@ def cat_exact(base: DigitalImage,
     Asks about every subset that no maximal categorical set found so far
     contains, and is limited to `covers.SWEEP_LIMIT` points; raises
     BudgetExhausted if some piece's homotopy search cannot be settled.
+    Verdicts hold on whole orbits of the base's automorphisms
+    (`cat_oracle`), but each piece is searched on its own set, so the
+    cover and its contractions are those found without them.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "

@@ -17,6 +17,7 @@ import argparse
 import functools
 import sys
 import time
+from typing import Callable
 
 from .category import cat_bounds, cat_exact
 from .complexity import CoverImpossible, schwarz_genus, tc_n
@@ -404,6 +405,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_from(least: int, want: str) -> Callable[[str], int]:
+    """An argparse type: an int of at least `least`. argparse names the
+    option in front of the message, so the error says which one is wrong."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"want {want}, got {value}")
+        return value
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process. argparse parsers keep no state
@@ -421,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="also write the structured report to a file")
         if budget:
-            p.add_argument("--budget", type=int, default=NODE_BUDGET,
+            p.add_argument("--budget", type=_int_from(0, "a state count of 0 "
+                                                      "or more"),
+                           default=NODE_BUDGET,
                            help="node budget for searches")
 
     def mode(p, what=None):
@@ -476,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-scan",
                        help="enumerate group structures on a carrier")
     p.add_argument("image", nargs="?", default=None)
-    p.add_argument("-p", type=int, default=None,
+    p.add_argument("-p", type=_int_from(1, "a positive point count"),
+                   default=None,
                    help="scan the integer interval with this many points")
     mode(p)
     common(p, budget=False)

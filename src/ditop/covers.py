@@ -15,6 +15,12 @@ of the holes, the dual view of Fredman and Khachiyan's monotone
 dualization. The oracle sees those subsets in `itertools.combinations`
 order, the same questions in the same order as a walk of the power set
 that skips dominated subsets, whatever the predicate.
+
+Admissibility may also be invariant under a group acting on the points,
+as a categorical piece is under the image's automorphisms. The oracle
+then records each search's verdict on the searched set's whole orbit,
+so the sweep pays one search per orbit of the sets it asks about, while
+every witness it hands out still comes from a search of its own set.
 """
 
 from __future__ import annotations
@@ -68,16 +74,30 @@ class AdmissibilityOracle:
 
     `search(subset)` returns a witness (a contraction, a section) or None;
     the memo keeps that result, so every piece is searched at most once.
-    Subsets of admissible sets get no shortcut: the sweep never asks about
-    them and greedy pieces only grow.
+    Heredity gives no shortcut here: the sweep never asks about subsets of
+    admissible sets and greedy pieces only grow. Symmetry does.
+    `generators`, permutations of the base's point indices (default
+    none), are a caller's promise that admissibility is the same on every
+    orbit of the group they generate. Each search's verdict is then
+    recorded on the searched set's whole orbit, the closure of its
+    index bitmask under the generators, and a yes/no query answers from
+    that record. `witness` returns None without a search on a set whose
+    orbit is known inadmissible, and otherwise searches the set itself,
+    so no witness depends on the generators. A search that raises
+    records nothing.
     """
 
     def __init__(self, base: DigitalImage,
-                 search: Callable[[Subset], object]):
+                 search: Callable[[Subset], object],
+                 generators: Sequence[Sequence[int]] = ()):
         self.base = base
         self.search = search
+        self.generators = tuple(generators)
         self.calls = 0
-        self._memo: dict[frozenset, object] = {}
+        # by the index bitmask of a set: the witness of each set searched,
+        # and the verdict on each set of a searched set's orbit
+        self._memo: dict[int, object] = {}
+        self._known: dict[int, bool] = {}
 
     def canonical(self, subset: Iterable[Point]) -> Subset:
         sub = tuple(sorted(set(tuple(p) for p in subset)))
@@ -88,17 +108,44 @@ class AdmissibilityOracle:
             raise ValueError("empty subsets are never admissible pieces")
         return sub
 
+    def _keyed(self, subset: Iterable[Point]) -> tuple[Subset, int]:
+        sub = self.canonical(subset)
+        return sub, sum(1 << self.base.index(p) for p in sub)
+
     def __call__(self, subset: Iterable[Point]) -> bool:
-        return self.witness(subset) is not None
+        sub, key = self._keyed(subset)
+        known = self._known.get(key)
+        if known is None:
+            known = self._search(sub, key) is not None
+        return known
 
     def witness(self, subset: Iterable[Point]):
         """The search's witness for the subset, or None if inadmissible."""
-        sub = self.canonical(subset)
-        key = frozenset(sub)
-        if key not in self._memo:
-            self.calls += 1
-            self._memo[key] = self.search(sub) or None
-        return self._memo[key]
+        sub, key = self._keyed(subset)
+        if key in self._memo:
+            return self._memo[key]
+        if self._known.get(key) is False:
+            return None
+        return self._search(sub, key)
+
+    def _search(self, sub: Subset, key: int):
+        self.calls += 1
+        found = self._memo[key] = self.search(sub) or None
+        for image in self._orbit(key):
+            self._known[image] = found is not None
+        return found
+
+    def _orbit(self, key: int) -> set[int]:
+        orbit = {key}
+        todo = [key]
+        while todo:
+            mask = todo.pop()
+            for g in self.generators:
+                image = sum(1 << v for i, v in enumerate(g) if mask >> i & 1)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        return orbit
 
 
 def _hitting_combinations(n: int, size: int, holes: Sequence[int],

@@ -8,11 +8,13 @@ here on the codomain indices that a map holds in place of points.
 
 `backtrack` enumerates every assignment of values to positions that meets
 such edge conditions, over bitmasks of allowed value indices. It is the
-one backtracker of the package, with four callers: the map graph of
+one backtracker of the package, with five callers: the map graph of
 `homotopy` (continuous maps, masks from closed neighbourhoods), the
 section search of `complexity` (fiber wedges, masks from wedge adjacency),
-the group enumeration of `groups` (table rows, masks from semiregularity)
-and the walks of `pathspace` (ticks, masks from closed neighbourhoods).
+the group enumeration of `groups` (table rows, masks from semiregularity),
+the walks of `pathspace` (ticks, masks from closed neighbourhoods) and
+`automorphism_generators` here (self-maps, masks from open neighbourhoods
+and the complements of closed ones).
 """
 
 from __future__ import annotations
@@ -163,3 +165,42 @@ def backtrack(roots: Sequence[int],
             m = roots[level]
             for j, table in links[level]:
                 m &= table[chosen[j]]
+
+
+def automorphism_generators(img: DigitalImage) -> tuple[tuple[int, ...], ...]:
+    """Generators of the image's automorphism group, as point-index
+    permutations, found without listing the group.
+
+    For each point i and each later point w of i's degree, one
+    first-solution `backtrack` looks for an automorphism that fixes the
+    points before i and sends i to w. Every position links to every
+    earlier one, through the open-neighbour masks where the two points are
+    adjacent and through the masks of the points neither equal nor
+    adjacent where they are not, so each tuple found is a bijection that
+    keeps adjacency both ways: an automorphism. The tuples found, with the
+    identity, are a transversal of the stabiliser chain of the points in
+    index order, so they generate the group; the identity is left out.
+    At most n(n-1)/2 searches.
+    """
+    nbrs = img.neighbor_index
+    n = len(nbrs)
+    closed = img.closed_masks
+    full = (1 << n) - 1
+    adjacent = tuple(c ^ (1 << i) for i, c in enumerate(closed))
+    apart = tuple(full ^ c for c in closed)
+    by_degree: dict[int, int] = {}
+    for i, row in enumerate(nbrs):
+        by_degree[len(row)] = by_degree.get(len(row), 0) | 1 << i
+    roots = [by_degree[len(row)] for row in nbrs]
+    links = [[(j, adjacent if closed[i] >> j & 1 else apart)
+              for j in range(i)] for i in range(n)]
+    found = []
+    for i in range(n):
+        pinned = [1 << j for j in range(i)]
+        for w in range(i + 1, n):
+            if roots[i] >> w & 1:
+                g = next(backtrack(pinned + [1 << w] + roots[i + 1:], links),
+                         None)
+                if g is not None:
+                    found.append(g)
+    return tuple(found)

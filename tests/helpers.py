@@ -279,6 +279,21 @@ def is_digital_isomorphism(f: DigitalMap) -> tuple[bool, str | None]:
     return True, None
 
 
+def automorphisms_oracle(img: DigitalImage) -> set[tuple[int, ...]]:
+    """Aut(X) by brute force: every permutation of the point indices,
+    kept when `is_digital_isomorphism` accepts it as a self-map. A
+    permutation that sends some edge off the edges is not one, so that
+    cheap test runs first and the full check sees only the rest."""
+    closed = img.closed_masks
+    edges = img.edge_index_pairs
+    out = set()
+    for perm in itertools.permutations(range(len(img.points))):
+        if all(closed[perm[i]] >> perm[j] & 1 for i, j in edges) \
+                and is_digital_isomorphism(DigitalMap(img, img, perm))[0]:
+            out.add(perm)
+    return out
+
+
 def find_isomorphism(x: DigitalImage, y: DigitalImage,
                      guard: int = 16) -> DigitalMap | None:
     """Search for a digital isomorphism x -> y (backtracking, small images).

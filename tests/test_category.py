@@ -9,12 +9,13 @@ import pytest
 import ditop.category as category
 import ditop.homotopy as homotopy
 from ditop.category import cat, cat_bounds, cat_exact, piece_contraction
-from ditop.corpus import cycle_image, loop_cover, loop_image
+from ditop.corpus import cycle_image, get_image, loop_cover, loop_image
 from ditop.homotopy import fold, verify_homotopy
 from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
-from helpers import categorical_subsets, plane_isometry, theta_image
+from helpers import (categorical_subsets, plane_isometry, random_grid_image,
+                     theta_image)
 
 
 def test_single_point_has_category_one():
@@ -89,6 +90,17 @@ def test_category_refuses_disconnected_images():
         cat_bounds(img)
 
 
+def test_past_the_sweep_limit_no_automorphisms_are_sought(monkeypatch):
+    # the sweep refuses the image before it asks anything, and a search
+    # per pair of points would be all of the refusal's cost
+    def unreachable(img):
+        raise AssertionError("automorphisms sought past the sweep limit")
+
+    monkeypatch.setattr(category, "automorphism_generators", unreachable)
+    with pytest.raises(ValueError, match="limited to 14 points"):
+        cat_exact(cycle_image(400))
+
+
 def test_bounds_bracket_the_exact_value_on_small_images():
     cases = [interval_image(0, 4), cycle_image(4), loop_image(), cycle_image(8)]
     for img in cases:
@@ -112,6 +124,42 @@ def test_categorical_subsets_of_the_loop_miss_one_point():
     assert tops
     for s in tops:
         assert len(s) == 7
+
+
+@pytest.mark.parametrize("name, searches", [
+    ("H", 5), ("cycle:12", 5), ("cycle:14", 5), ("theta", 37)])
+def test_cat_exact_searches_one_set_per_orbit(monkeypatch, name, searches):
+    # a verdict holds on its set's whole orbit under the image's
+    # automorphisms, so the dihedral cycles take 5 searches, not 11 to 17,
+    # and theta 37, not 103
+    oracles = []
+    make_oracle = category.cat_oracle
+
+    def recording_oracle(*args, **kwargs):
+        oracles.append(make_oracle(*args, **kwargs))
+        return oracles[-1]
+
+    monkeypatch.setattr(category, "cat_oracle", recording_oracle)
+    img = theta_image() if name == "theta" else get_image(name)
+    assert cat_exact(img).size == 2
+    assert len(oracles) == 1 and oracles[0].calls <= searches
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_orbit_answers_leave_every_piece_and_stage_as_a_search_gives(
+        monkeypatch, k):
+    # witnesses come from searches of the pieces themselves, so the same
+    # cover and stages come back when the oracle knows no automorphisms
+    rng = random.Random(k)
+    images = [random_grid_image(rng, k=k) for _ in range(25)]
+
+    def cover(img):
+        return [(p.points, p.contraction.stages)
+                for p in cat_exact(img).pieces]
+
+    with_orbits = [cover(img) for img in images]
+    monkeypatch.setattr(category, "automorphism_generators", lambda img: ())
+    assert [cover(img) for img in images] == with_orbits
 
 
 def test_cat_exact_searches_each_piece_once(monkeypatch):

@@ -370,6 +370,34 @@ def test_error_paths_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("contractible", "corpus:H", "--budget", "-1"), "--budget"),
+    (("cat", "corpus:H", "--budget", "-5"), "--budget"),
+    (("group-scan", "-p", "0"), "-p"),
+    (("group-scan", "-p", "-2"), "-p"),
+])
+def test_out_of_range_counts_exit_1_naming_the_option(capsys, argv, option):
+    # a negative budget used to run and answer "unknown"; a point count
+    # below 1 used to fail on an internal interval the user never named
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert info.value.code == 1 and out.out == ""
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {option}: " in errors[0], errors
+    assert "interval" not in errors[0]
+    if option == "-p":
+        assert "positive point count" in errors[0]
+
+
+def test_a_zero_budget_is_valid_and_runs_out_at_once(capsys):
+    code, out, _ = run(capsys, "contractible", "corpus:H", "--budget", "0")
+    assert code == 0
+    assert "contractible: unknown" in out
+    assert "map-graph search exceeded 0 states" in out
+
+
 def test_file_inputs_work_end_to_end(tmp_path, capsys):
     seg = interval_image(0, 3)
     path = tmp_path / "seg.img"

@@ -1,4 +1,5 @@
-"""Maps: continuity two ways, composition, isomorphisms, enumeration."""
+"""Maps: continuity two ways, composition, isomorphisms, enumeration,
+automorphism generators."""
 
 from __future__ import annotations
 
@@ -13,9 +14,13 @@ from ditop.cli import main
 from ditop.corpus import cycle_image, loop_image
 from ditop.images import CK, DigitalImage, interval_image, product_image
 from ditop.homotopy import MapGraph
-from ditop.maps import DigitalMap, continuity_violation, is_continuous
+from ditop import maps
+from ditop.category import cat
+from ditop.maps import (DigitalMap, automorphism_generators,
+                        continuity_violation, is_continuous)
 
-from helpers import (all_states, continuity_violation_oracle, continuous_maps,
+from helpers import (all_states, automorphisms_oracle,
+                     continuity_violation_oracle, continuous_maps,
                      find_isomorphism, is_continuous_subset_oracle,
                      is_digital_isomorphism, random_explicit_image,
                      random_grid_image, random_map_values,
@@ -192,3 +197,65 @@ def test_solver_maps_make_no_point_checking_construction(monkeypatch,
         capsys.readouterr()
         assert checked == [], argv
         assert len(indexed) <= ceiling, argv
+
+
+# ---- automorphism generators ----
+
+def _closure(generators, n: int) -> set[tuple[int, ...]]:
+    """The group the permutations generate, listed by composing."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for g in generators:
+            b = tuple(g[v] for v in a)
+            if b not in group:
+                group.add(b)
+                todo.append(b)
+    return group
+
+
+def _box_subsets(k: int):
+    box = [(x, y) for x in range(3) for y in range(3)]
+    for size in range(1, len(box) + 1):
+        for pts in itertools.combinations(box, size):
+            img = DigitalImage(pts, CK(k))
+            if img.is_connected:
+                yield img
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_generators_generate_the_whole_group_on_every_box_subset(k):
+    for img in _box_subsets(k):
+        assert _closure(automorphism_generators(img), len(img.points)) \
+            == automorphisms_oracle(img), img.points
+
+
+def test_generators_generate_the_whole_group_on_small_images():
+    images = [cycle_image(4), loop_image(),
+              DigitalImage(((0, 0), (0, 1), (1, 0), (1, 1)), CK(2))]
+    rng = random.Random(23)
+    images += [random_explicit_image(rng) for _ in range(40)]
+    for img in images:
+        assert _closure(automorphism_generators(img), len(img.points)) \
+            == automorphisms_oracle(img), img
+    # the c2 square is K4: all 24 permutations
+    assert len(automorphisms_oracle(images[2])) == 24
+
+
+def test_generators_never_list_the_group(monkeypatch):
+    # the c3 cube is K8, whose group has 40,320 elements; one
+    # first-solution search per pair of points finds 28 generators
+    searches = []
+    search = maps.backtrack
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    cube = DigitalImage(tuple(itertools.product(range(2), repeat=3)), CK(3))
+    monkeypatch.setattr(maps, "backtrack", counting)
+    generators = automorphism_generators(cube)
+    monkeypatch.undo()
+    assert len(searches) <= 28 and len(generators) <= 28
+    assert cat(cube) == 1

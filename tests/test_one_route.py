@@ -13,9 +13,10 @@ them) is one keyword-only `strong` flag, with no string vocabulary
 beside it, and images, maps and tables carry no label that nothing
 reads. Maps made inside the package pass codomain indices straight in,
 and code that only tests call lives in `tests/helpers.py`. An endpoint
-fibration is its own wedge space, with no wrapper to reach through. The
-checks read the package's source, so they see calls on every path, run
-or not.
+fibration is its own wedge space, with no wrapper to reach through. Only
+the category oracle, whose search is complete, answers whole orbits of
+the image's automorphism group. The checks read the package's source, so
+they see calls on every path, run or not.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
+from typing import Callable
 
 import ditop
 from ditop import corpus
@@ -41,10 +43,11 @@ def _name(func: ast.expr) -> str | None:
 
 
 def _calls(names: set[str], raised: bool = False,
+           where: Callable[[ast.Call], bool] = lambda call: True,
            ) -> list[tuple[str, str, str]]:
     """(module, enclosing function, callee) for each call by name or
-    attribute to one of `names` in a ditop module; with `raised`, only
-    the calls a `raise` statement raises."""
+    attribute to one of `names` in a ditop module that `where` accepts;
+    with `raised`, only the calls a `raise` statement raises."""
     found = []
 
     class Visitor(ast.NodeVisitor):
@@ -69,7 +72,7 @@ def _calls(names: set[str], raised: bool = False,
 
         def record(self, call: ast.Call):
             name = _name(call.func)
-            if name in names:
+            if name in names and where(call):
                 found.append((self.module, ".".join(self.stack), name))
 
     for path in sorted(SOURCE.glob("*.py")):
@@ -88,6 +91,20 @@ def test_the_group_route_tracks_a_piece_without_deciding_it_again():
     assert [c for c in _calls({"nullhomotopy", "shortest_nullhomotopy"})
             if c[1].split(".")[0] == "_piece_track"] == [
         ("complexity", "_piece_track", "shortest_nullhomotopy")]
+
+
+def test_only_the_category_oracle_answers_whole_orbits():
+    # slides break ties lexicographically, so slide-only verdicts are not
+    # the same on an orbit; only the complete category search passes the
+    # automorphism group's generators to its oracle
+    def passes_generators(call: ast.Call) -> bool:
+        return len(call.args) > 2 or any(
+            k.arg in ("generators", None) for k in call.keywords)
+
+    assert _calls({"AdmissibilityOracle"}, where=passes_generators) == [
+        ("category", "cat_oracle", "AdmissibilityOracle")]
+    assert ("category", "cat_bounds", "AdmissibilityOracle") \
+        in _calls({"AdmissibilityOracle"})
 
 
 def test_only_homotopy_folds_and_lifts():

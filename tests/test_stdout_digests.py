@@ -39,6 +39,11 @@ commit before window verdicts went through `maps.continuity_violation`.
 and (1,3), whose identity needs a map-graph search of depth 3, was
 recorded at the commit before that search tested each state for a goal
 one step ahead.
+`cat corpus:cycle:12` and `cat` on the seed-0 `ring4x4_c2` (the 12-point
+frame under c2) and `ring8_tail5` (an 8-cycle with a 5-point tail under
+c1) images of `bench/inputs.py` were recorded at the commit before the
+admissibility oracle answered whole orbits of the image's automorphism
+group.
 A digest changes only with the bytes of the report; when a change means
 to alter them, record the new digest and say why.
 """
@@ -114,6 +119,8 @@ DIGESTS = {
         (2, "e4b8a06bc1c6ee1d04eb4d927f32f1c9d19c3bfb833926bc30375ec21309f0cb"),
     "tc corpus:H -n 2 --mode strong":
         (0, "9e8e8d0729df824acd8c3de3486cff69808d536bb91860b870b205fc35461745"),
+    "cat corpus:cycle:12":
+        (0, "ee07577e1b3b6678b816cd08c6fdcc514c1de57f1540359486ab847f715f77ef"),
     "cat corpus:cycle:14":
         (0, "e4a3c0b24ef082ff91a0176ffc426883d9c37de300ab1f8590e3683df74b5e98"),
     "group-check corpus:mulwin":
@@ -149,6 +156,15 @@ FILE_IMAGES = {
                                     if (x, y) != (1, 1)), CK(2)),
     "box.txt": DigitalImage(tuple((x, y) for x in range(3) for y in range(4)
                                   if (x, y) not in ((1, 1), (1, 3))), CK(2)),
+    "ring4x4_c2.txt": DigitalImage(tuple((x, y) for x in range(4)
+                                         for y in range(4)
+                                         if x in (0, 3) or y in (0, 3)),
+                                   CK(2)),
+    "ring8_tail5.txt": DigitalImage(tuple((x, y) for x in range(3)
+                                          for y in range(3)
+                                          if (x, y) != (1, 1))
+                                    + tuple((x, 1) for x in range(3, 8)),
+                                    CK(1)),
 }
 
 FILE_DIGESTS = {
@@ -162,6 +178,10 @@ FILE_DIGESTS = {
         (0, "9b288db26d0081be2355d90e695e859d0b86d087372f46a3810195ab2b096c4d"),
     "contractible box.txt":
         (0, "36091297f352367439429a12dd2dfab9e65d81be4a84498db4a02cff5ab2772e"),
+    "cat ring4x4_c2.txt":
+        (0, "955898ce8ee2d9a62ca2da4295e6d5f76619f2fea1962f13a789edaad2b84d79"),
+    "cat ring8_tail5.txt":
+        (0, "ed0ccbdc878b0ddadd5d4badf825a4b05c11a64bf89215f96a9bb6c24f8e254b"),
 }
 
 
