@@ -27,7 +27,7 @@ from .fileio import (load_group, load_image, load_map, serialize_cover,
                      serialize_group, serialize_homotopy, serialize_image,
                      serialize_map, serialize_sections)
 from .groups import (WindowGroup, is_top_homomorphism,
-                     is_top_isomorphism, is_topological_group,
+                     is_topological_group, isomorphism_failure,
                      scan_group_structures, product_group,
                      window_group_report, window_hom_report)
 from .homotopy import (NODE_BUDGET, BudgetExhausted, are_homotopic,
@@ -348,12 +348,11 @@ def cmd_hom_check(args, rep: Report) -> int:
     if not ok:
         rep.results["reason"] = why
         return 2
-    iso, why = is_top_isomorphism(dm, src, dst)
-    rep.results["isomorphism"] = iso
-    if not iso:
+    why, bad = isomorphism_failure(dm)
+    rep.results["isomorphism"] = why is None
+    if why is not None:
         rep.notes.append(f"not an isomorphism: {why}")
     if dm.is_bijective():
-        bad = continuity_violation(dm.inverse())
         rep.results["inverse_continuous"] = bad is None
         if bad is not None:
             a, b = bad

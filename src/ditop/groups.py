@@ -200,6 +200,45 @@ def _semiregular(p: tuple[int, ...]) -> bool:
     return True
 
 
+def _fits(p: tuple[int, ...], q: tuple[int, ...],
+          semiregular: set[tuple[int, ...]]) -> bool:
+    """Whether rows p and q may share a table: they differ in every column
+    and p∘q is semiregular (then so is q∘p, its conjugate by p)."""
+    return (all(map(int.__ne__, p, q))
+            and tuple(p[x] for x in q) in semiregular)
+
+
+def _fit_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The semiregular permutations of range(n) but the identity, in
+    lexicographic order, and per row the bitmask of the rows fitting it.
+
+    Conjugation by any g keeps `_fits`: g∘p∘g⁻¹ and g∘q∘g⁻¹ differ where p
+    and q do, and compose to the conjugate of p∘q. Semiregular rows of one
+    cycle length are conjugate, so only the first row of each length is
+    tested against every row; each other row conjugates its fitting rows
+    by a g that maps its cycles onto theirs."""
+    semi = [p for p in itertools.permutations(range(n)) if _semiregular(p)]
+    rows, semiregular = semi[1:], set(semi)
+    index = {p: k for k, p in enumerate(rows)}
+    fitting: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    masks = []
+    for r in rows:
+        cycles: list[int] = []  # r's points, cycle by cycle from least ones
+        for a in range(n):
+            while a not in cycles:
+                cycles.append(a)
+                a = r[a]
+        length = cycles.index(r.index(0)) + 1  # r⁻¹(0) closes 0's cycle
+        if length not in fitting:
+            fitting[length] = cycles, [q for q in rows
+                                       if _fits(r, q, semiregular)]
+        order, fit = fitting[length]
+        g, back = dict(zip(order, cycles)), dict(zip(cycles, order))
+        masks.append(sum(1 << index[tuple(g[q[back[y]]] for y in range(n))]
+                         for q in fit))
+    return rows, masks
+
+
 def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     """Every group structure on the carrier's point set, as Cayley tables.
 
@@ -208,28 +247,21 @@ def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     are semiregular. The rows other than the identity's are the positions
     of `maps.backtrack`, the other semiregular permutations its values:
     root masks pin the identity column, and every earlier row links to
-    the later one through one mask table. That is necessary only, so
-    associativity decides. Order: by identity, then lexicographic over
-    rows. Limited to _ENUMERATION_LIMIT points."""
+    the later one through the mask table of `_fit_masks`. That is
+    necessary only, so associativity decides. Order: by identity, then
+    lexicographic over rows. Limited to _ENUMERATION_LIMIT points."""
     pts = image.points
     n = len(pts)
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"group enumeration is limited to "
                          f"{_ENUMERATION_LIMIT} points, carrier has {n}")
-    # the identity permutation comes first
-    semi = [p for p in itertools.permutations(range(n)) if _semiregular(p)]
-    rows, semiregular = semi[1:], set(semi)
-    # rows that may share a table: they differ in every column and p∘q is
-    # semiregular (then so is q∘p, its conjugate by p)
-    masks = [sum(1 << b for b, q in enumerate(rows)
-                 if all(map(int.__ne__, p, q))
-                 and tuple(p[x] for x in q) in semiregular) for p in rows]
+    rows, masks = _fit_masks(n)
     links = [[(s, masks) for s in range(t)] for t in range(n - 1)]
     for ei in range(n):
         others = [a for a in range(n) if a != ei]
         roots = [sum(1 << k for k, p in enumerate(rows) if p[ei] == a)
                  for a in others]
-        grid = semi[:1] * n
+        grid = [tuple(range(n))] * n
         for values in backtrack(roots, links):
             for a, k in zip(others, values):
                 grid[a] = rows[k]
@@ -241,11 +273,39 @@ def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
 def _associativity_failure(grid: Sequence[Sequence[int]],
                            ) -> Optional[tuple[int, int, int]]:
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc) in a
-    closed index grid, or None when the grid is associative."""
+    closed index grid, or None when the grid is associative.
+
+    Light's test decides first. The b with (ab)c = a(bc) for all a, c are
+    closed under the product: if b and d pass, then (a(bd))c = ((ab)d)c
+    = (ab)(dc) = a(b(dc)) = a((bd)c). So it suffices to test generators,
+    taken greedily in index order, each one not reached from those before
+    it by right multiplications by them; a grid that fails is scanned for
+    its first triple."""
+    n = len(grid)
+    generators: list[int] = []
+    reached: set[int] = set()
+    for b in range(n):
+        if b not in reached:
+            if _triple_failure(grid, [b]) is not None:
+                return _triple_failure(grid, range(n))
+            generators.append(b)
+            reached, todo = set(), list(generators)
+            while todo:
+                x = todo.pop()
+                if x not in reached:
+                    reached.add(x)
+                    todo += [grid[x][g] for g in generators]
+    return None
+
+
+def _triple_failure(grid: Sequence[Sequence[int]], middles: Sequence[int],
+                    ) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) in lexicographic order with b in `middles` and
+    (ab)c != a(bc) in a closed index grid, or None."""
     n = len(grid)
     for a in range(n):
         ga = grid[a]
-        for b in range(n):
+        for b in middles:
             gab = grid[ga[b]]
             gb = grid[b]
             for c in range(n):
@@ -345,17 +405,25 @@ def is_top_homomorphism(f: DigitalMap, dom: CayleyTable, cod: CayleyTable,
     return True, None
 
 
+def isomorphism_failure(f: DigitalMap,
+                        ) -> tuple[Optional[str], Optional[tuple[Point, Point]]]:
+    """Why a continuous homomorphism f is no topological isomorphism, or
+    None when it is one, with the edge where the inverse of a bijective f
+    tears, or None."""
+    if not f.is_bijective():
+        return "not bijective", None
+    bad = continuity_violation(f.inverse())
+    if bad is not None:
+        return f"inverse not continuous at edge {bad}", bad
+    return None, None
+
+
 def is_top_isomorphism(f: DigitalMap, dom: CayleyTable, cod: CayleyTable,
                        ) -> tuple[bool, str | None]:
     ok, why = is_top_homomorphism(f, dom, cod)
-    if not ok:
-        return False, why
-    if not f.is_bijective():
-        return False, "not bijective"
-    bad = continuity_violation(f.inverse())
-    if bad is not None:
-        return False, f"inverse not continuous at edge {bad}"
-    return True, None
+    if ok:
+        why, _ = isomorphism_failure(f)
+    return why is None, why
 
 
 # ---- window checks for infinite groups ----

@@ -21,7 +21,7 @@ from .corpus import (LOOP_LETTERS, loop_cover, loop_rotation_table,
                      flip_table, reference_contractions, sign_embedding,
                      sign_table, z2plus_group, zplus_group)
 from .covers import BoundResult
-from .groups import (CayleyTable, is_top_homomorphism, is_top_isomorphism,
+from .groups import (CayleyTable, is_top_homomorphism,
                      is_topological_group, product_group, scan_group_structures,
                      subgroup_check, verify_cayley, window_alpha_pair,
                      window_group_report, window_hom_report)
@@ -237,11 +237,10 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
             return f"not a homomorphism: {why}", False
         if not f.is_bijective():
             return "not bijective", False
-        iso_ok, why = is_top_isomorphism(f, dom, cod)
         inv_bad = continuity_violation(f.inverse())
         got = (f"continuous bijective homomorphism, inverse breaks at "
                f"{inv_bad}")
-        return got, (not iso_ok and inv_bad is not None)
+        return got, inv_bad is not None
     add(_row("sign group into the flip group",
              "continuous bijective homomorphism, discontinuous inverse",
              embedding_row))

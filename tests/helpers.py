@@ -17,7 +17,7 @@ from ditop.category import cat_oracle
 from ditop.complexity import SectionWitness
 from ditop.covers import AdmissibilityOracle, Subset, maximal_admissible_sets
 from ditop.corpus import loop_cover, loop_image, loop_rotation_table
-from ditop.groups import CayleyTable, _associativity_failure
+from ditop.groups import CayleyTable
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             fold, is_contractible, nullhomotopy, pull_back,
                             shortest_nullhomotopy, slide_nullhomotopy,
@@ -671,6 +671,39 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
     return SectionWitness(pts, tuple(domains[i][assign[i]] for i in range(k)))
 
 
+def fit_masks_oracle(n: int) -> list[int]:
+    """Per semiregular permutation of range(n) other than the identity, in
+    lexicographic order, the bitmask of those that differ from it in every
+    column and whose composition with it is semiregular, with every pair
+    tested: the oracle for `groups._fit_masks`."""
+    semi = [p for p in itertools.permutations(range(n))
+            if len({len(_orbit(p, x)) for x in p}) == 1]
+    rows, semiregular = semi[1:], set(semi)
+    return [sum(1 << b for b, q in enumerate(rows)
+                if all(map(int.__ne__, p, q))
+                and tuple(p[x] for x in q) in semiregular) for p in rows]
+
+
+def _orbit(p: Sequence[int], x: int) -> set[int]:
+    seen = set()
+    while x not in seen:
+        seen.add(x)
+        x = p[x]
+    return seen
+
+
+def associativity_failure_oracle(grid: Sequence[Sequence[int]],
+                                 ) -> Optional[tuple[int, int, int]]:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc) in a
+    closed index grid, or None, by scanning every triple: the oracle for
+    `groups._associativity_failure`."""
+    n = len(grid)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if grid[grid[a][b]][c] != grid[a][grid[b][c]]:
+            return a, b, c
+    return None
+
+
 def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
     """Group tables by a recursive Latin-square fill with row and column
     sets, identity row and column pinned, in the order of
@@ -705,7 +738,7 @@ def latin_group_structures_oracle(image: DigitalImage) -> Iterator[CayleyTable]:
                 col_used[j].remove(v)
 
         for _ in fill(0):
-            if _associativity_failure(grid) is None:
+            if associativity_failure_oracle(grid) is None:
                 rows = tuple(tuple(pts[grid[i][j]] for j in range(n))
                              for i in range(n))
                 yield CayleyTable(image, pts[ei], rows)

@@ -303,6 +303,29 @@ def test_hom_check_window_and_finite_routes(capsys):
     assert "inverse_continuous: False" in out
 
 
+def test_hom_check_decides_a_finite_map_with_one_algebra_check(
+        capsys, monkeypatch):
+    # one homomorphism check, then continuity of the map and its inverse
+    from ditop import cli, groups
+    calls = {"algebra": 0, "continuity": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(groups, "is_group_homomorphism", counted(
+        groups.is_group_homomorphism, "algebra"))
+    for module in (groups, cli):
+        monkeypatch.setattr(module, "continuity_violation", counted(
+            module.continuity_violation, "continuity"))
+    code, out, _ = run(capsys, "hom-check", "corpus:pm1mul", "corpus:flip:8",
+                       "corpus:pm1embed")
+    assert code == 0 and "inverse_violation: (8,) ~ (9,)" in out
+    assert calls == {"algebra": 1, "continuity": 2}
+
+
 def test_verify_paper_passes_and_budget_degrades_gracefully(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -24,7 +25,8 @@ from ditop.groups import (CayleyTable, WindowGroup,
 from ditop.images import induced_subimage, interval_image, product_image
 from ditop.maps import DigitalMap
 
-from helpers import latin_group_structures_oracle, verify_cayley_oracle
+from helpers import (associativity_failure_oracle, fit_masks_oracle,
+                     latin_group_structures_oracle, verify_cayley_oracle)
 
 
 # Walking order around the loop starting at the identity; the letter at
@@ -387,6 +389,114 @@ def test_six_points_check_associativity_on_996_tables(monkeypatch):
     monkeypatch.setattr(groups, "_associativity_failure", counted)
     assert len(list(enumerate_group_structures(interval_image(0, 5)))) == 480
     assert len(calls) == 996
+
+
+def test_fit_masks_match_the_all_pairs_oracle():
+    for p in range(1, 7):
+        rows, masks = groups._fit_masks(p)
+        assert rows == [q for q in itertools.permutations(range(p))
+                        if len(_cycle_lengths(q)) == 1][1:]
+        assert masks == fit_masks_oracle(p)
+
+
+def test_fit_masks_test_pairs_once_per_cycle_length(monkeypatch):
+    # the rows are 0, 1, 2, 9, 24 and 175 for p = 1..6, in 0, 1, 1, 2, 1
+    # and 3 conjugacy classes; an all-pairs table tests rows² pairs
+    calls = []
+    fits = groups._fits
+
+    def counted(p, q, semiregular):
+        calls.append(1)
+        return fits(p, q, semiregular)
+
+    monkeypatch.setattr(groups, "_fits", counted)
+    tests = []
+    for p in range(1, 7):
+        calls.clear()
+        groups._fit_masks(p)
+        tests.append(len(calls))
+    assert tests == [0, 1, 2, 18, 24, 525]
+
+
+def _perturbations(grid):
+    """Every grid with one entry of `grid` changed to another index."""
+    n = len(grid)
+    for a, b in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != grid[a][b]:
+                rows = [list(row) for row in grid]
+                rows[a][b] = v
+                yield rows
+
+
+def test_light_test_names_the_first_triple_on_perturbed_group_tables():
+    for p in range(1, 6):
+        for table in enumerate_group_structures(interval_image(0, p - 1)):
+            assert groups._associativity_failure(table.grid) is None
+            for grid in _perturbations(table.grid):
+                assert (groups._associativity_failure(grid)
+                        == associativity_failure_oracle(grid))
+
+
+def _random_magma(rng: random.Random) -> list[list[int]]:
+    """A closed grid on at most 7 indices: random, or a semigroup (left or
+    right zero, constant, max, addition mod n), with up to two entries
+    changed."""
+    n = rng.randint(1, 7)
+    c = rng.randrange(n)
+    op = rng.choice([lambda a, b: rng.randrange(n), lambda a, b: a,
+                     lambda a, b: b, lambda a, b: c, max,
+                     lambda a, b: (a + b) % n])
+    rows = [[op(a, b) for b in range(n)] for a in range(n)]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return rows
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10_000))
+def test_light_test_names_the_first_triple_on_random_magmas(seed):
+    grid = _random_magma(random.Random(seed))
+    assert (groups._associativity_failure(grid)
+            == associativity_failure_oracle(grid))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10_000))
+def test_light_test_names_the_first_triple_on_product_tables(seed):
+    rng = random.Random(seed)
+    pool = [sign_table(), flip_table(4), loop_rotation_table(),
+            *enumerate_group_structures(interval_image(0, 2)),
+            *enumerate_group_structures(interval_image(0, 3))]
+    grid = [list(row) for row in
+            product_group(rng.choice(pool), rng.choice(pool)).grid]
+    if rng.random() < 0.7:
+        n = len(grid)
+        grid[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    assert (groups._associativity_failure(grid)
+            == associativity_failure_oracle(grid))
+
+
+class _CountingRow:
+    """A grid row that counts its entry reads."""
+
+    def __init__(self, row, reads):
+        self.row, self.reads = row, reads
+
+    def __getitem__(self, i):
+        self.reads.append(1)
+        return self.row[i]
+
+
+def test_light_test_reads_a_small_share_of_the_product_table():
+    # Hrot x Hrot is Z8 x Z8, generated by its first two points: at most
+    # 2 * 64**2 triple checks of three reads each, plus 64**2 for the
+    # generators and their reach; a full scan checks 64**3 = 262,144
+    grid = product_group(loop_rotation_table(), loop_rotation_table()).grid
+    reads = []
+    counted = [_CountingRow(row, reads) for row in grid]
+    assert groups._associativity_failure(counted) is None
+    assert len(reads) <= 7 * 64 ** 2
 
 
 def _cycle_lengths(perm):

@@ -44,6 +44,12 @@ frame under c2) and `ring8_tail5` (an 8-cycle with a 5-point tail under
 c1) images of `bench/inputs.py` were recorded at the commit before the
 admissibility oracle answered whole orbits of the image's automorphism
 group.
+`group-scan corpus:cycle:4` and `group-scan corpus:cycle:4 --mode strong`,
+the scans whose topological tables are serialized as witnesses (8 and 0
+of 16), and `hom-check` of the sign embedding into the flip group (an
+algebraic isomorphism whose inverse tears) were recorded at the commit
+before Cayley-table masks were fitted once per conjugacy class and
+associativity was tested on a generating set.
 A digest changes only with the bytes of the report; when a change means
 to alter them, record the new digest and say why.
 """
@@ -139,6 +145,12 @@ DIGESTS = {
         (0, "dc572d1741c59487cec10ea486b5531728fdf258172aa89750eabc65f030fae5"),
     "hom-check corpus:mulwin corpus:zplus proj1":
         (2, "ca08b088c723fae14dafb380ed5b6fcc922f1fd950c41fe5c13a6fab78838ee0"),
+    "group-scan corpus:cycle:4":
+        (0, "666cfa7ccd749de57827f7e521f527bd48b6f1cfffd713ca8fbf054c6dc249b9"),
+    "group-scan corpus:cycle:4 --mode strong":
+        (0, "d4ded70af0d5d98c32150655477c89f652971d507367899965e188873df757e1"),
+    "hom-check corpus:pm1mul corpus:flip:8 corpus:pm1embed":
+        (0, "8100e19dda34eef72364f0d3ffd9f46e57725bf35fffefbecef41a8b3536a668"),
 }
 
 
