@@ -18,9 +18,10 @@ Routes, in the order `tc_n` tries them:
 
 Every arm that runs a track backwards comes from `_replay`, and every
 section a proof backs (standing still, the contraction, the translation
-pieces, `product_of_sections`) passes the one certifier `_certify`. A
-fibration is its own wedge space, so the search and the checker ask it
-for sides, endpoints and occupancy tables directly.
+pieces, `product_of_sections`) or the exact search finds (`schwarz_genus`)
+passes the one certifier `_certify`. A fibration is its own wedge space,
+so the search and the checker ask it for sides, endpoints and occupancy
+tables directly.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
 
 
 def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
-    """Verify each section of a proved construction once and check that
-    together they cover the product. Any failure is a bug, so it raises
-    TheoremViolation naming the construction."""
+    """Verify each section of a proved construction or of the exact
+    search once and check that together they cover the product. Any
+    failure is a bug, so it raises TheoremViolation naming its source."""
     for sw in sections:
         ok, why = verify_section(fib, sw)
         if not ok:
@@ -150,11 +151,16 @@ def find_section(fib: EndpointFibration,
     degree inside the piece, then canonical order, visited so each next
     point touches placed ones where possible). Bit b at a point is the
     b-th wedge of its fiber, materialized up to _FIBER_CAP wedges, and
-    each piece edge links its later point to its earlier one through the
-    step masks of the later fiber's `occupancy` table, built once per
-    fiber: the relation is decided arm by arm from the base's closed
+    each piece edge links both its points, each to the other through the
+    step masks of its own fiber's `occupancy` table, built once per fiber:
+    the relation is decided arm by arm from the base's closed
     neighbourhoods (for paired fibrations, near on both sides and equal on
-    one), never by `adjacent` calls, which stay the checker's."""
+    one), never by `adjacent` calls, which stay the checker's. The step
+    relation is symmetric, so the two directions list one relation, and
+    the links to later points turn on the backtracker's look-ahead: on a
+    loop, a first value that fits no section is dropped when it is
+    chosen, not when the closing edge is reached. The section found is
+    the one the earlier links alone give."""
     sub = induced_subimage(fib.product, piece)
     pts = sub.points
     k = len(pts)
@@ -182,7 +188,7 @@ def find_section(fib: EndpointFibration,
 
     occupancy = [fib.occupancy(dom) for dom in domains]
     links = [[(step[j], occupancy[i].step_masks(domains[j]))
-              for j in nbrs[i] if step[j] < step[i]] for i in order]
+              for j in sorted(nbrs[i], key=step.__getitem__)] for i in order]
     found = next(backtrack([(1 << len(domains[i])) - 1 for i in order],
                            links), None)
     if found is None:
@@ -208,18 +214,15 @@ def schwarz_genus(fib: EndpointFibration,
                   ) -> tuple[int, tuple[SectionWitness, ...]]:
     """Exact minimum number of section-admitting pieces covering the
     product, with the section the cover search found over each piece,
-    re-checked by `verify_section`. Asks about every subset of the
-    product that no section-admitting piece found so far contains, hence
-    tiny bases only."""
+    re-checked by `_certify`. Asks about every subset of the product that
+    no section-admitting piece found so far contains, hence tiny bases
+    only."""
     _require_surjective(fib)
     oracle = AdmissibilityOracle(
         fib.product, lambda sub: find_section(fib, sub))
     sets = minimal_cover_exact(fib.product, oracle)
     witnesses = tuple(oracle.witness(s) for s in sets)
-    for sw in witnesses:
-        ok, why = verify_section(fib, sw)
-        if not ok:
-            raise AssertionError(f"genus section failed verification: {why}")
+    _certify(fib, witnesses, "sectional genus")
     return len(sets), witnesses
 
 

@@ -10,7 +10,8 @@ here on the codomain indices that a map holds in place of points.
 such edge conditions, over bitmasks of allowed value indices. It is the
 one backtracker of the package, with five callers: the map graph of
 `homotopy` (continuous maps, masks from closed neighbourhoods), the
-section search of `complexity` (fiber wedges, masks from wedge adjacency),
+section search of `complexity` (fiber wedges, masks from wedge adjacency,
+linked both ways so that the search looks ahead with arc consistency),
 the group enumeration of `groups` (table rows, masks from semiregularity),
 the walks of `pathspace` (ticks, masks from closed neighbourhoods) and
 `automorphism_generators` here (self-maps, masks from open neighbourhoods
@@ -134,15 +135,41 @@ def backtrack(roots: Sequence[int],
               links: Sequence[Sequence[tuple[int, Sequence[int]]]],
               ) -> Iterator[tuple[int, ...]]:
     """Every tuple `chosen` with chosen[i] a bit of roots[i] that, for each
-    (j, table) in links[i] (always j < i), is also a bit of
-    table[chosen[j]]. Tuples come in lexicographic order: position by
-    position, lowest bit first, depth first. A table is anything indexed
-    by a value index, so it may fill its masks on first use. No positions
-    give the one empty tuple."""
+    (j, table) in links[i], is also a bit of table[chosen[j]]. Tuples come
+    in lexicographic order: position by position, lowest bit first, depth
+    first. A table is anything indexed by a value index, so it may fill
+    its masks on first use. No positions give the one empty tuple.
+
+    A link to an earlier position is checked when its position is reached.
+    A link from i to a later position j turns on look-ahead: each row then
+    lists its earlier links first, and links[j] must list the same
+    relation back to i. Once i is chosen, the tables of its later
+    positions narrow their masks, and arc consistency is restored over
+    the unchosen positions linked both ways (`_look_ahead`); a mask that
+    empties rejects the value. Both steps only drop values that extend
+    the chosen prefix to no tuple, so the tuples and their order are
+    those of the earlier links alone. No pass runs before the first
+    choice.
+    """
     n = len(roots)
     if not n:
         yield ()
         return
+    back = links
+    # rows list their earlier links first, so each row's last link tells
+    look = any(row and row[-1][0] > i for i, row in enumerate(links))
+    if look:
+        tables = {(i, j): table for i, row in enumerate(links)
+                  for j, table in row}
+        ahead = [[(j, tables[j, i]) for j, _ in row if j > i]
+                 for i, row in enumerate(links)]
+        arcs = [[(i, tables[i, j], table) for i, table in row
+                 if (i, j) in tables] for j, row in enumerate(links)]
+        # the earlier links that no look-ahead has applied
+        back = [[(j, table) for j, table in row
+                 if j < i and (j, i) not in tables]
+                for i, row in enumerate(links)]
+        masks = [roots] * n  # masks[level]: every position's mask there
     chosen = [0] * n
     untried = [0] * n
     level = 0
@@ -160,11 +187,69 @@ def backtrack(roots: Sequence[int],
         if level + 1 == n:
             yield tuple(chosen)
             m = untried[level]
-        else:
-            level += 1
-            m = roots[level]
-            for j, table in links[level]:
-                m &= table[chosen[j]]
+            continue
+        if look:
+            now = _look_ahead(masks[level], level, chosen[level],
+                              ahead[level], arcs)
+            if now is None:
+                m = untried[level]
+                continue
+            masks[level + 1] = now
+        level += 1
+        m = masks[level][level] if look else roots[level]
+        for j, table in back[level]:
+            m &= table[chosen[j]]
+
+
+def _look_ahead(masks: Sequence[int], level: int, v: int, ahead, arcs,
+                ) -> Sequence[int] | None:
+    """The masks after value v at `level`: each later linked position
+    narrowed by its table at v, then arc consistency restored from the
+    narrowed positions over those after `level`, or None once a mask
+    empties. Revising i against j works from the side with fewer bits:
+    the OR of i's table over j's bits, or the bits of i whose table at j
+    meets j's mask."""
+    if not ahead:
+        return masks
+    masks = list(masks)
+    queue = []
+    for j, table in ahead:
+        mask = masks[j] & table[v]
+        if not mask:
+            return None
+        if mask != masks[j]:
+            masks[j] = mask
+            queue.append(j)
+    while queue:
+        j = queue.pop()
+        mj = masks[j]
+        nj = mj.bit_count()
+        for i, from_j, to_j in arcs[j]:  # i's masks by j, j's masks by i
+            if i <= level:
+                continue
+            mi = masks[i]
+            kept = 0
+            if nj < mi.bit_count():
+                rest = mj
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    kept |= from_j[b.bit_length() - 1]
+                kept &= mi
+            else:
+                rest = mi
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    if to_j[b.bit_length() - 1] & mj:
+                        kept |= b
+            if kept != mi:
+                if not kept:
+                    return None
+                masks[i] = kept
+                if i not in queue:
+                    queue.append(i)
+    return masks
 
 
 def automorphism_generators(img: DigitalImage) -> tuple[tuple[int, ...], ...]:

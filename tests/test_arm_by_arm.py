@@ -37,7 +37,7 @@ def _fibrations(seed: int, k: int, n: int, m: int, strong: bool):
     """A random fibration over a 3x3 grid subset under c_k, and a pair of
     one-arm fibrations over two more such subsets, with shorter arms."""
     rng = random.Random(seed)
-    fib = EndpointFibration(random_grid_image(rng, max_points=4, k=k),
+    fib = EndpointFibration(random_grid_image(rng, max_points=5, k=k),
                             n, m, strong=strong)
     left = EndpointFibration(random_grid_image(rng, max_points=4, k=k),
                              1, min(m, 2), strong=strong)

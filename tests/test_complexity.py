@@ -280,7 +280,8 @@ def test_genus_rejects_a_section_that_fails_verification(monkeypatch):
         return SectionWitness(sw.piece, sw.wedges[1:] + sw.wedges[:1])
 
     monkeypatch.setattr(complexity, "find_section", tearing_search)
-    with pytest.raises(AssertionError, match="failed verification"):
+    with pytest.raises(TheoremViolation,
+                       match="sectional genus: a section failed verification"):
         schwarz_genus(EndpointFibration(interval_image(0, 2), 2, 1))
 
 

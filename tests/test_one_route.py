@@ -5,8 +5,8 @@ one constructor that turns points into a map: `DigitalMap.from_points`.
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
 a second order of slides, folds and lifts of its own. Every section a
-proof backs is checked by `complexity._certify`, the one place that
-raises `TheoremViolation`, and the contractible-base route lives in
+proof backs or the exact genus search finds is checked by
+`complexity._certify`, the one place that raises `TheoremViolation`, and the contractible-base route lives in
 `tc_n`, not in a function of its own. The choice between the min and
 the strong product (and the pointwise and strong wedge steps built on
 them) is one keyword-only `strong` flag, with no string vocabulary
@@ -118,7 +118,7 @@ def test_theorem_violations_come_from_the_one_certifier():
     assert {(m, f) for m, f, _ in raises} == {("complexity", "_certify")}
     assert {(m, f) for m, f, _ in _calls({"_certify"})} == {
         ("complexity", "tc_n"), ("complexity", "tc_upper_via_group"),
-        ("complexity", "product_of_sections")}
+        ("complexity", "product_of_sections"), ("complexity", "schwarz_genus")}
 
 
 def test_the_contractible_base_route_has_no_function_of_its_own():
