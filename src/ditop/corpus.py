@@ -69,7 +69,7 @@ def loop_rotation_table() -> CayleyTable:
         tuple(LOOP_LETTERS[_LOOP_TABLE_ROWS[r].split()[
             "abcdefgh".index(col)]] for col in letters)
         for r in letters)
-    return CayleyTable(img, LOOP_LETTERS["b"], entries)
+    return CayleyTable.from_points(img, LOOP_LETTERS["b"], entries)
 
 
 def reference_contractions() -> tuple[HomotopyWitness, HomotopyWitness]:

@@ -267,6 +267,10 @@ def parse_group(text: str, resolve: Resolver) -> CayleyTable:
                 raise ParseError(lineno, f"row wants {n} products of {d} "
                                          f"coordinates each")
             rows[left] = tuple(flat[k * d:(k + 1) * d] for k in range(n))
+            for b, v in zip(img.points, rows[left]):
+                if v not in img:
+                    raise ParseError(lineno, f"{left} * {b} = {v} is outside "
+                                             f"the carrier")
         else:
             raise ParseError(lineno, f"unknown record {head!r} in group file")
     if identity is None:
@@ -274,8 +278,7 @@ def parse_group(text: str, resolve: Resolver) -> CayleyTable:
     missing = [p for p in img.points if p not in rows]
     if missing:
         raise ParseError(1, f"missing row for {missing[0]}")
-    entries = tuple(rows[p] for p in img.points)
-    return CayleyTable(img, identity, entries)
+    return CayleyTable.from_points(img, identity, [rows[p] for p in img.points])
 
 
 def serialize_group(table: CayleyTable, image_ref: str) -> str:

@@ -3,9 +3,11 @@
 A carrier image with a multiplication table is a topological group (for
 its adjacency) when the group axioms hold, the multiplication is
 continuous as a map from the min-product of the image with itself, and
-inversion is continuous. Axioms are checked exhaustively with explicit
-witnesses for every failure; continuity failures report the first bad
-edge in canonical order.
+inversion is continuous. A table is its grid of carrier indices, closed
+by construction: a product outside the carrier is rejected where a table
+is built from points. The other axioms are checked exhaustively with
+explicit witnesses for every failure; continuity failures report the
+first bad edge in canonical order.
 
 Infinite groups (integers under addition and the like) are handled as
 window checks: the axioms are taken as given globally, and continuity is
@@ -34,68 +36,69 @@ _ENUMERATION_LIMIT = 6
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """A binary operation on the points of an image.
-
-    Entries are raw points and may even fall outside the carrier — that is
-    reported as a closure failure by `verify_cayley`, not a construction
-    error, so that broken tables read from files can be diagnosed. The
-    checks run on `grid`, the entries as carrier indices.
-    """
+    """A binary operation on the points of an image, as its grid: per pair
+    of carrier indices (a, b), the carrier index of a*b, so a table is
+    closed by construction. `from_points` is the one constructor that
+    takes points, and it checks them; the axioms are `verify_cayley`'s."""
 
     image: DigitalImage
-    identity: Point
-    entries: tuple[tuple[Point, ...], ...]
+    identity_index: int
+    grid: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.image.points)
-        ident = tuple(self.identity)
-        rows = tuple(tuple(tuple(v) for v in row) for row in self.entries)
+    @staticmethod
+    def from_points(image: DigitalImage, identity: Point,
+                    entries: Sequence[Sequence[Point]]) -> "CayleyTable":
+        """The table whose product of the i-th and j-th carrier points is
+        entries[i][j], checked."""
+        pts, index = image.points, image._index
+        n = len(pts)
+        rows = [[tuple(v) for v in row] for row in entries]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"table must be {n}x{n} over the carrier points")
-        if ident not in self.image:
+        ident = tuple(identity)
+        if ident not in index:
             raise ValueError(f"identity {ident} is not in the carrier")
-        object.__setattr__(self, "identity", ident)
-        object.__setattr__(self, "entries", rows)
+        for a, row in zip(pts, rows):
+            for b, v in zip(pts, row):
+                if v not in index:
+                    raise ValueError(f"{a} * {b} = {v} is outside the carrier")
+        return CayleyTable(image, index[ident],
+                           tuple(tuple(index[v] for v in row) for row in rows))
 
     @staticmethod
     def from_function(image: DigitalImage, op: Callable[[Point, Point], Point],
                       identity: Point) -> "CayleyTable":
-        rows = tuple(tuple(tuple(op(a, b)) for b in image.points)
-                     for a in image.points)
-        return CayleyTable(image, identity, rows)
+        return CayleyTable.from_points(
+            image, identity, [[op(a, b) for b in image.points]
+                              for a in image.points])
+
+    @property
+    def identity(self) -> Point:
+        return self.image.points[self.identity_index]
 
     @cached_property
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as carrier indices, -1 for a value outside it."""
-        index = self.image._index
-        return tuple(tuple(index.get(v, -1) for v in row)
-                     for row in self.entries)
+    def entries(self) -> tuple[tuple[Point, ...], ...]:
+        """The products as carrier points, for reports and files."""
+        pts = self.image.points
+        return tuple(tuple(pts[v] for v in row) for row in self.grid)
 
     def product(self, a: Point, b: Point) -> Point:
-        return self.entries[self.image.index(tuple(a))][self.image.index(tuple(b))]
+        index = self.image.index
+        return self.image.points[self.grid[index(a)][index(b)]]
 
     @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
         """Per carrier index, its two-sided inverse's index, or -1."""
-        g, e = self.grid, self.image.index(self.identity)
+        g, e = self.grid, self.identity_index
         return tuple(next((j for j, v in enumerate(row)
                            if v == e and g[j][i] == e), -1)
                      for i, row in enumerate(g))
 
-    def inverse(self, a: Point) -> Optional[Point]:
-        """The two-sided inverse of a, or None."""
-        j = self.inverse_indices[self.image.index(tuple(a))]
-        return None if j < 0 else self.image.points[j]
-
     def multiplication_map(self, prod: DigitalImage) -> DigitalMap:
-        """The operation as a map from `prod`, the carrier squared (needs
-        closure).
-
-        Product points run row-major over (a, b), as the grid does."""
-        values = tuple(v for row in self.grid for v in row)
-        if min(values) < 0:
-            raise ValueError("the table is not closed")
-        return DigitalMap(prod, self.image, values)
+        """The operation as a map from `prod`, the carrier squared, whose
+        points run row-major over (a, b), as the grid does."""
+        return DigitalMap(prod, self.image,
+                          tuple(v for row in self.grid for v in row))
 
     def inversion_map(self) -> DigitalMap:
         vals = self.inverse_indices
@@ -108,37 +111,27 @@ class CayleyTable:
 def verify_cayley(table: CayleyTable) -> list[str]:
     """Exhaustive axiom check. Returns human-readable failures, each with
     its first witness; empty means the table is a group."""
-    pts, g, v = table.image.points, table.grid, table.entries
-    n = len(pts)
-    e = table.image.index(table.identity)
+    pts, g = table.image.points, table.grid
+    e = table.identity_index
     failures: list[str] = []
 
-    outside = next(((a, b) for a in range(n) for b in range(n)
-                    if g[a][b] < 0), None)
-    if outside is not None:
-        a, b = outside
-        failures.append(f"not closed: {pts[a]} * {pts[b]} = {v[a][b]} "
-                        f"is outside the carrier")
+    unit = next(((x, y) for a in range(len(pts)) for x, y in ((e, a), (a, e))
+                 if g[x][y] != a), None)
+    if unit is not None:
+        x, y = unit
+        failures.append(f"identity fails: {pts[x]} * {pts[y]} = "
+                        f"{pts[g[x][y]]}")
 
-    for a in range(n):
-        if g[e][a] != a:
-            failures.append(f"identity fails: {pts[e]} * {pts[a]} = {v[e][a]}")
-            break
-        if g[a][e] != a:
-            failures.append(f"identity fails: {pts[a]} * {pts[e]} = {v[a][e]}")
-            break
-
-    if outside is None:
-        bad = _associativity_failure(g)
-        if bad is not None:
-            a, b, c = bad
-            failures.append(
-                f"not associative: ({pts[a]}*{pts[b]})*{pts[c]} = "
-                f"{pts[g[g[a][b]][c]]} but {pts[a]}*({pts[b]}*{pts[c]}) = "
-                f"{pts[g[a][g[b][c]]]}")
-        elif -1 in table.inverse_indices:
-            a = pts[table.inverse_indices.index(-1)]
-            failures.append(f"no inverse: {a} has no two-sided inverse")
+    bad = _associativity_failure(g)
+    if bad is not None:
+        a, b, c = bad
+        failures.append(
+            f"not associative: ({pts[a]}*{pts[b]})*{pts[c]} = "
+            f"{pts[g[g[a][b]][c]]} but {pts[a]}*({pts[b]}*{pts[c]}) = "
+            f"{pts[g[a][g[b][c]]]}")
+    elif -1 in table.inverse_indices:
+        a = pts[table.inverse_indices.index(-1)]
+        failures.append(f"no inverse: {a} has no two-sided inverse")
     return failures
 
 
@@ -250,8 +243,7 @@ def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     the later one through the mask table of `_fit_masks`. That is
     necessary only, so associativity decides. Order: by identity, then
     lexicographic over rows. Limited to _ENUMERATION_LIMIT points."""
-    pts = image.points
-    n = len(pts)
+    n = len(image.points)
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"group enumeration is limited to "
                          f"{_ENUMERATION_LIMIT} points, carrier has {n}")
@@ -266,8 +258,7 @@ def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
             for a, k in zip(others, values):
                 grid[a] = rows[k]
             if _associativity_failure(grid) is None:
-                yield CayleyTable(image, pts[ei], tuple(
-                    tuple(pts[v] for v in row) for row in grid))
+                yield CayleyTable(image, ei, tuple(grid))
 
 
 def _associativity_failure(grid: Sequence[Sequence[int]],
@@ -350,11 +341,13 @@ def scan_group_structures(image: DigitalImage, *,
 def product_group(a: CayleyTable, b: CayleyTable, *,
                   strong: bool = False) -> CayleyTable:
     """Componentwise product structure on the product image, whose points
-    run row-major over (a index, b index): each entry joins the factors'."""
+    run row-major over (a index, b index): with k points in b's carrier,
+    the pair (x, y) has the index x·k + y."""
     prod = product_image(a.image, b.image, strong=strong)
-    rows = tuple(tuple(x + y for x in ra for y in rb)
-                 for ra in a.entries for rb in b.entries)
-    return CayleyTable(prod, a.identity + b.identity, rows)
+    k = len(b.image.points)
+    grid = tuple(tuple(x * k + y for x in ra for y in rb)
+                 for ra in a.grid for rb in b.grid)
+    return CayleyTable(prod, a.identity_index * k + b.identity_index, grid)
 
 
 def subgroup_check(table: CayleyTable, subset: Sequence[Point],
@@ -364,17 +357,19 @@ def subgroup_check(table: CayleyTable, subset: Sequence[Point],
     for p in sub:
         if p not in table.image:
             return False, f"{p} is not in the carrier"
-    if table.identity not in sub:
+    pts, g = table.image.points, table.grid
+    ks = sorted(map(table.image.index, sub))  # in point order
+    inside = set(ks)
+    if table.identity_index not in inside:
         return False, f"identity {table.identity} is missing"
-    for p in sorted(sub):
-        for q in sorted(sub):
-            v = table.product(p, q)
-            if v not in sub:
-                return False, f"not closed: {p} * {q} = {v}"
-    for p in sorted(sub):
-        inv = table.inverse(p)
-        if inv is None or inv not in sub:
-            return False, f"no inverse inside the subset for {p}"
+    for a in ks:
+        for b in ks:
+            if g[a][b] not in inside:
+                return False, (f"not closed: {pts[a]} * {pts[b]} = "
+                               f"{pts[g[a][b]]}")
+    for a in ks:
+        if table.inverse_indices[a] not in inside:
+            return False, f"no inverse inside the subset for {pts[a]}"
     return True, None
 
 
@@ -384,13 +379,13 @@ def is_group_homomorphism(f: DigitalMap, dom: CayleyTable, cod: CayleyTable,
                           ) -> tuple[bool, str | None]:
     if f.domain != dom.image or f.codomain != cod.image:
         raise ValueError("map does not connect the two carriers")
-    for a in dom.image.points:
-        for b in dom.image.points:
-            lhs = f(dom.product(a, b))
-            rhs = cod.product(f(a), f(b))
+    pts, cpts, fv = dom.image.points, cod.image.points, f.value_indices
+    for a, row in enumerate(dom.grid):
+        for b, ab in enumerate(row):
+            lhs, rhs = fv[ab], cod.grid[fv[a]][fv[b]]
             if lhs != rhs:
-                return False, (f"f({a} * {b}) = {lhs} but "
-                               f"f({a}) * f({b}) = {rhs}")
+                return False, (f"f({pts[a]} * {pts[b]}) = {cpts[lhs]} but "
+                               f"f({pts[a]}) * f({pts[b]}) = {cpts[rhs]}")
     return True, None
 
 

@@ -99,11 +99,11 @@ class Explicit:
             out.setdefault(b, []).append(a)
         return out
 
-    def candidates(self, points: Sequence[Point]) -> Iterator[Optional[list[Point]]]:
-        """Per point, its edge partners; None where they outnumber `points`."""
+    def candidates(self, points: Sequence[Point]) -> Iterator[list[Point]]:
+        """Per point, its edge partners: points of the image, which rejects
+        edge endpoints outside it, so never more than `points`."""
         for p in points:
-            nbrs = self._partners.get(p, [])
-            yield nbrs if len(nbrs) <= len(points) else None
+            yield self._partners.get(p, [])
 
 
 @dataclass(frozen=True)

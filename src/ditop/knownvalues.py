@@ -303,11 +303,8 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
         shift = (5, 7)
         moved = DigitalImage([(p[0] + shift[0], p[1] + shift[1])
                               for p in H.points], H.adjacency)
-        table = CayleyTable(
-            moved,
-            (rot.identity[0] + shift[0], rot.identity[1] + shift[1]),
-            tuple(tuple((q[0] + shift[0], q[1] + shift[1]) for q in row)
-                  for row in rot.entries))
+        # a translation keeps the point order, so the grid carries over
+        table = CayleyTable(moved, rot.identity_index, rot.grid)
         k = cat_exact(moved, node_budget=node_budget).size
         cover = tuple(tuple((p[0] + shift[0], p[1] + shift[1]) for p in piece)
                       for piece in (m1, m2))

@@ -182,13 +182,13 @@ class Occupancy(_Masks):
             bit = 1 << b
             for arm, row in zip(w, self.exact):
                 row[arm] = row.get(arm, 0) | bit
-        index = space.base.index
+        index = space.base._index  # arms hold the base's own point tuples
         self.ticks: list[list[dict[int, int]]] = []
         for row in self.exact:
             ticks: list[dict[int, int]] = [{} for _ in range(space.m + 1)]
             for arm, mask in row.items():
                 for p, cell in zip(arm, ticks):
-                    q = index(p)
+                    q = index[p]
                     cell[q] = cell.get(q, 0) | mask
             self.ticks.append(ticks)
         self._near: list[dict[Path, int]] = [{} for _ in range(space.n)]
@@ -198,8 +198,8 @@ class Occupancy(_Masks):
         if got is not None:
             return got
         base = self.space.base
-        closed = base.closed_masks
-        balls = [closed[base.index(p)] for p in arm]
+        closed, index = base.closed_masks, base._index
+        balls = [closed[index[p]] for p in arm]
         if self.space.strong:
             balls = [b & (balls[t - 1] if t else -1)
                      & (balls[t + 1] if t + 1 < len(balls) else -1)

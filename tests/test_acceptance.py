@@ -223,7 +223,8 @@ def _suite_b(rng):
             tuple(remap[table.product(inv[a], inv[b])] for b in order)
             for inv in [{v: k for k, v in remap.items()}]
             for a in order)
-        moved_table = CayleyTable(shifted, remap[table.identity], rows)
+        moved_table = CayleyTable.from_points(shifted, remap[table.identity],
+                                              rows)
         moved_cover = [tuple(sorted(remap[p] for p in piece))
                        for piece in cover]
         r = tc_n(shifted, 2, table=moved_table, cover=moved_cover)
@@ -303,7 +304,8 @@ def _suite_f():
         sub = induced_subimage(table.image, subset)
         rows = tuple(tuple(table.product(x, y) for y in sub.points)
                      for x in sub.points)
-        if not is_topological_group(CayleyTable(sub, table.identity, rows)).ok:
+        if not is_topological_group(
+                CayleyTable.from_points(sub, table.identity, rows)).ok:
             return False
     return True
 

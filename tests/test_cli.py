@@ -235,7 +235,7 @@ def test_group_check_reads_the_axioms_off_the_one_verdict(tmp_path, capsys):
     torn = next(enumerate_group_structures(seg))  # Z/3 tears the path
     rows = [list(row) for row in torn.entries]
     rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
-    broken = CayleyTable(seg, torn.identity, rows)
+    broken = CayleyTable.from_points(seg, torn.identity, rows)
     for name, table, axioms in (("torn", torn, True),
                                 ("broken", broken, False)):
         path = tmp_path / f"{name}.grp"
@@ -244,6 +244,17 @@ def test_group_check_reads_the_axioms_off_the_one_verdict(tmp_path, capsys):
         assert code == 2
         assert f"group_axioms: {axioms}" in out
         assert ("alpha_violation" in out or "beta_violation" in out) == axioms
+
+
+def test_group_check_rejects_a_row_outside_the_carrier(tmp_path, capsys):
+    # a table is closed by construction: such a file is a user error
+    (tmp_path / "seg.txt").write_text(serialize_image(interval_image(0, 2)))
+    path = tmp_path / "open.grp"
+    path.write_text("group seg.txt\nidentity 0\nrow 0 : 0 1 2\n"
+                    "row 1 : 1 2 0\nrow 2 : 2 0 3\n")
+    code, out, err = run(capsys, "group-check", str(path))
+    assert (code, out) == (1, "")
+    assert "line 5: (2,) * (2,) = (3,) is outside the carrier" in err
 
 
 def test_group_scan_over_prime_intervals(capsys):
@@ -360,7 +371,7 @@ def test_verify_paper_catches_a_perturbed_reference(capsys, monkeypatch):
     loop = loop_image()
     broken = DigitalImage(loop.points, Explicit.of(loop.edges()[:-1]))
     rot = knownvalues.loop_rotation_table()
-    table = CayleyTable(broken, rot.identity, rot.entries)
+    table = CayleyTable(broken, rot.identity_index, rot.grid)
     monkeypatch.setattr(knownvalues, "loop_rotation_table", lambda: table)
     code, out, _ = run(capsys, "verify-paper")
     assert code == 2

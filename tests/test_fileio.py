@@ -243,6 +243,11 @@ def test_map_and_group_records_name_their_own_line():
     line, why = _parse_error(
         parse_group, "group seg\nidentity 5\nrow 0 : 0 1 2\n", resolve)
     assert (line, why) == (2, "line 2: identity (5,) is not in the carrier")
+    line, why = _parse_error(
+        parse_group, "group seg\nidentity 0\nrow 0 : 0 1 2\n"
+                     "row 1 : 1 2 7\nrow 2 : 2 0 1\n", resolve)
+    assert (line, why) == (4, "line 4: (1,) * (2,) = (7,) is outside the "
+                              "carrier")
 
 
 def test_homotopy_map_blocks_name_their_file_line():

@@ -26,7 +26,8 @@ from ditop.images import induced_subimage, interval_image, product_image
 from ditop.maps import DigitalMap
 
 from helpers import (associativity_failure_oracle, fit_masks_oracle,
-                     latin_group_structures_oracle, verify_cayley_oracle)
+                     group_inverse, latin_group_structures_oracle,
+                     verify_cayley_oracle)
 
 
 # Walking order around the loop starting at the identity; the letter at
@@ -81,7 +82,7 @@ def test_translations_of_the_loop_group_are_isomorphisms():
 
 def test_verify_cayley_reports_broken_tables():
     seg = interval_image(0, 1)
-    bad = CayleyTable(seg, (0,), (((0,), (1,)), ((1,), (1,))))
+    bad = CayleyTable.from_points(seg, (0,), (((0,), (1,)), ((1,), (1,))))
     problems = verify_cayley(bad)
     assert problems
     joined = " ".join(problems)
@@ -206,7 +207,7 @@ def _restrict(table, subset):
     sub = induced_subimage(table.image, subset)
     rows = tuple(tuple(table.product(a, b) for b in sub.points)
                  for a in sub.points)
-    return CayleyTable(sub, table.identity, rows)
+    return CayleyTable.from_points(sub, table.identity, rows)
 
 
 def test_subgroups_of_the_loop_group_stay_topological():
@@ -527,20 +528,42 @@ def test_rows_of_group_tables_and_their_compositions_are_semiregular():
                 assert len(_cycle_lengths(ab)) == 1, (table.identity, a, b)
 
 
+def _group_tables() -> list[CayleyTable]:
+    return [loop_rotation_table(), sign_table(), flip_table(4),
+            *enumerate_group_structures(interval_image(0, 3))]
+
+
 def _perturbed_table(seed: int) -> CayleyTable:
-    """A group table with up to three entries changed (sometimes to a point
-    outside the carrier) and sometimes another identity."""
+    """A group table with up to three entries changed to other carrier
+    points and sometimes another identity: a table is closed by
+    construction, so no entry can leave the carrier."""
     rng = random.Random(seed)
-    tables = [loop_rotation_table(), sign_table(), flip_table(4),
-              *enumerate_group_structures(interval_image(0, 3))]
-    base = rng.choice(tables)
+    base = rng.choice(_group_tables())
     pts = base.image.points
     rows = [list(row) for row in base.entries]
     for _ in range(rng.randint(0, 3)):
         a, b = rng.randrange(len(pts)), rng.randrange(len(pts))
-        rows[a][b] = rng.choice(pts + ((99,) * len(pts[0]),))
+        rows[a][b] = rng.choice(pts)
     identity = rng.choice(pts) if rng.random() < 0.2 else base.identity
-    return CayleyTable(base.image, identity, rows)
+    return CayleyTable.from_points(base.image, identity, rows)
+
+
+def test_the_point_constructor_rejects_every_entry_outside_the_carrier():
+    for base in _group_tables():
+        pts = base.image.points
+        outside = (99,) * len(pts[0])
+        for (i, a), (j, b) in itertools.product(enumerate(pts), repeat=2):
+            rows = [list(row) for row in base.entries]
+            rows[i][j] = outside
+            with pytest.raises(ValueError) as info:
+                CayleyTable.from_points(base.image, base.identity, rows)
+            assert str(info.value) == (f"{a} * {b} = {outside} is outside "
+                                       f"the carrier")
+        with pytest.raises(ValueError, match="is not in the carrier"):
+            CayleyTable.from_points(base.image, outside, base.entries)
+        with pytest.raises(ValueError, match="table must be"):
+            CayleyTable.from_points(base.image, base.identity,
+                                    base.entries[1:])
 
 
 @settings(max_examples=80)
@@ -549,7 +572,7 @@ def test_the_index_grid_check_matches_the_point_check(seed):
     table = _perturbed_table(seed)
     assert verify_cayley(table) == verify_cayley_oracle(table)
     pts, e = table.image.points, table.identity
-    assert [table.inverse(a) for a in pts] == [
+    assert [group_inverse(table, a) for a in pts] == [
         next((b for b in pts if table.product(a, b) == e
               and table.product(b, a) == e), None) for a in pts]
 

@@ -1,6 +1,7 @@
 """One slide-then-search route: `homotopy.nullhomotopy`; one certifier
 for proved sections: `complexity._certify`; one product flag: `strong`;
-one constructor that turns points into a map: `DigitalMap.from_points`.
+one constructor that turns points into a map: `DigitalMap.from_points`,
+and one that turns them into a table: `CayleyTable.from_points`.
 
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
@@ -12,11 +13,12 @@ the strong product (and the pointwise and strong wedge steps built on
 them) is one keyword-only `strong` flag, with no string vocabulary
 beside it, and images, maps and tables carry no label that nothing
 reads. Maps made inside the package pass codomain indices straight in,
-and code that only tests call lives in `tests/helpers.py`. An endpoint
-fibration is its own wedge space, with no wrapper to reach through. Only
-the category oracle, whose search is complete, answers whole orbits of
-the image's automorphism group. The checks read the package's source, so
-they see calls on every path, run or not.
+tables their grids of carrier indices, and code that only tests call
+lives in `tests/helpers.py`. An endpoint fibration is its own wedge
+space, with no wrapper to reach through. Only the category oracle, whose
+search is complete, answers whole orbits of the image's automorphism
+group. The checks read the package's source, so they see calls on every
+path, run or not.
 """
 
 from __future__ import annotations
@@ -215,9 +217,16 @@ def test_a_fibration_is_its_own_wedge_space():
     assert "PairedWedge" in classes["PairedFibration"][0]
 
 
+def _on_tables(call: ast.Call) -> bool:
+    return (isinstance(call.func, ast.Attribute)
+            and _name(call.func.value) == "CayleyTable")
+
+
 def test_points_become_a_map_in_one_constructor():
-    # maps made inside the package pass value indices straight in
-    assert _calls({"from_points"}) == [("maps", "from_mapping", "from_points")]
+    # maps made inside the package pass value indices straight in; every
+    # `from_points` call but the table constructor's counts as the map's
+    assert _calls({"from_points"}, where=lambda call: not _on_tables(call)) \
+        == [("maps", "from_mapping", "from_points")]
     made = {name for name, attr in vars(DigitalMap).items()
             if isinstance(attr, (staticmethod, classmethod))}
     assert made == {"from_points", "from_mapping", "identity", "constant",
@@ -225,8 +234,31 @@ def test_points_become_a_map_in_one_constructor():
     assert "__post_init__" not in vars(DigitalMap)
 
 
+def test_points_become_a_table_in_one_constructor():
+    # tables made inside the package from their grids (the enumeration,
+    # products, a translated table) pass carrier indices straight in;
+    # only the corpus, files and restrictions read products as points
+    assert _calls({"from_points", "from_function"}, where=_on_tables) == [
+        ("corpus", "loop_rotation_table", "from_points"),
+        ("corpus", "sign_table", "from_function"),
+        ("corpus", "flip_table", "from_function"),
+        ("fileio", "parse_group", "from_points"),
+        ("groups", "from_function", "from_points"),
+        ("knownvalues", "_restrict_table", "from_function")]
+    assert {(m, f) for m, f, _ in _calls({"CayleyTable"})} == {
+        ("groups", "from_points"), ("groups", "enumerate_group_structures"),
+        ("groups", "product_group"),
+        ("knownvalues", "run_reference_rows.translation_row")}
+    made = {name for name, attr in vars(CayleyTable).items()
+            if isinstance(attr, (staticmethod, classmethod))}
+    assert made == {"from_points", "from_function"}
+    assert "__post_init__" not in vars(CayleyTable)
+    assert [f.name for f in dataclasses.fields(CayleyTable)] == [
+        "image", "identity_index", "grid"]
+
+
 def test_test_only_helpers_stay_in_the_tests():
     defined = {f for _, f, _ in _functions()}
     assert not defined & {"categorical_subsets", "MapGraph.all_states",
                           "WedgeSpace.is_wedge", "PairedWedge.is_wedge",
-                          "PairedWedge.adjacent"}
+                          "PairedWedge.adjacent", "CayleyTable.inverse"}

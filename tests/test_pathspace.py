@@ -207,3 +207,37 @@ def test_paired_wedges_pair_the_component_rules():
     c = ((((0,), (1,)),), (((0,), (1,)),))
     assert wedge_adjacent_oracle(pw, a, c)
     assert lw.adjacent(a[0], c[0]) and rw.adjacent(a[1], c[1])
+
+
+def test_occupancy_tables_read_the_base_index_directly(monkeypatch, capsys):
+    # arms hold the base's own point tuples, so the tables look them up
+    # in its index dict and make no `DigitalImage.index` call
+    from ditop.cli import main
+    from ditop.pathspace import Occupancy
+
+    depth, entered, calls = [0], [], []
+    index = DigitalImage.index
+
+    def counted_index(self, p):
+        if depth[0]:
+            calls.append(p)
+        return index(self, p)
+
+    def counted(method):
+        def run(self, *args):
+            entered.append(method.__name__)
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    monkeypatch.setattr(DigitalImage, "index", counted_index)
+    for name in ("__init__", "_near_arm"):
+        monkeypatch.setattr(Occupancy, name, counted(getattr(Occupancy, name)))
+    command = "genus corpus:cycle:4 -n 1 --m 5 --mode strong --json"
+    assert main(command.split()) == 0
+    capsys.readouterr()
+    assert "__init__" in entered and "_near_arm" in entered
+    assert calls == []
