@@ -68,32 +68,45 @@ class SectionWitness:
 
 def verify_section(fib: EndpointFibration, sw: SectionWitness,
                    ) -> tuple[bool, str | None]:
-    """Pointwise and edgewise check of a section over its piece, on arm
-    ids: each distinct arm of a side (the one side of a wedge, or either
-    component of a pair) gets an id and is path-checked once, and across
-    a piece edge each distinct ordered id pair is decided once by the
-    side's `arm_step`; a pair moves on at most one side. Points are
-    checked in piece order, edges in canonical order, and nothing
-    outlives the call."""
+    """Pointwise and edgewise check of a section over its piece, in one
+    pass over the product's own table, on arm ids. Points are checked in
+    piece order, each mapped once to its product index; each distinct arm
+    of a side (the one side of a wedge, or either component of a pair)
+    gets an id and is path-checked when first seen. Then the piece's
+    indices are walked in ascending order, each edge to a later index of
+    the piece once (the canonical edge order), and each distinct ordered
+    id pair is decided once by the side's `arm_step`; a pair moves on at
+    most one side. No subimage is built, and nothing outlives the call."""
     if len(sw.piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
-    sides = [fib.sides(w) or () for w in sw.wedges]
     ids: dict[tuple, int] = {}  # (side's space, arm) -> id
-    rows = [tuple(tuple(ids.setdefault((space, tuple(arm)), len(ids))
-                        for arm in part) for space, part in parts)
-            for parts in sides]
-    arms = list(ids)  # id -> (side's space, arm)
-    good = [space.is_arm(arm) for space, arm in arms]
-    for u, w, row in zip(sw.piece, sw.wedges, rows):
-        if u not in fib.product:
+    row_at: dict[int, tuple] = {}  # product index -> the wedge's id rows
+    for u, w in zip(sw.piece, sw.wedges):
+        at = fib.product._index.get(u)
+        if at is None:
             return False, f"{u} is not in the product image"
-        if not row or not all(good[a] for side in row for a in side):
+        row, shaped = [], True
+        for space, part in fib.sides(w) or ():
+            side = []
+            for arm in part:
+                key = (space, tuple(arm))
+                a = ids.get(key)
+                if a is None:
+                    # an arm seen before is a path: else the check stopped
+                    # at the point that showed it first
+                    shaped = shaped and space.is_arm(key[1])
+                    a = ids[key] = len(ids)
+                side.append(a)
+            row.append(tuple(side))
+        if not row or not shaped:
             return False, f"assignment at {u} is not a wedge of {fib.n} " \
                           f"paths of length {fib.m}"
         if fib.endpoints(w) != u:
             return False, f"assignment at {u} ends at {fib.endpoints(w)}"
+        row_at[at] = tuple(row)
+    arms = list(ids)  # id -> (side's space, arm)
     step: dict[tuple[int, int], bool] = {}  # ordered id pair -> related
 
     def related(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -107,15 +120,18 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
                     return False
         return True
 
-    sub = induced_subimage(fib.product, sw.piece)
-    row_of = dict(zip(sw.piece, rows))
-    sub_rows = [row_of[u] for u in sub.points]
-    for i, j in sub.edge_index_pairs:
-        moved = [(x, y) for x, y in zip(sub_rows[i], sub_rows[j]) if x != y]
-        if len(moved) > 1 or (moved and not related(*moved[0])):
-            a, b = sub.points[i], sub.points[j]
-            return False, (f"section jumps across the edge {a} ~ {b}: "
-                           f"assigned wedges are not within one step")
+    nbrs, pts = fib.product.neighbor_index, fib.product.points
+    row_of = row_at.get
+    for i, here in sorted(row_at.items()):
+        for j in nbrs[i]:
+            there = row_of(j) if j > i else None
+            if there is None or there == here:
+                continue
+            moved = [(x, y) for x, y in zip(here, there) if x != y]
+            if len(moved) > 1 or not related(*moved[0]):
+                return False, (f"section jumps across the edge {pts[i]} ~ "
+                               f"{pts[j]}: assigned wedges are not within "
+                               f"one step")
     return True, None
 
 
@@ -316,24 +332,26 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
     chosen = [t[2] for t in tracks]
     fib = EndpointFibration(base, n, m_used)
 
-    # per base point x and cover piece: each translated endpoint x*mp maps
-    # to its arm, x times the piece's track replayed back to mp (every
-    # track ends at the identity, so the arm starts at x)
+    # per base point x and cover piece: each translated endpoint x*mp with
+    # its arm as a 1-tuple, x times the piece's track replayed back to mp
+    # (every track ends at the identity, so the arm starts at x)
     translated = {
-        x: [{table.product(x, mp): tuple(table.product(x, q)
-                                         for q in _replay(track, mp, m_used))
-             for mp in piece} for piece, track in zip(pieces, chosen)]
+        x: [[(table.product(x, mp), (tuple(table.product(x, q) for q in
+                                           _replay(track, mp, m_used)),))
+             for mp in piece] for piece, track in zip(pieces, chosen)]
         for x in base.points}
 
     witnesses = []
     for combo in itertools.product(range(len(pieces)), repeat=n - 1):
         assign: dict[Point, Wedge] = {}
         for x in base.points:
-            still = (x,) * (m_used + 1)
-            for ends in itertools.product(
-                    *(translated[x][i].items() for i in combo)):
-                assign.setdefault(sum((y for y, _ in ends), x),
-                                  (still,) + tuple(arm for _, arm in ends))
+            # (endpoint, arms so far) in itertools.product order
+            ends = [(x, ((x,) * (m_used + 1),))]
+            for i in combo:
+                ends = [(u + y, arms + arm) for u, arms in ends
+                        for y, arm in translated[x][i]]
+            for u, wedge in ends:
+                assign.setdefault(u, wedge)
         upts = sorted(assign)
         witnesses.append(SectionWitness(tuple(upts),
                                         tuple(assign[u] for u in upts)))

@@ -342,30 +342,40 @@ def interval_image(lo: int, hi: int) -> DigitalImage:
 def product_image(x: DigitalImage, y: DigitalImage, *,
                   strong: bool = False) -> DigitalImage:
     """Cartesian product with the minimal product adjacency, or with the
-    strong one when `strong`."""
+    strong one when `strong`. Its neighbour table is built on first use
+    by column slices: X's point i' owns the indices i'*k .. i'*k + k - 1
+    (k = |Y|), sliced once from one list of ints, and row (i, j) reads
+    column j of the blocks of i's neighbours by `zip`, around i*k + j' for
+    Y's neighbours j' of j. When strong, a block's column j is the tuple
+    of its cells at j and at j's neighbours, which the row flattens."""
     adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, strong)
     # sorted factors concatenate to sorted points: (i, j) has index i*k + j
     pts = tuple(a + b for a in x.points for b in y.points)
 
     def rows() -> Iterator[tuple[int, ...]]:
-        """Row (i, j) holds i*k + j' for the right neighbours j' of j and,
-        per left neighbour i', i'*k + j (when strong, i'*k + j' for j and
-        its neighbours j'), in order of i', so sorted."""
+        """Row (i, j): column j of the blocks i' < i, i*k + j' for the
+        right neighbours j' of j, column j of the blocks i' > i; sorted."""
         right = y.neighbor_index
         k = len(right)
-        moves = ([sorted((j, *row)) for j, row in enumerate(right)] if strong
-                 else [(j,) for j in range(k)])
         # rows share one int object per index: fresh ints past 256 would
         # take more memory than the rows' tuples themselves
         ids = list(range(len(pts)))
+        blocks = [ids[a:a + k] for a in range(0, len(pts), k)]
+        cols = blocks
+        if strong:
+            closed = [sorted((j, *row)) for j, row in enumerate(right)]
+            cols = [[tuple([b[c] for c in cj]) for cj in closed]
+                    for b in blocks]
+        empty = itertools.repeat(())  # the columns of no blocks
         for i, row in enumerate(x.neighbor_index):
-            base = i * k
-            below = [a * k for a in row if a < i]
-            above = [a * k for a in row if a > i]
-            for nj, mj in zip(right, moves):
-                yield tuple([ids[a + c] for a in below for c in mj]
-                            + [ids[base + b] for b in nj]
-                            + [ids[a + c] for a in above for c in mj])
+            mid = blocks[i]
+            lo = [cols[a] for a in row if a < i]
+            hi = [cols[a] for a in row if a > i]
+            for before, nj, after in zip(zip(*lo) if lo else empty, right,
+                                         zip(*hi) if hi else empty):
+                if strong:
+                    before, after = sum(before, ()), sum(after, ())
+                yield before + tuple([mid[b] for b in nj]) + after
 
     return DigitalImage._derived(pts, adjacency, rows)
 

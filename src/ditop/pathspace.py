@@ -15,8 +15,9 @@ The step relation holds arm by arm, and for pairs of wedges on both
 sides with one side staying. Both spaces split a wedge into `sides`,
 each with its own space, and answer per arm (`is_arm`, `arm_step`); the
 checker, `complexity.verify_section`, asks that once per call for each
-distinct arm id and id pair, plain and paired alike. The section search
-reads the relation off per-fiber occupancy tables (`Occupancy`,
+distinct arm id and id pair, plain and paired alike, in one pass over
+the product's own neighbour table, with no subimage built. The section
+search reads the relation off per-fiber occupancy tables (`Occupancy`,
 `PairedOccupancy`), whose masks are ORed over closed neighbourhoods and
 ANDed over ticks and arms.
 

@@ -4,24 +4,31 @@ relation it replaced.
 `find_section` links piece points through occupancy masks built from
 the base's closed neighbourhoods; `verify_section` gives each distinct
 arm an id once per call and decides each distinct ordered id pair once,
-by `WedgeSpace.arm_step`, for plain and paired fibrations alike. Both
-must agree with the memo-free relation kept in `helpers`, and the work
-they save is counted here.
+by `WedgeSpace.arm_step`, for plain and paired fibrations alike, in one
+pass over the product's own neighbour table. Both must agree with the
+memo-free relation kept in `helpers`, on tiny pieces and on shuffled
+pieces of hundreds of points, and the work they save is counted here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ditop.complexity as complexity
+import ditop.images as images
 import ditop.pathspace as pathspace
 from ditop.category import cat_exact
 from ditop.cli import main
-from ditop.complexity import SectionWitness, find_section, tc_n, verify_section
+from ditop.complexity import (SectionWitness, constant_section, find_section,
+                              product_of_sections, tc_n, tc_upper_via_group,
+                              verify_section)
 from ditop.groups import CayleyTable
 from ditop.pathspace import EndpointFibration, PairedFibration
 
@@ -121,6 +128,83 @@ def test_verify_section_matches_the_memo_free_checker(seed, k, n, m, strong):
             assert verify_section(f, bad) == verify_section_oracle(f, bad)
 
 
+@functools.cache
+def _large_sections():
+    """(fibration, sections) pairs with pieces of 128 and 256 points: the
+    translation sections of TC_3 of the loop, over its preferred cover,
+    and the product of the stand-still section with the TC_2 sections."""
+    loop, table, cover = loop_bundle()
+    r = tc_n(loop, 3, table, cover=cover)
+    m = len(r.witness[0].wedges[0][0]) - 1
+    _, tc2, m2 = tc_upper_via_group(loop, table, 2, cover=cover)
+    one = EndpointFibration(loop, 1, m2)
+    pair = PairedFibration(one, EndpointFibration(loop, 2, m2))
+    return ((EndpointFibration(loop, 3, m), r.witness),
+            (pair, tuple(product_of_sections(pair, (constant_section(one),),
+                                             tc2))))
+
+
+def _off_path(rng: random.Random, fib, w):
+    """w with one tick of one arm (of one side of a pair) moved to a base
+    point neither at nor next to the tick before, so no longer a path."""
+    side = rng.randrange(2) if isinstance(fib, PairedFibration) else None
+    space = fib if side is None else (fib.left, fib.right)[side]
+    wedge = list(w if side is None else w[side])
+    i, t = rng.randrange(len(wedge)), rng.randint(1, space.m)
+    arm = list(wedge[i])
+    adj = space.base.adjacency.adjacent
+    arm[t] = rng.choice([q for q in space.base.points
+                         if q != arm[t - 1] and not adj(q, arm[t - 1])])
+    wedge[i] = tuple(arm)
+    if side is None:
+        return tuple(wedge)
+    return (tuple(wedge), w[1]) if side == 0 else (w[0], tuple(wedge))
+
+
+def _large_tampers(rng: random.Random, fib, sw: SectionWitness):
+    """The section with two wedges swapped, one arm point moved off its
+    path, one wedge swapped for another of its fiber, one point's wedge
+    ending elsewhere, and one point outside the product."""
+    k = len(sw.piece)
+    a, b = rng.sample(range(k), 2)
+    wedges = list(sw.wedges)
+    wedges[a], wedges[b] = wedges[b], wedges[a]
+    yield SectionWitness(sw.piece, tuple(wedges))
+    at = rng.randrange(k)
+    yield SectionWitness(sw.piece, sw.wedges[:at] + (
+        _off_path(rng, fib, sw.wedges[at]),) + sw.wedges[at + 1:])
+    others = [w for w in itertools.islice(fib.fiber(sw.piece[at]),
+                                          _FIBER_PREFIX)
+              if w != sw.wedges[at]]
+    yield SectionWitness(sw.piece, sw.wedges[:at] + (rng.choice(others),)
+                         + sw.wedges[at + 1:])
+    inside = set(sw.piece)
+    for u in (rng.choice([u for u in fib.product.points if u not in inside]),
+              tuple(99 for _ in sw.piece[at])):
+        yield SectionWitness(sw.piece[:at] + (u,) + sw.piece[at + 1:],
+                             sw.wedges)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_section_matches_the_memo_free_checker_on_large_pieces(seed):
+    # piece order differs from index order here, unlike on the tiny
+    # pieces above, so the first failure named is the oracle's only if
+    # the checker walks points in piece order and edges in index order
+    rng = random.Random(seed)
+    for fib, sections in _large_sections():
+        for sw in sections:
+            order = rng.sample(range(len(sw.piece)), len(sw.piece))
+            sw = SectionWitness(tuple(sw.piece[k] for k in order),
+                                tuple(sw.wedges[k] for k in order))
+            assert verify_section(fib, sw) == verify_section_oracle(fib, sw) \
+                == (True, None)
+            bad = list(_large_tampers(rng, fib, sw))
+            got = [verify_section(fib, b) for b in bad]
+            assert got == [verify_section_oracle(fib, b) for b in bad]
+            # all but the other wedge of a fiber, which may still fit
+            assert not any(ok for ok, _ in got[:2] + got[3:])
+
+
 def _counted(monkeypatch, owner, name: str, counts: dict) -> None:
     inner = getattr(owner, name)
 
@@ -160,6 +244,52 @@ def test_work_counts_on_the_sections_commands(monkeypatch, capsys):
                 assert counts[call] == count, (command, counts)
             else:
                 assert 0 < counts[call] <= count, (command, counts)
+
+
+def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
+    # `tc corpus:H -n 4` builds the neighbour rows of H^4 and its left
+    # factors (4,680) and 120 rows of smaller images (the group check's
+    # H^2, copies of H, the subimages that the category search and the
+    # piece tracks restrict), and the checker builds no subimage of its
+    # own: the commit before it walked the product's table built 8,896
+    # rows, 512 more per section
+    counts: dict[str, int] = {}
+    checking = [False]
+    check, restrict = complexity.verify_section, images.induced_subimage
+
+    def counted_check(*args):
+        checking[0] = True
+        try:
+            return check(*args)
+        finally:
+            checking[0] = False
+
+    def counted_restrict(*args):
+        name = "induced in check" if checking[0] else "induced"
+        counts[name] = counts.get(name, 0) + 1
+        return restrict(*args)
+
+    table = images.DigitalImage.__dict__["neighbor_index"]
+    build = table.func
+
+    def counted_build(img):
+        counts["rows"] = counts.get("rows", 0) + len(img.points)
+        return build(img)
+
+    monkeypatch.setattr(complexity, "verify_section", counted_check)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("ditop")
+                and getattr(module, "induced_subimage", None) is restrict):
+            monkeypatch.setattr(module, "induced_subimage", counted_restrict)
+    monkeypatch.setattr(table, "func", counted_build)
+    _counted(monkeypatch, pathspace.WedgeSpace, "arm_step", counts)
+    _counted(monkeypatch, pathspace, "is_path", counts)
+    assert main("tc corpus:H -n 4 --json".split()) == 0
+    capsys.readouterr()
+    assert "induced in check" not in counts, counts
+    assert counts["rows"] == 4_800, counts
+    assert counts["arm_step"] == 736, counts
+    assert counts["is_path"] <= 512, counts
 
 
 def test_tc_n_runs_the_exact_category_once(monkeypatch):

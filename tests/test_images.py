@@ -289,14 +289,21 @@ def _random_source(rng: random.Random, depth: int) -> DigitalImage:
 @given(st.integers(0, 10_000))
 def test_generated_product_tables_equal_the_all_pairs_tables(seed):
     # factor-built and restricted tables against the pair tests and the
-    # candidate route they replaced
+    # candidate route they replaced; also three-factor powers of a source
+    # cut to at most 4 points, and products with a one-point factor,
+    # whose blocks have no left neighbours (or hold one index each)
     rng = random.Random(seed)
     x, y = _random_source(rng, 2), _random_source(rng, 2)
+    z = induced_subimage(x, rng.sample(x.points, min(4, len(x))))
+    one = induced_subimage(y, [rng.choice(y.points)])
     for strong in (False, True):
         prod = product_image(x, y, strong=strong)
         sub = induced_subimage(
             prod, rng.sample(prod.points, rng.randint(1, len(prod))))
-        for img in (x, y, prod, sub):
+        for img in (x, y, prod, sub, power_image(z, 3, strong=strong),
+                    product_image(one, y, strong=strong),
+                    product_image(x, one, strong=strong),
+                    power_image(one, 3, strong=strong)):
             assert img.neighbor_index == all_pairs_neighbor_index(img) \
                 == candidate_neighbor_index(img)
 

@@ -4,9 +4,9 @@ The commands run every caller of `maps.backtrack` (the map graph behind
 `cat` and `contractible`, the walks that fill the fibers and the section
 search behind `genus` and `tc`, in both step modes and with one and two
 arms, the group enumeration behind `group-scan`), the reference rows of
-`verify-paper`, the generated neighbour tables of a 4,096-point product
-(`group-product`) and of induced pieces (`tc -n 4`), and the
-Cayley-table checks. `group-scan -p 4` (cyclic and Klein labellings)
+`verify-paper`, the generated neighbour tables of 4,096-point products
+(`group-product`, and `tc -n 4`, whose section check walks the
+product's table in place), and the Cayley-table checks. `group-scan -p 4` (cyclic and Klein labellings)
 and `group-scan -p 6 --mode strong` were recorded at the commit before
 the group enumeration went row by row. Inputs are corpus images, so no
 file path reaches the report. `cat` and `contractible` also run on theta
