@@ -198,12 +198,10 @@ def cmd_tc(args, rep: Report) -> int:
                 f"exact value not settled: bounds [{r.lower}, "
                 f"{r.upper if r.upper is not None else '?'}]")
     if r.witness:
-        wits = list(r.witness)
-        arms = len(wits[0].wedges[0])
-        length = len(wits[0].wedges[0][0]) - 1
-        rep.results["pieces"] = len(wits)
-        rep.settings["m"] = length
-        rep.witnesses["sections"] = serialize_sections(wits, arms, length)
+        rep.settings["m"] = length = len(r.witness[0].wedges[0][0]) - 1
+        rep.results["pieces"] = len(r.witness)
+        rep.witnesses["sections"] = serialize_sections(img, r.witness,
+                                                       args.n, length)
     return 0
 
 
@@ -216,7 +214,7 @@ def cmd_genus(args, rep: Report) -> int:
     k, wits = schwarz_genus(EndpointFibration(
         img, args.n, m, strong=args.mode == "strong"))
     rep.results["genus"] = k
-    rep.witnesses["sections"] = serialize_sections(wits, args.n, m)
+    rep.witnesses["sections"] = serialize_sections(img, wits, args.n, m)
     return 0
 
 

@@ -19,16 +19,18 @@ Routes, in the order `tc_n` tries them:
 Every arm that runs a track backwards comes from `_replay`, and every
 section a proof backs (standing still, the contraction, the translation
 pieces, `product_of_sections`) or the exact search finds (`schwarz_genus`)
-passes the one certifier `_certify`. A fibration is its own wedge space,
-so the search and the checker ask it for sides, endpoints and occupancy
-tables directly.
+passes the one certifier `_certify`. A fibration is its own wedge space, so
+the search and the checker ask it for sides, endpoints and occupancy tables
+directly. Sections hold product and base point indices, so the translation
+route works on the group's grid and the checker reads no point index;
+`SectionWitness.from_points` is the one constructor that takes points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 # piece_contraction is unused here, but bench/selftest.py checks that the
 # tracer rebinds it in this module
@@ -60,69 +62,82 @@ class ArmTooShort(ValueError):
 
 @dataclass(frozen=True)
 class SectionWitness:
-    """A continuous motion planning rule over one piece of the product."""
+    """A continuous motion planning rule over one piece of the product, in
+    index space: `piece` holds product indices, and each wedge's arms
+    (each side's, over a paired fibration) hold base point indices."""
 
-    piece: tuple[Point, ...]
+    piece: tuple[int, ...]
     wedges: tuple[Wedge, ...] = field(compare=False)
+
+    @staticmethod
+    def from_points(fib: EndpointFibration, piece: Sequence[Point],
+                    wedges: Sequence) -> "SectionWitness":
+        """The witness over product points with wedges of point arms; a
+        point outside the product or the base raises a ValueError naming it."""
+        index = fib.base.index
+        return SectionWitness(tuple(map(fib.product.index, piece)), tuple(
+            tuple(tuple(map(index, arm)) for arm in w) for w in wedges))
 
 
 def verify_section(fib: EndpointFibration, sw: SectionWitness,
+                   ids: dict | None = None, steps: dict | None = None,
                    ) -> tuple[bool, str | None]:
-    """Pointwise and edgewise check of a section over its piece, in one
-    pass over the product's own table, on arm ids. Points are checked in
-    piece order, each mapped once to its product index; each distinct arm
-    of a side (the one side of a wedge, or either component of a pair)
-    gets an id and is path-checked when first seen. Then the piece's
-    indices are walked in ascending order, each edge to a later index of
-    the piece once (the canonical edge order), and each distinct ordered
-    id pair is decided once by the side's `arm_step`; a pair moves on at
-    most one side. No subimage is built, and nothing outlives the call."""
+    """Pointwise and edgewise check of a section over its piece, on arm
+    ids, in one pass over the product's own table; points appear only in
+    messages. In piece order, each index must lie in the product, each
+    arm of a side (the one side of a wedge, or either component of a
+    pair) new to `ids` is path-checked and numbered, and the arm ends'
+    mixed-radix index must be the point's. Then each edge to a later
+    piece index is visited once, in ascending order, and each ordered id
+    pair new to `steps` is decided by the side's `arm_step`; a pair moves
+    on at most one side. Several sections may share `ids` and `steps`."""
     if len(sw.piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
-    ids: dict[tuple, int] = {}  # (side's space, arm) -> id
+    ids = {} if ids is None else ids  # (side's space, arm) -> id
+    step = {} if steps is None else steps  # ordered id pair -> related
+    pts = fib.product.points
     row_at: dict[int, tuple] = {}  # product index -> the wedge's id rows
     for u, w in zip(sw.piece, sw.wedges):
-        at = fib.product._index.get(u)
-        if at is None:
+        if not 0 <= u < len(pts):
             return False, f"{u} is not in the product image"
         row, shaped = [], True
         for space, part in fib.sides(w) or ():
             side = []
             for arm in part:
-                key = (space, tuple(arm))
-                a = ids.get(key)
+                a = ids.get((space, arm))
                 if a is None:
-                    # an arm seen before is a path: else the check stopped
-                    # at the point that showed it first
-                    shaped = shaped and space.is_arm(key[1])
-                    a = ids[key] = len(ids)
+                    if not space.is_arm(arm):
+                        shaped = False
+                        break
+                    a = ids[space, arm] = len(ids)
                 side.append(a)
             row.append(tuple(side))
         if not row or not shaped:
-            return False, f"assignment at {u} is not a wedge of {fib.n} " \
-                          f"paths of length {fib.m}"
-        if fib.endpoints(w) != u:
-            return False, f"assignment at {u} ends at {fib.endpoints(w)}"
-        row_at[at] = tuple(row)
+            return False, f"assignment at {pts[u]} is not a wedge of " \
+                          f"{fib.n} paths of length {fib.m}"
+        end = fib.endpoints(w)
+        if end != u:
+            return False, f"assignment at {pts[u]} ends at {pts[end]}"
+        row_at[u] = tuple(row)
     arms = list(ids)  # id -> (side's space, arm)
-    step: dict[tuple[int, int], bool] = {}  # ordered id pair -> related
 
     def related(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
         """Whether one side's arms are pairwise within one step."""
         for a, b in zip(x, y):
             if a != b:
-                if (a, b) not in step:
+                ok = step.get((a, b))
+                if ok is None:
                     space, arm = arms[a]
-                    step[a, b] = space.arm_step(arm, arms[b][1])
-                if not step[a, b]:
+                    ok = step[a, b] = space.arm_step(arm, arms[b][1])
+                if not ok:
                     return False
         return True
 
-    nbrs, pts = fib.product.neighbor_index, fib.product.points
-    row_of = row_at.get
-    for i, here in sorted(row_at.items()):
+    nbrs, row_of = fib.product.neighbor_index, row_at.get
+    for i in sorted(row_at):
+        here = row_at[i]
         for j in nbrs[i]:
             there = row_of(j) if j > i else None
             if there is None or there == here:
@@ -139,22 +154,23 @@ def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
     """Verify each section of a proved construction or of the exact
     search once and check that together they cover the product. Any
     failure is a bug, so it raises TheoremViolation naming its source."""
+    ids, steps = {}, {}  # one arm-id table and arm-pair memo for them all
     for sw in sections:
-        ok, why = verify_section(fib, sw)
+        ok, why = verify_section(fib, sw, ids, steps)
         if not ok:
             raise TheoremViolation(
                 f"{what}: a section failed verification: {why}")
     covered = {u for sw in sections for u in sw.piece}
-    missing = [u for u in fib.product.points if u not in covered]
+    missing = [u for u in range(len(fib.product.points)) if u not in covered]
     if missing:
-        raise TheoremViolation(
-            f"{what}: the pieces miss the product point {missing[0]}")
+        raise TheoremViolation(f"{what}: the pieces miss the product point "
+                               f"{fib.product.points[missing[0]]}")
 
 
-def _replay(track: Sequence[dict[Point, Point]], p: Point, m: int) -> Path:
-    """The arm of length m that runs the track backwards to p: at tick t
-    it takes stage min(m - t, last), so an arm longer than the track
-    waits at the track's end point first."""
+def _replay(track: Sequence[Mapping[int, int]], p: int, m: int) -> Path:
+    """The arm of length m that runs the track, base point indices per
+    stage, backwards to p: at tick t it takes stage min(m - t, last), so
+    an arm longer than the track waits at the track's end point first."""
     last = len(track) - 1
     return tuple(track[min(m - t, last)][p] for t in range(m + 1))
 
@@ -181,6 +197,7 @@ def find_section(fib: EndpointFibration,
     pts = sub.points
     k = len(pts)
     nbrs = sub.neighbor_index
+    at = [fib.product.index(p) for p in pts]
 
     pool = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
     order: list[int] = []
@@ -194,7 +211,7 @@ def find_section(fib: EndpointFibration,
 
     domains: list[list[Wedge]] = [None] * k  # type: ignore[list-item]
     for i in order:
-        dom = list(itertools.islice(fib.fiber(pts[i]), _FIBER_CAP + 1))
+        dom = list(itertools.islice(fib.fiber(at[i]), _FIBER_CAP + 1))
         if len(dom) > _FIBER_CAP:
             raise BudgetExhausted(
                 f"fiber over {pts[i]} exceeds {_FIBER_CAP} wedges")
@@ -209,21 +226,20 @@ def find_section(fib: EndpointFibration,
                            links), None)
     if found is None:
         return None
-    return SectionWitness(pts, tuple(domains[i][found[step[i]]]
-                                     for i in range(k)))
+    return SectionWitness(tuple(at), tuple(domains[i][found[step[i]]]
+                                           for i in range(k)))
 
 
 def _require_surjective(fib: EndpointFibration) -> None:
     """Raise CoverImpossible when some endpoint tuple has an empty fiber:
     then no cover by section-admitting pieces exists at all."""
     ok, bad = fib.is_surjective()
-    if not ok and not fib.reachable(bad):
-        raise CoverImpossible(f"endpoint tuple {bad} is unreachable: its "
-                              "points lie in different components")
     if not ok:
-        raise CoverImpossible(
-            f"endpoint tuple {bad} is unreachable by arms of length {fib.m}; "
-            f"raise the arm length")
+        why = (f" by arms of length {fib.m}; raise the arm length"
+               if fib.reachable(bad) else
+               ": its points lie in different components")
+        raise CoverImpossible(f"endpoint tuple {fib.product.points[bad]} is "
+                              f"unreachable{why}")
 
 
 def schwarz_genus(fib: EndpointFibration,
@@ -246,39 +262,40 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
     """The global section of e_1: stand still. Only exists for n = 1."""
     if fib.n != 1:
         raise ValueError("the constant-path section is an n=1 construction")
-    pts = fib.product.points
-    return SectionWitness(pts, tuple(fib.constant_wedge(u) for u in pts))
+    pts = range(len(fib.product.points))
+    return SectionWitness(tuple(pts), tuple(map(fib.constant_wedge, pts)))
 
 
 # ---- the group construction ----
 
-def _piece_track(base: DigitalImage, piece: Subset, end: Point,
+def _piece_track(base: DigitalImage, piece: Subset, end: int,
                  node_budget: int | None = NODE_BUDGET,
-                 ) -> Optional[tuple[int, Point, list[dict[Point, Point]]]]:
+                 ) -> Optional[tuple[int, int, list[dict[int, int]]]]:
     """The shortest "retraction track" for one cover piece: a nullhomotopy
     of its inclusion to a constant target, extended by a walk from the
     target to `end`. Returns (total steps, target, stages), least by
-    (total, target); stages are value dictionaries per time tick.
+    (total, target); stages map point indices to point indices per tick.
 
     Every slide of the piece is a candidate; if none holds, one search
     runs to the constant at `end`. That search is shortest over every
     target too: a homotopy to the constant at c followed by the walk from
     c to `end` is a homotopy to the constant at `end`. None means the
     piece is not admissible at all."""
-    sub = induced_subimage(base, piece)
-    incl = DigitalMap.inclusion(sub, base)
+    incl = DigitalMap.inclusion(induced_subimage(base, piece), base)
+    keys, toward = incl.value_indices, base.step_toward(end)
 
-    def to_track(w: HomotopyWitness) -> tuple[int, Point, list]:
-        target = w.end.values[0]
-        stages = [dict(zip(sub.points, st.values)) for st in w.stages]
-        for q in base.lex_shortest_path(target, end)[1:]:
-            stages.append({p: q for p in sub.points})
+    def to_track(w: HomotopyWitness) -> tuple[int, int, list]:
+        target = q = w.end.value_indices[0]
+        stages = [dict(zip(keys, st.value_indices)) for st in w.stages]
+        while q != end:
+            q = toward[q]
+            stages.append(dict.fromkeys(keys, q))
         return (len(stages) - 1, target, stages)
 
     out = [to_track(w) for w in slides(incl)]
     if out:
         return min(out, key=lambda t: (t[0], t[1]))
-    w = shortest_nullhomotopy(incl, {base.index(end)}, node_budget)
+    w = shortest_nullhomotopy(incl, {end}, node_budget)
     return None if w is None else to_track(w)
 
 
@@ -318,7 +335,7 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 
     tracks = []
     for s in pieces:
-        track = _piece_track(base, s, table.identity, node_budget)
+        track = _piece_track(base, s, table.identity_index, node_budget)
         if track is None:
             raise ValueError(f"cover piece {s} admits no contraction in the "
                              f"base; not a categorical cover")
@@ -329,32 +346,31 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
         raise ArmTooShort(f"arm length {m} is too short: the translation "
                           f"sections need at least {need}")
     m_used = need if m is None else m
-    chosen = [t[2] for t in tracks]
     fib = EndpointFibration(base, n, m_used)
+    size = len(base.points)
+    pieces = [tuple(map(base.index, s)) for s in pieces]
 
-    # per base point x and cover piece: each translated endpoint x*mp with
-    # its arm as a 1-tuple, x times the piece's track replayed back to mp
-    # (every track ends at the identity, so the arm starts at x)
-    translated = {
-        x: [[(table.product(x, mp), (tuple(table.product(x, q) for q in
-                                           _replay(track, mp, m_used)),))
-             for mp in piece] for piece, track in zip(pieces, chosen)]
-        for x in base.points}
+    # per base point index x (its grid row) and cover piece: each
+    # translated end x*mp with its arm as a 1-tuple, x times the piece's
+    # track replayed back to mp (every track ends at the identity, so the
+    # arm starts at x)
+    translated = [
+        [[(row[mp], (tuple(row[q] for q in _replay(track, mp, m_used)),))
+          for mp in piece] for piece, (*_, track) in zip(pieces, tracks)]
+        for row in table.grid]
 
     witnesses = []
     for combo in itertools.product(range(len(pieces)), repeat=n - 1):
-        assign: dict[Point, Wedge] = {}
-        for x in base.points:
-            # (endpoint, arms so far) in itertools.product order
+        assign: dict[int, Wedge] = {}
+        for x in range(size):
+            # (product index, arms so far) in itertools.product order
             ends = [(x, ((x,) * (m_used + 1),))]
             for i in combo:
-                ends = [(u + y, arms + arm) for u, arms in ends
+                ends = [(u * size + y, arms + arm) for u, arms in ends
                         for y, arm in translated[x][i]]
             for u, wedge in ends:
                 assign.setdefault(u, wedge)
-        upts = sorted(assign)
-        witnesses.append(SectionWitness(tuple(upts),
-                                        tuple(assign[u] for u in upts)))
+        witnesses.append(SectionWitness(*zip(*sorted(assign.items()))))
     _certify(fib, witnesses, "translation construction")
     return len(witnesses), tuple(witnesses), m_used
 
@@ -374,7 +390,9 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     bases within the limit) with the group-construction upper bound when
     a table is supplied, which translates the supplied cover or else the
     minimum categorical cover behind the lower bound. A route the arm
-    length is too short for is skipped with a note.
+    length is too short for is skipped with a note. A base within the
+    limit under a larger product gets its exact category first, and a
+    contraction is sought only at category 1.
     """
     if n < 1:
         raise ValueError("TC_n needs n >= 1")
@@ -393,12 +411,17 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                            ("standing still is a global plan over one piece",))
 
     notes: list[str] = []
-    try:
-        w = contraction(base, node_budget)
-    except BudgetExhausted as err:
-        w = None
-        notes.append(f"contractible-base route skipped, budget exhausted: "
-                     f"{err}")
+    # both questions search the identity's map graph, so it is searched
+    # once: a contraction is sought only at category 1
+    cat_w = (cat_exact(base, node_budget) if len(base.points)
+             <= covers.SWEEP_LIMIT < len(base.points) ** n else None)
+    w = None
+    if cat_w is None or cat_w.size == 1:
+        try:
+            w = contraction(base, node_budget)
+        except BudgetExhausted as err:
+            notes.append(f"contractible-base route skipped, budget "
+                         f"exhausted: {err}")
     if w is not None and m is not None and m < w.steps:
         notes.append(f"contractible-base route skipped: the contraction "
                      f"takes {w.steps} steps, more than the arm length {m}")
@@ -406,9 +429,9 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         # every arm replays the contraction back from the collapse point
         m_used = w.steps if m is None else m
         fib = EndpointFibration(base, n, m_used, strong=strong)
-        track = [dict(zip(base.points, st.values)) for st in w.stages]
-        pts = fib.product.points
-        sw = SectionWitness(pts, tuple(
+        track = [st.value_indices for st in w.stages]
+        pts = range(len(fib.product.points))
+        sw = SectionWitness(tuple(pts), tuple(
             tuple(_replay(track, p, m_used) for p in fib.split(u))
             for u in pts))
         # proved for the pointwise relation only: a strong-mode candidate
@@ -427,17 +450,13 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         notes.append("exact sweep over the product")
         return BoundResult(k, k, ws, tuple(notes))
 
-    lower = 1
-    witness = None
-    upper = None
-    if len(base.points) <= covers.SWEEP_LIMIT:
-        cat_w = cat_exact(base, node_budget)
-        catv = cat_w.size
+    lower, upper, witness = 1, None, None
+    if cat_w is not None:
+        lower = cat_w.size
         if cover is None:
             # the group route translates a minimum categorical cover: this one
             cover = tuple(p.points for p in cat_w.pieces)
-        lower = max(lower, catv)
-        notes.append(f"lower {catv}: the category of the base is a lower "
+        notes.append(f"lower {lower}: the category of the base is a lower "
                      f"bound for every TC_n, n >= 2")
     else:
         notes.append("lower stays 1: base too large for the exact category")
@@ -487,14 +506,11 @@ def product_of_sections(pair: PairedFibration,
     The list covers the product base whenever the inputs cover theirs,
     so its length witnesses genus(left x right) <= (pieces) <= any bound
     the caller wants to draw from the factor counts."""
-    out = []
+    out, size = [], len(pair.right.product.points)
     for sl in left_cover:
-        at_l = dict(zip(sl.piece, sl.wedges))
         for sr in right_cover:
-            at_r = dict(zip(sr.piece, sr.wedges))
-            piece = tuple(ul + ur for ul in sl.piece for ur in sr.piece)
-            wedges = tuple((at_l[ul], at_r[ur])
-                           for ul in sl.piece for ur in sr.piece)
+            piece = tuple(ul * size + ur for ul in sl.piece for ur in sr.piece)
+            wedges = tuple((wl, wr) for wl in sl.wedges for wr in sr.wedges)
             out.append(SectionWitness(piece, wedges))
     _certify(pair, out, "product of sections")
     return out

@@ -323,28 +323,33 @@ def parse_cover(text: str) -> list[tuple[Point, ...]]:
     return [tuple(points) for *_, points in pieces]
 
 
-def serialize_sections(witnesses, n: int, m: int) -> str:
-    """Section witnesses: per piece, each point with its n arm paths. Each
-    distinct arm is formatted once."""
+def serialize_sections(base: DigitalImage, witnesses, n: int, m: int) -> str:
+    """Section witnesses over the n-fold power of `base`: per piece, each
+    point with its n arm paths. Each base point is formatted once, product
+    points are built digit by digit, and each distinct arm once."""
+    cells = [" ".join(map(str, p)) for p in base.points]
+    heads = ["at " + c for c in cells]
+    for _ in range(n - 1):
+        heads = [h + " " + c for h in heads for c in cells]
     lines = [f"sections {len(witnesses)} arms {n} length {m}"]
     arm_lines: dict = {}
     for sw in witnesses:
         lines.append(f"piece {len(sw.piece)}")
         for u, wedge in zip(sw.piece, sw.wedges):
-            lines.append("at " + " ".join(str(c) for c in u))
+            lines.append(heads[u])
             for arm in wedge:
                 line = arm_lines.get(arm)
                 if line is None:
                     line = arm_lines[arm] = "arm " + " | ".join(
-                        " ".join(str(c) for c in p) for p in arm)
+                        [cells[q] for q in arm])
                 lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def parse_sections(text: str):
-    """Returns (n, m, pieces) where each piece is a list of
-    (endpoint tuple, wedge); inverse of serialize_sections."""
-    from .complexity import SectionWitness
+    """Returns (n, m, pieces), each piece a pair (points, wedges) of the
+    endpoint tuples and their wedges of point arms, ready for
+    `SectionWitness.from_points`; inverse of serialize_sections."""
     body = _headed(text, "sections", "sections <count> arms <n> length <m>")
     lineno, fields = body[0]
     if len(fields) != 6 or fields[2] != "arms" or fields[4] != "length":
@@ -378,8 +383,8 @@ def parse_sections(text: str):
         for at, _, arms in points:
             if len(arms) != n:
                 raise ParseError(at, f"point has {len(arms)} arms, wants {n}")
-    return n, m, [SectionWitness(tuple(p for _, p, _ in points),
-                                 tuple(tuple(arms) for *_, arms in points))
+    return n, m, [(tuple(p for _, p, _ in points),
+                   tuple(tuple(arms) for *_, arms in points))
                   for _, _, points in pieces]
 
 

@@ -319,18 +319,6 @@ class DigitalImage:
                 for i, (d, nbrs) in enumerate(zip(dist, self.neighbor_index)))
         return step
 
-    def lex_shortest_path(self, a: Point, b: Point) -> tuple[Point, ...]:
-        """The lexicographically least shortest path from a to b, along
-        `step_toward(b)`. Raises when b is unreachable from a."""
-        i, j = self.index(a), self.index(b)
-        step = self.step_toward(j)
-        if step[i] < 0:
-            raise ValueError(f"no path from {a} to {b}")
-        path = [i]
-        while path[-1] != j:
-            path.append(step[path[-1]])
-        return tuple(self.points[v] for v in path)
-
 
 def interval_image(lo: int, hi: int) -> DigitalImage:
     """The digital interval [lo, hi] in Z with c_1 adjacency."""

@@ -11,18 +11,20 @@ answers both the fiber and the wedge questions. Walks are the fourth
 caller of `maps.backtrack`, ticks as positions, and a fiber is, per
 start within m steps of every endpoint, the product of its arms' walks.
 
+An arm is a tuple (q0, ..., qm) of base point indices and a wedge a tuple
+of n arms with arm[0] shared. A product point is its index, whose
+mixed-radix digits are the arm ends, Σ arm[-1]·|X|^(n-1-k), as sorted
+factors concatenate to sorted points (a pair's is left·|right| + right).
+
 The step relation holds arm by arm, and for pairs of wedges on both
 sides with one side staying. Both spaces split a wedge into `sides`,
-each with its own space, and answer per arm (`is_arm`, `arm_step`); the
-checker, `complexity.verify_section`, asks that once per call for each
-distinct arm id and id pair, plain and paired alike, in one pass over
-the product's own neighbour table, with no subimage built. The section
-search reads the relation off per-fiber occupancy tables (`Occupancy`,
-`PairedOccupancy`), whose masks are ORed over closed neighbourhoods and
-ANDed over ticks and arms.
-
-Wedge tuples are plain nested tuples ((p0,...,pm), ... n arms ...) with
-arm[0] shared, so they hash and sort like everything else here.
+each with its own space, and answer per arm (`is_arm`, `arm_step`) with
+the adjacency's own test on the arms' points; the checker,
+`complexity.verify_section`, asks that once for each distinct arm and
+arm pair, in one pass over the product's own neighbour table. The
+section search reads the relation off per-fiber occupancy tables
+(`Occupancy`, `PairedOccupancy`), whose masks are ORed over the base's
+closed neighbourhoods and ANDed over ticks and arms.
 """
 
 from __future__ import annotations
@@ -30,22 +32,20 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .images import DigitalImage, Point, power_image, product_image
+from .images import DigitalImage, power_image, product_image
 from .maps import backtrack
 
-Path = tuple[Point, ...]
+Path = tuple[int, ...]  # base point indices, one per tick
 Wedge = tuple[Path, ...]
 
 
-def is_path(img: DigitalImage, seq: Sequence[Point]) -> bool:
-    """A walk: consecutive entries equal or adjacent, all points present."""
-    seq = [tuple(p) for p in seq]
-    if not seq:
+def is_path(img: DigitalImage, seq: Sequence[int]) -> bool:
+    """A walk of point indices: all in the image, consecutive entries
+    equal or adjacent by the adjacency's own test on their points."""
+    pts, adj = img.points, img.adjacency.adjacent
+    if not seq or not all(0 <= q < len(pts) for q in seq):
         return False
-    if any(p not in img for p in seq):
-        return False
-    adj = img.adjacency.adjacent
-    return all(a == b or adj(a, b) for a, b in zip(seq, seq[1:]))
+    return all(a == b or adj(pts[a], pts[b]) for a, b in zip(seq, seq[1:]))
 
 
 def _ball(img: DigitalImage, i: int, radius: int) -> int:
@@ -54,20 +54,18 @@ def _ball(img: DigitalImage, i: int, radius: int) -> int:
                if 0 <= d <= radius)
 
 
-def paths_between(img: DigitalImage, start: Point, end: Point,
+def paths_between(img: DigitalImage, start: int, end: int,
                   length: int) -> Iterator[Path]:
-    """All walks of exactly `length` steps from start to end, in
-    lexicographic order: tick t may take the points within length - t
-    steps of the end (tick 0 only the start), linked to tick t - 1 through
-    the closed neighbourhoods."""
-    si, ei = img.index(start), img.index(end)
+    """All walks of exactly `length` steps from point index `start` to
+    `end`, as index tuples in lexicographic order: tick t may take the
+    points within length - t steps of the end (tick 0 only the start),
+    linked to tick t - 1 through the closed neighbourhoods."""
     if length < 0:
         return
-    roots = [_ball(img, ei, length - t) for t in range(length + 1)]
-    roots[0] &= 1 << si
+    roots = [_ball(img, end, length - t) for t in range(length + 1)]
+    roots[0] &= 1 << start
     links = [()] + [((t, img.closed_masks),) for t in range(length)]
-    for walk in backtrack(roots, links):
-        yield tuple(img.points[i] for i in walk)
+    yield from backtrack(roots, links)
 
 
 class WedgeSpace:
@@ -78,12 +76,12 @@ class WedgeSpace:
     pointwise equal or adjacent at each tick. `strong`: additionally each
     arm must stay equal or adjacent across neighboring ticks of the other
     wedge (the stricter function-space relation); both are checked arm
-    against same-indexed arm.
+    against same-indexed arm. Arms are tuples of base point indices.
 
     `adjacent` is a memo-free composition of the per-arm test `arm_step`,
-    which uses the adjacency's own test. `occupancy` decides the same
-    relation for the section search from the base's closed
-    neighbourhoods, sharing no table with these tests.
+    which uses the adjacency's own test on the arms' points. `occupancy`
+    decides the same relation for the section search from the base's
+    closed neighbourhoods, sharing no table with these tests.
     """
 
     def __init__(self, base: DigitalImage, n: int, m: int, *,
@@ -109,28 +107,26 @@ class WedgeSpace:
             return ((self, w),)
         return None
 
-    def endpoints(self, w: Wedge) -> Point:
-        """Concatenated arm endpoints: a point of the n-fold product."""
-        return tuple(c for arm in w for c in arm[-1])
+    def endpoints(self, w: Wedge) -> int:
+        """The product index of the arm ends, Σ arm[-1]·|X|^(n-1-k)."""
+        u, size = 0, len(self.base.points)
+        for arm in w:
+            u = u * size + arm[-1]
+        return u
 
-    def constant_wedge(self, p: Point) -> Wedge:
-        arm = (tuple(p),) * (self.m + 1)
-        return (arm,) * self.n
+    def constant_wedge(self, q: int) -> Wedge:
+        """Every arm standing at base point index q."""
+        return ((q,) * (self.m + 1),) * self.n
 
     def arm_step(self, a1: Path, a2: Path) -> bool:
         """Whether two arms are equal or one step apart, tick by tick (and,
-        when strong, across neighbouring ticks)."""
-        adj = self.base.adjacency.adjacent
-        for t in range(self.m + 1):
-            p, q = a1[t], a2[t]
-            if p != q and not adj(p, q):
-                return False
+        when strong, across neighbouring ticks), by the adjacency's own
+        test on their points."""
+        pts, adj = self.base.points, self.base.adjacency.adjacent
+        ticks = list(zip(a1, a2))
         if self.strong:
-            for t in range(self.m):
-                for p, q in ((a1[t], a2[t + 1]), (a1[t + 1], a2[t])):
-                    if p != q and not adj(p, q):
-                        return False
-        return True
+            ticks += list(zip(a1, a2[1:])) + list(zip(a1[1:], a2))
+        return all(p == q or adj(pts[p], pts[q]) for p, q in ticks)
 
     def adjacent(self, w1: Wedge, w2: Wedge) -> bool:
         """Equal-or-one-step relation (reflexive on purpose: homotopy-style
@@ -183,13 +179,11 @@ class Occupancy(_Masks):
             bit = 1 << b
             for arm, row in zip(w, self.exact):
                 row[arm] = row.get(arm, 0) | bit
-        index = space.base._index  # arms hold the base's own point tuples
         self.ticks: list[list[dict[int, int]]] = []
         for row in self.exact:
             ticks: list[dict[int, int]] = [{} for _ in range(space.m + 1)]
             for arm, mask in row.items():
-                for p, cell in zip(arm, ticks):
-                    q = index[p]
+                for q, cell in zip(arm, ticks):
                     cell[q] = cell.get(q, 0) | mask
             self.ticks.append(ticks)
         self._near: list[dict[Path, int]] = [{} for _ in range(space.n)]
@@ -198,9 +192,8 @@ class Occupancy(_Masks):
         got = self._near[i].get(arm)
         if got is not None:
             return got
-        base = self.space.base
-        closed, index = base.closed_masks, base._index
-        balls = [closed[index[p]] for p in arm]
+        closed = self.space.base.closed_masks
+        balls = [closed[q] for q in arm]
         if self.space.strong:
             balls = [b & (balls[t - 1] if t else -1)
                      & (balls[t + 1] if t + 1 < len(balls) else -1)
@@ -233,12 +226,12 @@ class Occupancy(_Masks):
 
 class _Fibration:
     """What the endpoint fibrations share: a `product` base image and
-    `fiber_nonempty` and `reachable` tests on its points."""
+    `fiber_nonempty` and `reachable` tests on its point indices."""
 
-    def is_surjective(self) -> tuple[bool, Optional[Point]]:
+    def is_surjective(self) -> tuple[bool, Optional[int]]:
         """Whether every point of the base has a nonempty fiber. Returns the
-        first unreachable point if not."""
-        bad = next((u for u in self.product.points
+        index of the first unreachable point if not."""
+        bad = next((u for u in range(len(self.product.points))
                     if not self.fiber_nonempty(u)), None)
         return bad is None, bad
 
@@ -247,36 +240,36 @@ class EndpointFibration(WedgeSpace, _Fibration):
     """e_n: wedge space over (X, adj) -> X^n, evaluation at the free ends.
     The fibration is its own wedge space."""
 
-    def split(self, u: Point) -> tuple[Point, ...]:
-        d = self.base.dim
-        return tuple(u[i * d:(i + 1) * d] for i in range(self.n))
+    def split(self, u: int) -> tuple[int, ...]:
+        """The base point indices of product index u: its n digits."""
+        size = len(self.base.points)
+        return tuple(u // size ** k % size for k in range(self.n - 1, -1, -1))
 
-    def _starts(self, u: Point) -> int:
+    def _starts(self, u: int) -> int:
         """The mask of the points within m steps of every component of u."""
         mask = -1
-        for p in self.split(u):
-            mask &= _ball(self.base, self.base.index(p), self.m)
+        for q in self.split(u):
+            mask &= _ball(self.base, q, self.m)
         return mask
 
-    def fiber(self, u: Point) -> Iterator[Wedge]:
-        """All wedges with endpoints u, lexicographic by (start, arms)."""
-        if u not in self.product:
-            raise ValueError(f"{u} is not in the product image")
-        parts = self.split(u)
-        starts, pts = self._starts(u), self.base.points
+    def fiber(self, u: int) -> Iterator[Wedge]:
+        """All wedges over product index u, lexicographic by (start, arms)."""
+        if not 0 <= u < len(self.product.points):
+            raise ValueError(f"{u} is not a product index")
+        parts, starts = self.split(u), self._starts(u)
         for s in range(starts.bit_length()):
             if starts >> s & 1:
                 yield from itertools.product(*(
-                    tuple(paths_between(self.base, pts[s], p, self.m))
-                    for p in parts))
+                    tuple(paths_between(self.base, s, q, self.m))
+                    for q in parts))
 
-    def fiber_nonempty(self, u: Point) -> bool:
+    def fiber_nonempty(self, u: int) -> bool:
         """Some start lies within m of every component of u."""
         return bool(self._starts(u))
 
-    def reachable(self, u: Point) -> bool:
+    def reachable(self, u: int) -> bool:
         """Whether some arm length reaches u: its points share a component."""
-        first, *rest = (self.base.index(p) for p in self.split(u))
+        first, *rest = self.split(u)
         return -1 not in (self.base.distance_matrix[first][i] for i in rest)
 
 
@@ -299,8 +292,9 @@ class PairedWedge:
         left, right = self.left.sides(w[0]), self.right.sides(w[1])
         return left + right if left and right else None
 
-    def endpoints(self, w) -> Point:
-        return self.left.endpoints(w[0]) + self.right.endpoints(w[1])
+    def endpoints(self, w) -> int:
+        return (self.left.endpoints(w[0]) * len(self.right.product.points)
+                + self.right.endpoints(w[1]))
 
     def occupancy(self, pairs: Sequence) -> "PairedOccupancy":
         return PairedOccupancy(self, pairs)
@@ -334,11 +328,10 @@ class PairedFibration(PairedWedge, _Fibration):
         self.m = (left.m, right.m)
         self.product = product_image(left.product, right.product)
 
-    def split(self, u: Point) -> tuple[Point, Point]:
-        dl = self.left.base.dim * self.left.n
-        return u[:dl], u[dl:]
+    def split(self, u: int) -> tuple[int, int]:
+        return divmod(u, len(self.right.product.points))
 
-    def fiber(self, u: Point) -> Iterator[tuple]:
+    def fiber(self, u: int) -> Iterator[tuple]:
         """Pairs (left wedge, right wedge) over u, left-major. The right
         fiber is walked once, alongside the first left wedge, and kept."""
         ul, ur = self.split(u)
@@ -351,10 +344,10 @@ class PairedFibration(PairedWedge, _Fibration):
             for wr in rights:
                 yield wl, wr
 
-    def fiber_nonempty(self, u: Point) -> bool:
+    def fiber_nonempty(self, u: int) -> bool:
         ul, ur = self.split(u)
         return self.left.fiber_nonempty(ul) and self.right.fiber_nonempty(ur)
 
-    def reachable(self, u: Point) -> bool:
+    def reachable(self, u: int) -> bool:
         ul, ur = self.split(u)
         return self.left.reachable(ul) and self.right.reachable(ur)

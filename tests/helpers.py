@@ -25,7 +25,7 @@ from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
 from ditop.images import (CK, DigitalImage, Explicit, Point, ProductAdjacency,
                           induced_subimage)
 from ditop.maps import DigitalMap, backtrack, continuity_violation
-from ditop.pathspace import PairedWedge, is_path
+from ditop.pathspace import PairedWedge
 
 
 def naive_components(points, edges) -> list[frozenset]:
@@ -128,6 +128,20 @@ def loop_bundle():
     return loop_image(), loop_rotation_table(), loop_cover()
 
 
+def lex_shortest_path(img: DigitalImage, a: Point, b: Point,
+                      ) -> tuple[Point, ...]:
+    """The lexicographically least shortest path from a to b, along the
+    image's `step_toward(b)`; raises when b is unreachable from a."""
+    i, j = img.index(a), img.index(b)
+    step = img.step_toward(j)
+    if step[i] < 0:
+        raise ValueError(f"no path from {a} to {b}")
+    path = [i]
+    while path[-1] != j:
+        path.append(step[path[-1]])
+    return tuple(img.points[v] for v in path)
+
+
 def paths_between_oracle(img: DigitalImage, start: Point, end: Point,
                          length: int) -> Iterator[tuple[Point, ...]]:
     """The recursive walker `pathspace.paths_between` replaced: extend the
@@ -155,19 +169,26 @@ def paths_between_oracle(img: DigitalImage, start: Point, end: Point,
         yield from extend()
 
 
-def endpoint_fiber_oracle(fib, u: Point) -> Iterator[tuple]:
+def endpoint_fiber_oracle(fib, u: int) -> Iterator[tuple]:
     """`EndpointFibration.fiber` by the recursive walker: every start in
-    point order, the product of its arms' walks (empty when a walk is)."""
-    parts = fib.split(u)
+    point order, the product of its arms' walks (empty when a walk is),
+    read off the point of product index u and indexed afterwards."""
+    point, d, index = fib.product.points[u], fib.base.dim, fib.base.index
+    parts = [point[k:k + d] for k in range(0, len(point), d)]
     for s in fib.base.points:
         yield from itertools.product(*(
-            list(paths_between_oracle(fib.base, s, p, fib.m)) for p in parts))
+            [tuple(map(index, walk))
+             for walk in paths_between_oracle(fib.base, s, p, fib.m)]
+            for p in parts))
 
 
-def paired_fiber_oracle(pair, u: Point) -> Iterator[tuple]:
+def paired_fiber_oracle(pair, u: int) -> Iterator[tuple]:
     """`PairedFibration.fiber` as the left-major product of the two
-    oracle fibers."""
-    ul, ur = pair.split(u)
+    oracle fibers, over the two halves of the point of index u."""
+    point = pair.product.points[u]
+    cut = pair.left.base.dim * pair.left.n
+    ul = pair.left.product.index(point[:cut])
+    ur = pair.right.product.index(point[cut:])
     rights = list(endpoint_fiber_oracle(pair.right, ur))
     for wl in endpoint_fiber_oracle(pair.left, ul):
         for wr in rights:
@@ -456,7 +477,7 @@ def per_target_piece_track(base: DigitalImage, piece: Sequence[Point],
     for c in base.points:
         w = unfolded_nullhomotopy(incl, targets=(c,), node_budget=node_budget)
         if w is not None:
-            out.append((w.steps + len(base.lex_shortest_path(c, end)) - 1, c))
+            out.append((w.steps + len(lex_shortest_path(base, c, end)) - 1, c))
     return min(out, default=None)
 
 
@@ -470,7 +491,7 @@ def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,
     if target not in cod:
         return None
     try:
-        paths = [cod.lex_shortest_path(v, target) for v in f.values]
+        paths = [lex_shortest_path(cod, v, target) for v in f.values]
     except ValueError:
         return None  # some value cannot reach the target
     span = max(len(p) - 1 for p in paths)
@@ -639,7 +660,8 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
         placed[best] = True
         pool.remove(best)
 
-    domains = [list(fib.fiber(p)) for p in pts]
+    at = [fib.product.index(p) for p in pts]
+    domains = [list(fib.fiber(u)) for u in at]
     if any(not dom for dom in domains):
         return None
     # (point i, neighbour j, index b into j's fiber) -> the indices into
@@ -674,7 +696,8 @@ def find_section_oracle(fib, piece: Sequence[Point]) -> Optional[SectionWitness]
 
     if not extend(0):
         return None
-    return SectionWitness(pts, tuple(domains[i][assign[i]] for i in range(k)))
+    return SectionWitness(tuple(at),
+                          tuple(domains[i][assign[i]] for i in range(k)))
 
 
 def fit_masks_oracle(n: int) -> list[int]:
@@ -884,35 +907,65 @@ def verify_cayley_oracle(table: CayleyTable) -> list[str]:
 
 # ---- the step relation before it was decided arm by arm ----
 
-def wedge_is_wedge_oracle(space, w) -> bool:
-    """Whether w is a wedge of a `WedgeSpace` or a pair of wedges of a
-    `PairedWedge`, with no memo: every arm of every wedge is
-    length-checked and walked."""
+def wedge_points(space, w):
+    """An index wedge of a `WedgeSpace`, or a pair of them of a
+    `PairedWedge`, with each arm index read as its base point; an index
+    outside the base becomes (None, index), which is no point."""
     if isinstance(space, PairedWedge):
-        return (len(w) == 2 and wedge_is_wedge_oracle(space.left, w[0])
-                and wedge_is_wedge_oracle(space.right, w[1]))
-    if len(w) != space.n:
+        return tuple(map(wedge_points, (space.left, space.right), w))
+    pts = space.base.points
+    return tuple(tuple(pts[q] if 0 <= q < len(pts) else (None, q)
+                       for q in arm) for arm in w)
+
+
+def section_points(fib, sw: SectionWitness) -> tuple[tuple, tuple]:
+    """A section's piece and wedges as points, as they read before
+    sections moved to index space."""
+    return (tuple(fib.product.points[u] for u in sw.piece),
+            tuple(wedge_points(fib, w) for w in sw.wedges))
+
+
+def _point_endpoints(space, pw) -> Point:
+    """The product point at the free ends of a point wedge or pair."""
+    if isinstance(space, PairedWedge):
+        return (_point_endpoints(space.left, pw[0])
+                + _point_endpoints(space.right, pw[1]))
+    return tuple(c for arm in pw for c in arm[-1])
+
+
+def _point_is_wedge(space, pw) -> bool:
+    if isinstance(space, PairedWedge):
+        return (len(pw) == 2 and _point_is_wedge(space.left, pw[0])
+                and _point_is_wedge(space.right, pw[1]))
+    if len(pw) != space.n:
         return False
-    starts = {arm[0] for arm in w if arm}
+    starts = {arm[0] for arm in pw if arm}
     if len(starts) != 1:
         return False
-    for arm in w:
-        if len(arm) != space.m + 1 or not is_path(space.base, arm):
+    adj = space.base.adjacency.adjacent
+    for arm in pw:
+        if len(arm) != space.m + 1 or any(p not in space.base for p in arm):
+            return False
+        if not all(p == q or adj(p, q) for p, q in zip(arm, arm[1:])):
             return False
     return True
 
 
-def wedge_adjacent_oracle(space, w1, w2) -> bool:
-    """The step relation of a `WedgeSpace` (its `adjacent`) or of a
-    `PairedWedge`, with no memo: every arm pair is tested tick by tick
-    with the adjacency's own test."""
+def wedge_is_wedge_oracle(space, w) -> bool:
+    """Whether the index wedge w is a wedge of a `WedgeSpace` or a pair of
+    wedges of a `PairedWedge`, with no memo: every arm of every wedge is
+    read as points, length-checked and walked."""
+    return _point_is_wedge(space, wedge_points(space, w))
+
+
+def _point_adjacent(space, p1, p2) -> bool:
     if isinstance(space, PairedWedge):
-        (a1, b1), (a2, b2) = w1, w2
-        return (wedge_adjacent_oracle(space.left, a1, a2)
-                and wedge_adjacent_oracle(space.right, b1, b2)
+        (a1, b1), (a2, b2) = p1, p2
+        return (_point_adjacent(space.left, a1, a2)
+                and _point_adjacent(space.right, b1, b2)
                 and (a1 == a2 or b1 == b2))
     adj = space.base.adjacency.adjacent
-    for a1, a2 in zip(w1, w2):
+    for a1, a2 in zip(p1, p2):
         for t in range(space.m + 1):
             p, q = a1[t], a2[t]
             if p != q and not adj(p, q):
@@ -923,6 +976,15 @@ def wedge_adjacent_oracle(space, w1, w2) -> bool:
                     if p != q and not adj(p, q):
                         return False
     return True
+
+
+def wedge_adjacent_oracle(space, w1, w2) -> bool:
+    """The step relation of a `WedgeSpace` (its `adjacent`) or of a
+    `PairedWedge` between index wedges, with no memo: every arm pair is
+    read as points and tested tick by tick with the adjacency's own
+    test."""
+    return _point_adjacent(space, wedge_points(space, w1),
+                           wedge_points(space, w2))
 
 
 class AdjacencyStepMasks(dict):
@@ -944,26 +1006,32 @@ class AdjacencyStepMasks(dict):
 
 
 def verify_section_oracle(fib, sw: SectionWitness) -> tuple[bool, str | None]:
-    """`complexity.verify_section` through `wedge_is_wedge_oracle` and
-    `wedge_adjacent_oracle`, with the same messages."""
+    """The point-based section checker that `complexity.verify_section`
+    replaced, with the same messages: piece indices are checked against
+    the product's size, and everything else on points, through
+    `wedge_is_wedge_oracle`, concatenated arm ends and the edges of the
+    piece's induced subimage, decided by `wedge_adjacent_oracle`."""
     if len(sw.piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
+    pts = fib.product.points
     for u, w in zip(sw.piece, sw.wedges):
-        if u not in fib.product:
+        if not 0 <= u < len(pts):
             return False, f"{u} is not in the product image"
-        if not wedge_is_wedge_oracle(fib, w):
-            return False, f"assignment at {u} is not a wedge of {fib.n} " \
-                          f"paths of length {fib.m}"
-        if fib.endpoints(w) != u:
-            return False, f"assignment at {u} ends at {fib.endpoints(w)}"
-    sub = induced_subimage(fib.product, sw.piece)
-    pos = {u: k for k, u in enumerate(sw.piece)}
+        pw = wedge_points(fib, w)
+        if not _point_is_wedge(fib, pw):
+            return False, f"assignment at {pts[u]} is not a wedge of " \
+                          f"{fib.n} paths of length {fib.m}"
+        if _point_endpoints(fib, pw) != pts[u]:
+            return False, (f"assignment at {pts[u]} ends at "
+                           f"{_point_endpoints(fib, pw)}")
+    piece = [pts[u] for u in sw.piece]
+    sub = induced_subimage(fib.product, piece)
+    pos = {p: k for k, p in enumerate(piece)}
     for a, b in sub.edges():
         wa, wb = sw.wedges[pos[a]], sw.wedges[pos[b]]
         if not wedge_adjacent_oracle(fib, wa, wb):
             return False, (f"section jumps across the edge {a} ~ {b}: "
                            f"assigned wedges are not within one step")
     return True, None
-

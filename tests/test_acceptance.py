@@ -109,7 +109,7 @@ def test_acceptance_3_tc_of_the_loop(capsys):
         ok = ok and good
         covered.update(sw.piece)
     ok = ok and count == 2 and len(fib.product.points) == 64
-    ok = ok and covered == set(fib.product.points)
+    ok = ok and covered == set(range(len(fib.product.points)))
     elapsed = time.monotonic() - t0
     _report(3, ok, "TC_1 = 1, TC_2 = 2 with a verified 2-piece section cover "
                    "of the 64-point product", elapsed, 600.0)

@@ -3,11 +3,13 @@ relation it replaced.
 
 `find_section` links piece points through occupancy masks built from
 the base's closed neighbourhoods; `verify_section` gives each distinct
-arm an id once per call and decides each distinct ordered id pair once,
-by `WedgeSpace.arm_step`, for plain and paired fibrations alike, in one
-pass over the product's own neighbour table. Both must agree with the
-memo-free relation kept in `helpers`, on tiny pieces and on shuffled
-pieces of hundreds of points, and the work they save is counted here.
+arm an id once and decides each distinct ordered id pair once, by
+`WedgeSpace.arm_step`, for plain and paired fibrations alike, in one
+pass over the product's own neighbour table, and `_certify` keeps those
+ids and verdicts across all the sections it checks. Both must agree
+with the memo-free point relation kept in `helpers`, on tiny pieces and
+on shuffled pieces of hundreds of points, and the work they save is
+counted here.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ def _fibrations(seed: int, k: int, n: int, m: int, strong: bool):
 
 
 def _an_edge(rng: random.Random, fib):
-    """Two adjacent product points, or one point twice if none are."""
-    edges = fib.product.edges()
+    """The indices of two adjacent product points, or of one point twice
+    if none are."""
+    edges = fib.product.edge_index_pairs
     if not edges:
-        u = rng.choice(fib.product.points)
+        u = rng.randrange(len(fib.product.points))
         return u, u
     return rng.choice(edges)
 
@@ -82,9 +85,10 @@ def test_step_masks_match_the_adjacency_call_filler(seed, k, n, m, strong):
 
 
 def _tampered(rng: random.Random, fib, sw: SectionWitness) -> SectionWitness:
-    """The section with one tick of one arm moved to a random base point,
-    one arm cut short by a tick, or one wedge (both sides of a pair, most
-    often) swapped for another of its fiber."""
+    """The section with one tick of one arm moved to a random base point
+    index (or one just outside the base), one arm cut short by a tick, or
+    one wedge (both sides of a pair, most often) swapped for another of
+    its fiber."""
     at = rng.randrange(len(sw.piece))
     w = sw.wedges[at]
     if not rng.randrange(3):
@@ -98,7 +102,7 @@ def _tampered(rng: random.Random, fib, sw: SectionWitness) -> SectionWitness:
     t = rng.randrange(len(wedge[i]))
     arm = list(wedge[i])
     if rng.randrange(4):
-        arm[t] = rng.choice(space.base.points)
+        arm[t] = rng.randrange(-1, len(space.base.points) + 1)
     else:
         del arm[-1]
     wedge = wedge[:i] + (tuple(arm),) + wedge[i + 1:]
@@ -152,9 +156,10 @@ def _off_path(rng: random.Random, fib, w):
     wedge = list(w if side is None else w[side])
     i, t = rng.randrange(len(wedge)), rng.randint(1, space.m)
     arm = list(wedge[i])
-    adj = space.base.adjacency.adjacent
-    arm[t] = rng.choice([q for q in space.base.points
-                         if q != arm[t - 1] and not adj(q, arm[t - 1])])
+    pts, adj = space.base.points, space.base.adjacency.adjacent
+    before = pts[arm[t - 1]]
+    arm[t] = rng.choice([q for q, p in enumerate(pts)
+                         if p != before and not adj(p, before)])
     wedge[i] = tuple(arm)
     if side is None:
         return tuple(wedge)
@@ -178,9 +183,9 @@ def _large_tampers(rng: random.Random, fib, sw: SectionWitness):
               if w != sw.wedges[at]]
     yield SectionWitness(sw.piece, sw.wedges[:at] + (rng.choice(others),)
                          + sw.wedges[at + 1:])
-    inside = set(sw.piece)
-    for u in (rng.choice([u for u in fib.product.points if u not in inside]),
-              tuple(99 for _ in sw.piece[at])):
+    inside, size = set(sw.piece), len(fib.product.points)
+    for u in (rng.choice([u for u in range(size) if u not in inside]),
+              size + 99):
         yield SectionWitness(sw.piece[:at] + (u,) + sw.piece[at + 1:],
                              sw.wedges)
 
@@ -215,16 +220,21 @@ def _counted(monkeypatch, owner, name: str, counts: dict) -> None:
     monkeypatch.setattr(owner, name, counting)
 
 
-# command -> {call: count}: exact for `arm_step`, which `verify_section`
-# calls once per distinct ordered arm pair of each call, and a ceiling
-# for the rest. The checker makes no `WedgeSpace.adjacent` call: the
-# commit before arm ids made 4, 14 and 10,944, one per piece edge, and
-# the commit before the arm-by-arm relation 29,650, 563, 16,384 and
-# 73,728 calls of these kinds.
+# command -> {call: exact count}. `_certify` keeps one arm table for all
+# the sections it checks, so each distinct arm is path-checked once
+# (`is_path`) and each distinct ordered arm pair is decided once
+# (`arm_step`) per command: on `tc corpus:H -n 4` the commit before made
+# 456 path checks and 736 `arm_step` calls, one table per section. The
+# translation reads the group's grid, so it makes no `CayleyTable.product`
+# call (384 before). The checker makes no `WedgeSpace.adjacent` call: the
+# commit before arm ids made 4, 14 and 10,944, one per piece edge, and the
+# commit before the arm-by-arm relation 29,650, 563, 16,384 and 73,728
+# calls of these kinds.
 WORK = {
-    "genus corpus:cycle:4 -n 1 --m 5 --mode strong": {"arm_step": 4},
-    "genus corpus:cycle:14 -n 1 --m 2": {"arm_step": 14},
-    "tc corpus:H -n 4": {"arm_step": 736, "is_path": 512, "product": 384},
+    "genus corpus:cycle:4 -n 1 --m 5 --mode strong": {"arm_step": 4,
+                                                      "is_path": 4},
+    "genus corpus:cycle:14 -n 1 --m 2": {"arm_step": 14, "is_path": 14},
+    "tc corpus:H -n 4": {"arm_step": 104, "is_path": 64},
 }
 
 
@@ -238,22 +248,37 @@ def test_work_counts_on_the_sections_commands(monkeypatch, capsys):
         counts.clear()
         assert main(command.split() + ["--json"]) == 0
         capsys.readouterr()
-        assert "adjacent" not in counts, (command, counts)
-        for call, count in want.items():
-            if call == "arm_step":
-                assert counts[call] == count, (command, counts)
-            else:
-                assert 0 < counts[call] <= count, (command, counts)
+        assert counts == want, (command, counts)
+
+
+def _counted_builds(monkeypatch, name: str, counts: dict) -> None:
+    """Count the builds of each image's cached `name`, keyed by (name,
+    the image's size)."""
+    prop = images.DigitalImage.__dict__[name]
+    build = prop.func
+
+    def counted_build(img):
+        size = len(img.points)
+        counts[name, size] = counts.get((name, size), 0) + 1
+        return build(img)
+
+    monkeypatch.setattr(prop, "func", counted_build)
 
 
 def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     # `tc corpus:H -n 4` builds the neighbour rows of H^4 and its left
-    # factors (4,680) and 120 rows of smaller images (the group check's
+    # factors (4,680) and 112 rows of smaller images (the group check's
     # H^2, copies of H, the subimages that the category search and the
     # piece tracks restrict), and the checker builds no subimage of its
     # own: the commit before it walked the product's table built 8,896
-    # rows, 512 more per section
-    counts: dict[str, int] = {}
+    # rows, 512 more per section, and the commit before the base's
+    # contractibility was settled once built 4,800, one more 8-point
+    # table for the second identity search. Nothing builds the point
+    # index of H^4: pieces and arms hold indices, and the commit before
+    # held that 4,096-entry index for the whole command. Certifying all
+    # eight sections with one arm table, the checker path-checks 64 arms
+    # and makes 104 `arm_step` calls, not 456 and 736.
+    counts: dict = {}
     checking = [False]
     check, restrict = complexity.verify_section, images.induced_subimage
 
@@ -269,27 +294,24 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
         counts[name] = counts.get(name, 0) + 1
         return restrict(*args)
 
-    table = images.DigitalImage.__dict__["neighbor_index"]
-    build = table.func
-
-    def counted_build(img):
-        counts["rows"] = counts.get("rows", 0) + len(img.points)
-        return build(img)
-
     monkeypatch.setattr(complexity, "verify_section", counted_check)
     for name, module in list(sys.modules.items()):
         if (name.startswith("ditop")
                 and getattr(module, "induced_subimage", None) is restrict):
             monkeypatch.setattr(module, "induced_subimage", counted_restrict)
-    monkeypatch.setattr(table, "func", counted_build)
+    builds: dict[tuple[str, int], int] = {}
+    _counted_builds(monkeypatch, "neighbor_index", builds)
+    _counted_builds(monkeypatch, "_index", builds)
     _counted(monkeypatch, pathspace.WedgeSpace, "arm_step", counts)
     _counted(monkeypatch, pathspace, "is_path", counts)
     assert main("tc corpus:H -n 4 --json".split()) == 0
     capsys.readouterr()
     assert "induced in check" not in counts, counts
-    assert counts["rows"] == 4_800, counts
-    assert counts["arm_step"] == 736, counts
-    assert counts["is_path"] <= 512, counts
+    assert sum(size * k for (name, size), k in builds.items()
+               if name == "neighbor_index") == 4_792, builds
+    assert builds["neighbor_index", 4_096] == 1, builds
+    assert max(size for name, size in builds if name == "_index") == 8, builds
+    assert (counts["arm_step"], counts["is_path"]) == (104, 64), counts
 
 
 def test_tc_n_runs_the_exact_category_once(monkeypatch):
@@ -304,3 +326,53 @@ def test_tc_n_runs_the_exact_category_once(monkeypatch):
                                            again.notes)
     assert [(sw.piece, sw.wedges) for sw in r.witness] \
         == [(sw.piece, sw.wedges) for sw in again.witness]
+
+
+def _reusing_tampers(fib, good: SectionWitness):
+    """Sections after `good` in one certification, every arm of which is
+    one of good's, so the shared arm table has decided them all: good
+    with its wedges moved one point along the piece (they end elsewhere),
+    and good with the wedge at one end of a piece edge swapped for
+    another of its fiber, made of good's arms, one that is not within one
+    step of the wedge at the other end."""
+    yield "ends at", SectionWitness(good.piece,
+                                    good.wedges[1:] + good.wedges[:1])
+    known = {arm for w in good.wedges for arm in w}
+    at = dict(zip(good.piece, good.wedges))
+    nbrs = fib.product.neighbor_index
+    for i in good.piece:
+        for j in (j for j in nbrs[i] if j > i and j in at):
+            for w in itertools.islice(fib.fiber(j), 5_000):
+                if (w != at[j] and known.issuperset(w)
+                        and not wedge_adjacent_oracle(fib, at[i], w)):
+                    k = good.piece.index(j)
+                    yield "section jumps across the edge", SectionWitness(
+                        good.piece,
+                        good.wedges[:k] + (w,) + good.wedges[k + 1:])
+                    return
+    raise AssertionError("no reusing tamper found")
+
+
+def test_a_tampered_section_after_a_good_one_fails_on_the_shared_table(
+        monkeypatch):
+    # `_certify` keeps one arm table across its sections; a bad section
+    # built from arms it has already path-checked, after the section that
+    # brought them, must still fail on its own ends and edges
+    loop, table, cover = loop_bundle()
+    _, wits, m = tc_upper_via_group(loop, table, 3, cover)
+    fib = EndpointFibration(loop, 3, m)
+    good = wits[0]
+    counts: dict[str, int] = {}
+    _counted(monkeypatch, pathspace, "is_path", counts)
+    tampers = list(_reusing_tampers(fib, good))
+    assert [why for why, _ in tampers] == ["ends at",
+                                           "section jumps across the edge"]
+    for why, bad in tampers:
+        assert not verify_section_oracle(fib, bad)[0]
+        counts.clear()
+        with pytest.raises(complexity.TheoremViolation,
+                           match=f"reused: a section failed verification: "
+                                 f".*{why}"):
+            complexity._certify(fib, (good, bad) + wits[1:], "reused")
+        # good's arms were path-checked once, and bad's needed no check
+        assert counts["is_path"] == len({a for w in good.wedges for a in w})

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from ditop.cli import main
-from ditop.complexity import verify_section
+from ditop.complexity import SectionWitness, verify_section
 from ditop.corpus import get_image, loop_image
 from ditop.fileio import parse_homotopy, parse_image, parse_sections, \
     serialize_image
@@ -130,7 +130,8 @@ def test_tc_reproduces_the_reference_values(capsys):
     assert (n, m) == (2, 4)
     fib = EndpointFibration(loop_image(), 2, 4)
     covered = set()
-    for sw in pieces:
+    for piece in pieces:
+        sw = SectionWitness.from_points(fib, *piece)
         ok, why = verify_section(fib, sw)
         assert ok, why
         covered.update(sw.piece)

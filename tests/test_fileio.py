@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from ditop.fileio import (ParseError, load_group, load_homotopy, load_image,
                           parse_image, parse_map, parse_sections,
                           serialize_cover, serialize_group, serialize_homotopy,
                           serialize_image, serialize_map, serialize_sections)
-from ditop.complexity import schwarz_genus, verify_section
+from ditop.complexity import SectionWitness, schwarz_genus, verify_section
 from ditop.homotopy import contraction, verify_homotopy
 from ditop.images import (CK, DigitalImage, Explicit, interval_image,
                           product_image)
@@ -204,14 +206,15 @@ def test_sections_round_trip_and_reverify():
     seg = interval_image(0, 1)
     fib = EndpointFibration(seg, 2, 1)
     k, wits = schwarz_genus(fib)
-    text = serialize_sections(wits, 2, 1)
-    n, m, again = parse_sections(text)
+    text = serialize_sections(seg, wits, 2, 1)
+    n, m, pieces = parse_sections(text)
     assert (n, m) == (2, 1)
-    assert len(again) == k
+    assert len(pieces) == k
+    again = [SectionWitness.from_points(fib, *piece) for piece in pieces]
     for sw in again:
         ok, why = verify_section(fib, sw)
         assert ok, why
-    assert serialize_sections(again, n, m) == text
+    assert serialize_sections(seg, again, n, m) == text
 
 
 def test_load_image_from_disk(tmp_path):
@@ -319,3 +322,28 @@ def test_witness_parsers_check_what_their_headers_announce():
         assert _parse_error(parse, text) == want, text
     assert _parse_error(parse_homotopy, "stages 1 2\n", None) \
         == (1, "line 1: stages wants one count")
+
+
+@pytest.mark.parametrize("command, strong", [
+    ("tc corpus:H -n 3", False),
+    ("genus corpus:cycle:4 -n 1 --m 5 --mode strong", True)])
+def test_written_sections_read_back_certify_and_rewrite(command, strong,
+                                                        capsys):
+    from ditop.cli import main
+    from ditop.complexity import _certify
+    assert main(command.split() + ["--json"]) == 0
+    text = json.loads(capsys.readouterr().out)["witnesses"]["sections"]
+    base = get_image(command.split()[1][len("corpus:"):])
+    n, m, pieces = parse_sections(text)
+    fib = EndpointFibration(base, n, m, strong=strong)
+    wits = [SectionWitness.from_points(fib, *piece) for piece in pieces]
+    _certify(fib, wits, "read back")
+    assert serialize_sections(base, wits, n, m) == text
+    points, wedges = pieces[0]
+    outside = tuple(9 for _ in points[0])
+    with pytest.raises(ValueError, match=re.escape(str(outside))):
+        SectionWitness.from_points(fib, (outside,) + points[1:], wedges)
+    arm = ((9, 9),) + wedges[0][0][1:]
+    with pytest.raises(ValueError, match=re.escape("(9, 9)")):
+        SectionWitness.from_points(fib, points, (
+            (arm,) + wedges[0][1:],) + wedges[1:])

@@ -15,7 +15,8 @@ from ditop.images import (CK, DigitalImage, Explicit, ck_adjacent,
                           product_image)
 
 from helpers import (all_pairs_neighbor_index, candidate_neighbor_index,
-                     least_shortest_path_oracle, literal_ck_adjacent,
+                     least_shortest_path_oracle, lex_shortest_path,
+                     literal_ck_adjacent,
                      naive_components, random_explicit_image,
                      random_grid_image)
 
@@ -205,7 +206,7 @@ def test_neighbors_and_edges_are_consistent():
 
 def test_lex_shortest_path_is_shortest_and_valid():
     seg = interval_image(0, 4)
-    path = seg.lex_shortest_path((0,), (4,))
+    path = lex_shortest_path(seg, (0,), (4,))
     assert path[0] == (0,)
     assert path[-1] == (4,)
     assert len(path) == 5
@@ -222,9 +223,9 @@ def test_lex_shortest_path_is_the_least_shortest_path(seed, k, connected):
             want = least_shortest_path_oracle(img, a, b)
             if want is None:
                 with pytest.raises(ValueError, match="no path"):
-                    img.lex_shortest_path(a, b)
+                    lex_shortest_path(img, a, b)
             else:
-                assert img.lex_shortest_path(a, b) == want
+                assert lex_shortest_path(img, a, b) == want
 
 
 # ---- generated neighbour tables against the all-pairs oracle ----

@@ -1,7 +1,8 @@
 """One slide-then-search route: `homotopy.nullhomotopy`; one certifier
 for proved sections: `complexity._certify`; one product flag: `strong`;
 one constructor that turns points into a map: `DigitalMap.from_points`,
-and one that turns them into a table: `CayleyTable.from_points`.
+one that turns them into a table: `CayleyTable.from_points`, and one
+that turns them into a section: `SectionWitness.from_points`.
 
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
@@ -13,7 +14,9 @@ the strong product (and the pointwise and strong wedge steps built on
 them) is one keyword-only `strong` flag, with no string vocabulary
 beside it, and images, maps and tables carry no label that nothing
 reads. Maps made inside the package pass codomain indices straight in,
-tables their grids of carrier indices, and code that only tests call
+tables their grids of carrier indices, sections their product and arm
+indices, so the section checker, the certifier and the section search's
+occupancy tables look no point up; and code that only tests call
 lives in `tests/helpers.py`. An endpoint fibration is its own wedge
 space, with no wrapper to reach through. Only the category oracle, whose
 search is complete, answers whole orbits of the image's automorphism
@@ -30,6 +33,7 @@ from typing import Callable
 
 import ditop
 from ditop import corpus
+from ditop.complexity import SectionWitness
 from ditop.groups import (CayleyTable, WindowGroup, WindowHomReport,
                           WindowReport)
 from ditop.homotopy import HomotopyWitness
@@ -261,4 +265,34 @@ def test_test_only_helpers_stay_in_the_tests():
     defined = {f for _, f, _ in _functions()}
     assert not defined & {"categorical_subsets", "MapGraph.all_states",
                           "WedgeSpace.is_wedge", "PairedWedge.is_wedge",
-                          "PairedWedge.adjacent", "CayleyTable.inverse"}
+                          "PairedWedge.adjacent", "CayleyTable.inverse",
+                          "DigitalImage.lex_shortest_path"}
+
+
+def test_points_become_a_section_in_one_constructor():
+    # every section the package makes holds product and arm indices; only
+    # text read back from a file (and tests) passes points in
+    made = {name for name, attr in vars(SectionWitness).items()
+            if isinstance(attr, (staticmethod, classmethod))}
+    assert made == {"from_points"}
+    assert not _calls({"from_points"}, where=lambda call: isinstance(
+        call.func, ast.Attribute) and _name(call.func.value) == "SectionWitness")
+
+
+def test_the_section_checker_reads_no_point_index():
+    # no `_index` lookup and no `.index(` call in the checker, the
+    # certifier or the search's occupancy tables: they compare indices
+    checked = {("complexity", "verify_section"), ("complexity", "_certify"),
+               ("pathspace", "Occupancy")}
+    seen, reads = set(), []
+    for module in ("complexity", "pathspace"):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (module, getattr(node, "name", None)) not in checked:
+                continue
+            seen.add((module, node.name))
+            reads += [(module, node.name, sub.lineno) for sub in ast.walk(node)
+                      if isinstance(sub, ast.Attribute)
+                      and sub.attr in ("_index", "index")]
+    assert seen == checked
+    assert reads == []

@@ -19,11 +19,11 @@ from helpers import (count_paths, endpoint_fiber_oracle, paired_fiber_oracle,
 
 
 def test_is_path_checks_consecutive_steps():
-    seg = interval_image(0, 3)
-    assert is_path(seg, [(0,), (1,), (1,), (2,)])
-    assert not is_path(seg, [(0,), (2,)])
+    seg = interval_image(0, 3)  # point indices are the values here
+    assert is_path(seg, [0, 1, 1, 2])
+    assert not is_path(seg, [0, 2])
     assert not is_path(seg, [])
-    assert not is_path(seg, [(9,)])
+    assert not is_path(seg, [9]) and not is_path(seg, [-1, 0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,10 +33,11 @@ def test_path_listing_agrees_with_the_counting_recurrence(seed, length):
     img = random_grid_image(rng, max_points=6, connected=False)
     start = rng.choice(img.points)
     end = rng.choice(img.points)
-    listed = list(paths_between(img, start, end, length))
+    si, ei = img.index(start), img.index(end)
+    listed = list(paths_between(img, si, ei, length))
     assert len(listed) == count_paths(img, start, end, length)
     for p in listed:
-        assert p[0] == start and p[-1] == end
+        assert p[0] == si and p[-1] == ei
         assert is_path(img, p)
     assert len(set(listed)) == len(listed)
 
@@ -48,8 +49,9 @@ def test_walks_match_the_recursive_walker_in_order(seed, length):
     img = random_grid_image(rng, max_points=6, k=rng.randint(1, 2),
                             connected=False)
     start, end = rng.choice(img.points), rng.choice(img.points)
-    assert list(paths_between(img, start, end, length)) \
-        == list(paths_between_oracle(img, start, end, length))
+    assert list(paths_between(img, img.index(start), img.index(end), length)) \
+        == [tuple(map(img.index, walk))
+            for walk in paths_between_oracle(img, start, end, length)]
 
 
 # enough wedges to pass the first start's product in most draws, few
@@ -69,7 +71,7 @@ def test_fibers_match_the_recursive_walker_in_order(seed, n, m, strong, k):
     img = random_grid_image(rng, max_points=6, k=rng.randint(1, 2),
                             connected=False)
     fib = EndpointFibration(img, n, m, strong=strong)
-    u = rng.choice(fib.product.points)
+    u = rng.randrange(len(fib.product.points))
     want = _prefix(endpoint_fiber_oracle(fib, u))
     assert _prefix(fib.fiber(u)) == want
     assert _prefix(fib.fiber(u), k) == want[:k]
@@ -77,7 +79,7 @@ def test_fibers_match_the_recursive_walker_in_order(seed, n, m, strong, k):
     right = EndpointFibration(img, rng.randint(1, 2), rng.randint(0, 2),
                               strong=strong)
     pair = PairedFibration(fib, right)
-    v = rng.choice(pair.product.points)
+    v = rng.randrange(len(pair.product.points))
     want = _prefix(paired_fiber_oracle(pair, v))
     assert _prefix(pair.fiber(v)) == want
     assert _prefix(pair.fiber(v), k) == want[:k]
@@ -89,14 +91,16 @@ def test_no_wedge_joins_two_components():
     # start reaches both
     img = DigitalImage(((0,), (1,), (5,)), CK(1))
     fib = EndpointFibration(img, 2, 2)
-    assert not fib.fiber_nonempty((0, 5))
-    assert list(fib.fiber((0, 5))) == []
-    assert fib.is_surjective() == (False, (0, 5))
-    assert fib.fiber_nonempty((0, 1))
+    at = fib.product.index
+    assert not fib.fiber_nonempty(at((0, 5)))
+    assert list(fib.fiber(at((0, 5)))) == []
+    assert fib.is_surjective() == (False, at((0, 5)))
+    assert fib.fiber_nonempty(at((0, 1)))
     # no arm length helps: the tuple's points lie in two components
-    assert not fib.reachable((0, 5)) and fib.reachable((5, 5))
+    assert not fib.reachable(at((0, 5))) and fib.reachable(at((5, 5)))
     pair = PairedFibration(fib, EndpointFibration(img, 1, 0))
-    assert not pair.reachable((0, 5, 1)) and pair.reachable((0, 1, 5))
+    at = pair.product.index
+    assert not pair.reachable(at((0, 5, 1))) and pair.reachable(at((0, 1, 5)))
 
 
 def test_stationary_paths_exist_at_every_length():
@@ -108,22 +112,22 @@ def test_stationary_paths_exist_at_every_length():
 def test_wedge_space_basics():
     seg = interval_image(0, 2)
     ws = WedgeSpace(seg, 2, 1)
-    w = (((0,), (1,)), ((0,), (0,)))
+    w = ((0, 1), (0, 0))  # arms of point indices, which here are the values
     assert wedge_is_wedge_oracle(ws, w)
-    # endpoints concatenate into one point of the product image
-    assert ws.endpoints(w) == (1, 0)
-    cw = ws.constant_wedge((1,))
-    assert wedge_is_wedge_oracle(ws, cw)
-    assert ws.endpoints(cw) == (1, 1)
+    # the arm ends are the digits of one product index
+    assert ws.product.points[ws.endpoints(w)] == (1, 0)
+    cw = ws.constant_wedge(1)
+    assert cw == ((1, 1), (1, 1)) and wedge_is_wedge_oracle(ws, cw)
+    assert ws.product.points[ws.endpoints(cw)] == (1, 1)
     # arms must share their start
-    assert not wedge_is_wedge_oracle(ws, (((0,), (1,)), ((1,), (1,))))
+    assert not wedge_is_wedge_oracle(ws, ((0, 1), (1, 1)))
 
 
 def test_pointwise_wedge_steps_allow_one_arm_to_move():
     seg = interval_image(0, 3)
     ws = WedgeSpace(seg, 2, 1)
-    a = (((0,), (1,)), ((0,), (0,)))
-    b = (((0,), (0,)), ((0,), (0,)))
+    a = ((0, 1), (0, 0))
+    b = ((0, 0), (0, 0))
     assert ws.adjacent(a, b)
 
 
@@ -132,8 +136,8 @@ def test_strong_steps_are_a_subset_of_pointwise_steps():
     soft = WedgeSpace(seg, 2, 2)
     hard = WedgeSpace(seg, 2, 2, strong=True)
     wedges = []
-    for p1 in paths_between(seg, (0,), (1,), 2):
-        for p2 in paths_between(seg, (0,), (2,), 2):
+    for p1 in paths_between(seg, 0, 1, 2):
+        for p2 in paths_between(seg, 0, 2, 2):
             wedges.append((p1, p2))
     for u in wedges:
         for v in wedges:
@@ -146,13 +150,13 @@ def test_strong_steps_are_a_subset_of_pointwise_steps():
 def test_fiber_wedges_end_where_they_should():
     seg = interval_image(0, 2)
     fib = EndpointFibration(seg, 2, 2)
-    target = (0, 2)
+    target = fib.product.index((0, 2))
     seen = 0
     for w in fib.fiber(target):
         seen += 1
         assert fib.endpoints(w) == target
         assert wedge_is_wedge_oracle(fib, w)
-    assert seen == fib_count(seg, fib.split(target), 2)
+    assert seen == fib_count(seg, [(0,), (2,)], 2)
 
 
 def fib_count(img, parts, m):
@@ -184,10 +188,11 @@ def test_fibration_split_matches_the_product_layout():
     loop = loop_image()
     pair = PairedFibration(EndpointFibration(seg, 2, 1),
                            EndpointFibration(loop, 1, 2))
-    u = pair.product.points[0]
+    u = len(pair.product.points) - 1
     left, right = pair.split(u)
-    assert left + right == u
-    assert len(left) == seg.dim * 2
+    assert pair.product.points[u] \
+        == pair.left.product.points[left] + pair.right.product.points[right]
+    assert pair.left.split(left) == (1, 1)
     ok, missing = pair.is_surjective()
     assert ok, missing
 
@@ -198,20 +203,20 @@ def test_paired_wedges_pair_the_component_rules():
     rw = WedgeSpace(seg, 1, 1)
     pw = PairedFibration(EndpointFibration(seg, 1, 1),
                          EndpointFibration(seg, 1, 1))
-    a = ((((0,), (1,)),), (((0,), (0,)),))
+    a = (((0, 1),), ((0, 0),))
     assert wedge_is_wedge_oracle(pw, a)
-    assert pw.endpoints(a) == (1, 0)
-    b = ((((0,), (0,)),), (((0,), (1,)),))
+    assert pw.product.points[pw.endpoints(a)] == (1, 0)
+    b = (((0, 0),), ((0, 1),))
     # both strictly moving at once is not a paired step
     assert not wedge_adjacent_oracle(pw, a, b)
-    c = ((((0,), (1,)),), (((0,), (1,)),))
+    c = (((0, 1),), ((0, 1),))
     assert wedge_adjacent_oracle(pw, a, c)
     assert lw.adjacent(a[0], c[0]) and rw.adjacent(a[1], c[1])
 
 
 def test_occupancy_tables_read_the_base_index_directly(monkeypatch, capsys):
-    # arms hold the base's own point tuples, so the tables look them up
-    # in its index dict and make no `DigitalImage.index` call
+    # arms hold base point indices, so the tables index their masks by
+    # them and make no `DigitalImage.index` call
     from ditop.cli import main
     from ditop.pathspace import Occupancy
 
