@@ -23,7 +23,7 @@ passes the one certifier `_certify`. A fibration is its own wedge space, so
 the search and the checker ask it for sides, endpoints and occupancy tables
 directly. Sections hold product and base point indices, so the translation
 route works on the group's grid and the checker reads no point index;
-`SectionWitness.from_points` is the one constructor that takes points.
+points are read back only for reports, messages and section files.
 """
 
 from __future__ import annotations
@@ -69,34 +69,28 @@ class SectionWitness:
     piece: tuple[int, ...]
     wedges: tuple[Wedge, ...] = field(compare=False)
 
-    @staticmethod
-    def from_points(fib: EndpointFibration, piece: Sequence[Point],
-                    wedges: Sequence) -> "SectionWitness":
-        """The witness over product points with wedges of point arms; a
-        point outside the product or the base raises a ValueError naming it."""
-        index = fib.base.index
-        return SectionWitness(tuple(map(fib.product.index, piece)), tuple(
-            tuple(tuple(map(index, arm)) for arm in w) for w in wedges))
 
-
-def verify_section(fib: EndpointFibration, sw: SectionWitness,
-                   ids: dict | None = None, steps: dict | None = None,
-                   ) -> tuple[bool, str | None]:
+def verify_section(fib: EndpointFibration,
+                   sw: SectionWitness) -> tuple[bool, str | None]:
     """Pointwise and edgewise check of a section over its piece, on arm
     ids, in one pass over the product's own table; points appear only in
     messages. In piece order, each index must lie in the product, each
-    arm of a side (the one side of a wedge, or either component of a
-    pair) new to `ids` is path-checked and numbered, and the arm ends'
+    distinct arm of a side (the one side of a wedge, or either component
+    of a pair) is path-checked and numbered, and the arm ends'
     mixed-radix index must be the point's. Then each edge to a later
-    piece index is visited once, in ascending order, and each ordered id
-    pair new to `steps` is decided by the side's `arm_step`; a pair moves
-    on at most one side. Several sections may share `ids` and `steps`."""
+    piece index is visited once, in ascending order, and each distinct
+    ordered id pair is decided by the side's `arm_step`; a pair moves on
+    at most one side."""
+    return _verify_section(fib, sw, {}, {})
+
+
+def _verify_section(fib, sw: SectionWitness, ids: dict, step: dict):
+    """`verify_section` on the arm ids, (side's space, arm) -> id, and id
+    pair verdicts that `_certify` shares across its sections."""
     if len(sw.piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     if len(set(sw.piece)) != len(sw.piece):
         return False, "piece repeats a point"
-    ids = {} if ids is None else ids  # (side's space, arm) -> id
-    step = {} if steps is None else steps  # ordered id pair -> related
     pts = fib.product.points
     row_at: dict[int, tuple] = {}  # product index -> the wedge's id rows
     for u, w in zip(sw.piece, sw.wedges):
@@ -156,7 +150,7 @@ def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
     failure is a bug, so it raises TheoremViolation naming its source."""
     ids, steps = {}, {}  # one arm-id table and arm-pair memo for them all
     for sw in sections:
-        ok, why = verify_section(fib, sw, ids, steps)
+        ok, why = _verify_section(fib, sw, ids, steps)
         if not ok:
             raise TheoremViolation(
                 f"{what}: a section failed verification: {why}")
@@ -391,8 +385,8 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     a table is supplied, which translates the supplied cover or else the
     minimum categorical cover behind the lower bound. A route the arm
     length is too short for is skipped with a note. A base within the
-    limit under a larger product gets its exact category first, and a
-    contraction is sought only at category 1.
+    limit under a larger product gets its exact category first, and at
+    category 1 a slide of the whole image or else a shortest contraction.
     """
     if n < 1:
         raise ValueError("TC_n needs n >= 1")
@@ -411,17 +405,22 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                            ("standing still is a global plan over one piece",))
 
     notes: list[str] = []
-    # both questions search the identity's map graph, so it is searched
-    # once: a contraction is sought only at category 1
+    # the category asks about the whole image first: at category 1 its
+    # witness is `contraction`'s first answer, kept if it is a slide
     cat_w = (cat_exact(base, node_budget) if len(base.points)
              <= covers.SWEEP_LIMIT < len(base.points) ** n else None)
     w = None
-    if cat_w is None or cat_w.size == 1:
-        try:
+    try:
+        if cat_w is None:
             w = contraction(base, node_budget)
-        except BudgetExhausted as err:
-            notes.append(f"contractible-base route skipped, budget "
-                         f"exhausted: {err}")
+        elif cat_w.size == 1 and cat_w.pieces[0].contraction.label == "slide":
+            w = cat_w.pieces[0].contraction
+        elif cat_w.size == 1:
+            w = shortest_nullhomotopy(DigitalMap.identity(base),
+                                      range(len(base.points)), node_budget)
+    except BudgetExhausted as err:
+        notes.append(f"contractible-base route skipped, budget "
+                     f"exhausted: {err}")
     if w is not None and m is not None and m < w.steps:
         notes.append(f"contractible-base route skipped: the contraction "
                      f"takes {w.steps} steps, more than the arm length {m}")

@@ -348,8 +348,8 @@ def serialize_sections(base: DigitalImage, witnesses, n: int, m: int) -> str:
 
 def parse_sections(text: str):
     """Returns (n, m, pieces), each piece a pair (points, wedges) of the
-    endpoint tuples and their wedges of point arms, ready for
-    `SectionWitness.from_points`; inverse of serialize_sections."""
+    endpoint tuples and their wedges of point arms, as points, for the
+    reader to index; inverse of serialize_sections."""
     body = _headed(text, "sections", "sections <count> arms <n> length <m>")
     lineno, fields = body[0]
     if len(fields) != 6 or fields[2] != "arms" or fields[4] != "length":

@@ -925,6 +925,17 @@ def section_points(fib, sw: SectionWitness) -> tuple[tuple, tuple]:
             tuple(wedge_points(fib, w) for w in sw.wedges))
 
 
+def section_from_points(fib, piece: Sequence[Point],
+                        wedges: Sequence) -> SectionWitness:
+    """The section over product points with wedges of point arms, as
+    `fileio.parse_sections` reads them back; inverse of `section_points`
+    over an endpoint fibration. A point outside the product or the base
+    raises a ValueError naming it."""
+    index = fib.base.index
+    return SectionWitness(tuple(map(fib.product.index, piece)), tuple(
+        tuple(tuple(map(index, arm)) for arm in w) for w in wedges))
+
+
 def _point_endpoints(space, pw) -> Point:
     """The product point at the free ends of a point wedge or pair."""
     if isinstance(space, PairedWedge):

@@ -280,7 +280,7 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     # and makes 104 `arm_step` calls, not 456 and 736.
     counts: dict = {}
     checking = [False]
-    check, restrict = complexity.verify_section, images.induced_subimage
+    check, restrict = complexity._verify_section, images.induced_subimage
 
     def counted_check(*args):
         checking[0] = True
@@ -294,7 +294,7 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
         counts[name] = counts.get(name, 0) + 1
         return restrict(*args)
 
-    monkeypatch.setattr(complexity, "verify_section", counted_check)
+    monkeypatch.setattr(complexity, "_verify_section", counted_check)
     for name, module in list(sys.modules.items()):
         if (name.startswith("ditop")
                 and getattr(module, "induced_subimage", None) is restrict):

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from ditop.cli import main
-from ditop.complexity import SectionWitness, verify_section
+from ditop.complexity import verify_section
 from ditop.corpus import get_image, loop_image
 from ditop.fileio import parse_homotopy, parse_image, parse_sections, \
     serialize_image
@@ -16,6 +16,8 @@ from ditop.homotopy import contraction, verify_homotopy
 from ditop.images import CK, DigitalImage, interval_image
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
+
+from helpers import section_from_points
 
 
 def run(capsys, *argv):
@@ -131,7 +133,7 @@ def test_tc_reproduces_the_reference_values(capsys):
     fib = EndpointFibration(loop_image(), 2, 4)
     covered = set()
     for piece in pieces:
-        sw = SectionWitness.from_points(fib, *piece)
+        sw = section_from_points(fib, *piece)
         ok, why = verify_section(fib, sw)
         assert ok, why
         covered.update(sw.piece)

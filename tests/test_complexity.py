@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ditop.category as category
 import ditop.complexity as complexity
 import ditop.covers as covers
 import ditop.homotopy as homotopy
@@ -19,8 +20,8 @@ from ditop.complexity import (CoverImpossible, SectionWitness,
                               tc_upper_via_group, verify_section)
 from ditop.corpus import (LOOP_LETTERS, cycle_image, loop_cover, loop_image,
                           loop_rotation_table)
-from ditop.homotopy import MapGraph
-from ditop.images import interval_image
+from ditop.homotopy import MapGraph, contraction
+from ditop.images import CK, DigitalImage, interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
 import helpers
@@ -453,3 +454,42 @@ def test_tc_settles_a_small_base_with_one_identity_search(monkeypatch,
         assert main(command.split() + ["--json"]) == 0
         capsys.readouterr()
         assert searches == [(8, True)] * want, command
+
+
+@pytest.mark.parametrize("base, slid, steps", [
+    # a 2 x 3 box: its identity slides, and no map graph is searched
+    (DigitalImage(tuple((x, y) for x in range(2) for y in range(3)), CK(1)),
+     True, 3),
+    # the 8-adjacent ring around a missing centre: its identity is lifted
+    # from its core, so one search of its map graph finds a shortest one
+    (DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
+                        if (x, y) != (1, 1)), CK(2)), False, 3),
+])
+def test_tc_settles_a_contractible_base_with_one_whole_image_question(
+        monkeypatch, base, slid, steps):
+    # at category 1 the category's witness for the whole image stands in
+    # for `contraction`'s own question: the whole base is asked about
+    # once, and a base whose witness is no slide is searched once for a
+    # shortest contraction, as `contraction` alone searches it
+    asked, searches = [], []
+    ask, bfs = homotopy.nullhomotopy, MapGraph.bfs
+
+    def counted_ask(f, *args, **kwargs):
+        asked.append(len(f.domain.points))
+        return ask(f, *args, **kwargs)
+
+    def counted_bfs(self, start, *args, **kwargs):
+        searches.append(len(self.domain.points))
+        return bfs(self, start, *args, **kwargs)
+
+    w = contraction(base)
+    assert (w.label == "slide", w.steps) == (slid, steps)
+    monkeypatch.setattr(homotopy, "nullhomotopy", counted_ask)
+    monkeypatch.setattr(category, "nullhomotopy", counted_ask)
+    monkeypatch.setattr(MapGraph, "bfs", counted_bfs)
+    r = tc_n(base, 2)
+    assert (r.lower, r.upper) == (1, 1)
+    assert r.notes == (f"contractible base: one global section at arm "
+                       f"length {steps}",)
+    assert asked.count(len(base.points)) == 1, asked
+    assert searches == [len(base.points)] * (not slid), searches

@@ -17,14 +17,15 @@ from ditop.fileio import (ParseError, load_group, load_homotopy, load_image,
                           parse_image, parse_map, parse_sections,
                           serialize_cover, serialize_group, serialize_homotopy,
                           serialize_image, serialize_map, serialize_sections)
-from ditop.complexity import SectionWitness, schwarz_genus, verify_section
+from ditop.complexity import schwarz_genus, verify_section
 from ditop.homotopy import contraction, verify_homotopy
 from ditop.images import (CK, DigitalImage, Explicit, interval_image,
                           product_image)
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
 
-from helpers import random_explicit_image, random_grid_image
+from helpers import (random_explicit_image, random_grid_image,
+                     section_from_points)
 
 
 def _corpus_resolver(name):
@@ -210,7 +211,7 @@ def test_sections_round_trip_and_reverify():
     n, m, pieces = parse_sections(text)
     assert (n, m) == (2, 1)
     assert len(pieces) == k
-    again = [SectionWitness.from_points(fib, *piece) for piece in pieces]
+    again = [section_from_points(fib, *piece) for piece in pieces]
     for sw in again:
         ok, why = verify_section(fib, sw)
         assert ok, why
@@ -336,14 +337,14 @@ def test_written_sections_read_back_certify_and_rewrite(command, strong,
     base = get_image(command.split()[1][len("corpus:"):])
     n, m, pieces = parse_sections(text)
     fib = EndpointFibration(base, n, m, strong=strong)
-    wits = [SectionWitness.from_points(fib, *piece) for piece in pieces]
+    wits = [section_from_points(fib, *piece) for piece in pieces]
     _certify(fib, wits, "read back")
     assert serialize_sections(base, wits, n, m) == text
     points, wedges = pieces[0]
     outside = tuple(9 for _ in points[0])
     with pytest.raises(ValueError, match=re.escape(str(outside))):
-        SectionWitness.from_points(fib, (outside,) + points[1:], wedges)
+        section_from_points(fib, (outside,) + points[1:], wedges)
     arm = ((9, 9),) + wedges[0][0][1:]
     with pytest.raises(ValueError, match=re.escape("(9, 9)")):
-        SectionWitness.from_points(fib, points, (
+        section_from_points(fib, points, (
             (arm,) + wedges[0][1:],) + wedges[1:])

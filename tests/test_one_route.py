@@ -1,8 +1,7 @@
 """One slide-then-search route: `homotopy.nullhomotopy`; one certifier
 for proved sections: `complexity._certify`; one product flag: `strong`;
 one constructor that turns points into a map: `DigitalMap.from_points`,
-one that turns them into a table: `CayleyTable.from_points`, and one
-that turns them into a section: `SectionWitness.from_points`.
+and one that turns them into a table: `CayleyTable.from_points`.
 
 Slides come from one generator, `homotopy.slides`, and folding a domain
 and lifting a core witness happen in `homotopy` alone, so no module grows
@@ -33,7 +32,6 @@ from typing import Callable
 
 import ditop
 from ditop import corpus
-from ditop.complexity import SectionWitness
 from ditop.groups import (CayleyTable, WindowGroup, WindowHomReport,
                           WindowReport)
 from ditop.homotopy import HomotopyWitness
@@ -266,23 +264,15 @@ def test_test_only_helpers_stay_in_the_tests():
     assert not defined & {"categorical_subsets", "MapGraph.all_states",
                           "WedgeSpace.is_wedge", "PairedWedge.is_wedge",
                           "PairedWedge.adjacent", "CayleyTable.inverse",
-                          "DigitalImage.lex_shortest_path"}
-
-
-def test_points_become_a_section_in_one_constructor():
-    # every section the package makes holds product and arm indices; only
-    # text read back from a file (and tests) passes points in
-    made = {name for name, attr in vars(SectionWitness).items()
-            if isinstance(attr, (staticmethod, classmethod))}
-    assert made == {"from_points"}
-    assert not _calls({"from_points"}, where=lambda call: isinstance(
-        call.func, ast.Attribute) and _name(call.func.value) == "SectionWitness")
+                          "DigitalImage.lex_shortest_path",
+                          "SectionWitness.from_points"}
 
 
 def test_the_section_checker_reads_no_point_index():
     # no `_index` lookup and no `.index(` call in the checker, the
     # certifier or the search's occupancy tables: they compare indices
-    checked = {("complexity", "verify_section"), ("complexity", "_certify"),
+    checked = {("complexity", "verify_section"),
+               ("complexity", "_verify_section"), ("complexity", "_certify"),
                ("pathspace", "Occupancy")}
     seen, reads = set(), []
     for module in ("complexity", "pathspace"):
