@@ -20,16 +20,18 @@ Every arm that runs a track backwards comes from `_replay`, and every
 section a proof backs (standing still, the contraction, the translation
 pieces, `product_of_sections`) or the exact search finds (`schwarz_genus`)
 passes the one certifier `_certify`. A fibration is its own wedge space, so
-the search and the checker ask it for sides, endpoints and occupancy tables
-directly. Sections hold product and base point indices, so the translation
-route works on the group's grid and the checker reads no point index;
-points are read back only for reports, messages and section files.
+the search asks it for fibers and occupancy tables, and the checker for
+its sides, directly. Sections hold product and base point indices, so the
+translation route works on the group's grid and the checker, which reads
+them column by column, reads no point index; points are read back only
+for reports, messages and section files.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 # piece_contraction is unused here, but bench/selftest.py checks that the
@@ -72,75 +74,142 @@ class SectionWitness:
 
 def verify_section(fib: EndpointFibration,
                    sw: SectionWitness) -> tuple[bool, str | None]:
-    """Pointwise and edgewise check of a section over its piece, on arm
-    ids, in one pass over the product's own table; points appear only in
-    messages. In piece order, each index must lie in the product, each
-    distinct arm of a side (the one side of a wedge, or either component
-    of a pair) is path-checked and numbered, and the arm ends'
-    mixed-radix index must be the point's. Then each edge to a later
-    piece index is visited once, in ascending order, and each distinct
-    ordered id pair is decided by the side's `arm_step`; a pair moves on
-    at most one side."""
-    return _verify_section(fib, sw, {}, {})
+    """Pointwise and edgewise check of a section over its piece, column
+    by column on arm ids, in one pass over the product's own table;
+    points appear only in messages. Each side (the one side of a wedge,
+    or either component of a pair) is transposed into arm columns once:
+    each column's new arms are path-checked and numbered, the columns
+    must share their starts, and their end digits, read in mixed radix,
+    must give the piece's indices. Then the piece's edges to later
+    indices are listed once, in ascending order, and per arm column
+    each distinct ordered id pair met across them is decided by the
+    side's `arm_step`; a pair moves on at most one side. The failure
+    named is the first failing point in piece order, else the least
+    failing edge."""
+    return _verify_section(fib, sw, {})
 
 
-def _verify_section(fib, sw: SectionWitness, ids: dict, step: dict):
-    """`verify_section` on the arm ids, (side's space, arm) -> id, and id
-    pair verdicts that `_certify` shares across its sections."""
-    if len(sw.piece) != len(sw.wedges):
-        return False, "piece and assignment lengths differ"
-    if len(set(sw.piece)) != len(sw.piece):
-        return False, "piece repeats a point"
-    pts = fib.product.points
-    row_at: dict[int, tuple] = {}  # product index -> the wedge's id rows
-    for u, w in zip(sw.piece, sw.wedges):
-        if not 0 <= u < len(pts):
-            return False, f"{u} is not in the product image"
-        row, shaped = [], True
-        for space, part in fib.sides(w) or ():
-            side = []
-            for arm in part:
-                a = ids.get((space, arm))
-                if a is None:
-                    if not space.is_arm(arm):
-                        shaped = False
-                        break
-                    a = ids[space, arm] = len(ids)
-                side.append(a)
-            row.append(tuple(side))
-        if not row or not shaped:
-            return False, f"assignment at {pts[u]} is not a wedge of " \
-                          f"{fib.n} paths of length {fib.m}"
-        end = fib.endpoints(w)
-        if end != u:
-            return False, f"assignment at {pts[u]} ends at {pts[end]}"
-        row_at[u] = tuple(row)
-    arms = list(ids)  # id -> (side's space, arm)
+class _ArmTable(dict):
+    """One side space's arms for the checker, arm -> id: an arm is
+    path-checked when a lookup first meets it and numbered, or mapped to
+    None if it is no arm of the space. Each id keeps its arm, start and
+    end digit, and each ordered id pair its `arm_step` verdict once
+    decided."""
 
-    def related(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        """Whether one side's arms are pairwise within one step."""
-        for a, b in zip(x, y):
+    def __init__(self, space):
+        self.space = space
+        self.arms: list[Path] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.steps: dict[tuple[int, int], bool] = {}
+
+    def __missing__(self, arm: Path) -> int | None:
+        a = None
+        if self.space.is_arm(arm):
+            a = len(self.arms)
+            self.arms.append(arm)
+            self.starts.append(arm[0])
+            self.ends.append(arm[-1])
+        self[arm] = a
+        return a
+
+    def bad_pairs(self, pairs) -> set[tuple[int, int]]:
+        """The pairs of distinct ids whose arms are not within one step."""
+        steps, arms, step = self.steps, self.arms, self.space.arm_step
+        bad = set()
+        for a, b in pairs:
             if a != b:
-                ok = step.get((a, b))
+                ok = steps.get((a, b))
                 if ok is None:
-                    space, arm = arms[a]
-                    ok = step[a, b] = space.arm_step(arm, arms[b][1])
+                    ok = steps[a, b] = step(arms[a], arms[b])
                 if not ok:
-                    return False
-        return True
+                    bad.add((a, b))
+        return bad
 
-    nbrs, row_of = fib.product.neighbor_index, row_at.get
-    for i in sorted(row_at):
-        here = row_at[i]
+
+def _first(flags) -> int:
+    """The position of the first true flag (there is one)."""
+    return next(at for at, flag in enumerate(flags) if flag)
+
+
+def _verify_section(fib, sw: SectionWitness, tables: dict):
+    """`verify_section` on the arm tables, side's space -> `_ArmTable`,
+    that `_certify` shares across its sections. Each check of the first
+    pass runs on the prefix of the piece that passed the checks before
+    it, so `k` ends as the first failing position and `why` as its
+    message."""
+    pts, piece = fib.product.points, sw.piece
+    if len(piece) != len(sw.wedges):
+        return False, "piece and assignment lengths differ"
+    at = dict(zip(piece, range(len(piece))))  # product index -> position
+    if len(at) != len(piece):
+        return False, "piece repeats a point"
+    k, why = len(piece), None
+    if piece and not 0 <= min(piece) <= max(piece) < len(pts):
+        k = _first(not 0 <= u < len(pts) for u in piece)
+        why = f"{piece[k]} is not in the product image"
+    sides, ends, shaped = [], [0] * k, k  # per side: table and id columns
+    for space, wedges in fib.sides(sw.wedges[:k]):
+        table = tables.get(space)
+        if table is None:
+            table = tables[space] = _ArmTable(space)
+        if set(map(len, wedges)).difference((space.n,)):
+            shaped = min(shaped, _first(len(w) != space.n for w in wedges))
+        columns = [list(map(table.__getitem__, col))
+                   for col in zip(*wedges[:shaped])]
+        for c in columns:
+            if None in c:
+                shaped = min(shaped, _first(a is None for a in c))
+        starts = [list(map(table.starts.__getitem__, c[:shaped]))
+                  for c in columns]
+        for s in starts[1:]:
+            if s != starts[0]:
+                shaped = min(shaped, _first(map(ne, s, starts[0])))
+        # the arm ends are the product index's digits, base |X| on each
+        # side, so a pair's index comes out as left·|right product| + right
+        size = len(space.base.points)
+        for c in columns:
+            ends = [x * size + y for x, y in
+                    zip(ends, map(table.ends.__getitem__, c[:shaped]))]
+        sides.append((table, columns))
+    if shaped < k:
+        k, why = shaped, (f"assignment at {pts[piece[shaped]]} is not a "
+                          f"wedge of {fib.n} paths of length {fib.m}")
+    if ends[:k] != list(piece[:k]):
+        k = _first(map(ne, ends, piece))
+        why = f"assignment at {pts[piece[k]]} ends at {pts[ends[k]]}"
+    if why is not None:
+        return False, why
+
+    # the piece's edges (i, j), i < j, in ascending order, as positions
+    nbrs, src, dst = fib.product.neighbor_index, [], []
+    for i in sorted(at):
+        p = at[i]
         for j in nbrs[i]:
-            there = row_of(j) if j > i else None
-            if there is None or there == here:
-                continue
-            moved = [(x, y) for x, y in zip(here, there) if x != y]
-            if len(moved) > 1 or not related(*moved[0]):
-                return False, (f"section jumps across the edge {pts[i]} ~ "
-                               f"{pts[j]}: assigned wedges are not within "
-                               f"one step")
+            if j > i and j in at:
+                src.append(p)
+                dst.append(at[j])
+
+    def across(c: list) -> zip:
+        """A column's id pairs across the edges, in edge order."""
+        return zip(map(c.__getitem__, src), map(c.__getitem__, dst))
+
+    jump, moved = len(src), []  # the least failing edge so far
+    for table, columns in sides:
+        for c in columns:
+            bad = table.bad_pairs(set(across(c)))
+            if bad:
+                jump = min(jump, _first(map(bad.__contains__, across(c))))
+        if len(sides) > 1:  # which edges move this side
+            rows = list(zip(*columns))
+            moved.append(list(map(ne, map(rows.__getitem__, src),
+                                  map(rows.__getitem__, dst))))
+    if any(map(all, zip(*moved))):  # a pair moves on at most one side
+        jump = min(jump, _first(map(all, zip(*moved))))
+    if jump < len(src):
+        i, j = piece[src[jump]], piece[dst[jump]]
+        return False, (f"section jumps across the edge {pts[i]} ~ "
+                       f"{pts[j]}: assigned wedges are not within one step")
     return True, None
 
 
@@ -148,17 +217,18 @@ def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
     """Verify each section of a proved construction or of the exact
     search once and check that together they cover the product. Any
     failure is a bug, so it raises TheoremViolation naming its source."""
-    ids, steps = {}, {}  # one arm-id table and arm-pair memo for them all
+    tables: dict = {}  # one arm table per side's space for them all
     for sw in sections:
-        ok, why = _verify_section(fib, sw, ids, steps)
+        ok, why = _verify_section(fib, sw, tables)
         if not ok:
             raise TheoremViolation(
                 f"{what}: a section failed verification: {why}")
     covered = {u for sw in sections for u in sw.piece}
-    missing = [u for u in range(len(fib.product.points)) if u not in covered]
-    if missing:
+    if len(covered) < len(fib.product.points):
+        missing = next(u for u in range(len(fib.product.points))
+                       if u not in covered)
         raise TheoremViolation(f"{what}: the pieces miss the product point "
-                               f"{fib.product.points[missing[0]]}")
+                               f"{fib.product.points[missing]}")
 
 
 def _replay(track: Sequence[Mapping[int, int]], p: int, m: int) -> Path:

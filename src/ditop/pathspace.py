@@ -17,14 +17,17 @@ mixed-radix digits are the arm ends, Σ arm[-1]·|X|^(n-1-k), as sorted
 factors concatenate to sorted points (a pair's is left·|right| + right).
 
 The step relation holds arm by arm, and for pairs of wedges on both
-sides with one side staying. Both spaces split a wedge into `sides`,
-each with its own space, and answer per arm (`is_arm`, `arm_step`) with
-the adjacency's own test on the arms' points; the checker,
-`complexity.verify_section`, asks that once for each distinct arm and
-arm pair, in one pass over the product's own neighbour table. The
-section search reads the relation off per-fiber occupancy tables
-(`Occupancy`, `PairedOccupancy`), whose masks are ORed over the base's
-closed neighbourhoods and ANDed over ticks and arms.
+sides with one side staying. Both spaces split a list of wedges into
+`sides`, one list per side with its own space, and answer per arm
+(`is_arm`, `arm_step`) with the adjacency's own test on the arms'
+points. The checker, `complexity.verify_section`, works column by
+column: it transposes each side into arm columns once, asks `is_arm`
+once per distinct arm, and `arm_step` once per distinct ordered arm
+pair that a column meets across the piece's edges, which it lists once
+from the product's own neighbour table. The section search reads the
+relation off per-fiber occupancy tables (`Occupancy`,
+`PairedOccupancy`), whose masks are ORed over the base's closed
+neighbourhoods and ANDed over ticks and arms.
 """
 
 from __future__ import annotations
@@ -100,19 +103,10 @@ class WedgeSpace:
         """A path of length m in the base."""
         return len(arm) == self.m + 1 and is_path(self.base, arm)
 
-    def sides(self, w: Wedge) -> Optional[tuple[tuple["WedgeSpace", Wedge]]]:
-        """The wedge with its space, if it has n arms with one common start
-        (the arms themselves unchecked), else None."""
-        if len(w) == self.n and len({arm[0] for arm in w if arm}) == 1:
-            return ((self, w),)
-        return None
-
-    def endpoints(self, w: Wedge) -> int:
-        """The product index of the arm ends, Σ arm[-1]·|X|^(n-1-k)."""
-        u, size = 0, len(self.base.points)
-        for arm in w:
-            u = u * size + arm[-1]
-        return u
+    def sides(self, wedges: Sequence[Wedge],
+              ) -> tuple[tuple["WedgeSpace", Sequence[Wedge]]]:
+        """The wedges as one side, with its space (nothing checked)."""
+        return ((self, wedges),)
 
     def constant_wedge(self, q: int) -> Wedge:
         """Every arm standing at base point index q."""
@@ -284,17 +278,13 @@ class PairedWedge:
         self.left = left
         self.right = right
 
-    def sides(self, w) -> Optional[tuple[tuple[WedgeSpace, Wedge], ...]]:
-        """Each component with its space, left first, if w is a pair of
-        shaped wedges, else None."""
-        if len(w) != 2:
-            return None
-        left, right = self.left.sides(w[0]), self.right.sides(w[1])
-        return left + right if left and right else None
-
-    def endpoints(self, w) -> int:
-        return (self.left.endpoints(w[0]) * len(self.right.product.points)
-                + self.right.endpoints(w[1]))
+    def sides(self, pairs: Sequence,
+              ) -> tuple[tuple[WedgeSpace, list[Wedge]], ...]:
+        """Each component's column of wedges with its space, left first;
+        an entry that is not a pair gives () on both sides, no wedge."""
+        pairs = [w if len(w) == 2 else ((), ()) for w in pairs]
+        return ((self.left, [a for a, _ in pairs]),
+                (self.right, [b for _, b in pairs]))
 
     def occupancy(self, pairs: Sequence) -> "PairedOccupancy":
         return PairedOccupancy(self, pairs)

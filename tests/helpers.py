@@ -944,6 +944,12 @@ def _point_endpoints(space, pw) -> Point:
     return tuple(c for arm in pw for c in arm[-1])
 
 
+def wedge_end_point(space, w) -> Point:
+    """The product point at the free ends of an index wedge or pair, read
+    as points and concatenated."""
+    return _point_endpoints(space, wedge_points(space, w))
+
+
 def _point_is_wedge(space, pw) -> bool:
     if isinstance(space, PairedWedge):
         return (len(pw) == 2 and _point_is_wedge(space.left, pw[0])

@@ -2,14 +2,15 @@
 relation it replaced.
 
 `find_section` links piece points through occupancy masks built from
-the base's closed neighbourhoods; `verify_section` gives each distinct
-arm an id once and decides each distinct ordered id pair once, by
-`WedgeSpace.arm_step`, for plain and paired fibrations alike, in one
-pass over the product's own neighbour table, and `_certify` keeps those
-ids and verdicts across all the sections it checks. Both must agree
-with the memo-free point relation kept in `helpers`, on tiny pieces and
-on shuffled pieces of hundreds of points, and the work they save is
-counted here.
+the base's closed neighbourhoods; `verify_section` works column by
+column, giving each distinct arm an id once and deciding each distinct
+ordered id pair that an arm column meets across the piece's edges once,
+by `WedgeSpace.arm_step`, for plain and paired fibrations alike, and
+`_certify` keeps those ids and verdicts across all the sections it
+checks. Both must agree with the memo-free point relation kept in
+`helpers`, on tiny pieces and on shuffled pieces of hundreds of points,
+down to which failure a faulty section is refused for, and the work
+they save is counted here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from ditop.complexity import (SectionWitness, constant_section, find_section,
                               product_of_sections, tc_n, tc_upper_via_group,
                               verify_section)
 from ditop.groups import CayleyTable
-from ditop.pathspace import EndpointFibration, PairedFibration
+from ditop.pathspace import (EndpointFibration, PairedFibration,
+                             paths_between)
 
 from helpers import (AdjacencyStepMasks, loop_bundle, random_grid_image,
                      verify_section_oracle, wedge_adjacent_oracle,
@@ -210,6 +212,128 @@ def test_verify_section_matches_the_memo_free_checker_on_large_pieces(seed):
             assert not any(ok for ok, _ in got[:2] + got[3:])
 
 
+def _shuffled(rng: random.Random, sw: SectionWitness) -> SectionWitness:
+    """The section with its piece in a random order."""
+    order = rng.sample(range(len(sw.piece)), len(sw.piece))
+    return SectionWitness(tuple(sw.piece[k] for k in order),
+                          tuple(sw.wedges[k] for k in order))
+
+
+def _with(sw: SectionWitness, changes: dict) -> SectionWitness:
+    """The section with the wedges at some positions replaced."""
+    return SectionWitness(sw.piece, tuple(changes.get(k, w)
+                                          for k, w in enumerate(sw.wedges)))
+
+
+def _jump(fib, i: int, j: int) -> tuple[bool, str]:
+    pts = fib.product.points
+    return False, (f"section jumps across the edge {pts[i]} ~ {pts[j]}: "
+                   f"assigned wedges are not within one step")
+
+
+def _least_broken_edge(fib, sw: SectionWitness, k: int, w):
+    """The least edge (i, j), i < j, of the piece that the wedge w put at
+    position k breaks, by the memo-free relation, or None."""
+    at = dict(zip(sw.piece, sw.wedges))
+    u = sw.piece[k]
+    broken = [(min(u, v), max(u, v)) for v in fib.product.neighbor_index[u]
+              if v in at and not wedge_adjacent_oracle(fib, w, at[v])]
+    return min(broken, default=None)
+
+
+def _one_arm_faults(fib, sw: SectionWitness, positions):
+    """(position, arm column, wedge, least broken edge) for wedges of a
+    plain fibration's section with one arm swapped for another walk
+    between the same ends, one that breaks an edge of the piece, at
+    most one per position and column, positions in the order given."""
+    for k in positions:
+        w = sw.wedges[k]
+        for col, arm in enumerate(w):
+            for other in paths_between(fib.base, arm[0], arm[-1], fib.m):
+                bad = w[:col] + (other,) + w[col + 1:]
+                edge = _least_broken_edge(fib, sw, k, bad)
+                if edge is not None:
+                    yield k, col, bad, edge
+                    break
+
+
+def test_a_late_point_fault_is_named_before_an_early_edge_fault():
+    # an edge fault at the earliest point in piece order that has one
+    # (away from the last point), and an off-path arm at the last point:
+    # the first pass fails, so the edges are never judged
+    rng = random.Random(7)
+    fib, sections = _large_sections()[0]
+    sw = _shuffled(rng, sections[0])
+    last = len(sw.piece) - 1
+    k, _, bad, edge = next(f for f in _one_arm_faults(fib, sw, range(last))
+                           if sw.piece[last] not in f[3])
+    edge_only = _with(sw, {k: bad})
+    assert verify_section(fib, edge_only) == _jump(fib, *edge) \
+        == verify_section_oracle(fib, edge_only)
+    both = _with(sw, {k: bad, last: _off_path(rng, fib, sw.wedges[last])})
+    pts = fib.product.points
+    want = (False, f"assignment at {pts[sw.piece[last]]} is not a wedge of "
+                   f"{fib.n} paths of length {fib.m}")
+    assert verify_section(fib, both) == want \
+        == verify_section_oracle(fib, both)
+
+
+def test_the_least_of_two_edge_faults_in_different_columns_is_named():
+    # the fault in the later arm column breaks the lesser edge, so a
+    # checker that stopped at the first column with a fault would name
+    # the other edge
+    rng = random.Random(11)
+    fib, sections = _large_sections()[0]
+    sw = _shuffled(rng, sections[0])
+    nbrs, seen = fib.product.neighbor_index, []
+    for fault in _one_arm_faults(fib, sw, rng.sample(range(len(sw.piece)),
+                                                     len(sw.piece))):
+        k, col, _, edge = fault
+        u = sw.piece[k]
+        pair = next(((a, fault) for a in seen
+                     if a[1] < col and edge < a[3] and a[0] != k
+                     and sw.piece[a[0]] not in nbrs[u]), None)
+        if pair is not None:
+            break
+        seen.append(fault)
+    (ka, _, wa, _), (kb, _, wb, edge) = pair
+    bad = _with(sw, {ka: wa, kb: wb})
+    assert verify_section(fib, bad) == _jump(fib, *edge) \
+        == verify_section_oracle(fib, bad)
+
+
+def test_a_paired_edge_moving_both_sides_is_a_jump():
+    # the left wedge at one point swapped for another over the same end,
+    # a step from the stand-still wedge: across an edge that moves the
+    # right side, each side stays within one step, but both move
+    rng = random.Random(13)
+    pair, sections = _large_sections()[1]
+    sw = _shuffled(rng, sections[0])
+    size, m = len(pair.right.product.points), pair.left.m
+    adj = pair.left.base.neighbor_index
+
+    def faults():
+        """(position, wedge, least broken edge) where that edge keeps
+        the left index, so only the right side moves across it."""
+        for k in rng.sample(range(len(sw.piece)), len(sw.piece)):
+            (left,), right = sw.wedges[k]
+            ul = left[-1]
+            for q in adj[ul]:
+                w = (((q,) + (ul,) * m,), right)
+                edge = _least_broken_edge(pair, sw, k, w)
+                if edge is not None and edge[0] // size == edge[1] // size:
+                    yield k, w, edge
+
+    k, w, (i, j) = next(faults())
+    other = dict(zip(sw.piece, sw.wedges))[j if sw.piece[k] == i else i]
+    assert wedge_adjacent_oracle(pair.left, w[0], other[0])
+    assert wedge_adjacent_oracle(pair.right, w[1], other[1])
+    assert w[0] != other[0] and w[1] != other[1]
+    bad = _with(sw, {k: w})
+    assert verify_section(pair, bad) == _jump(pair, i, j) \
+        == verify_section_oracle(pair, bad)
+
+
 def _counted(monkeypatch, owner, name: str, counts: dict) -> None:
     inner = getattr(owner, name)
 
@@ -224,9 +348,10 @@ def _counted(monkeypatch, owner, name: str, counts: dict) -> None:
 # the sections it checks, so each distinct arm is path-checked once
 # (`is_path`) and each distinct ordered arm pair is decided once
 # (`arm_step`) per command: on `tc corpus:H -n 4` the commit before made
-# 456 path checks and 736 `arm_step` calls, one table per section. The
-# translation reads the group's grid, so it makes no `CayleyTable.product`
-# call (384 before). The checker makes no `WedgeSpace.adjacent` call: the
+# 456 path checks and 736 `arm_step` calls, one table per section (200
+# and 320 at n = 3, 968 and 1,568 at n = 5). The translation reads the
+# group's grid, so it makes no `CayleyTable.product` call (384 before
+# at n = 4). The checker makes no `WedgeSpace.adjacent` call: the
 # commit before arm ids made 4, 14 and 10,944, one per piece edge, and the
 # commit before the arm-by-arm relation 29,650, 563, 16,384 and 73,728
 # calls of these kinds.
@@ -234,7 +359,9 @@ WORK = {
     "genus corpus:cycle:4 -n 1 --m 5 --mode strong": {"arm_step": 4,
                                                       "is_path": 4},
     "genus corpus:cycle:14 -n 1 --m 2": {"arm_step": 14, "is_path": 14},
+    "tc corpus:H -n 3": {"arm_step": 104, "is_path": 64},
     "tc corpus:H -n 4": {"arm_step": 104, "is_path": 64},
+    "tc corpus:H -n 5": {"arm_step": 104, "is_path": 64},
 }
 
 

@@ -264,16 +264,18 @@ def test_test_only_helpers_stay_in_the_tests():
     assert not defined & {"categorical_subsets", "MapGraph.all_states",
                           "WedgeSpace.is_wedge", "PairedWedge.is_wedge",
                           "PairedWedge.adjacent", "CayleyTable.inverse",
+                          "WedgeSpace.endpoints", "PairedWedge.endpoints",
                           "DigitalImage.lex_shortest_path",
                           "SectionWitness.from_points"}
 
 
 def test_the_section_checker_reads_no_point_index():
-    # no `_index` lookup and no `.index(` call in the checker, the
-    # certifier or the search's occupancy tables: they compare indices
+    # no `_index` lookup and no `.index(` call in the checker, its arm
+    # tables, the certifier or the search's occupancy tables: they
+    # compare indices
     checked = {("complexity", "verify_section"),
                ("complexity", "_verify_section"), ("complexity", "_certify"),
-               ("pathspace", "Occupancy")}
+               ("complexity", "_ArmTable"), ("pathspace", "Occupancy")}
     seen, reads = set(), []
     for module in ("complexity", "pathspace"):
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))

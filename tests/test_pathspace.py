@@ -15,7 +15,8 @@ from ditop.pathspace import (EndpointFibration, PairedFibration, WedgeSpace,
 
 from helpers import (count_paths, endpoint_fiber_oracle, paired_fiber_oracle,
                      paths_between_oracle, random_grid_image,
-                     wedge_adjacent_oracle, wedge_is_wedge_oracle)
+                     wedge_adjacent_oracle, wedge_end_point,
+                     wedge_is_wedge_oracle)
 
 
 def test_is_path_checks_consecutive_steps():
@@ -114,11 +115,11 @@ def test_wedge_space_basics():
     ws = WedgeSpace(seg, 2, 1)
     w = ((0, 1), (0, 0))  # arms of point indices, which here are the values
     assert wedge_is_wedge_oracle(ws, w)
-    # the arm ends are the digits of one product index
-    assert ws.product.points[ws.endpoints(w)] == (1, 0)
+    # the arm ends, read as points and concatenated, are the product point
+    assert wedge_end_point(ws, w) == (1, 0)
     cw = ws.constant_wedge(1)
     assert cw == ((1, 1), (1, 1)) and wedge_is_wedge_oracle(ws, cw)
-    assert ws.product.points[ws.endpoints(cw)] == (1, 1)
+    assert wedge_end_point(ws, cw) == (1, 1)
     # arms must share their start
     assert not wedge_is_wedge_oracle(ws, ((0, 1), (1, 1)))
 
@@ -154,7 +155,7 @@ def test_fiber_wedges_end_where_they_should():
     seen = 0
     for w in fib.fiber(target):
         seen += 1
-        assert fib.endpoints(w) == target
+        assert wedge_end_point(fib, w) == (0, 2)
         assert wedge_is_wedge_oracle(fib, w)
     assert seen == fib_count(seg, [(0,), (2,)], 2)
 
@@ -205,7 +206,7 @@ def test_paired_wedges_pair_the_component_rules():
                          EndpointFibration(seg, 1, 1))
     a = (((0, 1),), ((0, 0),))
     assert wedge_is_wedge_oracle(pw, a)
-    assert pw.product.points[pw.endpoints(a)] == (1, 0)
+    assert wedge_end_point(pw, a) == (1, 0)
     b = (((0, 0),), ((0, 1),))
     # both strictly moving at once is not a paired step
     assert not wedge_adjacent_oracle(pw, a, b)
