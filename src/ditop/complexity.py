@@ -148,7 +148,9 @@ def _verify_section(fib, sw: SectionWitness, tables: dict):
     if piece and not 0 <= min(piece) <= max(piece) < len(pts):
         k = _first(not 0 <= u < len(pts) for u in piece)
         why = f"{piece[k]} is not in the product image"
-    sides, ends, shaped = [], [0] * k, k  # per side: table and id columns
+    # per side its table and id columns; the product indices that the arm
+    # ends spell; the first position with a shape fault so far
+    sides, ends, shaped = [], [0] * k, k
     for space, wedges in fib.sides(sw.wedges[:k]):
         table = tables.get(space)
         if table is None:
