@@ -10,14 +10,15 @@ then along a path to a common point. `homotopy.nullhomotopy` settles
 every piece; this module adds only the memo, which answers each piece's
 folded core, so a core is searched once however many pieces share it,
 and the automorphism group's generators, so that memo answers whole
-orbits of pieces.
+orbits of pieces. Pieces are bitmasks of base point indices, as in
+`covers`, until a final cover's pieces are written out as points.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, minimal_cover_bounds,
@@ -26,7 +27,7 @@ from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebi
 from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
                        is_contractible, nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
-from .images import DigitalImage, Point, induced_subimage
+from .images import DigitalImage, induced_subimage
 from .maps import DigitalMap, automorphism_generators
 
 
@@ -63,14 +64,14 @@ class CatWitness:
         return True, None
 
 
-def piece_contraction(base: DigitalImage, subset: Sequence[Point],
+def piece_contraction(base: DigitalImage, piece: int,
                       node_budget: int | None = NODE_BUDGET,
-                      lookup: Callable[[Subset], Optional[HomotopyWitness]]
+                      lookup: Callable[[int], Optional[HomotopyWitness]]
                       | None = None,
                       ) -> Optional[HomotopyWitness]:
-    """Nullhomotopy of the inclusion of `subset` into the base, if any."""
-    sub = induced_subimage(base, subset)
-    return nullhomotopy(DigitalMap.inclusion(sub, base),
+    """Nullhomotopy of the inclusion into the base of the piece, a
+    bitmask of base point indices, if any."""
+    return nullhomotopy(DigitalMap.inclusion_of(base, piece),
                         node_budget=node_budget, lookup=lookup)
 
 
@@ -86,8 +87,8 @@ def cat_oracle(base: DigitalImage,
     """
     generators = (automorphism_generators(base)
                   if len(base.points) <= covers.SWEEP_LIMIT else ())
-    oracle = AdmissibilityOracle(base, lambda sub: piece_contraction(
-        base, sub, node_budget, owner().witness), generators=generators)
+    oracle = AdmissibilityOracle(base, lambda piece: piece_contraction(
+        base, piece, node_budget, owner().witness), generators=generators)
     # a weak reference, so that the oracle and search form no cycle and
     # the memo's witnesses are freed with the oracle, not by the collector
     owner = weakref.ref(oracle)
@@ -110,7 +111,7 @@ def cat_exact(base: DigitalImage,
                          "split into components first")
     oracle = cat_oracle(base, node_budget)
     witness = CatWitness(base, tuple(
-        CatPiece(s, oracle.witness(s))
+        CatPiece(base.points_of(s), oracle.witness(s))
         for s in minimal_cover_exact(base, oracle)))
     ok, why = witness.check()
     if not ok:
@@ -136,19 +137,19 @@ def cat_bounds(base: DigitalImage,
         raise ValueError("category here is for connected images; "
                          "split into components first")
     whole: bool | None = None
-    torn: frozenset = frozenset()
+    torn = 0  # no piece
     try:
         whole = is_contractible(base, node_budget)
     except BudgetExhausted:
         # a slide of the identity restricts to its core, where it is tried
         # before any search, so sliding the whole image as a piece tears
-        torn = frozenset(base.points)
+        torn = (1 << len(base.points)) - 1
 
-    def slide_only(sub: Subset) -> Optional[HomotopyWitness]:
-        if frozenset(sub) == torn:
+    def slide_only(piece: int) -> Optional[HomotopyWitness]:
+        if piece == torn:
             return None
-        incl = DigitalMap.inclusion(induced_subimage(base, sub), base)
-        return next(slides(incl), None)
+        return next(slides(DigitalMap.inclusion_of(base, piece)), None)
 
     oracle = AdmissibilityOracle(base, slide_only)
-    return minimal_cover_bounds(base, oracle, whole_admissible=whole)
+    r = minimal_cover_bounds(base, oracle, whole_admissible=whole)
+    return replace(r, witness=tuple(map(base.points_of, r.witness)))

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import ne
+from functools import reduce
+from operator import ne, or_
 from typing import Mapping, Optional, Sequence
 
 # piece_contraction is unused here, but bench/selftest.py checks that the
@@ -43,7 +44,7 @@ from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
 from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
                        contraction, shortest_nullhomotopy, slides)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
-from .images import DigitalImage, Point, induced_subimage
+from .images import DigitalImage, bits
 from .maps import DigitalMap, backtrack
 from .pathspace import EndpointFibration, PairedFibration, Path, Wedge
 from .groups import CayleyTable, is_topological_group
@@ -70,23 +71,6 @@ class SectionWitness:
 
     piece: tuple[int, ...]
     wedges: tuple[Wedge, ...] = field(compare=False)
-
-
-def verify_section(fib: EndpointFibration,
-                   sw: SectionWitness) -> tuple[bool, str | None]:
-    """Pointwise and edgewise check of a section over its piece, column
-    by column on arm ids, in one pass over the product's own table;
-    points appear only in messages. Each side (the one side of a wedge,
-    or either component of a pair) is transposed into arm columns once:
-    each column's new arms are path-checked and numbered, the columns
-    must share their starts, and their end digits, read in mixed radix,
-    must give the piece's indices. Then the piece's edges to later
-    indices are listed once, in ascending order, and per arm column
-    each distinct ordered id pair met across them is decided by the
-    side's `arm_step`; a pair moves on at most one side. The failure
-    named is the first failing point in piece order, else the least
-    failing edge."""
-    return _verify_section(fib, sw, {})
 
 
 class _ArmTable(dict):
@@ -132,18 +116,31 @@ def _first(flags) -> int:
     return next(at for at, flag in enumerate(flags) if flag)
 
 
-def _verify_section(fib, sw: SectionWitness, tables: dict):
-    """`verify_section` on the arm tables, side's space -> `_ArmTable`,
-    that `_certify` shares across its sections. Each check of the first
-    pass runs on the prefix of the piece that passed the checks before
-    it, so `k` ends as the first failing position and `why` as its
-    message."""
+def verify_section(fib: EndpointFibration, sw: SectionWitness,
+                   tables: dict | None = None) -> tuple[bool, str | None]:
+    """Pointwise and edgewise check of a section over its piece, column
+    by column on arm ids, in one pass over the product's own table;
+    points appear only in messages. Each side (the one side of a wedge,
+    or either component of a pair) is transposed into arm columns once:
+    each column's new arms are path-checked and numbered, the columns
+    must share their starts, and their end digits, read in mixed radix,
+    must give the piece's indices. Then the piece's edges to later
+    indices are listed once, in ascending order, and per arm column
+    each distinct ordered id pair met across them is decided by the
+    side's `arm_step`; a pair moves on at most one side. The failure
+    named is the first failing point in piece order, else the least
+    failing edge. `tables`, side's space -> `_ArmTable`, keeps the arms
+    checked for later calls (`_certify` shares one for all its sections;
+    fresh ones by default)."""
+    tables = {} if tables is None else tables
     pts, piece = fib.product.points, sw.piece
     if len(piece) != len(sw.wedges):
         return False, "piece and assignment lengths differ"
     at = dict(zip(piece, range(len(piece))))  # product index -> position
     if len(at) != len(piece):
         return False, "piece repeats a point"
+    # each first-pass check runs on the prefix that passed the ones
+    # before it, so k ends as the first failing position, why its message
     k, why = len(piece), None
     if piece and not 0 <= min(piece) <= max(piece) < len(pts):
         k = _first(not 0 <= u < len(pts) for u in piece)
@@ -221,7 +218,7 @@ def _certify(fib, sections: Sequence[SectionWitness], what: str) -> None:
     failure is a bug, so it raises TheoremViolation naming its source."""
     tables: dict = {}  # one arm table per side's space for them all
     for sw in sections:
-        ok, why = _verify_section(fib, sw, tables)
+        ok, why = verify_section(fib, sw, tables)
         if not ok:
             raise TheoremViolation(
                 f"{what}: a section failed verification: {why}")
@@ -242,12 +239,14 @@ def _replay(track: Sequence[Mapping[int, int]], p: int, m: int) -> Path:
 
 
 def find_section(fib: EndpointFibration,
-                 piece: Sequence[Point]) -> Optional[SectionWitness]:
-    """The first section over the piece found by `maps.backtrack`, or None.
+                 piece: int) -> Optional[SectionWitness]:
+    """The first section over the piece, a bitmask of product indices,
+    found by `maps.backtrack`, or None.
 
     Positions are the piece's points, most-constrained-first (descending
-    degree inside the piece, then canonical order, visited so each next
-    point touches placed ones where possible). Bit b at a point is the
+    degree inside the piece, then index order, visited so each next point
+    touches placed ones where possible), linked by the product's own
+    neighbour table, as the checker reads it. Bit b at a point is the
     b-th wedge of its fiber, materialized up to _FIBER_CAP wedges, and
     each piece edge links both its points, each to the other through the
     step masks of its own fiber's `occupancy` table, built once per fiber:
@@ -259,13 +258,13 @@ def find_section(fib: EndpointFibration,
     loop, a first value that fits no section is dropped when it is
     chosen, not when the closing edge is reached. The section found is
     the one the earlier links alone give."""
-    sub = induced_subimage(fib.product, piece)
-    pts = sub.points
-    k = len(pts)
-    nbrs = sub.neighbor_index
-    at = [fib.product.index(p) for p in pts]
+    at = bits(piece)  # position -> product index
+    k = len(at)
+    pos = dict(zip(at, range(k)))
+    nbrs = [[pos[v] for v in fib.product.neighbor_index[u] if v in pos]
+            for u in at]
 
-    pool = sorted(range(k), key=lambda i: (-len(nbrs[i]), pts[i]))
+    pool = sorted(range(k), key=lambda i: (-len(nbrs[i]), i))
     order: list[int] = []
     step: dict[int, int] = {}  # point -> its position
     while pool:
@@ -280,7 +279,8 @@ def find_section(fib: EndpointFibration,
         dom = list(itertools.islice(fib.fiber(at[i]), _FIBER_CAP + 1))
         if len(dom) > _FIBER_CAP:
             raise BudgetExhausted(
-                f"fiber over {pts[i]} exceeds {_FIBER_CAP} wedges")
+                f"fiber over {fib.product.points[at[i]]} exceeds "
+                f"{_FIBER_CAP} wedges")
         if not dom:
             return None
         domains[i] = dom
@@ -317,7 +317,7 @@ def schwarz_genus(fib: EndpointFibration,
     only."""
     _require_surjective(fib)
     oracle = AdmissibilityOracle(
-        fib.product, lambda sub: find_section(fib, sub))
+        fib.product, lambda piece: find_section(fib, piece))
     sets = minimal_cover_exact(fib.product, oracle)
     witnesses = tuple(oracle.witness(s) for s in sets)
     _certify(fib, witnesses, "sectional genus")
@@ -334,20 +334,21 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
 
 # ---- the group construction ----
 
-def _piece_track(base: DigitalImage, piece: Subset, end: int,
+def _piece_track(base: DigitalImage, piece: int, end: int,
                  node_budget: int | None = NODE_BUDGET,
                  ) -> Optional[tuple[int, int, list[dict[int, int]]]]:
-    """The shortest "retraction track" for one cover piece: a nullhomotopy
-    of its inclusion to a constant target, extended by a walk from the
-    target to `end`. Returns (total steps, target, stages), least by
-    (total, target); stages map point indices to point indices per tick.
+    """The shortest "retraction track" for one cover piece, a bitmask of
+    base point indices: a nullhomotopy of its inclusion to a constant
+    target, extended by a walk from the target to `end`. Returns (total
+    steps, target, stages), least by (total, target); stages map point
+    indices to point indices per tick.
 
     Every slide of the piece is a candidate; if none holds, one search
     runs to the constant at `end`. That search is shortest over every
     target too: a homotopy to the constant at c followed by the walk from
     c to `end` is a homotopy to the constant at `end`. None means the
     piece is not admissible at all."""
-    incl = DigitalMap.inclusion(induced_subimage(base, piece), base)
+    incl = DigitalMap.inclusion_of(base, piece)
     keys, toward = incl.value_indices, base.step_toward(end)
 
     def to_track(w: HomotopyWitness) -> tuple[int, int, list]:
@@ -391,20 +392,19 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
         raise ValueError("not a topological group: " + "; ".join(verdict.failures))
 
     if cover is None:
-        pieces = tuple(p.points
-                       for p in cat_exact(base, node_budget=node_budget).pieces)
-    else:
-        pieces = tuple(tuple(sorted({tuple(q) for q in s})) for s in cover)
-        covered = {q for s in pieces for q in s}
-        if any(p not in covered for p in base.points):
-            raise ValueError("supplied cover does not cover the base")
+        cover = [p.points
+                 for p in cat_exact(base, node_budget=node_budget).pieces]
+    pieces = list(map(base.mask, cover))
+    if reduce(or_, pieces, 0) != (1 << len(base.points)) - 1:
+        raise ValueError("supplied cover does not cover the base")
 
     tracks = []
     for s in pieces:
         track = _piece_track(base, s, table.identity_index, node_budget)
         if track is None:
-            raise ValueError(f"cover piece {s} admits no contraction in the "
-                             f"base; not a categorical cover")
+            raise ValueError(f"cover piece {base.points_of(s)} admits no "
+                             f"contraction in the base; not a categorical "
+                             f"cover")
         tracks.append(track)
 
     need = max(t[0] for t in tracks)
@@ -414,7 +414,7 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
     m_used = need if m is None else m
     fib = EndpointFibration(base, n, m_used)
     size = len(base.points)
-    pieces = [tuple(map(base.index, s)) for s in pieces]
+    pieces = list(map(bits, pieces))
 
     # per base point index x (its grid row) and cover piece: each
     # translated end x*mp with its arm as a 1-tuple, x times the piece's

@@ -8,6 +8,11 @@ hereditary in every use here — subsets of admissible sets stay
 admissible — so minimal covers can be searched over maximal admissible
 sets only.
 
+A subset is the bitmask of its point indices in the base, from the
+sweep through the oracle and its memo to the cover and the searches the
+oracle calls; points come back only for messages and for the callers'
+reports.
+
 The maximal sets are found largest first. A subset contained in a maximal
 set already found misses that set's complement (its "hole"), so the
 sweep enumerates only the subsets that meet every hole: the transversals
@@ -28,9 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterator, Optional, Sequence
 
-from .images import DigitalImage, Point
+from .images import DigitalImage, Point, bits
 
 Subset = tuple[Point, ...]
 
@@ -72,23 +79,23 @@ class BoundResult:
 class AdmissibilityOracle:
     """Memoizing wrapper around a search for an admissibility witness.
 
-    `search(subset)` returns a witness (a contraction, a section) or None;
-    the memo keeps that result, so every piece is searched at most once.
-    Heredity gives no shortcut here: the sweep never asks about subsets of
-    admissible sets and greedy pieces only grow. Symmetry does.
-    `generators`, permutations of the base's point indices (default
-    none), are a caller's promise that admissibility is the same on every
-    orbit of the group they generate. Each search's verdict is then
-    recorded on the searched set's whole orbit, the closure of its
-    index bitmask under the generators, and a yes/no query answers from
-    that record. `witness` returns None without a search on a set whose
-    orbit is known inadmissible, and otherwise searches the set itself,
-    so no witness depends on the generators. A search that raises
-    records nothing.
+    A set is the bitmask of its base point indices, and `search(mask)`
+    returns a witness (a contraction, a section) or None; the memo keeps
+    that result, so every piece is searched at most once. Heredity gives
+    no shortcut here: the sweep never asks about subsets of admissible
+    sets and greedy pieces only grow. Symmetry does. `generators`,
+    permutations of the base's point indices (default none), are a
+    caller's promise that admissibility is the same on every orbit of the
+    group they generate. Each search's verdict is then recorded on the
+    searched set's whole orbit, the closure of its mask under the
+    generators, and a yes/no query answers from that record. `witness`
+    returns None without a search on a set whose orbit is known
+    inadmissible, and otherwise searches the set itself, so no witness
+    depends on the generators. A search that raises records nothing.
     """
 
     def __init__(self, base: DigitalImage,
-                 search: Callable[[Subset], object],
+                 search: Callable[[int], object],
                  generators: Sequence[Sequence[int]] = ()):
         self.base = base
         self.search = search
@@ -99,39 +106,27 @@ class AdmissibilityOracle:
         self._memo: dict[int, object] = {}
         self._known: dict[int, bool] = {}
 
-    def canonical(self, subset: Iterable[Point]) -> Subset:
-        sub = tuple(sorted(set(tuple(p) for p in subset)))
-        for p in sub:
-            if p not in self.base:
-                raise ValueError(f"{p} is not a point of the base image")
-        if not sub:
-            raise ValueError("empty subsets are never admissible pieces")
-        return sub
-
-    def _keyed(self, subset: Iterable[Point]) -> tuple[Subset, int]:
-        sub = self.canonical(subset)
-        return sub, sum(1 << self.base.index(p) for p in sub)
-
-    def __call__(self, subset: Iterable[Point]) -> bool:
-        sub, key = self._keyed(subset)
-        known = self._known.get(key)
+    def __call__(self, mask: int) -> bool:
+        known = self._known.get(mask)
         if known is None:
-            known = self._search(sub, key) is not None
+            known = self._search(mask) is not None
         return known
 
-    def witness(self, subset: Iterable[Point]):
-        """The search's witness for the subset, or None if inadmissible."""
-        sub, key = self._keyed(subset)
-        if key in self._memo:
-            return self._memo[key]
-        if self._known.get(key) is False:
+    def witness(self, mask: int):
+        """The search's witness for the set, or None if inadmissible."""
+        if mask in self._memo:
+            return self._memo[mask]
+        if self._known.get(mask) is False:
             return None
-        return self._search(sub, key)
+        return self._search(mask)
 
-    def _search(self, sub: Subset, key: int):
+    def _search(self, mask: int):
+        if not 0 < mask < 1 << len(self.base.points):
+            raise ValueError("admissible pieces are nonempty sets of the "
+                             "base's point indices")
         self.calls += 1
-        found = self._memo[key] = self.search(sub) or None
-        for image in self._orbit(key):
+        found = self._memo[mask] = self.search(mask) or None
+        for image in self._orbit(mask):
             self._known[image] = found is not None
         return found
 
@@ -181,76 +176,60 @@ def _hitting_combinations(n: int, size: int, holes: Sequence[int],
 
 
 def maximal_admissible_sets(base: DigitalImage,
-                            oracle: AdmissibilityOracle) -> list[Subset]:
-    """All admissible subsets with no admissible strict superset, largest
-    first, lexicographic within a size. The oracle is asked about every
-    subset, in that order, that no maximal set found at a larger size
-    contains; limited to SWEEP_LIMIT points."""
+                            oracle: AdmissibilityOracle) -> list[int]:
+    """All admissible sets, as masks, with no admissible strict superset,
+    largest first, lexicographic by index within a size. The oracle is
+    asked about every set, in that order, that no maximal set found at a
+    larger size contains; limited to SWEEP_LIMIT points."""
     n = len(base.points)
     if n > SWEEP_LIMIT:
         raise ValueError(f"maximal-set sweep is limited to {SWEEP_LIMIT} "
                          f"points, image has {n}")
-    pts = base.points
     full = (1 << n) - 1
-    holes: list[int] = []  # complements of the maximal sets, as bitmasks
-    out: list[Subset] = []
+    holes: list[int] = []  # complements of the maximal sets
+    out: list[int] = []
     for size in range(n, 0, -1):
         # a set of this size lies in no other set of this size, so holes
         # found now bind only the smaller sizes
         found = []
         for combo in _hitting_combinations(n, size, holes):
-            sub = tuple(pts[i] for i in combo)
-            if oracle(sub):
-                out.append(sub)
-                found.append(full ^ sum(1 << i for i in combo))
+            mask = sum(1 << i for i in combo)
+            if oracle(mask):
+                out.append(mask)
+                found.append(full ^ mask)
         holes += found
     return out
 
 
-def _check_coverable(base: DigitalImage, sets: Sequence[Subset]) -> None:
-    covered = set()
-    for s in sets:
-        covered.update(s)
-    missing = [p for p in base.points if p not in covered]
-    if missing:
-        raise CoverImpossible(
-            f"no admissible set contains {missing[0]}; no cover exists")
-
-
 def minimal_cover_exact(base: DigitalImage,
-                        oracle: AdmissibilityOracle) -> tuple[Subset, ...]:
-    """A minimum-size cover of the base by admissible sets.
+                        oracle: AdmissibilityOracle) -> tuple[int, ...]:
+    """A minimum-size cover of the base by admissible sets, as masks.
 
     One pass over k = 1, 2, ...: the first family of k maximal admissible
     sets, in `itertools.combinations` order over the maximal-set list
     (largest first, then lexicographic), that covers the base.
     """
     sets = maximal_admissible_sets(base, oracle)
-    _check_coverable(base, sets)
-    masks = []
-    for s in sets:
-        m = 0
-        for p in s:
-            m |= 1 << base.index(p)
-        masks.append(m)
     full = (1 << len(base.points)) - 1
+    missing = full & ~reduce(or_, sets, 0)
+    if missing:
+        raise CoverImpossible(f"no admissible set contains "
+                              f"{base.points_of(missing)[0]}; no cover exists")
     for k in itertools.count(1):
         count = math.comb(len(sets), k)
         if count > _SCAN_GUARD:
             raise ValueError(f"cover scan would try {count} families of {k} "
                              f"sets, over the {_SCAN_GUARD} guard")
-        for combo in itertools.combinations(range(len(sets)), k):
-            got = 0
-            for i in combo:
-                got |= masks[i]
-            if got == full:
-                return tuple(sets[i] for i in combo)
+        for combo in itertools.combinations(sets, k):
+            if reduce(or_, combo) == full:
+                return combo
 
 
 def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,
                          whole_admissible: bool | None = None,
                          ) -> BoundResult:
-    """Bracket the minimum cover size without the exhaustive sweep.
+    """Bracket the minimum cover size without the exhaustive sweep; the
+    witness is the cover's masks.
 
     The oracle here may be sound but incomplete (True only with a verified
     witness in hand), so a False answer never feeds a lower bound. Upper
@@ -262,7 +241,7 @@ def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,
 
     if whole_admissible:
         notes.append("whole image admissible, cover of one")
-        return BoundResult(1, 1, (base.points,), tuple(notes))
+        return BoundResult(1, 1, ((1 << len(base.points)) - 1,), tuple(notes))
 
     pieces = _greedy_cover(base, oracle)
     notes.append("upper from greedy growth")
@@ -276,28 +255,25 @@ def minimal_cover_bounds(base: DigitalImage, oracle: AdmissibilityOracle,
     return BoundResult(lower, len(pieces), tuple(pieces), tuple(notes))
 
 
-def _greedy_cover(base: DigitalImage, oracle: AdmissibilityOracle) -> list[Subset]:
-    remaining = list(base.points)
-    pieces: list[Subset] = []
+def _greedy_cover(base: DigitalImage, oracle: AdmissibilityOracle) -> list[int]:
+    """Pieces grown from the least uncovered index, each by the least
+    neighbouring index that keeps it admissible, until none does."""
+    closed = base.closed_masks
+    remaining = (1 << len(base.points)) - 1
+    pieces: list[int] = []
     while remaining:
-        seed = remaining[0]
-        if not oracle((seed,)):
-            raise CoverImpossible(
-                f"no admissible set contains {seed}; no cover exists")
-        piece = [seed]
-        grown = True
-        while grown:
-            grown = False
-            in_piece = set(piece)
-            frontier = sorted({q for p in piece for q in base.neighbors(p)
-                               if q not in in_piece})
-            for q in frontier:
-                if oracle(tuple(piece) + (q,)):
-                    piece.append(q)
-                    piece.sort()
-                    grown = True
-                    break
-        pieces.append(tuple(piece))
-        covered = set(piece)
-        remaining = [p for p in remaining if p not in covered]
+        piece = remaining & -remaining
+        if not oracle(piece):
+            raise CoverImpossible(f"no admissible set contains "
+                                  f"{base.points_of(piece)[0]}; no cover "
+                                  f"exists")
+        while True:
+            frontier = reduce(or_, map(closed.__getitem__, bits(piece)))
+            grow = next((q for q in bits(frontier & ~piece)
+                         if oracle(piece | 1 << q)), None)
+            if grow is None:
+                break
+            piece |= 1 << grow
+        pieces.append(piece)
+        remaining &= ~piece
     return pieces

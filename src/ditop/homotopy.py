@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .images import DigitalImage, Point, induced_subimage
+from .images import DigitalImage, Point, bits, subimage
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
@@ -262,7 +262,7 @@ def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
 
 
 def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
-                 lookup: Callable[[Sequence[Point]], Optional[HomotopyWitness]]
+                 lookup: Callable[[int], Optional[HomotopyWitness]]
                  | None = None,
                  ) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic (ends at some constant map), or None
@@ -272,16 +272,18 @@ def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
     witness neither has f, and f is not slid; otherwise f's first slide
     is returned, or else C's witness lifted by `pull_back`. A domain that
     does not fold is slid, then searched (`folded_nullhomotopy`).
-    `lookup`, a memo of this function's answers keyed by a subset of f's
-    domain, answers for f|C in place of a call.
+    `lookup`, a memo of this function's answers on inclusions into f's
+    codomain, keyed by the bitmask of their values, answers for f|C, by
+    the mask of its values, in place of a call.
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
     folded = fold(f.domain)
     if not folded.steps:
         return next(slides(f), None) or folded_nullhomotopy(f, node_budget)
-    w = lookup(folded.core.points) if lookup is not None else nullhomotopy(
-        f.after(DigitalMap.inclusion(folded.core, f.domain)), node_budget)
+    on_core = f.after(DigitalMap.inclusion(folded.core, f.domain))
+    w = (lookup(sum(1 << v for v in set(on_core.value_indices)))
+         if lookup is not None else nullhomotopy(on_core, node_budget))
     if w is None:
         return None
     return next(slides(f), None) or pull_back(f, folded, w.stages)
@@ -342,14 +344,12 @@ class Fold(NamedTuple):
 def fold(img: DigitalImage) -> Fold:
     """Remove the lowest-index dominated point into its lowest-index
     dominator, again and again, until no point is dominated."""
-    pts = img.points
     nbrs = img.neighbor_index
     closed = img.closed_masks
-    alive = (1 << len(pts)) - 1
+    alive = (1 << len(img.points)) - 1
     steps = []
     while True:
-        hit = next(((p, q) for p in range(len(pts)) if alive >> p & 1
-                    for q in nbrs[p]
+        hit = next(((p, q) for p in bits(alive) for q in nbrs[p]
                     if alive >> q & 1 and not closed[p] & alive & ~closed[q]),
                    None)
         if hit is None:
@@ -359,8 +359,7 @@ def fold(img: DigitalImage) -> Fold:
         steps.append((p, q))
     if not steps:
         return Fold(img, img, ())
-    kept = [p for i, p in enumerate(pts) if alive >> i & 1]
-    return Fold(img, induced_subimage(img, kept), tuple(steps))
+    return Fold(img, subimage(img, alive), tuple(steps))
 
 
 def pull_back(f: DigitalMap, folded: Fold,
@@ -417,7 +416,7 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
     on_core = DigitalMap(dom, target, tuple(at[v] for v in stages[-1].value_indices))
     cols = [None] * len(dom.points)  # per domain point, its core track
     for comp in dom.components:
-        incl = DigitalMap.inclusion(induced_subimage(dom, comp), dom)
+        incl = DigitalMap.inclusion_of(dom, comp)
         w = shortest_nullhomotopy(on_core.after(incl), range(len(kept)),
                                   node_budget)
         if w is None:

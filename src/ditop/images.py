@@ -214,6 +214,14 @@ class DigitalImage:
         except KeyError:
             raise ValueError(f"point {tuple(p)} is not in the image") from None
 
+    def mask(self, points: Iterable[Point]) -> int:
+        """The bitmask of the points' indices."""
+        return sum({1 << self.index(p) for p in points})
+
+    def points_of(self, mask: int) -> tuple[Point, ...]:
+        """The points whose indices are the bits of a mask."""
+        return tuple(self.points[i] for i in bits(mask))
+
     @cached_property
     def neighbor_index(self) -> tuple[tuple[int, ...], ...]:
         """For each point index, the sorted indices of its neighbors: from
@@ -252,24 +260,21 @@ class DigitalImage:
     # ---- connectivity ----
 
     @cached_property
-    def components(self) -> tuple[frozenset[Point], ...]:
-        n = len(self.points)
-        seen = [False] * n
+    def components(self) -> tuple[int, ...]:
+        """The connected components as bitmasks of point indices, in the
+        order of their least indices."""
         comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            comp = []
-            dq = deque([s])
-            seen[s] = True
-            while dq:
-                i = dq.popleft()
-                comp.append(i)
-                for j in self.neighbor_index[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        dq.append(j)
-            comps.append(frozenset(self.points[i] for i in comp))
+        unseen = (1 << len(self.points)) - 1
+        while unseen:
+            comp = unseen & -unseen
+            todo = [comp.bit_length() - 1]
+            while todo:
+                for j in self.neighbor_index[todo.pop()]:
+                    if not comp >> j & 1:
+                        comp |= 1 << j
+                        todo.append(j)
+            comps.append(comp)
+            unseen &= ~comp
         return tuple(comps)
 
     @cached_property
@@ -379,14 +384,17 @@ def power_image(x: DigitalImage, n: int, *,
     return out
 
 
-def induced_subimage(img: DigitalImage,
-                     subset: Iterable[Point]) -> DigitalImage:
-    """The image induced on a nonempty subset of points: the image's own
-    points, and its rows restricted and monotonically renumbered. The
-    adjacency object is shared, except that explicit edge sets are
-    restricted to the surviving points.
-    """
-    keep = sorted({img.index(p) for p in subset})
+def bits(mask: int) -> list[int]:
+    """The set bits of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def subimage(img: DigitalImage, mask: int) -> DigitalImage:
+    """The image induced on a nonempty bitmask of point indices: the
+    image's own points, and its rows restricted and monotonically
+    renumbered. The adjacency object is shared, except that explicit
+    edge sets are restricted to the surviving points."""
+    keep = bits(mask)
     if not keep:
         raise ValueError("induced subimage needs at least one point")
     sub = tuple(img.points[i] for i in keep)
@@ -399,3 +407,10 @@ def induced_subimage(img: DigitalImage,
     return DigitalImage._derived(sub, adjacency, lambda: (
         tuple(new[j] for j in img.neighbor_index[i] if j in new)
         for i in keep))
+
+
+def induced_subimage(img: DigitalImage,
+                     subset: Iterable[Point]) -> DigitalImage:
+    """The image induced on a nonempty set of points: `subimage` on
+    their index mask."""
+    return subimage(img, img.mask(subset))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .images import DigitalImage, Point
+from .images import DigitalImage, Point, bits, subimage
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,12 @@ class DigitalMap:
             if p not in whole:
                 raise ValueError(f"{p} is not a point of the larger image")
         return DigitalMap(sub, whole, tuple(whole._index[p] for p in sub.points))
+
+    @staticmethod
+    def inclusion_of(whole: DigitalImage, mask: int) -> "DigitalMap":
+        """The inclusion of the image induced on a bitmask of `whole`'s
+        point indices."""
+        return DigitalMap(subimage(whole, mask), whole, tuple(bits(mask)))
 
     @cached_property
     def values(self) -> tuple[Point, ...]:

@@ -507,30 +507,42 @@ def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,
     return w if ok else None
 
 
-def maximal_admissible_sets_oracle(base: DigitalImage,
-                                   oracle) -> list[Subset]:
+def mask(img: DigitalImage, points: Iterable[Point]) -> int:
+    """The bitmask of the points' indices in the image: a subset as the
+    covers, the category and the section search take it."""
+    return sum(1 << img.points.index(p) for p in set(map(tuple, points)))
+
+
+def mask_points(img: DigitalImage, m: int) -> tuple[Point, ...]:
+    """The points of the image whose indices are the bits of a mask."""
+    return tuple(p for i, p in enumerate(img.points) if m >> i & 1)
+
+
+def maximal_admissible_sets_oracle(base: DigitalImage, oracle) -> list[int]:
     """`covers.maximal_admissible_sets` as a walk of the whole power set:
     every subset, largest first and in combinations order, skipping those
     strictly inside a maximal set already found. The library must ask the
-    oracle the same subsets in the same order without walking the rest."""
+    oracle the same subsets in the same order without walking the rest.
+    Returns the maximal sets' masks."""
     maximal: list[frozenset] = []
-    out: list[Subset] = []
+    out: list[int] = []
     for size in range(len(base.points), 0, -1):
         for combo in itertools.combinations(base.points, size):
             key = frozenset(combo)
             if any(key < m for m in maximal):
                 continue
-            if oracle(combo):
+            if oracle(mask(base, combo)):
                 maximal.append(key)
-                out.append(combo)
+                out.append(mask(base, combo))
     return out
 
 
 def categorical_subsets(base: DigitalImage,
                         node_budget: int | None = 2_000_000) -> list[Subset]:
     """The maximal subsets with nullhomotopic inclusion (the former
-    `category.categorical_subsets`)."""
-    return maximal_admissible_sets(base, cat_oracle(base, node_budget))
+    `category.categorical_subsets`), as points."""
+    return [mask_points(base, s) for s in
+            maximal_admissible_sets(base, cat_oracle(base, node_budget))]
 
 
 def slide_first_cat_oracle(base: DigitalImage,
@@ -543,8 +555,8 @@ def slide_first_cat_oracle(base: DigitalImage,
     `nullhomotopy`. `category.cat_oracle`, which settles the core before
     any slide, must return the same witnesses."""
 
-    def search(sub):
-        folded = fold(induced_subimage(base, sub))
+    def search(piece):
+        folded = fold(induced_subimage(base, mask_points(base, piece)))
         incl = DigitalMap.inclusion(folded.image, base)
         if not folded.steps:
             return nullhomotopy(incl, node_budget=node_budget)
@@ -552,7 +564,7 @@ def slide_first_cat_oracle(base: DigitalImage,
             w = slide_nullhomotopy(incl, t)
             if w is not None:
                 return w
-        core = oracle.witness(folded.core.points)
+        core = oracle.witness(mask(base, folded.core.points))
         return None if core is None else pull_back(incl, folded, core.stages)
 
     oracle = AdmissibilityOracle(base, search)

@@ -36,8 +36,8 @@ from ditop.groups import CayleyTable
 from ditop.pathspace import (EndpointFibration, PairedFibration,
                              paths_between)
 
-from helpers import (AdjacencyStepMasks, loop_bundle, random_grid_image,
-                     verify_section_oracle, wedge_adjacent_oracle,
+from helpers import (AdjacencyStepMasks, loop_bundle, mask,
+                     random_grid_image, verify_section_oracle, wedge_adjacent_oracle,
                      wedge_is_wedge_oracle)
 
 # wedges taken from each fiber, so the quadratic oracle stays quick
@@ -122,7 +122,7 @@ def test_verify_section_matches_the_memo_free_checker(seed, k, n, m, strong):
     for f in (fib, pair):
         pts = f.product.points
         piece = rng.sample(pts, rng.randint(1, min(4, len(pts))))
-        sw = find_section(f, piece)
+        sw = find_section(f, mask(f.product, piece))
         if sw is None:
             continue
         assert verify_section(f, sw) == verify_section_oracle(f, sw) \
@@ -407,7 +407,7 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     # and makes 104 `arm_step` calls, not 456 and 736.
     counts: dict = {}
     checking = [False]
-    check, restrict = complexity._verify_section, images.induced_subimage
+    check = complexity.verify_section
 
     def counted_check(*args):
         checking[0] = True
@@ -416,16 +416,21 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
         finally:
             checking[0] = False
 
-    def counted_restrict(*args):
-        name = "induced in check" if checking[0] else "induced"
-        counts[name] = counts.get(name, 0) + 1
-        return restrict(*args)
+    def counted(restrict):
+        def counted_restrict(*args):
+            name = "induced in check" if checking[0] else "induced"
+            counts[name] = counts.get(name, 0) + 1
+            return restrict(*args)
+        return counted_restrict
 
-    monkeypatch.setattr(complexity, "_verify_section", counted_check)
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("ditop")
-                and getattr(module, "induced_subimage", None) is restrict):
-            monkeypatch.setattr(module, "induced_subimage", counted_restrict)
+    monkeypatch.setattr(complexity, "verify_section", counted_check)
+    # subimages from points and from index masks alike
+    for attr in ("induced_subimage", "subimage"):
+        restrict = getattr(images, attr)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("ditop")
+                    and getattr(module, attr, None) is restrict):
+                monkeypatch.setattr(module, attr, counted(restrict))
     builds: dict[tuple[str, int], int] = {}
     _counted_builds(monkeypatch, "neighbor_index", builds)
     _counted_builds(monkeypatch, "_index", builds)

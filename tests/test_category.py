@@ -14,8 +14,8 @@ from ditop.homotopy import fold, verify_homotopy
 from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
-from helpers import (categorical_subsets, plane_isometry, random_grid_image,
-                     theta_image)
+from helpers import (categorical_subsets, mask, plane_isometry,
+                     random_grid_image, theta_image)
 
 
 def test_single_point_has_category_one():
@@ -43,7 +43,7 @@ def test_the_textbook_pieces_are_admissible_for_the_loop():
     m1, m2 = loop_cover()
     assert set(m1) | set(m2) == set(loop.points)
     for piece in (m1, m2):
-        w = piece_contraction(loop, piece)
+        w = piece_contraction(loop, mask(loop, piece))
         assert w is not None
         ok, why = verify_homotopy(w)
         assert ok, why
@@ -203,10 +203,11 @@ def test_cat_exact_searches_each_piece_once(monkeypatch):
     assert entered == queried
     assert searched and len(searched) == len(set(searched))
     for core in searched:
-        assert core in queried
+        assert mask(loop, core) in queried
         assert not fold(induced_subimage(loop, core)).steps
     for piece in w.pieces:
-        assert piece.contraction is oracles[0].witness(piece.points)
+        assert piece.contraction is oracles[0].witness(mask(loop,
+                                                            piece.points))
 
 
 def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):

@@ -25,7 +25,8 @@ from ditop.images import CK, DigitalImage, interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
 import helpers
-from helpers import find_section_oracle, loop_bundle, per_target_piece_track
+from helpers import (find_section_oracle, loop_bundle, mask,
+                     per_target_piece_track)
 
 
 def test_tc_one_is_always_one():
@@ -110,7 +111,7 @@ def test_the_group_route_searches_once_per_piece_without_slides(monkeypatch):
     assert (len(searches), count, m) == (2, 4, 4)
     complexity._certify(EndpointFibration(loop, 3, m), wits, "search branch")
     e = table.identity
-    tracks = [complexity._piece_track(loop, tuple(sorted(piece)),
+    tracks = [complexity._piece_track(loop, mask(loop, piece),
                                       table.identity_index)
               for piece in loop_cover()]
     oracle = [per_target_piece_track(loop, piece, e) for piece in loop_cover()]
@@ -139,7 +140,7 @@ def test_exact_sweep_agrees_with_the_group_route_on_the_loop(monkeypatch):
 def test_sections_verify_and_tears_are_caught():
     seg = interval_image(0, 1)
     fib = EndpointFibration(seg, 2, 1)
-    sw = find_section(fib, fib.product.points)
+    sw = find_section(fib, mask(fib.product, fib.product.points))
     assert sw is not None
     ok, why = verify_section(fib, sw)
     assert ok, why
@@ -329,7 +330,7 @@ def test_find_section_agrees_with_the_recursive_search(base, n, m, strong,
     rng = random.Random(seed)
     pts = fib.product.points
     piece = rng.sample(pts, rng.randint(1, min(5, len(pts))))
-    got = find_section(fib, piece)
+    got = find_section(fib, mask(fib.product, piece))
     want = find_section_oracle(fib, piece)
     if want is None:
         assert got is None

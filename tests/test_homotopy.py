@@ -23,7 +23,7 @@ from ditop.maps import DigitalMap, continuity_violation
 
 from helpers import (all_states, are_homotopic_oracle,
                      are_homotopy_equivalent, continuous_maps,
-                     is_nullhomotopic, left_translation,
+                     is_nullhomotopic, left_translation, mask,
                      point_walk_slide_nullhomotopy, random_explicit_image,
                      random_grid_image, restrict_witness,
                      shortest_nullhomotopy_oracle, slide_first_cat_oracle,
@@ -252,7 +252,7 @@ def test_folded_verdicts_match_the_unfolded_route_on_every_subset(img):
             incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
             want = unfolded_nullhomotopy(incl) is not None
             for w in (folded_nullhomotopy(incl), nullhomotopy(incl),
-                      oracle.witness(sub)):
+                      oracle.witness(mask(img, sub))):
                 assert (w is not None) == want, sub
                 if w is not None:
                     ok, why = verify_homotopy(w, incl)
@@ -340,7 +340,7 @@ def test_a_tampered_fold_stage_is_rejected_by_stage():
     w = pull_back(incl, folded, core.stages)
     steps = len(folded.steps)
     assert steps == 4 and w.steps >= steps
-    other = cat_oracle(frame).witness(rest)
+    other = cat_oracle(frame).witness(mask(frame, rest))
     dist = frame.distance_matrix
     for k in range(1, steps + 1):
         before, stage = w.stages[k - 1], w.stages[k]
@@ -364,8 +364,8 @@ def _same_witnesses(img, subsets):
     oracle, reference = cat_oracle(img), slide_first_cat_oracle(img)
     for sub in subsets:
         incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
-        want = reference.witness(sub)
-        for w in (oracle.witness(sub), nullhomotopy(incl)):
+        want = reference.witness(mask(img, sub))
+        for w in (oracle.witness(mask(img, sub)), nullhomotopy(incl)):
             assert (w is None) == (want is None), sub
             assert w is None or w.stages == want.stages, sub
 
@@ -400,7 +400,7 @@ def test_a_piece_whose_core_has_no_witness_is_never_slid(monkeypatch):
     incl = DigitalMap.inclusion(induced_subimage(theta, piece), theta)
     assert fold(incl.domain).core.points == cycle
     assert nullhomotopy(incl) is None
-    assert cat_oracle(theta).witness(piece) is None
+    assert cat_oracle(theta).witness(mask(theta, piece)) is None
     assert slid and set(slid) == {cycle}
 
 

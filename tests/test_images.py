@@ -16,7 +16,7 @@ from ditop.images import (CK, DigitalImage, Explicit, ck_adjacent,
 
 from helpers import (all_pairs_neighbor_index, candidate_neighbor_index,
                      least_shortest_path_oracle, lex_shortest_path,
-                     literal_ck_adjacent,
+                     literal_ck_adjacent, mask_points,
                      naive_components, random_explicit_image,
                      random_grid_image)
 
@@ -74,7 +74,7 @@ def test_mixed_dimensions_are_rejected():
 def test_components_agree_with_union_find(seed, k):
     rng = random.Random(seed)
     img = random_grid_image(rng, max_points=9, k=k, connected=False)
-    ours = set(img.components)
+    ours = {frozenset(mask_points(img, comp)) for comp in img.components}
     naive = set(naive_components(img.points, img.edges()))
     assert ours == naive
 

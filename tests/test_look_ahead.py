@@ -27,7 +27,7 @@ from ditop.images import CK, DigitalImage
 from ditop.maps import backtrack
 from ditop.pathspace import EndpointFibration, PairedFibration
 
-from helpers import random_grid_image, section_points
+from helpers import mask, random_grid_image, section_points
 
 _BITS = 8
 
@@ -83,7 +83,8 @@ def test_find_section_is_the_search_without_reverse_links(seed, k, n, m,
                               1, min(m, 1), strong=strong)
     for f in (fib, PairedFibration(left, right)):
         pts = f.product.points
-        piece = rng.sample(pts, rng.randint(1, min(4, len(pts))))
+        piece = mask(f.product,
+                     rng.sample(pts, rng.randint(1, min(4, len(pts)))))
         got = find_section(f, piece)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(complexity, "backtrack", lambda roots, links:
@@ -140,7 +141,7 @@ def test_the_slow_strong_piece_keeps_its_section(monkeypatch):
     fib = EndpointFibration(base, 2, 3, strong=True)
     piece = [(2, 0, 2, 1), (2, 2, 2, 2), (1, 0, 1, 0), (2, 1, 2, 1)]
     counts = _count_lookups(monkeypatch)
-    sw = find_section(fib, piece)
+    sw = find_section(fib, mask(fib.product, piece))
     # the section's points, as the commit before look-ahead wrote them
     assert hashlib.sha256(repr(section_points(fib, sw)).encode()).hexdigest() \
         == "b2d4bcc3ff7d46b12badc9a3b7f23f65bea9f3cf905fbfd21d546c455b7e1151"

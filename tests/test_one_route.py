@@ -15,8 +15,11 @@ beside it, and images, maps and tables carry no label that nothing
 reads. Maps made inside the package pass codomain indices straight in,
 tables their grids of carrier indices, sections their product and arm
 indices, so the section checker, the certifier and the section search's
-occupancy tables look no point up; and code that only tests call
-lives in `tests/helpers.py`. An endpoint fibration is its own wedge
+occupancy tables look no point up. Subsets are bitmasks of point
+indices from the cover sweep through the admissibility oracle to the
+piece searches (`category.piece_contraction`, `complexity.find_section`),
+which neither look a point up nor restrict an image by points; and code
+that only tests call lives in `tests/helpers.py`. An endpoint fibration is its own wedge
 space, with no wrapper to reach through. Only the category oracle, whose
 search is complete, answers whole orbits of the image's automorphism
 group. The checks read the package's source, so they see calls on every
@@ -232,7 +235,7 @@ def test_points_become_a_map_in_one_constructor():
     made = {name for name, attr in vars(DigitalMap).items()
             if isinstance(attr, (staticmethod, classmethod))}
     assert made == {"from_points", "from_mapping", "identity", "constant",
-                    "inclusion"}
+                    "inclusion", "inclusion_of"}
     assert "__post_init__" not in vars(DigitalMap)
 
 
@@ -273,8 +276,7 @@ def test_the_section_checker_reads_no_point_index():
     # no `_index` lookup and no `.index(` call in the checker, its arm
     # tables, the certifier or the search's occupancy tables: they
     # compare indices
-    checked = {("complexity", "verify_section"),
-               ("complexity", "_verify_section"), ("complexity", "_certify"),
+    checked = {("complexity", "verify_section"), ("complexity", "_certify"),
                ("complexity", "_ArmTable"), ("pathspace", "Occupancy")}
     seen, reads = set(), []
     for module in ("complexity", "pathspace"):
@@ -288,3 +290,18 @@ def test_the_section_checker_reads_no_point_index():
                       and sub.attr in ("_index", "index")]
     assert seen == checked
     assert reads == []
+
+
+def test_subsets_reach_the_searches_as_index_masks():
+    # the cover sweep, the oracle and the two piece searches take a subset
+    # as the bitmask of its point indices: no point is looked up, no
+    # subset re-sorted and no image restricted by points on the way
+    searches = {("category", "piece_contraction"),
+                ("complexity", "find_section")}
+    assert searches <= {(m, f) for m, f, _ in _functions()}
+    looked_up = _calls({"index", "mask", "canonical", "induced_subimage"})
+    assert [c for c in looked_up
+            if c[0] == "covers" or c[:2] in searches] == []
+    defined = {f for _, f, _ in _functions()}
+    assert not defined & {"AdmissibilityOracle.canonical",
+                          "AdmissibilityOracle._keyed", "_verify_section"}
