@@ -74,11 +74,10 @@ class SectionWitness:
 
 
 class _ArmTable(dict):
-    """One side space's arms for the checker, arm -> id: an arm is
-    path-checked when a lookup first meets it and numbered, or mapped to
-    None if it is no arm of the space. Each id keeps its arm, start and
-    end digit, and each ordered id pair its `arm_step` verdict once
-    decided."""
+    """One side space's arms for the checker, arm -> id: the lookup that
+    first meets an arm path-checks and numbers it. Each id keeps its arm,
+    start and end digit (-1 both for no arm of the space), and each
+    ordered id pair its `arm_step` verdict once decided."""
 
     def __init__(self, space):
         self.space = space
@@ -87,14 +86,12 @@ class _ArmTable(dict):
         self.ends: list[int] = []
         self.steps: dict[tuple[int, int], bool] = {}
 
-    def __missing__(self, arm: Path) -> int | None:
-        a = None
-        if self.space.is_arm(arm):
-            a = len(self.arms)
-            self.arms.append(arm)
-            self.starts.append(arm[0])
-            self.ends.append(arm[-1])
-        self[arm] = a
+    def __missing__(self, arm: Path) -> int:
+        self[arm] = a = len(self.arms)
+        ok = self.space.is_arm(arm)
+        self.arms.append(arm)
+        self.starts.append(arm[0] if ok else -1)
+        self.ends.append(arm[-1] if ok else -1)
         return a
 
     def bad_pairs(self, pairs) -> set[tuple[int, int]]:
@@ -121,17 +118,17 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
     """Pointwise and edgewise check of a section over its piece, column
     by column on arm ids, in one pass over the product's own table;
     points appear only in messages. Each side (the one side of a wedge,
-    or either component of a pair) is transposed into arm columns once:
-    each column's new arms are path-checked and numbered, the columns
-    must share their starts, and their end digits, read in mixed radix,
-    must give the piece's indices. Then the piece's edges to later
-    indices are listed once, in ascending order, and per arm column
-    each distinct ordered id pair met across them is decided by the
-    side's `arm_step`; a pair moves on at most one side. The failure
-    named is the first failing point in piece order, else the least
-    failing edge. `tables`, side's space -> `_ArmTable`, keeps the arms
-    checked for later calls (`_certify` shares one for all its sections;
-    fresh ones by default)."""
+    or either component of a pair) is transposed into arm columns once,
+    a wedge of the wrong length read as non-arms: each column's new arms
+    are path-checked and numbered, one fault vector marks the points
+    whose columns do not share a start (a non-arm's is -1), and the end
+    digits, read in mixed radix, must give the piece's indices. Then per
+    arm column each distinct ordered id pair met across the piece's edges
+    is decided by the side's `arm_step`; a pair moves on at most one
+    side. The failure named is the first failing point in piece order,
+    else the least failing edge. `tables`, side's space -> `_ArmTable`,
+    keeps the arms checked for later calls (`_certify` shares one for
+    all its sections; fresh ones by default)."""
     tables = {} if tables is None else tables
     pts, piece = fib.product.points, sw.piece
     if len(piece) != len(sw.wedges):
@@ -139,46 +136,37 @@ def verify_section(fib: EndpointFibration, sw: SectionWitness,
     at = dict(zip(piece, range(len(piece))))  # product index -> position
     if len(at) != len(piece):
         return False, "piece repeats a point"
-    # each first-pass check runs on the prefix that passed the ones
-    # before it, so k ends as the first failing position, why its message
-    k, why = len(piece), None
-    if piece and not 0 <= min(piece) <= max(piece) < len(pts):
-        k = _first(not 0 <= u < len(pts) for u in piece)
-        why = f"{piece[k]} is not in the product image"
     # per side its table and id columns; the product indices that the arm
-    # ends spell; the first position with a shape fault so far
-    sides, ends, shaped = [], [0] * k, k
-    for space, wedges in fib.sides(sw.wedges[:k]):
+    # ends spell; the fault vector
+    sides, ends, shaped = [], [0] * len(piece), [True] * len(piece)
+    for space, wedges in fib.sides(sw.wedges):
         table = tables.get(space)
         if table is None:
             table = tables[space] = _ArmTable(space)
-        if set(map(len, wedges)).difference((space.n,)):
-            shaped = min(shaped, _first(len(w) != space.n for w in wedges))
-        columns = [list(map(table.__getitem__, col))
-                   for col in zip(*wedges[:shaped])]
-        for c in columns:
-            if None in c:
-                shaped = min(shaped, _first(a is None for a in c))
-        starts = [list(map(table.starts.__getitem__, c[:shaped]))
-                  for c in columns]
-        for s in starts[1:]:
-            if s != starts[0]:
-                shaped = min(shaped, _first(map(ne, s, starts[0])))
+        columns = [list(map(table.__getitem__, col)) for col in zip(*(
+            w if len(w) == space.n else ((),) * space.n for w in wedges))]
+        starts = [list(map(table.starts.__getitem__, c)) for c in columns]
+        for s in starts:  # a non-arm starts at -1
+            if s != starts[0] or -1 in s:
+                shaped = [ok and x == y != -1
+                          for ok, x, y in zip(shaped, s, starts[0])]
         # the arm ends are the product index's digits, base |X| on each
         # side, so a pair's index comes out as left·|right product| + right
         size = len(space.base.points)
         for c in columns:
-            ends = [x * size + y for x, y in
-                    zip(ends, map(table.ends.__getitem__, c[:shaped]))]
+            ends = [x * size + y
+                    for x, y in zip(ends, map(table.ends.__getitem__, c))]
         sides.append((table, columns))
-    if shaped < k:
-        k, why = shaped, (f"assignment at {pts[piece[shaped]]} is not a "
-                          f"wedge of {fib.n} paths of length {fib.m}")
-    if ends[:k] != list(piece[:k]):
-        k = _first(map(ne, ends, piece))
-        why = f"assignment at {pts[piece[k]]} ends at {pts[ends[k]]}"
-    if why is not None:
-        return False, why
+    # ends equal to the piece lie in the product: arm ends are base indices
+    if not (all(shaped) and ends == list(piece)):
+        for k, u in enumerate(piece):
+            if not 0 <= u < len(pts):
+                return False, f"{u} is not in the product image"
+            if not shaped[k]:
+                return False, (f"assignment at {pts[u]} is not a wedge of "
+                               f"{fib.n} paths of length {fib.m}")
+            if ends[k] != u:
+                return False, f"assignment at {pts[u]} ends at {pts[ends[k]]}"
 
     # the piece's edges (i, j), i < j, in ascending order, as positions
     nbrs, src, dst = fib.product.neighbor_index, [], []

@@ -64,7 +64,7 @@ def _announced(lineno: int, head: str, k: int, unit: str,
 
 def parse_image(text: str) -> DigitalImage:
     dim: Optional[int] = None
-    adjacency = None
+    adjacency = adjacency_line = None
     explicit = False
     points: list[Point] = []
     seen: dict[Point, int] = {}
@@ -78,6 +78,9 @@ def parse_image(text: str) -> DigitalImage:
             if dim < 1:
                 raise ParseError(lineno, "dim wants one positive integer")
         elif head == "adjacency":
+            if adjacency_line is not None:
+                raise ParseError(lineno, "adjacency given twice")
+            adjacency_line = lineno
             if len(rest) != 1:
                 raise ParseError(lineno, "adjacency wants one word")
             word = rest[0]
@@ -120,6 +123,8 @@ def parse_image(text: str) -> DigitalImage:
         return DigitalImage(points, Explicit.of(pairs))
     if adjacency is None:
         raise ParseError(1, "missing adjacency")
+    if not 1 <= adjacency.k <= dim:
+        raise ParseError(adjacency_line, f"c{adjacency.k} undefined on Z^{dim}")
     return DigitalImage(points, adjacency)
 
 

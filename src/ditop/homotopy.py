@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .images import DigitalImage, Point, bits, subimage
+from .images import DigitalImage, bits, subimage
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
@@ -200,17 +200,17 @@ def are_homotopic(f: DigitalMap, g: DigitalMap,
 
 # ---- contractibility ----
 
-def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness]:
+def slide_nullhomotopy(f: DigitalMap, target: int) -> Optional[HomotopyWitness]:
     """Geodesic-slide candidate for a homotopy from f to the constant map at
-    `target`: every value walks its lexicographic shortest path (the
-    codomain's `step_toward`), one step per stage. Cheap, but only a
-    candidate — each stage is verified and None is returned on any failure
-    (the classic one being a loop, where opposite sides slide around
-    different ways and tear)."""
+    the codomain index `target`: every value walks its lexicographic
+    shortest path (the codomain's `step_toward`), one step per stage. Cheap,
+    but only a candidate — each stage is verified and None is returned on
+    any failure (the classic one being a loop, where opposite sides slide
+    around different ways and tear), or for an index outside the codomain."""
     cod = f.codomain
-    if target not in cod:
+    if not 0 <= target < len(cod.points):
         return None
-    step = cod.step_toward(cod.index(target))
+    step = cod.step_toward(target)
     cur = f.value_indices
     if min(step[v] for v in cur) < 0:
         return None  # some value cannot reach the target
@@ -222,14 +222,15 @@ def slide_nullhomotopy(f: DigitalMap, target: Point) -> Optional[HomotopyWitness
         stages.append(st)
         cur = tuple(step[v] for v in cur)
     w = HomotopyWitness(tuple(stages), "slide")
-    ok, _ = verify_homotopy(w, f, DigitalMap.constant(f.domain, cod, target))
+    ok, _ = verify_homotopy(w, f, DigitalMap(f.domain, cod,
+                                             (target,) * len(f.domain)))
     return w if ok else None
 
 
 def slides(f: DigitalMap) -> Iterator[HomotopyWitness]:
     """Every slide of f that holds, target by target in the codomain's
-    point order; take the first with `next(slides(f), None)`."""
-    for t in f.codomain.points:
+    index order; take the first with `next(slides(f), None)`."""
+    for t in range(len(f.codomain.points)):
         w = slide_nullhomotopy(f, t)
         if w is not None:
             yield w

@@ -239,10 +239,6 @@ class DigitalImage:
         return tuple(sum(1 << j for j in (i, *nbrs))
                      for i, nbrs in enumerate(self.neighbor_index))
 
-    def neighbors(self, p: Point) -> tuple[Point, ...]:
-        i = self.index(p)
-        return tuple(self.points[j] for j in self.neighbor_index[i])
-
     @cached_property
     def edge_index_pairs(self) -> tuple[tuple[int, int], ...]:
         """All edges as index pairs (i, j) with i < j, in canonical order."""

@@ -128,6 +128,11 @@ def loop_bundle():
     return loop_image(), loop_rotation_table(), loop_cover()
 
 
+def neighbors(img: DigitalImage, p: Point) -> tuple[Point, ...]:
+    """The neighbours of p in the image, as points, in index order."""
+    return tuple(img.points[j] for j in img.neighbor_index[img.index(p)])
+
+
 def lex_shortest_path(img: DigitalImage, a: Point, b: Point,
                       ) -> tuple[Point, ...]:
     """The lexicographically least shortest path from a to b, along the
@@ -160,7 +165,7 @@ def paths_between_oracle(img: DigitalImage, start: Point, end: Point,
         if remaining == 0:
             yield tuple(prefix)
             return
-        for q in sorted((here,) + img.neighbors(here)):
+        for q in sorted((here,) + neighbors(img, here)):
             prefix.append(q)
             yield from extend()
             prefix.pop()
@@ -392,7 +397,7 @@ def unfolded_nullhomotopy(f: DigitalMap,
     cod = f.codomain
     pool = tuple(tuple(t) for t in targets) if targets is not None else cod.points
     for t in pool:
-        w = slide_nullhomotopy(f, t)
+        w = slide_nullhomotopy(f, cod.index(t))
         if w is not None:
             return w
     return shortest_nullhomotopy_oracle(f, {cod.index(t) for t in pool},
@@ -560,7 +565,7 @@ def slide_first_cat_oracle(base: DigitalImage,
         incl = DigitalMap.inclusion(folded.image, base)
         if not folded.steps:
             return nullhomotopy(incl, node_budget=node_budget)
-        for t in base.points:
+        for t in range(len(base.points)):
             w = slide_nullhomotopy(incl, t)
             if w is not None:
                 return w
@@ -1056,6 +1061,8 @@ def verify_section_oracle(fib, sw: SectionWitness) -> tuple[bool, str | None]:
             return False, (f"assignment at {pts[u]} ends at "
                            f"{_point_endpoints(fib, pw)}")
     piece = [pts[u] for u in sw.piece]
+    if not piece:
+        return True, None  # no point and no edge to check
     sub = induced_subimage(fib.product, piece)
     pos = {p: k for k, p in enumerate(piece)}
     for a, b in sub.edges():

@@ -508,3 +508,44 @@ def test_a_tampered_section_after_a_good_one_fails_on_the_shared_table(
             complexity._certify(fib, (good, bad) + wits[1:], "reused")
         # good's arms were path-checked once, and bad's needed no check
         assert counts["is_path"] == len({a for w in good.wedges for a in w})
+
+
+def test_an_empty_piece_is_a_section_on_one_side_and_on_two():
+    # no point and no edge: no arm column to read either
+    loop = loop_bundle()[0]
+    one = EndpointFibration(loop, 1, 2)
+    for fib in (EndpointFibration(loop, 2, 2), PairedFibration(one, one)):
+        empty = SectionWitness((), ())
+        assert verify_section(fib, empty) == verify_section_oracle(fib, empty) \
+            == (True, None)
+
+
+def _malformed(fib, w) -> list:
+    """Variants of the wedge w that are no wedge: an arm short, one arm
+    cut by a tick, one arm off the base; over a pair, its left side so,
+    and a lone side in place of the pair."""
+    def broken(v):
+        arm = v[0]
+        return [v[:-1], (arm[:-1],) + v[1:],
+                ((len(fib.product.points),) * len(arm),) + v[1:]]
+    if isinstance(fib, PairedFibration):
+        return [(v, w[1]) for v in broken(w[0])] + [(w[0],)]
+    return broken(w)
+
+
+def test_the_shared_arm_table_numbers_non_arms_with_int_ids():
+    # non-arms get ids too, with start and end -1, so the fault vector
+    # marks them; no id is None after the tampered sections
+    for fib, sections in _large_sections():
+        good, tables = sections[0], {}
+        pts = fib.product.points
+        want = (False, f"assignment at {pts[good.piece[0]]} is not a wedge "
+                       f"of {fib.n} paths of length {fib.m}")
+        for w in _malformed(fib, good.wedges[0]):
+            bad = SectionWitness(good.piece, (w,) + good.wedges[1:])
+            assert verify_section(fib, bad, tables) == want
+        assert verify_section(fib, good, tables) == (True, None)
+        ids = [a for t in tables.values() for a in t.values()]
+        assert ids and all(type(a) is int for a in ids)
+        first = tables[fib.sides(good.wedges)[0][0]]  # the broken side's
+        assert -1 in first.starts and -1 in first.ends

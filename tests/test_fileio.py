@@ -296,8 +296,28 @@ def test_check_continuity_names_the_image_file_of_a_parse_error(
         f"error: {img}: line 4: duplicate point (0,) (first at line 3)\n")
 
 
+@pytest.mark.parametrize("text, why", [
+    ("dim 2\nadjacency c3\npoint 0 0\n", "line 2: c3 undefined on Z^2"),
+    ("dim 1\nadjacency c1\nadjacency explicit\npoint 0\npoint 1\n",
+     "line 3: adjacency given twice")])
+def test_image_info_refuses_a_bad_adjacency_record_by_line(
+        tmp_path, capsys, text, why):
+    path = tmp_path / "bad.img"
+    path.write_text(text)
+    from ditop.cli import main
+    assert main(["image-info", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
 def test_witness_parsers_check_what_their_headers_announce():
     cases = [
+        (parse_image, "dim 2\nadjacency c3\npoint 0 0\n",
+         (2, "line 2: c3 undefined on Z^2")),
+        (parse_image, "adjacency c0\ndim 1\npoint 0\n",
+         (1, "line 1: c0 undefined on Z^1")),
+        (parse_image, "dim 1\nadjacency c1\nadjacency explicit\npoint 0\n"
+                      "point 1\n",
+         (3, "line 3: adjacency given twice")),
         (parse_cover, "cover 3\npiece 1\npoint 0\n",
          (1, "line 1: cover announced 3 pieces, lists 1")),
         (parse_cover, "cover 1\npiece\npoint 0\n",

@@ -174,13 +174,16 @@ def test_the_unit_square_cycle_is_contractible():
 
 def test_slide_nullhomotopy_works_on_trees_but_not_the_loop():
     seg = interval_image(0, 4)
-    w = slide_nullhomotopy(DigitalMap.identity(seg), (0,))
+    w = slide_nullhomotopy(DigitalMap.identity(seg), seg.index((0,)))
     assert w is not None
     ok, why = verify_homotopy(w)
     assert ok, why
     loop = loop_image()
-    for t in loop.points:
+    for t in range(len(loop.points)):
         assert slide_nullhomotopy(DigitalMap.identity(loop), t) is None
+    assert slide_nullhomotopy(DigitalMap.identity(seg), len(seg.points)) \
+        is None
+    assert slide_nullhomotopy(DigitalMap.identity(seg), -1) is None
 
 
 def test_nullhomotopy_respects_requested_targets():
@@ -409,7 +412,7 @@ def test_a_piece_whose_core_has_no_witness_is_never_slid(monkeypatch):
 def test_a_slide_restricts_to_a_slide_of_the_core(name, data):
     img = _SPLIT_IMAGES[name]
     sub = data.draw(st.sets(st.sampled_from(img.points), min_size=1))
-    t = data.draw(st.sampled_from(img.points))
+    t = img.index(data.draw(st.sampled_from(img.points)))
     incl = DigitalMap.inclusion(induced_subimage(img, sub), img)
     if slide_nullhomotopy(incl, t) is not None:
         core = fold(incl.domain).core
@@ -429,7 +432,7 @@ def test_index_slides_match_the_point_walk(seed, kind):
            else random_grid_image(rng, k=k, connected=not apart))
     f = rng.choice(list(continuous_maps(dom, cod)))
     for t in cod.points:
-        w = slide_nullhomotopy(f, t)
+        w = slide_nullhomotopy(f, cod.index(t))
         oracle = point_walk_slide_nullhomotopy(f, t)
         assert (w is None) == (oracle is None), t
         if w is not None:

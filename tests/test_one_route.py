@@ -269,6 +269,7 @@ def test_test_only_helpers_stay_in_the_tests():
                           "PairedWedge.adjacent", "CayleyTable.inverse",
                           "WedgeSpace.endpoints", "PairedWedge.endpoints",
                           "DigitalImage.lex_shortest_path",
+                          "DigitalImage.neighbors",
                           "SectionWitness.from_points"}
 
 
