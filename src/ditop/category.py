@@ -27,7 +27,7 @@ from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebi
 from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
                        is_contractible, nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
-from .images import DigitalImage, induced_subimage
+from .images import DigitalImage
 from .maps import DigitalMap, automorphism_generators
 
 
@@ -50,8 +50,8 @@ class CatWitness:
         covered = set()
         for k, piece in enumerate(self.pieces):
             covered.update(piece.points)
-            incl = DigitalMap.inclusion(
-                induced_subimage(self.base, piece.points), self.base)
+            incl = DigitalMap.inclusion_of(self.base,
+                                           self.base.mask(piece.points))
             w = piece.contraction
             ok, why = verify_homotopy(w, incl)
             if not ok:

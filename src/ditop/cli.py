@@ -19,6 +19,7 @@ import sys
 import time
 from typing import Callable
 
+from . import covers
 from .category import cat_bounds, cat_exact
 from .complexity import CoverImpossible, schwarz_genus, tc_n
 from .corpus import (UnknownCorpusName, get_image, get_map, get_table,
@@ -151,7 +152,8 @@ def cmd_contractible(args, rep: Report) -> int:
 def cmd_cat(args, rep: Report) -> int:
     img, rep.inputs[args.image] = _image_from_ref(args.image)
     rep.settings["convention"] = "k-sets"
-    if args.bounds:
+    # read at call time, so that a lowered sweep limit moves `cat` too
+    if len(img.points) > covers.SWEEP_LIMIT:
         r = cat_bounds(img, node_budget=args.budget)
         rep.results["cat_lower"] = r.lower
         rep.results["cat_upper"] = r.upper if r.upper is not None else "?"
@@ -462,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cat", help="digital Lusternik-Schnirelmann category")
     p.add_argument("image")
-    p.add_argument("--bounds", action="store_true",
-                   help="settle for cheap bounds")
     common(p)
 
     p = sub.add_parser("tc", help="higher topological complexity TC_n")

@@ -440,11 +440,12 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     n = 1 is settled by the stand-still section, and a contractible base
     by one global section replaying its contraction, when the arm length
     allows it. Products within `covers.SWEEP_LIMIT` points get the exact
-    sweep. Otherwise the bracket combines the category lower bound (for
-    bases within the limit) with the group-construction upper bound when
-    a table is supplied, which translates the supplied cover or else the
-    minimum categorical cover behind the lower bound. A route the arm
-    length is too short for is skipped with a note. A base within the
+    sweep. Otherwise the bracket combines the category lower bound (past
+    the limit, 2 when the base does not contract) with the
+    group-construction upper bound when a table is supplied, which
+    translates the supplied cover or else the minimum categorical cover
+    behind the lower bound. A route without a cover, or one the arm
+    length is too short for, is skipped with a note. A base within the
     limit under a larger product gets its exact category first, and at
     category 1 a slide of the whole image or else a shortest contraction.
     """
@@ -469,10 +470,11 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     # witness is `contraction`'s first answer, kept if it is a slide
     cat_w = (cat_exact(base, node_budget) if len(base.points)
              <= covers.SWEEP_LIMIT < len(base.points) ** n else None)
-    w = None
+    w, lower = None, 1
     try:
         if cat_w is None:
             w = contraction(base, node_budget)
+            lower = 2 if w is None else 1  # no contraction: cat >= 2
         elif cat_w.size == 1 and cat_w.pieces[0].contraction.label == "slide":
             w = cat_w.pieces[0].contraction
         elif cat_w.size == 1:
@@ -509,7 +511,7 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         notes.append("exact sweep over the product")
         return BoundResult(k, k, ws, tuple(notes))
 
-    lower, upper, witness = 1, None, None
+    upper, witness = None, None
     if cat_w is not None:
         lower = cat_w.size
         if cover is None:
@@ -517,9 +519,18 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
             cover = tuple(p.points for p in cat_w.pieces)
         notes.append(f"lower {lower}: the category of the base is a lower "
                      f"bound for every TC_n, n >= 2")
+    elif lower == 2:
+        notes.append("lower 2: the base does not contract, so cat >= 2")
     else:
         notes.append("lower stays 1: base too large for the exact category")
-    if table is not None and not strong:
+    if table is None:
+        notes.append("no group structure supplied, no upper route")
+    elif strong:
+        notes.append("group route unavailable: the translation construction "
+                     "covers the pointwise relation only")
+    elif cover is None:
+        notes.append("group route unavailable: no cover past the sweep limit")
+    else:
         try:
             upper, witness, m_used = tc_upper_via_group(
                 base, table, n, cover, m, node_budget=node_budget)
@@ -527,11 +538,6 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                          f"length {m_used}")
         except ArmTooShort as err:
             notes.append(f"group route unavailable: {err}")
-    elif table is not None:
-        notes.append("group route unavailable: the translation construction "
-                     "covers the pointwise relation only")
-    else:
-        notes.append("no group structure supplied, no upper route")
     return BoundResult(lower, upper, witness, tuple(notes))
 
 

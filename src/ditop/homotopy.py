@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .images import DigitalImage, bits, subimage
+from .images import DigitalImage, bits
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
@@ -282,7 +282,7 @@ def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
     folded = fold(f.domain)
     if not folded.steps:
         return next(slides(f), None) or folded_nullhomotopy(f, node_budget)
-    on_core = f.after(DigitalMap.inclusion(folded.core, f.domain))
+    on_core = f.after(folded.inclusion)
     w = (lookup(sum(1 << v for v in set(on_core.value_indices)))
          if lookup is not None else nullhomotopy(on_core, node_budget))
     if w is None:
@@ -322,14 +322,19 @@ class Fold(NamedTuple):
 
     Step (p, q), a pair of image indices, removes p, whose closed
     neighbourhood among the points still present lies inside that of q.
+    `inclusion` is the core's inclusion into the image, by index.
     The retraction r sending p to q is continuous and one step from the
     identity, so f ~ f o r for maps out of the image and f ~ r o f for
     maps into it.
     """
 
     image: DigitalImage
-    core: DigitalImage
+    inclusion: DigitalMap
     steps: tuple[tuple[int, int], ...]
+
+    @property
+    def core(self) -> DigitalImage:
+        return self.inclusion.domain
 
     def retractions(self) -> list[tuple[int, ...]]:
         """The composite retraction after each step as image indices, the
@@ -359,8 +364,8 @@ def fold(img: DigitalImage) -> Fold:
         alive &= ~(1 << p)
         steps.append((p, q))
     if not steps:
-        return Fold(img, img, ())
-    return Fold(img, subimage(img, alive), tuple(steps))
+        return Fold(img, DigitalMap.identity(img), ())
+    return Fold(img, DigitalMap.inclusion_of(img, alive), tuple(steps))
 
 
 def pull_back(f: DigitalMap, folded: Fold,
@@ -376,7 +381,7 @@ def pull_back(f: DigitalMap, folded: Fold,
     dom, cod, fv = f.domain, f.codomain, f.value_indices
     rs = folded.retractions()
     r = rs[-1]
-    at = {a: k for k, a in enumerate(sorted(set(r)))}  # core positions
+    at = {a: k for k, a in enumerate(folded.inclusion.value_indices)}
     values = [tuple(fv[a] for a in r_k) for r_k in rs]
     values += [tuple(st.value_indices[at[a]] for a in r) for st in core_stages[1:]]
     kept = [v for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
@@ -412,7 +417,7 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
     target = cod_fold.core
     stages = [DigitalMap(dom, f.codomain, tuple(r[v] for v in f.value_indices))
               for r in cod_fold.retractions()]
-    kept = DigitalMap.inclusion(target, f.codomain).value_indices
+    kept = cod_fold.inclusion.value_indices
     at = {a: k for k, a in enumerate(kept)}
     on_core = DigitalMap(dom, target, tuple(at[v] for v in stages[-1].value_indices))
     cols = [None] * len(dom.points)  # per domain point, its core track
@@ -435,4 +440,5 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
                    tuple(kept[c[min(k, len(c) - 1)]] for c in cols))
         for k in range(1, max(map(len, cols)))]
     # an empty fold: the lift only merges repeated stages and checks them
-    return pull_back(f, Fold(dom, dom, ()), stages + core_stages)
+    return pull_back(f, Fold(dom, DigitalMap.identity(dom), ()),
+                     stages + core_stages)

@@ -5,7 +5,7 @@ scratch, and compares with the recorded value. A row ends in one of:
 "match", "within paper bound" (an inequality expectation that holds),
 "MISMATCH", "inconclusive (budget exhausted)", or "ERROR: ...". The
 verify-paper command prints the table and exits nonzero when any row
-mismatches or errors.
+mismatches or errors; a failed self-check propagates.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from functools import cache
 from typing import Callable
 
 from .category import cat_exact, piece_contraction
-from .complexity import (PairedFibration, product_of_sections, schwarz_genus,
-                         tc_n)
+from .complexity import (PairedFibration, TheoremViolation,
+                         product_of_sections, schwarz_genus, tc_n)
 from .corpus import (LOOP_LETTERS, loop_cover, loop_rotation_table,
                      flip_table, reference_contractions, sign_embedding,
                      sign_table, z2plus_group, zplus_group)
@@ -48,6 +48,8 @@ class Row:
 def _row(name: str, expected: str, fn: Callable[[], tuple[str, object]]) -> Row:
     try:
         computed, verdict = fn()
+    except (TheoremViolation, AssertionError):
+        raise  # a failed self-check is a fault, not a verdict on the row
     except BudgetExhausted:
         return Row(name, expected, "budget exhausted",
                    "inconclusive (budget exhausted)")

@@ -64,19 +64,9 @@ class DigitalMap:
         return DigitalMap(img, img, tuple(range(len(img.points))))
 
     @staticmethod
-    def constant(domain: DigitalImage, codomain: DigitalImage,
-                 value: Point) -> "DigitalMap":
-        value = tuple(value)
-        if value not in codomain:
-            raise ValueError(f"constant value {value} is not in the codomain")
-        return DigitalMap(domain, codomain, (codomain.index(value),) * len(domain))
-
-    @staticmethod
     def inclusion(sub: DigitalImage, whole: DigitalImage) -> "DigitalMap":
-        for p in sub.points:
-            if p not in whole:
-                raise ValueError(f"{p} is not a point of the larger image")
-        return DigitalMap(sub, whole, tuple(whole._index[p] for p in sub.points))
+        """The inclusion of an image read back by its points."""
+        return DigitalMap(sub, whole, tuple(map(whole.index, sub.points)))
 
     @staticmethod
     def inclusion_of(whole: DigitalImage, mask: int) -> "DigitalMap":

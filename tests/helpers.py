@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ditop.category import cat_oracle
 from ditop.complexity import SectionWitness
 from ditop.covers import AdmissibilityOracle, Subset, maximal_admissible_sets
-from ditop.corpus import loop_cover, loop_image, loop_rotation_table
+from ditop.corpus import (cycle_image, loop_cover, loop_image,
+                          loop_rotation_table)
 from ditop.groups import CayleyTable
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             fold, is_contractible, nullhomotopy, pull_back,
@@ -126,6 +127,20 @@ def plane_isometry(rng: random.Random):
 def loop_bundle():
     """The loop, its group, and the preferred categorical cover."""
     return loop_image(), loop_rotation_table(), loop_cover()
+
+
+def cycle_rotation_table(n: int) -> CayleyTable:
+    """The rotation group of `cycle_image(n)`: positions along the cycle,
+    walked from its first point, add mod n."""
+    img = cycle_image(n)
+    walk = [0]
+    while len(walk) < n:
+        walk.append(next(j for j in img.neighbor_index[walk[-1]]
+                         if j not in walk[-2:]))
+    pts = [img.points[i] for i in walk]
+    at = {p: k for k, p in enumerate(pts)}
+    return CayleyTable.from_function(
+        img, lambda a, b: pts[(at[a] + at[b]) % n], pts[0])
 
 
 def neighbors(img: DigitalImage, p: Point) -> tuple[Point, ...]:
@@ -508,7 +523,8 @@ def point_walk_slide_nullhomotopy(f: DigitalMap, target: Point,
             return None
         stages.append(st)
     w = HomotopyWitness(tuple(stages), "slide")
-    ok, _ = verify_homotopy(w, f, DigitalMap.constant(f.domain, cod, target))
+    ok, _ = verify_homotopy(w, f, DigitalMap.from_points(
+        f.domain, cod, [target] * len(f.domain)))
     return w if ok else None
 
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from ditop.cli import main
-from ditop.complexity import verify_section
+from ditop.complexity import TheoremViolation, verify_section
 from ditop.corpus import get_image, loop_image
 from ditop.fileio import parse_homotopy, parse_image, parse_sections, \
     serialize_image
@@ -277,15 +277,6 @@ def test_group_scan_refuses_an_image_and_a_point_count_together(capsys):
     assert "-p 3" in err and "corpus:H" in err
 
 
-def test_bounds_is_a_cat_flag_only(capsys):
-    code, out, _ = run(capsys, "cat", "corpus:H", "--bounds")
-    assert code == 0 and "cat_lower: " in out
-    with pytest.raises(SystemExit) as info:
-        main(["tc", "corpus:H", "-n", "2", "--bounds"])
-    assert info.value.code == 1
-    capsys.readouterr()
-
-
 def test_group_product_builds_a_reusable_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "group-product", "corpus:pm1mul",
                        "corpus:flip:8", "--json")
@@ -388,9 +379,36 @@ def test_budget_exhaustion_reports_inside_the_document(capsys):
     assert "budget exhausted" in out
 
 
+def test_tc_past_the_sweep_limit_keeps_the_refuted_contraction(capsys):
+    # the 20-point frame is too large for the exact category, but the
+    # contraction search that found none bounds it below by 2
+    code, out, _ = run(capsys, "tc", "corpus:cycle:20", "-n", "3", "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["results"] == {"tc_lower": 2, "tc_upper": "?"}
+    assert doc["notes"][0] == "lower 2: the base does not contract, so cat >= 2"
+
+
+@pytest.mark.parametrize("fault", [AssertionError, TheoremViolation])
+def test_verify_paper_lets_a_failed_self_check_propagate(capsys, monkeypatch,
+                                                          fault):
+    # a proved construction that fails its check is a fault of the
+    # program, not an ERROR row that exits 2 like a mismatch
+    from ditop import complexity
+
+    def broken(*args):
+        raise fault("a section failed verification")
+
+    monkeypatch.setattr(complexity, "_certify", broken)
+    with pytest.raises(fault):
+        main(["verify-paper"])
+    capsys.readouterr()
+
+
 def test_tc_notes_a_shortcut_that_ran_out_of_budget(capsys):
     code, out, _ = run(capsys, "tc", "corpus:cycle:16", "--budget", "10")
     assert code == 0
+    assert "tc_lower: 1" in out  # an unsettled contraction refutes nothing
     assert ("note: contractible-base route skipped, budget exhausted: "
             "map-graph search exceeded 10 states") in out
 
@@ -600,19 +618,35 @@ def test_a_second_call_leaves_no_cyclic_garbage_of_parsers_or_witnesses(
 
 
 def test_cat_bounds_settles_contractibility_past_twelve_points(capsys):
-    # the 16-point c1 boundary of the 5x5 box: the identity's search is
-    # small at any size, so the whole image is refuted and the lower bound
-    # is 2
-    code, out, _ = run(capsys, "cat", "corpus:cycle:16", "--bounds", "--json")
-    doc = json.loads(out)
+    # the c1 boundaries of the 5x5, 6x6 and 8x8 boxes, past the sweep
+    # limit: the identity's search is small at any size, so the whole
+    # image is refuted and the lower bound is 2
+    for ref in ("corpus:cycle:16", "corpus:cycle:20", "corpus:cycle:28"):
+        code, out, _ = run(capsys, "cat", ref, "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["results"] == {"cat_lower": 2, "cat_upper": 2}
+        assert doc["notes"][-1] == "lower 2: the whole image is not admissible"
+
+
+def test_cat_reports_bounds_past_a_lowered_sweep_limit(capsys, monkeypatch):
+    # the size test reads the limit at call time: the 8-point loop moves
+    # from the exact sweep to the bracket
+    from ditop import covers
+    monkeypatch.setattr(covers, "SWEEP_LIMIT", 7)
+    code, out, _ = run(capsys, "cat", "corpus:H", "--json")
     assert code == 0
-    assert doc["results"] == {"cat_lower": 2, "cat_upper": 2}
-    assert doc["notes"][-1] == "lower 2: the whole image is not admissible"
+    assert json.loads(out)["results"] == {"cat_lower": 2, "cat_upper": 2}
 
 
 def test_cat_takes_no_exact_flag(capsys):
-    # the exact value is the default; the flag that named it is gone
-    with pytest.raises(SystemExit) as info:
-        main(["cat", "corpus:H", "--exact"])
-    assert info.value.code == 1
-    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    # the image size picks the exact value or the bounds; the flags that
+    # named them are gone, and `tc` never took `--bounds`
+    for argv in (["cat", "corpus:H", "--exact"],
+                 ["cat", "corpus:H", "--bounds"],
+                 ["tc", "corpus:H", "-n", "2", "--bounds"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert (f"unrecognized arguments: {argv[-1]}"
+                in capsys.readouterr().err)

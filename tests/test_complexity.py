@@ -20,13 +20,14 @@ from ditop.complexity import (CoverImpossible, SectionWitness,
                               tc_upper_via_group, verify_section)
 from ditop.corpus import (LOOP_LETTERS, cycle_image, loop_cover, loop_image,
                           loop_rotation_table)
+from ditop.groups import is_topological_group
 from ditop.homotopy import MapGraph, contraction
 from ditop.images import CK, DigitalImage, interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
 import helpers
-from helpers import (find_section_oracle, loop_bundle, mask,
-                     per_target_piece_track)
+from helpers import (cycle_rotation_table, find_section_oracle, loop_bundle,
+                     mask, per_target_piece_track)
 
 
 def test_tc_one_is_always_one():
@@ -186,11 +187,23 @@ def test_lowering_the_sweep_limit_moves_every_exact_route(monkeypatch):
         cat_exact(loop)
     with pytest.raises(ValueError, match="limited to 7 points"):
         schwarz_genus(EndpointFibration(interval_image(0, 2), 2, 2))
+    # past the limit the refuted contraction still bounds the category
     r = tc_n(loop, 2, table=table, cover=cover)
-    assert r.notes[0] == "lower stays 1: base too large for the exact category"
-    assert (r.lower, r.upper) == (1, 2)
+    assert r.notes[0] == "lower 2: the base does not contract, so cat >= 2"
+    assert (r.lower, r.upper) == (2, 2)
     chain = tc_chain(loop, 2, table=table, cover=cover)
-    assert (chain[1].lower, chain[1].upper) == (1, 2)
+    assert (chain[1].lower, chain[1].upper) == (2, 2)
+
+
+def test_tc_past_the_sweep_limit_skips_the_group_route_without_a_cover():
+    # a 16-point cycle with its rotation group: no categorical cover to
+    # translate, so the bracket is noted, not the sweep's refusal raised
+    table = cycle_rotation_table(16)
+    assert is_topological_group(table).ok
+    r = tc_n(table.image, 2, table=table)
+    assert (r.lower, r.upper) == (2, None)
+    assert r.notes[-1] == ("group route unavailable: no cover past the "
+                           "sweep limit")
 
 
 def test_genus_of_the_interval_endpoint_map_is_one():

@@ -234,8 +234,11 @@ def test_points_become_a_map_in_one_constructor():
         == [("maps", "from_mapping", "from_points")]
     made = {name for name, attr in vars(DigitalMap).items()
             if isinstance(attr, (staticmethod, classmethod))}
-    assert made == {"from_points", "from_mapping", "identity", "constant",
-                    "inclusion", "inclusion_of"}
+    assert made == {"from_points", "from_mapping", "identity", "inclusion",
+                    "inclusion_of"}
+    # inclusions made inside the package come from masks; `inclusion`
+    # reads images from files back by their points, as bench/gate.py does
+    assert _calls({"inclusion"}) == []
     assert "__post_init__" not in vars(DigitalMap)
 
 
@@ -270,7 +273,8 @@ def test_test_only_helpers_stay_in_the_tests():
                           "WedgeSpace.endpoints", "PairedWedge.endpoints",
                           "DigitalImage.lex_shortest_path",
                           "DigitalImage.neighbors",
-                          "SectionWitness.from_points"}
+                          "SectionWitness.from_points",
+                          "DigitalMap.constant"}
 
 
 def test_the_section_checker_reads_no_point_index():
