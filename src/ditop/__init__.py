@@ -10,7 +10,7 @@ from .images import (CK, DigitalImage, Explicit, Point, interval_image,
                      power_image, product_image)
 from .maps import DigitalMap, continuity_violation, is_continuous
 from .homotopy import (BudgetExhausted, HomotopyWitness, are_homotopic,
-                       contraction, is_contractible, nullhomotopy,
+                       budget, contraction, is_contractible, nullhomotopy,
                        verify_homotopy)
 from .covers import BoundResult, CoverImpossible
 from .category import cat, cat_bounds, cat_exact
@@ -32,8 +32,8 @@ __all__ = [
     "CK", "DigitalImage", "Explicit", "Point", "interval_image",
     "power_image", "product_image",
     "DigitalMap", "continuity_violation", "is_continuous",
-    "BudgetExhausted", "HomotopyWitness", "are_homotopic", "contraction",
-    "is_contractible", "nullhomotopy", "verify_homotopy",
+    "BudgetExhausted", "HomotopyWitness", "are_homotopic", "budget",
+    "contraction", "is_contractible", "nullhomotopy", "verify_homotopy",
     "BoundResult", "CoverImpossible",
     "cat", "cat_bounds", "cat_exact",
     "EndpointFibration", "PairedFibration", "WedgeSpace",

@@ -24,8 +24,8 @@ from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, minimal_cover_bounds,
                      minimal_cover_exact, Subset)
 from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebinds it)
-from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
-                       is_contractible, nullhomotopy, slides, verify_homotopy)
+from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
+                       nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage
 from .maps import DigitalMap, automorphism_generators
@@ -65,18 +65,15 @@ class CatWitness:
 
 
 def piece_contraction(base: DigitalImage, piece: int,
-                      node_budget: int | None = NODE_BUDGET,
                       lookup: Callable[[int], Optional[HomotopyWitness]]
                       | None = None,
                       ) -> Optional[HomotopyWitness]:
     """Nullhomotopy of the inclusion into the base of the piece, a
     bitmask of base point indices, if any."""
-    return nullhomotopy(DigitalMap.inclusion_of(base, piece),
-                        node_budget=node_budget, lookup=lookup)
+    return nullhomotopy(DigitalMap.inclusion_of(base, piece), lookup=lookup)
 
 
-def cat_oracle(base: DigitalImage,
-               node_budget: int | None = NODE_BUDGET) -> AdmissibilityOracle:
+def cat_oracle(base: DigitalImage) -> AdmissibilityOracle:
     """Admissibility of categorical pieces; the memo answers their cores.
 
     If H contracts the inclusion of U, then g H_t g^-1 contracts that of
@@ -88,15 +85,14 @@ def cat_oracle(base: DigitalImage,
     generators = (automorphism_generators(base)
                   if len(base.points) <= covers.SWEEP_LIMIT else ())
     oracle = AdmissibilityOracle(base, lambda piece: piece_contraction(
-        base, piece, node_budget, owner().witness), generators=generators)
+        base, piece, owner().witness), generators=generators)
     # a weak reference, so that the oracle and search form no cycle and
     # the memo's witnesses are freed with the oracle, not by the collector
     owner = weakref.ref(oracle)
     return oracle
 
 
-def cat_exact(base: DigitalImage,
-              node_budget: int | None = NODE_BUDGET) -> CatWitness:
+def cat_exact(base: DigitalImage) -> CatWitness:
     """Minimum categorical cover with verified contractions per piece.
 
     Asks about every subset that no maximal categorical set found so far
@@ -109,7 +105,7 @@ def cat_exact(base: DigitalImage,
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
                          "split into components first")
-    oracle = cat_oracle(base, node_budget)
+    oracle = cat_oracle(base)
     witness = CatWitness(base, tuple(
         CatPiece(base.points_of(s), oracle.witness(s))
         for s in minimal_cover_exact(base, oracle)))
@@ -119,17 +115,16 @@ def cat_exact(base: DigitalImage,
     return witness
 
 
-def cat(base: DigitalImage, node_budget: int | None = NODE_BUDGET) -> int:
-    return cat_exact(base, node_budget).size
+def cat(base: DigitalImage) -> int:
+    return cat_exact(base).size
 
 
-def cat_bounds(base: DigitalImage,
-               node_budget: int | None = NODE_BUDGET) -> BoundResult:
+def cat_bounds(base: DigitalImage) -> BoundResult:
     """Bracket the category when the exact sweep is out of reach.
 
     The piece test is slide-only (sound, incomplete). Whole-image
     contractibility is settled exactly by `is_contractible` within the
-    node budget. When the budget runs out it is left unsettled and the
+    active `budget`. When the budget runs out it is left unsettled and the
     lower bound stays 1: no slide of the identity holds then, since one
     would have settled it before any search.
     """
@@ -139,7 +134,7 @@ def cat_bounds(base: DigitalImage,
     whole: bool | None = None
     torn = 0  # no piece
     try:
-        whole = is_contractible(base, node_budget)
+        whole = is_contractible(base)
     except BudgetExhausted:
         # a slide of the identity restricts to its core, where it is tried
         # before any search, so sliding the whole image as a piece tears

@@ -31,7 +31,7 @@ from .groups import (WindowGroup, is_top_homomorphism,
                      is_topological_group, isomorphism_failure,
                      scan_group_structures, product_group,
                      window_group_report, window_hom_report)
-from .homotopy import (NODE_BUDGET, BudgetExhausted, are_homotopic,
+from .homotopy import (NODE_BUDGET, BudgetExhausted, are_homotopic, budget,
                        contraction)
 from .images import (CK, DigitalImage, Explicit, induced_subimage,
                      interval_image)
@@ -88,8 +88,8 @@ def _group_from_ref(ref: str):
 # ---- commands ----
 #
 # Each command fills the report that `main` built from argv and returns
-# its exit code. A search that runs out of budget raises BudgetExhausted
-# through the command, and a cover search with an unreachable point
+# its exit code. A search that runs out of the command's one budget
+# raises BudgetExhausted, and a cover search with an unreachable point
 # raises CoverImpossible; `main` then records the command's verdict as
 # "unknown" or "impossible". So every input and setting goes into the
 # report before the search starts.
@@ -123,7 +123,7 @@ def cmd_homotopic(args, rep: Report) -> int:
     f, dig1 = _map_from_ref(args.map1)
     g, dig2 = _map_from_ref(args.map2)
     rep.inputs.update({args.map1: dig1, args.map2: dig2})
-    w = are_homotopic(f, g, node_budget=args.budget)
+    w = are_homotopic(f, g)
     rep.results["homotopic"] = w is not None
     if w is None:
         return 2
@@ -137,7 +137,7 @@ def cmd_homotopic(args, rep: Report) -> int:
 
 def cmd_contractible(args, rep: Report) -> int:
     img, rep.inputs[args.image] = _image_from_ref(args.image)
-    w = contraction(img, node_budget=args.budget)
+    w = contraction(img)
     rep.results["contractible"] = w is not None
     if w is None:
         return 2
@@ -154,14 +154,14 @@ def cmd_cat(args, rep: Report) -> int:
     rep.settings["convention"] = "k-sets"
     # read at call time, so that a lowered sweep limit moves `cat` too
     if len(img.points) > covers.SWEEP_LIMIT:
-        r = cat_bounds(img, node_budget=args.budget)
+        r = cat_bounds(img)
         rep.results["cat_lower"] = r.lower
         rep.results["cat_upper"] = r.upper if r.upper is not None else "?"
         rep.notes.extend(r.notes)
         if r.witness:
             rep.witnesses["cover"] = serialize_cover(list(r.witness))
         return 0
-    w = cat_exact(img, node_budget=args.budget)
+    w = cat_exact(img)
     rep.results["cat"] = w.size
     rep.witnesses["image.img"] = serialize_image(img)
     rep.witnesses["cover"] = serialize_cover(
@@ -188,7 +188,7 @@ def cmd_tc(args, rep: Report) -> int:
                          "m": args.m if args.m is not None else "auto",
                          "n": args.n})
     r = tc_n(img, args.n, table=table, cover=cover, m=args.m,
-             strong=args.mode == "strong", node_budget=args.budget)
+             strong=args.mode == "strong")
     rep.notes.extend(r.notes)
     if r.exact:
         rep.results["tc"] = r.value
@@ -361,7 +361,7 @@ def cmd_hom_check(args, rep: Report) -> int:
 
 
 def cmd_verify_paper(args, rep: Report) -> int:
-    rows = run_reference_rows(node_budget=args.budget)
+    rows = run_reference_rows()
     width = max(len(r.name) for r in rows)
     bad = 0
     for r in rows:
@@ -430,41 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
 
-    def common(p, budget=True):
-        p.add_argument("--json", action="store_true",
-                       help="print the structured report instead of text")
-        p.add_argument("--out", metavar="PATH",
-                       help="also write the structured report to a file")
-        if budget:
-            p.add_argument("--budget", type=_int_from(0, "a state count of 0 "
-                                                      "or more"),
-                           default=NODE_BUDGET,
-                           help="node budget for searches")
-
     def mode(p, what=None):
         p.add_argument("--mode", choices=["pointwise", "strong"],
                        default="pointwise", help=what)
 
     p = sub.add_parser("image-info", help="points, adjacency, connectivity")
     p.add_argument("image", help="corpus:<name> or an image file")
-    common(p, budget=False)
 
     p = sub.add_parser("check-continuity", help="is a digital map continuous")
     p.add_argument("map", help="corpus:<name> or a map file")
-    common(p, budget=False)
 
     p = sub.add_parser("homotopic", help="are two maps digitally homotopic")
     p.add_argument("map1")
     p.add_argument("map2")
-    common(p)
 
     p = sub.add_parser("contractible", help="does the identity contract")
     p.add_argument("image")
-    common(p)
 
     p = sub.add_parser("cat", help="digital Lusternik-Schnirelmann category")
     p.add_argument("image")
-    common(p)
 
     p = sub.add_parser("tc", help="higher topological complexity TC_n")
     p.add_argument("image")
@@ -473,20 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
     mode(p, "wedge step relation")
     p.add_argument("--exact", action="store_true",
                    help="insist on an exact value")
-    common(p)
 
     p = sub.add_parser("genus", help="section count of the endpoint map")
     p.add_argument("image")
     p.add_argument("-n", type=int, default=2, help="number of arms")
     p.add_argument("--m", type=int, default=None, help="arm length")
     mode(p)
-    common(p, budget=False)
 
     p = sub.add_parser("group-check",
                        help="group axioms and continuity of one structure")
     p.add_argument("group", help="corpus:<name> or a group file")
     mode(p, "product adjacency for the multiplication")
-    common(p, budget=False)
 
     p = sub.add_parser("group-scan",
                        help="enumerate group structures on a carrier")
@@ -495,13 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="scan the integer interval with this many points")
     mode(p)
-    common(p, budget=False)
 
     p = sub.add_parser("group-product", help="product of two finite groups")
     p.add_argument("group1")
     p.add_argument("group2")
     mode(p)
-    common(p, budget=False)
 
     p = sub.add_parser("hom-check",
                        help="is a map a (topological) group homomorphism")
@@ -509,12 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("map", help="corpus:<name>, a map file, or a built-in "
                                "rule name for window groups")
-    common(p, budget=False)
 
-    p = sub.add_parser("verify-paper",
-                       help="re-derive the bundled reference results")
-    common(p)
+    sub.add_parser("verify-paper",
+                   help="re-derive the bundled reference results")
 
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true",
+                       help="print the structured report instead of text")
+        p.add_argument("--out", metavar="PATH",
+                       help="also write the structured report to a file")
+        # one cap on the map-graph states of all the command's searches
+        if name in ("homotopic", "contractible", "cat", "tc", "verify-paper"):
+            p.add_argument("--budget", type=_int_from(0, "a state count of 0 "
+                                                      "or more"),
+                           default=NODE_BUDGET,
+                           help="map-graph states for the whole command")
     return top
 
 
@@ -527,7 +515,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         try:
-            code = COMMANDS[args.command](args, rep)
+            with budget(getattr(args, "budget", NODE_BUDGET)):
+                code = COMMANDS[args.command](args, rep)
         except BudgetExhausted as err:
             rep.results[args.command] = "unknown"
             rep.notes.append(f"budget exhausted: {err}")

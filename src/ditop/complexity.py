@@ -41,8 +41,8 @@ from .category import cat_exact, piece_contraction  # noqa: F401
 from . import covers
 from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
                      minimal_cover_exact, Subset)
-from .homotopy import (NODE_BUDGET, BudgetExhausted, HomotopyWitness,
-                       contraction, shortest_nullhomotopy, slides)
+from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
+                       shortest_nullhomotopy, slides)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
 from .images import DigitalImage, bits
 from .maps import DigitalMap, backtrack
@@ -323,7 +323,6 @@ def constant_section(fib: EndpointFibration) -> SectionWitness:
 # ---- the group construction ----
 
 def _piece_track(base: DigitalImage, piece: int, end: int,
-                 node_budget: int | None = NODE_BUDGET,
                  ) -> Optional[tuple[int, int, list[dict[int, int]]]]:
     """The shortest "retraction track" for one cover piece, a bitmask of
     base point indices: a nullhomotopy of its inclusion to a constant
@@ -350,14 +349,13 @@ def _piece_track(base: DigitalImage, piece: int, end: int,
     out = [to_track(w) for w in slides(incl)]
     if out:
         return min(out, key=lambda t: (t[0], t[1]))
-    w = shortest_nullhomotopy(incl, {end}, node_budget)
+    w = shortest_nullhomotopy(incl, {end})
     return None if w is None else to_track(w)
 
 
 def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
                        cover: Sequence[Subset] | None = None,
-                       m: int | None = None, *,
-                       node_budget: int | None = NODE_BUDGET,
+                       m: int | None = None,
                        ) -> tuple[int, tuple[SectionWitness, ...], int]:
     """Upper bound on TC_n from a group structure: every categorical cover
     piece M of the base yields a piece {(g, g*m_1, ..., g*m_{n-1})} of the
@@ -380,15 +378,14 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
         raise ValueError("not a topological group: " + "; ".join(verdict.failures))
 
     if cover is None:
-        cover = [p.points
-                 for p in cat_exact(base, node_budget=node_budget).pieces]
+        cover = [p.points for p in cat_exact(base).pieces]
     pieces = list(map(base.mask, cover))
     if reduce(or_, pieces, 0) != (1 << len(base.points)) - 1:
         raise ValueError("supplied cover does not cover the base")
 
     tracks = []
     for s in pieces:
-        track = _piece_track(base, s, table.identity_index, node_budget)
+        track = _piece_track(base, s, table.identity_index)
         if track is None:
             raise ValueError(f"cover piece {base.points_of(s)} admits no "
                              f"contraction in the base; not a categorical "
@@ -433,8 +430,7 @@ def tc_upper_via_group(base: DigitalImage, table: CayleyTable, n: int = 2,
 
 def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
          cover: Sequence[Subset] | None = None, m: int | None = None, *,
-         strong: bool = False,
-         node_budget: int | None = NODE_BUDGET) -> BoundResult:
+         strong: bool = False) -> BoundResult:
     """Best available bracket on TC_n, exact when the routes meet.
 
     n = 1 is settled by the stand-still section, and a contractible base
@@ -468,18 +464,18 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     notes: list[str] = []
     # the category asks about the whole image first: at category 1 its
     # witness is `contraction`'s first answer, kept if it is a slide
-    cat_w = (cat_exact(base, node_budget) if len(base.points)
+    cat_w = (cat_exact(base) if len(base.points)
              <= covers.SWEEP_LIMIT < len(base.points) ** n else None)
     w, lower = None, 1
     try:
         if cat_w is None:
-            w = contraction(base, node_budget)
+            w = contraction(base)
             lower = 2 if w is None else 1  # no contraction: cat >= 2
         elif cat_w.size == 1 and cat_w.pieces[0].contraction.label == "slide":
             w = cat_w.pieces[0].contraction
         elif cat_w.size == 1:
             w = shortest_nullhomotopy(DigitalMap.identity(base),
-                                      range(len(base.points)), node_budget)
+                                      range(len(base.points)))
     except BudgetExhausted as err:
         notes.append(f"contractible-base route skipped, budget "
                      f"exhausted: {err}")
@@ -499,10 +495,14 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
         # that fails verification falls through to the next route
         if not strong:
             _certify(fib, (sw,), "contraction section")
-        if not strong or verify_section(fib, sw)[0]:
+        ok, why = verify_section(fib, sw) if strong else (True, None)
+        if ok:
             return BoundResult(1, 1, (sw,),
                                (f"contractible base: one global section at "
                                 f"arm length {m_used}",))
+        if cat_w is None:  # else the category's note speaks for the base
+            notes.append(f"contractible-base route skipped: its section "
+                         f"fails the strong relation: {why}")
 
     if len(base.points) ** n <= covers.SWEEP_LIMIT:
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,
@@ -521,6 +521,8 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
                      f"bound for every TC_n, n >= 2")
     elif lower == 2:
         notes.append("lower 2: the base does not contract, so cat >= 2")
+    elif w is not None:
+        notes.append("lower 1: the base contracts, so cat = 1")
     else:
         notes.append("lower stays 1: base too large for the exact category")
     if table is None:
@@ -533,7 +535,7 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
     else:
         try:
             upper, witness, m_used = tc_upper_via_group(
-                base, table, n, cover, m, node_budget=node_budget)
+                base, table, n, cover, m)
             notes.append(f"upper {upper}: translation sections at arm "
                          f"length {m_used}")
         except ArmTooShort as err:
@@ -543,15 +545,13 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
 
 def tc_chain(base: DigitalImage, up_to: int, table: CayleyTable | None = None,
              cover: Sequence[Subset] | None = None, m: int | None = None, *,
-             strong: bool = False,
-             node_budget: int | None = NODE_BUDGET) -> list[BoundResult]:
+             strong: bool = False) -> list[BoundResult]:
     """TC_1 through TC_up_to, each lower bound raised to the one before it
     (TC never drops as n grows). Every finite upper bound is the one
     `tc_n` found, with its witness."""
     results: list[BoundResult] = []
     for k in range(1, up_to + 1):
-        r = tc_n(base, k, table, cover, m, strong=strong,
-                 node_budget=node_budget)
+        r = tc_n(base, k, table, cover, m, strong=strong)
         if results and results[-1].lower > r.lower:
             lower = results[-1].lower
             r = BoundResult(lower, r.upper, r.witness, r.notes + (

@@ -29,6 +29,8 @@ to a constant and those constants lie in one component of the codomain.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -37,12 +39,33 @@ from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
 
-# the map-graph states a command may visit unless `--budget` says otherwise
+# the states of a command without `--budget`, or of a search outside `budget`
 NODE_BUDGET = 2_000_000
 
 
 class BudgetExhausted(RuntimeError):
-    """A search hit its node budget before reaching an answer."""
+    """A search ran out of its budget before reaching an answer."""
+
+
+@dataclass
+class Ledger:
+    """A `budget` block's cap on map-graph states, and the states spent."""
+    cap: int
+    spent: int = 0
+
+
+_LEDGER: ContextVar[Ledger | None] = ContextVar("ledger", default=None)
+
+
+@contextmanager
+def budget(states: int) -> Iterator[Ledger]:
+    """One ledger of `states` states for every map-graph search inside the
+    block; a search outside any block has `NODE_BUDGET` states of its own."""
+    token = _LEDGER.set(ledger := Ledger(states))
+    try:
+        yield ledger
+    finally:
+        _LEDGER.reset(token)
 
 
 @dataclass(frozen=True)
@@ -125,7 +148,6 @@ class MapGraph:
         return backtrack([closed[v] for v in state], self.links)
 
     def bfs(self, start: State, goal_near: Callable[[State], State | None],
-            node_budget: int | None = NODE_BUDGET,
             ) -> tuple[State, dict[State, State | None]] | None:
         """Breadth-first search from `start` for a shortest path to a goal.
 
@@ -135,10 +157,13 @@ class MapGraph:
         that level, the largest it visits, is generated; and it finds the
         path that a goal test on arrival finds, since states arrive in the
         same order. Returns (goal, parents) or None when the whole
-        component is exhausted without a goal. Raises BudgetExhausted when
-        the budget is hit first, since no verdict is safe then."""
+        component is exhausted without a goal. Each state that arrives is
+        charged to the active `budget`; one past its cap raises
+        BudgetExhausted unless a goal is one step away."""
         if not is_continuous(self.map_of(start)):
             raise ValueError("start state is not a continuous map")
+        ledger = _LEDGER.get() or Ledger(NODE_BUDGET)
+        ledger.spent += 1
         parents: dict[State, State | None] = {start: None}
         goal = goal_near(start)
         if goal is not None:
@@ -151,13 +176,14 @@ class MapGraph:
                 if nxt in parents:
                     continue
                 parents[nxt] = cur
+                ledger.spent += 1
                 goal = goal_near(nxt)
                 if goal is not None:
                     parents.setdefault(goal, nxt)
                     return goal, parents
-                if node_budget is not None and len(parents) > node_budget:
+                if ledger.spent > ledger.cap:
                     raise BudgetExhausted(
-                        f"map-graph search exceeded {node_budget} states")
+                        f"map-graph search exceeded {ledger.cap} states")
                 queue.append(nxt)
         return None
 
@@ -174,9 +200,7 @@ class MapGraph:
         return HomotopyWitness(tuple(self.map_of(s) for s in reversed(path)))
 
 
-def are_homotopic(f: DigitalMap, g: DigitalMap,
-                  node_budget: int | None = NODE_BUDGET,
-                  ) -> Optional[HomotopyWitness]:
+def are_homotopic(f: DigitalMap, g: DigitalMap) -> Optional[HomotopyWitness]:
     """Witness that f ~ g, or None when they are provably not homotopic.
 
     Raises BudgetExhausted if the search cannot settle within the budget,
@@ -195,7 +219,7 @@ def are_homotopic(f: DigitalMap, g: DigitalMap,
         near = all(closed[v] >> u & 1 for v, u in zip(s, goal))
         return goal if near else None
 
-    return graph.witness(graph.bfs(f.value_indices, goal_near, node_budget))
+    return graph.witness(graph.bfs(f.value_indices, goal_near))
 
 
 # ---- contractibility ----
@@ -237,7 +261,6 @@ def slides(f: DigitalMap) -> Iterator[HomotopyWitness]:
 
 
 def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
-                          node_budget: int | None = NODE_BUDGET,
                           ) -> Optional[HomotopyWitness]:
     """A shortest homotopy from f to a constant at a codomain index in
     `allowed`, by breadth-first search of f's own map graph, or None when
@@ -258,11 +281,10 @@ def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
             return s
         return ((common & -common).bit_length() - 1,) * len(s)
 
-    return graph.witness(graph.bfs(f.value_indices, constant_near,
-                                   node_budget))
+    return graph.witness(graph.bfs(f.value_indices, constant_near))
 
 
-def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
+def nullhomotopy(f: DigitalMap,
                  lookup: Callable[[int], Optional[HomotopyWitness]]
                  | None = None,
                  ) -> Optional[HomotopyWitness]:
@@ -281,17 +303,16 @@ def nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
         raise ValueError("map is not continuous")
     folded = fold(f.domain)
     if not folded.steps:
-        return next(slides(f), None) or folded_nullhomotopy(f, node_budget)
+        return next(slides(f), None) or folded_nullhomotopy(f)
     on_core = f.after(folded.inclusion)
     w = (lookup(sum(1 << v for v in set(on_core.value_indices)))
-         if lookup is not None else nullhomotopy(on_core, node_budget))
+         if lookup is not None else nullhomotopy(on_core))
     if w is None:
         return None
     return next(slides(f), None) or pull_back(f, folded, w.stages)
 
 
-def contraction(img: DigitalImage, node_budget: int | None = NODE_BUDGET,
-                ) -> Optional[HomotopyWitness]:
+def contraction(img: DigitalImage) -> Optional[HomotopyWitness]:
     """A nullhomotopy of the identity map, when one exists.
 
     The witness is a slide, or else a shortest one from the search of the
@@ -302,17 +323,16 @@ def contraction(img: DigitalImage, node_budget: int | None = NODE_BUDGET,
     if not img.is_connected:
         return None
     ident = DigitalMap.identity(img)
-    w = nullhomotopy(ident, node_budget=node_budget)
+    w = nullhomotopy(ident)
     if w is None or w.label == "slide":
         return w
-    return shortest_nullhomotopy(ident, range(len(img.points)), node_budget)
+    return shortest_nullhomotopy(ident, range(len(img.points)))
 
 
-def is_contractible(img: DigitalImage,
-                    node_budget: int | None = NODE_BUDGET) -> bool:
+def is_contractible(img: DigitalImage) -> bool:
     """Whether the identity map is nullhomotopic."""
     return img.is_connected and nullhomotopy(
-        DigitalMap.identity(img), node_budget=node_budget) is not None
+        DigitalMap.identity(img)) is not None
 
 
 # ---- folding dominated points ----
@@ -394,8 +414,7 @@ def pull_back(f: DigitalMap, folded: Fold,
     return w
 
 
-def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
-                        ) -> Optional[HomotopyWitness]:
+def folded_nullhomotopy(f: DigitalMap) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic, searched in the codomain's core,
     or None when f's homotopy class holds no constant map.
 
@@ -423,8 +442,7 @@ def folded_nullhomotopy(f: DigitalMap, node_budget: int | None = NODE_BUDGET,
     cols = [None] * len(dom.points)  # per domain point, its core track
     for comp in dom.components:
         incl = DigitalMap.inclusion_of(dom, comp)
-        w = shortest_nullhomotopy(on_core.after(incl), range(len(kept)),
-                                  node_budget)
+        w = shortest_nullhomotopy(on_core.after(incl), range(len(kept)))
         if w is None:
             return None
         for k, a in enumerate(incl.value_indices):

@@ -25,8 +25,7 @@ from .groups import (CayleyTable, is_top_homomorphism,
                      is_topological_group, product_group, scan_group_structures,
                      subgroup_check, verify_cayley, window_alpha_pair,
                      window_group_report, window_hom_report)
-from .homotopy import (NODE_BUDGET, BudgetExhausted, is_contractible,
-                       verify_homotopy)
+from .homotopy import BudgetExhausted, is_contractible, verify_homotopy
 from .images import (DigitalImage, induced_subimage, interval_image,
                      product_image)
 from .maps import continuity_violation
@@ -64,7 +63,7 @@ def _row(name: str, expected: str, fn: Callable[[], tuple[str, object]]) -> Row:
     return Row(name, expected, computed, status)
 
 
-def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
+def run_reference_rows() -> list[Row]:
     """Compute every reference row. The loop rows share the carrier of
     the loop's rotation table."""
     rot = loop_rotation_table()
@@ -81,16 +80,13 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
              loop_shape))
 
     def cat_loop():
-        w = cat_exact(H, node_budget=node_budget)
+        w = cat_exact(H)
         return str(w.size), w.size == 2
     add(_row("category of the loop", "2", cat_loop))
 
     def pieces_admissible():
-        good = 0
-        for piece in (m1, m2):
-            if piece_contraction(H, H.mask(piece),
-                                 node_budget=node_budget) is not None:
-                good += 1
+        good = sum(piece_contraction(H, H.mask(piece)) is not None
+                   for piece in (m1, m2))
         return f"{good} of 2 admissible", good == 2
     add(_row("the textbook cover pieces contract", "2 of 2 admissible",
              pieces_admissible))
@@ -111,22 +107,22 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
              lambda: ref_homotopy(1, (0, -1))))
 
     def loop_not_contractible():
-        got = is_contractible(H, node_budget)
+        got = is_contractible(H)
         return ("contractible" if got else "not contractible"), got is False
     add(_row("the loop is not contractible", "not contractible",
              loop_not_contractible))
 
     def interval_shrinks():
         img = interval_image(0, 9)
-        c = is_contractible(img, node_budget)
-        k = cat_exact(img, node_budget=node_budget).size
+        c = is_contractible(img)
+        k = cat_exact(img).size
         return f"contractible: {c}, category {k}", c and k == 1
     add(_row("a ten-point interval", "contractible: True, category 1",
              interval_shrinks))
 
     @cache  # the TC rows share TC_n of the loop, one computation per n
     def tc_of_loop(n: int) -> BoundResult:
-        return tc_n(H, n, table=rot, cover=(m1, m2), node_budget=node_budget)
+        return tc_n(H, n, table=rot, cover=(m1, m2))
 
     def tc1():
         r = tc_of_loop(1)
@@ -292,10 +288,10 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
 
     def sandwich_row():
         I = interval_image(0, 1)
-        c1 = cat_exact(I, node_budget=node_budget).size
-        t = tc_n(I, 2, node_budget=node_budget)
+        c1 = cat_exact(I).size
+        t = tc_n(I, 2)
         sq = product_image(I, I)
-        c2 = cat_exact(sq, node_budget=node_budget).size
+        c2 = cat_exact(sq).size
         got = f"{c1} <= {_fmt_bounds(t)} <= {c2}"
         ok = t.exact and c1 <= t.value <= c2
         return got, ok
@@ -308,10 +304,10 @@ def run_reference_rows(node_budget: int | None = NODE_BUDGET) -> list[Row]:
                               for p in H.points], H.adjacency)
         # a translation keeps the point order, so the grid carries over
         table = CayleyTable(moved, rot.identity_index, rot.grid)
-        k = cat_exact(moved, node_budget=node_budget).size
+        k = cat_exact(moved).size
         cover = tuple(tuple((p[0] + shift[0], p[1] + shift[1]) for p in piece)
                       for piece in (m1, m2))
-        r = tc_n(moved, 2, table=table, cover=cover, node_budget=node_budget)
+        r = tc_n(moved, 2, table=table, cover=cover)
         got = f"category {k}, TC_2 {_fmt_bounds(r)}"
         return got, k == 2 and r.exact and r.value == 2
     add(_row("category and TC_2 survive translation", "category 2, TC_2 2",

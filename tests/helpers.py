@@ -468,9 +468,26 @@ def are_homotopic_oracle(f: DigitalMap, g: DigitalMap,
                                     lambda s: s == g.value_indices))
 
 
-def unsplit_folded_nullhomotopy(f: DigitalMap,
-                                node_budget: int | None = 2_000_000,
-                                ) -> Optional[HomotopyWitness]:
+def record_search_states(monkeypatch) -> list[int]:
+    """Wrap `MapGraph.bfs` so that every search appends the number of
+    states that arrived in it, each of which meets the goal test once,
+    counted apart from the budget ledger."""
+    sizes: list[int] = []
+    bfs = MapGraph.bfs
+
+    def counting(graph, start, goal_near):
+        def seeing(s):
+            sizes[-1] += 1
+            return goal_near(s)
+
+        sizes.append(0)
+        return bfs(graph, start, seeing)
+
+    monkeypatch.setattr(MapGraph, "bfs", counting)
+    return sizes
+
+
+def unsplit_folded_nullhomotopy(f: DigitalMap) -> Optional[HomotopyWitness]:
     """The folded search without the split into components: one search of
     the map graph from f on its domain's core, retracted into its
     codomain's core, to any constant. On a disconnected core that graph
@@ -480,8 +497,7 @@ def unsplit_folded_nullhomotopy(f: DigitalMap,
     core, target = dom_fold.core, cod_fold.core
     on_core = DigitalMap.from_points(core, target,
                                      tuple(r(f(a)) for a in core.points))
-    return shortest_nullhomotopy(on_core, range(len(target.points)),
-                                 node_budget)
+    return shortest_nullhomotopy(on_core, range(len(target.points)))
 
 
 def per_target_piece_track(base: DigitalImage, piece: Sequence[Point],
@@ -558,17 +574,14 @@ def maximal_admissible_sets_oracle(base: DigitalImage, oracle) -> list[int]:
     return out
 
 
-def categorical_subsets(base: DigitalImage,
-                        node_budget: int | None = 2_000_000) -> list[Subset]:
+def categorical_subsets(base: DigitalImage) -> list[Subset]:
     """The maximal subsets with nullhomotopic inclusion (the former
     `category.categorical_subsets`), as points."""
     return [mask_points(base, s) for s in
-            maximal_admissible_sets(base, cat_oracle(base, node_budget))]
+            maximal_admissible_sets(base, cat_oracle(base))]
 
 
-def slide_first_cat_oracle(base: DigitalImage,
-                           node_budget: int | None = 2_000_000,
-                           ) -> AdmissibilityOracle:
+def slide_first_cat_oracle(base: DigitalImage) -> AdmissibilityOracle:
     """The category oracle with the folded-piece order reversed: a piece
     whose domain folds is slid to each base point first, and only when
     every slide tears is its core looked up in the memo and the core's
@@ -580,7 +593,7 @@ def slide_first_cat_oracle(base: DigitalImage,
         folded = fold(induced_subimage(base, mask_points(base, piece)))
         incl = DigitalMap.inclusion(folded.image, base)
         if not folded.steps:
-            return nullhomotopy(incl, node_budget=node_budget)
+            return nullhomotopy(incl)
         for t in range(len(base.points)):
             w = slide_nullhomotopy(incl, t)
             if w is not None:
@@ -599,9 +612,8 @@ def theta_image() -> DigitalImage:
     return DigitalImage(tuple(sorted(pts)), CK(1))
 
 
-def is_nullhomotopic(f: DigitalMap,
-                     node_budget: int | None = 2_000_000) -> bool:
-    return nullhomotopy(f, node_budget=node_budget) is not None
+def is_nullhomotopic(f: DigitalMap) -> bool:
+    return nullhomotopy(f) is not None
 
 
 def _homotopy_class(graph: MapGraph, start: tuple[int, ...],
@@ -635,8 +647,8 @@ def are_homotopy_equivalent(x: DigitalImage, y: DigitalImage,
     if len(x.components) != len(y.components):
         return False
     if len(x.components) == 1:
-        cx = is_contractible(x, node_budget)
-        cy = is_contractible(y, node_budget)
+        cx = is_contractible(x)
+        cy = is_contractible(y)
         if cx and cy:
             return True
         if cx != cy:

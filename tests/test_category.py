@@ -10,6 +10,7 @@ import ditop.category as category
 import ditop.homotopy as homotopy
 from ditop.category import cat, cat_bounds, cat_exact, piece_contraction
 from ditop.corpus import cycle_image, get_image, loop_cover, loop_image
+from ditop import budget
 from ditop.homotopy import fold, verify_homotopy
 from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
@@ -221,7 +222,8 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
     monkeypatch.setattr(homotopy, "slide_nullhomotopy", counting_slide)
     monkeypatch.setattr(category, "slide_nullhomotopy", counting_slide)
     loop = loop_image()
-    r = cat_bounds(loop, node_budget=3)
+    with budget(3):
+        r = cat_bounds(loop)
     # 8 identity slides before the exhausted search, 14 while growing the
     # greedy pieces; the whole image is not slid a second time
     assert len(slides) == 22
@@ -248,14 +250,16 @@ def test_a_sliding_core_settles_the_whole_image_within_a_tiny_budget(
     monkeypatch.setattr(homotopy.MapGraph, "bfs", counting_bfs)
     frame = DigitalImage(tuple((x, y) for x in range(3) for y in range(3)
                                if (x, y) != (1, 1)), CK(2))
-    r = cat_bounds(frame, node_budget=20)
+    with budget(20):
+        r = cat_bounds(frame)
     assert (r.lower, r.upper) == (1, 1)
     assert r.notes == ("whole image admissible, cover of one",)
     assert searches == []
 
 
 def test_theta_has_category_two_within_a_small_budget():
-    w = cat_exact(theta_image(), node_budget=20_000)
+    with budget(20_000):
+        w = cat_exact(theta_image())
     assert w.size == 2
     assert w.check() == (True, None)
 

@@ -17,7 +17,7 @@ from ditop.images import CK, DigitalImage, interval_image
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
 
-from helpers import section_from_points
+from helpers import record_search_states, section_from_points, theta_image
 
 
 def run(capsys, *argv):
@@ -341,6 +341,38 @@ def test_verify_paper_passes_and_budget_degrades_gracefully(capsys):
     assert "inconclusive (budget exhausted)" in out
 
 
+def test_verify_paper_spends_one_budget_on_all_its_rows(capsys):
+    # its six map-graph searches visit 8 states each, so a budget of 8
+    # fits each one alone but runs out across the rows
+    code, out, _ = run(capsys, "verify-paper", "--budget", "8")
+    assert code == 0
+    assert "\ninconclusive: 4\nmatched: 23\nmismatched: 0\n" in out
+
+
+@pytest.mark.parametrize("command", ["cat", "tc"])
+def test_one_budget_caps_all_the_searches_of_a_cat_or_tc_run(
+        command, tmp_path, capsys, monkeypatch):
+    # theta's category (tc's lower bound) settles its pieces in six
+    # searches of at most 12 states each
+    path = tmp_path / "theta.img"
+    path.write_text(serialize_image(theta_image()), encoding="utf-8")
+    sizes = record_search_states(monkeypatch)
+    _, out, _ = run(capsys, command, str(path))
+    need, most = sum(sizes), max(sizes)
+    assert len(sizes) == 6 and most < need
+    sizes.clear()
+    code, answered, _ = run(capsys, command, str(path), "--budget", str(need))
+    assert code == 0 and sum(sizes) <= need
+    # the same report, but for the command line and the budget setting
+    assert answered.replace(f"budget={need}", "budget=2000000") \
+        .splitlines()[1:] == out.splitlines()[1:]
+    # enough for the largest search alone, not for all of them together
+    code, out, _ = run(capsys, command, str(path), "--budget", str(most))
+    assert code == 0 and f"\n{command}: unknown\n" in out
+    assert (f"note: budget exhausted: map-graph search exceeded {most} "
+            f"states") in out
+
+
 def test_verify_paper_computes_each_tc_of_the_loop_once(monkeypatch):
     from ditop import knownvalues
 
@@ -387,6 +419,21 @@ def test_tc_past_the_sweep_limit_keeps_the_refuted_contraction(capsys):
     assert code == 0
     assert doc["results"] == {"tc_lower": 2, "tc_upper": "?"}
     assert doc["notes"][0] == "lower 2: the base does not contract, so cat >= 2"
+
+
+def test_tc_past_the_sweep_limit_names_a_failed_strong_section(capsys):
+    # the 16-point interval contracts, so its category is 1, but the
+    # section replaying the contraction breaks the strong relation
+    code, out, _ = run(capsys, "tc", "corpus:interval:0:15", "--mode",
+                       "strong", "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["results"] == {"tc_lower": 1, "tc_upper": "?"}
+    assert doc["notes"][:2] == [
+        "contractible-base route skipped: its section fails the strong "
+        "relation: section jumps across the edge (0, 1) ~ (0, 2): assigned "
+        "wedges are not within one step",
+        "lower 1: the base contracts, so cat = 1"]
 
 
 @pytest.mark.parametrize("fault", [AssertionError, TheoremViolation])

@@ -21,7 +21,7 @@ from ditop.complexity import (CoverImpossible, SectionWitness,
 from ditop.corpus import (LOOP_LETTERS, cycle_image, loop_cover, loop_image,
                           loop_rotation_table)
 from ditop.groups import is_topological_group
-from ditop.homotopy import MapGraph, contraction
+from ditop.homotopy import BudgetExhausted, MapGraph, budget, contraction
 from ditop.images import CK, DigitalImage, interval_image
 from ditop.pathspace import EndpointFibration, PairedFibration
 
@@ -303,22 +303,23 @@ def test_genus_rejects_a_section_that_fails_verification(monkeypatch):
 
 
 def test_cat_searches_inside_tc_spend_the_callers_budget(monkeypatch):
-    budgets = []
-    exact = complexity.cat_exact
-
-    def recording(base, node_budget=2_000_000):
-        budgets.append(node_budget)
-        return exact(base, node_budget)
-
-    monkeypatch.setattr(complexity, "cat_exact", recording)
+    # every search of tc, the category's included, draws on one ledger
+    sizes = helpers.record_search_states(monkeypatch)
     loop, table, _ = loop_bundle()
-    tc_chain(loop, 2, node_budget=1_000_000)
-    tc_upper_via_group(loop, table, 2, node_budget=1_000_000)
-    assert budgets and set(budgets) == {1_000_000}
+    with budget(1_000_000) as ledger:
+        tc_chain(loop, 2)
+        tc_upper_via_group(loop, table, 2)
+    assert len(sizes) > 1 and ledger.spent == sum(sizes)
+    # a cap that each search fits alone but all of them do not
+    assert max(sizes) < sum(sizes) - 1
+    with budget(sum(sizes) - 1), pytest.raises(BudgetExhausted):
+        tc_chain(loop, 2)
+        tc_upper_via_group(loop, table, 2)
 
 
 def test_tc_notes_the_contractible_base_route_it_could_not_settle():
-    r = tc_n(cycle_image(16), 2, node_budget=10)
+    with budget(10):
+        r = tc_n(cycle_image(16), 2)
     assert r.notes[0].startswith("contractible-base route skipped, "
                                  "budget exhausted")
     assert (r.lower, r.upper) == (1, None)

@@ -4,8 +4,10 @@ The sweep, fiber and enumeration limits each have one value that every
 caller uses, so none of them is a parameter: fibers take no `limit`, and
 `find_section` slices each fiber at its cap itself. Window groups carry
 no adjacency law: the window's own adjacency judges every value. Nothing
-aims a nullhomotopy at chosen targets or slides over a chosen pool, and
-every search budget defaults to the one value `--budget` does.
+aims a nullhomotopy at chosen targets or slides over a chosen pool. No
+function takes a search budget: every search draws on the ledger of the
+enclosing `homotopy.budget` block, which the CLI opens once per command
+from `--budget`, whose default is `homotopy.NODE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import ditop
 from ditop.cli import build_parser
 from ditop.groups import WindowGroup
+from ditop.homotopy import NODE_BUDGET
 
 RETIRED = {"guard", "genus_guard", "cat_guard", "contractibility_guard",
-           "fiber_cap", "limit", "skip_axioms", "seeds", "targets", "pool"}
+           "fiber_cap", "limit", "skip_axioms", "seeds", "targets", "pool",
+           "node_budget"}
 
 
 def _signatures():
@@ -65,11 +70,15 @@ def test_a_window_group_carries_no_adjacency_law():
     assert "law" not in {f.name for f in dataclasses.fields(WindowGroup)}
 
 
-def test_every_node_budget_defaults_to_the_cli_budget():
-    cli_default = build_parser().parse_args(["cat", "corpus:H"]).budget
-    defaults = {where: sig.parameters["node_budget"].default
-                for where, sig in _signatures()
-                if "node_budget" in sig.parameters}
-    assert len(defaults) > 15
-    assert {where: d for where, d in defaults.items()
-            if d != cli_default} == {}
+def test_only_the_search_and_the_cli_read_the_default_budget():
+    source = pathlib.Path(ditop.__file__).parent
+    assert {path.stem for path in source.glob("*.py")
+            if "NODE_BUDGET" in path.read_text(encoding="utf-8")} \
+        == {"homotopy", "cli"}
+
+
+def test_the_cli_budget_defaults_to_the_library_budget():
+    for command in ("homotopic corpus:a corpus:b", "contractible corpus:H",
+                    "cat corpus:H", "tc corpus:H", "verify-paper"):
+        args = build_parser().parse_args(command.split())
+        assert args.budget == NODE_BUDGET, command

@@ -14,7 +14,7 @@ import ditop.homotopy as homotopy
 from ditop.category import CatPiece, CatWitness, cat_oracle
 from ditop.corpus import cycle_image, loop_image, loop_rotation_table
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
-                            are_homotopic, contraction, fold,
+                            are_homotopic, budget, contraction, fold,
                             folded_nullhomotopy, is_contractible,
                             nullhomotopy, pull_back, shortest_nullhomotopy,
                             slide_nullhomotopy, verify_homotopy)
@@ -198,8 +198,8 @@ def test_nullhomotopy_respects_requested_targets():
 
 def test_budget_exhaustion_is_loud_not_wrong():
     loop = loop_image()
-    with pytest.raises(BudgetExhausted):
-        nullhomotopy(DigitalMap.identity(loop), node_budget=3)
+    with budget(3), pytest.raises(BudgetExhausted):
+        nullhomotopy(DigitalMap.identity(loop))
 
 
 def test_restrict_witness_projects_onto_a_subset():
@@ -277,15 +277,17 @@ def test_split_search_agrees_with_the_product_search(name, data):
     # the product graph grows as a power of the core's component count,
     # and c1 boxes do not fold, so the oracle runs within a budget
     try:
-        want = unsplit_folded_nullhomotopy(incl, node_budget=20_000)
+        with budget(20_000):
+            want = unsplit_folded_nullhomotopy(incl)
     except BudgetExhausted:
         reject()
     # the split search runs on the domain's core, where `nullhomotopy`
     # calls it
     core = fold(incl.domain).core
     on_core = DigitalMap.inclusion(core, img)
-    for f, w in ((on_core, folded_nullhomotopy(on_core, node_budget=20_000)),
-                 (incl, nullhomotopy(incl, node_budget=20_000))):
+    for f, search in ((on_core, folded_nullhomotopy), (incl, nullhomotopy)):
+        with budget(20_000):
+            w = search(f)
         assert (w is None) == (want is None)
         if w is not None:
             ok, why = verify_homotopy(w, f)
