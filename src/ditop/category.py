@@ -17,7 +17,6 @@ orbits of pieces. Pieces are bitmasks of base point indices, as in
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import covers
@@ -27,20 +26,18 @@ from .covers import maximal_admissible_sets  # noqa: F401 (the bench tracer rebi
 from .homotopy import (BudgetExhausted, HomotopyWitness, is_contractible,
                        nullhomotopy, slides, verify_homotopy)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
-from .images import DigitalImage
+from .images import DigitalImage, Record
 from .maps import DigitalMap, automorphism_generators
 
 
-@dataclass(frozen=True)
-class CatPiece:
-    points: Subset
-    contraction: HomotopyWitness = field(compare=False)
+class CatPiece(Record):
+    def __init__(self, points: Subset, contraction: HomotopyWitness):
+        self.__dict__.update(points=points, contraction=contraction)
 
 
-@dataclass(frozen=True)
-class CatWitness:
-    base: DigitalImage
-    pieces: tuple[CatPiece, ...]
+class CatWitness(Record):
+    def __init__(self, base: DigitalImage, pieces: tuple[CatPiece, ...]):
+        self.__dict__.update(base=base, pieces=pieces)
 
     @property
     def size(self) -> int:
@@ -147,4 +144,5 @@ def cat_bounds(base: DigitalImage) -> BoundResult:
 
     oracle = AdmissibilityOracle(base, slide_only)
     r = minimal_cover_bounds(base, oracle, whole_admissible=whole)
-    return replace(r, witness=tuple(map(base.points_of, r.witness)))
+    return BoundResult(r.lower, r.upper,
+                       tuple(map(base.points_of, r.witness)), r.notes)

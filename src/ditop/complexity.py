@@ -30,7 +30,6 @@ for reports, messages and section files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import ne, or_
 from typing import Mapping, Optional, Sequence
@@ -44,7 +43,7 @@ from .covers import (AdmissibilityOracle, BoundResult, CoverImpossible,
 from .homotopy import (BudgetExhausted, HomotopyWitness, contraction,
                        shortest_nullhomotopy, slides)
 from .homotopy import slide_nullhomotopy  # noqa: F401 (the bench tracer rebinds it)
-from .images import DigitalImage, bits
+from .images import DigitalImage, Value, bits
 from .maps import DigitalMap, backtrack
 from .pathspace import EndpointFibration, PairedFibration, Path, Wedge
 from .groups import CayleyTable, is_topological_group
@@ -63,14 +62,13 @@ class ArmTooShort(ValueError):
     """The arm length is below what a proved construction needs."""
 
 
-@dataclass(frozen=True)
-class SectionWitness:
+class SectionWitness(Value, key=("piece",)):
     """A continuous motion planning rule over one piece of the product, in
     index space: `piece` holds product indices, and each wedge's arms
     (each side's, over a paired fibration) hold base point indices."""
 
-    piece: tuple[int, ...]
-    wedges: tuple[Wedge, ...] = field(compare=False)
+    def __init__(self, piece: tuple[int, ...], wedges: tuple[Wedge, ...]):
+        self.__dict__.update(piece=piece, wedges=wedges)
 
 
 class _ArmTable(dict):
@@ -500,9 +498,8 @@ def tc_n(base: DigitalImage, n: int, table: CayleyTable | None = None,
             return BoundResult(1, 1, (sw,),
                                (f"contractible base: one global section at "
                                 f"arm length {m_used}",))
-        if cat_w is None:  # else the category's note speaks for the base
-            notes.append(f"contractible-base route skipped: its section "
-                         f"fails the strong relation: {why}")
+        notes.append(f"contractible-base route skipped: its section "
+                     f"fails the strong relation: {why}")
 
     if len(base.points) ** n <= covers.SWEEP_LIMIT:
         fib = EndpointFibration(base, n, m if m is not None else base.diameter,

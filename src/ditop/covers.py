@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
-from .images import DigitalImage, Point, bits
+from .images import DigitalImage, Point, Record, bits
 
 Subset = tuple[Point, ...]
 
@@ -52,18 +51,15 @@ class CoverImpossible(Exception):
     """Some point lies in no admissible set, so no cover exists."""
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """An integer bracketed from both sides, with how each side was won."""
 
-    lower: int
-    upper: Optional[int]
-    witness: object = field(default=None, compare=False)
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper {self.upper}")
+    def __init__(self, lower: int, upper: Optional[int], witness: object = None,
+                 notes: tuple[str, ...] = ()):
+        if upper is not None and lower > upper:
+            raise ValueError(f"lower bound {lower} exceeds upper {upper}")
+        self.__dict__.update(lower=lower, upper=upper, witness=witness,
+                             notes=notes)
 
     @property
     def exact(self) -> bool:

@@ -21,12 +21,11 @@ verdict, finite or windowed, comes from `maps.continuity_violation`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .images import (Adjacency, DigitalImage, Point, induced_subimage,
-                     product_image)
+from .images import (Adjacency, DigitalImage, Point, Record, Value,
+                     induced_subimage, product_image)
 from .maps import DigitalMap, backtrack, continuity_violation
 
 # most carrier points enumerate_group_structures accepts: past 6 the cost
@@ -34,16 +33,16 @@ from .maps import DigitalMap, backtrack, continuity_violation
 _ENUMERATION_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(Value, key=("image", "identity_index", "grid")):
     """A binary operation on the points of an image, as its grid: per pair
     of carrier indices (a, b), the carrier index of a*b, so a table is
     closed by construction. `from_points` is the one constructor that
     takes points, and it checks them; the axioms are `verify_cayley`'s."""
 
-    image: DigitalImage
-    identity_index: int
-    grid: tuple[tuple[int, ...], ...]
+    def __init__(self, image: DigitalImage, identity_index: int,
+                 grid: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(image=image, identity_index=identity_index,
+                             grid=grid)
 
     @staticmethod
     def from_points(image: DigitalImage, identity: Point,
@@ -135,12 +134,12 @@ def verify_cayley(table: CayleyTable) -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class GroupVerdict:
-    ok: bool
-    failures: tuple[str, ...]
-    alpha_edge: Optional[tuple[Point, Point]] = None
-    beta_edge: Optional[tuple[Point, Point]] = None
+class GroupVerdict(Value, key=("ok", "failures", "alpha_edge", "beta_edge")):
+    def __init__(self, ok: bool, failures: tuple[str, ...],
+                 alpha_edge: Optional[tuple[Point, Point]] = None,
+                 beta_edge: Optional[tuple[Point, Point]] = None):
+        self.__dict__.update(ok=ok, failures=failures, alpha_edge=alpha_edge,
+                             beta_edge=beta_edge)
 
 
 def is_topological_group(table: CayleyTable, *,
@@ -305,14 +304,14 @@ def _triple_failure(grid: Sequence[Sequence[int]], middles: Sequence[int],
     return None
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    image: DigitalImage
-    total: int
-    topological: tuple[CayleyTable, ...]
-    # (identity, verdict) of each rejected structure, in enumeration order;
-    # the tables themselves are not kept
-    rejected: tuple[tuple[Point, GroupVerdict], ...]
+class ScanResult(Record):
+    # `rejected` holds (identity, verdict) of each rejected structure, in
+    # enumeration order; the tables themselves are not kept
+    def __init__(self, image: DigitalImage, total: int,
+                 topological: tuple[CayleyTable, ...],
+                 rejected: tuple[tuple[Point, GroupVerdict], ...]):
+        self.__dict__.update(image=image, total=total,
+                             topological=topological, rejected=rejected)
 
     @property
     def topological_count(self) -> int:
@@ -423,8 +422,7 @@ def is_top_isomorphism(f: DigitalMap, dom: CayleyTable, cod: CayleyTable,
 
 # ---- window checks for infinite groups ----
 
-@dataclass(frozen=True)
-class WindowGroup:
+class WindowGroup(Record):
     """A finite window onto a group with an infinite carrier. The axioms
     are assumed to hold globally (they are standard algebra); what gets
     verified digitally is continuity over the window.
@@ -433,23 +431,25 @@ class WindowGroup:
     is defined on the whole ambient lattice, so it judges them too.
     """
 
-    window: DigitalImage
-    op: Callable[[Point, Point], Point] = field(compare=False)
-    inv: Callable[[Point], Optional[Point]] = field(compare=False)
-    identity: Point
-    label: str
+    def __init__(self, window: DigitalImage,
+                 op: Callable[[Point, Point], Point],
+                 inv: Callable[[Point], Optional[Point]], identity: Point,
+                 label: str):
+        self.__dict__.update(window=window, op=op, inv=inv, identity=identity,
+                             label=label)
 
 
-@dataclass(frozen=True)
-class WindowReport:
-    label: str
-    alpha_checked: int
-    alpha_violation: Optional[tuple[Point, Point]]
-    beta_checked: int
-    beta_skipped: int
-    beta_violation: Optional[tuple[Point, Point]]
-    inverse_missing: tuple[Point, ...]
-    notes: tuple[str, ...]
+class WindowReport(Record):
+    def __init__(self, label: str, alpha_checked: int,
+                 alpha_violation: Optional[tuple[Point, Point]],
+                 beta_checked: int, beta_skipped: int,
+                 beta_violation: Optional[tuple[Point, Point]],
+                 inverse_missing: tuple[Point, ...], notes: tuple[str, ...]):
+        self.__dict__.update(
+            label=label, alpha_checked=alpha_checked,
+            alpha_violation=alpha_violation, beta_checked=beta_checked,
+            beta_skipped=beta_skipped, beta_violation=beta_violation,
+            inverse_missing=inverse_missing, notes=notes)
 
     @property
     def ok_on_window(self) -> bool:
@@ -519,17 +519,20 @@ def window_alpha_pair(wg: WindowGroup, u: Point, v: Point, *,
     return is_edge, pu, pv, pu == pv or img.adjacency.adjacent(pu, pv)
 
 
-@dataclass(frozen=True)
-class WindowHomReport:
+class WindowHomReport(Record):
     """Verdict for a map between window groups, checked over the source
     window: does it respect the operations, is it continuous edge by
     edge, and is it injective on the window."""
 
-    pairs_checked: int
-    algebra_violation: Optional[tuple[Point, Point]]
-    edges_checked: int
-    continuity_violation: Optional[tuple[Point, Point]]
-    collision: Optional[tuple[Point, Point]]
+    def __init__(self, pairs_checked: int,
+                 algebra_violation: Optional[tuple[Point, Point]],
+                 edges_checked: int,
+                 continuity_violation: Optional[tuple[Point, Point]],
+                 collision: Optional[tuple[Point, Point]]):
+        self.__dict__.update(
+            pairs_checked=pairs_checked, algebra_violation=algebra_violation,
+            edges_checked=edges_checked,
+            continuity_violation=continuity_violation, collision=collision)
 
     @property
     def is_homomorphism(self) -> bool:

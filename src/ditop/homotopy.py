@@ -31,10 +31,9 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .images import DigitalImage, bits
+from .images import DigitalImage, Value, bits
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
 State = tuple[int, ...]
@@ -47,11 +46,11 @@ class BudgetExhausted(RuntimeError):
     """A search ran out of its budget before reaching an answer."""
 
 
-@dataclass
 class Ledger:
     """A `budget` block's cap on map-graph states, and the states spent."""
-    cap: int
-    spent: int = 0
+
+    def __init__(self, cap: int, spent: int = 0):
+        self.cap, self.spent = cap, spent
 
 
 _LEDGER: ContextVar[Ledger | None] = ContextVar("ledger", default=None)
@@ -68,17 +67,14 @@ def budget(states: int) -> Iterator[Ledger]:
         _LEDGER.reset(token)
 
 
-@dataclass(frozen=True)
-class HomotopyWitness:
+class HomotopyWitness(Value, key=("stages",)):
     """An explicit homotopy: the full list of intermediate maps."""
 
-    stages: tuple[DigitalMap, ...]
-    label: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if not self.stages:
+    def __init__(self, stages: Sequence[DigitalMap], label: str = ""):
+        stages = tuple(stages)
+        if not stages:
             raise ValueError("a homotopy needs at least one stage")
-        object.__setattr__(self, "stages", tuple(self.stages))
+        self.__dict__.update(stages=stages, label=label)
 
     @property
     def end(self) -> DigitalMap:

@@ -17,12 +17,39 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Point = tuple[int, ...]
+
+
+class Record:
+    """A read-only record: its constructor fills `__dict__` directly, as
+    `cached_property` does, and setting or deleting an attribute raises
+    AttributeError."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Value(Record):
+    """A record compared and hashed by the fields named where it is
+    subclassed, as in `class CK(Value, key=("k",))`."""
+
+    def __init_subclass__(cls, *, key: tuple[str, ...], **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*key)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 def ck_adjacent(p: Point, q: Point, k: int) -> bool:
@@ -47,11 +74,11 @@ def ck_adjacent(p: Point, q: Point, k: int) -> bool:
     return 1 <= moved <= k
 
 
-@dataclass(frozen=True)
-class CK:
+class CK(Value, key=("k",)):
     """The c_k adjacency of the ambient Z^r."""
 
-    k: int
+    def __init__(self, k: int):
+        self.__dict__["k"] = k
 
     def adjacent(self, p: Point, q: Point) -> bool:
         return ck_adjacent(p, q, self.k)
@@ -67,14 +94,14 @@ class CK:
             yield None if steps is None else [tuple(map(add, p, s)) for s in steps]
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Value, key=("edges",)):
     """Adjacency given by an explicit symmetric irreflexive edge set.
 
     Edges are stored as sorted point pairs, one per unordered edge.
     """
 
-    edges: frozenset[tuple[Point, Point]]
+    def __init__(self, edges: frozenset[tuple[Point, Point]]):
+        self.__dict__["edges"] = edges
 
     @staticmethod
     def of(pairs: Iterable[tuple[Point, Point]]) -> "Explicit":
@@ -106,8 +133,7 @@ class Explicit:
             yield self._partners.get(p, [])
 
 
-@dataclass(frozen=True)
-class ProductAdjacency:
+class ProductAdjacency(Value, key=("left", "right", "left_dim", "strong")):
     """Adjacency of a cartesian product, in the minimal or strong variant.
 
     Points of the product are concatenated coordinate tuples; the first
@@ -118,10 +144,10 @@ class ProductAdjacency:
     - strong: each factor is equal or adjacent (at least one adjacent).
     """
 
-    left: "Adjacency"
-    right: "Adjacency"
-    left_dim: int
-    strong: bool
+    def __init__(self, left: Adjacency, right: Adjacency, left_dim: int, *,
+                 strong: bool):
+        self.__dict__.update(left=left, right=right, left_dim=left_dim,
+                             strong=strong)
 
     def adjacent(self, p: Point, q: Point) -> bool:
         d = self.left_dim
@@ -155,39 +181,35 @@ def _neighbor_rows(adjacency: Adjacency, points: Sequence[Point],
             yield sorted(index[q] for q in cands if q in index)
 
 
-@dataclass(frozen=True)
-class DigitalImage:
+class DigitalImage(Value, key=("points", "adjacency")):
     """A finite digital image: sorted distinct points plus an adjacency."""
 
-    points: tuple[Point, ...]
-    adjacency: Adjacency
-
-    def __post_init__(self):
-        pts = tuple(sorted({tuple(int(c) for c in p) for p in self.points}))
+    def __init__(self, points: Iterable[Point], adjacency: Adjacency):
+        pts = tuple(sorted({tuple(int(c) for c in p) for p in points}))
         if not pts:
             raise ValueError("an image needs at least one point")
         d = len(pts[0])
         for p in pts:
             if len(p) != d:
                 raise ValueError(f"mixed dimensions: {pts[0]} vs {p}")
-        object.__setattr__(self, "points", pts)
-        if isinstance(self.adjacency, CK) and not 1 <= self.adjacency.k <= d:
-            raise ValueError(f"c{self.adjacency.k} undefined on Z^{d}")
-        if isinstance(self.adjacency, Explicit):
+        if isinstance(adjacency, CK) and not 1 <= adjacency.k <= d:
+            raise ValueError(f"c{adjacency.k} undefined on Z^{d}")
+        if isinstance(adjacency, Explicit):
             have = set(pts)
-            for a, b in self.adjacency.edges:
+            for a, b in adjacency.edges:
                 if a not in have:
                     raise ValueError(f"edge endpoint {a} is not a point of the image")
                 if b not in have:
                     raise ValueError(f"edge endpoint {b} is not a point of the image")
+        self.__dict__.update(points=pts, adjacency=adjacency)
 
     @classmethod
     def _derived(cls, points: tuple[Point, ...], adjacency: Adjacency,
                  rows: Callable[[], Iterable[tuple[int, ...]]],
                  ) -> "DigitalImage":
         """An image on points taken from existing images, so already
-        sorted, distinct int tuples of one dimension: `__post_init__` is
-        skipped, and `rows()` builds the neighbour table on first use."""
+        sorted, distinct int tuples of one dimension: `__init__`'s checks
+        are skipped, and `rows()` builds the neighbour table on first use."""
         img = object.__new__(cls)
         img.__dict__.update(points=points, adjacency=adjacency, _rows=rows)
         return img
@@ -337,7 +359,8 @@ def product_image(x: DigitalImage, y: DigitalImage, *,
     column j of the blocks of i's neighbours by `zip`, around i*k + j' for
     Y's neighbours j' of j. When strong, a block's column j is the tuple
     of its cells at j and at j's neighbours, which the row flattens."""
-    adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim, strong)
+    adjacency = ProductAdjacency(x.adjacency, y.adjacency, x.dim,
+                                 strong=strong)
     # sorted factors concatenate to sorted points: (i, j) has index i*k + j
     pts = tuple(a + b for a in x.points for b in y.points)
 

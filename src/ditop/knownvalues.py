@@ -10,7 +10,6 @@ mismatches or errors; a failed self-check propagates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -32,12 +31,10 @@ from .maps import continuity_violation
 from .pathspace import EndpointFibration
 
 
-@dataclass
 class Row:
-    name: str
-    expected: str
-    computed: str
-    status: str
+    def __init__(self, name: str, expected: str, computed: str, status: str):
+        self.name, self.expected = name, expected
+        self.computed, self.status = computed, status
 
     @property
     def ok(self) -> bool:

@@ -20,23 +20,22 @@ and the complements of closed ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .images import DigitalImage, Point, bits, subimage
+from .images import DigitalImage, Point, Value, bits, subimage
 
 
-@dataclass(frozen=True)
-class DigitalMap:
+class DigitalMap(Value, key=("domain", "codomain", "value_indices")):
     """A total map between digital images: its values' codomain indices,
     aligned with the domain's canonical point order, so two maps are equal
     exactly when they agree pointwise on equal images. `from_points` is
     the one constructor that takes points, and it checks them."""
 
-    domain: DigitalImage
-    codomain: DigitalImage
-    value_indices: tuple[int, ...]
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage,
+                 value_indices: tuple[int, ...]):
+        self.__dict__.update(domain=domain, codomain=codomain,
+                             value_indices=value_indices)
 
     @staticmethod
     def from_points(domain: DigitalImage, codomain: DigitalImage,

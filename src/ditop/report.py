@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 
 def digest_text(text: str) -> str:
@@ -27,14 +26,14 @@ def digest_file(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    settings: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    def __init__(self, command: str):
+        self.command = command
+        self.inputs: dict = {}
+        self.settings: dict = {}
+        self.results: dict = {}
+        self.witnesses: dict = {}
+        self.notes: list = []
 
     def to_json(self) -> str:
         doc = {

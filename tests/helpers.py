@@ -8,6 +8,7 @@ actually means something. The rest are conveniences only tests need.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from collections import deque
@@ -76,6 +77,11 @@ def transfer_matrix_count(n: int) -> int:
     for _ in range(n - 1):
         acc = mat_mul(acc, step)
     return sum(acc[i][i] for i in range(size))
+
+
+def field_names(cls: type) -> list[str]:
+    """A record class's fields: its constructor's parameters, in order."""
+    return list(inspect.signature(vars(cls)["__init__"]).parameters)[1:]
 
 
 def random_grid_image(rng: random.Random, max_points: int = 9,

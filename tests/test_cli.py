@@ -216,6 +216,21 @@ def test_tc_notes_an_arm_length_too_short_for_the_contraction(capsys):
             "steps, more than the arm length 2\n") in out
 
 
+def test_tc_notes_a_strong_section_that_fails_with_a_computed_category(
+        capsys):
+    # the 4-point base gets its exact category (a 16-point product is past
+    # the sweep limit), and its contraction section still speaks for itself
+    code, out, _ = run(capsys, "tc", "corpus:interval:3", "-n", "2",
+                       "--mode", "strong")
+    assert code == 0
+    assert "tc_lower: 1\ntc_upper: ?\n" in out
+    assert ("note: contractible-base route skipped: its section fails the "
+            "strong relation: section jumps across the edge (0, 1) ~ (0, 2): "
+            "assigned wedges are not within one step\n"
+            "note: lower 1: the category of the base is a lower bound for "
+            "every TC_n, n >= 2\n") in out
+
+
 def test_group_check_exit_codes(capsys):
     code, out, _ = run(capsys, "group-check", "corpus:Hrot")
     assert code == 0

@@ -12,7 +12,6 @@ from `--budget`, whose default is `homotopy.NODE_BUDGET`.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -22,6 +21,7 @@ import ditop
 from ditop.cli import build_parser
 from ditop.groups import WindowGroup
 from ditop.homotopy import NODE_BUDGET
+from helpers import field_names
 
 RETIRED = {"guard", "genus_guard", "cat_guard", "contractibility_guard",
            "fiber_cap", "limit", "skip_axioms", "seeds", "targets", "pool",
@@ -42,7 +42,8 @@ def _signatures():
             if inspect.isfunction(obj):
                 yield where, inspect.signature(obj)
             elif inspect.isclass(obj):
-                # dataclass constructors are generated `__init__` methods
+                # a record's constructor is its `__init__`, which lists
+                # its fields as parameters
                 for attr, member in vars(obj).items():
                     if isinstance(member, (staticmethod, classmethod)):
                         member = member.__func__
@@ -67,7 +68,7 @@ def test_no_function_takes_a_retired_limit_or_switch():
 
 
 def test_a_window_group_carries_no_adjacency_law():
-    assert "law" not in {f.name for f in dataclasses.fields(WindowGroup)}
+    assert "law" not in field_names(WindowGroup)
 
 
 def test_only_the_search_and_the_cli_read_the_default_budget():

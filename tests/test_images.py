@@ -156,13 +156,13 @@ def test_power_image_matches_iterated_products():
 def test_derived_images_make_no_normalising_construction(monkeypatch,
                                                           capsys):
     built = []  # points normalised by each DigitalImage construction
-    post_init = DigitalImage.__post_init__
+    init = DigitalImage.__init__
 
-    def counting(self):
-        built.append(len(self.points))
-        post_init(self)
+    def counting(self, points, adjacency):
+        built.append(len(points))
+        init(self, points, adjacency)
 
-    monkeypatch.setattr(DigitalImage, "__post_init__", counting)
+    monkeypatch.setattr(DigitalImage, "__init__", counting)
     seg = interval_image(0, 1)
     assert built == [2]
     cubed = power_image(seg, 3)

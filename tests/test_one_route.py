@@ -29,7 +29,6 @@ path, run or not.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import pathlib
 from typing import Callable
 
@@ -40,6 +39,7 @@ from ditop.groups import (CayleyTable, WindowGroup, WindowHomReport,
 from ditop.homotopy import HomotopyWitness
 from ditop.images import DigitalImage, ProductAdjacency
 from ditop.maps import DigitalMap
+from helpers import field_names
 
 SOURCE = pathlib.Path(ditop.__file__).parent
 
@@ -169,6 +169,7 @@ def test_the_product_choice_is_one_keyword_only_strong_flag():
     keyword = {(m, f) for m, f, args in _functions()
                if "strong" in {a.arg for a in args.kwonlyargs}}
     assert keyword == {
+        ("images", "ProductAdjacency.__init__"),
         ("images", "product_image"), ("images", "power_image"),
         ("pathspace", "WedgeSpace.__init__"),
         ("complexity", "tc_n"), ("complexity", "tc_chain"),
@@ -191,7 +192,7 @@ def test_the_mode_vocabulary_and_its_translator_are_gone():
 
 def test_only_the_labels_something_reads_are_kept():
     def has_label(cls) -> bool:
-        return "label" in {f.name for f in dataclasses.fields(cls)}
+        return "label" in field_names(cls)
 
     for cls in (DigitalImage, DigitalMap, CayleyTable, WindowHomReport):
         assert not has_label(cls), cls.__name__
@@ -200,8 +201,8 @@ def test_only_the_labels_something_reads_are_kept():
 
 
 def test_state_that_nothing_reads_stays_gone():
-    fields = {f.name for cls in (ProductAdjacency, WindowReport)
-              for f in dataclasses.fields(cls)}
+    fields = {f for cls in (ProductAdjacency, WindowReport)
+              for f in field_names(cls)}
     assert not fields & {"right_dim", "window_size", "identity_in_window"}
     assert not hasattr(corpus, "LOOP_ORDER")
 
@@ -261,7 +262,7 @@ def test_points_become_a_table_in_one_constructor():
             if isinstance(attr, (staticmethod, classmethod))}
     assert made == {"from_points", "from_function"}
     assert "__post_init__" not in vars(CayleyTable)
-    assert [f.name for f in dataclasses.fields(CayleyTable)] == [
+    assert field_names(CayleyTable) == [
         "image", "identity_index", "grid"]
 
 
