@@ -183,13 +183,16 @@ def _continuity_verdict(table: CayleyTable,
 # ---- enumeration ----
 
 def _semiregular(p: tuple[int, ...]) -> bool:
-    """Whether all cycles of the permutation p have one length."""
-    ident, q = tuple(range(len(p))), p
-    while q != ident:
-        if any(map(int.__eq__, q, ident)):
-            return False
-        q = tuple(p[x] for x in q)
-    return True
+    """Whether all cycles of the permutation p have one length (one pass)."""
+    seen, lengths = set(), set()
+    for a in range(len(p)):
+        if a not in seen:
+            b, k = p[a], 1
+            while b != a:
+                seen.add(b)
+                b, k = p[b], k + 1
+            lengths.add(k)
+    return len(lengths) < 2
 
 
 def _fits(p: tuple[int, ...], q: tuple[int, ...],
@@ -234,50 +237,56 @@ def _fit_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
 def enumerate_group_structures(image: DigitalImage) -> Iterator[CayleyTable]:
     """Every group structure on the carrier's point set, as Cayley tables.
 
-    Left translation L_a has all its cycles of length ord(a), and
-    L_a∘L_b = L_ab, so the rows of a group table and their compositions
-    are semiregular. The rows other than the identity's are the positions
-    of `maps.backtrack`, the other semiregular permutations its values:
-    root masks pin the identity column, and every earlier row links to
-    the later one through the mask table of `_fit_masks`. That is
-    necessary only, so associativity decides. Order: by identity, then
-    lexicographic over rows. Limited to _ENUMERATION_LIMIT points."""
+    A table's rows, its left translations L_a (L_a∘L_b = L_ab), form a
+    regular subgroup R of Sym(n): one row sends e to each a. One
+    `maps.backtrack` search finds every R, as rows a = 1..n-1 of a table
+    with identity 0: values the semiregular permutations but the
+    identity (L_a has all its cycles of length ord(a)), row a rooted at
+    those sending 0 to a and linked to the earlier rows by `_fit_masks`.
+    That is necessary only, so Light's test decides. Each identity e
+    re-indexes each R (Cayley; Sabidussi, Proc. AMS 1958) as a·b =
+    r_a(b), where r_a(e) = a, with no axiom check: r_a∘r_b is in R and
+    sends e to a·b, so it is r_ab and (a·b)·c = a·(b·c); r_e fixes e, so
+    it is the identity, and e·b = b, a·e = a; every table with identity
+    e arises so, its L_a being the r_a of its own R. Order: by identity,
+    then lexicographic over rows. Limited to _ENUMERATION_LIMIT points."""
     n = len(image.points)
     if n > _ENUMERATION_LIMIT:
         raise ValueError(f"group enumeration is limited to "
                          f"{_ENUMERATION_LIMIT} points, carrier has {n}")
     rows, masks = _fit_masks(n)
     links = [[(s, masks) for s in range(t)] for t in range(n - 1)]
-    for ei in range(n):
-        others = [a for a in range(n) if a != ei]
-        roots = [sum(1 << k for k, p in enumerate(rows) if p[ei] == a)
-                 for a in others]
-        grid = [tuple(range(n))] * n
-        for values in backtrack(roots, links):
-            for a, k in zip(others, values):
-                grid[a] = rows[k]
-            if _associativity_failure(grid) is None:
-                yield CayleyTable(image, ei, tuple(grid))
+    roots = [sum(1 << k for k, p in enumerate(rows) if p[0] == a)
+             for a in range(1, n)]
+    subgroups = list(filter(_is_associative, (
+        (tuple(range(n)), *(rows[k] for k in values))
+        for values in backtrack(roots, links))))
+    for e in range(n):
+        for grid in sorted(tuple(sorted(r, key=lambda row: row[e]))
+                           for r in subgroups):
+            yield CayleyTable(image, e, grid)
 
 
 def _associativity_failure(grid: Sequence[Sequence[int]],
                            ) -> Optional[tuple[int, int, int]]:
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc) in a
-    closed index grid, or None when the grid is associative.
-
-    Light's test decides first. The b with (ab)c = a(bc) for all a, c are
-    closed under the product: if b and d pass, then (a(bd))c = ((ab)d)c
-    = (ab)(dc) = a(b(dc)) = a((bd)c). So it suffices to test generators,
-    taken greedily in index order, each one not reached from those before
-    it by right multiplications by them; a grid that fails is scanned for
-    its first triple."""
+    closed index grid, or None: scanned only when Light's test fails."""
     n = len(grid)
+    return None if _is_associative(grid) else _triple_failure(grid, range(n))
+
+
+def _is_associative(grid: Sequence[Sequence[int]]) -> bool:
+    """Light's test on a closed index grid. The b with (ab)c = a(bc) for
+    all a, c are closed under the product: if b and d pass, then
+    (a(bd))c = ((ab)d)c = (ab)(dc) = a(b(dc)) = a((bd)c). So it suffices
+    to test generators, taken greedily in index order, each one not
+    reached from those before it by right multiplications by them."""
     generators: list[int] = []
     reached: set[int] = set()
-    for b in range(n):
+    for b in range(len(grid)):
         if b not in reached:
             if _triple_failure(grid, [b]) is not None:
-                return _triple_failure(grid, range(n))
+                return False
             generators.append(b)
             reached, todo = set(), list(generators)
             while todo:
@@ -285,7 +294,7 @@ def _associativity_failure(grid: Sequence[Sequence[int]],
                 if x not in reached:
                     reached.add(x)
                     todo += [grid[x][g] for g in generators]
-    return None
+    return True
 
 
 def _triple_failure(grid: Sequence[Sequence[int]], middles: Sequence[int],

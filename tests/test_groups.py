@@ -377,19 +377,72 @@ def test_enumeration_agrees_with_the_recursive_latin_fill():
                 == list(latin_group_structures_oracle(seg)))
 
 
-def test_six_points_check_associativity_on_996_tables(monkeypatch):
-    # the row search leaves 996 candidate tables for the 480 groups; the
-    # cell-by-cell Latin fill left all 56,448 reduced Latin squares
+def test_six_points_check_associativity_on_166_tables(monkeypatch):
+    # one row search, identity pinned at 0, leaves 166 candidate tables for
+    # the 80 regular subgroups of Sym(6); a search per identity left 996
+    # for the 480 groups, the cell-by-cell Latin fill all 56,448 reduced
+    # Latin squares
     calls = []
-    check = groups._associativity_failure
+    check = groups._is_associative
 
     def counted(grid):
         calls.append(1)
         return check(grid)
 
-    monkeypatch.setattr(groups, "_associativity_failure", counted)
+    monkeypatch.setattr(groups, "_is_associative", counted)
     assert len(list(enumerate_group_structures(interval_image(0, 5)))) == 480
-    assert len(calls) == 996
+    assert len(calls) == 166
+
+
+def test_the_enumeration_never_scans_for_a_first_triple(monkeypatch):
+    # Light's test asks one middle at a time; only verify_cayley names a
+    # failing table's first triple
+    middles = []
+    scan = groups._triple_failure
+
+    def counted(grid, mids):
+        middles.append(len(mids))
+        return scan(grid, mids)
+
+    monkeypatch.setattr(groups, "_triple_failure", counted)
+    assert len(list(enumerate_group_structures(interval_image(0, 5)))) == 480
+    assert middles and set(middles) == {1}
+
+
+def test_the_row_search_runs_once_per_enumeration(monkeypatch):
+    calls = []
+    search = groups.backtrack
+
+    def counted(roots, links):
+        calls.append(len(roots))
+        return search(roots, links)
+
+    monkeypatch.setattr(groups, "backtrack", counted)
+    for p in range(1, 7):
+        calls.clear()
+        list(enumerate_group_structures(interval_image(0, p - 1)))
+        assert calls == [p - 1]
+
+
+def test_every_identity_re_indexes_the_same_regular_subgroups():
+    # Cayley and Sabidussi: the rows of a table are a regular subgroup of
+    # Sym(p), and each identity's tables are those subgroups re-indexed
+    for p in range(1, 7):
+        by_identity = {}
+        for table in enumerate_group_structures(interval_image(0, p - 1)):
+            by_identity.setdefault(table.identity_index, []).append(
+                frozenset(table.grid))
+        assert sorted(by_identity) == list(range(p))
+        subgroups = by_identity[0]
+        assert len(set(subgroups)) == len(subgroups)
+        for e, row_sets in by_identity.items():
+            assert set(row_sets) == set(subgroups), (p, e)
+        for rows in subgroups:
+            assert len(rows) == p
+            assert all(sorted(r) == list(range(p)) for r in rows)
+            assert {r[0] for r in rows} == set(range(p))  # regular
+            for r, s in itertools.product(rows, repeat=2):
+                assert tuple(r[x] for x in s) in rows
 
 
 def test_fit_masks_match_the_all_pairs_oracle():
