@@ -14,8 +14,11 @@ window checks: the axioms are taken as given globally, and continuity is
 verified on a finite window. The operation and inversion are judged as
 maps onto the image of their values under the window's adjacency, which
 is defined on the whole lattice, so that operation values falling
-outside the window are still compared honestly. Every continuity
-verdict, finite or windowed, comes from `maps.continuity_violation`.
+outside the window are still compared honestly. Those verdicts, and a
+finite table's inversion verdict, come from `maps.continuity_violation`.
+A finite table's multiplication is judged by the normal-Cayley-graph
+test (`_cayley_verdict`), which reads the carrier's own neighbour table
+and builds no image of the carrier squared.
 """
 
 from __future__ import annotations
@@ -93,12 +96,6 @@ class CayleyTable(Value, key=("image", "identity_index", "grid")):
                            if v == e and g[j][i] == e), -1)
                      for i, row in enumerate(g))
 
-    def multiplication_map(self, prod: DigitalImage) -> DigitalMap:
-        """The operation as a map from `prod`, the carrier squared, whose
-        points run row-major over (a, b), as the grid does."""
-        return DigitalMap(prod, self.image,
-                          tuple(v for row in self.grid for v in row))
-
     def inversion_map(self) -> DigitalMap:
         vals = self.inverse_indices
         if min(vals) < 0:
@@ -149,35 +146,88 @@ def is_topological_group(table: CayleyTable, *,
     failures = verify_cayley(table)
     if failures:
         return GroupVerdict(False, tuple(failures))
-    return _continuity_verdict(
-        table, product_image(table.image, table.image, strong=strong))
+    return _cayley_verdict(table, strong=strong)
 
 
-def _continuity_verdict(table: CayleyTable,
-                        prod: DigitalImage) -> GroupVerdict:
-    """Continuity of multiplication (from `prod`, the carrier squared)
-    and inversion for a table already known to be a group."""
-    failures = []
-    alpha_edge = beta_edge = None
-    mul = table.multiplication_map(prod)
-    bad = continuity_violation(mul)
-    if bad is not None:
-        u, v = bad
-        d = table.image.dim
+def _cayley_verdict(table: CayleyTable, *, strong: bool) -> GroupVerdict:
+    """Continuity of multiplication and inversion for a table known to be
+    a group G, by |G|·|S| lookups, where S = N(e) is the identity's row:
+
+    (1) each x's closed neighbourhood is {x} ∪ xS;
+    (2) b⁻¹sb ∈ S for every b and every s ∈ S;
+    (3) when strong, st ∈ S ∪ {e} for all s, t ∈ S.
+
+    Multiplication from the min-product is continuous exactly when (1)
+    and (2) hold, from the strong product exactly when (3) holds too, and
+    then inversion is continuous: the carrier's graph is the Cayley graph
+    Cay(G, S) with S closed under conjugation (Sabidussi, Proc. AMS 1958).
+
+    Proof. A min-product edge changes one coordinate, so multiplication
+    is continuous exactly when every L_a: x ↦ ax and R_b: x ↦ xb is. If
+    they are, L_a has the continuous inverse L_a⁻¹, so it is a graph
+    automorphism, and y ~ x exactly when x⁻¹y ~ e: (1). Given (1), an
+    edge is x ~ xs with s ∈ S; L_a keeps it, and R_b sends it to xb and
+    xb·b⁻¹sb, where b⁻¹sb ≠ e, so R_b keeps it exactly when b⁻¹sb ∈ S:
+    (2). Strong edges add (a, b) ~ (as, bt) with s, t ∈ S, sent to ab
+    and ab·(b⁻¹sb)t; by (2) b⁻¹sb runs over S with s, so given (1) and
+    (2) they are kept exactly when (3) holds. Inversion: the graph is
+    symmetric, so s⁻¹ ∈ S by (1) (s ~ e), and x ~ xs goes to x⁻¹ and
+    s⁻¹x⁻¹ = x⁻¹·(xs⁻¹x⁻¹), with xs⁻¹x⁻¹ ∈ S by (2) for b = x⁻¹.
+
+    Only a failing test looks for edges: multiplication's first torn edge
+    in the canonical order of the carrier's square (`_torn_product_edge`)
+    and inversion's by `maps.continuity_violation`, so the verdict names
+    the edges that a scan of the square names."""
+    g, e, inv = table.grid, table.identity_index, table.inverse_indices
+    closed, s_row = table.image.closed_masks, table.image.neighbor_index[e]
+    s_mask = closed[e] & ~(1 << e)
+    if (all(closed[x] == sum(1 << row[s] for s in s_row) | 1 << x
+            for x, row in enumerate(g))
+            and all(s_mask >> g[g[inv[b]][s]][b] & 1
+                    for b in range(len(g)) for s in s_row)
+            and not (strong and any(not closed[e] >> g[s][t] & 1
+                                    for s in s_row for t in s_row))):
+        return GroupVerdict(True, ())
+    failures, alpha_edge, pts = [], None, table.image.points
+    torn = _torn_product_edge(table, strong=strong)
+    if torn is not None:
+        (a, b), (c, d) = torn
+        alpha_edge = (pts[a] + pts[b], pts[c] + pts[d])
         failures.append(
-            f"multiplication is not continuous: product points {u} and {v} "
-            f"are adjacent but {table.product(u[:d], u[d:])} and "
-            f"{table.product(v[:d], v[d:])} are not")
-        alpha_edge = bad
-    inv = table.inversion_map()
-    bad = continuity_violation(inv)
-    if bad is not None:
-        a, b = bad
+            f"multiplication is not continuous: product points "
+            f"{alpha_edge[0]} and {alpha_edge[1]} are adjacent but "
+            f"{pts[g[a][b]]} and {pts[g[c][d]]} are not")
+    inv_map = table.inversion_map()
+    beta_edge = continuity_violation(inv_map)
+    if beta_edge is not None:
+        x, y = beta_edge
         failures.append(
-            f"inversion is not continuous: {a} and {b} are adjacent but "
-            f"{inv(a)} and {inv(b)} are not")
-        beta_edge = bad
+            f"inversion is not continuous: {x} and {y} are adjacent but "
+            f"{inv_map(x)} and {inv_map(y)} are not")
     return GroupVerdict(not failures, tuple(failures), alpha_edge, beta_edge)
+
+
+def _torn_product_edge(table: CayleyTable, *, strong: bool,
+                       ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+    """The first edge ((a, b), (c, d)) of the carrier's square, min or
+    strong, whose products are neither equal nor adjacent, in the square's
+    canonical order, or None. The square's point (a, b) has the index
+    a·n + b, so (a, b) runs row-major, and its edges to higher indices run
+    to (a, b') for b' ∈ N(b) with b' > b, then to (a', b'') for a' ∈ N(a)
+    with a' > a, where b'' = b, or when strong each b'' ∈ N[b] ascending."""
+    g, nbrs = table.grid, table.image.neighbor_index
+    closed = table.image.closed_masks
+    stays = [sorted((b, *nb)) if strong else (b,) for b, nb in enumerate(nbrs)]
+    for a, (row, na) in enumerate(zip(g, nbrs)):
+        ups = [c for c in na if c > a]
+        for b, nb in enumerate(nbrs):
+            near = closed[row[b]]
+            for c, d in itertools.chain(
+                    ((a, d) for d in nb if d > b),
+                    ((c, d) for c in ups for d in stays[b])):
+                if not near >> g[c][d] & 1:
+                    return (a, b), (c, d)
+    return None
 
 
 # ---- enumeration ----
@@ -330,13 +380,12 @@ class ScanResult(Record):
 def scan_group_structures(image: DigitalImage, *,
                           strong: bool = False) -> ScanResult:
     """Enumerate all group structures and test each for continuity."""
-    prod = product_image(image, image, strong=strong)
     good = []
     bad = []
     total = 0
     for table in enumerate_group_structures(image):
         total += 1
-        verdict = _continuity_verdict(table, prod)
+        verdict = _cayley_verdict(table, strong=strong)
         if verdict.ok:
             good.append(table)
         else:

@@ -19,13 +19,13 @@ from ditop.complexity import SectionWitness
 from ditop.covers import AdmissibilityOracle, Subset, maximal_admissible_sets
 from ditop.corpus import (cycle_image, loop_cover, loop_image,
                           loop_rotation_table)
-from ditop.groups import CayleyTable
+from ditop.groups import CayleyTable, GroupVerdict
 from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             fold, is_contractible, nullhomotopy, pull_back,
                             shortest_nullhomotopy, slide_nullhomotopy,
                             verify_homotopy)
 from ditop.images import (CK, DigitalImage, Explicit, Point, ProductAdjacency,
-                          induced_subimage)
+                          induced_subimage, product_image)
 from ditop.maps import DigitalMap, backtrack, continuity_violation
 from ditop.pathspace import PairedWedge
 
@@ -83,6 +83,19 @@ def field_names(cls: type) -> list[str]:
     """A record class's fields: its constructor's parameters, in order."""
     return list(inspect.signature(vars(cls)["__init__"]).parameters)[1:]
 
+
+def counted_builds(monkeypatch, name: str, counts: dict) -> None:
+    """Count the builds of each image's cached `name`, keyed by (name,
+    the image's size)."""
+    prop = DigitalImage.__dict__[name]
+    build = prop.func
+
+    def counted_build(img):
+        size = len(img.points)
+        counts[name, size] = counts.get((name, size), 0) + 1
+        return build(img)
+
+    monkeypatch.setattr(prop, "func", counted_build)
 
 def random_grid_image(rng: random.Random, max_points: int = 9,
                       k: int = 1, connected: bool = True) -> DigitalImage:
@@ -954,6 +967,44 @@ def verify_cayley_oracle(table: CayleyTable) -> list[str]:
             failures.append(f"no inverse: {a} has no two-sided inverse")
             break
     return failures
+
+
+# ---- group continuity on the carrier's square ----
+
+def multiplication_map(table: CayleyTable, prod: DigitalImage) -> DigitalMap:
+    """The operation as a map from `prod`, the carrier squared, whose
+    points run row-major over (a, b), as the grid does."""
+    return DigitalMap(prod, table.image,
+                      tuple(v for row in table.grid for v in row))
+
+
+def continuity_verdict_oracle(table: CayleyTable, *,
+                              strong: bool = False) -> GroupVerdict:
+    """The G x G route that `groups._cayley_verdict` replaces, for a table
+    known to be a group: multiplication as a map from the carrier's min
+    or strong square and inversion, each judged edge by edge by
+    `maps.continuity_violation`."""
+    prod = product_image(table.image, table.image, strong=strong)
+    failures = []
+    alpha_edge = beta_edge = None
+    bad = continuity_violation(multiplication_map(table, prod))
+    if bad is not None:
+        u, v = bad
+        d = table.image.dim
+        failures.append(
+            f"multiplication is not continuous: product points {u} and {v} "
+            f"are adjacent but {table.product(u[:d], u[d:])} and "
+            f"{table.product(v[:d], v[d:])} are not")
+        alpha_edge = bad
+    inv = table.inversion_map()
+    bad = continuity_violation(inv)
+    if bad is not None:
+        a, b = bad
+        failures.append(
+            f"inversion is not continuous: {a} and {b} are adjacent but "
+            f"{inv(a)} and {inv(b)} are not")
+        beta_edge = bad
+    return GroupVerdict(not failures, tuple(failures), alpha_edge, beta_edge)
 
 
 # ---- the step relation before it was decided arm by arm ----

@@ -36,7 +36,7 @@ from ditop.groups import CayleyTable
 from ditop.pathspace import (EndpointFibration, PairedFibration,
                              paths_between)
 
-from helpers import (AdjacencyStepMasks, loop_bundle, mask,
+from helpers import (AdjacencyStepMasks, counted_builds, loop_bundle, mask,
                      random_grid_image, verify_section_oracle, wedge_adjacent_oracle,
                      wedge_is_wedge_oracle)
 
@@ -378,29 +378,16 @@ def test_work_counts_on_the_sections_commands(monkeypatch, capsys):
         assert counts == want, (command, counts)
 
 
-def _counted_builds(monkeypatch, name: str, counts: dict) -> None:
-    """Count the builds of each image's cached `name`, keyed by (name,
-    the image's size)."""
-    prop = images.DigitalImage.__dict__[name]
-    build = prop.func
-
-    def counted_build(img):
-        size = len(img.points)
-        counts[name, size] = counts.get((name, size), 0) + 1
-        return build(img)
-
-    monkeypatch.setattr(prop, "func", counted_build)
-
-
 def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     # `tc corpus:H -n 4` builds the neighbour rows of H^4 and its left
-    # factors (4,680) and 112 rows of smaller images (the group check's
-    # H^2, copies of H, the subimages that the category search and the
-    # piece tracks restrict), and the checker builds no subimage of its
-    # own: the commit before it walked the product's table built 8,896
-    # rows, 512 more per section, and the commit before the base's
-    # contractibility was settled once built 4,800, one more 8-point
-    # table for the second identity search. Nothing builds the point
+    # factors (4,680) and 48 rows of smaller images (copies of H, the
+    # subimages that the category search and the piece tracks restrict),
+    # and the checker builds no subimage of its own: the commit before it
+    # walked the product's table built 8,896 rows, 512 more per section,
+    # the commit before the base's contractibility was settled once built
+    # 4,800, one more 8-point table for the second identity search, and
+    # the commit before the group check read H's own table built 4,792,
+    # 64 more for the H^2 that it scanned. Nothing builds the point
     # index of H^4: pieces and arms hold indices, and the commit before
     # held that 4,096-entry index for the whole command. Certifying all
     # eight sections with one arm table, the checker path-checks 64 arms
@@ -432,15 +419,15 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
                     and getattr(module, attr, None) is restrict):
                 monkeypatch.setattr(module, attr, counted(restrict))
     builds: dict[tuple[str, int], int] = {}
-    _counted_builds(monkeypatch, "neighbor_index", builds)
-    _counted_builds(monkeypatch, "_index", builds)
+    counted_builds(monkeypatch, "neighbor_index", builds)
+    counted_builds(monkeypatch, "_index", builds)
     _counted(monkeypatch, pathspace.WedgeSpace, "arm_step", counts)
     _counted(monkeypatch, pathspace, "is_path", counts)
     assert main("tc corpus:H -n 4 --json".split()) == 0
     capsys.readouterr()
     assert "induced in check" not in counts, counts
     assert sum(size * k for (name, size), k in builds.items()
-               if name == "neighbor_index") == 4_792, builds
+               if name == "neighbor_index") == 4_728, builds
     assert builds["neighbor_index", 4_096] == 1, builds
     assert max(size for name, size in builds if name == "_index") == 8, builds
     assert (counts["arm_step"], counts["is_path"]) == (104, 64), counts

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditop import groups
+from ditop.cli import main
 from ditop.corpus import (flip_table, loop_image, loop_letter,
                           loop_rotation_table, mulwin_group, sign_embedding,
                           sign_image, sign_table, z2_window, z2plus_group,
@@ -22,11 +23,13 @@ from ditop.groups import (CayleyTable, WindowGroup,
                           product_group, scan_group_structures, subgroup_check,
                           verify_cayley, window_alpha_pair, window_group_report,
                           window_hom_report)
-from ditop.images import induced_subimage, interval_image, product_image
+from ditop.images import (CK, DigitalImage, Explicit, induced_subimage,
+                          interval_image, product_image)
 from ditop.maps import DigitalMap
 
-from helpers import (associativity_failure_oracle, fit_masks_oracle,
-                     group_inverse, latin_group_structures_oracle,
+from helpers import (associativity_failure_oracle, continuity_verdict_oracle,
+                     counted_builds, fit_masks_oracle, group_inverse,
+                     latin_group_structures_oracle, multiplication_map,
                      verify_cayley_oracle)
 
 
@@ -163,8 +166,7 @@ def test_rejections_follow_the_endpoint_middle_pattern():
             from ditop.maps import continuity_violation
             assert continuity_violation(inv) is not None
         else:
-            mul = table.multiplication_map(
-                product_image(seg, seg))
+            mul = multiplication_map(table, product_image(seg, seg))
             from ditop.maps import continuity_violation
             assert continuity_violation(mul) is not None
     for identity, verdict in res.rejected:
@@ -638,3 +640,69 @@ def test_only_continuity_failures_carry_an_edge(seed):
     axioms_hold = not verify_cayley(table)
     assert axioms_hold == (v.ok or v.alpha_edge is not None
                            or v.beta_edge is not None)
+
+
+# ---- the normal-Cayley-graph test against the G x G scan ----
+
+def _random_carrier(rng: random.Random) -> DigitalImage:
+    """1 to 6 points: a c_k image in Z^1 to Z^3, or explicit edges, with
+    cycles and complete graphs oversampled."""
+    n = rng.randint(1, 6)
+    kind = rng.choice(["ck", "ck", "random", "cycle", "complete"])
+    if kind == "ck":
+        d = rng.randint(1, 3)
+        box = list(itertools.product(range(6 if d == 1 else 3), repeat=d))
+        return DigitalImage(tuple(rng.sample(box, n)), CK(rng.randint(1, d)))
+    pts = [(i,) for i in range(n)]
+    pairs = list(itertools.combinations(pts, 2))
+    if kind == "random":
+        pairs = [e for e in pairs if rng.random() < 0.5]
+    elif kind == "cycle":
+        order = rng.sample(pts, n)
+        pairs = list(zip(order, order[1:] + order[:1]))[:n if n > 2 else n - 1]
+    return DigitalImage(tuple(pts), Explicit.of(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_the_cayley_test_matches_the_square_scan_on_every_table(seed):
+    img = _random_carrier(random.Random(seed))
+    tables = list(enumerate_group_structures(img))
+    for strong in (False, True):
+        want = [continuity_verdict_oracle(t, strong=strong) for t in tables]
+        assert [is_topological_group(t, strong=strong)
+                for t in tables] == want
+        res = scan_group_structures(img, strong=strong)
+        assert list(res.rejected) == [(t.identity, v)
+                                      for t, v in zip(tables, want) if not v.ok]
+        assert res.topological == tuple(t for t, v in zip(tables, want)
+                                        if v.ok)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_the_cayley_test_matches_the_square_scan_on_product_tables(seed):
+    rng = random.Random(seed)
+    pool = [sign_table(), flip_table(4), loop_rotation_table(),
+            *enumerate_group_structures(interval_image(0, 2)),
+            *enumerate_group_structures(interval_image(0, 3))]
+    strong = rng.random() < 0.5
+    table = product_group(rng.choice(pool), rng.choice(pool),
+                          strong=rng.random() < 0.5)
+    assert (is_topological_group(table, strong=strong)
+            == continuity_verdict_oracle(table, strong=strong))
+
+
+@pytest.mark.parametrize("command, largest", [
+    ("group-product corpus:Hrot corpus:Hrot", 64),
+    ("group-check corpus:Hrot", 8),
+    ("group-scan -p 6", 6)])
+@pytest.mark.parametrize("mode", ["pointwise", "strong"])
+def test_finite_group_checks_build_no_table_of_the_square(
+        monkeypatch, capsys, command, largest, mode):
+    # the G x G scan built the carrier's square: 4,096, 64 and 36 rows
+    builds: dict = {}
+    counted_builds(monkeypatch, "neighbor_index", builds)
+    main(command.split() + ["--mode", mode, "--json"])
+    capsys.readouterr()
+    assert max(size for _, size in builds) == largest, builds

@@ -173,7 +173,8 @@ def test_the_product_choice_is_one_keyword_only_strong_flag():
         ("images", "product_image"), ("images", "power_image"),
         ("pathspace", "WedgeSpace.__init__"),
         ("complexity", "tc_n"), ("complexity", "tc_chain"),
-        ("groups", "is_topological_group"),
+        ("groups", "is_topological_group"), ("groups", "_cayley_verdict"),
+        ("groups", "_torn_product_edge"),
         ("groups", "scan_group_structures"), ("groups", "product_group"),
         ("groups", "window_group_report"), ("groups", "window_alpha_pair"),
         ("corpus", "sum_map")}
@@ -275,7 +276,8 @@ def test_test_only_helpers_stay_in_the_tests():
                           "DigitalImage.lex_shortest_path",
                           "DigitalImage.neighbors",
                           "SectionWitness.from_points",
-                          "DigitalMap.constant"}
+                          "DigitalMap.constant",
+                          "CayleyTable.multiplication_map"}
 
 
 def test_the_section_checker_reads_no_point_index():
