@@ -122,23 +122,22 @@ def cat_bounds(base: DigitalImage) -> BoundResult:
     The piece test is slide-only (sound, incomplete). Whole-image
     contractibility is settled exactly by `is_contractible` within the
     active `budget`. When the budget runs out it is left unsettled and the
-    lower bound stays 1: no slide of the identity holds then, since one
-    would have settled it before any search.
+    lower bound stays 1. The whole image is never slid as a piece: a
+    "yes" returns the cover of one at once, and after a "no" or a search
+    that ran out no slide of the identity holds, since it would restrict
+    to a slide of the core, which is tried before any search.
     """
     if not base.is_connected:
         raise ValueError("category here is for connected images; "
                          "split into components first")
-    whole: bool | None = None
-    torn = 0  # no piece
     try:
-        whole = is_contractible(base)
+        whole: bool | None = is_contractible(base)
     except BudgetExhausted:
-        # a slide of the identity restricts to its core, where it is tried
-        # before any search, so sliding the whole image as a piece tears
-        torn = (1 << len(base.points)) - 1
+        whole = None
+    full = (1 << len(base.points)) - 1
 
     def slide_only(piece: int) -> Optional[HomotopyWitness]:
-        if piece == torn:
+        if piece == full:
             return None
         return next(slides(DigitalMap.inclusion_of(base, piece)), None)
 

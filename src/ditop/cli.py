@@ -21,6 +21,7 @@ from typing import Callable
 
 from . import covers
 from .category import cat_bounds, cat_exact
+from .cocycles import check_certificate
 from .complexity import CoverImpossible, schwarz_genus, tc_n
 from .corpus import (UnknownCorpusName, get_image, get_map, get_table,
                      get_window_group, loop_cover)
@@ -119,13 +120,35 @@ def cmd_check_continuity(args, rep: Report) -> int:
     return 2
 
 
+def _certified(f: DigitalMap, phi, gamma, g: DigitalMap | None = None,
+               ) -> tuple[int, str]:
+    """A cocycle certificate's value φ(f∘γ) − φ(g∘γ) (0 for g None) and
+    its walk γ as points, re-verified by `check_certificate`, which shares
+    no code with the search. One that fails its check raises, since the
+    lemma behind it is proved."""
+    pts = f.codomain.points
+    value, why = check_certificate(
+        f.codomain, {(pts[u], pts[v]): c for (u, v), c in phi.items()},
+        tuple(f.values[i] for i in gamma),
+        None if g is None else tuple(g.values[i] for i in gamma))
+    if why is not None:
+        raise AssertionError(f"cocycle certificate failed its check: {why}")
+    return value, ", ".join(str(f.domain.points[i]) for i in gamma)
+
+
 def cmd_homotopic(args, rep: Report) -> int:
     f, dig1 = _map_from_ref(args.map1)
     g, dig2 = _map_from_ref(args.map2)
     rep.inputs.update({args.map1: dig1, args.map2: dig2})
-    w = are_homotopic(f, g)
+    refutation: list = []
+    w = are_homotopic(f, g, refutation=refutation)
     rep.results["homotopic"] = w is not None
     if w is None:
+        for phi, gamma in refutation:
+            value, walk = _certified(f, phi, gamma, g)
+            rep.notes.append(f"not homotopic: a cocycle's values on the two "
+                             f"maps' images of the closed walk {walk} differ "
+                             f"by {value}")
         return 2
     rep.results["steps"] = len(w.stages) - 1
     rep.witnesses["domain.img"] = serialize_image(f.domain)
@@ -137,9 +160,14 @@ def cmd_homotopic(args, rep: Report) -> int:
 
 def cmd_contractible(args, rep: Report) -> int:
     img, rep.inputs[args.image] = _image_from_ref(args.image)
-    w = contraction(img)
+    refutation: list = []
+    w = contraction(img, refutation=refutation)
     rep.results["contractible"] = w is not None
     if w is None:
+        for phi, gamma in refutation:
+            value, walk = _certified(DigitalMap.identity(img), phi, gamma)
+            rep.notes.append(f"not contractible: a cocycle takes the value "
+                             f"{value} on the closed walk {walk}")
         return 2
     rep.results["stages"] = len(w.stages)
     rep.results["rest_point"] = str(w.stages[-1].values[0])

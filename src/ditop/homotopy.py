@@ -24,6 +24,8 @@ slide of f would spare. A core is searched in its codomain's core, one
 component at a time. No edge joins two components, so a map is
 nullhomotopic exactly when its restriction to every component is homotopic
 to a constant and those constants lie in one component of the codomain.
+Before all of this, a cocycle certificate (`cocycles.obstruction`)
+answers most "no"s with no search.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
+from .cocycles import obstruction
 from .images import DigitalImage, Value, bits
 from .maps import DigitalMap, backtrack, continuity_violation, is_continuous
 
@@ -196,8 +199,12 @@ class MapGraph:
         return HomotopyWitness(tuple(self.map_of(s) for s in reversed(path)))
 
 
-def are_homotopic(f: DigitalMap, g: DigitalMap) -> Optional[HomotopyWitness]:
-    """Witness that f ~ g, or None when they are provably not homotopic.
+def are_homotopic(f: DigitalMap, g: DigitalMap, *,
+                  refutation: list | None = None,
+                  ) -> Optional[HomotopyWitness]:
+    """Witness that f ~ g, or None when they are provably not homotopic:
+    by a cocycle certificate (`cocycles.obstruction`), which is appended
+    to `refutation` when given, or else by an exhausted search.
 
     Raises BudgetExhausted if the search cannot settle within the budget,
     and ValueError when the maps do not share domain and codomain or are
@@ -208,6 +215,10 @@ def are_homotopic(f: DigitalMap, g: DigitalMap) -> Optional[HomotopyWitness]:
     for name, h in (("first", f), ("second", g)):
         if not is_continuous(h):
             raise ValueError(f"the {name} map is not continuous")
+    if (hit := obstruction(f, g)) is not None:
+        if refutation is not None:
+            refutation.append(hit)
+        return None
     graph = MapGraph(f.domain, f.codomain)
     closed, goal = f.codomain.closed_masks, g.value_indices
 
@@ -282,14 +293,17 @@ def shortest_nullhomotopy(f: DigitalMap, allowed: set[int] | range,
 
 def nullhomotopy(f: DigitalMap,
                  lookup: Callable[[int], Optional[HomotopyWitness]]
-                 | None = None,
+                 | None = None, *, refutation: list | None = None,
                  ) -> Optional[HomotopyWitness]:
     """Witness that f is nullhomotopic (ends at some constant map), or None
     when f's homotopy class holds no constant map.
 
-    f|C is settled first, C being the core of f's domain: when it has no
-    witness neither has f, and f is not slid; otherwise f's first slide
-    is returned, or else C's witness lifted by `pull_back`. A domain that
+    A cocycle certificate (`cocycles.obstruction`) answers "no" first,
+    with no fold, slide or search, and is appended to `refutation` when
+    given. Otherwise f|C is settled first, C being the core of f's
+    domain: when it has no witness neither has f, and f is not slid;
+    otherwise f's first slide is returned, or else C's witness lifted by
+    `pull_back`. A domain that
     does not fold is slid, then searched (`folded_nullhomotopy`).
     `lookup`, a memo of this function's answers on inclusions into f's
     codomain, keyed by the bitmask of their values, answers for f|C, by
@@ -297,6 +311,10 @@ def nullhomotopy(f: DigitalMap,
     """
     if not is_continuous(f):
         raise ValueError("map is not continuous")
+    if (hit := obstruction(f)) is not None:
+        if refutation is not None:
+            refutation.append(hit)
+        return None
     folded = fold(f.domain)
     if not folded.steps:
         return next(slides(f), None) or folded_nullhomotopy(f)
@@ -308,18 +326,20 @@ def nullhomotopy(f: DigitalMap,
     return next(slides(f), None) or pull_back(f, folded, w.stages)
 
 
-def contraction(img: DigitalImage) -> Optional[HomotopyWitness]:
+def contraction(img: DigitalImage, *, refutation: list | None = None,
+                ) -> Optional[HomotopyWitness]:
     """A nullhomotopy of the identity map, when one exists.
 
     The witness is a slide, or else a shortest one from the search of the
     identity's own map graph: `tc` reads its length as an arm length, and
     a lifted witness is not shortest. `nullhomotopy` decides first
-    whether any exists, so that search runs only when it will succeed.
+    whether any exists, so that search runs only when it will succeed,
+    and appends its cocycle certificate of a "no" to `refutation`.
     """
     if not img.is_connected:
         return None
     ident = DigitalMap.identity(img)
-    w = nullhomotopy(ident)
+    w = nullhomotopy(ident, refutation=refutation)
     if w is None or w.label == "slide":
         return w
     return shortest_nullhomotopy(ident, range(len(img.points)))

@@ -631,6 +631,40 @@ def theta_image() -> DigitalImage:
     return DigitalImage(tuple(sorted(pts)), CK(1))
 
 
+def frame_image(side: int = 3, k: int = 2, tail: int = 0) -> DigitalImage:
+    """The boundary of the side x side box under c_k, and a tail of `tail`
+    points (side, 1), (side + 1, 1), ... The default, the 8 points around
+    the centre of the 3 x 3 box under c2, contracts with no cocycle to
+    rule it out, and every slide of its identity tears, so `contraction`
+    searches its identity's map graph. Under c1 and with side 4 under
+    c2 the frame is a loop that a cocycle detects."""
+    return DigitalImage(tuple((x, y) for x in range(side) for y in range(side)
+                              if x in (0, side - 1) or y in (0, side - 1))
+                        + tuple((x, 1) for x in range(side, side + tail)),
+                        CK(k))
+
+
+def uncertified_image() -> DigitalImage:
+    """A 9-point graph with no nonzero cocycle whose identity map is alone
+    in its map graph's component: not contractible, with no certificate
+    to say so. Its "no"s are searched, as are some pieces of its
+    category 2 that contract without a slide."""
+    edges = ((0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 6), (1, 7), (1, 8),
+             (2, 3), (2, 5), (2, 6), (2, 8), (3, 4), (4, 5), (5, 7), (7, 8))
+    return DigitalImage(tuple((i,) for i in range(9)),
+                        Explicit.of(((a,), (b,)) for a, b in edges))
+
+
+def searched_contractible_image() -> DigitalImage:
+    """An 8-point graph that contracts, though its identity's fold core, 7
+    points, slides to no point, so deciding it takes a map-graph search
+    (34 states)."""
+    edges = ((0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 6), (1, 7), (2, 4),
+             (2, 5), (3, 5), (4, 6), (5, 6))
+    return DigitalImage(tuple((i,) for i in range(8)),
+                        Explicit.of(((a,), (b,)) for a, b in edges))
+
+
 def is_nullhomotopic(f: DigitalMap) -> bool:
     return nullhomotopy(f) is not None
 

@@ -387,7 +387,9 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     # the commit before the base's contractibility was settled once built
     # 4,800, one more 8-point table for the second identity search, and
     # the commit before the group check read H's own table built 4,792,
-    # 64 more for the H^2 that it scanned. Nothing builds the point
+    # 64 more for the H^2 that it scanned, and the commit before a
+    # cocycle answered the category's "no"s built 4,728, 8 more for the
+    # subimages that the searches of those pieces folded. Nothing builds the point
     # index of H^4: pieces and arms hold indices, and the commit before
     # held that 4,096-entry index for the whole command. Certifying all
     # eight sections with one arm table, the checker path-checks 64 arms
@@ -427,7 +429,7 @@ def test_the_checker_reads_the_product_table_in_place(monkeypatch, capsys):
     capsys.readouterr()
     assert "induced in check" not in counts, counts
     assert sum(size * k for (name, size), k in builds.items()
-               if name == "neighbor_index") == 4_728, builds
+               if name == "neighbor_index") == 4_720, builds
     assert builds["neighbor_index", 4_096] == 1, builds
     assert max(size for name, size in builds if name == "_index") == 8, builds
     assert (counts["arm_step"], counts["is_path"]) == (104, 64), counts

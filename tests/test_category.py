@@ -16,7 +16,8 @@ from ditop.images import CK, DigitalImage, induced_subimage, interval_image
 from ditop.maps import DigitalMap
 
 from helpers import (categorical_subsets, mask, plane_isometry,
-                     random_grid_image, theta_image)
+                     random_grid_image, searched_contractible_image,
+                     theta_image, uncertified_image)
 
 
 def test_single_point_has_category_one():
@@ -166,7 +167,11 @@ def test_orbit_answers_leave_every_piece_and_stage_as_a_search_gives(
 def test_cat_exact_searches_each_piece_once(monkeypatch):
     # every query reaches piece_contraction once; a map-graph search runs
     # only on a fold core, at most once per core, and every other piece
-    # slides or lifts the memoized witness of its core
+    # slides or lifts the memoized witness of its core. Every "no" on the
+    # loop has a cocycle certificate and every "yes" slides or lifts a
+    # slide of its core, so no core is searched (the commit before the
+    # certificates searched 1); a graph with no cocycle still searches 5
+    # cores, each once
     entered = []
     searched = []
     queried = []
@@ -197,18 +202,20 @@ def test_cat_exact_searches_each_piece_once(monkeypatch):
     monkeypatch.setattr(category, "piece_contraction", counting_entry)
     monkeypatch.setattr(homotopy, "folded_nullhomotopy", counting_search)
     monkeypatch.setattr(category, "cat_oracle", recording_oracle)
-    loop = loop_image()
-    w = cat_exact(loop)
-    assert w.size == 2
-    assert len(queried) == len(set(queried)) == oracles[0].calls
-    assert entered == queried
-    assert searched and len(searched) == len(set(searched))
-    for core in searched:
-        assert mask(loop, core) in queried
-        assert not fold(induced_subimage(loop, core)).steps
-    for piece in w.pieces:
-        assert piece.contraction is oracles[0].witness(mask(loop,
-                                                            piece.points))
+    for base, searches in ((loop_image(), 0), (uncertified_image(), 5)):
+        for seen in (entered, searched, queried, oracles):
+            seen.clear()
+        w = cat_exact(base)
+        assert w.size == 2
+        assert len(queried) == len(set(queried)) == oracles[0].calls
+        assert entered == queried
+        assert len(searched) == len(set(searched)) == searches
+        for core in searched:
+            assert mask(base, core) in queried
+            assert not fold(induced_subimage(base, core)).steps
+        for piece in w.pieces:
+            assert piece.contraction is oracles[0].witness(
+                mask(base, piece.points))
 
 
 def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
@@ -216,7 +223,7 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
     slide = homotopy.slide_nullhomotopy
 
     def counting_slide(*args, **kwargs):
-        slides.append(args[1])
+        slides.append((args[0].domain.points, args[1]))
         return slide(*args, **kwargs)
 
     monkeypatch.setattr(homotopy, "slide_nullhomotopy", counting_slide)
@@ -224,15 +231,30 @@ def test_bounds_slide_each_target_once_after_an_exhausted_check(monkeypatch):
     loop = loop_image()
     with budget(3):
         r = cat_bounds(loop)
-    # 8 identity slides before the exhausted search, 14 while growing the
-    # greedy pieces; the whole image is not slid a second time
-    assert len(slides) == 22
-    assert (r.lower, r.upper) == (1, 2)
+    # a cocycle settles the loop's whole-image check, with no slide and no
+    # search, so the lower bound is 2; 14 slides grow the greedy pieces,
+    # and the whole image is never slid: the commit before the
+    # certificates ran out of budget on that check and slid 22 times
+    assert len(slides) == 14
+    assert all(len(piece) < len(loop.points) for piece, _ in slides)
+    assert (r.lower, r.upper) == (2, 2)
     assert r.notes == ("upper from greedy growth",
-                       "lower stays 1: whole-image admissibility unsettled")
+                       "lower 2: the whole image is not admissible")
     assert r.witness == (
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 0)),
         ((0, -1), (0, 0), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)))
+    # a check that still searches and runs out: the 8 slides of the
+    # identity's fold core are tried before the search, and the greedy
+    # pieces never slide the whole image
+    slides.clear()
+    stiff = searched_contractible_image()
+    with budget(3):
+        r = cat_bounds(stiff)
+    core = stiff.points[:7]
+    assert slides[:8] == [(core, t) for t in range(8)]
+    assert all(len(piece) < len(stiff.points) for piece, _ in slides)
+    assert (r.lower, r.upper) == (1, 2)
+    assert r.notes[-1] == "lower stays 1: whole-image admissibility unsettled"
 
 
 def test_a_sliding_core_settles_the_whole_image_within_a_tiny_budget(

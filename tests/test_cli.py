@@ -17,13 +17,20 @@ from ditop.images import CK, DigitalImage, interval_image
 from ditop.maps import DigitalMap
 from ditop.pathspace import EndpointFibration
 
-from helpers import record_search_states, section_from_points, theta_image
+from helpers import (frame_image, record_search_states,
+                     section_from_points, theta_image, uncertified_image)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def image_file(tmp_path, name: str, img: DigitalImage) -> str:
+    path = tmp_path / name
+    path.write_text(serialize_image(img), encoding="utf-8")
+    return str(path)
 
 
 def test_image_info_reports_the_essentials(capsys):
@@ -346,43 +353,58 @@ def test_hom_check_decides_a_finite_map_with_one_algebra_check(
     assert calls == {"algebra": 1, "continuity": 2}
 
 
-def test_verify_paper_passes_and_budget_degrades_gracefully(capsys):
+def test_verify_paper_passes_and_budget_degrades_gracefully(capsys,
+                                                            tmp_path):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
     assert "mismatched: 0" in out
     assert "within paper bound" in out
+    # a cocycle settles every "no" of its rows, so a budget of 2, which
+    # left rows inconclusive at the commit before the certificates, now
+    # answers all of them
     code, out, _ = run(capsys, "verify-paper", "--budget", "2")
     assert code == 0
-    assert "inconclusive (budget exhausted)" in out
-
-
-def test_verify_paper_spends_one_budget_on_all_its_rows(capsys):
-    # its six map-graph searches visit 8 states each, so a budget of 8
-    # fits each one alone but runs out across the rows
-    code, out, _ = run(capsys, "verify-paper", "--budget", "8")
+    assert "\ninconclusive: 0\nmatched: 26\nmismatched: 0\n" in out
+    # a command that still searches reports its budget running out
+    code, out, _ = run(capsys, "contractible",
+                       image_file(tmp_path, "frame.img", frame_image()),
+                       "--budget", "2")
     assert code == 0
-    assert "\ninconclusive: 4\nmatched: 23\nmismatched: 0\n" in out
+    assert "contractible: unknown" in out and "budget exhausted" in out
+
+
+def test_verify_paper_spends_one_budget_on_all_its_rows(capsys, monkeypatch):
+    # the commit before the certificates made six map-graph searches of 8
+    # states each, so a budget of 8 ran out across the rows and left 4
+    # inconclusive; it now searches nothing, so a budget of 0 answers all
+    sizes = record_search_states(monkeypatch)
+    code, out, _ = run(capsys, "verify-paper", "--budget", "0")
+    assert code == 0 and sizes == []
+    assert "\ninconclusive: 0\nmatched: 26\nmismatched: 0\n" in out
 
 
 @pytest.mark.parametrize("command", ["cat", "tc"])
 def test_one_budget_caps_all_the_searches_of_a_cat_or_tc_run(
         command, tmp_path, capsys, monkeypatch):
-    # theta's category (tc's lower bound) settles its pieces in six
-    # searches of at most 12 states each
-    path = tmp_path / "theta.img"
-    path.write_text(serialize_image(theta_image()), encoding="utf-8")
+    # theta's category (tc's lower bound) settles its pieces with no
+    # search: the commit before the certificates made six
     sizes = record_search_states(monkeypatch)
-    _, out, _ = run(capsys, command, str(path))
+    run(capsys, command, image_file(tmp_path, "theta.img", theta_image()))
+    assert sizes == []
+    # a graph with no cocycle settles its pieces in five searches of at
+    # most 24 states each
+    path = image_file(tmp_path, "graph.img", uncertified_image())
+    _, out, _ = run(capsys, command, path)
     need, most = sum(sizes), max(sizes)
-    assert len(sizes) == 6 and most < need
+    assert len(sizes) == 5 and most < need
     sizes.clear()
-    code, answered, _ = run(capsys, command, str(path), "--budget", str(need))
+    code, answered, _ = run(capsys, command, path, "--budget", str(need))
     assert code == 0 and sum(sizes) <= need
     # the same report, but for the command line and the budget setting
     assert answered.replace(f"budget={need}", "budget=2000000") \
         .splitlines()[1:] == out.splitlines()[1:]
     # enough for the largest search alone, not for all of them together
-    code, out, _ = run(capsys, command, str(path), "--budget", str(most))
+    code, out, _ = run(capsys, command, path, "--budget", str(most))
     assert code == 0 and f"\n{command}: unknown\n" in out
     assert (f"note: budget exhausted: map-graph search exceeded {most} "
             f"states") in out
@@ -419,8 +441,14 @@ def test_verify_paper_catches_a_perturbed_reference(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
-def test_budget_exhaustion_reports_inside_the_document(capsys):
+def test_budget_exhaustion_reports_inside_the_document(capsys, tmp_path):
+    # the loop's "no" has a certificate and spends no budget; at the
+    # commit before the certificates it ran out and answered "unknown"
     code, out, _ = run(capsys, "contractible", "corpus:H", "--budget", "3")
+    assert code == 2 and "contractible: False" in out
+    code, out, _ = run(capsys, "contractible",
+                       image_file(tmp_path, "frame.img", frame_image()),
+                       "--budget", "3")
     assert code == 0
     assert "contractible: unknown" in out
     assert "budget exhausted" in out
@@ -467,8 +495,18 @@ def test_verify_paper_lets_a_failed_self_check_propagate(capsys, monkeypatch,
     capsys.readouterr()
 
 
-def test_tc_notes_a_shortcut_that_ran_out_of_budget(capsys):
+def test_tc_notes_a_shortcut_that_ran_out_of_budget(capsys, tmp_path):
+    # a cocycle refutes the 16-cycle's contraction with no search, so its
+    # lower bound is 2, where the commit before the certificates ran out
+    # and kept 1
     code, out, _ = run(capsys, "tc", "corpus:cycle:16", "--budget", "10")
+    assert code == 0
+    assert "tc_lower: 2" in out
+    # the c2 frame with a 7-point tail contracts, past the sweep limit,
+    # and its shortest contraction is searched
+    code, out, _ = run(capsys, "tc", image_file(tmp_path, "tail.img",
+                                                frame_image(tail=7)),
+                       "--budget", "10")
     assert code == 0
     assert "tc_lower: 1" in out  # an unsettled contraction refutes nothing
     assert ("note: contractible-base route skipped, budget exhausted: "
@@ -508,8 +546,13 @@ def test_out_of_range_counts_exit_1_naming_the_option(capsys, argv, option):
         assert "positive point count" in errors[0]
 
 
-def test_a_zero_budget_is_valid_and_runs_out_at_once(capsys):
+def test_a_zero_budget_is_valid_and_runs_out_at_once(capsys, tmp_path):
+    # a certified "no" spends nothing, so even a zero budget answers it
     code, out, _ = run(capsys, "contractible", "corpus:H", "--budget", "0")
+    assert code == 2 and "contractible: False" in out
+    code, out, _ = run(capsys, "contractible",
+                       image_file(tmp_path, "frame.img", frame_image()),
+                       "--budget", "0")
     assert code == 0
     assert "contractible: unknown" in out
     assert "map-graph search exceeded 0 states" in out
@@ -570,11 +613,15 @@ def test_every_search_command_answers_unknown_when_its_budget_runs_out(
     for name, dm in (("f", DigitalMap.identity(seg)), ("g", const)):
         (tmp_path / f"{name}.map").write_text(
             serialize_map(dm, "seg.img", "seg.img"), encoding="utf-8")
+    # a graph with no cocycle still searches its category's pieces
+    graph = image_file(tmp_path, "graph.img", uncertified_image())
     cases = (
         ("homotopic", str(tmp_path / "f.map"), str(tmp_path / "g.map"),
          "--budget", "1"),
-        ("cat", "corpus:H", "--budget", "3"),
-        ("tc", "corpus:H", "--budget", "3"),
+        ("cat", graph, "--budget", "3"),
+        ("tc", graph, "--budget", "3"),
+        ("contractible", image_file(tmp_path, "frame.img", frame_image()),
+         "--budget", "3"),
     )
     for argv in cases:
         code, out, _ = run(capsys, *argv)

@@ -309,17 +309,30 @@ def test_cat_searches_inside_tc_spend_the_callers_budget(monkeypatch):
     with budget(1_000_000) as ledger:
         tc_chain(loop, 2)
         tc_upper_via_group(loop, table, 2)
+    # cocycles settle the loop's category with no search; the commit
+    # before the certificates made 3
+    assert sizes == [] and ledger.spent == 0
+    # a graph with no cocycle still searches its category's pieces
+    graph = helpers.uncertified_image()
+    with budget(1_000_000) as ledger:
+        tc_chain(graph, 2)
     assert len(sizes) > 1 and ledger.spent == sum(sizes)
     # a cap that each search fits alone but all of them do not
     assert max(sizes) < sum(sizes) - 1
-    with budget(sum(sizes) - 1), pytest.raises(BudgetExhausted):
-        tc_chain(loop, 2)
-        tc_upper_via_group(loop, table, 2)
+    with budget(max(sizes)), pytest.raises(BudgetExhausted):
+        tc_chain(graph, 2)
 
 
 def test_tc_notes_the_contractible_base_route_it_could_not_settle():
+    # a cocycle refutes the 16-cycle's contraction with no search, where
+    # the commit before the certificates ran out of this budget
     with budget(10):
         r = tc_n(cycle_image(16), 2)
+    assert (r.lower, r.upper) == (2, None)
+    assert r.notes[0] == "lower 2: the base does not contract, so cat >= 2"
+    # past the sweep limit, the tailed c2 frame's contraction is searched
+    with budget(10):
+        r = tc_n(helpers.frame_image(tail=7), 2)
     assert r.notes[0].startswith("contractible-base route skipped, "
                                  "budget exhausted")
     assert (r.lower, r.upper) == (1, None)
@@ -447,13 +460,20 @@ def test_the_group_route_refuses_a_short_arm_with_a_value_error():
 
 
 def test_tc_settles_a_small_base_with_one_identity_search(monkeypatch,
-                                                          capsys):
+                                                          capsys, tmp_path):
     # a base within the sweep limit under a larger product gets its exact
-    # category first and a contraction only at category 1, so H's identity
-    # map graph is searched once per `tc` command, not twice (once by
-    # `contraction`, once by the category oracle), and `verify-paper`,
-    # whose TC rows each run `tc_n`, makes 6 such searches, not 9
+    # category first and a contraction only at category 1, so the c2
+    # frame's identity map graph is searched once per `tc` command, for a
+    # shortest contraction, not twice (once by `contraction`, once by the
+    # category oracle). A cocycle settles H's "no"s: its `tc` commands and
+    # `verify-paper`, whose TC rows each run `tc_n`, search nothing, where
+    # the commit before the certificates searched H's map graph once per
+    # `tc` command and 6 times in `verify-paper`
     from ditop.cli import main
+    from ditop.fileio import serialize_image
+    (tmp_path / "frame.img").write_text(
+        serialize_image(helpers.frame_image()), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     searches = []
     bfs = MapGraph.bfs
 
@@ -463,8 +483,8 @@ def test_tc_settles_a_small_base_with_one_identity_search(monkeypatch,
         return bfs(self, start, *args, **kwargs)
 
     monkeypatch.setattr(MapGraph, "bfs", counted)
-    for command, want in (("tc corpus:H -n 3", 1), ("tc corpus:H -n 4", 1),
-                          ("verify-paper", 6)):
+    for command, want in (("tc corpus:H -n 3", 0), ("tc corpus:H -n 4", 0),
+                          ("verify-paper", 0), ("tc frame.img -n 3", 1)):
         searches.clear()
         assert main(command.split() + ["--json"]) == 0
         capsys.readouterr()

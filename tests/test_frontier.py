@@ -6,10 +6,11 @@ at least as good as the row records: a lower bound no lower, an upper
 bound no higher (`?` where the row has `?`, which a number may replace),
 and an exit status no worse (an exit 1 may become an answer). Each case
 also has a wall-time cap of about ten times the row's time, and at
-least one second, so a lost route fails the case but host noise does
-not. Rows only ever tighten: a change that moves a row tightens its case
-here and records the old and new answers in CHANGES.md; no change
-loosens one.
+least one second (half a second for the 48-cycle, whose "no" is a
+certificate found in milliseconds), so a lost route fails the case but
+host noise does not. Rows only ever tighten: a change that moves a row
+tightens its case here and records the old and new answers in
+CHANGES.md; no change loosens one.
 """
 
 from __future__ import annotations
@@ -68,9 +69,16 @@ def test_tc_bounds_never_loosen(capsys, command, lower, upper, status, cap):
 
 
 def test_the_long_cycle_stays_non_contractible(capsys):
-    code, out = _run(capsys, "contractible corpus:cycle:48", 4.0)
+    # a cocycle certificate names a 48-step closed walk; the search that
+    # said "no" before took about 0.4 s, under a 4 s cap
+    code, out = _run(capsys, "contractible corpus:cycle:48", 0.5)
     assert code == 2
-    assert json.loads(out)["results"]["contractible"] is False
+    doc = json.loads(out)
+    assert doc["results"]["contractible"] is False
+    (note,) = doc["notes"]
+    assert note.startswith("not contractible: a cocycle takes the value ")
+    walk = re.findall(r"\(\d+, \d+\)", note.split("closed walk ")[1])
+    assert len(walk) == 49 and walk[0] == walk[-1]
 
 
 @pytest.mark.parametrize("command", REFUSED)

@@ -18,7 +18,8 @@ from ditop.homotopy import (BudgetExhausted, HomotopyWitness, MapGraph,
                             folded_nullhomotopy, is_contractible,
                             nullhomotopy, pull_back, shortest_nullhomotopy,
                             slide_nullhomotopy, verify_homotopy)
-from ditop.images import DigitalImage, CK, induced_subimage, interval_image
+from ditop.images import (DigitalImage, CK, Explicit, induced_subimage,
+                          interval_image)
 from ditop.maps import DigitalMap, continuity_violation
 
 from helpers import (all_states, are_homotopic_oracle,
@@ -26,8 +27,9 @@ from helpers import (all_states, are_homotopic_oracle,
                      is_nullhomotopic, left_translation, mask,
                      point_walk_slide_nullhomotopy, random_explicit_image,
                      random_grid_image, restrict_witness,
+                     searched_contractible_image,
                      shortest_nullhomotopy_oracle, slide_first_cat_oracle,
-                     theta_image, unfolded_nullhomotopy,
+                     theta_image, uncertified_image, unfolded_nullhomotopy,
                      unsplit_folded_nullhomotopy)
 
 
@@ -197,9 +199,13 @@ def test_nullhomotopy_respects_requested_targets():
 
 
 def test_budget_exhaustion_is_loud_not_wrong():
-    loop = loop_image()
+    # a cocycle answers the loop's "no" within any budget; the commit
+    # before the certificates ran out of this one
+    with budget(3):
+        assert nullhomotopy(DigitalMap.identity(loop_image())) is None
+    stiff = searched_contractible_image()
     with budget(3), pytest.raises(BudgetExhausted):
-        nullhomotopy(DigitalMap.identity(loop))
+        nullhomotopy(DigitalMap.identity(stiff))
 
 
 def test_restrict_witness_projects_onto_a_subset():
@@ -406,7 +412,17 @@ def test_a_piece_whose_core_has_no_witness_is_never_slid(monkeypatch):
     assert fold(incl.domain).core.points == cycle
     assert nullhomotopy(incl) is None
     assert cat_oracle(theta).witness(mask(theta, piece)) is None
-    assert slid and set(slid) == {cycle}
+    # a cocycle settles the piece before any fold or slide; the commit
+    # before the certificates slid its core
+    assert slid == []
+    # a graph with no cocycle and a dominated tenth point: its core, the
+    # graph, is the only thing slid
+    graph = uncertified_image()
+    tail = DigitalImage(graph.points + ((9,),), Explicit.of(
+        graph.adjacency.edges | {((0,), (9,))}))
+    assert fold(tail).core.points == graph.points
+    assert nullhomotopy(DigitalMap.identity(tail)) is None
+    assert slid and set(slid) == {graph.points}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
-"""One slide-then-search route: `homotopy.nullhomotopy`; one certifier
+"""One slide-then-search route: `homotopy.nullhomotopy`, which with
+`are_homotopic` alone asks `cocycles.obstruction` for a certificate,
+checked by code that shares nothing with the search; one certifier
 for proved sections: `complexity._certify`; one product flag: `strong`;
 one constructor that turns points into a map: `DigitalMap.from_points`,
 and one that turns them into a table: `CayleyTable.from_points`.
@@ -85,6 +87,29 @@ def _calls(names: set[str], raised: bool = False,
     for path in sorted(SOURCE.glob("*.py")):
         Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
+
+
+def test_only_the_two_homotopy_routes_ask_for_a_certificate():
+    assert _calls({"obstruction"}) == [
+        ("homotopy", "are_homotopic", "obstruction"),
+        ("homotopy", "nullhomotopy", "obstruction")]
+
+
+def test_the_certificate_checker_shares_no_code_with_the_search():
+    # the checker's module imports no search module, and the checker calls
+    # nothing that the module defines for the search
+    tree = ast.parse((SOURCE / "cocycles.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"images"}
+    assert not imported & {"homotopy", "covers", "category", "complexity",
+                           "maps"}
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    (checker,) = [node for node in tree.body
+                  if getattr(node, "name", None) == "check_certificate"]
+    assert {_name(call.func) for call in ast.walk(checker)
+            if isinstance(call, ast.Call)} & defined == set()
 
 
 def test_slides_come_from_one_generator():
